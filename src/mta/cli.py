@@ -6,15 +6,13 @@ algebras, block descriptors, and a built-in self-verification battery.
 Output is deterministic JSON by default (byte-identical across runs) or
 plain text with --format text.  Exit codes: 0 success, 1 a verification or
 validation reported failure, 2 usage errors (including desk-scale limits,
-which --unsafe-no-limits lifts).  MTA_THREADS bounds worker threads for the
-pairing-matrix computations.
+which --unsafe-no-limits lifts).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -34,6 +32,10 @@ from .partitions import (
 MAX_RANK = 4
 MAX_DEGREE = 8
 MAX_LATTICE_RANK = 4
+# Labels of the largest pairing matrix `heisenberg verify` builds: (4, 5) has
+# 252 and verifies in about 7 s on a 2-core machine; the next size inside the
+# rank/degree box, (3, 7) with 429 labels, takes about 21 s.
+MAX_PAIRING_LABELS = 252
 
 
 @dataclass
@@ -42,7 +44,6 @@ class RunConfig:
 
     format: str = "json"
     unsafe_no_limits: bool = False
-    threads: int = 1
     seed: int = 0
 
     def check_heisenberg(self, parser, n: int, d: int):
@@ -55,6 +56,17 @@ class RunConfig:
                 "pass --unsafe-no-limits to override"
             )
 
+    def check_pairings(self, parser, n: int, d: int):
+        if self.unsafe_no_limits:
+            return
+        size = labeled_partition_count(n, d)
+        if size > MAX_PAIRING_LABELS:
+            parser.error(
+                f"rank {n} / degree {d} needs a {size}x{size} pairing matrix, over the "
+                f"desk-scale limit of {MAX_PAIRING_LABELS} labels; "
+                "pass --unsafe-no-limits to override"
+            )
+
     def check_lattice(self, parser, rank: int):
         if self.unsafe_no_limits:
             return
@@ -63,19 +75,6 @@ class RunConfig:
                 f"lattice rank {rank} exceeds the desk-scale limit "
                 f"(rank <= {MAX_LATTICE_RANK}); pass --unsafe-no-limits to override"
             )
-
-
-def _threads_from_env(parser) -> int:
-    raw = os.environ.get("MTA_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        parser.error(f"MTA_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        parser.error(f"MTA_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
@@ -142,7 +141,8 @@ def _cmd_heisenberg(parser, cfg, args) -> int:
         )
         return 0
     if args.action == "verify":
-        report = hb.verify_strong_identity(n, d, threads=cfg.threads)
+        cfg.check_pairings(parser, n, d)
+        report = hb.verify_strong_identity(n, d)
         verdict = "verified" if report.ok else "FAILED"
         _emit(
             cfg,
@@ -316,7 +316,7 @@ def _selftest_checks(cfg: RunConfig, fast: bool):
         ranges = {1: 4 if fast else 6, 2: 3 if fast else 4}
         for n, dmax in ranges.items():
             for d in range(dmax + 1):
-                report = hb.verify_strong_identity(n, d, threads=cfg.threads)
+                report = hb.verify_strong_identity(n, d)
                 if not report.ok:
                     return False, f"pairing matrix not diagonal at rank {n} degree {d}"
         return True, f"pairing matrices diagonal with symmetry factors, ranges {ranges}"
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--unsafe-no-limits",
         action="store_true",
-        help="lift the desk-scale rank/degree limits",
+        help="lift the desk-scale limits",
     )
 
     parser = argparse.ArgumentParser(prog="mta", description=__doc__)
@@ -463,7 +463,6 @@ def main(argv=None) -> int:
     cfg = RunConfig(
         format=args.format,
         unsafe_no_limits=args.unsafe_no_limits,
-        threads=_threads_from_env(parser),
         seed=getattr(args, "seed", 0),
     )
     if args.command == "partitions":

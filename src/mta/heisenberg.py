@@ -7,9 +7,13 @@ Modes H_i t^a (generator index 1 <= i <= n, exponent a in Z) satisfy
 with the central charge parameter fixed at 1, and deg(H_i t^a) = -a.
 Elements are finite rational combinations of normal-ordered words: creators
 (a < 0) on the left, central zero modes (a = 0) in the middle, annihilators
-(a > 0) on the right.  Products are reduced by a worklist of adjacent
-transpositions; each swap either commutes freely or spawns one contracted
-word, and the inversion count strictly drops, so reduction terminates.
+(a > 0) on the right.  The product of two normal words (C1 Z1 A1)(C2 Z2 A2)
+is in closed form: zero modes are central and modes inside a block commute,
+so only A1 meets C2, and it does so one bucket (generator, |exponent|) at a
+time.  A bucket with m annihilators H t^a on the left and k creators H t^-a
+on the right contributes, by Wick's theorem, sum_j C(m,j) C(k,j) j! a^j
+times the word with j of each removed; buckets combine as a Cartesian
+product.  Arbitrary mode sequences are a fold of this product.
 
 Reducing a degree-0 element modulo words that end in an annihilator lands in
 the polynomial ring Q[h_1..h_n] generated by the zero modes; that quotient
@@ -18,10 +22,11 @@ is the degree-0 corner algebra all higher structure is measured against.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import comb, perm
 from typing import NamedTuple
 
 from .exact import frac_str, parse_frac
@@ -58,13 +63,6 @@ def commutator(m1: Mode, m2: Mode) -> int:
 
 def _block_key(m: Mode):
     return (m.gen, -abs(m.exp))
-
-
-def _category(m: Mode) -> int:
-    # creator 0, zero mode 1, annihilator 2
-    if m.exp < 0:
-        return 0
-    return 1 if m.exp == 0 else 2
 
 
 @dataclass(frozen=True)
@@ -109,52 +107,37 @@ class NormalWord:
         return "1" if not seq else "*".join(repr(m) for m in seq)
 
 
-def _normal_order(seq: tuple[Mode, ...]) -> dict[NormalWord, Fraction]:
-    """Reduce an arbitrary mode sequence to normal-ordered words.
+def _word_product(w1: NormalWord, w2: NormalWord) -> dict[NormalWord, int]:
+    """w1 * w2 as an integer combination of normal words.
 
-    Worklist of adjacent transpositions: the first out-of-block-order pair is
-    swapped (coefficient unchanged) and, when the commutator is nonzero, the
-    contracted word with both modes removed is added.  Identical in-flight
-    sequences are merged, which keeps the state count polynomial in practice.
+    A bucket of i annihilators H t^a in w1 and k creators H t^-a in w2 makes
+    j contractions in C(i,j) C(k,j) j! = perm(i,j) C(k,j) ways, each worth
+    a.  Distinct choices leave distinct words, so no two terms merge.
     """
-    one = Fraction(1)
-    frontier: dict[tuple[Mode, ...], Fraction] = {seq: one}
-    done: dict[NormalWord, Fraction] = {}
-    while frontier:
-        word, coeff = frontier.popitem()
-        idx = None
-        for i in range(len(word) - 1):
-            if _category(word[i]) > _category(word[i + 1]):
-                idx = i
-                break
-        if idx is None:
-            w = NormalWord.build(
-                [m for m in word if m.exp < 0],
-                [m.gen for m in word if m.exp == 0],
-                [m for m in word if m.exp > 0],
-            )
-            tot = done.get(w, 0) + coeff
-            if tot:
-                done[w] = tot
-            else:
-                done.pop(w, None)
-            continue
-        x, y = word[idx], word[idx + 1]
-        swapped = word[:idx] + (y, x) + word[idx + 2 :]
-        tot = frontier.get(swapped, 0) + coeff
-        if tot:
-            frontier[swapped] = tot
-        else:
-            frontier.pop(swapped, None)
-        c = commutator(x, y)
-        if c:
-            contracted = word[:idx] + word[idx + 2 :]
-            tot = frontier.get(contracted, 0) + coeff * c
-            if tot:
-                frontier[contracted] = tot
-            else:
-                frontier.pop(contracted, None)
-    return done
+    cre = Counter(w2.creators)
+    ann = Counter(m for m in w1.annihilators if Mode(m.gen, -m.exp) in cre)
+    ann_rest = tuple(m for m in w1.annihilators if m not in ann) + w2.annihilators
+    cre_rest = w1.creators + tuple(c for c in w2.creators if Mode(c.gen, -c.exp) not in ann)
+    options = []
+    for m, i in ann.items():
+        c = Mode(m.gen, -m.exp)
+        k = cre[c]
+        options.append(
+            [
+                (perm(i, j) * comb(k, j) * m.exp**j, (m,) * (i - j), (c,) * (k - j))
+                for j in range(min(i, k) + 1)
+            ]
+        )
+    zeros = w1.zeros + w2.zeros
+    out = {}
+    for choice in product(*options):
+        coeff, anns, cres = 1, ann_rest, cre_rest
+        for factor, left_ann, left_cre in choice:
+            coeff *= factor
+            anns += left_ann
+            cres += left_cre
+        out[NormalWord.build(cres, zeros, anns)] = coeff
+    return out
 
 
 class ModeElement:
@@ -189,13 +172,13 @@ class ModeElement:
 
     @classmethod
     def from_modes(cls, rank: int, modes, coeff=1) -> "ModeElement":
-        """Normal-order an arbitrary mode sequence."""
-        el = cls(rank)
-        for w, c in _normal_order(tuple(modes)).items():
-            el.terms[w] = Fraction(coeff) * c
-        el.terms = {w: c for w, c in el.terms.items() if c}
-        for w in el.terms:
-            el._check_word(w)
+        """Normal-order an arbitrary mode sequence: a fold of multiply."""
+        el = cls(rank, {NormalWord(): coeff})
+        for m in modes:
+            word = NormalWord.build(
+                [m] if m.exp < 0 else (), [m.gen] if m.exp == 0 else (), [m] if m.exp > 0 else ()
+            )
+            el = multiply(el, cls(rank, {word: 1}))
         return el
 
     def is_zero(self) -> bool:
@@ -299,29 +282,27 @@ class ModeElement:
 def multiply(a: ModeElement, b: ModeElement) -> ModeElement:
     """Product in the mode algebra, fully normal-ordered."""
     a._require_same_rank(b)
-    out: dict[NormalWord, Fraction] = {}
+    out: dict[NormalWord, Fraction | int] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
             c12 = c1 * c2
-            for w, c in _normal_order(w1.mode_sequence() + w2.mode_sequence()).items():
-                tot = out.get(w, 0) + c12 * c
-                if tot:
-                    out[w] = tot
-                else:
-                    out.pop(w, None)
+            if c12.denominator == 1:
+                c12 = c12.numerator  # integer sums; the constructor converts once
+            for w, k in _word_product(w1, w2).items():
+                out[w] = out.get(w, 0) + c12 * k
     return ModeElement(a.rank, out)
 
 
 def u_element(lp: LabeledPartition) -> ModeElement:
     """Creation monomial: slot i of weight parts l gives creators H_i t^-l."""
     creators = [Mode(i + 1, -p) for i, s in enumerate(lp.slots) for p in s.parts]
-    return ModeElement(lp.rank, {NormalWord.build(creators=creators): Fraction(1)})
+    return ModeElement(lp.rank, {NormalWord.build(creators=creators): 1})
 
 
 def ubar_element(lp: LabeledPartition) -> ModeElement:
     """Mirrored annihilation monomial of u_element."""
     ann = [Mode(i + 1, p) for i, s in enumerate(lp.slots) for p in s.parts]
-    return ModeElement(lp.rank, {NormalWord.build(annihilators=ann): Fraction(1)})
+    return ModeElement(lp.rank, {NormalWord.build(annihilators=ann): 1})
 
 
 class ZhuPolynomial:
@@ -447,9 +428,9 @@ def star_to_zhu(el: ModeElement) -> ZhuPolynomial:
     Words containing an annihilator die; the surviving words of a degree-0
     element are pure zero-mode words and map to the matching monomials.
     """
-    if not el.is_homogeneous() or (el.terms and el.degree() != 0):
+    if {w.degree() for w in el.terms} - {0}:
         raise ValueError("element must be homogeneous of degree 0")
-    out = ZhuPolynomial.zero(el.rank)
+    coeffs = {}
     for w, c in el.terms.items():
         if w.annihilators:
             continue
@@ -458,8 +439,8 @@ def star_to_zhu(el: ModeElement) -> ZhuPolynomial:
         e = [0] * el.rank
         for g in w.zeros:
             e[g - 1] += 1
-        out += ZhuPolynomial(el.rank, {tuple(e): c})
-    return out
+        coeffs[tuple(e)] = c  # distinct zero-mode words give distinct monomials
+    return ZhuPolynomial(el.rank, coeffs)
 
 
 def pairing(sigma: LabeledPartition, tau: LabeledPartition) -> ZhuPolynomial:
@@ -471,22 +452,13 @@ def pairing(sigma: LabeledPartition, tau: LabeledPartition) -> ZhuPolynomial:
     return star_to_zhu(multiply(ubar_element(sigma), u_element(tau)))
 
 
-def pairing_matrix(n: int, d: int, threads: int = 1):
+def pairing_matrix(n: int, d: int):
     """All pairings on weight-d labeled partitions.
 
-    Returns (labels, matrix of ZhuPolynomial).  Entries may be computed in a
-    thread pool; assembly order is fixed, so the result is deterministic.
+    Returns (labels, matrix of ZhuPolynomial), rows indexed by sigma.
     """
     labels = enumerate_labeled_partitions(n, d)
-    pairs = [(s, t) for s in labels for t in labels]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            flat = list(ex.map(lambda st: pairing(st[0], st[1]), pairs))
-    else:
-        flat = [pairing(s, t) for s, t in pairs]
-    k = len(labels)
-    matrix = [flat[i * k : (i + 1) * k] for i in range(k)]
-    return labels, matrix
+    return labels, [[pairing(s, t) for t in labels] for s in labels]
 
 
 def strong_identity(n: int, d: int) -> list[tuple[LabeledPartition, Fraction]]:
@@ -546,15 +518,16 @@ class IdentityReport:
         }
 
 
-def verify_strong_identity(n: int, d: int, threads: int = 1) -> IdentityReport:
+def verify_strong_identity(n: int, d: int) -> IdentityReport:
     """Check pairing(sigma, tau) == symmetry_factor(sigma) * delta(sigma, tau)
     for all weight-d labeled partitions."""
-    labels, matrix = pairing_matrix(n, d, threads=threads)
+    labels, matrix = pairing_matrix(n, d)
     expected = [lp.symmetry_factor() for lp in labels]
+    zero = ZhuPolynomial.zero(n)
     mismatches = []
     for i in range(len(labels)):
         for j in range(len(labels)):
-            want = ZhuPolynomial.constant(n, expected[i]) if i == j else ZhuPolynomial.zero(n)
+            want = ZhuPolynomial.constant(n, expected[i]) if i == j else zero
             if matrix[i][j] != want:
                 mismatches.append((i, j))
     return IdentityReport(
@@ -592,8 +565,8 @@ class RankCertificate:
         }
 
 
-def rank_certificate(n: int, d: int, threads: int = 1) -> RankCertificate:
-    report = verify_strong_identity(n, d, threads=threads)
+def rank_certificate(n: int, d: int) -> RankCertificate:
+    report = verify_strong_identity(n, d)
     count = labeled_partition_count(n, d)
     if count != len(report.labels):
         raise AssertionError("enumeration disagrees with counting")

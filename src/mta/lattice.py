@@ -74,7 +74,8 @@ class EvenLattice:
 
     def determinant(self) -> int:
         d = _det(self.gram)
-        assert d.denominator == 1
+        if d.denominator != 1:
+            raise RuntimeError(f"determinant of an integer gram matrix came out as {d}")
         return int(d)
 
     def norm(self, x) -> Fraction:
@@ -193,7 +194,8 @@ def dual_cosets(lattice: EvenLattice) -> list[CosetRep]:
     n = lattice.rank
     diag, sinv = _smith_diagonalize(lattice.gram)
     count = prod(diag)
-    assert count == lattice.determinant()
+    if count != lattice.determinant():
+        raise RuntimeError(f"Smith diagonal {diag} disagrees with the determinant")
     ginv = invert_matrix([list(map(Fraction, row)) for row in lattice.gram])
     reps = []
     counters = [0] * n
@@ -212,11 +214,13 @@ def dual_cosets(lattice: EvenLattice) -> list[CosetRep]:
             rec(i + 1, k + [val])
 
     rec(0, [])
-    assert len(reps) == count and len(set(reps)) == count
-    assert reps[0] == (Fraction(0),) * n
+    if len(reps) != count or len(set(reps)) != count:
+        raise RuntimeError(f"expected {count} distinct coset representatives")
+    if reps[0] != (Fraction(0),) * n:
+        raise RuntimeError("the zero class is not the first coset")
     for lam in reps:
         if not lattice.is_dual_vector(lam):
-            raise AssertionError("coset representative is not a dual vector")
+            raise RuntimeError("coset representative is not a dual vector")
     return [CosetRep(i, lam) for i, lam in enumerate(reps)]
 
 

@@ -1,10 +1,15 @@
 """Command line behavior: goldens, determinism, exit codes, limits."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from mta.cli import main
+from mta.cli import RunConfig, build_parser, main
 from mta.peirce import matrix_model
 
 
@@ -192,6 +197,33 @@ def test_desk_scale_cap_exits_two(capsys):
     assert "--unsafe-no-limits" in err
 
 
+def test_pairing_cap_exits_two_fast(capsys):
+    # rank 4 degree 8 sits inside the rank/degree box but has 2580 labels
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["heisenberg", "verify", "--rank", "4", "--degree", "8"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert "--unsafe-no-limits" in capsys.readouterr().err
+    # (4, 5) with 252 labels is the largest accepted size; the flag lifts the cap
+    RunConfig().check_pairings(build_parser(), 4, 5)
+    RunConfig(unsafe_no_limits=True).check_pairings(build_parser(), 4, 8)
+
+
+def test_selftest_survives_optimized_mode():
+    # python -O strips assert statements; library invariants must not rely on them
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mta", "selftest", "--fast"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+
+
 def test_degree_cap_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["heisenberg", "identity", "--rank", "1", "--degree", "9"])
@@ -220,22 +252,6 @@ def test_missing_file_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "cosets", "--gram", "/nonexistent.gram"])
     assert exc.value.code == 2
-
-
-def test_threads_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("MTA_THREADS", "many")
-    with pytest.raises(SystemExit) as exc:
-        main(["partitions", "count", "--weight", "1"])
-    assert exc.value.code == 2
-
-
-def test_threads_env_used(capsys, monkeypatch):
-    monkeypatch.delenv("MTA_THREADS", raising=False)
-    _, serial = run(capsys, ["heisenberg", "verify", "--rank", "1", "--degree", "4"])
-    monkeypatch.setenv("MTA_THREADS", "3")
-    code, threaded = run(capsys, ["heisenberg", "verify", "--rank", "1", "--degree", "4"])
-    assert code == 0
-    assert threaded == serial
 
 
 def test_bad_coset_index(capsys, gram_file):

@@ -147,13 +147,6 @@ def test_verify_strong_identity_rank2():
         assert report.ok, f"degree {d}: {report.mismatches}"
 
 
-def test_verify_threaded_matches_serial():
-    serial = verify_strong_identity(2, 3, threads=1)
-    threaded = verify_strong_identity(2, 3, threads=3)
-    assert serial.ok and threaded.ok
-    assert serial.to_json() == threaded.to_json()
-
-
 def test_rank_certificate():
     cert = rank_certificate(1, 3)
     assert cert.count == 3
