@@ -1,9 +1,13 @@
-"""Exact scalars and dense linear algebra over the rationals.
+"""Exact scalars and a sparse echelon kernel over the rationals.
 
-Vectors are lists of fractions.Fraction, matrices are lists of row vectors.
-No floating point is used anywhere; every routine returns exact results.
-Echelon forms break pivot ties by lowest row/column index so that reduced
-bases are canonical and byte-reproducible.
+Dense vectors are lists of fractions.Fraction and matrices are lists of row
+vectors.  Linear algebra runs on one kernel, Echelon: sparse rows
+(dict column -> Fraction, zeros never stored) kept in fully reduced row
+echelon form and grown one row at a time, so a redundant spanning row costs
+one reduction and is then dropped.  The pivot of a row is its lowest nonzero
+column; a reduced echelon form with that rule is unique for its row span, so
+reduced bases are canonical and byte-reproducible whatever the order of the
+spanning vectors.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -33,85 +37,112 @@ def unit_vector(n: int, i: int) -> list[Fraction]:
     return v
 
 
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [unit_vector(n, i) for i in range(n)]
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v):
-    c = Fraction(c)
-    return [c * a for a in v]
-
-
 def vec_is_zero(v) -> bool:
     return all(a == 0 for a in v)
 
 
-def mat_vec(m, v):
-    return [sum((r[j] * v[j] for j in range(len(v))), F0) for r in m]
+def sparse(v) -> dict[int, Fraction]:
+    """The nonzero coordinates of a dense vector."""
+    out = {}
+    for j, x in enumerate(v):
+        if x:
+            if type(x) is not Fraction:
+                x = Fraction(x)
+                if not x:
+                    continue
+            out[j] = x
+    return out
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
-    return [
-        [sum((ra[k] * b[k][j] for k in range(len(ra))), F0) for j in range(cols)]
-        for ra in a
-    ]
+def dense(v: dict, n: int) -> list[Fraction]:
+    """The length-n dense vector with the given nonzero coordinates."""
+    out = [F0] * n
+    for j, x in v.items():
+        out[j] = x
+    return out
 
 
-def transpose(m):
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
+def add_multiple(v: dict, c, row: dict) -> None:
+    """v += c * row in place on sparse vectors, dropping entries that cancel;
+    c must be nonzero."""
+    for j, y in row.items():
+        x = v.get(j)
+        if x is None:
+            v[j] = c * y
+        else:
+            x += c * y
+            if x:
+                v[j] = x
+            else:
+                del v[j]
+
+
+class Echelon:
+    """Fully reduced row echelon form of a growing span of sparse rows.
+
+    rows maps each pivot column to its row; a row is 1 at its own pivot,
+    0 at every other pivot, and 0 left of its pivot.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row: dict) -> dict[int, Fraction]:
+        """Canonical residual of a sparse row modulo the span; empty iff the
+        row lies in the span."""
+        v = {j: x for j, x in row.items() if x}
+        rows = self.rows
+        # stored rows vanish at every other pivot, so one pass suffices
+        for p in [j for j in v if j in rows]:
+            add_multiple(v, -v[p], rows[p])
+        return v
+
+    def add(self, row: dict) -> bool:
+        """Extend the span by a sparse row; False when it was already inside."""
+        v = self.reduce(row)
+        if not v:
+            return False
+        p = min(v)
+        c = v[p]
+        if c != 1:
+            inv = F1 / c
+            v = {j: x * inv for j, x in v.items()}
+        for other in self.rows.values():
+            c = other.get(p)
+            if c is not None:
+                add_multiple(other, -c, v)
+        self.rows[p] = v
+        return True
+
+    def basis(self):
+        """The sparse reduced rows in increasing pivot order."""
+        return [self.rows[p] for p in sorted(self.rows)]
+
+    def dense(self, ncols: int):
+        """(reduced rows as dense vectors, pivot columns), pivots ascending."""
+        pivots = sorted(self.rows)
+        return [dense(self.rows[p], ncols) for p in pivots], pivots
 
 
 def rref(rows):
     """Reduced row echelon form.
 
     Returns (reduced nonzero rows, pivot column indices).  The input is not
-    modified.  Pivots are chosen at the lowest available column, scanning
-    rows top to bottom, which makes the output canonical for a given row
-    span regardless of the order of the spanning vectors.
+    modified.  The output is canonical for a given row span regardless of
+    the order of the spanning vectors.
     """
-    work = [list(map(Fraction, r)) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    out: list[list[Fraction]] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = F1 / work[r][col]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    out = work[:r]
-    return out, pivots
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    return Echelon(map(sparse, rows)).dense(ncols)
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(Echelon(map(sparse, rows)))
 
 
 def reduce_vector(basis_rows, pivots, v):
@@ -131,21 +162,19 @@ def solve_linear(a_rows, b):
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
-    aug = [list(map(Fraction, a_rows[i])) + [Fraction(b[i])] for i in range(m)]
-    red, pivots = rref(aug)
+    ech = Echelon(sparse(list(a_rows[i]) + [b[i]]) for i in range(m))
+    if n in ech.rows:
+        return None
     x = [F0] * n
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None
-        x[p] = row[n]
+    for p, row in ech.rows.items():
+        x[p] = row.get(n, F0)
     return x
 
 
 def invert_matrix(m):
     """Exact inverse of a square matrix; None when singular."""
     n = len(m)
-    aug = [list(map(Fraction, m[i])) + unit_vector(n, i) for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    ech = Echelon(sparse(list(m[i]) + unit_vector(n, i)) for i in range(n))
+    if any(i not in ech.rows for i in range(n)):
         return None
-    return [row[n:] for row in red[:n]]
+    return [[ech.rows[i].get(n + j, F0) for j in range(n)] for i in range(n)]

@@ -10,7 +10,6 @@ weight descending across slots) so serialized output is byte-reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -162,7 +161,3 @@ def enumerate_labeled_partitions(n: int, m: int) -> list[LabeledPartition]:
             for tail in tails:
                 out.append(LabeledPartition((head,) + tail.slots))
     return out
-
-
-def labeled_partitions_to_json(items) -> str:
-    return json.dumps([lp.to_json() for lp in items])

@@ -24,19 +24,22 @@ corner component (0,0) is the unital base algebra A.  This module provides:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
     F0,
     F1,
+    Echelon,
+    add_multiple,
+    dense,
     frac_str,
     fzeros,
     parse_frac,
     rank as mat_rank,
-    reduce_vector,
-    rref,
     solve_linear,
+    sparse,
     unit_vector,
     vec_is_zero,
 )
@@ -51,30 +54,25 @@ class Subspace:
     def __init__(self, component, ambient_dim: int, vectors=()):
         self.component = component
         self.ambient_dim = ambient_dim
-        vecs = [list(map(Fraction, v)) for v in vectors]
-        for v in vecs:
+        self._echelon = Echelon()
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
-        self.basis, self.pivots = rref(vecs) if vecs else ([], [])
+            self._echelon.add(sparse(v))
+        self.basis, self.pivots = self._echelon.dense(ambient_dim)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v) -> bool:
-        return vec_is_zero(reduce_vector(self.basis, self.pivots, v))
+        return not self._echelon.reduce(sparse(v))
 
     def coords_of(self, v):
         """Coordinates of v in the reduced basis; None when v is outside."""
-        v = list(map(Fraction, v))
-        coords = [v[p] for p in self.pivots]
-        residual = list(v)
-        for c, row in zip(coords, self.basis):
-            if c:
-                residual = [x - c * y for x, y in zip(residual, row)]
-        if not vec_is_zero(residual):
+        if not self.contains(v):
             return None
-        return coords
+        return [Fraction(v[p]) for p in self.pivots]
 
     def __eq__(self, other) -> bool:
         return (
@@ -114,15 +112,44 @@ class Algebra:
         return out
 
     def is_associative(self) -> bool:
-        for a in range(self.dim):
-            for b in range(self.dim):
-                ab = self.struct[a][b]
-                for c in range(self.dim):
-                    left = self.mul(ab, unit_vector(self.dim, c))
-                    right = self.mul(unit_vector(self.dim, a), self.struct[b][c])
-                    if left != right:
-                        return False
-        return True
+        table = {}
+        for a, row in enumerate(self.struct):
+            for b, xy in enumerate(row):
+                cell = sparse(xy)
+                if cell:
+                    table[(a, b)] = cell
+        return _first_nonassociative_triple(table, table, table, table) is None
+
+
+def _first_nonassociative_triple(ab, xc, bc, ay):
+    """Smallest basis triple (a, b, c) with (ab)c != a(bc), or None.
+
+    The tables map basis pairs to sparse product cells {(x, y): {t: coeff}}
+    for the four products a*b, x*c, b*c and a*y.  Both trilinear tensors are
+    built from the stored cells only; a triple missing from both sides is
+    zero on both, so every basis triple is still checked.
+    """
+    by_left: dict[int, list] = {}
+    for (x, c), cell in xc.items():
+        by_left.setdefault(x, []).append((c, cell))
+    by_right: dict[int, list] = {}
+    for (a, y), cell in ay.items():
+        by_right.setdefault(y, []).append((a, cell))
+    left: dict[tuple, dict] = {}
+    for (a, b), cell in ab.items():
+        for x, cx in cell.items():
+            for c, out in by_left.get(x, ()):
+                add_multiple(left.setdefault((a, b, c), {}), cx, out)
+    right: dict[tuple, dict] = {}
+    for (b, c), cell in bc.items():
+        for y, cy in cell.items():
+            for a, out in by_right.get(y, ()):
+                add_multiple(right.setdefault((a, b, c), {}), cy, out)
+    empty: dict = {}
+    return min(
+        (t for t in left.keys() | right.keys() if left.get(t, empty) != right.get(t, empty)),
+        default=None,
+    )
 
 
 @dataclass
@@ -147,74 +174,54 @@ class ModuleRep:
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise ValueError("action matrix has wrong shape")
 
-    def act_vec(self, x, w):
-        """Action of algebra element x (coords) on module vector w."""
-        out = fzeros(self.dim)
-        for e, c in enumerate(x):
-            if not c:
-                continue
-            m = self.action[e]
-            for i in range(self.dim):
-                row = m[i]
-                s = sum((row[j] * w[j] for j in range(self.dim) if w[j]), F0)
-                if s:
-                    out[i] += c * s
+    def matrix(self, x):
+        """Action matrix of the algebra element with coordinates x."""
+        out = [[F0] * self.dim for _ in range(self.dim)]
+        for c, xc in enumerate(x):
+            if xc:
+                for row, act_row in zip(out, self.action[c]):
+                    for j, y in enumerate(act_row):
+                        if y:
+                            row[j] += xc * y
         return out
 
     def validate(self) -> list[str]:
         """Empty list when the presentation is an honest (unital) module."""
         problems = []
-
-        def matmul(a, b):
-            return [
-                [sum((a[i][k] * b[k][j] for k in range(self.dim)), F0) for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
-
         for x in range(self.algebra.dim):
             for y in range(self.algebra.dim):
-                xy = self.algebra.struct[x][y]
-                combo = [
-                    [
-                        sum((xy[c] * self.action[c][i][j] for c in range(self.algebra.dim)), F0)
-                        for j in range(self.dim)
-                    ]
-                    for i in range(self.dim)
-                ]
-                if self.side == "left":
-                    composed = matmul(self.action[x], self.action[y])
-                else:
-                    composed = matmul(self.action[y], self.action[x])
-                if composed != combo:
+                a, b = self.action[x], self.action[y]
+                composed = _mat_mul(a, b) if self.side == "left" else _mat_mul(b, a)
+                if composed != self.matrix(self.algebra.struct[x][y]):
                     problems.append(f"action breaks the product on basis pair ({x}, {y})")
         if self.algebra.unit is not None:
-            ident = [
-                [
-                    sum(
-                        (self.algebra.unit[c] * self.action[c][i][j] for c in range(self.algebra.dim)),
-                        F0,
-                    )
-                    for j in range(self.dim)
-                ]
-                for i in range(self.dim)
-            ]
-            if ident != [[F1 if i == j else F0 for j in range(self.dim)] for i in range(self.dim)]:
+            if self.matrix(self.algebra.unit) != [unit_vector(self.dim, i) for i in range(self.dim)]:
                 problems.append("unit does not act as the identity")
         return problems
 
 
+def _mat_mul(a, b):
+    """Exact product of two dense matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col) if x and y), F0) for col in cols] for row in a]
+
+
 class TensorQuotient:
     """Quotient of a plain tensor product of coordinate spaces by balancing
-    relations, with a canonical projection and pure-tensor lifts."""
+    relations, with a canonical projection and pure-tensor lifts.
 
-    def __init__(self, dim_left: int, dim_right: int, relation_vectors):
+    Ambient vectors are sparse dicts keyed by u * dim_right + v for the pure
+    tensor e_u (x) e_v.  The relations are held in an Echelon; the quotient
+    coordinates are its free (non-pivot) columns, and a vector projects to
+    its canonical residual read off on those columns.
+    """
+
+    def __init__(self, dim_left: int, dim_right: int, relations: Echelon):
         self.dim_left = dim_left
         self.dim_right = dim_right
         self.ambient_dim = dim_left * dim_right
-        rows = [list(map(Fraction, v)) for v in relation_vectors]
-        self.rel_basis, self.rel_pivots = rref(rows) if rows else ([], [])
-        pivot_set = set(self.rel_pivots)
-        self.free = [i for i in range(self.ambient_dim) if i not in pivot_set]
+        self.relations = relations
+        self.free = [i for i in range(self.ambient_dim) if i not in relations.rows]
 
     @property
     def dim(self) -> int:
@@ -223,44 +230,42 @@ class TensorQuotient:
     def pure_index(self, u: int, v: int) -> int:
         return u * self.dim_right + v
 
-    def project(self, ambient_vec):
-        reduced = reduce_vector(self.rel_basis, self.rel_pivots, ambient_vec)
-        return [reduced[i] for i in self.free]
+    def project(self, ambient_vec: dict):
+        reduced = self.relations.reduce(ambient_vec)
+        return [reduced.get(i, F0) for i in self.free]
 
     def lift_pair(self, q: int) -> tuple[int, int]:
         """The pure tensor basis pair representing quotient coordinate q."""
         return divmod(self.free[q], self.dim_right)
 
-    def kills(self, ambient_vec) -> bool:
-        return vec_is_zero(self.project(ambient_vec))
+    def kills(self, ambient_vec: dict) -> bool:
+        return not self.relations.reduce(ambient_vec)
 
 
 def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep) -> TensorQuotient:
     """M (x)_B N for a right module M and a left module N over the same B.
 
-    Relations are (m.b) (x) n - m (x) (b.n) over all basis triples.
+    Relations are (m.b) (x) n - m (x) (b.n) over all basis triples; each is
+    reduced as it is made and dropped when it lies in the span so far.
     """
     if m_rep.side != "right" or n_rep.side != "left":
         raise ValueError("need a right module and a left module")
     if m_rep.algebra.dim != n_rep.algebra.dim or m_rep.algebra.struct != n_rep.algebra.struct:
         raise ValueError("modules are not over the same algebra")
     m, n = m_rep.dim, n_rep.dim
-    rels = []
+    relations = Echelon()
     for b in range(m_rep.algebra.dim):
         rb = m_rep.action[b]
         lb = n_rep.action[b]
+        m_cols = [[(p, Fraction(rb[p][u])) for p in range(m) if rb[p][u]] for u in range(m)]
+        n_cols = [[(q, Fraction(lb[q][v])) for q in range(n) if lb[q][v]] for v in range(n)]
         for u in range(m):
             for v in range(n):
-                vec = fzeros(m * n)
-                for p in range(m):
-                    if rb[p][u]:
-                        vec[p * n + v] += rb[p][u]
-                for q in range(n):
-                    if lb[q][v]:
-                        vec[u * n + q] -= lb[q][v]
-                if not vec_is_zero(vec):
-                    rels.append(vec)
-    return TensorQuotient(m, n, rels)
+                rel = {p * n + v: x for p, x in m_cols[u]}
+                for q, y in n_cols[v]:
+                    rel[u * n + q] = rel.get(u * n + q, F0) - y
+                relations.add(rel)
+    return TensorQuotient(m, n, relations)
 
 
 class PeirceAlgebra:
@@ -308,31 +313,26 @@ class PeirceAlgebra:
 
     def mul(self, i: int, j: int, k: int, x, y):
         """Bilinear product component(i,j) x component(j,k) -> component(i,k)."""
-        out = fzeros(self.dims[i][k])
+        return dense(self.product(i, j, k, sparse(x), sparse(y)), self.dims[i][k])
+
+    def product(self, i: int, j: int, k: int, x: dict, y: dict) -> dict:
+        """mul on sparse coordinate dicts."""
+        out: dict[int, Fraction] = {}
         table = self._prod.get((i, j, k))
-        if not table:
-            return out
-        for a, ca in enumerate(x):
-            if not ca:
-                continue
-            for b, cb in enumerate(y):
-                if not cb:
-                    continue
-                cell = table.get((a, b))
-                if not cell:
-                    continue
-                cab = ca * cb
-                for c, v in cell.items():
-                    out[c] += cab * v
+        if table:
+            for a, ca in x.items():
+                for b, cb in y.items():
+                    cell = table.get((a, b))
+                    if cell:
+                        add_multiple(out, ca * cb, cell)
         return out
 
+    def cell(self, i, j, k, a, b) -> dict:
+        """Sparse product of basis element a of (i,j) and b of (j,k); read only."""
+        return self._prod.get((i, j, k), {}).get((a, b), {})
+
     def mul_basis(self, i, j, k, a, b):
-        table = self._prod.get((i, j, k))
-        out = fzeros(self.dims[i][k])
-        if table:
-            for c, v in table.get((a, b), {}).items():
-                out[c] = v
-        return out
+        return dense(self.cell(i, j, k, a, b), self.dims[i][k])
 
     def entries(self):
         """Deterministically ordered sparse entry list."""
@@ -395,24 +395,39 @@ class PeirceReport:
         }
 
 
-def _corner_right_module(p: PeirceAlgebra, corner: Algebra, i: int) -> ModuleRep:
-    """component(i,0) as a right module over the corner algebra."""
-    n = p.dims[i][0]
-    action = []
-    for b in range(corner.dim):
-        cols = [p.mul_basis(i, 0, 0, u, b) for u in range(n)]
-        action.append([[cols[u][row] for u in range(n)] for row in range(n)])
-    return ModuleRep(corner, n, action, side="right")
+def _component_module(p: PeirceAlgebra, alg: Algebra, i: int, j: int, side: str) -> ModuleRep:
+    """component(i,j) as a module over a diagonal algebra: over component(j,j)
+    acting from the right, or over component(i,i) acting from the left."""
+    n = p.dims[i][j]
+    action = [[[F0] * n for _ in range(n)] for _ in range(alg.dim)]
+    if side == "right":
+        for (u, b), cell in p._prod.get((i, j, j), {}).items():
+            for row, x in cell.items():
+                action[b][row][u] = x
+    else:
+        for (b, v), cell in p._prod.get((i, i, j), {}).items():
+            for row, x in cell.items():
+                action[b][row][v] = x
+    return ModuleRep(alg, n, action, side=side)
 
 
-def _corner_left_module(p: PeirceAlgebra, corner: Algebra, j: int) -> ModuleRep:
-    """component(0,j) as a left module over the corner algebra."""
-    n = p.dims[0][j]
-    action = []
-    for b in range(corner.dim):
-        cols = [p.mul_basis(0, 0, j, b, v) for v in range(n)]
-        action.append([[cols[v][row] for v in range(n)] for row in range(n)])
-    return ModuleRep(corner, n, action, side="left")
+def _associativity_failure(p: PeirceAlgebra) -> str | None:
+    """Where associativity first fails, in (i,j,k,l) then (a,b,c) order."""
+    r = range(p.max_degree + 1)
+    for i, j, k, l in itertools.product(r, repeat=4):
+        bad = _first_nonassociative_triple(
+            p._prod.get((i, j, k), {}),
+            p._prod.get((i, k, l), {}),
+            p._prod.get((j, k, l), {}),
+            p._prod.get((i, j, l), {}),
+        )
+        if bad is not None:
+            a, b, c = bad
+            return (
+                f"fails on basis triple a={a},b={b},c={c} of "
+                f"components ({i},{j}),({j},{k}),({k},{l})"
+            )
+    return None
 
 
 def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
@@ -421,7 +436,10 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     Order of verdicts: grading (structural for this presentation), corner
     unit, unital corner actions on the edge components, associativity over
     all composable basis triples, then bijectivity of the balanced product
-    map at every degree.
+    map at every degree.  Associativity compares the trilinear tensors
+    (ab)c and a(bc) built from the stored structure constants; the balanced
+    product map is checked to kill every reduced balancing relation and to
+    carry the free pure tensors of the quotient onto a basis of the target.
     """
     axioms: dict[str, bool] = {}
     details: dict[str, str] = {}
@@ -461,76 +479,32 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
             break
     axioms["corner-modules-unital"] = ok_mod
 
-    ok_assoc = True
-    for i in range(d_max + 1):
-        for j in range(d_max + 1):
-            if not p.dims[i][j]:
-                continue
-            for k in range(d_max + 1):
-                if not p.dims[j][k]:
-                    continue
-                for l in range(d_max + 1):
-                    if not p.dims[k][l]:
-                        continue
-                    for a in range(p.dims[i][j]):
-                        ea = unit_vector(p.dims[i][j], a)
-                        for b in range(p.dims[j][k]):
-                            ab = p.mul_basis(i, j, k, a, b)
-                            eb = unit_vector(p.dims[j][k], b)
-                            for c in range(p.dims[k][l]):
-                                ec = unit_vector(p.dims[k][l], c)
-                                left = p.mul(i, k, l, ab, ec)
-                                right = p.mul(i, j, l, ea, p.mul(j, k, l, eb, ec))
-                                if left != right:
-                                    ok_assoc = False
-                                    details["associativity"] = (
-                                        f"fails on basis triple a={a},b={b},c={c} of "
-                                        f"components ({i},{j}),({j},{k}),({k},{l})"
-                                    )
-                                    break
-                            if not ok_assoc:
-                                break
-                        if not ok_assoc:
-                            break
-                    if not ok_assoc:
-                        break
-                if not ok_assoc:
-                    break
-            if not ok_assoc:
-                break
-        if not ok_assoc:
-            break
-    axioms["associativity"] = ok_assoc
+    failure = _associativity_failure(p)
+    axioms["associativity"] = failure is None
+    if failure is not None:
+        details["associativity"] = failure
 
     ok_tensor = True
     corner = p.corner_algebra()
     for d in range(d_max + 1):
-        m_rep = _corner_right_module(p, corner, d)
-        n_rep = _corner_left_module(p, corner, d)
+        m_rep = _component_module(p, corner, d, 0, "right")
+        n_rep = _component_module(p, corner, 0, d, "left")
         q = balanced_tensor(m_rep, n_rep)
         target = p.dims[d][d]
         # the product map must kill the balancing relations
         descends = True
-        images = []
-        for row in q.rel_basis:
-            img = fzeros(target)
-            for f, cf in enumerate(row):
-                if cf:
-                    u, v = divmod(f, q.dim_right)
-                    prod = p.mul_basis(d, 0, d, u, v)
-                    for t, x in enumerate(prod):
-                        img[t] += cf * x
-            if not vec_is_zero(img):
+        for row in q.relations.basis():
+            img: dict[int, Fraction] = {}
+            for f, cf in row.items():
+                add_multiple(img, cf, p.cell(d, 0, d, *divmod(f, q.dim_right)))
+            if img:
                 descends = False
                 break
         if not descends:
             ok_tensor = False
             details["tensor-factorization"] = f"product map does not descend at degree {d}"
             break
-        for qq in range(q.dim):
-            u, v = q.lift_pair(qq)
-            images.append(p.mul_basis(d, 0, d, u, v))
-        rk = mat_rank(images) if images else 0
+        rk = len(Echelon(p.cell(d, 0, d, *q.lift_pair(qq)) for qq in range(q.dim)))
         if not (q.dim == target and rk == target):
             ok_tensor = False
             details["tensor-factorization"] = (
@@ -571,72 +545,46 @@ class ZigZag:
 
 
 def _zigzag_ambient_product(p: PeirceAlgebra, d: int, u1: int, v1: int, u2: int, v2: int):
-    """Ambient value of (e_u1 (x) e_v1) o (e_u2 (x) e_v2)."""
-    mid = p.mul_basis(d, 0, d, v1, u2)  # component (d,d)
-    left = p.mul(0, d, d, unit_vector(p.dims[0][d], u1), mid)  # component (0,d)
+    """Sparse ambient value of (e_u1 (x) e_v1) o (e_u2 (x) e_v2)."""
+    left = p.product(0, d, d, {u1: F1}, p.cell(d, 0, d, v1, u2))  # component (0,d)
     n = p.dims[d][0]
-    out = fzeros(p.dims[0][d] * n)
-    for t, x in enumerate(left):
-        if x:
-            out[t * n + v2] = x
-    return out
+    return {t * n + v2: x for t, x in left.items()}
 
 
 def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     """Build the degree-d zig-zag algebra, checking that the product and the
     corner reduction are well defined on the balanced quotient."""
     diag = p.diagonal_algebra(d)
-    m, n = p.dims[0][d], p.dims[d][0]
-    m_action = []
-    n_action = []
-    for b in range(diag.dim):
-        cols = [p.mul(0, d, d, unit_vector(m, u), unit_vector(diag.dim, b)) for u in range(m)]
-        m_action.append([[cols[u][row] for u in range(m)] for row in range(m)])
-        cols = [p.mul(d, d, 0, unit_vector(diag.dim, b), unit_vector(n, v)) for v in range(n)]
-        n_action.append([[cols[v][row] for v in range(n)] for row in range(n)])
-    m_rep = ModuleRep(diag, m, m_action, side="right")
-    n_rep = ModuleRep(diag, n, n_action, side="left")
-    q = balanced_tensor(m_rep, n_rep)
+    n = p.dims[d][0]
+    q = balanced_tensor(
+        _component_module(p, diag, 0, d, "right"), _component_module(p, diag, d, 0, "left")
+    )
 
     def ambient_bilinear(x_amb, y_amb):
-        out = fzeros(q.ambient_dim)
-        for f1, c1 in enumerate(x_amb):
-            if not c1:
-                continue
+        out: dict[int, Fraction] = {}
+        for f1, c1 in x_amb.items():
             u1, v1 = divmod(f1, n)
-            for f2, c2 in enumerate(y_amb):
-                if not c2:
-                    continue
+            for f2, c2 in y_amb.items():
                 u2, v2 = divmod(f2, n)
-                piece = _zigzag_ambient_product(p, d, u1, v1, u2, v2)
-                c = c1 * c2
-                for t, x in enumerate(piece):
-                    if x:
-                        out[t] += c * x
+                add_multiple(out, c1 * c2, _zigzag_ambient_product(p, d, u1, v1, u2, v2))
         return out
 
     def star_ambient(x_amb):
-        out = fzeros(p.dims[0][0])
-        for f, c in enumerate(x_amb):
-            if not c:
-                continue
-            u, v = divmod(f, n)
-            piece = p.mul_basis(0, d, 0, u, v)
-            for t, x in enumerate(piece):
-                if x:
-                    out[t] += c * x
+        out: dict[int, Fraction] = {}
+        for f, c in x_amb.items():
+            add_multiple(out, c, p.cell(0, d, 0, *divmod(f, n)))
         return out
 
-    pure = [unit_vector(q.ambient_dim, q.free[i]) for i in range(q.dim)]
-    for row in q.rel_basis:
-        if not vec_is_zero(star_ambient(row)):
+    pure = [{f: F1} for f in q.free]
+    for row in q.relations.basis():
+        if star_ambient(row):
             raise ArithmeticError("corner reduction is not well defined on the quotient")
         for e in pure:
             if not q.kills(ambient_bilinear(row, e)) or not q.kills(ambient_bilinear(e, row)):
                 raise ArithmeticError("zig-zag product is not well defined on the quotient")
 
-    product = [[q.project(ambient_bilinear(pure[i], pure[j])) for j in range(q.dim)] for i in range(q.dim)]
-    star = [star_ambient(pure[i]) for i in range(q.dim)]
+    product = [[q.project(ambient_bilinear(x, y)) for y in pure] for x in pure]
+    star = [dense(star_ambient(x), p.dims[0][0]) for x in pure]
     return ZigZag(parent=p, degree=d, space=q, product=product, star=star)
 
 
@@ -655,6 +603,7 @@ def action_through_A_check(z: ZigZag) -> CheckReport:
     of either factor acting on the other through the corner actions."""
     p, d = z.parent, z.degree
     n = p.dims[d][0]
+    stars = [sparse(s) for s in z.star]
     failures = []
     checked = 0
     for q1 in range(z.dim):
@@ -664,20 +613,12 @@ def action_through_A_check(z: ZigZag) -> CheckReport:
             prod = z.product[q1][q2]
 
             # right corner action of star(q2) on q1
-            w = p.mul(d, 0, 0, unit_vector(n, v1), z.star[q2])
-            amb = fzeros(z.space.ambient_dim)
-            for t, x in enumerate(w):
-                if x:
-                    amb[u1 * n + t] = x
-            right_side = z.space.project(amb)
+            w = p.product(d, 0, 0, {v1: F1}, stars[q2])
+            right_side = z.space.project({u1 * n + t: x for t, x in w.items()})
 
             # left corner action of star(q1) on q2
-            w = p.mul(0, 0, d, z.star[q1], unit_vector(p.dims[0][d], u2))
-            amb = fzeros(z.space.ambient_dim)
-            for t, x in enumerate(w):
-                if x:
-                    amb[t * n + v2] = x
-            left_side = z.space.project(amb)
+            w = p.product(0, 0, d, stars[q1], {u2: F1})
+            left_side = z.space.project({t * n + v2: x for t, x in w.items()})
 
             checked += 1
             if not (right_side == prod == left_side):
@@ -868,13 +809,7 @@ def _zd_algebra(p: PeirceAlgebra, ideal: Subspace, epsilon) -> Algebra:
 def regular_module(p: PeirceAlgebra, d: int) -> ModuleRep:
     """component(d,d) acting on itself from the left."""
     sid = find_strong_identity(p, d)
-    alg = p.diagonal_algebra(d, unit=sid)
-    n = alg.dim
-    action = []
-    for c in range(n):
-        cols = [p.mul_basis(d, d, d, c, w) for w in range(n)]
-        action.append([[cols[w][row] for w in range(n)] for row in range(n)])
-    return ModuleRep(alg, n, action, side="left")
+    return _component_module(p, p.diagonal_algebra(d, unit=sid), d, d, "left")
 
 
 def _require_morita_setup(p: PeirceAlgebra, d: int):
@@ -896,42 +831,24 @@ def morita_forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> ModuleRep:
         raise ValueError("expected a left module over the degree-d component")
     if w_mod.algebra.dim != p.dims[d][d]:
         raise ValueError("module is not over the degree-d component")
-    ident = [[F1 if i == j else F0 for j in range(w_mod.dim)] for i in range(w_mod.dim)]
-    unit_act = [
-        [
-            sum((sid[c] * w_mod.action[c][i][j] for c in range(w_mod.algebra.dim)), F0)
-            for j in range(w_mod.dim)
-        ]
-        for i in range(w_mod.dim)
-    ]
-    if unit_act != ident:
+    if w_mod.matrix(sid) != [unit_vector(w_mod.dim, i) for i in range(w_mod.dim)]:
         raise ValueError("module is not unital for the strong identity")
 
     diag = p.diagonal_algebra(d)
-    m = p.dims[0][d]
-    m_action = []
-    for b in range(diag.dim):
-        cols = [p.mul(0, d, d, unit_vector(m, u), unit_vector(diag.dim, b)) for u in range(m)]
-        m_action.append([[cols[u][row] for u in range(m)] for row in range(m)])
-    m_rep = ModuleRep(diag, m, m_action, side="right")
-    w_as_left = ModuleRep(diag, w_mod.dim, w_mod.action, side="left")
-    q = balanced_tensor(m_rep, w_as_left)
+    m_rep = _component_module(p, diag, 0, d, "right")
+    q = balanced_tensor(m_rep, ModuleRep(diag, w_mod.dim, w_mod.action, side="left"))
 
     zd_alg = _zd_algebra(p, ideal, split.epsilon)
     action = []
     nr = w_mod.dim
     for t in range(zd_alg.dim):
-        zvec = ideal.basis[t]
+        zvec = sparse(ideal.basis[t])
         cols = []
         for qq in range(q.dim):
             u, wbase = q.lift_pair(qq)
-            zu = p.mul(0, 0, d, zvec, unit_vector(m, u))
-            amb = fzeros(q.ambient_dim)
-            for s, x in enumerate(zu):
-                if x:
-                    amb[s * nr + wbase] = x
-            cols.append(q.project(amb))
-        action.append([[cols[qq][row] for qq in range(q.dim)] for row in range(q.dim)])
+            zu = p.product(0, 0, d, zvec, {u: F1})
+            cols.append(q.project({s * nr + wbase: x for s, x in zu.items()}))
+        action.append([[col[row] for col in cols] for row in range(q.dim)])
     out = ModuleRep(zd_alg, q.dim, action, side="left")
     out.tensor_space = q
     return out
@@ -955,33 +872,20 @@ def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
         coords = ideal.coords_of(pa)
         if coords is None:
             raise ArithmeticError("corner projection left the ideal")
-        mat = [
-            [
-                sum((coords[t] * w0_mod.action[t][i][j] for t in range(ideal.dim)), F0)
-                for j in range(w0_mod.dim)
-            ]
-            for i in range(w0_mod.dim)
-        ]
-        ext_action.append(mat)
+        ext_action.append(w0_mod.matrix(coords))
     w0_ext = ModuleRep(corner, w0_mod.dim, ext_action, side="left")
-    m_rep = _corner_right_module(p, corner, d)
-    q = balanced_tensor(m_rep, w0_ext)
+    q = balanced_tensor(_component_module(p, corner, d, 0, "right"), w0_ext)
 
     alg = p.diagonal_algebra(d, unit=sid)
-    nd0 = p.dims[d][0]
     nr = w0_mod.dim
     action = []
     for c in range(alg.dim):
         cols = []
         for qq in range(q.dim):
             v, wbase = q.lift_pair(qq)
-            zv = p.mul(d, d, 0, unit_vector(alg.dim, c), unit_vector(nd0, v))
-            amb = fzeros(q.ambient_dim)
-            for s, x in enumerate(zv):
-                if x:
-                    amb[s * nr + wbase] = x
-            cols.append(q.project(amb))
-        action.append([[cols[qq][row] for qq in range(q.dim)] for row in range(q.dim)])
+            zv = p.cell(d, d, 0, c, v)
+            cols.append(q.project({s * nr + wbase: x for s, x in zv.items()}))
+        action.append([[col[row] for col in cols] for row in range(q.dim)])
     out = ModuleRep(alg, q.dim, action, side="left")
     out.tensor_space = q
     return out
@@ -1014,43 +918,18 @@ def verify_roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> RoundtripRep
     w2 = morita_backward(p, d, w0)
     q_in = w0.tensor_space
     q_out = w2.tensor_space
-    nd0 = p.dims[d][0]
 
     ev_cols = []
     for qq in range(w2.dim):
         v, inner = q_out.lift_pair(qq)
         u, wbase = q_in.lift_pair(inner)
-        z = p.mul_basis(d, 0, d, v, u)
-        vec = fzeros(w_mod.dim)
-        for c, cz in enumerate(z):
-            if cz:
-                col = [w_mod.action[c][row][wbase] for row in range(w_mod.dim)]
-                for row in range(w_mod.dim):
-                    vec[row] += cz * col[row]
-        ev_cols.append(vec)
-    ev = [[ev_cols[qq][row] for qq in range(w2.dim)] for row in range(w_mod.dim)]
+        ev_cols.append([row[wbase] for row in w_mod.matrix(p.mul_basis(d, 0, d, v, u))])
+    ev = [[col[row] for col in ev_cols] for row in range(w_mod.dim)]
 
     bijective = w2.dim == w_mod.dim and mat_rank(ev) == w_mod.dim
-    equivariant = True
-    nalg = p.dims[d][d]
-    for c in range(nalg):
-        left = [
-            [
-                sum((ev[i][k] * w2.action[c][k][j] for k in range(w2.dim)), F0)
-                for j in range(w2.dim)
-            ]
-            for i in range(w_mod.dim)
-        ]
-        right = [
-            [
-                sum((w_mod.action[c][i][k] * ev[k][j] for k in range(w_mod.dim)), F0)
-                for j in range(w2.dim)
-            ]
-            for i in range(w_mod.dim)
-        ]
-        if left != right:
-            equivariant = False
-            break
+    equivariant = all(
+        _mat_mul(ev, w2.action[c]) == _mat_mul(w_mod.action[c], ev) for c in range(p.dims[d][d])
+    )
     return RoundtripReport(
         ok=bijective and equivariant,
         dim_start=w_mod.dim,

@@ -1,11 +1,14 @@
 """Corner algebras: axioms, zig-zag reduction, ideals, module functors."""
 
+import json
 from fractions import Fraction
 
+import oracle_exact as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mta import peirce
 from mta.heisenberg import strong_identity
 from mta.partitions import enumerate_labeled_partitions
 from mta.peirce import (
@@ -94,19 +97,67 @@ def test_model_rejects_zero_level_zero():
 
 
 def test_mutated_model_fails_validation():
-    p = matrix_model([2, 2])
-    entries = []
-    done = False
-    for (i, j, k, a, b, c, v) in p.entries():
-        if not done and (i, j, k) == (0, 1, 1):
-            v = v + 1
-            done = True
-        entries.append((i, j, k, a, b, c, v))
-    assert done
-    bad = PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0)
-    report = validate_peirce(bad)
-    assert not report.ok
-    assert not (report.axioms["associativity"] and report.axioms["tensor-factorization"])
+    """Changing any one structure constant of a small acceptance fixture by
+    +1, -1 or +2 breaks an axiom, and the report, first violation and
+    details included, is byte for byte the dense oracle's."""
+    cases = 0
+    for blocks in ([2, 2], [[1, 2], [1, 0]], [[1, 1], [1, 1]]):
+        p = matrix_model(blocks)
+        entries = p.entries()
+        for pos, (i, j, k, a, b, c, v) in enumerate(entries):
+            for delta in (1, -1, 2):
+                mutated = list(entries)
+                mutated[pos] = (i, j, k, a, b, c, v + delta)
+                bad = PeirceAlgebra(p.max_degree, p.dims, mutated, p.unit0)
+                report = validate_peirce(bad)
+                assert not report.ok, (blocks, pos, delta)
+                assert json.dumps(report.to_json()) == json.dumps(
+                    oracle.validate_peirce(bad).to_json()
+                ), (blocks, pos, delta)
+                for d in range(bad.max_degree + 1):
+                    alg = bad.diagonal_algebra(d)
+                    assert alg.is_associative() == oracle.is_associative(alg)
+                cases += 1
+    assert cases == 324
+
+
+ACCEPTANCE_BLOCKS = ([2, 3], [[1, 2], [1, 0]], [[1, 1, 2], [2, 1, 0], [1, 0, 1]], [[3, 2], [1, 3], [2, 1]])
+
+
+def test_balanced_tensor_matches_dense_build(monkeypatch):
+    """Every balanced tensor built on the acceptance fixtures has the free
+    coordinates, reduced relations and projection of the dense build."""
+    calls = []
+
+    def recording(m_rep, n_rep):
+        q = real(m_rep, n_rep)
+        calls.append((m_rep, n_rep, q))
+        return q
+
+    real = peirce.balanced_tensor
+    monkeypatch.setattr(peirce, "balanced_tensor", recording)
+    for blocks in ACCEPTANCE_BLOCKS:
+        p = matrix_model(blocks)
+        assert validate_peirce(p).ok
+        for d in range(p.max_degree + 1):
+            assert zigzag(p, d).as_algebra().is_associative()
+            assert verify_roundtrip(p, d, regular_module(p, d)).ok
+            for block in range(len(p.block_dims)):
+                assert verify_roundtrip(p, d, matrix_model_column_module(p, block, d)).ok
+    assert len(calls) == 9 + 9 + 2 * (9 + 21)  # validate, zigzag, roundtrips
+    seen = set()
+    for m_rep, n_rep, q in calls:
+        key = repr((m_rep.algebra.struct, m_rep.action, n_rep.action))
+        if key in seen:
+            continue
+        seen.add(key)
+        dq = oracle.balanced_tensor(m_rep, n_rep)
+        assert q.free == dq.free
+        assert q.relations.dense(q.ambient_dim) == (dq.rel_basis, dq.rel_pivots)
+        for f in range(q.ambient_dim):
+            e = oracle.unit_vector(q.ambient_dim, f)
+            assert q.project({f: F1}) == dq.project(e)
+            assert q.kills({f: F1}) == dq.kills(e)
 
 
 def test_json_round_trip():
