@@ -32,10 +32,27 @@ from .partitions import (
 MAX_RANK = 4
 MAX_DEGREE = 8
 MAX_LATTICE_RANK = 4
-# Labels of the largest pairing matrix `heisenberg verify` builds: (4, 5) has
-# 252 and verifies in about 7 s on a 2-core machine; the next size inside the
-# rank/degree box, (3, 7) with 429 labels, takes about 21 s.
-MAX_PAIRING_LABELS = 252
+# Labels of the largest pairing matrix `heisenberg verify` builds: (3, 7) has
+# 429 and verifies in about 2.5 s on a 2-core machine ((4, 5), 252 labels,
+# about 1.0 s); the next size inside the rank/degree box, (4, 6) with 574
+# labels, stays capped.
+MAX_PAIRING_LABELS = 429
+# Lattice inputs, measured as CLI wall time on a 2-core machine.  `lattice
+# weights` costs about 1.4 ms per coset at rank 4: diag(8, 8, 8, 8), 4096
+# cosets, takes 5.5 s and diag(10, 10, 10, 10) 13.6 s.  `lattice dims` on
+# D4 takes 2.4 s at --max 100 and 10.8 s at --max 200.
+MAX_LATTICE_COSETS = 4096
+MAX_LATTICE_LEVEL = 100
+# Algebra files, checked on the parsed JSON before any structure is built.
+# Balancing relations are those of the tensors `peirce validate` and
+# `peirce zigzag` reduce, sum over d of (dims[0][0] + dims[d][d]) *
+# dims[d][0] * dims[0][d]: a products-free dims [[128]] file makes 2^22 and
+# validates in 3.7 s.  A component of dimension N is stored as N^3 dense
+# structure constants.  `peirce validate` takes 5.2 s on
+# heisenberg_truncation(1, 6), 27 000 products, and 11.7 s on (3, 3), 42 875.
+MAX_ALGEBRA_DIM = 128
+MAX_BALANCING_RELATIONS = 2**22
+MAX_ALGEBRA_PRODUCTS = 32768
 
 
 @dataclass
@@ -67,14 +84,54 @@ class RunConfig:
                 "pass --unsafe-no-limits to override"
             )
 
-    def check_lattice(self, parser, rank: int):
+    def check_lattice(self, parser, lattice: lat.EvenLattice):
         if self.unsafe_no_limits:
             return
-        if rank > MAX_LATTICE_RANK:
+        if lattice.rank > MAX_LATTICE_RANK:
             parser.error(
-                f"lattice rank {rank} exceeds the desk-scale limit "
+                f"lattice rank {lattice.rank} exceeds the desk-scale limit "
                 f"(rank <= {MAX_LATTICE_RANK}); pass --unsafe-no-limits to override"
             )
+        det = lattice.determinant()
+        if det > MAX_LATTICE_COSETS:
+            parser.error(
+                f"lattice determinant {det} (the number of dual cosets) exceeds the "
+                f"desk-scale limit of {MAX_LATTICE_COSETS}; pass --unsafe-no-limits to override"
+            )
+
+    def check_level(self, parser, n_max: int):
+        if not self.unsafe_no_limits and n_max > MAX_LATTICE_LEVEL:
+            parser.error(
+                f"--max {n_max} exceeds the desk-scale limit of {MAX_LATTICE_LEVEL}; "
+                "pass --unsafe-no-limits to override"
+            )
+
+    def check_algebra(self, parser, data):
+        """Size limits read off the algebra JSON before anything is built; a
+        malformed file passes here and is reported by PeirceAlgebra."""
+        if self.unsafe_no_limits:
+            return
+        try:
+            dims = [[int(x) for x in row] for row in data["dims"]]
+            sizes = {
+                "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
+                "balancing relations": (
+                    sum(
+                        (dims[0][0] + dims[d][d]) * dims[d][0] * dims[0][d]
+                        for d in range(len(dims))
+                    ),
+                    MAX_BALANCING_RELATIONS,
+                ),
+                "products": (len(data["products"]), MAX_ALGEBRA_PRODUCTS),
+            }
+        except (KeyError, TypeError, ValueError, IndexError):
+            return
+        for name, (size, limit) in sizes.items():
+            if size > limit:
+                parser.error(
+                    f"algebra has {size} {name}, over the desk-scale limit of {limit}; "
+                    "pass --unsafe-no-limits to override"
+                )
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
@@ -98,12 +155,13 @@ def _load_lattice(parser, cfg, path) -> lat.EvenLattice:
         lattice = lat.load_gram(path)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read gram file {path}: {exc}")
-    cfg.check_lattice(parser, lattice.rank)
+    cfg.check_lattice(parser, lattice)
     return lattice
 
 
-def _load_peirce(parser, path) -> pc.PeirceAlgebra:
+def _load_peirce(parser, cfg, path) -> pc.PeirceAlgebra:
     data = _load_json(parser, path)
+    cfg.check_algebra(parser, data)
     try:
         return pc.PeirceAlgebra.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -159,6 +217,8 @@ def _cmd_heisenberg(parser, cfg, args) -> int:
 
 
 def _cmd_lattice(parser, cfg, args) -> int:
+    if args.action == "dims":
+        cfg.check_level(parser, args.max)
     lattice = _load_lattice(parser, cfg, args.gram)
     cosets = lat.dual_cosets(lattice)
     if args.action == "cosets":
@@ -204,7 +264,7 @@ def _cmd_lattice(parser, cfg, args) -> int:
 
 
 def _cmd_peirce(parser, cfg, args) -> int:
-    algebra = _load_peirce(parser, args.algebra)
+    algebra = _load_peirce(parser, cfg, args.algebra)
     if args.action == "validate":
         report = pc.validate_peirce(algebra)
         lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in report.axioms.items()]

@@ -18,6 +18,9 @@ product.  Arbitrary mode sequences are a fold of this product.
 Reducing a degree-0 element modulo words that end in an annihilator lands in
 the polynomial ring Q[h_1..h_n] generated by the zero modes; that quotient
 is the degree-0 corner algebra all higher structure is measured against.
+The corner image of a product keeps only the fully contracted term of each
+pair of words, so corner_product computes that term alone; pairings of
+annihilation against creation monomials are corner products.
 """
 
 from __future__ import annotations
@@ -107,12 +110,18 @@ class NormalWord:
         return "1" if not seq else "*".join(repr(m) for m in seq)
 
 
+def _wick_coefficient(i: int, k: int, j: int, a: int) -> int:
+    """Weight of j contractions between i annihilators H t^a and k creators
+    H t^-a: C(i,j) C(k,j) j! = perm(i,j) C(k,j) ways, each worth a."""
+    return perm(i, j) * comb(k, j) * a**j
+
+
 def _word_product(w1: NormalWord, w2: NormalWord) -> dict[NormalWord, int]:
     """w1 * w2 as an integer combination of normal words.
 
-    A bucket of i annihilators H t^a in w1 and k creators H t^-a in w2 makes
-    j contractions in C(i,j) C(k,j) j! = perm(i,j) C(k,j) ways, each worth
-    a.  Distinct choices leave distinct words, so no two terms merge.
+    Each bucket of w1's annihilators against w2's matching creators makes
+    j contractions with weight _wick_coefficient.  Distinct choices leave
+    distinct words, so no two terms merge.
     """
     cre = Counter(w2.creators)
     ann = Counter(m for m in w1.annihilators if Mode(m.gen, -m.exp) in cre)
@@ -124,7 +133,7 @@ def _word_product(w1: NormalWord, w2: NormalWord) -> dict[NormalWord, int]:
         k = cre[c]
         options.append(
             [
-                (perm(i, j) * comb(k, j) * m.exp**j, (m,) * (i - j), (c,) * (k - j))
+                (_wick_coefficient(i, k, j, m.exp), (m,) * (i - j), (c,) * (k - j))
                 for j in range(min(i, k) + 1)
             ]
         )
@@ -422,6 +431,17 @@ class ZhuPolynomial:
         return " + ".join(bits)
 
 
+_NOT_DEGREE_ZERO = "element must be homogeneous of degree 0"
+_LEFTOVER_CREATOR = "degree-0 word without annihilators has no creators"
+
+
+def _zero_mode_exponents(rank: int, zeros) -> tuple[int, ...]:
+    e = [0] * rank
+    for g in zeros:
+        e[g - 1] += 1
+    return tuple(e)
+
+
 def star_to_zhu(el: ModeElement) -> ZhuPolynomial:
     """Image of a homogeneous degree-0 element in the corner Q[h_1..h_n].
 
@@ -429,36 +449,79 @@ def star_to_zhu(el: ModeElement) -> ZhuPolynomial:
     element are pure zero-mode words and map to the matching monomials.
     """
     if {w.degree() for w in el.terms} - {0}:
-        raise ValueError("element must be homogeneous of degree 0")
+        raise ValueError(_NOT_DEGREE_ZERO)
     coeffs = {}
     for w, c in el.terms.items():
         if w.annihilators:
             continue
         if w.creators:
-            raise AssertionError("degree-0 word without annihilators has no creators")
-        e = [0] * el.rank
-        for g in w.zeros:
-            e[g - 1] += 1
-        coeffs[tuple(e)] = c  # distinct zero-mode words give distinct monomials
+            raise AssertionError(_LEFTOVER_CREATOR)
+        coeffs[_zero_mode_exponents(el.rank, w.zeros)] = c  # distinct words, distinct monomials
     return ZhuPolynomial(el.rank, coeffs)
 
 
+def corner_product(a: ModeElement, b: ModeElement) -> ZhuPolynomial:
+    """star_to_zhu(multiply(a, b)), building only the words that survive.
+
+    Of the Wick terms of (C1 Z1 A1)(C2 Z2 A2) only the one without
+    annihilators reaches the corner: A2 is empty and every annihilator
+    bucket of A1 (i modes) is fully contracted against k >= i matching
+    creators of C2, with weight _wick_coefficient(i, k, i, a) per bucket
+    and zero modes Z1 + Z2.  Word pairs whose degrees do not add to 0 are
+    multiplied out in full, and must cancel, exactly as star_to_zhu asks of
+    the whole product.
+    """
+    a._require_same_rank(b)
+    b_terms = [(w2, c2, w2.degree(), Counter(w2.creators)) for w2, c2 in b.terms.items()]
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    off_degree: dict[NormalWord, Fraction] = {}
+    for w1, c1 in a.terms.items():
+        d1 = w1.degree()
+        buckets = Counter(w1.annihilators).items()
+        for w2, c2, d2, cre in b_terms:
+            if d1 + d2:
+                for w, k in _word_product(w1, w2).items():
+                    off_degree[w] = off_degree.get(w, 0) + c1 * c2 * k
+                continue
+            if w2.annihilators:
+                continue
+            weight = 1
+            for m, i in buckets:
+                k = cre[Mode(m.gen, -m.exp)]
+                if k < i:
+                    break
+                weight *= _wick_coefficient(i, k, i, m.exp)
+            else:
+                if w1.creators or len(w2.creators) != len(w1.annihilators):
+                    raise AssertionError(_LEFTOVER_CREATOR)
+                e = _zero_mode_exponents(a.rank, w1.zeros + w2.zeros)
+                coeffs[e] = coeffs.get(e, 0) + c1 * c2 * weight
+    if any(off_degree.values()):
+        raise ValueError(_NOT_DEGREE_ZERO)
+    return ZhuPolynomial(a.rank, coeffs)
+
+
 def pairing(sigma: LabeledPartition, tau: LabeledPartition) -> ZhuPolynomial:
-    """Corner image of ubar(sigma) * u(tau); requires equal rank and weight."""
+    """Corner image of ubar(sigma) * u(tau), the fully contracted Wick term;
+    requires equal rank and weight."""
     if sigma.rank != tau.rank:
         raise ValueError("rank mismatch")
     if sigma.weight() != tau.weight():
         raise ValueError("weight mismatch")
-    return star_to_zhu(multiply(ubar_element(sigma), u_element(tau)))
+    return corner_product(ubar_element(sigma), u_element(tau))
 
 
 def pairing_matrix(n: int, d: int):
     """All pairings on weight-d labeled partitions.
 
-    Returns (labels, matrix of ZhuPolynomial), rows indexed by sigma.
+    Builds ubar(sigma) and u(tau) once per label and fills the matrix with
+    corner_product.  Returns (labels, matrix of ZhuPolynomial), rows indexed
+    by sigma.
     """
     labels = enumerate_labeled_partitions(n, d)
-    return labels, [[pairing(s, t) for t in labels] for s in labels]
+    ubars = [ubar_element(s) for s in labels]
+    us = [u_element(t) for t in labels]
+    return labels, [[corner_product(x, y) for y in us] for x in ubars]
 
 
 def strong_identity(n: int, d: int) -> list[tuple[LabeledPartition, Fraction]]:

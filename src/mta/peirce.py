@@ -43,8 +43,7 @@ from .exact import (
     unit_vector,
     vec_is_zero,
 )
-from .partitions import enumerate_labeled_partitions
-from .heisenberg import pairing
+from .heisenberg import pairing_matrix
 
 
 class Subspace:
@@ -226,9 +225,6 @@ class TensorQuotient:
     @property
     def dim(self) -> int:
         return len(self.free)
-
-    def pure_index(self, u: int, v: int) -> int:
-        return u * self.dim_right + v
 
     def project(self, ambient_vec: dict):
         reduced = self.relations.reduce(ambient_vec)
@@ -1034,14 +1030,12 @@ def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
         raise ValueError("need one evaluation value per generator")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    labels = {j: enumerate_labeled_partitions(n, j) for j in range(max_degree + 1)}
     pair_val = {}
+    counts = {}
     for j in range(max_degree + 1):
-        ls = labels[j]
-        pair_val[j] = [
-            [pairing(t, a).evaluate(point) for a in ls] for t in ls
-        ]
-    counts = {j: len(labels[j]) for j in range(max_degree + 1)}
+        labels, matrix = pairing_matrix(n, j)
+        pair_val[j] = [[x.evaluate(point) for x in row] for row in matrix]
+        counts[j] = len(labels)
     dims = [
         [counts[i] * counts[j] for j in range(max_degree + 1)] for i in range(max_degree + 1)
     ]

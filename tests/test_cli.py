@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mta.cli import RunConfig, build_parser, main
-from mta.peirce import matrix_model
+from mta.peirce import heisenberg_truncation, matrix_model
 
 
 @pytest.fixture
@@ -205,7 +206,13 @@ def test_pairing_cap_exits_two_fast(capsys):
     assert time.perf_counter() - start < 1
     assert exc.value.code == 2
     assert "--unsafe-no-limits" in capsys.readouterr().err
-    # (4, 5) with 252 labels is the largest accepted size; the flag lifts the cap
+    # (4, 6) with 574 labels is the smallest capped size
+    with pytest.raises(SystemExit) as exc:
+        main(["heisenberg", "verify", "--rank", "4", "--degree", "6"])
+    assert exc.value.code == 2
+    assert "--unsafe-no-limits" in capsys.readouterr().err
+    # (3, 7) with 429 labels is the largest accepted size; the flag lifts the cap
+    RunConfig().check_pairings(build_parser(), 3, 7)
     RunConfig().check_pairings(build_parser(), 4, 5)
     RunConfig(unsafe_no_limits=True).check_pairings(build_parser(), 4, 8)
 
@@ -258,3 +265,69 @@ def test_bad_coset_index(capsys, gram_file):
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "dims", "--gram", gram_file, "--coset", "8", "--max", "0"])
     assert exc.value.code == 2
+
+
+def _exits_two_fast(capsys, argv):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert "--unsafe-no-limits" in capsys.readouterr().err
+
+
+def _products_free(dims):
+    n0 = dims[0][0]
+    return {"max_degree": len(dims) - 1, "dims": dims, "products": [], "unit0": ["1"] + ["0"] * (n0 - 1)}
+
+
+def test_algebra_caps_exit_two_fast(capsys, tmp_path):
+    path = tmp_path / "alg.json"
+    # a products-free corner of dimension 240: a file of about 1 kB
+    path.write_text(json.dumps(_products_free([[240]])))
+    _exits_two_fast(capsys, ["peirce", "validate", "--algebra", str(path)])
+    # few balancing relations, but a 500-dimensional component (1,1)
+    path.write_text(json.dumps(_products_free([[1, 0], [0, 500]])))
+    _exits_two_fast(capsys, ["peirce", "zigzag", "--algebra", str(path), "--degree", "1"])
+    # every component at the dimension cap, but 2^23 balancing relations
+    path.write_text(json.dumps(_products_free([[128, 128], [128, 128]])))
+    _exits_two_fast(capsys, ["peirce", "validate", "--algebra", str(path)])
+    data = _products_free([[2]])
+    data["products"] = [{"i": 0, "j": 0, "k": 0, "a": 0, "b": 0, "c": 0, "coeff": "0"}] * 40000
+    path.write_text(json.dumps(data))
+    _exits_two_fast(capsys, ["peirce", "morita", "--algebra", str(path), "--degree", "0"])
+    RunConfig(unsafe_no_limits=True).check_algebra(build_parser(), _products_free([[240]]))
+
+
+def test_algebra_fixtures_pass_the_caps():
+    # the algebras of the tests, the demos and the benchmark inputs
+    fixtures = [
+        matrix_model([[3, 2], [1, 3], [2, 1]]),
+        matrix_model([[1, 2], [1, 0]]),
+        matrix_model([[1, 1, 2], [2, 1, 0], [1, 0, 1]]),
+        matrix_model([2, 3]),
+        heisenberg_truncation(1, 4, [Fraction(0)]),
+        heisenberg_truncation(1, 5, [Fraction(0)]),
+        heisenberg_truncation(2, 3, [Fraction(0), Fraction(0)]),
+    ]
+    for data in [p.to_json_dict() for p in fixtures] + [_products_free([[60]])]:
+        RunConfig().check_algebra(build_parser(), data)
+
+
+def test_lattice_caps_exit_two_fast(capsys, tmp_path):
+    path = tmp_path / "big.gram"
+    path.write_text("1\n200000\n")
+    _exits_two_fast(capsys, ["lattice", "cosets", "--gram", str(path)])
+    path.write_text("2\n2000 0\n0 2000\n")
+    _exits_two_fast(capsys, ["lattice", "weights", "--gram", str(path)])
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    _exits_two_fast(
+        capsys, ["lattice", "dims", "--gram", str(demos / "z8.gram"), "--coset", "0", "--max", "101"]
+    )
+    # the demo gram and the rank-4 A4 gram stay accepted
+    argv = ["lattice", "dims", "--gram", str(demos / "z8.gram"), "--coset", "1", "--max", "100"]
+    code, out = run(capsys, argv)
+    assert code == 0 and len(json.loads(out)["dims"]) == 101
+    path.write_text("4\n2 -1 0 0\n-1 2 -1 0\n0 -1 2 -1\n0 0 -1 2\n")
+    code, out = run(capsys, ["lattice", "weights", "--gram", str(path)])
+    assert code == 0 and len(json.loads(out)["weights"]) == 5
