@@ -15,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,26 +34,36 @@ MAX_RANK = 4
 MAX_DEGREE = 8
 MAX_LATTICE_RANK = 4
 # Labels of the largest pairing matrix `heisenberg verify` builds: (3, 7) has
-# 429 and verifies in about 2.5 s on a 2-core machine ((4, 5), 252 labels,
-# about 1.0 s); the next size inside the rank/degree box, (4, 6) with 574
-# labels, stays capped.
+# 429 and verifies in about 0.8 s on a 2-core machine ((4, 5), 252 labels,
+# about 0.4 s); the next size inside the rank/degree box, (4, 6) with 574
+# labels (1.4 s with --unsafe-no-limits), stays capped.
 MAX_PAIRING_LABELS = 429
 # Lattice inputs, measured as CLI wall time on a 2-core machine.  `lattice
-# weights` costs about 1.4 ms per coset at rank 4: diag(8, 8, 8, 8), 4096
-# cosets, takes 5.5 s and diag(10, 10, 10, 10) 13.6 s.  `lattice dims` on
-# D4 takes 2.4 s at --max 100 and 10.8 s at --max 200.
+# weights` costs about 1.5 ms per coset at rank 4: diag(8, 8, 8, 8), 4096
+# cosets, takes 6.3 s and diag(10, 10, 10, 10) 13.6 s.  `lattice dims` on
+# D4 takes 3.2 s at --max 100 and 10.8 s at --max 200.
 MAX_LATTICE_COSETS = 4096
 MAX_LATTICE_LEVEL = 100
 # Algebra files, checked on the parsed JSON before any structure is built.
 # Balancing relations are those of the tensors `peirce validate` and
 # `peirce zigzag` reduce, sum over d of (dims[0][0] + dims[d][d]) *
 # dims[d][0] * dims[0][d]: a products-free dims [[128]] file makes 2^22 and
-# validates in 3.7 s.  A component of dimension N is stored as N^3 dense
-# structure constants.  `peirce validate` takes 5.2 s on
-# heisenberg_truncation(1, 6), 27 000 products, and 11.7 s on (3, 3), 42 875.
+# validates in 2.7 s.  A component of dimension N is stored as N^3 dense
+# structure constants.  `peirce validate` takes about 2 s on
+# heisenberg_truncation(1, 6), 27 000 products, and 5.7 s on (3, 3), 42 875.
 MAX_ALGEBRA_DIM = 128
 MAX_BALANCING_RELATIONS = 2**22
 MAX_ALGEBRA_PRODUCTS = 32768
+# The associativity check costs one multiply-add per pair of stored cells it
+# chains (see _associativity_work), about 0.5 us each with small integers: a
+# dense dims [[21]] corner, every product holding every basis element, makes
+# 8.2 M and validates in 3.2 to 4.6 s; dense dims [[32]] makes 67 M and took
+# 24 s.  The fixtures stay far below: heisenberg_truncation(1, 5) makes 0.26 M.
+# Integer cost grows with size: dense dims [[20]] validates in 3.3 s with
+# coefficient 1, 4.0 s with 30-digit and 6.0 s with 100-digit coefficients,
+# 17 s with 300 digits.
+MAX_ASSOCIATIVITY_WORK = 2**23
+MAX_COEFFICIENT_DIGITS = 100
 
 
 @dataclass
@@ -113,6 +124,8 @@ class RunConfig:
             return
         try:
             dims = [[int(x) for x in row] for row in data["dims"]]
+            products = data["products"]
+            coeffs = [e["coeff"] for e in products] + list(data["unit0"])
             sizes = {
                 "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
                 "balancing relations": (
@@ -122,7 +135,15 @@ class RunConfig:
                     ),
                     MAX_BALANCING_RELATIONS,
                 ),
-                "products": (len(data["products"]), MAX_ALGEBRA_PRODUCTS),
+                "products": (len(products), MAX_ALGEBRA_PRODUCTS),
+                "associativity multiply-adds": (
+                    _associativity_work(products),
+                    MAX_ASSOCIATIVITY_WORK,
+                ),
+                "digits in one coefficient": (
+                    max((sum(map(str.isdigit, str(x))) for x in coeffs), default=0),
+                    MAX_COEFFICIENT_DIGITS,
+                ),
             }
         except (KeyError, TypeError, ValueError, IndexError):
             return
@@ -132,6 +153,20 @@ class RunConfig:
                     f"algebra has {size} {name}, over the desk-scale limit of {limit}; "
                     "pass --unsafe-no-limits to override"
                 )
+
+
+def _associativity_work(products) -> int:
+    """Multiply-adds the associativity check makes on an entry list.
+
+    (ab)c chains each entry of (i,j,k) with output x to every entry of
+    (i,k,l) with left factor x, and a(bc) chains each entry of (j,k,l) with
+    output y to every entry of (i,j,l) with right factor y; keyed by the
+    shared component and basis element both sums run over the same keys.
+    """
+    outputs = Counter((e["i"], e["k"], e["c"]) for e in products)
+    by_left = Counter((e["i"], e["j"], e["a"]) for e in products)
+    by_right = Counter((e["j"], e["k"], e["b"]) for e in products)
+    return sum(n * (by_left[key] + by_right[key]) for key, n in outputs.items())
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
@@ -146,7 +181,7 @@ def _load_json(parser, path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or an overlong integer
         parser.error(f"cannot read {path}: {exc}")
 
 
@@ -275,48 +310,45 @@ def _cmd_peirce(parser, cfg, args) -> int:
     d = args.degree
     if not 0 <= d <= algebra.max_degree:
         parser.error(f"degree {d} out of range 0..{algebra.max_degree}")
-    if args.action == "zigzag":
-        z = pc.zigzag(algebra, d)
-        ideal = pc.zd_ideal(algebra, d)
-        check = pc.action_through_A_check(z)
-        star_rank = pc.Subspace((0, 0), algebra.dims[0][0], z.star).dim
-        alg = z.as_algebra()
-        associative = alg.is_associative()
-        split = pc.ideal_unit_and_split(algebra, ideal)
-        payload = {
-            "degree": d,
-            "dim": z.dim,
-            "ideal_dim": ideal.dim,
-            "star_rank": star_rank,
-            "star_bijective": star_rank == z.dim == ideal.dim,
-            "associative": associative,
-            "action_through_corner": check.ok,
-            "ideal_unital": split is not None,
-        }
-        if split is not None:
-            payload["epsilon"] = [frac_str(x) for x in split.epsilon]
-            payload["idempotent_ideal"] = split.idempotent_ideal
-        ok = associative and check.ok
-        _emit(
-            cfg,
-            payload,
-            [f"{k}: {v}" for k, v in payload.items()],
-        )
-        return 0 if ok else 1
-    # morita: roundtrip on the regular module of the degree-d component
+    build = _zigzag_payload if args.action == "zigzag" else _morita_payload
     try:
-        w_mod = pc.regular_module(algebra, d)
-        report = pc.verify_roundtrip(algebra, d, w_mod)
-    except ValueError as exc:
+        payload, ok = build(algebra, d)
+    except (ValueError, ArithmeticError) as exc:
+        # the algebra breaks an axiom the construction relies on
         _emit(cfg, {"degree": d, "ok": False, "error": str(exc)}, [f"FAILED: {exc}"])
         return 1
-    payload = {"degree": d, **report.to_json()}
-    _emit(
-        cfg,
-        payload,
-        [f"{k}: {v}" for k, v in payload.items()],
-    )
-    return 0 if report.ok else 1
+    _emit(cfg, payload, [f"{k}: {v}" for k, v in payload.items()])
+    return 0 if ok else 1
+
+
+def _zigzag_payload(algebra, d):
+    z = pc.zigzag(algebra, d)
+    ideal = pc.zd_ideal(algebra, d)
+    check = pc.action_through_A_check(z)
+    star_rank = pc.Subspace((0, 0), algebra.dims[0][0], z.star).dim
+    associative = z.as_algebra().is_associative()
+    split = pc.ideal_unit_and_split(algebra, ideal)
+    payload = {
+        "degree": d,
+        "dim": z.dim,
+        "ideal_dim": ideal.dim,
+        "star_rank": star_rank,
+        "star_bijective": star_rank == z.dim == ideal.dim,
+        "associative": associative,
+        "action_through_corner": check.ok,
+        "ideal_unital": split is not None,
+    }
+    if split is not None:
+        payload["epsilon"] = [frac_str(x) for x in split.epsilon]
+        payload["idempotent_ideal"] = split.idempotent_ideal
+    return payload, associative and check.ok
+
+
+def _morita_payload(algebra, d):
+    """Roundtrip of the regular module of the degree-d component."""
+    w_mod = pc.regular_module(algebra, d)
+    report = pc.verify_roundtrip(algebra, d, w_mod)
+    return {"degree": d, **report.to_json()}, report.ok
 
 
 def _cmd_zhu(parser, cfg, args) -> int:

@@ -1,8 +1,15 @@
 """Exact scalars and a sparse echelon kernel over the rationals.
 
-Dense vectors are lists of fractions.Fraction and matrices are lists of row
+An exact scalar is a Python int when it is integral and a fractions.Fraction
+otherwise; scalar() is the one normaliser, and it rejects float.  Keeping
+integral values as int runs the common case (integer structure constants,
+Wick weights, unit pivots) in C integer arithmetic, while a value with a
+denominator stays exact.  Every division keeps a Fraction operand, so no
+float can appear.
+
+Dense vectors are lists of exact scalars and matrices are lists of row
 vectors.  Linear algebra runs on one kernel, Echelon: sparse rows
-(dict column -> Fraction, zeros never stored) kept in fully reduced row
+(dict column -> scalar, zeros never stored) kept in fully reduced row
 echelon form and grown one row at a time, so a redundant spanning row costs
 one reduction and is then dropped.  The pivot of a row is its lowest nonzero
 column; a reduced echelon form with that rule is unique for its row span, so
@@ -14,24 +21,46 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+F0 = 0
+F1 = 1
+
+
+def scalar(x):
+    """x as an exact scalar: an int when integral, else a Fraction.
+
+    Accepts ints, Fractions, other rationals and the text forms Fraction
+    parses; raises TypeError on float, which would not be exact.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact scalar")
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def frac_str(x) -> str:
     """Render an exact scalar as 'p' or 'p/q'."""
-    return str(Fraction(x))
+    return str(scalar(x))
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def parse_frac(s: str):
+    """Read 'p', 'p/q' or a decimal as an exact scalar.
+
+    Exponent notation is refused: a few characters such as '1e10000000'
+    would denote an integer of ten million digits.
+    """
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise ValueError(f"exponent notation is not accepted in an exact scalar: {s!r}")
+    return scalar(s)
 
 
-def fzeros(n: int) -> list[Fraction]:
+def fzeros(n: int) -> list[int]:
     return [F0] * n
 
 
-def unit_vector(n: int, i: int) -> list[Fraction]:
+def unit_vector(n: int, i: int) -> list[int]:
     v = [F0] * n
     v[i] = F1
     return v
@@ -41,20 +70,16 @@ def vec_is_zero(v) -> bool:
     return all(a == 0 for a in v)
 
 
-def sparse(v) -> dict[int, Fraction]:
-    """The nonzero coordinates of a dense vector."""
+def sparse(v) -> dict:
+    """The nonzero coordinates of a dense vector, as exact scalars."""
     out = {}
     for j, x in enumerate(v):
         if x:
-            if type(x) is not Fraction:
-                x = Fraction(x)
-                if not x:
-                    continue
-            out[j] = x
+            out[j] = x if type(x) is int else scalar(x)
     return out
 
 
-def dense(v: dict, n: int) -> list[Fraction]:
+def dense(v: dict, n: int) -> list:
     """The length-n dense vector with the given nonzero coordinates."""
     out = [F0] * n
     for j, x in v.items():
@@ -63,18 +88,17 @@ def dense(v: dict, n: int) -> list[Fraction]:
 
 
 def add_multiple(v: dict, c, row: dict) -> None:
-    """v += c * row in place on sparse vectors, dropping entries that cancel;
-    c must be nonzero."""
+    """v += c * row in place on sparse vectors, dropping entries that cancel
+    and storing integral results as int; c must be nonzero."""
     for j, y in row.items():
         x = v.get(j)
-        if x is None:
-            v[j] = c * y
+        x = c * y if x is None else x + c * y
+        if type(x) is not int and x.denominator == 1:
+            x = x.numerator
+        if x:
+            v[j] = x
         else:
-            x += c * y
-            if x:
-                v[j] = x
-            else:
-                del v[j]
+            del v[j]
 
 
 class Echelon:
@@ -85,14 +109,14 @@ class Echelon:
     """
 
     def __init__(self, rows=()):
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict] = {}
         for row in rows:
             self.add(row)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: dict) -> dict[int, Fraction]:
+    def reduce(self, row: dict) -> dict:
         """Canonical residual of a sparse row modulo the span; empty iff the
         row lies in the span."""
         v = {j: x for j, x in row.items() if x}
@@ -110,8 +134,8 @@ class Echelon:
         p = min(v)
         c = v[p]
         if c != 1:
-            inv = F1 / c
-            v = {j: x * inv for j, x in v.items()}
+            inv = Fraction(1, c)  # 1 / c on two ints would be a float
+            v = {j: scalar(x * inv) for j, x in v.items()}
         for other in self.rows.values():
             c = other.get(p)
             if c is not None:
@@ -147,7 +171,7 @@ def rank(rows) -> int:
 
 def reduce_vector(basis_rows, pivots, v):
     """Eliminate the pivot coordinates of v against a reduced basis."""
-    v = list(map(Fraction, v))
+    v = list(map(scalar, v))
     for row, p in zip(basis_rows, pivots):
         c = v[p]
         if c != 0:

@@ -32,7 +32,7 @@ from itertools import product
 from math import comb, perm
 from typing import NamedTuple
 
-from .exact import frac_str, parse_frac
+from .exact import frac_str, parse_frac, scalar
 from .partitions import (
     LabeledPartition,
     enumerate_labeled_partitions,
@@ -150,18 +150,19 @@ def _word_product(w1: NormalWord, w2: NormalWord) -> dict[NormalWord, int]:
 
 
 class ModeElement:
-    """Finite rational combination of normal-ordered words of fixed rank."""
+    """Finite rational combination of normal-ordered words of fixed rank;
+    coefficients are stored as exact scalars (see exact.scalar)."""
 
     __slots__ = ("rank", "terms")
 
-    def __init__(self, rank: int, terms: dict[NormalWord, Fraction] | None = None):
+    def __init__(self, rank: int, terms: dict | None = None):
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
-        self.terms: dict[NormalWord, Fraction] = {}
+        self.terms: dict[NormalWord, int | Fraction] = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
+                c = scalar(c)
                 if c:
                     self._check_word(w)
                     self.terms[w] = c
@@ -173,11 +174,11 @@ class ModeElement:
 
     @classmethod
     def unit(cls, rank: int) -> "ModeElement":
-        return cls(rank, {NormalWord(): Fraction(1)})
+        return cls(rank, {NormalWord(): 1})
 
     @classmethod
     def from_word(cls, rank: int, word: NormalWord, coeff=1) -> "ModeElement":
-        return cls(rank, {word: Fraction(coeff)})
+        return cls(rank, {word: coeff})
 
     @classmethod
     def from_modes(cls, rank: int, modes, coeff=1) -> "ModeElement":
@@ -228,7 +229,7 @@ class ModeElement:
         return self + (-other)
 
     def scale(self, c) -> "ModeElement":
-        c = Fraction(c)
+        c = scalar(c)
         return ModeElement(self.rank, {w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other):
@@ -246,7 +247,7 @@ class ModeElement:
             and self.terms == other.terms
         )
 
-    def sorted_terms(self) -> list[tuple[NormalWord, Fraction]]:
+    def sorted_terms(self) -> list[tuple[NormalWord, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
     def to_json(self) -> list[dict]:
@@ -272,7 +273,7 @@ class ModeElement:
                 [Mode(g, a) for g, a in term["annihilators"]],
             )
             c = parse_frac(term["coeff"])
-            tot = el.terms.get(w, 0) + c
+            tot = scalar(el.terms.get(w, 0) + c)
             if tot:
                 el.terms[w] = tot
             else:
@@ -291,12 +292,10 @@ class ModeElement:
 def multiply(a: ModeElement, b: ModeElement) -> ModeElement:
     """Product in the mode algebra, fully normal-ordered."""
     a._require_same_rank(b)
-    out: dict[NormalWord, Fraction | int] = {}
+    out: dict[NormalWord, int | Fraction] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
             c12 = c1 * c2
-            if c12.denominator == 1:
-                c12 = c12.numerator  # integer sums; the constructor converts once
             for w, k in _word_product(w1, w2).items():
                 out[w] = out.get(w, 0) + c12 * k
     return ModeElement(a.rank, out)
@@ -317,20 +316,20 @@ def ubar_element(lp: LabeledPartition) -> ModeElement:
 class ZhuPolynomial:
     """Element of the degree-0 corner algebra Q[h_1..h_n].
 
-    Coefficients map exponent tuples (length = rank) to exact rationals.
+    Coefficients map exponent tuples (length = rank) to exact scalars.
     The empty monomial is 1.
     """
 
     __slots__ = ("rank", "coeffs")
 
-    def __init__(self, rank: int, coeffs: dict[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, rank: int, coeffs: dict | None = None):
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
-        self.coeffs: dict[tuple[int, ...], Fraction] = {}
+        self.coeffs: dict[tuple[int, ...], int | Fraction] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                c = scalar(c)
                 if len(e) != rank or any(x < 0 for x in e):
                     raise ValueError(f"bad exponent tuple {e}")
                 if c:
@@ -338,7 +337,7 @@ class ZhuPolynomial:
 
     @classmethod
     def constant(cls, rank: int, c) -> "ZhuPolynomial":
-        return cls(rank, {(0,) * rank: Fraction(c)})
+        return cls(rank, {(0,) * rank: c})
 
     @classmethod
     def zero(cls, rank: int) -> "ZhuPolynomial":
@@ -349,7 +348,7 @@ class ZhuPolynomial:
         """The zero-mode generator h_i (1-indexed)."""
         e = [0] * rank
         e[i - 1] = 1
-        return cls(rank, {tuple(e): Fraction(1)})
+        return cls(rank, {tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -357,10 +356,10 @@ class ZhuPolynomial:
     def is_constant(self) -> bool:
         return all(all(x == 0 for x in e) for e in self.coeffs)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self!r}")
-        return self.coeffs.get((0,) * self.rank, Fraction(0))
+        return self.coeffs.get((0,) * self.rank, 0)
 
     def __add__(self, other: "ZhuPolynomial") -> "ZhuPolynomial":
         if self.rank != other.rank:
@@ -382,12 +381,11 @@ class ZhuPolynomial:
 
     def __mul__(self, other):
         if not isinstance(other, ZhuPolynomial):
-            return ZhuPolynomial(
-                self.rank, {e: Fraction(other) * c for e, c in self.coeffs.items()}
-            )
+            other = scalar(other)
+            return ZhuPolynomial(self.rank, {e: other * c for e, c in self.coeffs.items()})
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        coeffs: dict[tuple[int, ...], Fraction] = {}
+        coeffs: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
@@ -408,18 +406,18 @@ class ZhuPolynomial:
             and self.coeffs == other.coeffs
         )
 
-    def evaluate(self, point) -> Fraction:
+    def evaluate(self, point) -> int | Fraction:
         """Exact value at a rational point (length = rank)."""
-        pt = [Fraction(x) for x in point]
+        pt = [scalar(x) for x in point]
         if len(pt) != self.rank:
             raise ValueError("evaluation point has wrong length")
-        total = Fraction(0)
+        total = 0
         for e, c in self.coeffs.items():
             v = c
             for x, k in zip(pt, e):
                 v *= x**k
             total += v
-        return total
+        return scalar(total)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -472,13 +470,31 @@ def corner_product(a: ModeElement, b: ModeElement) -> ZhuPolynomial:
     the whole product.
     """
     a._require_same_rank(b)
-    b_terms = [(w2, c2, w2.degree(), Counter(w2.creators)) for w2, c2 in b.terms.items()]
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    off_degree: dict[NormalWord, Fraction] = {}
-    for w1, c1 in a.terms.items():
-        d1 = w1.degree()
-        buckets = Counter(w1.annihilators).items()
-        for w2, c2, d2, cre in b_terms:
+    return _corner_product(a.rank, _corner_terms(a), _corner_terms(b))
+
+
+def _corner_terms(el: ModeElement):
+    """The terms of el with what _corner_product reads of each word: its
+    degree, its annihilator buckets as (matching creator, count, exponent)
+    and its creator counts."""
+    return [
+        (
+            w,
+            c,
+            w.degree(),
+            [(Mode(m.gen, -m.exp), i, m.exp) for m, i in Counter(w.annihilators).items()],
+            Counter(w.creators),
+        )
+        for w, c in el.terms.items()
+    ]
+
+
+def _corner_product(rank: int, a_terms, b_terms) -> ZhuPolynomial:
+    """corner_product on the _corner_terms of its two factors."""
+    coeffs: dict[tuple[int, ...], int | Fraction] = {}
+    off_degree: dict[NormalWord, int | Fraction] = {}
+    for w1, c1, d1, buckets, _ in a_terms:
+        for w2, c2, d2, _, cre in b_terms:
             if d1 + d2:
                 for w, k in _word_product(w1, w2).items():
                     off_degree[w] = off_degree.get(w, 0) + c1 * c2 * k
@@ -486,19 +502,19 @@ def corner_product(a: ModeElement, b: ModeElement) -> ZhuPolynomial:
             if w2.annihilators:
                 continue
             weight = 1
-            for m, i in buckets:
-                k = cre[Mode(m.gen, -m.exp)]
+            for mirror, i, exp in buckets:
+                k = cre[mirror]
                 if k < i:
                     break
-                weight *= _wick_coefficient(i, k, i, m.exp)
+                weight *= _wick_coefficient(i, k, i, exp)
             else:
                 if w1.creators or len(w2.creators) != len(w1.annihilators):
                     raise AssertionError(_LEFTOVER_CREATOR)
-                e = _zero_mode_exponents(a.rank, w1.zeros + w2.zeros)
+                e = _zero_mode_exponents(rank, w1.zeros + w2.zeros)
                 coeffs[e] = coeffs.get(e, 0) + c1 * c2 * weight
     if any(off_degree.values()):
         raise ValueError(_NOT_DEGREE_ZERO)
-    return ZhuPolynomial(a.rank, coeffs)
+    return ZhuPolynomial(rank, coeffs)
 
 
 def pairing(sigma: LabeledPartition, tau: LabeledPartition) -> ZhuPolynomial:
@@ -514,23 +530,25 @@ def pairing(sigma: LabeledPartition, tau: LabeledPartition) -> ZhuPolynomial:
 def pairing_matrix(n: int, d: int):
     """All pairings on weight-d labeled partitions.
 
-    Builds ubar(sigma) and u(tau) once per label and fills the matrix with
+    Builds ubar(sigma) and u(tau) once per label, and analyses each word
+    (degree, buckets) once per side, then fills the matrix with
     corner_product.  Returns (labels, matrix of ZhuPolynomial), rows indexed
     by sigma.
     """
     labels = enumerate_labeled_partitions(n, d)
-    ubars = [ubar_element(s) for s in labels]
-    us = [u_element(t) for t in labels]
-    return labels, [[corner_product(x, y) for y in us] for x in ubars]
+    ubars = [_corner_terms(ubar_element(s)) for s in labels]
+    us = [_corner_terms(u_element(t)) for t in labels]
+    return labels, [[_corner_product(n, x, y) for y in us] for x in ubars]
 
 
-def strong_identity(n: int, d: int) -> list[tuple[LabeledPartition, Fraction]]:
+def strong_identity(n: int, d: int) -> list[tuple[LabeledPartition, int | Fraction]]:
     """Degree-d strong identity: sum over weight-d labeled partitions of
     u(sigma) (x) ubar(sigma) weighted by 1/symmetry_factor(sigma)."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     return [
-        (lp, Fraction(1, lp.symmetry_factor())) for lp in enumerate_labeled_partitions(n, d)
+        (lp, scalar(Fraction(1, lp.symmetry_factor())))
+        for lp in enumerate_labeled_partitions(n, d)
     ]
 
 
@@ -538,7 +556,7 @@ def strong_identity_to_json(terms) -> list[dict]:
     return [{"partition": lp.to_json(), "coeff": frac_str(c)} for lp, c in terms]
 
 
-def strong_identity_from_json(data) -> list[tuple[LabeledPartition, Fraction]]:
+def strong_identity_from_json(data) -> list[tuple[LabeledPartition, int | Fraction]]:
     return [(LabeledPartition.from_json(t["partition"]), parse_frac(t["coeff"])) for t in data]
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exact import (
     F0,
@@ -38,6 +37,7 @@ from .exact import (
     fzeros,
     parse_frac,
     rank as mat_rank,
+    scalar,
     solve_linear,
     sparse,
     unit_vector,
@@ -71,7 +71,7 @@ class Subspace:
         """Coordinates of v in the reduced basis; None when v is outside."""
         if not self.contains(v):
             return None
-        return [Fraction(v[p]) for p in self.pivots]
+        return [scalar(v[p]) for p in self.pivots]
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,7 +91,7 @@ class Algebra:
     vector of the product of basis elements x and y."""
 
     dim: int
-    struct: list  # [x][y] -> list[Fraction]
+    struct: list  # [x][y] -> list of exact scalars
     unit: list | None = None
     label: str = ""
 
@@ -200,9 +200,18 @@ class ModuleRep:
 
 
 def _mat_mul(a, b):
-    """Exact product of two dense matrices given as lists of rows."""
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col) if x and y), F0) for col in cols] for row in a]
+    """Exact product of two dense matrices given as lists of rows; each row
+    of the product sums the sparse rows of b its nonzero entries pick."""
+    ncols = len(b[0]) if b else 0
+    b_rows = [sparse(r) for r in b]
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in enumerate(row):
+            if x:
+                add_multiple(acc, x, b_rows[k])
+        out.append(dense(acc, ncols))
+    return out
 
 
 class TensorQuotient:
@@ -253,13 +262,13 @@ def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep) -> TensorQuotient:
     for b in range(m_rep.algebra.dim):
         rb = m_rep.action[b]
         lb = n_rep.action[b]
-        m_cols = [[(p, Fraction(rb[p][u])) for p in range(m) if rb[p][u]] for u in range(m)]
-        n_cols = [[(q, Fraction(lb[q][v])) for q in range(n) if lb[q][v]] for v in range(n)]
+        m_cols = [[(p, rb[p][u]) for p in range(m) if rb[p][u]] for u in range(m)]
+        n_cols = [[(q, lb[q][v]) for q in range(n) if lb[q][v]] for v in range(n)]
         for u in range(m):
             for v in range(n):
                 rel = {p * n + v: x for p, x in m_cols[u]}
                 for q, y in n_cols[v]:
-                    rel[u * n + q] = rel.get(u * n + q, F0) - y
+                    rel[u * n + q] = rel.get(u * n + q, 0) - y
                 relations.add(rel)
     return TensorQuotient(m, n, relations)
 
@@ -272,6 +281,7 @@ class PeirceAlgebra:
     element a of component (i,j) times basis element b of component (j,k)
     contains basis element c of component (i,k) with the given coefficient.
     unit0 holds the coordinates of the unit of the corner component (0,0).
+    Coefficients and unit0 are stored as exact scalars (see exact.scalar).
     """
 
     def __init__(self, max_degree: int, dims, entries, unit0):
@@ -285,21 +295,21 @@ class PeirceAlgebra:
             raise ValueError("dims must be a (D+1) x (D+1) grid")
         if any(x < 0 for row in self.dims for x in row):
             raise ValueError("dims must be nonnegative")
-        self._prod: dict[tuple[int, int, int], dict[tuple[int, int], dict[int, Fraction]]] = {}
+        self._prod: dict[tuple[int, int, int], dict[tuple[int, int], dict]] = {}
         for i, j, k, a, b, c, coeff in entries:
             if not (0 <= i <= max_degree and 0 <= j <= max_degree and 0 <= k <= max_degree):
                 raise ValueError(f"component index out of range in entry {(i, j, k)}")
             if not (0 <= a < self.dims[i][j] and 0 <= b < self.dims[j][k] and 0 <= c < self.dims[i][k]):
                 raise ValueError(f"basis index out of range in entry {(i, j, k, a, b, c)}")
-            coeff = Fraction(coeff)
+            coeff = scalar(coeff)
             if not coeff:
                 continue
             table = self._prod.setdefault((i, j, k), {})
             cell = table.setdefault((a, b), {})
-            cell[c] = cell.get(c, F0) + coeff
+            cell[c] = scalar(cell.get(c, 0) + coeff)
             if not cell[c]:
                 del cell[c]
-        self.unit0 = [Fraction(x) for x in unit0]
+        self.unit0 = [scalar(x) for x in unit0]
         if len(self.unit0) != self.dims[0][0]:
             raise ValueError("unit0 has wrong length")
         self.block_dims = None  # set by matrix_model
@@ -313,7 +323,7 @@ class PeirceAlgebra:
 
     def product(self, i: int, j: int, k: int, x: dict, y: dict) -> dict:
         """mul on sparse coordinate dicts."""
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         table = self._prod.get((i, j, k))
         if table:
             for a, ca in x.items():
@@ -490,7 +500,7 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
         # the product map must kill the balancing relations
         descends = True
         for row in q.relations.basis():
-            img: dict[int, Fraction] = {}
+            img: dict = {}
             for f, cf in row.items():
                 add_multiple(img, cf, p.cell(d, 0, d, *divmod(f, q.dim_right)))
             if img:
@@ -557,7 +567,7 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     )
 
     def ambient_bilinear(x_amb, y_amb):
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for f1, c1 in x_amb.items():
             u1, v1 = divmod(f1, n)
             for f2, c2 in y_amb.items():
@@ -566,7 +576,7 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
         return out
 
     def star_ambient(x_amb):
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for f, c in x_amb.items():
             add_multiple(out, c, p.cell(0, d, 0, *divmod(f, n)))
         return out
@@ -1025,7 +1035,7 @@ def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
     the symmetry-factor diagonal, so the result is independent of the point;
     the evaluation is still carried out exactly rather than assumed.
     """
-    point = [Fraction(x) for x in point]
+    point = [scalar(x) for x in point]
     if len(point) != n:
         raise ValueError("need one evaluation value per generator")
     if max_degree < 0:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from mta.cli import RunConfig, build_parser, main
-from mta.peirce import heisenberg_truncation, matrix_model
+from mta.peirce import PeirceAlgebra, heisenberg_truncation, matrix_model
 
 
 @pytest.fixture
@@ -331,3 +331,64 @@ def test_lattice_caps_exit_two_fast(capsys, tmp_path):
     path.write_text("4\n2 -1 0 0\n-1 2 -1 0\n0 -1 2 -1\n0 0 -1 2\n")
     code, out = run(capsys, ["lattice", "weights", "--gram", str(path)])
     assert code == 0 and len(json.loads(out)["weights"]) == 5
+
+
+def _dense_corner(n):
+    """dims [[n]] with every product holding every basis element."""
+    data = _products_free([[n]])
+    data["products"] = [
+        {"i": 0, "j": 0, "k": 0, "a": a, "b": b, "c": c, "coeff": "1"}
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    ]
+    return data
+
+
+def test_algebra_work_and_digit_caps_exit_two_fast(capsys, tmp_path):
+    path = tmp_path / "alg.json"
+    # 32768 products pass the products cap, but associativity would chain
+    # 67 M multiply-adds
+    path.write_text(json.dumps(_dense_corner(32)))
+    _exits_two_fast(capsys, ["peirce", "validate", "--algebra", str(path)])
+    data = matrix_model([[1, 2], [1, 0]]).to_json_dict()
+    data["products"][3]["coeff"] = "7" * 4000
+    path.write_text(json.dumps(data))
+    _exits_two_fast(capsys, ["peirce", "validate", "--algebra", str(path)])
+    data["products"][3]["coeff"] = "1/" + "3" * 4000
+    path.write_text(json.dumps(data))
+    _exits_two_fast(capsys, ["peirce", "morita", "--algebra", str(path), "--degree", "1"])
+    data["products"][3]["coeff"] = 1
+    data["unit0"][0] = int("7" * 4000)
+    path.write_text(json.dumps(data))
+    _exits_two_fast(capsys, ["peirce", "zigzag", "--algebra", str(path), "--degree", "1"])
+    # dims [[21]] is the largest dense corner the caps accept
+    RunConfig().check_algebra(build_parser(), _dense_corner(21))
+    data["unit0"][0] = "9" * 100
+    RunConfig().check_algebra(build_parser(), data)
+    RunConfig(unsafe_no_limits=True).check_algebra(build_parser(), _dense_corner(32))
+
+
+def test_invalid_algebra_reports_instead_of_raising(tmp_path):
+    # acceptance test 4's mutation: entry 7 of matrix_model([2, 2]) plus one
+    p = matrix_model([2, 2])
+    entries = p.entries()
+    i, j, k, a, b, c, v = entries[7]
+    entries[7] = (i, j, k, a, b, c, v + 1)
+    data = PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0).to_json_dict()
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(data))
+    src = Path(__file__).resolve().parents[1] / "src"
+    for action, degree in (("morita", 1), ("zigzag", 0)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mta", "peirce", action, "--algebra", str(path), "--degree", str(degree)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["degree"] == degree and out["ok"] is False and out["error"]
+        assert list(out) == ["degree", "ok", "error"]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mta import peirce
+from mta import exact, peirce
+from mta.cli import _morita_payload, _zigzag_payload
 from mta.heisenberg import strong_identity
 from mta.partitions import enumerate_labeled_partitions
 from mta.peirce import (
@@ -365,3 +366,37 @@ def test_random_models_validate_and_roundtrip(blocks):
     assert validate_peirce(p).ok
     for d in range(p.max_degree + 1):
         assert verify_roundtrip(p, d, regular_module(p, d)).ok
+
+
+def _rescaled_model(coeff):
+    """matrix_model([[1, 2], [1, 0]]) in the basis s * e, with scale
+    s = (u + 2) / (1 + i + j) for basis element u of component (i,j), so its
+    structure constants and unit are partly non-integral; coeff renders each
+    exact scalar (int-or-Fraction, Fraction, or text)."""
+    p = matrix_model([[1, 2], [1, 0]])
+
+    def s(i, j, u):
+        return Fraction(u + 2, 1 + i + j)
+
+    entries = [
+        (i, j, k, a, b, c, coeff(exact.scalar(v * s(i, j, a) * s(j, k, b) / s(i, k, c))))
+        for i, j, k, a, b, c, v in p.entries()
+    ]
+    unit0 = [coeff(exact.scalar(x / s(0, 0, c))) for c, x in enumerate(p.unit0)]
+    return PeirceAlgebra(p.max_degree, p.dims, entries, unit0)
+
+
+def test_coefficient_representation_does_not_change_results():
+    outputs = []
+    for coeff in (lambda x: x, Fraction, exact.frac_str):
+        p = _rescaled_model(coeff)
+        assert all(type(v) is int or v.denominator != 1 for *_, v in p.entries())
+        assert any(type(v) is Fraction for *_, v in p.entries())
+        report = validate_peirce(p)
+        assert report.ok, report.first_violation
+        runs = [report.to_json()]
+        for d in range(p.max_degree + 1):
+            runs += [_zigzag_payload(p, d), _morita_payload(p, d)]
+        outputs.append(json.dumps(runs))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert '"ok": true' in outputs[0] and '"associative": true' in outputs[0]
