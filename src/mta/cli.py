@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from collections import Counter
@@ -170,11 +171,17 @@ def _associativity_work(products) -> int:
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
-    if cfg.format == "json":
-        print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if cfg.format == "json":
+            print(json.dumps(payload))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`mta ... | head`); keep the flush at exit quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 def _load_json(parser, path):
@@ -300,21 +307,26 @@ def _cmd_lattice(parser, cfg, args) -> int:
 
 def _cmd_peirce(parser, cfg, args) -> int:
     algebra = _load_peirce(parser, cfg, args.algebra)
+    if args.action != "validate" and not 0 <= args.degree <= algebra.max_degree:
+        parser.error(f"degree {args.degree} out of range 0..{algebra.max_degree}")
+    # the one check of the axioms; zigzag and morita rely on it
+    report = pc.validate_peirce(algebra)
     if args.action == "validate":
-        report = pc.validate_peirce(algebra)
         lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in report.axioms.items()]
         if report.first_violation:
             lines.append(f"first violation: {report.first_violation}")
         _emit(cfg, report.to_json(), lines)
         return 0 if report.ok else 1
     d = args.degree
-    if not 0 <= d <= algebra.max_degree:
-        parser.error(f"degree {d} out of range 0..{algebra.max_degree}")
     build = _zigzag_payload if args.action == "zigzag" else _morita_payload
     try:
+        if not report.ok:
+            name = report.first_violation
+            raise ValueError(f"{name}: {report.details[name]}")
         payload, ok = build(algebra, d)
     except (ValueError, ArithmeticError) as exc:
-        # the algebra breaks an axiom the construction relies on
+        # an axiom fails, or the axioms do not give the degree-d construction
+        # what it needs (a strong identity, a unital corner ideal)
         _emit(cfg, {"degree": d, "ok": False, "error": str(exc)}, [f"FAILED: {exc}"])
         return 1
     _emit(cfg, payload, [f"{k}: {v}" for k, v in payload.items()])
@@ -325,7 +337,7 @@ def _zigzag_payload(algebra, d):
     z = pc.zigzag(algebra, d)
     ideal = pc.zd_ideal(algebra, d)
     check = pc.action_through_A_check(z)
-    star_rank = pc.Subspace((0, 0), algebra.dims[0][0], z.star).dim
+    star_rank = z.star_image().dim
     associative = z.as_algebra().is_associative()
     split = pc.ideal_unit_and_split(algebra, ideal)
     payload = {

@@ -5,12 +5,13 @@ component (i,j) with component (j,k) into component (i,k) through structure
 constants, and products with mismatched inner index vanish identically.  The
 corner component (0,0) is the unital base algebra A.  This module provides:
 
-  * an exhaustive axiom validator (corner unit, unital corner actions on the
-    edge components, associativity, and bijectivity of the balanced product
-    map component(d,0) (x)_A component(0,d) -> component(d,d)),
+  * an exhaustive axiom validator, the one place the axioms are checked
+    (corner unit, unital corner actions on the edge components,
+    associativity, and bijectivity of the balanced product map
+    component(d,0) (x)_A component(0,d) -> component(d,d)),
   * balanced tensor products of finite-dimensional module presentations,
   * the degree-d zig-zag algebra component(0,d) (x)_{component(d,d)}
-    component(d,0) with its multiplication and its reduction map to A,
+    component(d,0) of a validated algebra, with its product and reduction to A,
   * search for the degree-d strong identity, i.e. the element of
     component(d,d) that acts as the identity on component(0,d) from the
     right and on component(d,0) from the left,
@@ -243,9 +244,6 @@ class TensorQuotient:
         """The pure tensor basis pair representing quotient coordinate q."""
         return divmod(self.free[q], self.dim_right)
 
-    def kills(self, ambient_vec: dict) -> bool:
-        return not self.relations.reduce(ambient_vec)
-
 
 def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep) -> TensorQuotient:
     """M (x)_B N for a right module M and a left module N over the same B.
@@ -313,9 +311,6 @@ class PeirceAlgebra:
         if len(self.unit0) != self.dims[0][0]:
             raise ValueError("unit0 has wrong length")
         self.block_dims = None  # set by matrix_model
-
-    def dim(self, i: int, j: int) -> int:
-        return self.dims[i][j]
 
     def mul(self, i: int, j: int, k: int, x, y):
         """Bilinear product component(i,j) x component(j,k) -> component(i,k)."""
@@ -558,39 +553,21 @@ def _zigzag_ambient_product(p: PeirceAlgebra, d: int, u1: int, v1: int, u2: int,
 
 
 def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
-    """Build the degree-d zig-zag algebra, checking that the product and the
-    corner reduction are well defined on the balanced quotient."""
+    """Degree-d zig-zag algebra of an algebra that passes validate_peirce,
+    read off on the pure tensors of the quotient basis.  Associativity makes
+    that well defined: a relation r = (m.b) (x) n - m (x) (b.n) has corner
+    image (mb)n - m(bn) = 0 and r o (x (x) y) = ((mb)(nx) - m((bn)x)) (x) y
+    = 0, while (x (x) y) o r is itself a relation."""
     diag = p.diagonal_algebra(d)
-    n = p.dims[d][0]
     q = balanced_tensor(
         _component_module(p, diag, 0, d, "right"), _component_module(p, diag, d, 0, "left")
     )
-
-    def ambient_bilinear(x_amb, y_amb):
-        out: dict = {}
-        for f1, c1 in x_amb.items():
-            u1, v1 = divmod(f1, n)
-            for f2, c2 in y_amb.items():
-                u2, v2 = divmod(f2, n)
-                add_multiple(out, c1 * c2, _zigzag_ambient_product(p, d, u1, v1, u2, v2))
-        return out
-
-    def star_ambient(x_amb):
-        out: dict = {}
-        for f, c in x_amb.items():
-            add_multiple(out, c, p.cell(0, d, 0, *divmod(f, n)))
-        return out
-
-    pure = [{f: F1} for f in q.free]
-    for row in q.relations.basis():
-        if star_ambient(row):
-            raise ArithmeticError("corner reduction is not well defined on the quotient")
-        for e in pure:
-            if not q.kills(ambient_bilinear(row, e)) or not q.kills(ambient_bilinear(e, row)):
-                raise ArithmeticError("zig-zag product is not well defined on the quotient")
-
-    product = [[q.project(ambient_bilinear(x, y)) for y in pure] for x in pure]
-    star = [dense(star_ambient(x), p.dims[0][0]) for x in pure]
+    pairs = [q.lift_pair(qq) for qq in range(q.dim)]
+    product = [
+        [q.project(_zigzag_ambient_product(p, d, u1, v1, u2, v2)) for u2, v2 in pairs]
+        for u1, v1 in pairs
+    ]
+    star = [p.mul_basis(0, d, 0, u, v) for u, v in pairs]
     return ZigZag(parent=p, degree=d, space=q, product=product, star=star)
 
 
@@ -832,7 +809,11 @@ def _require_morita_setup(p: PeirceAlgebra, d: int):
 def morita_forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> ModuleRep:
     """Send a unital degree-d module W to component(0,d) (x)_{deg-d} W, a
     module over the degree-d corner ideal."""
-    sid, ideal, split = _require_morita_setup(p, d)
+    return _forward(p, d, w_mod, _require_morita_setup(p, d))
+
+
+def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
+    sid, ideal, split = setup
     if w_mod.side != "left":
         raise ValueError("expected a left module over the degree-d component")
     if w_mod.algebra.dim != p.dims[d][d]:
@@ -863,7 +844,11 @@ def morita_forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> ModuleRep:
 def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
     """Send a unital module over the degree-d corner ideal to
     component(d,0) (x)_corner W0, a module over the degree-d component."""
-    sid, ideal, split = _require_morita_setup(p, d)
+    return _backward(p, d, w0_mod, _require_morita_setup(p, d))
+
+
+def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
+    sid, ideal, split = setup
     if w0_mod.side != "left":
         raise ValueError("expected a left module over the corner ideal")
     if w0_mod.algebra.dim != ideal.dim:
@@ -920,8 +905,9 @@ class RoundtripReport:
 def verify_roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> RoundtripReport:
     """Push a degree-d module through both functors and compare with the
     original through the canonical evaluation b (x) (a (x) w) -> (b*a).w."""
-    w0 = morita_forward(p, d, w_mod)
-    w2 = morita_backward(p, d, w0)
+    setup = _require_morita_setup(p, d)
+    w0 = _forward(p, d, w_mod, setup)
+    w2 = _backward(p, d, w0, setup)
     q_in = w0.tensor_space
     q_out = w2.tensor_space
 

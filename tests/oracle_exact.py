@@ -9,10 +9,16 @@ six-level loop.  The bodies are copied unchanged; `DenseProducts` carries
 the old dense `mul`/`mul_basis` methods over the stored structure constants
 of a `PeirceAlgebra`, so the validator below does not run the library's
 sparse product code.
+
+`zigzag_well_defined` is the brute-force check `zigzag` made before it
+relied on `validate_peirce`: every balancing relation times every pure
+tensor, on both sides, must vanish in the quotient.
 """
 
 from fractions import Fraction
 
+from mta import peirce
+from mta.exact import add_multiple
 from mta.peirce import Algebra, ModuleRep, PeirceReport
 
 F0 = Fraction(0)
@@ -197,9 +203,6 @@ class TensorQuotient:
         """The pure tensor basis pair representing quotient coordinate q."""
         return divmod(self.free[q], self.dim_right)
 
-    def kills(self, ambient_vec) -> bool:
-        return vec_is_zero(self.project(ambient_vec))
-
 
 def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep) -> TensorQuotient:
     """M (x)_B N for a right module M and a left module N over the same B.
@@ -378,3 +381,39 @@ def validate_peirce(p) -> PeirceReport:
     first = next((name for name in order if not axioms[name]), None)
     return PeirceReport(ok=first is None, first_violation=first, axioms=axioms, details=details)
 
+
+def zigzag_well_defined(p, d):
+    """None when the degree-d zig-zag product and corner reduction are well
+    defined on the balanced quotient, else the first failure found."""
+    diag = p.diagonal_algebra(d)
+    n = p.dims[d][0]
+    q = peirce.balanced_tensor(
+        peirce._component_module(p, diag, 0, d, "right"),
+        peirce._component_module(p, diag, d, 0, "left"),
+    )
+
+    def ambient_bilinear(x_amb, y_amb):
+        out: dict = {}
+        for f1, c1 in x_amb.items():
+            u1, v1 = divmod(f1, n)
+            for f2, c2 in y_amb.items():
+                u2, v2 = divmod(f2, n)
+                add_multiple(out, c1 * c2, peirce._zigzag_ambient_product(p, d, u1, v1, u2, v2))
+        return out
+
+    def star_ambient(x_amb):
+        out: dict = {}
+        for f, c in x_amb.items():
+            add_multiple(out, c, p.cell(0, d, 0, *divmod(f, n)))
+        return out
+
+    pure = [{f: 1} for f in q.free]
+    for row in q.relations.basis():
+        if star_ambient(row):
+            return "corner reduction is not well defined on the quotient"
+        for e in pure:
+            if q.relations.reduce(ambient_bilinear(row, e)) or q.relations.reduce(
+                ambient_bilinear(e, row)
+            ):
+                return "zig-zag product is not well defined on the quotient"
+    return None

@@ -375,11 +375,21 @@ def test_invalid_algebra_reports_instead_of_raising(tmp_path):
     entries = p.entries()
     i, j, k, a, b, c, v = entries[7]
     entries[7] = (i, j, k, a, b, c, v + 1)
+    perturbed = tmp_path / "perturbed.json"
     data = PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0).to_json_dict()
-    path = tmp_path / "perturbed.json"
-    path.write_text(json.dumps(data))
+    perturbed.write_text(json.dumps(data))
+    # two small files that break the corner unit: a products-free dims [[60]]
+    # and a dense all-ones dims [[14]] with unit e_0
+    products_free = tmp_path / "products_free.json"
+    products_free.write_text(json.dumps(_products_free([[60]])))
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(_dense_corner(14)))
+    runs = [(perturbed, "morita", 1), (perturbed, "zigzag", 0)]
+    for path in (products_free, dense):
+        runs += [(path, "zigzag", 0), (path, "morita", 0)]
     src = Path(__file__).resolve().parents[1] / "src"
-    for action, degree in (("morita", 1), ("zigzag", 0)):
+    for path, action, degree in runs:
+        start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "mta", "peirce", action, "--algebra", str(path), "--degree", str(degree)],
             env={**os.environ, "PYTHONPATH": str(src)},
@@ -387,8 +397,44 @@ def test_invalid_algebra_reports_instead_of_raising(tmp_path):
             text=True,
             timeout=120,
         )
+        assert time.perf_counter() - start < 5, (path.name, action)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         out = json.loads(proc.stdout)
         assert out["degree"] == degree and out["ok"] is False and out["error"]
+        assert out["error"].startswith("corner-unit: ")
         assert list(out) == ["degree", "ok", "error"]
+
+
+def test_valid_algebra_without_strong_identity_reports(capsys, tmp_path):
+    # every axiom holds, but component (1,1) is spanned by v*u with u*v = 0,
+    # so nothing in it acts as the identity on the edges
+    entries = [(0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 1), (1, 0, 1, 0, 0, 0, 1)]
+    path = tmp_path / "no_identity.json"
+    path.write_text(json.dumps(PeirceAlgebra(1, [[1, 1], [1, 1]], entries, [1]).to_json_dict()))
+    code, out = run(capsys, ["peirce", "validate", "--algebra", str(path)])
+    assert code == 0
+    code, out = run(capsys, ["peirce", "morita", "--algebra", str(path), "--degree", "1"])
+    assert code == 1
+    assert json.loads(out) == {"degree": 1, "ok": False, "error": "no strong identity at degree 1"}
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader of the pipe is gone before the first write, as after
+    # `mta partitions list ... | head -c 100` once head has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mta", "partitions", "list", "--rank", "3", "--weight", "8"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -97,11 +97,9 @@ def test_model_rejects_zero_level_zero():
         matrix_model([[0, 2]])
 
 
-def test_mutated_model_fails_validation():
-    """Changing any one structure constant of a small acceptance fixture by
-    +1, -1 or +2 breaks an axiom, and the report, first violation and
-    details included, is byte for byte the dense oracle's."""
-    cases = 0
+def _mutation_sweep():
+    """Each structure constant of a small acceptance fixture changed by +1,
+    -1 or +2: 324 algebras, yielded as ((blocks, pos, delta), algebra)."""
     for blocks in ([2, 2], [[1, 2], [1, 0]], [[1, 1], [1, 1]]):
         p = matrix_model(blocks)
         entries = p.entries()
@@ -109,20 +107,51 @@ def test_mutated_model_fails_validation():
             for delta in (1, -1, 2):
                 mutated = list(entries)
                 mutated[pos] = (i, j, k, a, b, c, v + delta)
-                bad = PeirceAlgebra(p.max_degree, p.dims, mutated, p.unit0)
-                report = validate_peirce(bad)
-                assert not report.ok, (blocks, pos, delta)
-                assert json.dumps(report.to_json()) == json.dumps(
-                    oracle.validate_peirce(bad).to_json()
-                ), (blocks, pos, delta)
-                for d in range(bad.max_degree + 1):
-                    alg = bad.diagonal_algebra(d)
-                    assert alg.is_associative() == oracle.is_associative(alg)
-                cases += 1
+                yield (blocks, pos, delta), PeirceAlgebra(p.max_degree, p.dims, mutated, p.unit0)
+
+
+def test_mutated_model_fails_validation():
+    """Every algebra of the mutation sweep breaks an axiom, and the report,
+    first violation and details included, is byte for byte the dense
+    oracle's."""
+    cases = 0
+    for case, bad in _mutation_sweep():
+        report = validate_peirce(bad)
+        assert not report.ok, case
+        assert json.dumps(report.to_json()) == json.dumps(
+            oracle.validate_peirce(bad).to_json()
+        ), case
+        for d in range(bad.max_degree + 1):
+            alg = bad.diagonal_algebra(d)
+            assert alg.is_associative() == oracle.is_associative(alg)
+        cases += 1
     assert cases == 324
 
 
 ACCEPTANCE_BLOCKS = ([2, 3], [[1, 2], [1, 0]], [[1, 1, 2], [2, 1, 0], [1, 0, 1]], [[3, 2], [1, 3], [2, 1]])
+
+
+def test_associativity_makes_zigzag_well_defined():
+    """zigzag relies on validate_peirce instead of multiplying every
+    balancing relation by every pure tensor; that brute-force check, kept as
+    an oracle, passes wherever associativity holds and has teeth elsewhere."""
+    valid = [matrix_model(blocks) for blocks in ACCEPTANCE_BLOCKS] + [
+        heisenberg_truncation(1, 3, [Fraction(0)]),
+        heisenberg_truncation(2, 2, [Fraction(0), Fraction(0)]),
+    ]
+    for p in valid:
+        for d in range(p.max_degree + 1):
+            assert oracle.zigzag_well_defined(p, d) is None, (p.dims, d)
+    associative = flagged = 0
+    for case, bad in _mutation_sweep():
+        holds = validate_peirce(bad).axioms["associativity"]
+        for d in range(bad.max_degree + 1):
+            failure = oracle.zigzag_well_defined(bad, d)
+            if holds:
+                assert failure is None, (case, d)
+                associative += 1
+            flagged += failure is not None
+    assert (associative, flagged) == (6, 165)
 
 
 def test_balanced_tensor_matches_dense_build(monkeypatch):
@@ -158,7 +187,6 @@ def test_balanced_tensor_matches_dense_build(monkeypatch):
         for f in range(q.ambient_dim):
             e = oracle.unit_vector(q.ambient_dim, f)
             assert q.project({f: F1}) == dq.project(e)
-            assert q.kills({f: F1}) == dq.kills(e)
 
 
 def test_json_round_trip():
@@ -296,6 +324,20 @@ def test_column_module_roundtrips():
             assert w.validate() == []
             report = verify_roundtrip(p, d, w)
             assert report.ok, (block, d, report)
+
+
+def test_roundtrip_builds_the_morita_setup_once(monkeypatch):
+    calls = []
+
+    def counting(p, d):
+        calls.append(d)
+        return real(p, d)
+
+    real = peirce._require_morita_setup
+    monkeypatch.setattr(peirce, "_require_morita_setup", counting)
+    p = matrix_model([[1, 2], [1, 1]])
+    assert verify_roundtrip(p, 1, regular_module(p, 1)).ok
+    assert calls == [1]
 
 
 def test_forward_functor_dims():
