@@ -17,7 +17,6 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import heisenberg as hb
@@ -40,9 +39,9 @@ MAX_LATTICE_RANK = 4
 # labels (1.4 s with --unsafe-no-limits), stays capped.
 MAX_PAIRING_LABELS = 429
 # Lattice inputs, measured as CLI wall time on a 2-core machine.  `lattice
-# weights` costs about 1.5 ms per coset at rank 4: diag(8, 8, 8, 8), 4096
-# cosets, takes 6.3 s and diag(10, 10, 10, 10) 13.6 s.  `lattice dims` on
-# D4 takes 3.2 s at --max 100 and 10.8 s at --max 200.
+# weights` costs about 0.5 ms per coset at rank 4: diag(8, 8, 8, 8), 4096
+# cosets, takes 2.0 s and diag(10, 10, 10, 10) 5.5 s.  `lattice dims` on
+# D4 takes 0.5 s at --max 100 and 1.5 s at --max 200.
 MAX_LATTICE_COSETS = 4096
 MAX_LATTICE_LEVEL = 100
 # Algebra files, checked on the parsed JSON before any structure is built.
@@ -67,13 +66,13 @@ MAX_ASSOCIATIVITY_WORK = 2**23
 MAX_COEFFICIENT_DIGITS = 100
 
 
-@dataclass
 class RunConfig:
     """Validated knobs shared by all subcommands."""
 
-    format: str = "json"
-    unsafe_no_limits: bool = False
-    seed: int = 0
+    def __init__(self, format: str = "json", unsafe_no_limits: bool = False, seed: int = 0):
+        self.format = format
+        self.unsafe_no_limits = unsafe_no_limits
+        self.seed = seed
 
     def check_heisenberg(self, parser, n: int, d: int):
         if self.unsafe_no_limits:
@@ -358,8 +357,7 @@ def _zigzag_payload(algebra, d):
 
 def _morita_payload(algebra, d):
     """Roundtrip of the regular module of the degree-d component."""
-    w_mod = pc.regular_module(algebra, d)
-    report = pc.verify_roundtrip(algebra, d, w_mod)
+    report = pc.verify_regular_roundtrip(algebra, d)
     return {"degree": d, **report.to_json()}, report.ok
 
 
@@ -446,7 +444,7 @@ def _selftest_checks(cfg: RunConfig, fast: bool):
         if not pc.validate_peirce(p).ok:
             return False, "matrix model failed validation"
         for d in range(p.max_degree + 1):
-            if not pc.verify_roundtrip(p, d, pc.regular_module(p, d)).ok:
+            if not pc.verify_regular_roundtrip(p, d).ok:
                 return False, f"roundtrip failed at degree {d}"
         return True, "matrix model validates and regular modules roundtrip"
 

@@ -26,12 +26,12 @@ annihilation against creation monomials are corner products.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, perm
 from typing import NamedTuple
 
+from ._frozen import Frozen
 from .exact import frac_str, parse_frac, scalar
 from .partitions import (
     LabeledPartition,
@@ -68,8 +68,7 @@ def _block_key(m: Mode):
     return (m.gen, -abs(m.exp))
 
 
-@dataclass(frozen=True)
-class NormalWord:
+class NormalWord(Frozen):
     """Block-ordered word: creators, zero modes, annihilators.
 
     Within the creator and annihilator blocks modes are sorted by generator
@@ -78,11 +77,17 @@ class NormalWord:
     sort is a free canonicalization.
     """
 
-    creators: tuple[Mode, ...] = ()
-    zeros: tuple[int, ...] = ()
-    annihilators: tuple[Mode, ...] = ()
+    __slots__ = ("creators", "zeros", "annihilators")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        creators: tuple[Mode, ...] = (),
+        zeros: tuple[int, ...] = (),
+        annihilators: tuple[Mode, ...] = (),
+    ):
+        object.__setattr__(self, "creators", creators)
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "annihilators", annihilators)
         if any(m.exp >= 0 for m in self.creators):
             raise ValueError("creators must have negative exponent")
         if any(m.exp <= 0 for m in self.annihilators):
@@ -560,7 +565,6 @@ def strong_identity_from_json(data) -> list[tuple[LabeledPartition, int | Fracti
     return [(LabeledPartition.from_json(t["partition"]), parse_frac(t["coeff"])) for t in data]
 
 
-@dataclass
 class IdentityReport:
     """Outcome of checking the degree-d identity through the pairing matrix.
 
@@ -569,13 +573,23 @@ class IdentityReport:
     matrix certifies the action on the other side.
     """
 
-    rank: int
-    degree: int
-    ok: bool
-    labels: list[LabeledPartition]
-    expected_diagonal: list[int]
-    matrix: list[list[ZhuPolynomial]]
-    mismatches: list[tuple[int, int]] = field(default_factory=list)
+    def __init__(
+        self,
+        rank: int,
+        degree: int,
+        ok: bool,
+        labels: list[LabeledPartition],
+        expected_diagonal: list[int],
+        matrix: list[list[ZhuPolynomial]],
+        mismatches: list[tuple[int, int]] | None = None,
+    ):
+        self.rank = rank
+        self.degree = degree
+        self.ok = ok
+        self.labels = labels
+        self.expected_diagonal = expected_diagonal
+        self.matrix = matrix
+        self.mismatches = [] if mismatches is None else mismatches
 
     def to_json(self) -> dict:
         k = len(self.labels)
@@ -622,7 +636,6 @@ def verify_strong_identity(n: int, d: int) -> IdentityReport:
     )
 
 
-@dataclass
 class RankCertificate:
     """Certified dimension of the weight-d creation-monomial space.
 
@@ -630,11 +643,12 @@ class RankCertificate:
     spanning monomials are independent, so the count is the dimension.
     """
 
-    rank: int
-    degree: int
-    count: int
-    diagonal: list[int]
-    independent: bool
+    def __init__(self, rank: int, degree: int, count: int, diagonal: list[int], independent: bool):
+        self.rank = rank
+        self.degree = degree
+        self.count = count
+        self.diagonal = diagonal
+        self.independent = independent
 
     def to_json(self) -> dict:
         return {

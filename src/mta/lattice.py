@@ -2,19 +2,21 @@
 
 A lattice is presented by an integer Gram matrix on the standard basis.
 Dual cosets are enumerated through an integer diagonalization of the Gram
-matrix; the minimal norm of a coset and its norm layers come from an exact
-rational square-completion of the quadratic form, so no floating point
-enters anywhere.  Graded dimensions multiply the coset's norm-layer series
-(rational exponents sharing the coset's denominator) by the rank-th power of
-the partition series and shift by the minimal norm.
+matrix; the minimal norm of a coset and its norm layers come from a
+Fincke-Pohst-style search over lattice points on an exact square completion
+of the quadratic form, scaled by one common denominator so that the search
+runs in integers.  No floating point enters anywhere.  Graded dimensions
+multiply the coset's norm-layer series (rational exponents sharing the
+coset's denominator) by the rank-th power of the partition series and shift
+by the minimal norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt, prod
+from math import floor, isqrt, lcm, prod
 
+from ._frozen import Frozen
 from .exact import invert_matrix
 from .partitions import labeled_partition_count
 
@@ -41,13 +43,13 @@ def _det(rows) -> Fraction:
     return det
 
 
-@dataclass(frozen=True)
-class EvenLattice:
+class EvenLattice(Frozen):
     """Positive-definite integer Gram matrix with even diagonal."""
 
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("gram",)
 
-    def __post_init__(self):
+    def __init__(self, gram: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "gram", gram)
         g = self.gram
         n = len(g)
         if n == 0:
@@ -96,12 +98,14 @@ class EvenLattice:
         return True
 
 
-@dataclass(frozen=True)
-class CosetRep:
+class CosetRep(Frozen):
     """Dual coset representative, reduced into the unit box."""
 
-    index: int
-    vector: tuple[Fraction, ...]
+    __slots__ = ("index", "vector")
+
+    def __init__(self, index: int, vector: tuple[Fraction, ...]):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "vector", vector)
 
 
 def parse_gram_text(text: str) -> EvenLattice:
@@ -243,49 +247,57 @@ def _ldl(gram):
     return d, r
 
 
-def _center_range(rho: Fraction, bound: Fraction):
-    """Integers k with (k + rho)^2 <= bound, via integer square roots.
-
-    The window is widened by one on each side and callers re-test exactly,
-    so the derivation only needs to produce a superset.
-    """
-    if bound < 0:
-        return range(0)
-    rn, rd = rho.numerator, rho.denominator
-    bn, bd = bound.numerator, bound.denominator
-    s = isqrt(rd * rd * bn * bd)
-    q = rd * bd
-    hi = (-rn * bd + s) // q
-    lo = -((rn * bd + s) // q)
-    return range(lo - 1, hi + 2)
-
-
 def coset_norms(lattice: EvenLattice, lam, bound) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All lattice shifts e with norm(lam + e) <= bound, with exact norms."""
+    """All lattice shifts e with norm(lam + e) <= bound, with exact norms.
+
+    The search runs in integers.  With x = lam + e, the square completion
+    2 norm(x) = sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2 and D a common
+    denominator of lam, d and r, the scaled coordinates X_j = D x_j and
+    centred values T_i = D^2 (x_i + sum_{j>i} r_ij x_j) are integers, and
+    2 D^5 norm(x) = sum_i (D d_i) T_i^2.  Shifts come out in the order of the
+    recursion from the last coordinate down, each coordinate ascending over
+    exactly the integers its remaining budget admits; a Fraction is built
+    only for each norm returned.
+    """
     lam = [Fraction(x) for x in lam]
     if len(lam) != lattice.rank:
         raise ValueError("coset vector has wrong length")
     if not lattice.is_dual_vector(lam):
         raise ValueError("coset vector does not pair integrally with the lattice")
-    bound = Fraction(bound)
-    d, r = _ldl(lattice.gram)
     n = lattice.rank
+    d, r = _ldl(lattice.gram)
+    den = lcm(
+        *(x.denominator for x in lam),
+        *(x.denominator for x in d),
+        *(r[i][j].denominator for i in range(n) for j in range(i + 1, n)),
+    )
+    lam_s = [int(x * den) for x in lam]
+    d_s = [int(x * den) for x in d]
+    r_s = [[int(x * den) for x in row] for row in r]
+    step = den * den
+    scale = 2 * den**5
+    top = floor(Fraction(bound) * scale)
     out = []
+    norms: dict[int, Fraction] = {}
 
     def rec(i, coords, xs, partial):
         if i < 0:
-            out.append((tuple(reversed(coords)), partial))
+            q = norms.get(partial)
+            if q is None:
+                q = norms[partial] = Fraction(partial, scale)
+            out.append((tuple(reversed(coords)), q))
             return
-        rho = lam[i] + sum(r[i][j] * xs[j] for j in range(i + 1, n))
-        budget = bound - partial
-        for k in _center_range(rho, 2 * budget / d[i]):
-            val = HALF * d[i] * (k + rho) * (k + rho)
-            if val <= budget:
-                xs[i] = k + lam[i]
-                rec(i - 1, coords + [k], xs, partial + val)
-        xs[i] = Fraction(0)
+        rho = den * lam_s[i] + sum(r_s[i][j] * xs[j] for j in range(i + 1, n))
+        budget = top - partial
+        # (D d_i) T^2 <= budget  <=>  |T| <= isqrt(budget // (D d_i)), T = D^2 k + rho
+        s = isqrt(budget // d_s[i])
+        for k in range(-((s + rho) // step), (s - rho) // step + 1):
+            t = step * k + rho
+            xs[i] = den * k + lam_s[i]
+            rec(i - 1, coords + [k], xs, partial + d_s[i] * t * t)
 
-    rec(n - 1, [], [Fraction(0)] * n, Fraction(0))
+    if top >= 0:
+        rec(n - 1, [], [0] * n, 0)
     return out
 
 

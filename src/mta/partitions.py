@@ -10,18 +10,19 @@ weight descending across slots) so serialized output is byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True)
-class Partition:
+
+class Partition(Frozen):
     """Non-increasing tuple of positive integer parts."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[int, ...] = ()):
+        object.__setattr__(self, "parts", parts)
         for p in self.parts:
             if not isinstance(p, int) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
@@ -62,13 +63,13 @@ class Partition:
         return "{" + ",".join(str(p) for p in self.parts) + "}"
 
 
-@dataclass(frozen=True)
-class LabeledPartition:
+class LabeledPartition(Frozen):
     """One partition per slot; slot count is the rank."""
 
-    slots: tuple[Partition, ...]
+    __slots__ = ("slots",)
 
-    def __post_init__(self):
+    def __init__(self, slots: tuple[Partition, ...]):
+        object.__setattr__(self, "slots", slots)
         if len(self.slots) < 1:
             raise ValueError("need at least one slot")
 

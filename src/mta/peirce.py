@@ -26,7 +26,6 @@ corner component (0,0) is the unital base algebra A.  This module provides:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .exact import (
     F0,
@@ -86,15 +85,15 @@ class Subspace:
         return f"Subspace(component={self.component}, dim={self.dim}/{self.ambient_dim})"
 
 
-@dataclass
 class Algebra:
     """Plain structure-constant algebra: struct[x][y] is the coordinate
     vector of the product of basis elements x and y."""
 
-    dim: int
-    struct: list  # [x][y] -> list of exact scalars
-    unit: list | None = None
-    label: str = ""
+    def __init__(self, dim: int, struct: list, unit: list | None = None, label: str = ""):
+        self.dim = dim
+        self.struct = struct  # [x][y] -> list of exact scalars
+        self.unit = unit
+        self.label = label
 
     def mul(self, x, y):
         out = fzeros(self.dim)
@@ -152,7 +151,6 @@ def _first_nonassociative_triple(ab, xc, bc, ay):
     )
 
 
-@dataclass
 class ModuleRep:
     """Module presented by one action matrix per algebra basis element.
 
@@ -160,12 +158,11 @@ class ModuleRep:
     action[x] @ action[y]; side='right' composes the other way around.
     """
 
-    algebra: Algebra
-    dim: int
-    action: list  # [basis index] -> dim x dim matrix
-    side: str = "left"
-
-    def __post_init__(self):
+    def __init__(self, algebra: Algebra, dim: int, action: list, side: str = "left"):
+        self.algebra = algebra
+        self.dim = dim
+        self.action = action  # [basis index] -> dim x dim matrix
+        self.side = side
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         if len(self.action) != self.algebra.dim:
@@ -380,12 +377,14 @@ class PeirceAlgebra:
         )
 
 
-@dataclass
 class PeirceReport:
-    ok: bool
-    first_violation: str | None
-    axioms: dict
-    details: dict = field(default_factory=dict)
+    def __init__(
+        self, ok: bool, first_violation: str | None, axioms: dict, details: dict | None = None
+    ):
+        self.ok = ok
+        self.first_violation = first_violation
+        self.axioms = axioms
+        self.details = {} if details is None else details
 
     def to_json(self) -> dict:
         return {
@@ -519,7 +518,6 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     return PeirceReport(ok=first is None, first_violation=first, axioms=axioms, details=details)
 
 
-@dataclass
 class ZigZag:
     """Degree-d zig-zag algebra with its reduction to the corner.
 
@@ -528,11 +526,14 @@ class ZigZag:
     and star[q] is the corner image a1*a2 of the q-th basis element.
     """
 
-    parent: PeirceAlgebra
-    degree: int
-    space: TensorQuotient
-    product: list  # [q1][q2] -> coords
-    star: list  # [q] -> corner coords
+    def __init__(
+        self, parent: PeirceAlgebra, degree: int, space: TensorQuotient, product: list, star: list
+    ):
+        self.parent = parent
+        self.degree = degree
+        self.space = space
+        self.product = product  # [q1][q2] -> coords
+        self.star = star  # [q] -> corner coords
 
     @property
     def dim(self) -> int:
@@ -571,11 +572,11 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     return ZigZag(parent=p, degree=d, space=q, product=product, star=star)
 
 
-@dataclass
 class CheckReport:
-    ok: bool
-    checked: int
-    failures: list = field(default_factory=list)
+    def __init__(self, ok: bool, checked: int, failures: list | None = None):
+        self.ok = ok
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "checked": self.checked, "failures": list(self.failures)}
@@ -672,15 +673,22 @@ def zd_ideal(p: PeirceAlgebra, d: int) -> Subspace:
     return Subspace((0, 0), p.dims[0][0], vecs)
 
 
-@dataclass
 class IdealSplit:
     """Central-idempotent decomposition of the corner along a unital ideal."""
 
-    epsilon: list
-    ideal: Subspace
-    complement: Subspace
-    idempotent_ideal: bool
-    checks: dict
+    def __init__(
+        self,
+        epsilon: list,
+        ideal: Subspace,
+        complement: Subspace,
+        idempotent_ideal: bool,
+        checks: dict,
+    ):
+        self.epsilon = epsilon
+        self.ideal = ideal
+        self.complement = complement
+        self.idempotent_ideal = idempotent_ideal
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -791,7 +799,10 @@ def _zd_algebra(p: PeirceAlgebra, ideal: Subspace, epsilon) -> Algebra:
 
 def regular_module(p: PeirceAlgebra, d: int) -> ModuleRep:
     """component(d,d) acting on itself from the left."""
-    sid = find_strong_identity(p, d)
+    return _regular_module(p, d, find_strong_identity(p, d))
+
+
+def _regular_module(p: PeirceAlgebra, d: int, sid) -> ModuleRep:
     return _component_module(p, p.diagonal_algebra(d, unit=sid), d, d, "left")
 
 
@@ -882,14 +893,22 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
     return out
 
 
-@dataclass
 class RoundtripReport:
-    ok: bool
-    dim_start: int
-    dim_forward: int
-    dim_back: int
-    bijective: bool
-    equivariant: bool
+    def __init__(
+        self,
+        ok: bool,
+        dim_start: int,
+        dim_forward: int,
+        dim_back: int,
+        bijective: bool,
+        equivariant: bool,
+    ):
+        self.ok = ok
+        self.dim_start = dim_start
+        self.dim_forward = dim_forward
+        self.dim_back = dim_back
+        self.bijective = bijective
+        self.equivariant = equivariant
 
     def to_json(self) -> dict:
         return {
@@ -905,7 +924,17 @@ class RoundtripReport:
 def verify_roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> RoundtripReport:
     """Push a degree-d module through both functors and compare with the
     original through the canonical evaluation b (x) (a (x) w) -> (b*a).w."""
+    return _roundtrip(p, d, w_mod, _require_morita_setup(p, d))
+
+
+def verify_regular_roundtrip(p: PeirceAlgebra, d: int) -> RoundtripReport:
+    """verify_roundtrip of regular_module(p, d), solving for the strong
+    identity once: the module is built on the setup's identity."""
     setup = _require_morita_setup(p, d)
+    return _roundtrip(p, d, _regular_module(p, d, setup[0]), setup)
+
+
+def _roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> RoundtripReport:
     w0 = _forward(p, d, w_mod, setup)
     w2 = _backward(p, d, w0, setup)
     q_in = w0.tensor_space

@@ -9,9 +9,9 @@ through its zero-mode polynomials).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .partitions import labeled_partition_count
 
 SCALAR_FIELD = "scalar-field"
@@ -21,29 +21,31 @@ def polynomial_ring(n: int) -> str:
     return f"polynomial-ring({n})"
 
 
-@dataclass(frozen=True)
-class SimpleModuleData:
+class SimpleModuleData(Frozen):
     """Graded dimensions of one simple module, lowest level first."""
 
-    label: str
-    graded_dims: tuple[int, ...]
-    conformal_weight: Fraction | None = None
+    __slots__ = ("label", "graded_dims", "conformal_weight")
 
-    def __post_init__(self):
+    def __init__(
+        self, label: str, graded_dims: tuple[int, ...], conformal_weight: Fraction | None = None
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "graded_dims", graded_dims)
+        object.__setattr__(self, "conformal_weight", conformal_weight)
         if any(d < 0 for d in self.graded_dims):
             raise ValueError("graded dimensions must be nonnegative")
         if not any(self.graded_dims):
             raise ValueError(f"module {self.label!r} has no nonzero graded dimension")
 
 
-@dataclass(frozen=True)
-class ZhuDescriptor:
+class ZhuDescriptor(Frozen):
     """blocks[j] lists (matrix size, base ring tag) for level j."""
 
-    degree: int
-    blocks: tuple[tuple[tuple[int, str], ...], ...]
+    __slots__ = ("degree", "blocks")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, blocks: tuple[tuple[tuple[int, str], ...], ...]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "blocks", blocks)
         if len(self.blocks) != self.degree + 1:
             raise ValueError("need one block list per level 0..degree")
         for level in self.blocks:

@@ -13,12 +13,18 @@ sparse product code.
 `zigzag_well_defined` is the brute-force check `zigzag` made before it
 relied on `validate_peirce`: every balancing relation times every pure
 tensor, on both sides, must vanish in the quotient.
+
+`coset_norms` is the lattice enumeration before it moved to integers: the
+same square completion and recursion, with every centre, budget and norm a
+Fraction and an integer-square-root window that is re-tested exactly.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from mta import peirce
 from mta.exact import add_multiple
+from mta.lattice import HALF, EvenLattice, _ldl
 from mta.peirce import Algebra, ModuleRep, PeirceReport
 
 F0 = Fraction(0)
@@ -417,3 +423,49 @@ def zigzag_well_defined(p, d):
             ):
                 return "zig-zag product is not well defined on the quotient"
     return None
+
+
+def _center_range(rho: Fraction, bound: Fraction):
+    """Integers k with (k + rho)^2 <= bound, via integer square roots.
+
+    The window is widened by one on each side and callers re-test exactly,
+    so the derivation only needs to produce a superset.
+    """
+    if bound < 0:
+        return range(0)
+    rn, rd = rho.numerator, rho.denominator
+    bn, bd = bound.numerator, bound.denominator
+    s = isqrt(rd * rd * bn * bd)
+    q = rd * bd
+    hi = (-rn * bd + s) // q
+    lo = -((rn * bd + s) // q)
+    return range(lo - 1, hi + 2)
+
+
+def coset_norms(lattice: EvenLattice, lam, bound) -> list[tuple[tuple[int, ...], Fraction]]:
+    """All lattice shifts e with norm(lam + e) <= bound, with exact norms."""
+    lam = [Fraction(x) for x in lam]
+    if len(lam) != lattice.rank:
+        raise ValueError("coset vector has wrong length")
+    if not lattice.is_dual_vector(lam):
+        raise ValueError("coset vector does not pair integrally with the lattice")
+    bound = Fraction(bound)
+    d, r = _ldl(lattice.gram)
+    n = lattice.rank
+    out = []
+
+    def rec(i, coords, xs, partial):
+        if i < 0:
+            out.append((tuple(reversed(coords)), partial))
+            return
+        rho = lam[i] + sum(r[i][j] * xs[j] for j in range(i + 1, n))
+        budget = bound - partial
+        for k in _center_range(rho, 2 * budget / d[i]):
+            val = HALF * d[i] * (k + rho) * (k + rho)
+            if val <= budget:
+                xs[i] = k + lam[i]
+                rec(i - 1, coords + [k], xs, partial + val)
+        xs[i] = Fraction(0)
+
+    rec(n - 1, [], [Fraction(0)] * n, Fraction(0))
+    return out

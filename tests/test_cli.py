@@ -438,3 +438,43 @@ def test_closed_stdout_exits_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+# one command per subcommand family; the peirce command runs zigzag, which
+# also reads and validates the algebra
+_FAMILY_COMMANDS = [
+    ["partitions", "list", "--rank", "2", "--weight", "3"],
+    ["heisenberg", "verify", "--rank", "2", "--degree", "3"],
+    ["lattice", "dims", "--gram", "{demos}/z8.gram", "--coset", "1", "--max", "5"],
+    ["peirce", "zigzag", "--algebra", "{algebra}", "--degree", "1"],
+    ["zhu", "heisenberg", "--rank", "2", "--degree", "3"],
+    ["selftest", "--fast"],
+]
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import mta.cli
+code = mta.cli.main(sys.argv[1:])
+added = sorted(set(sys.modules) - before)
+sys.stderr.write(" ".join(added))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", _FAMILY_COMMANDS, ids=lambda argv: argv[0])
+def test_commands_do_not_import_dataclasses_or_inspect(argv, algebra_file):
+    # both are slow imports that every command would pay for at start-up
+    root = Path(__file__).resolve().parents[1]
+    argv = [a.format(demos=root / "demos", algebra=algebra_file) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stderr.split())
+    assert "mta.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracle_exact import coset_norms as oracle_coset_norms
 
 from mta.lattice import (
     EvenLattice,
@@ -169,3 +170,38 @@ def test_diagonal_lattice_invariants(diag):
         assert w <= lattice.norm(rep.vector)
         dims = graded_dims(lattice, rep.vector, 1)
         assert len(dims) == 2 and dims[0] >= 1
+
+
+A4_GRAM = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+D4_GRAM = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+@st.composite
+def even_grams(draw):
+    n = draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from([2, 4, 6, 8]))
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
+    return tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(even_grams())
+@example(((8,),))
+@example(A4_GRAM)
+@example(D4_GRAM)
+def test_coset_norms_match_fraction_oracle(gram):
+    try:
+        lattice = EvenLattice(gram)
+    except ValueError:  # not positive definite
+        assume(False)
+    assume(lattice.determinant() <= 16)
+    for rep in dual_cosets(lattice):
+        for lam in (rep.vector, tuple(-x for x in rep.vector)):
+            base = lattice.norm(lam)
+            for extra in (0, Fraction(7, 3), 12):
+                bound = base + extra
+                assert coset_norms(lattice, lam, bound) == oracle_coset_norms(lattice, lam, bound)
+    assert coset_norms(lattice, rep.vector, -1) == oracle_coset_norms(lattice, rep.vector, -1) == []

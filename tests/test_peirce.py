@@ -340,6 +340,24 @@ def test_roundtrip_builds_the_morita_setup_once(monkeypatch):
     assert calls == [1]
 
 
+def test_morita_command_solves_for_the_strong_identity_once(monkeypatch):
+    calls = []
+
+    def counting(p, d):
+        calls.append(d)
+        return real(p, d)
+
+    real = peirce.find_strong_identity
+    monkeypatch.setattr(peirce, "find_strong_identity", counting)
+    p = matrix_model([[1, 2], [1, 1]])
+    for d in range(p.max_degree + 1):
+        expected = verify_roundtrip(p, d, regular_module(p, d)).to_json()
+        calls.clear()
+        payload, ok = _morita_payload(p, d)
+        assert calls == [d]
+        assert ok and payload == {"degree": d, **expected}
+
+
 def test_forward_functor_dims():
     # pushing the column module of a block forward lands in a module over
     # the corner ideal whose dimension is the block's level-0 size

@@ -1,0 +1,138 @@
+"""Constructors, immutability, equality, hashing and repr of the record types."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from mta.cli import RunConfig
+from mta.heisenberg import IdentityReport, Mode, NormalWord, RankCertificate
+from mta.lattice import CosetRep, EvenLattice
+from mta.partitions import LabeledPartition, Partition
+from mta.peirce import (
+    Algebra,
+    CheckReport,
+    IdealSplit,
+    ModuleRep,
+    PeirceReport,
+    RoundtripReport,
+    Subspace,
+    ZigZag,
+)
+from mta.zhu import SCALAR_FIELD, SimpleModuleData, ZhuDescriptor
+
+# (instance, its fields in declaration order)
+FROZEN = [
+    (Partition((3, 1)), ((3, 1),)),
+    (LabeledPartition((Partition((2,)), Partition(()))), ((Partition((2,)), Partition(())),)),
+    (NormalWord((Mode(1, -2),), (1,), (Mode(2, 1),)), ((Mode(1, -2),), (1,), (Mode(2, 1),))),
+    (EvenLattice(((2, 1), (1, 2))), (((2, 1), (1, 2)),)),
+    (CosetRep(1, (Fraction(1, 3), Fraction(2, 3))), (1, (Fraction(1, 3), Fraction(2, 3)))),
+    (SimpleModuleData("psi", (1, 1), Fraction(1, 2)), ("psi", (1, 1), Fraction(1, 2))),
+    (ZhuDescriptor(0, (((1, SCALAR_FIELD),),)), (0, (((1, SCALAR_FIELD),),))),
+]
+
+
+@pytest.mark.parametrize("obj, values", FROZEN, ids=lambda x: type(x).__name__)
+def test_frozen_value_semantics(obj, values):
+    cls = type(obj)
+    twin = cls(*values)
+    assert twin == obj and hash(twin) == hash(obj) == hash(values)
+    assert cls(**dict(zip(cls.__slots__, values))) == obj
+    assert obj != values and obj != object()
+    assert len({obj, twin}) == 1
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    assert copy.deepcopy(obj) == obj and copy.copy(obj) == obj
+
+
+def test_frozen_defaults_and_reprs():
+    assert Partition() == Partition(()) and NormalWord() == NormalWord((), (), ())
+    assert SimpleModuleData("vac", (1,)).conformal_weight is None
+    assert repr(Partition((2, 1))) == "{2,1}"
+    assert repr(LabeledPartition.of([2], [])) == "({2}|{})"
+    assert repr(NormalWord.build([Mode(1, -1)], [2], [Mode(1, 3)])) == "H1t-1*H2t0*H1t3"
+    assert repr(EvenLattice(((2,),))) == "EvenLattice(gram=((2,),))"
+    assert repr(CosetRep(0, (Fraction(1, 2),))) == "CosetRep(index=0, vector=(Fraction(1, 2),))"
+    assert (
+        repr(SimpleModuleData("vac", (1, 0)))
+        == "SimpleModuleData(label='vac', graded_dims=(1, 0), conformal_weight=None)"
+    )
+    assert (
+        repr(ZhuDescriptor(0, (((1, SCALAR_FIELD),),)))
+        == "ZhuDescriptor(degree=0, blocks=(((1, 'scalar-field'),),))"
+    )
+
+
+def test_frozen_validation_still_runs():
+    with pytest.raises(ValueError, match="non-increasing"):
+        Partition((1, 2))
+    with pytest.raises(ValueError, match="at least one slot"):
+        LabeledPartition(())
+    with pytest.raises(ValueError, match="negative exponent"):
+        NormalWord(creators=(Mode(1, 1),))
+    with pytest.raises(ValueError, match="even"):
+        EvenLattice(((3,),))
+    with pytest.raises(ValueError, match="no nonzero graded dimension"):
+        SimpleModuleData("zero", (0, 0))
+    with pytest.raises(ValueError, match="one block list per level"):
+        ZhuDescriptor(1, ())
+
+
+def test_result_holders_keep_their_constructors():
+    alg = Algebra(1, [[[1]]])
+    assert (alg.dim, alg.struct, alg.unit, alg.label) == (1, [[[1]]], None, "")
+    alg = Algebra(dim=1, struct=[[[1]]], unit=[1], label="k")
+    assert (alg.unit, alg.label) == ([1], "k")
+    mod = ModuleRep(alg, 1, [[[1]]])
+    assert mod.side == "left"
+    assert ModuleRep(algebra=alg, dim=1, action=[[[1]]], side="right").side == "right"
+    with pytest.raises(ValueError, match="side"):
+        ModuleRep(alg, 1, [[[1]]], "up")
+    with pytest.raises(ValueError, match="one action matrix"):
+        ModuleRep(alg, 1, [])
+    with pytest.raises(ValueError, match="wrong shape"):
+        ModuleRep(alg, 2, [[[1]]])
+
+    first = PeirceReport(True, None, {})
+    second = PeirceReport(ok=True, first_violation=None, axioms={})
+    assert first.details == {} and first.details is not second.details
+    first, second = CheckReport(True, 0), CheckReport(ok=True, checked=0)
+    assert first.failures == [] and first.failures is not second.failures
+    first = IdentityReport(1, 0, True, [], [], [])
+    second = IdentityReport(rank=1, degree=0, ok=True, labels=[], expected_diagonal=[], matrix=[])
+    assert first.mismatches == [] and first.mismatches is not second.mismatches
+    assert IdentityReport(1, 0, False, [], [], [], [(0, 1)]).mismatches == [(0, 1)]
+
+    cert = RankCertificate(1, 2, 2, [2, 2], True)
+    assert vars(cert) == {
+        "rank": 1,
+        "degree": 2,
+        "count": 2,
+        "diagonal": [2, 2],
+        "independent": True,
+    }
+    trip = RoundtripReport(True, 1, 2, 1, True, True)
+    assert trip.to_json() == {
+        "ok": True,
+        "dim_start": 1,
+        "dim_forward": 2,
+        "dim_back": 1,
+        "bijective": True,
+        "equivariant": True,
+    }
+    ideal = Subspace((0, 0), 1, [[1]])
+    split = IdealSplit([1], ideal, Subspace((0, 0), 1), True, {"central": True})
+    assert split.ok and split.to_json()["complement_dim"] == 0
+    z = ZigZag(parent=None, degree=0, space=None, product=[], star=[])
+    assert (z.degree, z.product, z.star) == (0, [], [])
+    assert vars(RunConfig()) == {"format": "json", "unsafe_no_limits": False, "seed": 0}
+    config = RunConfig("text", True, 3)
+    assert vars(config) == {"format": "text", "unsafe_no_limits": True, "seed": 3}
