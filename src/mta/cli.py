@@ -24,14 +24,15 @@ from . import lattice as lat
 from . import peirce as pc
 from . import zhu
 from .exact import frac_str, parse_frac
-from .partitions import (
-    LabeledPartition,
-    enumerate_labeled_partitions,
-    labeled_partition_count,
-)
+from .partitions import enumerate_labeled_partitions, labeled_partition_count
 
 MAX_RANK = 4
 MAX_DEGREE = 8
+# `partitions count`, measured as CLI wall time on a 2-core machine: rank 4
+# takes 0.9 s at weight 400 and 3.8 s at 600 (other runs: 1.7 s and 4.3 s,
+# and 11.3 s at 800); rank 1 takes 0.35 s at 400, 1.0 s at 600 and 17.6 s
+# at 1200.  `partitions list` stays in the rank/degree box above.
+MAX_PARTITION_WEIGHT = 400
 MAX_LATTICE_RANK = 4
 # Labels of the largest pairing matrix `heisenberg verify` builds: (3, 7) has
 # 429 and verifies in about 0.8 s on a 2-core machine ((4, 5), 252 labels,
@@ -39,9 +40,9 @@ MAX_LATTICE_RANK = 4
 # labels (1.4 s with --unsafe-no-limits), stays capped.
 MAX_PAIRING_LABELS = 429
 # Lattice inputs, measured as CLI wall time on a 2-core machine.  `lattice
-# weights` costs about 0.5 ms per coset at rank 4: diag(8, 8, 8, 8), 4096
-# cosets, takes 2.0 s and diag(10, 10, 10, 10) 5.5 s.  `lattice dims` on
-# D4 takes 0.5 s at --max 100 and 1.5 s at --max 200.
+# weights` costs about 0.4 ms per coset at rank 4: diag(8, 8, 8, 8), 4096
+# cosets, takes 1.6 s and diag(10, 10, 10, 10) 4.7 s.  `lattice dims` on
+# D4 takes 0.5 s at --max 100 and 2.0 s at --max 200.
 MAX_LATTICE_COSETS = 4096
 MAX_LATTICE_LEVEL = 100
 # Algebra files, checked on the parsed JSON before any structure is built.
@@ -75,12 +76,20 @@ class RunConfig:
         self.seed = seed
 
     def check_heisenberg(self, parser, n: int, d: int):
+        self._check_box(parser, n, "degree", d, MAX_DEGREE)
+
+    def check_partitions(self, parser, action: str, n: int, m: int):
+        # `list` prints the labels `heisenberg verify` pairs: the same box
+        limit = MAX_DEGREE if action == "list" else MAX_PARTITION_WEIGHT
+        self._check_box(parser, n, "weight", m, limit)
+
+    def _check_box(self, parser, n: int, name: str, value: int, limit: int):
         if self.unsafe_no_limits:
             return
-        if n > MAX_RANK or d > MAX_DEGREE:
+        if n > MAX_RANK or value > limit:
             parser.error(
-                f"rank {n} / degree {d} exceeds the desk-scale limits "
-                f"(rank <= {MAX_RANK}, degree <= {MAX_DEGREE}); "
+                f"rank {n} / {name} {value} exceeds the desk-scale limits "
+                f"(rank <= {MAX_RANK}, {name} <= {limit}); "
                 "pass --unsafe-no-limits to override"
             )
 
@@ -211,6 +220,7 @@ def _load_peirce(parser, cfg, path) -> pc.PeirceAlgebra:
 
 def _cmd_partitions(parser, cfg, args) -> int:
     n, m = args.rank, args.weight
+    cfg.check_partitions(parser, args.action, n, m)
     if args.action == "count":
         count = labeled_partition_count(n, m)
         _emit(
@@ -497,7 +507,22 @@ def _cmd_selftest(parser, cfg, args) -> int:
     return 0 if ok_all else 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    rank = _int_at_least(1)
+    size = _int_at_least(0)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument(
@@ -513,15 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
     part_sub = p_part.add_subparsers(dest="action", required=True)
     for name in ("count", "list"):
         sp = part_sub.add_parser(name, parents=[common])
-        sp.add_argument("--rank", type=int, default=1)
-        sp.add_argument("--weight", type=int, required=True)
+        sp.add_argument("--rank", type=rank, default=1)
+        sp.add_argument("--weight", type=size, required=True)
 
     p_h = sub.add_parser("heisenberg", help="free-boson engine")
     h_sub = p_h.add_subparsers(dest="action", required=True)
     for name in ("identity", "verify", "zhu"):
         sp = h_sub.add_parser(name, parents=[common])
-        sp.add_argument("--rank", type=int, default=1)
-        sp.add_argument("--degree", type=int, required=True)
+        sp.add_argument("--rank", type=rank, default=1)
+        sp.add_argument("--degree", type=size, required=True)
 
     p_l = sub.add_parser("lattice", help="even-lattice module data")
     l_sub = p_l.add_subparsers(dest="action", required=True)
@@ -530,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--gram", required=True, help="gram file: rank line, then rows")
         if name == "dims":
             sp.add_argument("--coset", type=int, required=True)
-            sp.add_argument("--max", type=int, default=0)
+            sp.add_argument("--max", type=size, default=0)
 
     p_p = sub.add_parser("peirce", help="structure-constant corner algebras")
     p_sub = p_p.add_subparsers(dest="action", required=True)
@@ -538,19 +563,19 @@ def build_parser() -> argparse.ArgumentParser:
         sp = p_sub.add_parser(name, parents=[common])
         sp.add_argument("--algebra", required=True, help="algebra JSON file")
         if name != "validate":
-            sp.add_argument("--degree", type=int, required=True)
+            sp.add_argument("--degree", type=size, required=True)
 
     p_z = sub.add_parser("zhu", help="block descriptors")
     z_sub = p_z.add_subparsers(dest="action", required=True)
     sp = z_sub.add_parser("rational", parents=[common])
     sp.add_argument("--modules", required=True, help="JSON list of simple module data")
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", type=size, required=True)
     sp = z_sub.add_parser("heisenberg", parents=[common])
-    sp.add_argument("--rank", type=int, default=1)
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--rank", type=rank, default=1)
+    sp.add_argument("--degree", type=size, required=True)
     sp = z_sub.add_parser("exceptional", parents=[common])
     sp.add_argument("--dims", required=True, help="comma-separated level dimensions")
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=size, required=True)
 
     sp = sub.add_parser("selftest", parents=[common], help="built-in verification battery")
     sp.add_argument("--seed", type=int, default=0)

@@ -1,19 +1,24 @@
 """Even positive-definite lattices and their graded module dimensions.
 
 A lattice is presented by an integer Gram matrix on the standard basis.
-Dual cosets are enumerated through an integer diagonalization of the Gram
-matrix; the minimal norm of a coset and its norm layers come from a
-Fincke-Pohst-style search over lattice points on an exact square completion
-of the quadratic form, scaled by one common denominator so that the search
-runs in integers.  No floating point enters anywhere.  Graded dimensions
-multiply the coset's norm-layer series (rational exponents sharing the
-coset's denominator) by the rank-th power of the partition series and shift
-by the minimal norm.
+Its one exact square completion, computed once per matrix, gives
+definiteness (every pivot positive, by Sylvester's criterion), the
+determinant (the product of the pivots) and a Fincke-Pohst-style search
+over lattice points for the minimal norm of a coset and its norm layers,
+scaled by one common denominator so that the search runs in integers.  Dual
+cosets are enumerated through an integer diagonalization of the Gram
+matrix.  No floating point enters anywhere.  Graded dimensions multiply
+the coset's norm-layer series (rational exponents sharing the coset's
+denominator) by the rank-th power of the partition series and shift by the
+minimal norm.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import floor, isqrt, lcm, prod
 
 from ._frozen import Frozen
@@ -21,26 +26,6 @@ from .exact import invert_matrix
 from .partitions import labeled_partition_count
 
 HALF = Fraction(1, 2)
-
-
-def _det(rows) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                c = m[i][col] * inv
-                m[i] = [x - c * y for x, y in zip(m[i], m[col])]
-    return det
 
 
 class EvenLattice(Frozen):
@@ -62,9 +47,7 @@ class EvenLattice(Frozen):
             raise ValueError("gram matrix must be symmetric")
         if any(g[i][i] % 2 for i in range(n)):
             raise ValueError("diagonal entries must be even")
-        for k in range(1, n + 1):
-            if _det([row[:k] for row in g[:k]]) <= 0:
-                raise ValueError("gram matrix must be positive definite")
+        _ldl(g)
 
     @classmethod
     def from_rows(cls, rows) -> "EvenLattice":
@@ -75,7 +58,7 @@ class EvenLattice(Frozen):
         return len(self.gram)
 
     def determinant(self) -> int:
-        d = _det(self.gram)
+        d = prod(_ldl(self.gram)[0])
         if d.denominator != 1:
             raise RuntimeError(f"determinant of an integer gram matrix came out as {d}")
         return int(d)
@@ -202,22 +185,10 @@ def dual_cosets(lattice: EvenLattice) -> list[CosetRep]:
         raise RuntimeError(f"Smith diagonal {diag} disagrees with the determinant")
     ginv = invert_matrix([list(map(Fraction, row)) for row in lattice.gram])
     reps = []
-    counters = [0] * n
-
-    def emit(k):
+    for k in product(*map(range, diag)):
         v = [sum(sinv[r][c] * k[c] for c in range(n)) for r in range(n)]
         lam = [sum(ginv[r][c] * v[c] for c in range(n)) for r in range(n)]
-        lam = tuple(x - floor(x) for x in lam)
-        reps.append(lam)
-
-    def rec(i, k):
-        if i == n:
-            emit(k)
-            return
-        for val in range(diag[i]):
-            rec(i + 1, k + [val])
-
-    rec(0, [])
+        reps.append(tuple(x - floor(x) for x in lam))
     if len(reps) != count or len(set(reps)) != count:
         raise RuntimeError(f"expected {count} distinct coset representatives")
     if reps[0] != (Fraction(0),) * n:
@@ -229,8 +200,17 @@ def dual_cosets(lattice: EvenLattice) -> list[CosetRep]:
 
 
 def _ldl(gram):
-    """Exact square completion of a positive-definite symmetric matrix:
-    returns (d, r) with x^T gram x = sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2."""
+    """Exact square completion of a symmetric matrix: returns (d, r) with
+    x^T gram x = sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2.
+
+    The pivot d_k is the k-th leading minor over the (k-1)-th, so a pivot
+    that is not positive means the matrix is not positive definite, and
+    ValueError is raised.  Cached per matrix, keyed by the rows as tuples."""
+    return _square_completion(tuple(map(tuple, gram)))
+
+
+@lru_cache
+def _square_completion(gram):
     n = len(gram)
     a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
     d = [Fraction(0)] * n
@@ -238,13 +218,13 @@ def _ldl(gram):
     for i in range(n):
         d[i] = a[i][i]
         if d[i] <= 0:
-            raise ValueError("form is not positive definite")
+            raise ValueError("gram matrix must be positive definite")
         for j in range(i + 1, n):
             r[i][j] = a[i][j] / d[i]
         for p in range(i + 1, n):
             for q in range(i + 1, n):
                 a[p][q] -= d[i] * r[i][p] * r[i][q]
-    return d, r
+    return tuple(d), tuple(map(tuple, r))
 
 
 def coset_norms(lattice: EvenLattice, lam, bound) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -328,9 +308,7 @@ def graded_dims(lattice: EvenLattice, lam, n_max: int) -> list[int]:
         raise ValueError("n_max must be nonnegative")
     lam = [Fraction(x) for x in lam]
     a = conformal_weight(lattice, lam)
-    theta: dict[Fraction, int] = {}
-    for _, q in coset_norms(lattice, lam, a + n_max):
-        theta[q] = theta.get(q, 0) + 1
+    theta = Counter(q for _, q in coset_norms(lattice, lam, a + n_max))
     osc = {m: labeled_partition_count(lattice.rank, m) for m in range(n_max + 1)}
     shifted: dict[Fraction, int] = {}
     for q, cq in theta.items():

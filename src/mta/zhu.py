@@ -117,6 +117,8 @@ def rational_zhu_descriptor(modules, d: int) -> ZhuDescriptor:
     modules: one scalar block of size dim(module level j) per module, at
     every level j <= d where that dimension is nonzero."""
     modules = list(modules)
+    if d < 0:
+        raise ValueError(f"degree {d} is negative")
     for m in modules:
         if d >= len(m.graded_dims):
             raise ValueError(
@@ -135,6 +137,8 @@ def rational_zhu_descriptor(modules, d: int) -> ZhuDescriptor:
 def zd_support(modules, d: int) -> list[str]:
     """Labels of the modules whose level-d component survives; these index
     the blocks of the degree-d corner ideal."""
+    if d < 0:
+        raise ValueError(f"degree {d} is negative")
     out = []
     for m in modules:
         if d >= len(m.graded_dims):

@@ -17,6 +17,10 @@ tensor, on both sides, must vanish in the quotient.
 `coset_norms` is the lattice enumeration before it moved to integers: the
 same square completion and recursion, with every centre, budget and norm a
 Fraction and an integer-square-root window that is re-tested exactly.
+
+`det` and `leading_minors_positive` are the lattice's definiteness and
+determinant before both were read off the square completion: a Fraction
+elimination with row swaps, run once per leading minor.
 """
 
 from fractions import Fraction
@@ -469,3 +473,32 @@ def coset_norms(lattice: EvenLattice, lam, bound) -> list[tuple[tuple[int, ...],
 
     rec(n - 1, [], [Fraction(0)] * n, Fraction(0))
     return out
+
+
+def det(rows) -> Fraction:
+    m = [list(map(Fraction, r)) for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for i in range(col + 1, n):
+            if m[i][col] != 0:
+                c = m[i][col] * inv
+                m[i] = [x - c * y for x, y in zip(m[i], m[col])]
+    return det
+
+
+def leading_minors_positive(g) -> bool:
+    """Sylvester's criterion, one elimination per leading minor."""
+    n = len(g)
+    for k in range(1, n + 1):
+        if det([row[:k] for row in g[:k]]) <= 0:
+            return False
+    return True

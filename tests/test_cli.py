@@ -333,6 +333,52 @@ def test_lattice_caps_exit_two_fast(capsys, tmp_path):
     assert code == 0 and len(json.loads(out)["weights"]) == 5
 
 
+def test_partitions_caps_exit_two_fast(capsys):
+    _exits_two_fast(capsys, ["partitions", "count", "--rank", "1", "--weight", "2000"])
+    _exits_two_fast(capsys, ["partitions", "count", "--rank", "2000", "--weight", "5"])
+    _exits_two_fast(capsys, ["partitions", "list", "--rank", "3", "--weight", "22"])
+    code, out = run(
+        capsys, ["partitions", "list", "--rank", "3", "--weight", "9", "--unsafe-no-limits"]
+    )
+    assert code == 0 and len(json.loads(out)["items"]) == 1479
+    RunConfig(unsafe_no_limits=True).check_partitions(build_parser(), "count", 2000, 5)
+    # the partitions commands of the tests, the goldens and the benchmark,
+    # and the largest accepted sizes
+    accepted = [("count", 2, 6), ("list", 2, 6), ("list", 3, 8), ("list", 4, 8), ("count", 4, 400)]
+    for action, n, m in accepted:
+        RunConfig().check_partitions(build_parser(), action, n, m)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heisenberg", "verify", "--rank", "1", "--degree", "-1"],
+        ["heisenberg", "identity", "--rank", "0", "--degree", "2"],
+        ["partitions", "count", "--rank", "0", "--weight", "3"],
+        ["partitions", "list", "--rank", "1", "--weight", "-1"],
+        ["lattice", "dims", "--gram", "{demos}/z8.gram", "--coset", "0", "--max", "-1"],
+        ["zhu", "heisenberg", "--rank", "1", "--degree", "-2"],
+        ["zhu", "rational", "--modules", "{inputs}/modules.json", "--degree", "-1"],
+        ["zhu", "exceptional", "--dims", "1,0,1", "--max", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_out_of_range_integers_are_usage_errors(argv):
+    root = Path(__file__).resolve().parents[1]
+    inputs = root / "tests" / "golden" / "cli" / "inputs"
+    argv = [a.format(demos=root / "demos", inputs=inputs) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mta", *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "must be at least" in proc.stderr
+
+
 def _dense_corner(n):
     """dims [[n]] with every product holding every basis element."""
     data = _products_free([[n]])

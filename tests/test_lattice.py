@@ -6,9 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracle_exact import coset_norms as oracle_coset_norms
+from oracle_exact import det as oracle_det
+from oracle_exact import leading_minors_positive
 
 from mta.lattice import (
     EvenLattice,
+    _square_completion,
     conformal_weight,
     coset_norms,
     count_norm_layer,
@@ -205,3 +208,55 @@ def test_coset_norms_match_fraction_oracle(gram):
                 bound = base + extra
                 assert coset_norms(lattice, lam, bound) == oracle_coset_norms(lattice, lam, bound)
     assert coset_norms(lattice, rep.vector, -1) == oracle_coset_norms(lattice, rep.vector, -1) == []
+
+
+@st.composite
+def symmetric_even_grams(draw):
+    # entries in -6..6, so many draws are indefinite or singular; half the
+    # draws are diagonally heavier, so that many are definite too
+    n = draw(st.integers(1, 4))
+    heavy = draw(st.booleans())
+    diagonal = range(2, 7, 2) if heavy else range(-6, 7, 2)
+    off = 2 if heavy else 6
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from(diagonal))
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.integers(-off, off))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_even_grams())
+@example([[2, 2], [2, 2]])
+@example([[0]])
+@example([list(row) for row in A4_GRAM])
+@example([list(row) for row in D4_GRAM])
+def test_definiteness_and_determinant_match_leading_minors(rows):
+    if leading_minors_positive(rows):
+        assert EvenLattice.from_rows(rows).determinant() == oracle_det(rows)
+    else:
+        with pytest.raises(ValueError, match="positive definite"):
+            EvenLattice.from_rows(rows)
+
+
+def test_singular_and_list_built_grams():
+    with pytest.raises(ValueError, match="gram matrix must be positive definite"):
+        EvenLattice.from_rows([[2, 2], [2, 2]])
+    lattice = EvenLattice([[2, 1], [1, 2]])
+    assert lattice.determinant() == 3
+    assert len(dual_cosets(lattice)) == 3
+
+
+def test_square_completion_runs_once_per_gram():
+    _square_completion.cache_clear()
+    lattice = EvenLattice(A4_GRAM)
+    assert lattice.determinant() == 5
+    for rep in dual_cosets(lattice):
+        for _ in range(2):
+            conformal_weight(lattice, rep.vector)
+            coset_norms(lattice, rep.vector, 3)
+        graded_dims(lattice, rep.vector, 2)
+    assert EvenLattice.from_rows(A4_GRAM).determinant() == 5
+    info = _square_completion.cache_info()
+    assert info.misses == 1 and info.hits > 10

@@ -51,6 +51,14 @@ def test_zd_support():
     assert zd_support(ISING_MODULES, 2) == ["vac", "psi", "sigma"]
 
 
+def test_negative_degree_is_rejected():
+    # a negative index would read the last level instead
+    with pytest.raises(ValueError, match="negative"):
+        zd_support(ISING_MODULES, -1)
+    with pytest.raises(ValueError, match="negative"):
+        rational_zhu_descriptor(ISING_MODULES, -1)
+
+
 def test_heisenberg_descriptor_sizes():
     desc = heisenberg_zhu_descriptor(1, 5)
     assert desc.all_sizes() == [1, 1, 2, 3, 5, 7]
