@@ -265,6 +265,30 @@ def test_find_strong_identity_none_when_action_dies():
     assert find_strong_identity(dead_edge_algebra(), 1) is None
 
 
+@pytest.mark.parametrize(
+    "pos, message",
+    [
+        (0, "corner unit fails inside the square subalgebra"),
+        (8, "identity fails on component (0,d)"),
+        (32, "identity fails on component (d,0)"),
+        (56, "identity fails on component (d,d)"),
+    ],
+)
+def test_strong_identity_square_check_names_the_failing_component(pos, message):
+    """A +1 change to one structure constant of matrix_model([2, 2]) breaks
+    the two-sided identity of the square subalgebra on exactly one
+    component, and find_strong_identity raises naming it."""
+    p = matrix_model([2, 2])
+    entries = p.entries()
+    i, j, k, a, b, c, v = entries[pos]
+    entries[pos] = (i, j, k, a, b, c, v + 1)
+    bad = PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0)
+    with pytest.raises(ArithmeticError) as excinfo:
+        find_strong_identity(bad, 1)
+    assert type(excinfo.value) is ArithmeticError
+    assert str(excinfo.value) == message
+
+
 def test_ideal_split_two_blocks():
     p = matrix_model([[1, 2], [1, 0]])
     ideal = zd_ideal(p, 1)
