@@ -23,15 +23,15 @@ from . import heisenberg as hb
 from . import lattice as lat
 from . import peirce as pc
 from . import zhu
-from .exact import frac_str, parse_frac
+from .exact import frac_str, parse_frac, strict_int
 from .partitions import enumerate_labeled_partitions, labeled_partition_count
 
 MAX_RANK = 4
 MAX_DEGREE = 8
-# `partitions count`, measured as CLI wall time on a 2-core machine: rank 4
-# takes 0.9 s at weight 400 and 3.8 s at 600 (other runs: 1.7 s and 4.3 s,
-# and 11.3 s at 800); rank 1 takes 0.35 s at 400, 1.0 s at 600 and 17.6 s
-# at 1200.  `partitions list` stays in the rank/degree box above.
+# `partitions count`, measured as CLI wall time on a 2-core machine (medians
+# of 5): rank 4 takes 0.14 s at weight 400, 0.19 s at 600 and 0.23 s at 800;
+# rank 1 takes 0.13 s at 400 and 0.19 s at 1200.  `partitions list` stays in
+# the rank/degree box above.
 MAX_PARTITION_WEIGHT = 400
 MAX_LATTICE_RANK = 4
 # Labels of the largest pairing matrix `heisenberg verify` builds: (3, 7) has
@@ -132,7 +132,7 @@ class RunConfig:
         if self.unsafe_no_limits:
             return
         try:
-            dims = [[int(x) for x in row] for row in data["dims"]]
+            dims = [[strict_int(x) for x in row] for row in data["dims"]]
             products = data["products"]
             coeffs = [e["coeff"] for e in products] + list(data["unit0"])
             sizes = {
@@ -378,7 +378,7 @@ def _cmd_zhu(parser, cfg, args) -> int:
             modules = [
                 zhu.SimpleModuleData(
                     label=str(item["label"]),
-                    graded_dims=tuple(int(x) for x in item["graded_dims"]),
+                    graded_dims=tuple(item["graded_dims"]),
                     conformal_weight=(
                         parse_frac(item["conformal_weight"])
                         if item.get("conformal_weight") is not None

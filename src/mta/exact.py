@@ -56,6 +56,15 @@ def parse_frac(s: str):
     return scalar(s)
 
 
+def strict_int(x) -> int:
+    """x itself when it is an int, as an index or a size must be; raises
+    TypeError on anything else (a float, a bool, a numeric string), which
+    int() would truncate or convert."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def fzeros(n: int) -> list[int]:
     return [F0] * n
 

@@ -32,7 +32,7 @@ from math import comb, perm
 from typing import NamedTuple
 
 from ._frozen import Frozen
-from .exact import frac_str, parse_frac, scalar
+from .exact import add_multiple, frac_str, parse_frac, scalar
 from .partitions import (
     LabeledPartition,
     enumerate_labeled_partitions,
@@ -219,12 +219,7 @@ class ModeElement:
     def __add__(self, other: "ModeElement") -> "ModeElement":
         self._require_same_rank(other)
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            tot = terms.get(w, 0) + c
-            if tot:
-                terms[w] = tot
-            else:
-                terms.pop(w, None)
+        add_multiple(terms, 1, other.terms)
         return ModeElement(self.rank, terms)
 
     def __neg__(self) -> "ModeElement":
@@ -278,11 +273,8 @@ class ModeElement:
                 [Mode(g, a) for g, a in term["annihilators"]],
             )
             c = parse_frac(term["coeff"])
-            tot = scalar(el.terms.get(w, 0) + c)
-            if tot:
-                el.terms[w] = tot
-            else:
-                el.terms.pop(w, None)
+            if c:
+                add_multiple(el.terms, c, {w: 1})
         for w in el.terms:
             el._check_word(w)
         return el
@@ -300,9 +292,7 @@ def multiply(a: ModeElement, b: ModeElement) -> ModeElement:
     out: dict[NormalWord, int | Fraction] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            c12 = c1 * c2
-            for w, k in _word_product(w1, w2).items():
-                out[w] = out.get(w, 0) + c12 * k
+            add_multiple(out, c1 * c2, _word_product(w1, w2))
     return ModeElement(a.rank, out)
 
 
@@ -370,12 +360,7 @@ class ZhuPolynomial:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            tot = coeffs.get(e, 0) + c
-            if tot:
-                coeffs[e] = tot
-            else:
-                coeffs.pop(e, None)
+        add_multiple(coeffs, 1, other.coeffs)
         return ZhuPolynomial(self.rank, coeffs)
 
     def __neg__(self) -> "ZhuPolynomial":
@@ -392,13 +377,8 @@ class ZhuPolynomial:
             raise ValueError("rank mismatch")
         coeffs: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                tot = coeffs.get(e, 0) + c1 * c2
-                if tot:
-                    coeffs[e] = tot
-                else:
-                    coeffs.pop(e, None)
+            shifted = {tuple(x + y for x, y in zip(e1, e2)): c2 for e2, c2 in other.coeffs.items()}
+            add_multiple(coeffs, c1, shifted)
         return ZhuPolynomial(self.rank, coeffs)
 
     def __rmul__(self, other):
@@ -501,8 +481,7 @@ def _corner_product(rank: int, a_terms, b_terms) -> ZhuPolynomial:
     for w1, c1, d1, buckets, _ in a_terms:
         for w2, c2, d2, _, cre in b_terms:
             if d1 + d2:
-                for w, k in _word_product(w1, w2).items():
-                    off_degree[w] = off_degree.get(w, 0) + c1 * c2 * k
+                add_multiple(off_degree, c1 * c2, _word_product(w1, w2))
                 continue
             if w2.annihilators:
                 continue
@@ -516,8 +495,8 @@ def _corner_product(rank: int, a_terms, b_terms) -> ZhuPolynomial:
                 if w1.creators or len(w2.creators) != len(w1.annihilators):
                     raise AssertionError(_LEFTOVER_CREATOR)
                 e = _zero_mode_exponents(rank, w1.zeros + w2.zeros)
-                coeffs[e] = coeffs.get(e, 0) + c1 * c2 * weight
-    if any(off_degree.values()):
+                add_multiple(coeffs, c1 * c2 * weight, {e: 1})
+    if off_degree:
         raise ValueError(_NOT_DEGREE_ZERO)
     return ZhuPolynomial(rank, coeffs)
 

@@ -23,7 +23,7 @@ from math import floor, isqrt, lcm, prod
 
 from ._frozen import Frozen
 from .exact import invert_matrix
-from .partitions import labeled_partition_count
+from .partitions import labeled_partition_counts
 
 HALF = Fraction(1, 2)
 
@@ -309,10 +309,10 @@ def graded_dims(lattice: EvenLattice, lam, n_max: int) -> list[int]:
     lam = [Fraction(x) for x in lam]
     a = conformal_weight(lattice, lam)
     theta = Counter(q for _, q in coset_norms(lattice, lam, a + n_max))
-    osc = {m: labeled_partition_count(lattice.rank, m) for m in range(n_max + 1)}
+    osc = labeled_partition_counts(lattice.rank, n_max)
     shifted: dict[Fraction, int] = {}
     for q, cq in theta.items():
-        for m, cm in osc.items():
+        for m, cm in enumerate(osc):
             e = q + m - a
             if e <= n_max:
                 shifted[e] = shifted.get(e, 0) + cq * cm

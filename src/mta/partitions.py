@@ -10,7 +10,6 @@ weight descending across slots) so serialized output is byte-reproducible.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 
 from ._frozen import Frozen
@@ -122,29 +121,32 @@ def enumerate_partitions(m: int) -> list[Partition]:
     return [Partition(t) for t in _part_tuples(m, m)]
 
 
-@lru_cache(maxsize=None)
-def _count_capped(m: int, cap: int) -> int:
-    if m == 0:
-        return 1
-    return sum(_count_capped(m - first, first) for first in range(min(m, cap), 0, -1))
+def labeled_partition_counts(n: int, m: int) -> list[int]:
+    """Numbers of n-slot labeled partitions of each weight 0..m.
 
-
-def partition_count(m: int) -> int:
-    if m < 0:
-        raise ValueError("weight must be nonnegative")
-    return _count_capped(m, m)
-
-
-@lru_cache(maxsize=None)
-def labeled_partition_count(n: int, m: int) -> int:
-    """Number of n-slot labeled partitions of total weight m."""
+    These are the coefficients of prod_k (1 - q^k)^-n truncated at q^m,
+    built bottom-up one factor 1/(1 - q^k) at a time: c[j] += c[j - k],
+    n times for each k <= m, so O(n m^2) integer additions.
+    """
     if n < 1:
         raise ValueError("rank must be positive")
     if m < 0:
         raise ValueError("weight must be nonnegative")
-    if n == 1:
-        return partition_count(m)
-    return sum(partition_count(w) * labeled_partition_count(n - 1, m - w) for w in range(m, -1, -1))
+    c = [1] + [0] * m
+    for k in range(1, m + 1):
+        for _ in range(n):
+            for j in range(k, m + 1):
+                c[j] += c[j - k]
+    return c
+
+
+def partition_count(m: int) -> int:
+    return labeled_partition_count(1, m)
+
+
+def labeled_partition_count(n: int, m: int) -> int:
+    """Number of n-slot labeled partitions of total weight m."""
+    return labeled_partition_counts(n, m)[m]
 
 
 def enumerate_labeled_partitions(n: int, m: int) -> list[LabeledPartition]:

@@ -40,6 +40,7 @@ from .exact import (
     scalar,
     solve_linear,
     sparse,
+    strict_int,
     unit_vector,
     vec_is_zero,
 )
@@ -237,6 +238,12 @@ class TensorQuotient:
         reduced = self.relations.reduce(ambient_vec)
         return [reduced.get(i, F0) for i in self.free]
 
+    def project_tensor(self, x: dict, y: dict):
+        """project of x (x) y, for sparse coordinate vectors x of the left
+        factor and y of the right factor."""
+        n = self.dim_right
+        return self.project({u * n + v: cu * cv for u, cu in x.items() for v, cv in y.items()})
+
     def lift_pair(self, q: int) -> tuple[int, int]:
         """The pure tensor basis pair representing quotient coordinate q."""
         return divmod(self.free[q], self.dim_right)
@@ -276,14 +283,15 @@ class PeirceAlgebra:
     element a of component (i,j) times basis element b of component (j,k)
     contains basis element c of component (i,k) with the given coefficient.
     unit0 holds the coordinates of the unit of the corner component (0,0).
-    Coefficients and unit0 are stored as exact scalars (see exact.scalar).
+    Coefficients and unit0 are stored as exact scalars (see exact.scalar);
+    max_degree, dims and the six indices of an entry must be ints.
     """
 
     def __init__(self, max_degree: int, dims, entries, unit0):
-        if max_degree < 0:
+        if strict_int(max_degree) < 0:
             raise ValueError("max_degree must be nonnegative")
         self.max_degree = max_degree
-        self.dims = [list(map(int, row)) for row in dims]
+        self.dims = [[strict_int(x) for x in row] for row in dims]
         if len(self.dims) != max_degree + 1 or any(
             len(row) != max_degree + 1 for row in self.dims
         ):
@@ -291,19 +299,16 @@ class PeirceAlgebra:
         if any(x < 0 for row in self.dims for x in row):
             raise ValueError("dims must be nonnegative")
         self._prod: dict[tuple[int, int, int], dict[tuple[int, int], dict]] = {}
-        for i, j, k, a, b, c, coeff in entries:
+        for *index, coeff in entries:
+            i, j, k, a, b, c = map(strict_int, index)
             if not (0 <= i <= max_degree and 0 <= j <= max_degree and 0 <= k <= max_degree):
                 raise ValueError(f"component index out of range in entry {(i, j, k)}")
             if not (0 <= a < self.dims[i][j] and 0 <= b < self.dims[j][k] and 0 <= c < self.dims[i][k]):
                 raise ValueError(f"basis index out of range in entry {(i, j, k, a, b, c)}")
             coeff = scalar(coeff)
-            if not coeff:
-                continue
-            table = self._prod.setdefault((i, j, k), {})
-            cell = table.setdefault((a, b), {})
-            cell[c] = scalar(cell.get(c, 0) + coeff)
-            if not cell[c]:
-                del cell[c]
+            if coeff:
+                table = self._prod.setdefault((i, j, k), {})
+                add_multiple(table.setdefault((a, b), {}), coeff, {c: F1})
         self.unit0 = [scalar(x) for x in unit0]
         if len(self.unit0) != self.dims[0][0]:
             raise ValueError("unit0 has wrong length")
@@ -370,7 +375,7 @@ class PeirceAlgebra:
             for e in data["products"]
         ]
         return cls(
-            int(data["max_degree"]),
+            data["max_degree"],
             data["dims"],
             entries,
             [parse_frac(x) for x in data["unit0"]],
@@ -430,6 +435,19 @@ def _associativity_failure(p: PeirceAlgebra) -> str | None:
     return None
 
 
+def _first_unfixed(p: PeirceAlgebra, i: int, j: int, left=None, right=None):
+    """Smallest basis element b of component(i,j) with left*b != b or
+    b*right != b, or None when every b is fixed.  left is a sparse element
+    of component(i,i) and right one of component(j,j); None skips a side."""
+    for b in range(p.dims[i][j]):
+        e = {b: F1}
+        if (left is not None and p.product(i, i, j, left, e) != e) or (
+            right is not None and p.product(i, j, j, e, right) != e
+        ):
+            return b
+    return None
+
+
 def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     """Exhaustive check of the axioms on basis elements.
 
@@ -449,35 +467,23 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     axioms["grading"] = True
     details["grading"] = "product tensor is indexed by matched inner indices"
 
-    ok_unit = True
-    n0 = p.dims[0][0]
-    for b in range(n0):
-        e = unit_vector(n0, b)
-        if p.mul(0, 0, 0, p.unit0, e) != e or p.mul(0, 0, 0, e, p.unit0) != e:
-            ok_unit = False
-            details["corner-unit"] = f"unit0 fails on corner basis element {b}"
-            break
-    axioms["corner-unit"] = ok_unit
+    unit = sparse(p.unit0)
+    b = _first_unfixed(p, 0, 0, unit, unit)
+    if b is not None:
+        details["corner-unit"] = f"unit0 fails on corner basis element {b}"
+    axioms["corner-unit"] = b is None
 
-    ok_mod = True
+    unital = None
     for i in range(d_max + 1):
-        for a in range(p.dims[i][0]):
-            e = unit_vector(p.dims[i][0], a)
-            if p.mul(i, 0, 0, e, p.unit0) != e:
-                ok_mod = False
-                details["corner-modules-unital"] = f"right unit action fails on component ({i},0)"
-                break
-        if not ok_mod:
-            break
-        for a in range(p.dims[0][i]):
-            e = unit_vector(p.dims[0][i], a)
-            if p.mul(0, 0, i, p.unit0, e) != e:
-                ok_mod = False
-                details["corner-modules-unital"] = f"left unit action fails on component (0,{i})"
-                break
-        if not ok_mod:
-            break
-    axioms["corner-modules-unital"] = ok_mod
+        if _first_unfixed(p, i, 0, right=unit) is not None:
+            unital = f"right unit action fails on component ({i},0)"
+        elif _first_unfixed(p, 0, i, left=unit) is not None:
+            unital = f"left unit action fails on component (0,{i})"
+        else:
+            continue
+        details["corner-modules-unital"] = unital
+        break
+    axioms["corner-modules-unital"] = unital is None
 
     failure = _associativity_failure(p)
     axioms["associativity"] = failure is None
@@ -585,25 +591,18 @@ class CheckReport:
 def action_through_A_check(z: ZigZag) -> CheckReport:
     """The zig-zag product of two elements must agree with the corner image
     of either factor acting on the other through the corner actions."""
-    p, d = z.parent, z.degree
-    n = p.dims[d][0]
+    p, d, q = z.parent, z.degree, z.space
     stars = [sparse(s) for s in z.star]
     failures = []
     checked = 0
     for q1 in range(z.dim):
-        u1, v1 = z.space.lift_pair(q1)
+        u1, v1 = q.lift_pair(q1)
         for q2 in range(z.dim):
-            u2, v2 = z.space.lift_pair(q2)
+            u2, v2 = q.lift_pair(q2)
             prod = z.product[q1][q2]
-
-            # right corner action of star(q2) on q1
-            w = p.product(d, 0, 0, {v1: F1}, stars[q2])
-            right_side = z.space.project({u1 * n + t: x for t, x in w.items()})
-
-            # left corner action of star(q1) on q2
-            w = p.product(0, 0, d, stars[q1], {u2: F1})
-            left_side = z.space.project({t * n + v2: x for t, x in w.items()})
-
+            # right corner action of star(q2) on q1, left one of star(q1) on q2
+            right_side = q.project_tensor({u1: F1}, p.product(d, 0, 0, {v1: F1}, stars[q2]))
+            left_side = q.project_tensor(p.product(0, 0, d, stars[q1], {u2: F1}), {v2: F1})
             checked += 1
             if not (right_side == prod == left_side):
                 failures.append((q1, q2))
@@ -645,22 +644,15 @@ def _check_corner_square_identity(p: PeirceAlgebra, d: int, x):
     four-component subalgebra spanned by components (0,0), (0,d), (d,0) and
     (d,d).  This holds automatically once the axioms do; a failure means the
     input was not an honest bigraded corner algebra."""
-    for b in range(p.dims[0][0]):
-        e = unit_vector(p.dims[0][0], b)
-        if p.mul(0, 0, 0, p.unit0, e) != e or p.mul(0, 0, 0, e, p.unit0) != e:
-            raise ArithmeticError("corner unit fails inside the square subalgebra")
-    for b in range(p.dims[0][d]):
-        e = unit_vector(p.dims[0][d], b)
-        if p.mul(0, 0, d, p.unit0, e) != e or p.mul(0, d, d, e, x) != e:
-            raise ArithmeticError("identity fails on component (0,d)")
-    for b in range(p.dims[d][0]):
-        e = unit_vector(p.dims[d][0], b)
-        if p.mul(d, d, 0, x, e) != e or p.mul(d, 0, 0, e, p.unit0) != e:
-            raise ArithmeticError("identity fails on component (d,0)")
-    for b in range(p.dims[d][d]):
-        e = unit_vector(p.dims[d][d], b)
-        if p.mul(d, d, d, x, e) != e or p.mul(d, d, d, e, x) != e:
-            raise ArithmeticError("identity fails on component (d,d)")
+    unit, x = sparse(p.unit0), sparse(x)
+    for i, j, left, right, message in (
+        (0, 0, unit, unit, "corner unit fails inside the square subalgebra"),
+        (0, d, unit, x, "identity fails on component (0,d)"),
+        (d, 0, x, unit, "identity fails on component (d,0)"),
+        (d, d, x, x, "identity fails on component (d,d)"),
+    ):
+        if _first_unfixed(p, i, j, left, right) is not None:
+            raise ArithmeticError(message)
 
 
 def zd_ideal(p: PeirceAlgebra, d: int) -> Subspace:
@@ -817,6 +809,23 @@ def _require_morita_setup(p: PeirceAlgebra, d: int):
     return sid, ideal, split
 
 
+def _induced_module(alg: Algebra, q: TensorQuotient, act) -> ModuleRep:
+    """The balanced tensor q as a left alg-module through its left factor.
+
+    Basis element t of alg sends the pure tensor e_u (x) e_w to
+    act(t, u) (x) e_w, act(t, u) being a sparse vector of the left factor;
+    the module keeps q as its tensor_space.
+    """
+    pairs = [q.lift_pair(qq) for qq in range(q.dim)]
+    action = []
+    for t in range(alg.dim):
+        cols = [q.project_tensor(act(t, u), {w: F1}) for u, w in pairs]
+        action.append([list(row) for row in zip(*cols)])
+    out = ModuleRep(alg, q.dim, action, side="left")
+    out.tensor_space = q
+    return out
+
+
 def morita_forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> ModuleRep:
     """Send a unital degree-d module W to component(0,d) (x)_{deg-d} W, a
     module over the degree-d corner ideal."""
@@ -836,20 +845,10 @@ def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
     m_rep = _component_module(p, diag, 0, d, "right")
     q = balanced_tensor(m_rep, ModuleRep(diag, w_mod.dim, w_mod.action, side="left"))
 
-    zd_alg = _zd_algebra(p, ideal, split.epsilon)
-    action = []
-    nr = w_mod.dim
-    for t in range(zd_alg.dim):
-        zvec = sparse(ideal.basis[t])
-        cols = []
-        for qq in range(q.dim):
-            u, wbase = q.lift_pair(qq)
-            zu = p.product(0, 0, d, zvec, {u: F1})
-            cols.append(q.project({s * nr + wbase: x for s, x in zu.items()}))
-        action.append([[col[row] for col in cols] for row in range(q.dim)])
-    out = ModuleRep(zd_alg, q.dim, action, side="left")
-    out.tensor_space = q
-    return out
+    zvecs = [sparse(z) for z in ideal.basis]
+    return _induced_module(
+        _zd_algebra(p, ideal, split.epsilon), q, lambda t, u: p.product(0, 0, d, zvecs[t], {u: F1})
+    )
 
 
 def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
@@ -878,19 +877,9 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
     w0_ext = ModuleRep(corner, w0_mod.dim, ext_action, side="left")
     q = balanced_tensor(_component_module(p, corner, d, 0, "right"), w0_ext)
 
-    alg = p.diagonal_algebra(d, unit=sid)
-    nr = w0_mod.dim
-    action = []
-    for c in range(alg.dim):
-        cols = []
-        for qq in range(q.dim):
-            v, wbase = q.lift_pair(qq)
-            zv = p.cell(d, d, 0, c, v)
-            cols.append(q.project({s * nr + wbase: x for s, x in zv.items()}))
-        action.append([[col[row] for col in cols] for row in range(q.dim)])
-    out = ModuleRep(alg, q.dim, action, side="left")
-    out.tensor_space = q
-    return out
+    return _induced_module(
+        p.diagonal_algebra(d, unit=sid), q, lambda c, v: p.cell(d, d, 0, c, v)
+    )
 
 
 class RoundtripReport:

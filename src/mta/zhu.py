@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._frozen import Frozen
-from .partitions import labeled_partition_count
+from .exact import strict_int
+from .partitions import labeled_partition_counts
 
 SCALAR_FIELD = "scalar-field"
 
@@ -32,7 +33,7 @@ class SimpleModuleData(Frozen):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "graded_dims", graded_dims)
         object.__setattr__(self, "conformal_weight", conformal_weight)
-        if any(d < 0 for d in self.graded_dims):
+        if any(strict_int(d) < 0 for d in self.graded_dims):
             raise ValueError("graded dimensions must be nonnegative")
         if not any(self.graded_dims):
             raise ValueError(f"module {self.label!r} has no nonzero graded dimension")
@@ -151,9 +152,7 @@ def zd_support(modules, d: int) -> list[str]:
 def heisenberg_zhu_descriptor(n: int, d: int) -> ZhuDescriptor:
     """Rank-n free boson: one polynomial-ring block per level, of size equal
     to the labeled partition count at that level."""
-    blocks = tuple(
-        ((labeled_partition_count(n, j), polynomial_ring(n)),) for j in range(d + 1)
-    )
+    blocks = tuple(((count, polynomial_ring(n)),) for count in labeled_partition_counts(n, d))
     return ZhuDescriptor(d, blocks)
 
 

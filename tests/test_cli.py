@@ -12,6 +12,7 @@ import pytest
 
 from mta.cli import RunConfig, build_parser, main
 from mta.peirce import PeirceAlgebra, heisenberg_truncation, matrix_model
+from mta.zhu import SimpleModuleData
 
 
 @pytest.fixture
@@ -450,6 +451,86 @@ def test_invalid_algebra_reports_instead_of_raising(tmp_path):
         assert out["degree"] == degree and out["ok"] is False and out["error"]
         assert out["error"].startswith("corner-unit: ")
         assert list(out) == ["degree", "ok", "error"]
+
+
+def _mm12_with(change):
+    data = matrix_model([[1, 2], [1, 0]]).to_json_dict()
+    change(data)
+    return data
+
+
+_MODULES = [
+    {"label": "vac", "graded_dims": [1, 0, 1], "conformal_weight": "0"},
+    {"label": "tw", "graded_dims": [1, 1, 2], "conformal_weight": "1/16"},
+]
+
+
+def _modules_with(graded_dims):
+    return [_MODULES[0], {**_MODULES[1], "graded_dims": graded_dims}]
+
+
+# Indices and sizes in input files must be JSON integers: a float was
+# truncated or crashed, and a numeric string was converted.
+_NON_INTEGER_INPUTS = {
+    "index 0.5 validate": ("validate", _mm12_with(lambda d: d["products"][0].update(a=0.5))),
+    "index 0.5 zigzag": ("zigzag", _mm12_with(lambda d: d["products"][0].update(a=0.5))),
+    "index 0.5 morita": ("morita", _mm12_with(lambda d: d["products"][0].update(a=0.5))),
+    "component 1.0": ("validate", _mm12_with(lambda d: d["products"][-1].update(k=1.0))),
+    "index true": ("validate", _mm12_with(lambda d: d["products"][0].update(c=True))),
+    "dims 2.5": ("validate", {"max_degree": 0, "dims": [[2.5]], "products": [], "unit0": ["1", "0"]}),
+    "dims string": ("validate", _mm12_with(lambda d: d["dims"][0].__setitem__(0, "2"))),
+    "dims infinity": ("validate", _mm12_with(lambda d: d["dims"][0].__setitem__(0, float("inf")))),
+    "max_degree 1.0": ("zigzag", _mm12_with(lambda d: d.update(max_degree=1.0))),
+    "graded_dims 0.5": ("rational", _modules_with([1, 0.5, 1.9])),
+    "graded_dims string": ("rational", _modules_with([1, "1", 2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_INTEGER_INPUTS))
+def test_non_integer_sizes_and_indices_are_usage_errors(case, tmp_path):
+    action, data = _NON_INTEGER_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if action == "rational":
+        argv, message = ["zhu", "rational", "--modules", str(path), "--degree", "2"], "bad module data"
+    else:
+        argv, message = ["peirce", action, "--algebra", str(path)], "malformed algebra file"
+        if action != "validate":
+            argv += ["--degree", "1"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mta", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+
+
+def test_input_fixtures_load_under_the_integer_rule(tmp_path):
+    """The JSON inputs of the CLI goldens and of the benchmark are integer
+    clean: every algebra file and every module record loads."""
+    root = Path(__file__).resolve().parents[1]
+    names = ["mm332.json", "mm12.json", "mm22.json", "mm22_perturbed.json", "h14.json", "h15.json"]
+    names += ["h23.json", "dims60.json", "modules.json"]
+    subprocess.run(
+        [sys.executable, str(root / "perfbench" / "gen_inputs.py"), str(tmp_path), *names],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        check=True,
+        timeout=120,
+    )
+    paths = list(tmp_path.glob("*.json")) + list((root / "tests" / "golden" / "cli" / "inputs").glob("*.json"))
+    assert len(paths) == len(names) + 4
+    for path in paths:
+        data = json.loads(path.read_text())
+        if path.name == "modules.json":
+            for item in data:
+                SimpleModuleData(item["label"], tuple(item["graded_dims"]))
+        else:
+            PeirceAlgebra.from_json_dict(data)
 
 
 def test_valid_algebra_without_strong_identity_reports(capsys, tmp_path):

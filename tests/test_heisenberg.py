@@ -92,6 +92,19 @@ def test_element_json_round_trip():
     assert ModeElement.from_json(2, data) == elem
 
 
+def test_element_json_merges_repeated_words():
+    # repeated words add up, zero coefficients and cancelling sums drop out,
+    # and an integral sum is stored as int
+    word = {"creators": [[1, -1]], "zeros": [1], "annihilators": []}
+    other = {"creators": [], "zeros": [], "annihilators": [[1, 2]]}
+    data = [{**word, "coeff": c} for c in ("1/2", "0", "1/2")]
+    data += [{**other, "coeff": c} for c in ("3", "-3")]
+    elem = ModeElement.from_json(1, data)
+    assert elem == ModeElement.from_modes(1, [Mode(1, -1), Mode(1, 0)])
+    assert [type(c) for c in elem.terms.values()] == [int]
+    assert ModeElement.from_json(1, [{**word, "coeff": "0"}]).is_zero()
+
+
 def test_pairing_is_diagonal_with_symmetry_factors():
     sigma = LabeledPartition.of((2, 1))
     tau = LabeledPartition.of((3,))
