@@ -23,7 +23,7 @@ from . import heisenberg as hb
 from . import lattice as lat
 from . import peirce as pc
 from . import zhu
-from .exact import frac_str, parse_frac, strict_int
+from .exact import frac_str, parse_frac, parse_int, strict_int
 from .partitions import enumerate_labeled_partitions, labeled_partition_count
 
 MAX_RANK = 4
@@ -39,10 +39,10 @@ MAX_LATTICE_RANK = 4
 # about 0.4 s); the next size inside the rank/degree box, (4, 6) with 574
 # labels (1.4 s with --unsafe-no-limits), stays capped.
 MAX_PAIRING_LABELS = 429
-# Lattice inputs, measured as CLI wall time on a 2-core machine.  `lattice
-# weights` costs about 0.4 ms per coset at rank 4: diag(8, 8, 8, 8), 4096
-# cosets, takes 1.6 s and diag(10, 10, 10, 10) 4.7 s.  `lattice dims` on
-# D4 takes 0.5 s at --max 100 and 2.0 s at --max 200.
+# Lattice inputs, measured as CLI wall time on a 2-core machine (medians of
+# 5).  `lattice weights` costs about 0.14 ms per coset at rank 4:
+# diag(8, 8, 8, 8), 4096 cosets, takes 0.6 s and diag(10, 10, 10, 10) 1.5 s.
+# `lattice dims` on D4 takes 0.3 s at --max 100 and 1.0 s at --max 200.
 MAX_LATTICE_COSETS = 4096
 MAX_LATTICE_LEVEL = 100
 # Algebra files, checked on the parsed JSON before any structure is built.
@@ -401,7 +401,7 @@ def _cmd_zhu(parser, cfg, args) -> int:
         _emit(cfg, descriptor.to_json(), [descriptor.render_text()])
         return 0
     try:
-        dims = [int(x) for x in args.dims.split(",")]
+        dims = [parse_int(x) for x in args.dims.split(",")]
     except ValueError:
         parser.error(f"--dims expects a comma-separated integer list, got {args.dims!r}")
     try:

@@ -19,6 +19,7 @@ spanning vectors.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 F0 = 0
@@ -54,6 +55,15 @@ def parse_frac(s: str):
     if isinstance(s, str) and ("e" in s or "E" in s):
         raise ValueError(f"exponent notation is not accepted in an exact scalar: {s!r}")
     return scalar(s)
+
+
+def parse_int(text: str) -> int:
+    """Read an integer written as ASCII [+-]?[0-9]+; raises ValueError on
+    anything else, such as '8_0', non-ASCII digits or surrounding space,
+    which int() would accept."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def strict_int(x) -> int:
@@ -203,11 +213,3 @@ def solve_linear(a_rows, b):
         x[p] = row.get(n, F0)
     return x
 
-
-def invert_matrix(m):
-    """Exact inverse of a square matrix; None when singular."""
-    n = len(m)
-    ech = Echelon(sparse(list(m[i]) + unit_vector(n, i)) for i in range(n))
-    if any(i not in ech.rows for i in range(n)):
-        return None
-    return [[ech.rows[i].get(n + j, F0) for j in range(n)] for i in range(n)]

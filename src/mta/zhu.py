@@ -185,4 +185,6 @@ def exceptional_degrees(level_dims, d_max: int) -> list[int]:
     level_dims = list(level_dims)
     if d_max >= len(level_dims):
         raise ValueError(f"d_max {d_max} out of range for {len(level_dims)} levels")
+    if any(x < 0 for x in level_dims):
+        raise ValueError("graded dimensions must be nonnegative")
     return [j for j in range(1, d_max + 1) if level_dims[j] == 0]

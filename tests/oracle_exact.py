@@ -14,25 +14,32 @@ sparse product code.
 relied on `validate_peirce`: every balancing relation times every pure
 tensor, on both sides, must vanish in the quotient.
 
-`coset_norms` is the lattice enumeration before it moved to integers: the
-same square completion and recursion, with every centre, budget and norm a
-Fraction and an integer-square-root window that is re-tested exactly.
+`square_completion`, `norm` and `is_dual_vector` are the lattice's
+Fraction arithmetic before it moved to integers: an elimination with
+Fraction pivots d and multipliers r, and products with Fraction vectors.
+`coset_norms` is the lattice enumeration on that completion, with every
+centre, budget and norm a Fraction and an integer-square-root window that
+is re-tested exactly.  `conformal_weight` and `graded_dims` read it as the
+library once did, the latter counting norms in a `Counter` of Fractions.
 
 `det` and `leading_minors_positive` are the lattice's definiteness and
 determinant before both were read off the square completion: a Fraction
 elimination with row swaps, run once per leading minor.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 from mta import peirce
 from mta.exact import add_multiple
-from mta.lattice import HALF, EvenLattice, _ldl
+from mta.lattice import EvenLattice
+from mta.partitions import labeled_partition_counts
 from mta.peirce import Algebra, ModuleRep, PeirceReport
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 def fzeros(n: int) -> list[Fraction]:
@@ -117,16 +124,6 @@ def solve_linear(a_rows, b):
             return None
         x[p] = row[n]
     return x
-
-
-def invert_matrix(m):
-    """Exact inverse of a square matrix; None when singular."""
-    n = len(m)
-    aug = [list(map(Fraction, m[i])) + unit_vector(n, i) for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
 
 
 def is_associative(self) -> bool:
@@ -446,15 +443,53 @@ def _center_range(rho: Fraction, bound: Fraction):
     return range(lo - 1, hi + 2)
 
 
+def square_completion(gram):
+    """(d, r) with x^T gram x = sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2;
+    ValueError when a pivot d_i is not positive."""
+    n = len(gram)
+    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    r = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = a[i][i]
+        if d[i] <= 0:
+            raise ValueError("gram matrix must be positive definite")
+        for j in range(i + 1, n):
+            r[i][j] = a[i][j] / d[i]
+        for p in range(i + 1, n):
+            for q in range(i + 1, n):
+                a[p][q] -= d[i] * r[i][p] * r[i][q]
+    return d, r
+
+
+def norm(gram, x) -> Fraction:
+    """Half the Gram square of a rational vector."""
+    x = [Fraction(v) for v in x]
+    total = Fraction(0)
+    for i, row in enumerate(gram):
+        if x[i]:
+            total += x[i] * sum(row[j] * x[j] for j in range(len(gram)) if x[j])
+    return HALF * total
+
+
+def is_dual_vector(gram, x) -> bool:
+    """True when pairing against every basis vector is integral."""
+    x = [Fraction(v) for v in x]
+    for row in gram:
+        if sum(row[j] * x[j] for j in range(len(gram))).denominator != 1:
+            return False
+    return True
+
+
 def coset_norms(lattice: EvenLattice, lam, bound) -> list[tuple[tuple[int, ...], Fraction]]:
     """All lattice shifts e with norm(lam + e) <= bound, with exact norms."""
     lam = [Fraction(x) for x in lam]
     if len(lam) != lattice.rank:
         raise ValueError("coset vector has wrong length")
-    if not lattice.is_dual_vector(lam):
+    if not is_dual_vector(lattice.gram, lam):
         raise ValueError("coset vector does not pair integrally with the lattice")
     bound = Fraction(bound)
-    d, r = _ldl(lattice.gram)
+    d, r = square_completion(lattice.gram)
     n = lattice.rank
     out = []
 
@@ -473,6 +508,31 @@ def coset_norms(lattice: EvenLattice, lam, bound) -> list[tuple[tuple[int, ...],
 
     rec(n - 1, [], [Fraction(0)] * n, Fraction(0))
     return out
+
+
+def conformal_weight(lattice: EvenLattice, lam) -> Fraction:
+    """Minimal norm over the coset lam + lattice."""
+    points = coset_norms(lattice, lam, norm(lattice.gram, lam))
+    return min(q for _, q in points)
+
+
+def graded_dims(lattice: EvenLattice, lam, n_max: int) -> list[int]:
+    """Norm-layer series times the rank-th power of the partition series,
+    shifted down by the minimal norm, over Fraction exponents."""
+    lam = [Fraction(x) for x in lam]
+    a = conformal_weight(lattice, lam)
+    theta = Counter(q for _, q in coset_norms(lattice, lam, a + n_max))
+    osc = labeled_partition_counts(lattice.rank, n_max)
+    shifted: dict[Fraction, int] = {}
+    for q, cq in theta.items():
+        for m, cm in enumerate(osc):
+            e = q + m - a
+            if e <= n_max:
+                shifted[e] = shifted.get(e, 0) + cq * cm
+    for e, c in shifted.items():
+        if c and e.denominator != 1:
+            raise ArithmeticError("norm layer not congruent to the minimal norm")
+    return [shifted.get(Fraction(m), 0) for m in range(n_max + 1)]
 
 
 def det(rows) -> Fraction:

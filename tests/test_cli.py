@@ -380,6 +380,53 @@ def test_out_of_range_integers_are_usage_errors(argv):
     assert "Traceback" not in proc.stderr and "must be at least" in proc.stderr
 
 
+# text integers are ASCII [+-]?[0-9]+; int() would read "8_0" as 80 and
+# Arabic-Indic or fullwidth digits as ASCII ones
+_LOOSE_GRAMS = {
+    "underscore": "1\n8_0\n",
+    "arabic-indic": "1\n\u0668\n",
+    "fullwidth": "1\n\uff18\n",
+    "rank-underscore": "0_1\n8\n",
+    "decimal": "1\n8.0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["lattice", "cosets", "--gram", f"{{tmp}}/{name}.gram"] for name in _LOOSE_GRAMS),
+        ["zhu", "exceptional", "--dims", "1,1_0,-3,0", "--max", "3"],
+        ["zhu", "exceptional", "--dims", "1,-3,0", "--max", "2"],
+        ["zhu", "exceptional", "--dims", "1,0,1,-1", "--max", "2"],
+        ["zhu", "exceptional", "--dims", "1,\u0660,1", "--max", "2"],
+        ["zhu", "exceptional", "--dims", "1, 0,1", "--max", "2"],
+    ],
+    ids=[
+        *_LOOSE_GRAMS,
+        "dims-underscore",
+        "dims-negative",
+        "dims-negative-tail",
+        "dims-arabic-indic",
+        "dims-space",
+    ],
+)
+def test_loose_text_integers_are_usage_errors(argv, tmp_path):
+    for name, text in _LOOSE_GRAMS.items():
+        (tmp_path / f"{name}.gram").write_text(text, encoding="utf-8")
+    root = Path(__file__).resolve().parents[1]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mta", *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONIOENCODING": "utf-8"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+
+
 def _dense_corner(n):
     """dims [[n]] with every product holding every basis element."""
     data = _products_free([[n]])

@@ -57,8 +57,6 @@ def test_kernel_matches_dense_rref(mat, vec, rhs):
     b = [sum(x * y for x, y in zip(r, v)) for r in rows]
     x = exact.solve_linear(rows, b)
     assert x is not None and x == oracle.solve_linear(rows, b)
-    square = [r[: len(rows)] + [0] * (len(rows) - ncols) for r in rows]
-    assert exact.invert_matrix(square) == oracle.invert_matrix(square)
 
 
 def test_solve_linear_inconsistent():
@@ -110,10 +108,6 @@ def test_integer_kernel_is_exact_and_normal(mat, rhs):
     x = exact.solve_linear(rows, b)
     assert x == oracle.solve_linear(rows, b)
     assert x is None or _normal(x)
-    square = [r[: len(rows)] + [0] * (len(rows) - ncols) for r in rows]
-    inv = exact.invert_matrix(square)
-    assert inv == oracle.invert_matrix(square)
-    assert inv is None or all(_normal(row) for row in inv)
 
 
 def test_scalar_normal_form():

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import oracle_exact as oracle
 from oracle_exact import coset_norms as oracle_coset_norms
 from oracle_exact import det as oracle_det
 from oracle_exact import leading_minors_positive
 
 from mta.lattice import (
     EvenLattice,
-    _square_completion,
+    _completion,
     conformal_weight,
     coset_norms,
     count_norm_layer,
@@ -134,6 +135,10 @@ def test_gram_validation():
         EvenLattice.from_rows([[2, 4], [4, 2]])
     with pytest.raises(ValueError, match="square"):
         EvenLattice.from_rows([[2, 0]])
+    # entries must have type int: no truncated float, converted string or bool
+    for rows in ([[2.9]], [["4"]], [[2, False], [False, 2]], [[Fraction(2)]]):
+        with pytest.raises(ValueError, match="gram entries must be integers"):
+            EvenLattice.from_rows(rows)
 
 
 def test_parse_gram_text():
@@ -146,11 +151,31 @@ def test_parse_gram_text():
         parse_gram_text("2\n2 0\n")
     with pytest.raises(ValueError, match="empty"):
         parse_gram_text("   \n")
+    # every integer is ASCII [+-]?[0-9]+, the rank included
+    assert parse_gram_text("+1\n+8\n").gram == ((8,),)
+    for token in ("8_0", "\u0668", "\uff18", "8.0", "0x8", "+-8"):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_gram_text(f"1\n{token}\n")
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_gram_text(f"{token}\n8\n")
 
 
 def test_rejects_non_dual_vector():
     with pytest.raises(ValueError, match="integrally"):
         coset_norms(Z8, [Fraction(1, 3)], Fraction(1))
+
+
+def test_rejects_vectors_of_the_wrong_length():
+    for call in (
+        lambda x: TWO_CIRCLES.norm(x),
+        lambda x: TWO_CIRCLES.is_dual_vector(x),
+        lambda x: coset_norms(TWO_CIRCLES, x, 4),
+        lambda x: conformal_weight(TWO_CIRCLES, x),
+        lambda x: graded_dims(TWO_CIRCLES, x, 2),
+    ):
+        for x in ([Fraction(1, 2)], [0, 0, 0]):
+            with pytest.raises(ValueError, match="coset vector has wrong length"):
+                call(x)
 
 
 diag_st = st.lists(st.sampled_from([2, 4, 6]), min_size=1, max_size=2)
@@ -249,7 +274,7 @@ def test_singular_and_list_built_grams():
 
 
 def test_square_completion_runs_once_per_gram():
-    _square_completion.cache_clear()
+    _completion.cache_clear()
     lattice = EvenLattice(A4_GRAM)
     assert lattice.determinant() == 5
     for rep in dual_cosets(lattice):
@@ -258,5 +283,64 @@ def test_square_completion_runs_once_per_gram():
             coset_norms(lattice, rep.vector, 3)
         graded_dims(lattice, rep.vector, 2)
     assert EvenLattice.from_rows(A4_GRAM).determinant() == 5
-    info = _square_completion.cache_info()
+    info = _completion.cache_info()
     assert info.misses == 1 and info.hits > 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_even_grams())
+@example([[2, 2], [2, 2]])
+@example([[0]])
+@example([list(row) for row in A4_GRAM])
+@example([list(row) for row in D4_GRAM])
+def test_completion_matches_fraction_square_completion(rows):
+    gram = tuple(map(tuple, rows))
+    try:
+        d, r = oracle.square_completion(gram)
+    except ValueError:
+        with pytest.raises(ValueError, match="gram matrix must be positive definite"):
+            _completion(gram)
+        return
+    p, u = _completion(gram)
+    n = len(gram)
+    assert p[0] == 1 and len(p) == n + 1
+    for i in range(n):
+        assert d[i] == Fraction(p[i + 1], p[i])
+        assert u[i][i] == p[i + 1]
+        assert all(u[i][j] == 0 for j in range(i))
+        assert all(r[i][j] == Fraction(u[i][j], p[i + 1]) for j in range(i + 1, n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(even_grams())
+@example(((8,),))
+@example(A4_GRAM)
+@example(D4_GRAM)
+def test_weights_and_graded_dims_match_fraction_oracle(gram):
+    try:
+        lattice = EvenLattice(gram)
+    except ValueError:  # not positive definite
+        assume(False)
+    assume(lattice.determinant() <= 16)
+    for rep in dual_cosets(lattice):
+        for lam in (rep.vector, tuple(-x for x in rep.vector)):
+            assert conformal_weight(lattice, lam) == oracle.conformal_weight(lattice, lam)
+            # the oracle's level j does not depend on n_max >= j
+            expected = oracle.graded_dims(lattice, lam, 6)
+            for n_max in range(7):
+                assert graded_dims(lattice, lam, n_max) == expected[: n_max + 1]
+
+
+denominators = st.sampled_from([1, 2, 3, 4, 6, 8, 12])
+
+
+@settings(max_examples=200, deadline=None)
+@given(even_grams(), st.lists(st.integers(-30, 30), min_size=3, max_size=3), denominators)
+def test_norm_and_duality_match_fraction_oracle(gram, numerators, den):
+    try:
+        lattice = EvenLattice(gram)
+    except ValueError:  # not positive definite
+        assume(False)
+    x = [Fraction(k, den) for k in numerators[: lattice.rank]]
+    assert lattice.norm(x) == oracle.norm(gram, x)
+    assert lattice.is_dual_vector(x) == oracle.is_dual_vector(gram, x)

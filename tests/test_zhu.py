@@ -96,6 +96,10 @@ def test_exceptional_degrees():
     assert exceptional_degrees([0, 1], 1) == []
     with pytest.raises(ValueError):
         exceptional_degrees([1, 1], 5)
+    # a negative entry is refused wherever it stands, as in SimpleModuleData
+    for dims in ([1, -3, 0], [1, 1, 1, -1]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            exceptional_degrees(dims, 2)
 
 
 def test_heisenberg_has_no_exceptional_degrees():
