@@ -507,12 +507,13 @@ def _cmd_selftest(parser, cfg, args) -> int:
     return 0 if ok_all else 1
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+def _int_at_least(low: int | None):
+    """argparse type: an integer written as ASCII [+-]?[0-9]+, as
+    exact.parse_int reads it, and no smaller than low unless low is None."""
 
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+        value = parse_int(text)
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
@@ -523,6 +524,7 @@ def _int_at_least(low: int):
 def build_parser() -> argparse.ArgumentParser:
     rank = _int_at_least(1)
     size = _int_at_least(0)
+    integer = _int_at_least(None)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument(
@@ -554,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = l_sub.add_parser(name, parents=[common])
         sp.add_argument("--gram", required=True, help="gram file: rank line, then rows")
         if name == "dims":
-            sp.add_argument("--coset", type=int, required=True)
+            sp.add_argument("--coset", type=integer, required=True)
             sp.add_argument("--max", type=size, default=0)
 
     p_p = sub.add_parser("peirce", help="structure-constant corner algebras")
@@ -578,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", type=size, required=True)
 
     sp = sub.add_parser("selftest", parents=[common], help="built-in verification battery")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument("--fast", action="store_true")
 
     return parser

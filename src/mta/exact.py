@@ -46,12 +46,19 @@ def frac_str(x) -> str:
     return str(scalar(x))
 
 
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_frac(s: str):
     """Read 'p', 'p/q' or a decimal as an exact scalar.
 
     Exponent notation is refused: a few characters such as '1e10000000'
-    would denote an integer of ten million digits.
+    would denote an integer of ten million digits.  Text that is ASCII
+    [+-]?[0-9]+, the common case, goes straight to int(); every other
+    form takes the Fraction path, so the value is the same either way.
     """
+    if isinstance(s, str) and _INT_TEXT.fullmatch(s):
+        return int(s)
     if isinstance(s, str) and ("e" in s or "E" in s):
         raise ValueError(f"exponent notation is not accepted in an exact scalar: {s!r}")
     return scalar(s)
@@ -61,7 +68,7 @@ def parse_int(text: str) -> int:
     """Read an integer written as ASCII [+-]?[0-9]+; raises ValueError on
     anything else, such as '8_0', non-ASCII digits or surrounding space,
     which int() would accept."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
+    if not _INT_TEXT.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
@@ -83,10 +90,6 @@ def unit_vector(n: int, i: int) -> list[int]:
     v = [F0] * n
     v[i] = F1
     return v
-
-
-def vec_is_zero(v) -> bool:
-    return all(a == 0 for a in v)
 
 
 def sparse(v) -> dict:

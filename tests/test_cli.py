@@ -427,6 +427,35 @@ def test_loose_text_integers_are_usage_errors(argv, tmp_path):
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["zhu", "exceptional", "--dims", "1,0,1", "--max", "1_0"], "1_0"),
+        (["lattice", "dims", "--gram", "{demos}/z8.gram", "--coset", "0_1"], "0_1"),
+        (["partitions", "count", "--rank", "\u0663", "--weight", "2"], "\u0663"),
+        (["heisenberg", "verify", "--rank", "1", "--degree", "\uff13"], "\uff13"),
+        (["selftest", "--fast", "--seed", " 1"], " 1"),
+    ],
+    ids=["max-underscore", "coset-underscore", "rank-arabic-indic", "degree-fullwidth", "seed-space"],
+)
+def test_loose_option_integers_are_usage_errors(argv, value):
+    # int() would read these as 10, 1, 3, 3 and 1
+    root = Path(__file__).resolve().parents[1]
+    argv = [a.format(demos=root / "demos") for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mta", *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONIOENCODING": "utf-8"},
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"invalid int value: {value!r}" in proc.stderr
+
+
 def _dense_corner(n):
     """dims [[n]] with every product holding every basis element."""
     data = _products_free([[n]])

@@ -129,3 +129,50 @@ def test_floats_are_rejected():
             fn(2.0)
     with pytest.raises(ValueError):
         exact.parse_frac("1e10000000")
+
+
+def _parse_frac_reference(s):
+    """parse_frac without its plain-integer fast path: exponent refusal,
+    then the Fraction reader."""
+    if "e" in s or "E" in s:
+        raise ValueError(s)
+    return exact.scalar(Fraction(s))
+
+
+def _outcome(fn, s):
+    try:
+        value = fn(s)
+    except Exception as exc:  # noqa: BLE001 - the exception type is compared
+        return type(exc)
+    return type(value), value
+
+
+@given(
+    st.one_of(
+        st.from_regex(r"[+-]?[0-9]{1,30}", fullmatch=True),
+        st.text(alphabet="0123456789+-_/. eE\t٣８", max_size=12),
+        st.builds(
+            "".join,
+            st.tuples(
+                st.sampled_from(["", " ", "\t"]),
+                st.sampled_from(["", "+", "-", "+-", "--"]),
+                st.text(alphabet="0123456789", min_size=1, max_size=30),
+                st.sampled_from(["", "_0", "/7", "/00", ".5", "e2", "٣", " "]),
+            ),
+        ),
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_parse_frac_fast_path_matches_fraction_reader(s):
+    """Signs, leading zeros, surrounding space, 1_0, non-ASCII digits, p/q,
+    decimals and exponents: the same value and type, or the same exception
+    type, as the Fraction reader."""
+    assert _outcome(exact.parse_frac, s) == _outcome(_parse_frac_reference, s)
+
+
+def test_parse_frac_plain_integers():
+    for s in ("0", "-0", "+7", "007", "-0012", "1" * 60):
+        assert type(exact.parse_frac(s)) is int
+        assert exact.parse_frac(s) == Fraction(s)
+    for s in ("1_0", " 1", "1 ", "٣", "+-1", "1/1", "1.0"):
+        assert _outcome(exact.parse_frac, s) == _outcome(_parse_frac_reference, s)

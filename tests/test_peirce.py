@@ -1,6 +1,7 @@
 """Corner algebras: axioms, zig-zag reduction, ideals, module functors."""
 
 import json
+import random
 from fractions import Fraction
 
 import oracle_exact as oracle
@@ -156,12 +157,17 @@ def test_associativity_makes_zigzag_well_defined():
 
 def test_balanced_tensor_matches_dense_build(monkeypatch):
     """Every balanced tensor built on the acceptance fixtures has the free
-    coordinates, reduced relations and projection of the dense build."""
+    coordinates, reduced relations and projection of the dense build, which
+    makes a relation for every basis element of the acting algebra; some of
+    them were built from the relations of a generating set only."""
     calls = []
+    proper = []  # acting sets smaller than the basis of the acting algebra
 
-    def recording(m_rep, n_rep):
-        q = real(m_rep, n_rep)
+    def recording(m_rep, n_rep, acting=None):
+        q = real(m_rep, n_rep, acting)
         calls.append((m_rep, n_rep, q))
+        if acting is not None and len(acting) < m_rep.algebra.dim:
+            proper.append(acting)
         return q
 
     real = peirce.balanced_tensor
@@ -175,6 +181,7 @@ def test_balanced_tensor_matches_dense_build(monkeypatch):
             for block in range(len(p.block_dims)):
                 assert verify_roundtrip(p, d, matrix_model_column_module(p, block, d)).ok
     assert len(calls) == 9 + 9 + 2 * (9 + 21)  # validate, zigzag, roundtrips
+    assert proper
     seen = set()
     for m_rep, n_rep, q in calls:
         key = repr((m_rep.algebra.struct, m_rep.action, n_rep.action))
@@ -484,3 +491,131 @@ def test_coefficient_representation_does_not_change_results():
         outputs.append(json.dumps(runs))
     assert outputs[0] == outputs[1] == outputs[2]
     assert '"ok": true' in outputs[0] and '"associative": true' in outputs[0]
+
+
+def _generated_ranks(p, components, gens):
+    """Rank per component of the subalgebra the basis elements gens
+    generate: products of every pair of spanning vectors, among the given
+    components, until nothing new appears."""
+    spans = {c: exact.Echelon() for c in components}
+    vecs = {c: [] for c in components}
+    new = [(i, j, {b: 1}) for i, j, b in gens]
+    while new:
+        for i, j, v in new:
+            if spans[(i, j)].add(v):
+                vecs[(i, j)].append(v)
+        new = [
+            (i, k, p.product(i, j, k, u, w))
+            for (i, j), us in vecs.items()
+            for (j2, k), ws in vecs.items()
+            if j2 == j and (i, k) in spans
+            for u in us
+            for w in ws
+        ]
+        new = [(i, k, w) for i, k, w in new if w and spans[(i, k)].reduce(w)]
+    return {c: len(span) for c, span in spans.items()}
+
+
+def test_generators_span_every_component():
+    """The kept basis elements generate each component: over every
+    component together (Light's test) and over each diagonal component
+    alone (the balancing relations of validate_peirce and zigzag)."""
+    fixtures = [matrix_model(blocks) for blocks in ACCEPTANCE_BLOCKS]
+    fixtures.append(heisenberg_truncation(1, 3, [Fraction(0)]))
+    proper = 0
+    for p in fixtures:
+        r = range(p.max_degree + 1)
+        choices = [[(i, j) for i in r for j in r]] + [[(d, d)] for d in r]
+        for components in choices:
+            gens = list(peirce._generators(p, components))
+            assert gens == sorted(gens) and all((i, j) in components for i, j, _ in gens)
+            ranks = _generated_ranks(p, components, gens)
+            assert ranks == {(i, j): p.dims[i][j] for i, j in components}, (p.dims, components)
+            proper += len(gens) < sum(p.dims[i][j] for i, j in components)
+    assert proper
+
+
+def _light_agrees_with_scan(p):
+    """Light's test flags p exactly when the full scan does."""
+    light = peirce._generators_associate(p)
+    assert light == (peirce._associativity_scan(p) is None)
+    return light
+
+
+def _invertible(rng, n):
+    """A random n x n integer matrix with entries in -3..3 and its inverse."""
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        rows, pivots = exact.rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+        if pivots == list(range(n)):
+            return m, [row[n:] for row in rows]
+
+
+def _changed_basis(p, rng):
+    """p in the basis f_a = sum_x m[x][a] e_x of each component, for a
+    random invertible integer matrix m per component; the structure
+    constants and the unit come out with denominators."""
+    r = range(p.max_degree + 1)
+    mats = {(i, j): _invertible(rng, p.dims[i][j]) for i in r for j in r}
+    entries = []
+    for (i, j, k), table in p._prod.items():
+        (m1, _), (m2, _), (_, inv) = mats[(i, j)], mats[(j, k)], mats[(i, k)]
+        for a in range(p.dims[i][j]):
+            for b in range(p.dims[j][k]):
+                prod: dict = {}
+                for (x, y), cell in table.items():
+                    if m1[x][a] * m2[y][b]:
+                        exact.add_multiple(prod, m1[x][a] * m2[y][b], cell)
+                for c, row in enumerate(inv):
+                    v = sum(row[t] * w for t, w in prod.items())
+                    if v:
+                        entries.append((i, j, k, a, b, c, v))
+    inv0 = mats[(0, 0)][1]
+    unit0 = [sum(x * u for x, u in zip(row, p.unit0)) for row in inv0]
+    return PeirceAlgebra(p.max_degree, p.dims, entries, unit0)
+
+
+small_block_st = st.lists(
+    st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2).map(
+        lambda b: [max(b[0], 1)] + b[1:]
+    ),
+    min_size=1,
+    max_size=2,
+).filter(lambda blocks: max(map(max, matrix_model(blocks).dims)) <= 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    small_block_st,
+    st.integers(min_value=0, max_value=2**32),
+    st.one_of(st.none(), st.tuples(st.integers(min_value=0), st.sampled_from([1, -1, Fraction(1, 2)]))),
+)
+def test_light_test_matches_full_scan_after_basis_change(blocks, seed, mutation):
+    """A matrix model in a random integer basis, with or without one
+    structure constant changed: Light's test flags it exactly when the
+    full scan does, and the report is the dense oracle's."""
+    p = _changed_basis(matrix_model(blocks), random.Random(seed))
+    if mutation is not None and p.entries():
+        pos, delta = mutation
+        entries = p.entries()
+        i, j, k, a, b, c, v = entries[pos % len(entries)]
+        entries[pos % len(entries)] = (i, j, k, a, b, c, v + delta)
+        p = PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0)
+    light = _light_agrees_with_scan(p)
+    assert mutation is not None or light
+    assert json.dumps(validate_peirce(p).to_json()) == json.dumps(oracle.validate_peirce(p).to_json())
+
+
+def test_light_test_matches_full_scan_on_boson_mutations():
+    """Every structure constant of h13 raised by one: Light's test flags the
+    same algebras as the full scan, and the report is unchanged."""
+    p = heisenberg_truncation(1, 3, [Fraction(0)])
+    assert _light_agrees_with_scan(p)
+    entries = p.entries()
+    flagged = 0
+    for pos, (i, j, k, a, b, c, v) in enumerate(entries):
+        mutated = list(entries)
+        mutated[pos] = (i, j, k, a, b, c, v + 1)
+        bad = PeirceAlgebra(p.max_degree, p.dims, mutated, p.unit0)
+        flagged += not _light_agrees_with_scan(bad)
+    assert flagged == len(entries)
