@@ -19,12 +19,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from . import heisenberg as hb
-from . import lattice as lat
-from . import peirce as pc
-from . import zhu
 from .exact import frac_str, parse_frac, parse_int, strict_int
-from .partitions import enumerate_labeled_partitions, labeled_partition_count
 
 MAX_RANK = 4
 MAX_DEGREE = 8
@@ -96,6 +91,8 @@ class RunConfig:
     def check_pairings(self, parser, n: int, d: int):
         if self.unsafe_no_limits:
             return
+        from .partitions import labeled_partition_count
+
         size = labeled_partition_count(n, d)
         if size > MAX_PAIRING_LABELS:
             parser.error(
@@ -104,7 +101,7 @@ class RunConfig:
                 "pass --unsafe-no-limits to override"
             )
 
-    def check_lattice(self, parser, lattice: lat.EvenLattice):
+    def check_lattice(self, parser, lattice):
         if self.unsafe_no_limits:
             return
         if lattice.rank > MAX_LATTICE_RANK:
@@ -200,25 +197,32 @@ def _load_json(parser, path):
         parser.error(f"cannot read {path}: {exc}")
 
 
-def _load_lattice(parser, cfg, path) -> lat.EvenLattice:
+def _load_lattice(parser, cfg, path):
+    from .lattice import load_gram
+
     try:
-        lattice = lat.load_gram(path)
+        lattice = load_gram(path)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read gram file {path}: {exc}")
     cfg.check_lattice(parser, lattice)
     return lattice
 
 
-def _load_peirce(parser, cfg, path) -> pc.PeirceAlgebra:
+def _load_peirce(parser, cfg, path):
+    from .peirce import PeirceAlgebra
+
     data = _load_json(parser, path)
     cfg.check_algebra(parser, data)
     try:
-        return pc.PeirceAlgebra.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+        return PeirceAlgebra.from_json_dict(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         parser.error(f"malformed algebra file {path}: {exc}")
 
 
 def _cmd_partitions(parser, cfg, args) -> int:
+    # per command, not at module level: the other families skip this import
+    from .partitions import enumerate_labeled_partitions, labeled_partition_count
+
     n, m = args.rank, args.weight
     cfg.check_partitions(parser, args.action, n, m)
     if args.action == "count":
@@ -239,6 +243,9 @@ def _cmd_partitions(parser, cfg, args) -> int:
 
 
 def _cmd_heisenberg(parser, cfg, args) -> int:
+    # per command: only heisenberg commands load the free-boson engine
+    from . import heisenberg as hb
+
     n, d = args.rank, args.degree
     cfg.check_heisenberg(parser, n, d)
     if args.action == "identity":
@@ -262,12 +269,17 @@ def _cmd_heisenberg(parser, cfg, args) -> int:
             ],
         )
         return 0 if report.ok else 1
-    descriptor = zhu.heisenberg_zhu_descriptor(n, d)
+    from .zhu import heisenberg_zhu_descriptor
+
+    descriptor = heisenberg_zhu_descriptor(n, d)
     _emit(cfg, descriptor.to_json(), [descriptor.render_text()])
     return 0
 
 
 def _cmd_lattice(parser, cfg, args) -> int:
+    # per command: only lattice commands load the lattice layer
+    from . import lattice as lat
+
     if args.action == "dims":
         cfg.check_level(parser, args.max)
     lattice = _load_lattice(parser, cfg, args.gram)
@@ -315,6 +327,9 @@ def _cmd_lattice(parser, cfg, args) -> int:
 
 
 def _cmd_peirce(parser, cfg, args) -> int:
+    # per command: only peirce commands load the corner-algebra layer
+    from . import peirce as pc
+
     algebra = _load_peirce(parser, cfg, args.algebra)
     if args.action != "validate" and not 0 <= args.degree <= algebra.max_degree:
         parser.error(f"degree {args.degree} out of range 0..{algebra.max_degree}")
@@ -343,6 +358,8 @@ def _cmd_peirce(parser, cfg, args) -> int:
 
 
 def _zigzag_payload(algebra, d):
+    from . import peirce as pc
+
     z = pc.zigzag(algebra, d)
     ideal = pc.zd_ideal(algebra, d)
     check = pc.action_through_A_check(z)
@@ -367,11 +384,16 @@ def _zigzag_payload(algebra, d):
 
 def _morita_payload(algebra, d):
     """Roundtrip of the regular module of the degree-d component."""
+    from . import peirce as pc
+
     report = pc.verify_regular_roundtrip(algebra, d)
     return {"degree": d, **report.to_json()}, report.ok
 
 
 def _cmd_zhu(parser, cfg, args) -> int:
+    # per command: only zhu commands load the block-descriptor layer
+    from . import zhu
+
     if args.action == "rational":
         data = _load_json(parser, args.modules)
         try:
@@ -389,7 +411,7 @@ def _cmd_zhu(parser, cfg, args) -> int:
             ]
             descriptor = zhu.rational_zhu_descriptor(modules, args.degree)
             support = zhu.zd_support(modules, args.degree)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             parser.error(f"bad module data: {exc}")
         payload = descriptor.to_json()
         payload["support"] = support
@@ -415,6 +437,12 @@ def _cmd_zhu(parser, cfg, args) -> int:
 
 
 def _selftest_checks(cfg: RunConfig, fast: bool):
+    # the battery checks every layer, so selftest alone loads them all
+    from . import heisenberg as hb
+    from . import lattice as lat
+    from . import peirce as pc
+    from .partitions import enumerate_labeled_partitions, labeled_partition_count
+
     rng = random.Random(cfg.seed)
 
     def check_counts():
@@ -521,92 +549,123 @@ def _int_at_least(low: int | None):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    rank = _int_at_least(1)
-    size = _int_at_least(0)
-    integer = _int_at_least(None)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument(
+_RANK = _int_at_least(1)
+_SIZE = _int_at_least(0)
+_INTEGER = _int_at_least(None)
+
+
+def _add_common(parser):
+    """The options every command takes."""
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument(
         "--unsafe-no-limits",
         action="store_true",
         help="lift the desk-scale limits",
     )
 
-    parser = argparse.ArgumentParser(prog="mta", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_part = sub.add_parser("partitions", help="partition combinatorics")
-    part_sub = p_part.add_subparsers(dest="action", required=True)
+def _subcommands(family):
+    """add_parser for the subcommands of a family, each taking the common
+    options."""
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
+    actions = family.add_subparsers(dest="action", required=True)
+    return lambda name: actions.add_parser(name, parents=[common])
+
+
+def _add_partitions(family):
+    leaf = _subcommands(family)
     for name in ("count", "list"):
-        sp = part_sub.add_parser(name, parents=[common])
-        sp.add_argument("--rank", type=rank, default=1)
-        sp.add_argument("--weight", type=size, required=True)
+        sp = leaf(name)
+        sp.add_argument("--rank", type=_RANK, default=1)
+        sp.add_argument("--weight", type=_SIZE, required=True)
 
-    p_h = sub.add_parser("heisenberg", help="free-boson engine")
-    h_sub = p_h.add_subparsers(dest="action", required=True)
+
+def _add_heisenberg(family):
+    leaf = _subcommands(family)
     for name in ("identity", "verify", "zhu"):
-        sp = h_sub.add_parser(name, parents=[common])
-        sp.add_argument("--rank", type=rank, default=1)
-        sp.add_argument("--degree", type=size, required=True)
+        sp = leaf(name)
+        sp.add_argument("--rank", type=_RANK, default=1)
+        sp.add_argument("--degree", type=_SIZE, required=True)
 
-    p_l = sub.add_parser("lattice", help="even-lattice module data")
-    l_sub = p_l.add_subparsers(dest="action", required=True)
+
+def _add_lattice(family):
+    leaf = _subcommands(family)
     for name in ("cosets", "weights", "dims"):
-        sp = l_sub.add_parser(name, parents=[common])
+        sp = leaf(name)
         sp.add_argument("--gram", required=True, help="gram file: rank line, then rows")
         if name == "dims":
-            sp.add_argument("--coset", type=integer, required=True)
-            sp.add_argument("--max", type=size, default=0)
+            sp.add_argument("--coset", type=_INTEGER, required=True)
+            sp.add_argument("--max", type=_SIZE, default=0)
 
-    p_p = sub.add_parser("peirce", help="structure-constant corner algebras")
-    p_sub = p_p.add_subparsers(dest="action", required=True)
+
+def _add_peirce(family):
+    leaf = _subcommands(family)
     for name in ("validate", "zigzag", "morita"):
-        sp = p_sub.add_parser(name, parents=[common])
+        sp = leaf(name)
         sp.add_argument("--algebra", required=True, help="algebra JSON file")
         if name != "validate":
-            sp.add_argument("--degree", type=size, required=True)
+            sp.add_argument("--degree", type=_SIZE, required=True)
 
-    p_z = sub.add_parser("zhu", help="block descriptors")
-    z_sub = p_z.add_subparsers(dest="action", required=True)
-    sp = z_sub.add_parser("rational", parents=[common])
+
+def _add_zhu(family):
+    leaf = _subcommands(family)
+    sp = leaf("rational")
     sp.add_argument("--modules", required=True, help="JSON list of simple module data")
-    sp.add_argument("--degree", type=size, required=True)
-    sp = z_sub.add_parser("heisenberg", parents=[common])
-    sp.add_argument("--rank", type=rank, default=1)
-    sp.add_argument("--degree", type=size, required=True)
-    sp = z_sub.add_parser("exceptional", parents=[common])
+    sp.add_argument("--degree", type=_SIZE, required=True)
+    sp = leaf("heisenberg")
+    sp.add_argument("--rank", type=_RANK, default=1)
+    sp.add_argument("--degree", type=_SIZE, required=True)
+    sp = leaf("exceptional")
     sp.add_argument("--dims", required=True, help="comma-separated level dimensions")
-    sp.add_argument("--max", type=size, required=True)
+    sp.add_argument("--max", type=_SIZE, required=True)
 
-    sp = sub.add_parser("selftest", parents=[common], help="built-in verification battery")
-    sp.add_argument("--seed", type=integer, default=0)
-    sp.add_argument("--fast", action="store_true")
 
+def _add_selftest(family):
+    _add_common(family)
+    family.add_argument("--seed", type=_INTEGER, default=0)
+    family.add_argument("--fast", action="store_true")
+
+
+# command -> (help, adder of its arguments and subcommands, handler)
+_FAMILIES = {
+    "partitions": ("partition combinatorics", _add_partitions, _cmd_partitions),
+    "heisenberg": ("free-boson engine", _add_heisenberg, _cmd_heisenberg),
+    "lattice": ("even-lattice module data", _add_lattice, _cmd_lattice),
+    "peirce": ("structure-constant corner algebras", _add_peirce, _cmd_peirce),
+    "zhu": ("block descriptors", _add_zhu, _cmd_zhu),
+    "selftest": ("built-in verification battery", _add_selftest, _cmd_selftest),
+}
+
+
+def build_parser(family: str | None = None) -> argparse.ArgumentParser:
+    """The ``mta`` parser, in full when family is None.
+
+    Given a family name, only that family's options and subcommands are
+    built; each other family keeps an empty parser, so the top-level usage,
+    help and errors read exactly as with the full parser."""
+    parser = argparse.ArgumentParser(prog="mta", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add, _run) in _FAMILIES.items():
+        command = sub.add_parser(name, help=help_text)
+        if family is None or family == name:
+            add(command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # each command runs in a fresh interpreter: build only its family's parser
+    parser = build_parser(argv[0] if argv and argv[0] in _FAMILIES else None)
     args = parser.parse_args(argv)
     cfg = RunConfig(
         format=args.format,
         unsafe_no_limits=args.unsafe_no_limits,
         seed=getattr(args, "seed", 0),
     )
-    if args.command == "partitions":
-        return _cmd_partitions(parser, cfg, args)
-    if args.command == "heisenberg":
-        return _cmd_heisenberg(parser, cfg, args)
-    if args.command == "lattice":
-        return _cmd_lattice(parser, cfg, args)
-    if args.command == "peirce":
-        return _cmd_peirce(parser, cfg, args)
-    if args.command == "zhu":
-        return _cmd_zhu(parser, cfg, args)
-    if args.command == "selftest":
-        return _cmd_selftest(parser, cfg, args)
-    parser.error(f"unknown command {args.command!r}")
+    _help, _add, run = _FAMILIES[args.command]
+    return run(parser, cfg, args)
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ from .exact import (
     strict_int,
     unit_vector,
 )
-from .heisenberg import pairing_matrix
 
 
 class Subspace:
@@ -1174,6 +1173,9 @@ def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
     the symmetry-factor diagonal, so the result is independent of the point;
     the evaluation is still carried out exactly rather than assumed.
     """
+    # imported here: the other peirce functions need no free-boson engine
+    from .heisenberg import pairing_matrix
+
     point = [scalar(x) for x in point]
     if len(point) != n:
         raise ValueError("need one evaluation value per generator")

@@ -562,9 +562,16 @@ _NON_INTEGER_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_NON_INTEGER_INPUTS))
-def test_non_integer_sizes_and_indices_are_usage_errors(case, tmp_path):
-    action, data = _NON_INTEGER_INPUTS[case]
+# A zero denominator in a rational coefficient, unit or weight ended in a
+# ZeroDivisionError traceback.
+_ZERO_DENOMINATORS = {
+    "coeff": ("validate", _mm12_with(lambda d: d["products"][0].update(coeff="1/0"))),
+    "unit0": ("validate", _mm12_with(lambda d: d["unit0"].__setitem__(0, "3/0"))),
+    "conformal_weight": ("rational", [_MODULES[0], {**_MODULES[1], "conformal_weight": "1/0"}]),
+}
+
+
+def _assert_input_is_usage_error(action, data, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     if action == "rational":
@@ -584,6 +591,16 @@ def test_non_integer_sizes_and_indices_are_usage_errors(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr and message in proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(_NON_INTEGER_INPUTS))
+def test_non_integer_sizes_and_indices_are_usage_errors(case, tmp_path):
+    _assert_input_is_usage_error(*_NON_INTEGER_INPUTS[case], tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(_ZERO_DENOMINATORS))
+def test_zero_denominators_are_usage_errors(case, tmp_path):
+    _assert_input_is_usage_error(*_ZERO_DENOMINATORS[case], tmp_path)
 
 
 def test_input_fixtures_load_under_the_integer_rule(tmp_path):
@@ -654,6 +671,17 @@ _FAMILY_COMMANDS = [
     ["selftest", "--fast"],
 ]
 
+# the modules each command loads besides mta.cli and mta.exact: its own
+# layers and what they import, never another family's
+_FAMILY_MODULES = {
+    "partitions": {"mta._frozen", "mta.partitions"},
+    "heisenberg": {"mta._frozen", "mta.heisenberg", "mta.partitions"},
+    "lattice": {"mta._frozen", "mta.lattice", "mta.partitions"},
+    "peirce": {"mta.peirce"},
+    "zhu": {"mta._frozen", "mta.zhu", "mta.partitions"},
+    "selftest": {"mta._frozen", "mta.heisenberg", "mta.lattice", "mta.partitions", "mta.peirce"},
+}
+
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
@@ -681,3 +709,33 @@ def test_commands_do_not_import_dataclasses_or_inspect(argv, algebra_file):
     added = set(proc.stderr.split())
     assert "mta.cli" in added
     assert not added & {"dataclasses", "inspect"}
+    loaded = {name for name in added if name.startswith("mta.")}
+    assert loaded == {"mta.cli", "mta.exact", *_FAMILY_MODULES[argv[0]]}
+
+
+# main builds only the named family's parser; its output and exit status
+# must be those of the full parser, which prints the top-level usage for an
+# unrecognized argument
+_FAMILIES = ["partitions", "heisenberg", "lattice", "peirce", "zhu"]
+_PARSER_CASES = [
+    [],
+    ["-h"],
+    ["nope"],
+    *([family] for family in _FAMILIES),
+    *([family, "-h"] for family in [*_FAMILIES, "selftest"]),
+    ["peirce", "zigzag", "-h"],
+    ["lattice", "dims", "--gram", "z8.gram"],
+    ["partitions", "count", "--weight", "x"],
+    ["partitions", "count", "--weight", "2", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_family_parser_prints_what_the_full_parser_prints(argv, capsys):
+    outcomes = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        outcomes.append((exc.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] or outcomes[0][2]

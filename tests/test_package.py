@@ -1,0 +1,80 @@
+"""The package namespace: every exported name, loaded lazily from its layer."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mta
+
+# layer -> the names `mta` exports from it
+API = {
+    "exact": "frac_str parse_frac",
+    "heisenberg": (
+        "IdentityReport Mode ModeElement NormalWord RankCertificate ZhuPolynomial commutator "
+        "corner_product pairing pairing_matrix rank_certificate star_to_zhu strong_identity "
+        "strong_identity_from_json strong_identity_to_json u_element ubar_element "
+        "verify_strong_identity"
+    ),
+    "lattice": (
+        "CosetRep EvenLattice conformal_weight coset_norms count_norm_layer dual_cosets "
+        "graded_dims load_gram parse_gram_text"
+    ),
+    "partitions": (
+        "LabeledPartition Partition enumerate_labeled_partitions enumerate_partitions "
+        "labeled_partition_count labeled_partition_counts partition_count symmetry_factor"
+    ),
+    "peirce": (
+        "Algebra IdealSplit ModuleRep PeirceAlgebra PeirceReport RoundtripReport Subspace "
+        "TensorQuotient ZigZag action_through_A_check balanced_tensor find_strong_identity "
+        "heisenberg_truncation ideal_unit_and_split matrix_model matrix_model_column_module "
+        "morita_backward morita_forward regular_module validate_peirce verify_regular_roundtrip "
+        "verify_roundtrip zd_ideal zigzag"
+    ),
+    "zhu": (
+        "SimpleModuleData ZhuDescriptor commutative_zhu_descriptor exceptional_degrees "
+        "heisenberg_zhu_descriptor rational_zhu_descriptor zd_support"
+    ),
+}
+NAMES = {name: layer for layer, names in API.items() for name in names.split()}
+
+
+def test_all_lists_the_pinned_names():
+    assert len(NAMES) == 68
+    assert sorted(mta.__all__) == sorted(NAMES)
+
+
+def test_each_name_is_the_layer_object():
+    for name, layer in NAMES.items():
+        assert getattr(mta, name) is getattr(importlib.import_module("mta." + layer), name), name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from mta import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(NAMES)
+    assert all(namespace[name] is getattr(mta, name) for name in NAMES)
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mta.no_such_name
+    with pytest.raises(ImportError):
+        from mta import no_such_name  # noqa: F401
+
+
+def test_import_loads_no_layer():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, mta; print(' '.join(sorted(m for m in sys.modules if m.startswith('mta'))))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.split() == ["mta"]
