@@ -7,12 +7,12 @@ Wick weights, unit pivots) in C integer arithmetic, while a value with a
 denominator stays exact.  Every division keeps a Fraction operand, so no
 float can appear.
 
-Dense vectors are lists of exact scalars and matrices are lists of row
-vectors.  Linear algebra runs on one kernel, Echelon: sparse rows
-(dict column -> scalar, zeros never stored) kept in fully reduced row
-echelon form and grown one row at a time, so a redundant spanning row costs
-one reduction and is then dropped.  The pivot of a row is its lowest nonzero
-column; a reduced echelon form with that rule is unique for its row span, so
+Vectors are sparse: dicts column -> exact scalar, zeros never stored
+(sparse and dense convert from and to lists).  Linear algebra runs on one
+kernel, Echelon: sparse rows kept in fully reduced row echelon form and
+grown one row at a time, so a redundant spanning row costs one reduction and
+is then dropped.  The pivot of a row is its lowest nonzero column; a reduced
+echelon form with that rule is unique for its row span, so
 reduced bases are canonical and byte-reproducible whatever the order of the
 spanning vectors.  No floating point is used anywhere.
 """
@@ -82,16 +82,6 @@ def strict_int(x) -> int:
     return x
 
 
-def fzeros(n: int) -> list[int]:
-    return [F0] * n
-
-
-def unit_vector(n: int, i: int) -> list[int]:
-    v = [F0] * n
-    v[i] = F1
-    return v
-
-
 def sparse(v) -> dict:
     """The nonzero coordinates of a dense vector, as exact scalars."""
     out = {}
@@ -111,7 +101,7 @@ def dense(v: dict, n: int) -> list:
 
 def add_multiple(v: dict, c, row: dict) -> None:
     """v += c * row in place on sparse vectors, dropping entries that cancel
-    and storing integral results as int; c must be nonzero."""
+    and storing integral results as int."""
     for j, y in row.items():
         x = v.get(j)
         x = c * y if x is None else x + c * y
@@ -120,7 +110,7 @@ def add_multiple(v: dict, c, row: dict) -> None:
         if x:
             v[j] = x
         else:
-            del v[j]
+            v.pop(j, None)
 
 
 class Echelon:
@@ -187,10 +177,6 @@ def rref(rows):
     return Echelon(map(sparse, rows)).dense(ncols)
 
 
-def rank(rows) -> int:
-    return len(Echelon(map(sparse, rows)))
-
-
 def reduce_vector(basis_rows, pivots, v):
     """Eliminate the pivot coordinates of v against a reduced basis."""
     v = list(map(scalar, v))
@@ -201,18 +187,14 @@ def reduce_vector(basis_rows, pivots, v):
     return v
 
 
-def solve_linear(a_rows, b):
-    """One exact solution x of A x = b, or None when inconsistent.
+def solve_linear(rows, n: int):
+    """One exact solution x of A x = b as a sparse vector, or None when
+    inconsistent.  Each sparse row holds a row of A in columns 0..n-1 and
+    its entry of b in column n.
 
     Free variables are set to zero, so the returned solution is canonical.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    ech = Echelon(sparse(list(a_rows[i]) + [b[i]]) for i in range(m))
+    ech = Echelon(rows)
     if n in ech.rows:
         return None
-    x = [F0] * n
-    for p, row in ech.rows.items():
-        x[p] = row.get(n, F0)
-    return x
-
+    return {p: row[n] for p, row in ech.rows.items() if n in row}

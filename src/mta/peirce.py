@@ -47,43 +47,43 @@ from .exact import (
     add_multiple,
     dense,
     frac_str,
-    fzeros,
     parse_frac,
-    rank as mat_rank,
     scalar,
     solve_linear,
     sparse,
     strict_int,
-    unit_vector,
 )
 
 
 class Subspace:
     """Subspace of a component's coordinate space, held in reduced echelon
-    form so equal subspaces compare equal."""
+    form so equal subspaces compare equal.  Vectors are sparse: basis lists
+    the reduced rows, pivots ascending."""
 
     def __init__(self, component, ambient_dim: int, vectors=()):
         self.component = component
         self.ambient_dim = ambient_dim
         self._echelon = Echelon()
         for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("spanning vector has wrong length")
-            self._echelon.add(sparse(v))
-        self.basis, self.pivots = self._echelon.dense(ambient_dim)
+            if any(not 0 <= j < ambient_dim for j in v):
+                raise ValueError("spanning vector leaves the ambient space")
+            self._echelon.add(v)
+        self.basis = self._echelon.basis()
+        self.pivots = sorted(self._echelon.rows)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v) -> bool:
-        return not self._echelon.reduce(sparse(v))
+    def contains(self, v: dict) -> bool:
+        return not self._echelon.reduce(v)
 
-    def coords_of(self, v):
-        """Coordinates of v in the reduced basis; None when v is outside."""
+    def coords_of(self, v: dict):
+        """Sparse coordinates of v in the reduced basis; None when v is
+        outside."""
         if not self.contains(v):
             return None
-        return [scalar(v[p]) for p in self.pivots]
+        return {s: v[p] for s, p in enumerate(self.pivots) if p in v}
 
     def __eq__(self, other) -> bool:
         return (
@@ -98,38 +98,20 @@ class Subspace:
 
 
 class Algebra:
-    """Plain structure-constant algebra: struct[x][y] is the coordinate
-    vector of the product of basis elements x and y."""
+    """Plain structure-constant algebra: cells[(x, y)] is the sparse product
+    {t: coeff} of basis elements x and y, and a missing pair multiplies to
+    zero; the cells may be a PeirceAlgebra product table, so they are read
+    only.  unit, when known, is a sparse vector."""
 
-    def __init__(self, dim: int, struct: list, unit: list | None = None, label: str = ""):
+    def __init__(self, dim: int, cells: dict, unit: dict | None = None, label: str = ""):
         self.dim = dim
-        self.struct = struct  # [x][y] -> list of exact scalars
+        self.cells = cells
         self.unit = unit
         self.label = label
 
-    def mul(self, x, y):
-        out = fzeros(self.dim)
-        for a, ca in enumerate(x):
-            if not ca:
-                continue
-            row = self.struct[a]
-            for b, cb in enumerate(y):
-                if not cb:
-                    continue
-                c = ca * cb
-                for k, v in enumerate(row[b]):
-                    if v:
-                        out[k] += c * v
-        return out
-
     def is_associative(self) -> bool:
-        table = {}
-        for a, row in enumerate(self.struct):
-            for b, xy in enumerate(row):
-                cell = sparse(xy)
-                if cell:
-                    table[(a, b)] = cell
-        return _first_nonassociative_triple(table, table, table, table) is None
+        cells = self.cells
+        return _first_nonassociative_triple(cells, cells, cells, cells) is None
 
 
 def _first_nonassociative_triple(ab, xc, bc, ay):
@@ -174,63 +156,50 @@ def _nonassociative_triples(ab_rows, xc_by_x, bc_rows, ay_by_y):
 
 
 class ModuleRep:
-    """Module presented by one action matrix per algebra basis element.
+    """Module presented by the action of each algebra basis element.
 
-    side='left': matrices act by x.w = action[x] @ w, so action[x*y] must be
-    action[x] @ action[y]; side='right' composes the other way around.
+    action[b] maps each module basis element w to its sparse image, b.w on
+    side='left' and w.b on side='right'; a missing w maps to zero.  The
+    images may be cells of a PeirceAlgebra product table, so they are read
+    only.
     """
 
     def __init__(self, algebra: Algebra, dim: int, action: list, side: str = "left"):
         self.algebra = algebra
         self.dim = dim
-        self.action = action  # [basis index] -> dim x dim matrix
+        self.action = action  # [basis index] -> {w: sparse image}
         self.side = side
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         if len(self.action) != self.algebra.dim:
-            raise ValueError("need one action matrix per algebra basis element")
+            raise ValueError("need one action map per algebra basis element")
         for m in self.action:
-            if len(m) != self.dim or any(len(r) != self.dim for r in m):
-                raise ValueError("action matrix has wrong shape")
+            if any(not 0 <= j < dim for w, img in m.items() for j in (w, *img)):
+                raise ValueError("action map has wrong shape")
 
-    def matrix(self, x):
-        """Action matrix of the algebra element with coordinates x."""
-        out = [[F0] * self.dim for _ in range(self.dim)]
-        for c, xc in enumerate(x):
-            if xc:
-                for row, act_row in zip(out, self.action[c]):
-                    for j, y in enumerate(act_row):
-                        if y:
-                            row[j] += xc * y
+    def apply(self, x: dict, w: dict) -> dict:
+        """The sparse image of module vector w under algebra element x."""
+        out: dict = {}
+        for b, cb in x.items():
+            act = self.action[b]
+            for u, cu in w.items():
+                img = act.get(u)
+                if img:
+                    add_multiple(out, cb * cu, img)
         return out
 
-    def validate(self) -> list[str]:
-        """Empty list when the presentation is an honest (unital) module."""
-        problems = []
-        for x in range(self.algebra.dim):
-            for y in range(self.algebra.dim):
-                a, b = self.action[x], self.action[y]
-                composed = _mat_mul(a, b) if self.side == "left" else _mat_mul(b, a)
-                if composed != self.matrix(self.algebra.struct[x][y]):
-                    problems.append(f"action breaks the product on basis pair ({x}, {y})")
-        if self.algebra.unit is not None:
-            if self.matrix(self.algebra.unit) != [unit_vector(self.dim, i) for i in range(self.dim)]:
-                problems.append("unit does not act as the identity")
-        return problems
 
-
-def _mat_mul(a, b):
-    """Exact product of two dense matrices given as lists of rows; each row
-    of the product sums the sparse rows of b its nonzero entries pick."""
-    ncols = len(b[0]) if b else 0
-    b_rows = [sparse(r) for r in b]
-    out = []
-    for row in a:
-        acc: dict = {}
-        for k, x in enumerate(row):
-            if x:
-                add_multiple(acc, x, b_rows[k])
-        out.append(dense(acc, ncols))
+def _compose(f: dict, g: dict) -> dict:
+    """The linear map f after g; a map sends basis elements to sparse
+    images, and the result stores no empty image."""
+    out = {}
+    for w, gw in g.items():
+        img: dict = {}
+        for u, c in gw.items():
+            if u in f:
+                add_multiple(img, c, f[u])
+        if img:
+            out[w] = img
     return out
 
 
@@ -241,7 +210,8 @@ class TensorQuotient:
     Ambient vectors are sparse dicts keyed by u * dim_right + v for the pure
     tensor e_u (x) e_v.  The relations are held in an Echelon; the quotient
     coordinates are its free (non-pivot) columns, and a vector projects to
-    its canonical residual read off on those columns.
+    its canonical residual read off on those columns, as a sparse vector of
+    quotient coordinates.
     """
 
     def __init__(self, dim_left: int, dim_right: int, relations: Echelon):
@@ -250,14 +220,16 @@ class TensorQuotient:
         self.ambient_dim = dim_left * dim_right
         self.relations = relations
         self.free = [i for i in range(self.ambient_dim) if i not in relations.rows]
+        self._coord = {f: q for q, f in enumerate(self.free)}
 
     @property
     def dim(self) -> int:
         return len(self.free)
 
-    def project(self, ambient_vec: dict):
-        reduced = self.relations.reduce(ambient_vec)
-        return [reduced.get(i, F0) for i in self.free]
+    def project(self, ambient_vec: dict) -> dict:
+        # the residual vanishes at every pivot, so each key is free
+        coord = self._coord
+        return {coord[f]: x for f, x in self.relations.reduce(ambient_vec).items()}
 
     def project_tensor(self, x: dict, y: dict):
         """project of x (x) y, for sparse coordinate vectors x of the left
@@ -288,21 +260,22 @@ def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep, acting=None) -> TensorQu
     """
     if m_rep.side != "right" or n_rep.side != "left":
         raise ValueError("need a right module and a left module")
-    if m_rep.algebra.dim != n_rep.algebra.dim or m_rep.algebra.struct != n_rep.algebra.struct:
+    if m_rep.algebra.dim != n_rep.algebra.dim or m_rep.algebra.cells != n_rep.algebra.cells:
         raise ValueError("modules are not over the same algebra")
     m, n = m_rep.dim, n_rep.dim
     relations = Echelon()
+    none: dict = {}
     for b in range(m_rep.algebra.dim) if acting is None else acting:
         rb = m_rep.action[b]
         lb = n_rep.action[b]
-        m_cols = [[(p, rb[p][u]) for p in range(m) if rb[p][u]] for u in range(m)]
-        n_cols = [[(q, lb[q][v]) for q in range(n) if lb[q][v]] for v in range(n)]
-        for u, m_col in enumerate(m_cols):
-            for v, n_col in enumerate(n_cols):
+        for u in range(m):
+            m_col = rb.get(u, none)
+            for v in range(n):
+                n_col = lb.get(v, none)
                 if not m_col and not n_col:
                     continue
-                rel = {p * n + v: x for p, x in m_col}
-                for q, y in n_col:
+                rel = {p * n + v: x for p, x in m_col.items()}
+                for q, y in n_col.items():
                     rel[u * n + q] = rel.get(u * n + q, 0) - y
                 relations.add(rel)
     return TensorQuotient(m, n, relations)
@@ -348,7 +321,8 @@ class PeirceAlgebra:
         self.block_dims = None  # set by matrix_model
 
     def mul(self, i: int, j: int, k: int, x, y):
-        """Bilinear product component(i,j) x component(j,k) -> component(i,k)."""
+        """Bilinear product component(i,j) x component(j,k) -> component(i,k)
+        on dense coordinate lists."""
         return dense(self.product(i, j, k, sparse(x), sparse(y)), self.dims[i][k])
 
     def product(self, i: int, j: int, k: int, x: dict, y: dict) -> dict:
@@ -368,6 +342,7 @@ class PeirceAlgebra:
         return self._prod.get((i, j, k), {}).get((a, b), {})
 
     def mul_basis(self, i, j, k, a, b):
+        """cell as a dense coordinate list."""
         return dense(self.cell(i, j, k, a, b), self.dims[i][k])
 
     def entries(self):
@@ -381,14 +356,13 @@ class PeirceAlgebra:
         return out
 
     def corner_algebra(self) -> Algebra:
-        n = self.dims[0][0]
-        struct = [[self.mul_basis(0, 0, 0, a, b) for b in range(n)] for a in range(n)]
-        return Algebra(dim=n, struct=struct, unit=list(self.unit0), label="corner")
+        cells = self._prod.get((0, 0, 0), {})
+        return Algebra(dim=self.dims[0][0], cells=cells, unit=sparse(self.unit0), label="corner")
 
-    def diagonal_algebra(self, d: int, unit=None) -> Algebra:
-        n = self.dims[d][d]
-        struct = [[self.mul_basis(d, d, d, a, b) for b in range(n)] for a in range(n)]
-        return Algebra(dim=n, struct=struct, unit=unit, label=f"degree-{d}")
+    def diagonal_algebra(self, d: int, unit: dict | None = None) -> Algebra:
+        """component(d,d) as an Algebra; unit is a sparse vector or None."""
+        cells = self._prod.get((d, d, d), {})
+        return Algebra(dim=self.dims[d][d], cells=cells, unit=unit, label=f"degree-{d}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -436,17 +410,14 @@ class PeirceReport:
 def _component_module(p: PeirceAlgebra, alg: Algebra, i: int, j: int, side: str) -> ModuleRep:
     """component(i,j) as a module over a diagonal algebra: over component(j,j)
     acting from the right, or over component(i,i) acting from the left."""
-    n = p.dims[i][j]
-    action = [[[F0] * n for _ in range(n)] for _ in range(alg.dim)]
+    action: list = [{} for _ in range(alg.dim)]
     if side == "right":
         for (u, b), cell in p._prod.get((i, j, j), {}).items():
-            for row, x in cell.items():
-                action[b][row][u] = x
+            action[b][u] = cell
     else:
         for (b, v), cell in p._prod.get((i, i, j), {}).items():
-            for row, x in cell.items():
-                action[b][row][v] = x
-    return ModuleRep(alg, n, action, side=side)
+            action[b][v] = cell
+    return ModuleRep(alg, p.dims[i][j], action, side=side)
 
 
 def _generators(p: PeirceAlgebra, components):
@@ -659,26 +630,27 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
 class ZigZag:
     """Degree-d zig-zag algebra with its reduction to the corner.
 
-    space is component(0,d) (x)_{component(d,d)} component(d,0); product is
-    the structure tensor of (a1 (x) a2) o (b1 (x) b2) = (a1*a2*b1) (x) b2,
-    and star[q] is the corner image a1*a2 of the q-th basis element.
+    space is component(0,d) (x)_{component(d,d)} component(d,0); product
+    holds the sparse cells {(q1, q2): {q: coeff}} of (a1 (x) a2) o (b1 (x) b2)
+    = (a1*a2*b1) (x) b2, zero cells left out, and star[q] is the sparse
+    corner image a1*a2 of the q-th basis element.
     """
 
     def __init__(
-        self, parent: PeirceAlgebra, degree: int, space: TensorQuotient, product: list, star: list
+        self, parent: PeirceAlgebra, degree: int, space: TensorQuotient, product: dict, star: list
     ):
         self.parent = parent
         self.degree = degree
         self.space = space
-        self.product = product  # [q1][q2] -> coords
-        self.star = star  # [q] -> corner coords
+        self.product = product
+        self.star = star
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def as_algebra(self, unit=None) -> Algebra:
-        return Algebra(dim=self.dim, struct=self.product, unit=unit, label=f"zigzag-{self.degree}")
+        return Algebra(dim=self.dim, cells=self.product, unit=unit, label=f"zigzag-{self.degree}")
 
     def star_image(self) -> Subspace:
         return Subspace((0, 0), self.parent.dims[0][0], self.star)
@@ -707,11 +679,13 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
         [b for *_, b in _generators(p, [(d, d)])],
     )
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
-    product = [
-        [q.project(_zigzag_ambient_product(p, d, u1, v1, u2, v2)) for u2, v2 in pairs]
-        for u1, v1 in pairs
-    ]
-    star = [p.mul_basis(0, d, 0, u, v) for u, v in pairs]
+    product = {}
+    for q1, (u1, v1) in enumerate(pairs):
+        for q2, (u2, v2) in enumerate(pairs):
+            cell = q.project(_zigzag_ambient_product(p, d, u1, v1, u2, v2))
+            if cell:
+                product[(q1, q2)] = cell
+    star = [dict(p.cell(0, d, 0, u, v)) for u, v in pairs]
     return ZigZag(parent=p, degree=d, space=q, product=product, star=star)
 
 
@@ -728,15 +702,14 @@ class CheckReport:
 def action_through_A_check(z: ZigZag) -> CheckReport:
     """The zig-zag product of two elements must agree with the corner image
     of either factor acting on the other through the corner actions."""
-    p, d, q = z.parent, z.degree, z.space
-    stars = [sparse(s) for s in z.star]
+    p, d, q, stars = z.parent, z.degree, z.space, z.star
     failures = []
     checked = 0
     for q1 in range(z.dim):
         u1, v1 = q.lift_pair(q1)
         for q2 in range(z.dim):
             u2, v2 = q.lift_pair(q2)
-            prod = z.product[q1][q2]
+            prod = z.product.get((q1, q2), {})
             # right corner action of star(q2) on q1, left one of star(q1) on q2
             right_side = q.project_tensor({u1: F1}, p.product(d, 0, 0, {v1: F1}, stars[q2]))
             left_side = q.project_tensor(p.product(0, 0, d, stars[q1], {u2: F1}), {v2: F1})
@@ -746,42 +719,46 @@ def action_through_A_check(z: ZigZag) -> CheckReport:
     return CheckReport(ok=not failures, checked=checked, failures=failures)
 
 
+def _system(columns, rhs: dict, n: int) -> list:
+    """Sparse rows of the linear system sum_s x_s columns[s] = rhs in n
+    unknowns, the right-hand side in column n (see exact.solve_linear)."""
+    rows: dict = {}
+    for s, col in enumerate(columns):
+        for r, c in col.items():
+            rows.setdefault(r, {})[s] = c
+    for r, c in rhs.items():
+        rows.setdefault(r, {})[n] = c
+    return list(rows.values())
+
+
 def find_strong_identity(p: PeirceAlgebra, d: int):
     """Element of component(d,d) acting as the identity on component(0,d)
-    from the right and on component(d,0) from the left; None when no such
-    element exists.  When both edge components vanish the zero element is
-    returned (the degree-d corner is then forced to be the zero ring)."""
+    from the right and on component(d,0) from the left, as a dense vector;
+    None when no such element exists.  When both edge components vanish the
+    zero element is returned (the degree-d corner is then forced to be the
+    zero ring)."""
     na, nb, ndd = p.dims[0][d], p.dims[d][0], p.dims[d][d]
     if na == 0 and nb == 0:
-        return fzeros(ndd)
+        return [F0] * ndd
     rows = []
-    rhs = []
     for a in range(na):
-        prods = [p.mul_basis(0, d, d, a, c) for c in range(ndd)]
-        for out_coord in range(na):
-            rows.append([prods[c][out_coord] for c in range(ndd)])
-            rhs.append(F1 if out_coord == a else F0)
+        rows += _system([p.cell(0, d, d, a, c) for c in range(ndd)], {a: F1}, ndd)
     for b in range(nb):
-        prods = [p.mul_basis(d, d, 0, c, b) for c in range(ndd)]
-        for out_coord in range(nb):
-            rows.append([prods[c][out_coord] for c in range(ndd)])
-            rhs.append(F1 if out_coord == b else F0)
-    if not rows:
-        return fzeros(ndd)
-    x = solve_linear(rows, rhs)
+        rows += _system([p.cell(d, d, 0, c, b) for c in range(ndd)], {b: F1}, ndd)
+    x = solve_linear(rows, ndd)
     if x is None:
         return None
     if d != 0:
         _check_corner_square_identity(p, d, x)
-    return x
+    return dense(x, ndd)
 
 
-def _check_corner_square_identity(p: PeirceAlgebra, d: int, x):
+def _check_corner_square_identity(p: PeirceAlgebra, d: int, x: dict):
     """The combined element (unit0, x) must be a two-sided identity of the
     four-component subalgebra spanned by components (0,0), (0,d), (d,0) and
     (d,d).  This holds automatically once the axioms do; a failure means the
     input was not an honest bigraded corner algebra."""
-    unit, x = sparse(p.unit0), sparse(x)
+    unit = sparse(p.unit0)
     for i, j, left, right, message in (
         (0, 0, unit, unit, "corner unit fails inside the square subalgebra"),
         (0, d, unit, x, "identity fails on component (0,d)"),
@@ -795,7 +772,7 @@ def _check_corner_square_identity(p: PeirceAlgebra, d: int, x):
 def zd_ideal(p: PeirceAlgebra, d: int) -> Subspace:
     """Corner ideal spanned by products component(0,d) * component(d,0)."""
     vecs = [
-        p.mul_basis(0, d, 0, u, v)
+        p.cell(0, d, 0, u, v)
         for u in range(p.dims[0][d])
         for v in range(p.dims[d][0])
     ]
@@ -850,7 +827,7 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     def mul(x: dict, y: dict) -> dict:
         return p.product(0, 0, 0, x, y)
 
-    zs = [sparse(z) for z in ideal.basis]
+    zs = ideal.basis
     units = [{a: F1} for a in range(n0)]
     outside = ideal._echelon.reduce
     for ea in units:
@@ -858,45 +835,34 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
             if outside(mul(ea, z)) or outside(mul(z, ea)):
                 raise ValueError("subspace is not a two-sided ideal")
 
+    # eps = sum_s x_s zs[s] with eps * z = z * eps = z for every basis z
     t = ideal.dim
-    if t == 0:
-        epsilon = fzeros(n0)
-    else:
-        rows = []
-        rhs = []
-        for z, z_dense in zip(zs, ideal.basis):
-            left = [dense(mul(w, z), n0) for w in zs]
-            right = [dense(mul(z, w), n0) for w in zs]
-            for coord in range(n0):
-                rows.append([left[s][coord] for s in range(t)])
-                rhs.append(z_dense[coord])
-                rows.append([right[s][coord] for s in range(t)])
-                rhs.append(z_dense[coord])
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            return None
-        epsilon = fzeros(n0)
-        for s, c in enumerate(sol):
-            if c:
-                epsilon = [x + c * y for x, y in zip(epsilon, ideal.basis[s])]
+    rows = []
+    for z in zs:
+        rows += _system([mul(w, z) for w in zs], z, t)
+        rows += _system([mul(z, w) for w in zs], z, t)
+    sol = solve_linear(rows, t)
+    if sol is None:
+        return None
+    eps: dict = {}
+    for s, c in sol.items():
+        add_multiple(eps, c, zs[s])
 
-    eps = sparse(epsilon)
-    eta = sparse([u - e for u, e in zip(p.unit0, epsilon)])
+    eta = sparse(p.unit0)
+    add_multiple(eta, -1, eps)
     checks = {}
     checks["epsilon_idempotent"] = mul(eps, eps) == eps
     checks["epsilon_central"] = all(mul(eps, ea) == mul(ea, eps) for ea in units)
-    complement = Subspace((0, 0), n0, [dense(mul(ea, eta), n0) for ea in units])
+    complement = Subspace((0, 0), n0, [mul(ea, eta) for ea in units])
     checks["direct_sum"] = (
-        ideal.dim + complement.dim == n0
-        and mat_rank(list(ideal.basis) + list(complement.basis)) == n0
+        ideal.dim + complement.dim == n0 and len(Echelon(zs + complement.basis)) == n0
     )
-    ws = [sparse(w) for w in complement.basis]
     checks["cross_products_vanish"] = all(
-        not mul(z, w) and not mul(w, z) for z in zs for w in ws
+        not mul(z, w) and not mul(w, z) for z in zs for w in complement.basis
     )
-    squared = Subspace((0, 0), n0, [dense(mul(z1, z2), n0) for z1 in zs for z2 in zs])
+    squared = Subspace((0, 0), n0, [mul(z1, z2) for z1 in zs for z2 in zs])
     return IdealSplit(
-        epsilon=epsilon,
+        epsilon=dense(eps, n0),
         ideal=ideal,
         complement=complement,
         idempotent_ideal=squared == ideal,
@@ -904,36 +870,39 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     )
 
 
-def _zd_algebra(p: PeirceAlgebra, ideal: Subspace, epsilon) -> Algebra:
+def _zd_algebra(p: PeirceAlgebra, ideal: Subspace, eps: dict) -> Algebra:
     """The corner ideal as an algebra in its own reduced basis."""
-    t = ideal.dim
-    struct = []
-    for a in range(t):
-        row = []
-        for b in range(t):
-            prod = p.mul(0, 0, 0, ideal.basis[a], ideal.basis[b])
-            coords = ideal.coords_of(prod)
+    cells = {}
+    for a, za in enumerate(ideal.basis):
+        for b, zb in enumerate(ideal.basis):
+            coords = ideal.coords_of(p.product(0, 0, 0, za, zb))
             if coords is None:
                 raise ArithmeticError("ideal is not closed under the product")
-            row.append(coords)
-        struct.append(row)
-    unit = ideal.coords_of(epsilon)
+            if coords:
+                cells[(a, b)] = coords
+    unit = ideal.coords_of(eps)
     if unit is None:
         raise ArithmeticError("ideal unit lies outside the ideal")
-    return Algebra(dim=t, struct=struct, unit=unit, label="corner-ideal")
+    return Algebra(dim=ideal.dim, cells=cells, unit=unit, label="corner-ideal")
 
 
 def regular_module(p: PeirceAlgebra, d: int) -> ModuleRep:
     """component(d,d) acting on itself from the left."""
-    return _regular_module(p, d, find_strong_identity(p, d))
+    return _regular_module(p, d, _strong_identity(p, d))
 
 
 def _regular_module(p: PeirceAlgebra, d: int, sid) -> ModuleRep:
     return _component_module(p, p.diagonal_algebra(d, unit=sid), d, d, "left")
 
 
-def _require_morita_setup(p: PeirceAlgebra, d: int):
+def _strong_identity(p: PeirceAlgebra, d: int):
+    """find_strong_identity as a sparse vector, or None."""
     sid = find_strong_identity(p, d)
+    return None if sid is None else sparse(sid)
+
+
+def _require_morita_setup(p: PeirceAlgebra, d: int):
+    sid = _strong_identity(p, d)
     if sid is None:
         raise ValueError(f"no strong identity at degree {d}")
     ideal = zd_ideal(p, d)
@@ -953,8 +922,8 @@ def _induced_module(alg: Algebra, q: TensorQuotient, act) -> ModuleRep:
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
     action = []
     for t in range(alg.dim):
-        cols = [q.project_tensor(act(t, u), {w: F1}) for u, w in pairs]
-        action.append([list(row) for row in zip(*cols)])
+        images = (q.project_tensor(act(t, u), {w: F1}) for u, w in pairs)
+        action.append({qq: img for qq, img in enumerate(images) if img})
     out = ModuleRep(alg, q.dim, action, side="left")
     out.tensor_space = q
     return out
@@ -972,17 +941,16 @@ def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
         raise ValueError("expected a left module over the degree-d component")
     if w_mod.algebra.dim != p.dims[d][d]:
         raise ValueError("module is not over the degree-d component")
-    if w_mod.matrix(sid) != [unit_vector(w_mod.dim, i) for i in range(w_mod.dim)]:
+    if any(w_mod.apply(sid, {w: F1}) != {w: F1} for w in range(w_mod.dim)):
         raise ValueError("module is not unital for the strong identity")
 
     diag = p.diagonal_algebra(d)
     m_rep = _component_module(p, diag, 0, d, "right")
     q = balanced_tensor(m_rep, ModuleRep(diag, w_mod.dim, w_mod.action, side="left"))
 
-    zvecs = [sparse(z) for z in ideal.basis]
-    return _induced_module(
-        _zd_algebra(p, ideal, split.epsilon), q, lambda t, u: p.product(0, 0, d, zvecs[t], {u: F1})
-    )
+    zs = ideal.basis
+    alg = _zd_algebra(p, ideal, sparse(split.epsilon))
+    return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, zs[t], {u: F1}))
 
 
 def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
@@ -999,15 +967,15 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
         raise ValueError("module is not over the degree-d corner ideal")
 
     corner = p.corner_algebra()
-    n0 = p.dims[0][0]
+    eps = sparse(split.epsilon)
     # extend the ideal action to the whole corner through eps * a
     ext_action = []
-    for a in range(n0):
-        pa = p.mul(0, 0, 0, split.epsilon, unit_vector(n0, a))
-        coords = ideal.coords_of(pa)
+    for a in range(p.dims[0][0]):
+        coords = ideal.coords_of(p.product(0, 0, 0, eps, {a: F1}))
         if coords is None:
             raise ArithmeticError("corner projection left the ideal")
-        ext_action.append(w0_mod.matrix(coords))
+        images = (w0_mod.apply(coords, {w: F1}) for w in range(w0_mod.dim))
+        ext_action.append({w: img for w, img in enumerate(images) if img})
     w0_ext = ModuleRep(corner, w0_mod.dim, ext_action, side="left")
     q = balanced_tensor(_component_module(p, corner, d, 0, "right"), w0_ext)
 
@@ -1063,16 +1031,18 @@ def _roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> RoundtripRe
     q_in = w0.tensor_space
     q_out = w2.tensor_space
 
-    ev_cols = []
+    # the evaluation map, as the image of each basis element of w2
+    ev = {}
     for qq in range(w2.dim):
         v, inner = q_out.lift_pair(qq)
         u, wbase = q_in.lift_pair(inner)
-        ev_cols.append([row[wbase] for row in w_mod.matrix(p.mul_basis(d, 0, d, v, u))])
-    ev = [[col[row] for col in ev_cols] for row in range(w_mod.dim)]
+        image = w_mod.apply(p.cell(d, 0, d, v, u), {wbase: F1})
+        if image:
+            ev[qq] = image
 
-    bijective = w2.dim == w_mod.dim and mat_rank(ev) == w_mod.dim
+    bijective = w2.dim == w_mod.dim and len(Echelon(ev.values())) == w_mod.dim
     equivariant = all(
-        _mat_mul(ev, w2.action[c]) == _mat_mul(w_mod.action[c], ev) for c in range(p.dims[d][d])
+        _compose(ev, w2.action[c]) == _compose(w_mod.action[c], ev) for c in range(p.dims[d][d])
     )
     return RoundtripReport(
         ok=bijective and equivariant,
@@ -1136,7 +1106,7 @@ def matrix_model(blocks) -> PeirceAlgebra:
                         entries.append(
                             (i, j, k, a_pos, right_index[(b, c, c2)], out_index[(b, r, c2)], 1)
                         )
-    unit0 = fzeros(dims[0][0])
+    unit0 = [F0] * dims[0][0]
     zero_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, 0, 0))}
     for b in range(len(blocks)):
         for r in range(blocks[b][0]):
@@ -1152,15 +1122,9 @@ def matrix_model_column_module(p: PeirceAlgebra, block: int, d: int) -> ModuleRe
         raise ValueError("algebra was not built by matrix_model")
     blocks = p.block_dims
     dim = blocks[block][d]
-    sid = find_strong_identity(p, d)
-    alg = p.diagonal_algebra(d, unit=sid)
-    basis = _mm_basis(blocks, d, d)
-    action = []
-    for (b, r, c) in basis:
-        mat = [[F0] * dim for _ in range(dim)]
-        if b == block:
-            mat[r][c] = F1
-        action.append(mat)
+    alg = p.diagonal_algebra(d, unit=_strong_identity(p, d))
+    # the matrix unit E_rc of the block sends e_c to e_r
+    action = [{c: {r: F1}} if b == block else {} for b, r, c in _mm_basis(blocks, d, d)]
     return ModuleRep(alg, dim, action, side="left")
 
 

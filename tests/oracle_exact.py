@@ -10,6 +10,13 @@ the old dense `mul`/`mul_basis` methods over the stored structure constants
 of a `PeirceAlgebra`, so the validator below does not run the library's
 sparse product code.
 
+`Algebra` and `ModuleRep` are the dense presentations the library held
+before it kept only sparse cells and action maps: struct[x][y] is the dense
+product vector, and action[b] is a dense matrix whose column w is the image
+of basis element w.  They carry the old dense `mul`, `is_associative`,
+`matrix` and `validate`; `dense_algebra` and `dense_module` copy a library
+`Algebra` or `ModuleRep` into them.
+
 `zigzag_well_defined` is the brute-force check `zigzag` made before it
 relied on `validate_peirce`: every balancing relation times every pure
 tensor, on both sides, must vanish in the quotient.
@@ -35,7 +42,7 @@ from mta import peirce
 from mta.exact import add_multiple
 from mta.lattice import EvenLattice
 from mta.partitions import labeled_partition_counts
-from mta.peirce import Algebra, ModuleRep, PeirceReport
+from mta.peirce import PeirceReport
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -126,17 +133,107 @@ def solve_linear(a_rows, b):
     return x
 
 
-def is_associative(self) -> bool:
-    """Dense associativity check of a plain structure-constant Algebra."""
-    for a in range(self.dim):
-        for b in range(self.dim):
-            ab = self.struct[a][b]
-            for c in range(self.dim):
-                left = self.mul(ab, unit_vector(self.dim, c))
-                right = self.mul(unit_vector(self.dim, a), self.struct[b][c])
-                if left != right:
-                    return False
-    return True
+def mat_mul(a, b):
+    """Product of two dense matrices given as lists of rows."""
+    ncols = len(b[0]) if b else 0
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), F0) for j in range(ncols)] for row in a]
+
+
+def dense_vector(v: dict, n: int):
+    """The length-n dense vector of a sparse one."""
+    return [v.get(j, F0) for j in range(n)]
+
+
+class Algebra:
+    """Plain structure-constant algebra: struct[x][y] is the dense coordinate
+    vector of the product of basis elements x and y."""
+
+    def __init__(self, dim: int, struct: list, unit: list | None = None, label: str = ""):
+        self.dim = dim
+        self.struct = struct
+        self.unit = unit
+        self.label = label
+
+    def mul(self, x, y):
+        out = fzeros(self.dim)
+        for a, ca in enumerate(x):
+            for b, cb in enumerate(y):
+                if ca and cb:
+                    out = [o + ca * cb * v for o, v in zip(out, self.struct[a][b])]
+        return out
+
+    def is_associative(self) -> bool:
+        for a in range(self.dim):
+            for b in range(self.dim):
+                ab = self.struct[a][b]
+                for c in range(self.dim):
+                    left = self.mul(ab, unit_vector(self.dim, c))
+                    right = self.mul(unit_vector(self.dim, a), self.struct[b][c])
+                    if left != right:
+                        return False
+        return True
+
+
+class ModuleRep:
+    """Module presented by one dense action matrix per algebra basis element.
+
+    side='left': matrices act by x.w = action[x] @ w, so action[x*y] must be
+    action[x] @ action[y]; side='right' composes the other way around.
+    """
+
+    def __init__(self, algebra: Algebra, dim: int, action: list, side: str = "left"):
+        self.algebra = algebra
+        self.dim = dim
+        self.action = action
+        self.side = side
+
+    def matrix(self, x):
+        """Action matrix of the algebra element with coordinates x."""
+        out = [[F0] * self.dim for _ in range(self.dim)]
+        for c, xc in enumerate(x):
+            if xc:
+                out = [
+                    [o + xc * y for o, y in zip(row, act_row)]
+                    for row, act_row in zip(out, self.action[c])
+                ]
+        return out
+
+    def validate(self) -> list[str]:
+        """Empty list when the presentation is an honest (unital) module."""
+        problems = []
+        for x in range(self.algebra.dim):
+            for y in range(self.algebra.dim):
+                a, b = self.action[x], self.action[y]
+                composed = mat_mul(a, b) if self.side == "left" else mat_mul(b, a)
+                if composed != self.matrix(self.algebra.struct[x][y]):
+                    problems.append(f"action breaks the product on basis pair ({x}, {y})")
+        if self.algebra.unit is not None:
+            if self.matrix(self.algebra.unit) != [unit_vector(self.dim, i) for i in range(self.dim)]:
+                problems.append("unit does not act as the identity")
+        return problems
+
+
+def dense_algebra(alg) -> Algebra:
+    """A dense copy of a library Algebra (sparse cells and unit)."""
+    n = alg.dim
+    struct = [[dense_vector(alg.cells.get((a, b), {}), n) for b in range(n)] for a in range(n)]
+    unit = None if alg.unit is None else dense_vector(alg.unit, n)
+    return Algebra(n, struct, unit, alg.label)
+
+
+def dense_map(images: dict, n: int):
+    """The dense n x n matrix of a linear map given as {w: sparse image}."""
+    out = [[F0] * n for _ in range(n)]
+    for w, img in images.items():
+        for r, x in img.items():
+            out[r][w] = x
+    return out
+
+
+def dense_module(rep) -> ModuleRep:
+    """A dense copy of a library ModuleRep (sparse action maps)."""
+    action = [dense_map(images, rep.dim) for images in rep.action]
+    return ModuleRep(dense_algebra(rep.algebra), rep.dim, action, rep.side)
 
 
 class DenseProducts:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from mta.cli import main as cli_main
+from mta.exact import add_multiple
 from mta.heisenberg import (
     pairing_matrix,
     rank_certificate,
@@ -164,22 +165,20 @@ def test_acceptance_5_zigzag_laws(announce):
                 assert find_strong_identity(p, d) is not None
                 z = zigzag(p, d)
                 assert z.as_algebra().is_associative()
-                corner = p.corner_algebra()
+                # the corner reduction is a homomorphism: star(x o y) = star(x) star(y)
                 for q1 in range(z.dim):
                     for q2 in range(z.dim):
-                        prod = z.product[q1][q2]
-                        image = [
-                            sum((prod[t] * z.star[t][r] for t in range(z.dim)), F0)
-                            for r in range(n0)
-                        ]
-                        assert corner.mul(z.star[q1], z.star[q2]) == image
+                        image: dict = {}
+                        for t, c in z.product.get((q1, q2), {}).items():
+                            add_multiple(image, c, z.star[t])
+                        assert p.product(0, 0, 0, z.star[q1], z.star[q2]) == image
                 assert action_through_A_check(z).ok
                 ideal = zd_ideal(p, d)
                 squared = Subspace(
                     (0, 0),
                     n0,
                     [
-                        p.mul(0, 0, 0, z1, z2)
+                        p.product(0, 0, 0, z1, z2)
                         for z1 in ideal.basis
                         for z2 in ideal.basis
                     ],

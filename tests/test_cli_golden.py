@@ -60,6 +60,10 @@ CASES = {
     ),
     "peirce_zigzag_0": (("peirce", "zigzag", "--algebra", "{mm12.json}", "--degree", "0"), 0),
     "peirce_zigzag_1": (("peirce", "zigzag", "--algebra", "{mm12.json}", "--degree", "1"), 0),
+    "peirce_zigzag_zero_product": (
+        ("peirce", "zigzag", "--algebra", "{idempotents3.json}", "--degree", "1"),
+        0,
+    ),
     "peirce_zigzag_perturbed": (
         ("peirce", "zigzag", "--algebra", "{mm22_perturbed.json}", "--degree", "0"),
         1,

@@ -13,6 +13,19 @@ from mta.exact import Echelon, dense, sparse
 entry = st.integers(min_value=-3, max_value=3)
 
 
+def solve(rows, b, n):
+    """exact.solve_linear on the dense system rows x = b in n unknowns,
+    its solution made dense again."""
+    x = exact.solve_linear([sparse(list(r) + [c]) for r, c in zip(rows, b)], n)
+    return None if x is None else dense(x, n)
+
+
+def oracle_solve(rows, b, n):
+    """oracle.solve_linear, which reads the number of unknowns off the
+    first row, so a system without rows gets the zero solution here."""
+    return oracle.solve_linear(rows, b) if rows else [0] * n
+
+
 @st.composite
 def matrices(draw):
     """Small integer matrices padded with duplicate, zero and dependent rows,
@@ -46,23 +59,35 @@ def test_kernel_matches_dense_rref(mat, vec, rhs):
     expected = oracle.rref(rows)
     assert exact.rref(rows) == expected
     assert Echelon(map(sparse, rows)).dense(ncols) == expected
-    assert exact.rank(rows) == oracle.rank(rows)
+    assert len(Echelon(map(sparse, rows))) == oracle.rank(rows)
     red, pivots = expected
     residual = oracle.reduce_vector(red, pivots, v)
     assert dense(Echelon(map(sparse, rows)).reduce(sparse(v)), ncols) == residual
     assert exact.reduce_vector(red, pivots, v) == residual
     b = rhs[: len(rows)]
-    assert exact.solve_linear(rows, b) == oracle.solve_linear(rows, b)
+    assert solve(rows, b, ncols) == oracle_solve(rows, b, ncols)
     # a right-hand side in the column space is always consistent
     b = [sum(x * y for x, y in zip(r, v)) for r in rows]
-    x = exact.solve_linear(rows, b)
-    assert x is not None and x == oracle.solve_linear(rows, b)
+    x = solve(rows, b, ncols)
+    assert x is not None and x == oracle_solve(rows, b, ncols)
 
 
 def test_solve_linear_inconsistent():
-    assert exact.solve_linear([[1, 1], [2, 2]], [1, 3]) is None
+    assert exact.solve_linear([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 3}], 2) is None
     assert oracle.solve_linear([[1, 1], [2, 2]], [1, 3]) is None
-    assert exact.solve_linear([[1, 1], [2, 2]], [1, 2]) == [Fraction(1), Fraction(0)]
+    assert exact.solve_linear([{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 2}], 2) == {0: 1}
+    # a zero row with a nonzero right-hand side
+    assert exact.solve_linear([{0: 1}, {1: 5}], 1) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(entry, max_size=5))
+def test_solve_linear_with_zero_unknowns(b):
+    """With no unknowns a system is consistent exactly when b is zero, and
+    its one solution is the empty vector."""
+    rows = [[] for _ in b]
+    assert solve(rows, b, 0) == oracle.solve_linear(rows, b)
+    assert (exact.solve_linear([sparse([c]) for c in b], 0) is None) == any(b)
 
 
 def test_echelon_add_reports_dependence():
@@ -105,9 +130,9 @@ def test_integer_kernel_is_exact_and_normal(mat, rhs):
     assert (reduced, pivots) == oracle.rref(rows)
     assert all(_normal(row) for row in reduced)
     b = rhs[: len(rows)]
-    x = exact.solve_linear(rows, b)
-    assert x == oracle.solve_linear(rows, b)
-    assert x is None or _normal(x)
+    x = exact.solve_linear([sparse(r + [c]) for r, c in zip(rows, b)], ncols)
+    assert (x if x is None else dense(x, ncols)) == oracle_solve(rows, b, ncols)
+    assert x is None or _normal(x.values())
 
 
 def test_scalar_normal_form():

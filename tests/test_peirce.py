@@ -124,7 +124,7 @@ def test_mutated_model_fails_validation():
         ), case
         for d in range(bad.max_degree + 1):
             alg = bad.diagonal_algebra(d)
-            assert alg.is_associative() == oracle.is_associative(alg)
+            assert alg.is_associative() == oracle.dense_algebra(alg).is_associative()
         cases += 1
     assert cases == 324
 
@@ -159,7 +159,9 @@ def test_balanced_tensor_matches_dense_build(monkeypatch):
     """Every balanced tensor built on the acceptance fixtures has the free
     coordinates, reduced relations and projection of the dense build, which
     makes a relation for every basis element of the acting algebra; some of
-    them were built from the relations of a generating set only."""
+    them were built from the relations of a generating set only.  The
+    sparse projection of every unit vector and of one dense ambient vector
+    is the dense one."""
     calls = []
     proper = []  # acting sets smaller than the basis of the acting algebra
 
@@ -184,16 +186,18 @@ def test_balanced_tensor_matches_dense_build(monkeypatch):
     assert proper
     seen = set()
     for m_rep, n_rep, q in calls:
-        key = repr((m_rep.algebra.struct, m_rep.action, n_rep.action))
+        key = repr((m_rep.algebra.cells, m_rep.action, n_rep.action))
         if key in seen:
             continue
         seen.add(key)
-        dq = oracle.balanced_tensor(m_rep, n_rep)
+        dq = oracle.balanced_tensor(oracle.dense_module(m_rep), oracle.dense_module(n_rep))
         assert q.free == dq.free
         assert q.relations.dense(q.ambient_dim) == (dq.rel_basis, dq.rel_pivots)
         for f in range(q.ambient_dim):
             e = oracle.unit_vector(q.ambient_dim, f)
-            assert q.project({f: F1}) == dq.project(e)
+            assert exact.dense(q.project({f: F1}), q.dim) == dq.project(e)
+        v = [Fraction(f % 5 - 2, f % 3 + 1) for f in range(q.ambient_dim)]
+        assert exact.dense(q.project(exact.sparse(v)), q.dim) == dq.project(v)
 
 
 def test_json_round_trip():
@@ -215,16 +219,14 @@ def test_balanced_tensor_collapses_to_corner_dim():
 def test_zigzag_product_matches_corner():
     p = matrix_model([[1, 2], [1, 1]])
     z = zigzag(p, 1)
-    corner = p.corner_algebra()
+    assert z.product
     # the corner reduction is a homomorphism onto its image
     for q1 in range(z.dim):
         for q2 in range(z.dim):
-            left = corner.mul(z.star[q1], z.star[q2])
-            prod = z.product[q1][q2]
-            right = [
-                sum((prod[t] * z.star[t][r] for t in range(z.dim)), F0)
-                for r in range(p.dims[0][0])
-            ]
+            left = p.product(0, 0, 0, z.star[q1], z.star[q2])
+            right: dict = {}
+            for t, c in z.product.get((q1, q2), {}).items():
+                exact.add_multiple(right, c, z.star[t])
             assert left == right
 
 
@@ -247,6 +249,79 @@ def test_action_through_corner():
 def test_zigzag_associative():
     z = zigzag(matrix_model([[1, 2], [1, 1]]), 1)
     assert z.as_algebra().is_associative()
+
+
+def idempotent_family(n):
+    """Corner k^n of orthogonal idempotents e_i, edges v_i of (1,0) and u_i
+    of (0,1) with v_i e_i = v_i, e_i u_i = u_i and v_i u_i = w_i of (1,1);
+    every other product, u v among them, is zero: 4n products."""
+    components = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1))
+    entries = [(i, j, k, a, a, a, 1) for a in range(n) for i, j, k in components]
+    return PeirceAlgebra(1, [[n, n], [n, n]], entries, [1] * n)
+
+
+def test_zero_product_zigzag():
+    """component(1,1) acts by zero on the edges of the idempotent family, so
+    the degree-1 quotient keeps all n^2 pure tensors, and u v = 0 makes
+    every zig-zag product, every corner image and the corner ideal zero."""
+    p = idempotent_family(3)
+    assert validate_peirce(p).ok
+    z = zigzag(p, 1)
+    assert z.dim == 9 and z.product == {} and z.star == [{}] * 9
+    assert z.as_algebra().is_associative() and action_through_A_check(z).ok
+    split = ideal_unit_and_split(p, zd_ideal(p, 1))
+    assert split.ok and split.ideal.dim == 0 and split.epsilon == [0, 0, 0]
+
+
+def _sparse_map(mat):
+    """{w: sparse column w} of a dense square matrix, zero columns left out."""
+    cols = {w: exact.sparse([row[w] for row in mat]) for w in range(len(mat))}
+    return {w: col for w, col in cols.items() if col}
+
+
+small = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+
+
+@st.composite
+def presentations(draw):
+    """k, then one dense action matrix per basis element of a k-dimensional
+    algebra for a right module and for a left module, honest or not."""
+    k = draw(st.integers(1, 3))
+
+    def mats(dim):
+        return [[[draw(small) for _ in range(dim)] for _ in range(dim)] for _ in range(k)]
+
+    return k, mats(draw(st.integers(0, 3))), mats(draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(), st.data())
+def test_sparse_module_kernels_match_dense(pres, data):
+    """ModuleRep.apply, _compose and the projection of balanced_tensor on
+    random presentations against the dense oracle: the matrix product, and
+    the dense build with every relation reduced at once."""
+    k, m_mats, n_mats = pres
+    m, n = len(m_mats[0]), len(n_mats[0])
+    alg, dalg = peirce.Algebra(k, {}), oracle.Algebra(k, [])
+    m_rep = peirce.ModuleRep(alg, m, [_sparse_map(a) for a in m_mats], "right")
+    n_rep = peirce.ModuleRep(alg, n, [_sparse_map(a) for a in n_mats], "left")
+    dense_n = oracle.ModuleRep(dalg, n, n_mats, "left")
+
+    x = data.draw(st.lists(small, min_size=k, max_size=k))
+    w = data.draw(st.lists(small, min_size=n, max_size=n))
+    image = oracle.mat_mul(dense_n.matrix(x), [[c] for c in w])
+    # explicit zeros in the arguments are harmless
+    applied = n_rep.apply(dict(enumerate(x)), dict(enumerate(w)))
+    assert exact.dense(applied, n) == [r[0] for r in image]
+    for a, b in ((n_mats[0], n_mats[-1]), (m_mats[-1], m_mats[0])):
+        composed = peirce._compose(_sparse_map(a), _sparse_map(b))
+        assert oracle.dense_map(composed, len(a)) == oracle.mat_mul(a, b)
+
+    q = balanced_tensor(m_rep, n_rep)
+    dq = oracle.balanced_tensor(oracle.ModuleRep(dalg, m, m_mats, "right"), dense_n)
+    assert q.free == dq.free
+    v = data.draw(st.lists(small, min_size=m * n, max_size=m * n))
+    assert exact.dense(q.project(exact.sparse(v)), q.dim) == dq.project(v)
 
 
 def test_find_strong_identity_matrix_model():
@@ -335,7 +410,7 @@ def test_ideal_split_rejects_non_ideal():
     p = matrix_model([[1, 1], [1, 0]])
     # the span of the second block's corner unit alone is an ideal; a random
     # diagonal line mixing the blocks is not
-    bad = Subspace((0, 0), 2, [[F1, F1]])
+    bad = Subspace((0, 0), 2, [{0: F1, 1: F1}])
     with pytest.raises(ValueError):
         ideal_unit_and_split(p, bad)
 
@@ -352,7 +427,7 @@ def test_column_module_roundtrips():
     for block in range(2):
         for d in range(p.max_degree + 1):
             w = matrix_model_column_module(p, block, d)
-            assert w.validate() == []
+            assert oracle.dense_module(w).validate() == []
             report = verify_roundtrip(p, d, w)
             assert report.ok, (block, d, report)
 

@@ -87,19 +87,21 @@ def test_frozen_validation_still_runs():
 
 
 def test_result_holders_keep_their_constructors():
-    alg = Algebra(1, [[[1]]])
-    assert (alg.dim, alg.struct, alg.unit, alg.label) == (1, [[[1]]], None, "")
-    alg = Algebra(dim=1, struct=[[[1]]], unit=[1], label="k")
-    assert (alg.unit, alg.label) == ([1], "k")
-    mod = ModuleRep(alg, 1, [[[1]]])
+    alg = Algebra(1, {(0, 0): {0: 1}})
+    assert (alg.dim, alg.cells, alg.unit, alg.label) == (1, {(0, 0): {0: 1}}, None, "")
+    alg = Algebra(dim=1, cells={(0, 0): {0: 1}}, unit={0: 1}, label="k")
+    assert (alg.unit, alg.label) == ({0: 1}, "k")
+    mod = ModuleRep(alg, 1, [{0: {0: 1}}])
     assert mod.side == "left"
-    assert ModuleRep(algebra=alg, dim=1, action=[[[1]]], side="right").side == "right"
+    assert ModuleRep(algebra=alg, dim=1, action=[{0: {0: 1}}], side="right").side == "right"
     with pytest.raises(ValueError, match="side"):
-        ModuleRep(alg, 1, [[[1]]], "up")
-    with pytest.raises(ValueError, match="one action matrix"):
+        ModuleRep(alg, 1, [{0: {0: 1}}], "up")
+    with pytest.raises(ValueError, match="one action map"):
         ModuleRep(alg, 1, [])
     with pytest.raises(ValueError, match="wrong shape"):
-        ModuleRep(alg, 2, [[[1]]])
+        ModuleRep(alg, 1, [{1: {0: 1}}])
+    with pytest.raises(ValueError, match="wrong shape"):
+        ModuleRep(alg, 1, [{0: {1: 1}}])
 
     first = PeirceReport(True, None, {})
     second = PeirceReport(ok=True, first_violation=None, axioms={})
@@ -128,11 +130,13 @@ def test_result_holders_keep_their_constructors():
         "bijective": True,
         "equivariant": True,
     }
-    ideal = Subspace((0, 0), 1, [[1]])
+    with pytest.raises(ValueError, match="leaves the ambient space"):
+        Subspace((0, 0), 1, [{1: 1}])
+    ideal = Subspace((0, 0), 1, [{0: 1}])
     split = IdealSplit([1], ideal, Subspace((0, 0), 1), True, {"central": True})
     assert split.ok and split.to_json()["complement_dim"] == 0
-    z = ZigZag(parent=None, degree=0, space=None, product=[], star=[])
-    assert (z.degree, z.product, z.star) == (0, [], [])
+    z = ZigZag(parent=None, degree=0, space=None, product={}, star=[])
+    assert (z.degree, z.product, z.star) == (0, {}, [])
     assert vars(RunConfig()) == {"format": "json", "unsafe_no_limits": False, "seed": 0}
     config = RunConfig("text", True, 3)
     assert vars(config) == {"format": "text", "unsafe_no_limits": True, "seed": 3}
