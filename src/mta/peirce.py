@@ -83,7 +83,7 @@ class Subspace:
         outside."""
         if not self.contains(v):
             return None
-        return {s: v[p] for s, p in enumerate(self.pivots) if p in v}
+        return {s: scalar(v[p]) for s, p in enumerate(self.pivots) if v.get(p)}
 
     def __eq__(self, other) -> bool:
         return (
@@ -737,9 +737,15 @@ def find_strong_identity(p: PeirceAlgebra, d: int):
     None when no such element exists.  When both edge components vanish the
     zero element is returned (the degree-d corner is then forced to be the
     zero ring)."""
+    x = _strong_identity(p, d)
+    return None if x is None else dense(x, p.dims[d][d])
+
+
+def _strong_identity(p: PeirceAlgebra, d: int):
+    """find_strong_identity as a sparse vector, or None."""
     na, nb, ndd = p.dims[0][d], p.dims[d][0], p.dims[d][d]
     if na == 0 and nb == 0:
-        return [F0] * ndd
+        return {}
     rows = []
     for a in range(na):
         rows += _system([p.cell(0, d, d, a, c) for c in range(ndd)], {a: F1}, ndd)
@@ -750,7 +756,7 @@ def find_strong_identity(p: PeirceAlgebra, d: int):
         return None
     if d != 0:
         _check_corner_square_identity(p, d, x)
-    return dense(x, ndd)
+    return x
 
 
 def _check_corner_square_identity(p: PeirceAlgebra, d: int, x: dict):
@@ -820,34 +826,16 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     Returns None when the ideal has no internal unit.  Raises when the input
     subspace is not a two-sided ideal.
     """
+    eps = _ideal_unit(p, ideal)
+    if eps is None:
+        return None
     n0 = p.dims[0][0]
-    if ideal.component != (0, 0) or ideal.ambient_dim != n0:
-        raise ValueError("ideal must live in the corner component")
 
     def mul(x: dict, y: dict) -> dict:
         return p.product(0, 0, 0, x, y)
 
     zs = ideal.basis
     units = [{a: F1} for a in range(n0)]
-    outside = ideal._echelon.reduce
-    for ea in units:
-        for z in zs:
-            if outside(mul(ea, z)) or outside(mul(z, ea)):
-                raise ValueError("subspace is not a two-sided ideal")
-
-    # eps = sum_s x_s zs[s] with eps * z = z * eps = z for every basis z
-    t = ideal.dim
-    rows = []
-    for z in zs:
-        rows += _system([mul(w, z) for w in zs], z, t)
-        rows += _system([mul(z, w) for w in zs], z, t)
-    sol = solve_linear(rows, t)
-    if sol is None:
-        return None
-    eps: dict = {}
-    for s, c in sol.items():
-        add_multiple(eps, c, zs[s])
-
     eta = sparse(p.unit0)
     add_multiple(eta, -1, eps)
     checks = {}
@@ -868,6 +856,39 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
         idempotent_ideal=squared == ideal,
         checks=checks,
     )
+
+
+def _ideal_unit(p: PeirceAlgebra, ideal: Subspace):
+    """The internal unit eps of a two-sided corner ideal as a sparse vector,
+    or None when it has none; raises when the subspace is not a two-sided
+    corner ideal."""
+    n0 = p.dims[0][0]
+    if ideal.component != (0, 0) or ideal.ambient_dim != n0:
+        raise ValueError("ideal must live in the corner component")
+
+    def mul(x: dict, y: dict) -> dict:
+        return p.product(0, 0, 0, x, y)
+
+    zs = ideal.basis
+    outside = ideal._echelon.reduce
+    for a in range(n0):
+        for z in zs:
+            if outside(mul({a: F1}, z)) or outside(mul(z, {a: F1})):
+                raise ValueError("subspace is not a two-sided ideal")
+
+    # eps = sum_s x_s zs[s] with eps * z = z * eps = z for every basis z
+    t = ideal.dim
+    rows = []
+    for z in zs:
+        rows += _system([mul(w, z) for w in zs], z, t)
+        rows += _system([mul(z, w) for w in zs], z, t)
+    sol = solve_linear(rows, t)
+    if sol is None:
+        return None
+    eps: dict = {}
+    for s, c in sol.items():
+        add_multiple(eps, c, zs[s])
+    return eps
 
 
 def _zd_algebra(p: PeirceAlgebra, ideal: Subspace, eps: dict) -> Algebra:
@@ -895,21 +916,15 @@ def _regular_module(p: PeirceAlgebra, d: int, sid) -> ModuleRep:
     return _component_module(p, p.diagonal_algebra(d, unit=sid), d, d, "left")
 
 
-def _strong_identity(p: PeirceAlgebra, d: int):
-    """find_strong_identity as a sparse vector, or None."""
-    sid = find_strong_identity(p, d)
-    return None if sid is None else sparse(sid)
-
-
 def _require_morita_setup(p: PeirceAlgebra, d: int):
     sid = _strong_identity(p, d)
     if sid is None:
         raise ValueError(f"no strong identity at degree {d}")
     ideal = zd_ideal(p, d)
-    split = ideal_unit_and_split(p, ideal)
-    if split is None:
+    eps = _ideal_unit(p, ideal)
+    if eps is None:
         raise ValueError(f"degree-{d} corner ideal has no internal unit")
-    return sid, ideal, split
+    return sid, ideal, eps
 
 
 def _induced_module(alg: Algebra, q: TensorQuotient, act) -> ModuleRep:
@@ -936,7 +951,7 @@ def morita_forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> ModuleRep:
 
 
 def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
-    sid, ideal, split = setup
+    sid, ideal, eps = setup
     if w_mod.side != "left":
         raise ValueError("expected a left module over the degree-d component")
     if w_mod.algebra.dim != p.dims[d][d]:
@@ -949,7 +964,7 @@ def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
     q = balanced_tensor(m_rep, ModuleRep(diag, w_mod.dim, w_mod.action, side="left"))
 
     zs = ideal.basis
-    alg = _zd_algebra(p, ideal, sparse(split.epsilon))
+    alg = _zd_algebra(p, ideal, eps)
     return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, zs[t], {u: F1}))
 
 
@@ -960,14 +975,13 @@ def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
 
 
 def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
-    sid, ideal, split = setup
+    sid, ideal, eps = setup
     if w0_mod.side != "left":
         raise ValueError("expected a left module over the corner ideal")
     if w0_mod.algebra.dim != ideal.dim:
         raise ValueError("module is not over the degree-d corner ideal")
 
     corner = p.corner_algebra()
-    eps = sparse(split.epsilon)
     # extend the ideal action to the whole corner through eps * a
     ext_action = []
     for a in range(p.dims[0][0]):

@@ -453,8 +453,8 @@ def test_morita_command_solves_for_the_strong_identity_once(monkeypatch):
         calls.append(d)
         return real(p, d)
 
-    real = peirce.find_strong_identity
-    monkeypatch.setattr(peirce, "find_strong_identity", counting)
+    real = peirce._strong_identity
+    monkeypatch.setattr(peirce, "_strong_identity", counting)
     p = matrix_model([[1, 2], [1, 1]])
     for d in range(p.max_degree + 1):
         expected = verify_roundtrip(p, d, regular_module(p, d)).to_json()

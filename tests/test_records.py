@@ -132,8 +132,14 @@ def test_result_holders_keep_their_constructors():
     }
     with pytest.raises(ValueError, match="leaves the ambient space"):
         Subspace((0, 0), 1, [{1: 1}])
+    # explicit zeros and integral Fractions come back canonical
+    plane = Subspace((0, 0), 2, [{0: 1, 1: 0}])
+    assert plane.basis == [{0: 1}]
+    assert plane.coords_of({0: 0, 1: 0}) == {} and plane.coords_of({1: 1}) is None
+    coords = plane.coords_of({0: Fraction(4, 2), 1: 0})
+    assert coords == {0: 2} and type(coords[0]) is int
     ideal = Subspace((0, 0), 1, [{0: 1}])
-    split = IdealSplit([1], ideal, Subspace((0, 0), 1), True, {"central": True})
+    split =IdealSplit([1], ideal, Subspace((0, 0), 1), True, {"central": True})
     assert split.ok and split.to_json()["complement_dim"] == 0
     z = ZigZag(parent=None, degree=0, space=None, product={}, star=[])
     assert (z.degree, z.product, z.star) == (0, {}, [])
