@@ -56,8 +56,10 @@ MAX_LATTICE_LEVEL = 100
 MAX_ALGEBRA_DIM = 128
 MAX_BALANCING_RELATIONS = 2**22
 MAX_ALGEBRA_PRODUCTS = 32768
-# The associativity check costs one multiply-add per pair of stored cells it
-# chains (see _associativity_work), about 0.5 us each with small integers: a
+# The cap bounds the full associativity call, the one that runs over every
+# middle factor after a generator fails Light's test (Light's test itself
+# does less).  It costs one multiply-add per pair of stored cells it chains
+# (see _associativity_work), about 0.5 us each with small integers: a
 # dense dims [[21]] corner, every product holding every basis element, makes
 # 8.2 M and validates in 3.2 to 4.6 s; dense dims [[32]] makes 67 M and took
 # 24 s.  The fixtures stay far below: heisenberg_truncation(1, 5) makes 0.26 M.
@@ -168,7 +170,8 @@ class RunConfig:
 
 
 def _associativity_work(products) -> int:
-    """Multiply-adds the associativity check makes on an entry list.
+    """Multiply-adds of the full associativity call on an entry list: the
+    peirce._first_nonassociative call with no middle, when it runs to the end.
 
     (ab)c chains each entry of (i,j,k) with output x to every entry of
     (i,k,l) with left factor x, and a(bc) chains each entry of (j,k,l) with

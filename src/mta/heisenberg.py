@@ -32,7 +32,7 @@ from math import comb, perm
 from typing import NamedTuple
 
 from ._frozen import Frozen
-from .exact import add_multiple, frac_str, parse_frac, scalar
+from .exact import add_multiple, frac_str, parse_frac, scalar, strict_int
 from .partitions import (
     LabeledPartition,
     enumerate_labeled_partitions,
@@ -268,9 +268,9 @@ class ModeElement:
         el = cls(rank)
         for term in data:
             w = NormalWord.build(
-                [Mode(g, a) for g, a in term["creators"]],
-                [int(g) for g in term["zeros"]],
-                [Mode(g, a) for g, a in term["annihilators"]],
+                [Mode(strict_int(g), strict_int(a)) for g, a in term["creators"]],
+                [strict_int(g) for g in term["zeros"]],
+                [Mode(strict_int(g), strict_int(a)) for g, a in term["annihilators"]],
             )
             c = parse_frac(term["coeff"])
             if c:

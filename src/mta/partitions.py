@@ -23,7 +23,7 @@ class Partition(Frozen):
     def __init__(self, parts: tuple[int, ...] = ()):
         object.__setattr__(self, "parts", parts)
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
             raise ValueError(f"parts must be non-increasing, got {self.parts}")
@@ -94,7 +94,7 @@ class LabeledPartition(Frozen):
 
     @classmethod
     def from_json(cls, data) -> "LabeledPartition":
-        return cls(tuple(Partition(tuple(int(p) for p in s)) for s in data))
+        return cls(tuple(Partition(tuple(s)) for s in data))
 
     def __repr__(self) -> str:
         return "(" + "|".join(repr(s) for s in self.slots) + ")"

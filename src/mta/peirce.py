@@ -26,9 +26,10 @@ Two shortcuts rest on a generating set S of basis elements (_generators).
 Associativity is checked by Light's test (Clifford and Preston, The
 Algebraic Theory of Semigroups I, 1961, section 1.2): the elements s with
 (x s) y = x (s y) for all x, y form a subspace closed under products, since
-(x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so it is enough that
-every s in S passes.  When one fails, the full scan over all basis triples
-runs instead and names the first failing triple, as it always has.  And once
+for a, b in it (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so it
+is enough that every s in S passes.  When one fails, the check runs again
+over every middle factor and names the first failing triple; both runs, and
+Algebra.is_associative, are one kernel, _first_nonassociative.  And once
 associativity holds, balancing relations come from the generators of the
 acting algebra only: for honest modules (m.bb') (x) n - m (x) (bb').n is
 R_b'(m.b, n) + R_b(m, b'.n), so the span of the relations, and the
@@ -110,49 +111,52 @@ class Algebra:
         self.label = label
 
     def is_associative(self) -> bool:
-        cells = self.cells
-        return _first_nonassociative_triple(cells, cells, cells, cells) is None
+        return _first_nonassociative({(0, 0, 0): self.cells}, 0) is None
 
 
-def _first_nonassociative_triple(ab, xc, bc, ay):
-    """Smallest basis triple (a, b, c) with (ab)c != a(bc), or None.
-
-    The tables map basis pairs to sparse product cells {(x, y): {t: coeff}}
-    for the four products a*b, x*c, b*c and a*y.  Both trilinear tensors are
-    built from the stored cells only; a triple missing from both sides is
-    zero on both, so every basis triple is still checked.
-    """
-    return min(
-        _nonassociative_triples(ab.items(), _by_factor(xc, 0), bc.items(), _by_factor(ay, 1)),
-        default=None,
-    )
-
-
-def _by_factor(table, pos: int) -> dict:
-    """The entries ((u, v), cell) of a product table grouped by u (pos 0)
-    or by v (pos 1)."""
+def _by_factor(table: dict, pos: int) -> dict:
+    """A product table {(u, v): cell} grouped as {u: {v: cell}} (pos 0) or
+    as {v: {u: cell}} (pos 1)."""
     out: dict = {}
     for key, cell in table.items():
-        out.setdefault(key[pos], []).append((key, cell))
+        out.setdefault(key[pos], {})[key[1 - pos]] = cell
     return out
 
 
-def _nonassociative_triples(ab_rows, xc_by_x, bc_rows, ay_by_y):
-    """The triples (a, b, c) with (ab)c != a(bc) among the entries
-    ((a, b), cell) of ab_rows and ((b, c), cell) of bc_rows; xc_by_x and
-    ay_by_y are the x*c and a*y tables grouped by x and by y."""
-    left: dict[tuple, dict] = {}
-    for (a, b), cell in ab_rows:
-        for x, cx in cell.items():
-            for (_, c), out in xc_by_x.get(x, ()):
-                add_multiple(left.setdefault((a, b, c), {}), cx, out)
-    right: dict[tuple, dict] = {}
-    for (b, c), cell in bc_rows:
-        for y, cy in cell.items():
-            for (a, _), out in ay_by_y.get(y, ()):
-                add_multiple(right.setdefault((a, b, c), {}), cy, out)
-    empty: dict = {}
-    return (t for t in left.keys() | right.keys() if left.get(t, empty) != right.get(t, empty))
+def _first_nonassociative(tables: dict, max_degree: int, middle=None):
+    """The first (i, j, k, l, a, b, c) with (ab)c != a(bc), in that order,
+    or None.
+
+    tables maps (i, j, k) to the product table {(a, b): cell} of component
+    (i,j) by component (j,k); a missing table or pair multiplies to zero.
+    Both trilinear tensors are built from the stored cells only, and a
+    triple missing from both sides is zero on both, so every basis triple
+    is checked.  middle, when given, maps (j, k) to the basis elements b of
+    component (j,k) to check, a generating set for Light's test (see the
+    module docstring); a component it leaves out is not checked.
+    """
+    groups = {(ijk, pos): _by_factor(t, pos) for ijk, t in tables.items() for pos in (0, 1)}
+    none: dict = {}
+    for i, j, k, l in itertools.product(range(max_degree + 1), repeat=4):
+        ab = groups.get(((i, j, k), 1), none)  # {b: {a: cell}}
+        bc = groups.get(((j, k, l), 0), none)  # {b: {c: cell}}
+        xc = groups.get(((i, k, l), 0), none)  # {x: {c: cell}}
+        ay = groups.get(((i, j, l), 1), none)  # {y: {a: cell}}
+        left: dict = {}
+        right: dict = {}
+        for b in (ab.keys() | bc.keys()) if middle is None else middle.get((j, k), ()):
+            for a, cell in ab.get(b, none).items():
+                for x, cx in cell.items():
+                    for c, out in xc.get(x, none).items():
+                        add_multiple(left.setdefault((a, b, c), {}), cx, out)
+            for c, cell in bc.get(b, none).items():
+                for y, cy in cell.items():
+                    for a, out in ay.get(y, none).items():
+                        add_multiple(right.setdefault((a, b, c), {}), cy, out)
+        bad = [t for t in left.keys() | right.keys() if left.get(t, none) != right.get(t, none)]
+        if bad:
+            return (i, j, k, l, *min(bad))
+    return None
 
 
 class ModuleRep:
@@ -410,19 +414,16 @@ class PeirceReport:
 def _component_module(p: PeirceAlgebra, alg: Algebra, i: int, j: int, side: str) -> ModuleRep:
     """component(i,j) as a module over a diagonal algebra: over component(j,j)
     acting from the right, or over component(i,i) acting from the left."""
-    action: list = [{} for _ in range(alg.dim)]
     if side == "right":
-        for (u, b), cell in p._prod.get((i, j, j), {}).items():
-            action[b][u] = cell
+        by_b = _by_factor(p._prod.get((i, j, j), {}), 1)
     else:
-        for (b, v), cell in p._prod.get((i, i, j), {}).items():
-            action[b][v] = cell
-    return ModuleRep(alg, p.dims[i][j], action, side=side)
+        by_b = _by_factor(p._prod.get((i, i, j), {}), 0)
+    return ModuleRep(alg, p.dims[i][j], [by_b.get(b, {}) for b in range(alg.dim)], side=side)
 
 
-def _generators(p: PeirceAlgebra, components):
-    """Yield (i, j, b) for basis elements e_b of component (i,j) that
-    generate the given components.
+def _generators(p: PeirceAlgebra, components) -> dict:
+    """{(i, j): [b, ...]}: basis elements e_b of each given component (i,j),
+    ascending, that together generate the given components.
 
     Walks the components in sorted order and each one's basis in order,
     keeping e_b when it lies outside U, the span of the kept elements
@@ -432,8 +433,7 @@ def _generators(p: PeirceAlgebra, components):
     elements generate; in general it lies inside that subalgebra, which can
     only keep more elements.  Either way every element of the given
     components is a combination of products built one kept factor at a
-    time.  Each element is yielded as it is kept, before U is closed under
-    it, so a caller that stops early does none of the remaining work.
+    time.
     """
     components = sorted(components)
     spans = {c: Echelon() for c in components}
@@ -455,7 +455,6 @@ def _generators(p: PeirceAlgebra, components):
             if not spans[(i, j)].reduce(e):
                 continue
             kept[(i, j)].append(e)
-            yield i, j, b
             # e_b itself, then every element of U times e_b on either side
             queue = [(i, j, e)]
             for (x, y), vecs in elems.items():
@@ -474,58 +473,18 @@ def _generators(p: PeirceAlgebra, components):
                         queue += products(x, y, t, [v], gens)
                     if t == x:
                         queue += products(s, x, y, gens, [v])
-
-
-def _associativity_scan(p: PeirceAlgebra) -> str | None:
-    """Where associativity first fails, in (i,j,k,l) then (a,b,c) order."""
-    r = range(p.max_degree + 1)
-    for i, j, k, l in itertools.product(r, repeat=4):
-        bad = _first_nonassociative_triple(
-            p._prod.get((i, j, k), {}),
-            p._prod.get((i, k, l), {}),
-            p._prod.get((j, k, l), {}),
-            p._prod.get((i, j, l), {}),
-        )
-        if bad is not None:
-            a, b, c = bad
-            return (
-                f"fails on basis triple a={a},b={b},c={c} of "
-                f"components ({i},{j}),({j},{k}),({k},{l})"
-            )
-    return None
-
-
-def _generators_associate(p: PeirceAlgebra) -> bool:
-    """Light's test: True when (x s) y = x (s y) for all basis elements x
-    and y and every s of a generating set, which proves the whole algebra
-    associative; False as soon as one generator fails.
-
-    The set T of elements s with (x s) y = x (s y) for all x, y is a
-    subspace, and it is closed under products: for a, b in T,
-    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So generators
-    inside T put everything they generate inside T.  Each generator is
-    checked as _generators yields it.
-    """
-    r = range(p.max_degree + 1)
-    groups = {(ijk, pos): _by_factor(t, pos) for ijk, t in p._prod.items() for pos in (0, 1)}
-    none: dict = {}
-    for j, k, b in _generators(p, itertools.product(r, repeat=2)):
-        for i, l in itertools.product(r, repeat=2):
-            bad = _nonassociative_triples(
-                groups.get(((i, j, k), 1), none).get(b, ()),
-                groups.get(((i, k, l), 0), none),
-                groups.get(((j, k, l), 0), none).get(b, ()),
-                groups.get(((i, j, l), 1), none),
-            )
-            if next(bad, None) is not None:
-                return False
-    return True
+    return {c: [b for e in es for b in e] for c, es in kept.items()}
 
 
 def _associativity_failure(p: PeirceAlgebra) -> str | None:
     """Where associativity first fails, in (i,j,k,l) then (a,b,c) order:
-    None as soon as Light's test passes, else the full scan's report."""
-    return None if _generators_associate(p) else _associativity_scan(p)
+    None when Light's test passes, else the first triple of the full call."""
+    r = range(p.max_degree + 1)
+    gens = _generators(p, itertools.product(r, repeat=2))
+    if _first_nonassociative(p._prod, p.max_degree, gens) is None:
+        return None
+    i, j, k, l, a, b, c = _first_nonassociative(p._prod, p.max_degree)
+    return f"fails on basis triple a={a},b={b},c={c} of components ({i},{j}),({j},{k}),({k},{l})"
 
 
 def _first_unfixed(p: PeirceAlgebra, i: int, j: int, left=None, right=None):
@@ -549,16 +508,15 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     all composable basis triples, then bijectivity of the balanced product
     map at every degree.  Associativity compares the trilinear tensors
     (ab)c and a(bc) built from the stored structure constants, first with
-    the middle factor b restricted to a generating set (Light's test: the
-    b that associate with every basis x, y form a subspace closed under
-    products, as (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y)).  If
-    a generator fails, the scan over every triple runs and the report names
-    its first failing triple.  The balanced product map is checked to kill
-    every reduced balancing relation and to carry the free pure tensors of
-    the quotient onto a basis of the target.  When associativity holds the
-    edge components are honest corner modules, so the relations come from
-    generators of the corner only (see balanced_tensor); when it fails,
-    every corner basis element acts, and the verdict is what it always was.
+    the middle factor b restricted to a generating set (Light's test, proved
+    in the module docstring).  If a generator fails, the check runs over
+    every triple and the report names its first failing triple.  The
+    balanced product map is checked to kill every reduced balancing
+    relation and to carry the free pure tensors of the quotient onto a
+    basis of the target.  When associativity holds the edge components are
+    honest corner modules, so the relations come from generators of the
+    corner only (see balanced_tensor); when it fails, every corner basis
+    element acts, and the verdict is what it always was.
     """
     axioms: dict[str, bool] = {}
     details: dict[str, str] = {}
@@ -594,7 +552,7 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     ok_tensor = True
     corner = p.corner_algebra()
     # the edge components are honest corner modules once associativity holds
-    acting = None if failure is not None else [b for *_, b in _generators(p, [(0, 0)])]
+    acting = None if failure is not None else _generators(p, [(0, 0)])[(0, 0)]
     for d in range(d_max + 1):
         m_rep = _component_module(p, corner, d, 0, "right")
         n_rep = _component_module(p, corner, 0, d, "left")
@@ -676,7 +634,7 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     q = balanced_tensor(
         _component_module(p, diag, 0, d, "right"),
         _component_module(p, diag, d, 0, "left"),
-        [b for *_, b in _generators(p, [(d, d)])],
+        _generators(p, [(d, d)])[(d, d)],
     )
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
     product = {}
@@ -1090,7 +1048,7 @@ def matrix_model(blocks) -> PeirceAlgebra:
     blocks = list(blocks)
     if blocks and isinstance(blocks[0], int):
         blocks = [blocks]
-    blocks = [list(map(int, b)) for b in blocks]
+    blocks = [list(map(strict_int, b)) for b in blocks]
     if not blocks:
         return PeirceAlgebra(0, [[0]], [], [])
     depth = max(len(b) for b in blocks)

@@ -47,11 +47,13 @@ class ZhuDescriptor(Frozen):
     def __init__(self, degree: int, blocks: tuple[tuple[tuple[int, str], ...], ...]):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "blocks", blocks)
+        if strict_int(self.degree) < 0:
+            raise ValueError(f"degree {self.degree} is negative")
         if len(self.blocks) != self.degree + 1:
             raise ValueError("need one block list per level 0..degree")
         for level in self.blocks:
             for size, ring in level:
-                if size < 1:
+                if strict_int(size) < 1:
                     raise ValueError("block sizes must be positive")
                 if ring != SCALAR_FIELD and not ring.startswith("polynomial-ring("):
                     raise ValueError(f"unknown ring tag {ring!r}")
@@ -87,11 +89,11 @@ class ZhuDescriptor(Frozen):
 
     @classmethod
     def from_json(cls, data) -> "ZhuDescriptor":
-        degree = int(data["degree"])
+        degree = strict_int(data["degree"])
         blocks: list[tuple[tuple[int, str], ...]] = [()] * (degree + 1)
         for item in data["blocks"]:
-            blocks[int(item["level"])] = tuple(
-                (int(f["size"]), str(f["ring"])) for f in item["factors"]
+            blocks[strict_int(item["level"])] = tuple(
+                (f["size"], str(f["ring"])) for f in item["factors"]
             )
         return cls(degree, tuple(blocks))
 

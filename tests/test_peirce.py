@@ -1,5 +1,6 @@
 """Corner algebras: axioms, zig-zag reduction, ideals, module functors."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mta import exact, peirce
-from mta.cli import _morita_payload, _zigzag_payload
+from mta.cli import _associativity_work, _morita_payload, _zigzag_payload
 from mta.heisenberg import strong_identity
 from mta.partitions import enumerate_labeled_partitions
 from mta.peirce import (
@@ -602,7 +603,8 @@ def test_generators_span_every_component():
         r = range(p.max_degree + 1)
         choices = [[(i, j) for i in r for j in r]] + [[(d, d)] for d in r]
         for components in choices:
-            gens = list(peirce._generators(p, components))
+            kept = peirce._generators(p, components)
+            gens = [(i, j, b) for (i, j), bs in kept.items() for b in bs]
             assert gens == sorted(gens) and all((i, j) in components for i, j, _ in gens)
             ranks = _generated_ranks(p, components, gens)
             assert ranks == {(i, j): p.dims[i][j] for i, j in components}, (p.dims, components)
@@ -612,8 +614,10 @@ def test_generators_span_every_component():
 
 def _light_agrees_with_scan(p):
     """Light's test flags p exactly when the full scan does."""
-    light = peirce._generators_associate(p)
-    assert light == (peirce._associativity_scan(p) is None)
+    r = range(p.max_degree + 1)
+    gens = peirce._generators(p, [(i, j) for i in r for j in r])
+    light = peirce._first_nonassociative(p._prod, p.max_degree, gens) is None
+    assert light == (peirce._first_nonassociative(p._prod, p.max_degree) is None)
     return light
 
 
@@ -694,3 +698,72 @@ def test_light_test_matches_full_scan_on_boson_mutations():
         bad = PeirceAlgebra(p.max_degree, p.dims, mutated, p.unit0)
         flagged += not _light_agrees_with_scan(bad)
     assert flagged == len(entries)
+
+
+KERNEL_COEFFS = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+@st.composite
+def sparse_peirce_st(draw):
+    """A random PeirceAlgebra with D <= 1 and every dimension <= 2, each
+    possible entry filled with probability 1/4 and a coefficient from
+    KERNEL_COEFFS, so some product tables exist on one side of a triple
+    only; the unit is ignored by the associativity check."""
+    r = range(draw(st.integers(min_value=0, max_value=1)) + 1)
+    dims = [[draw(st.integers(min_value=0, max_value=2)) for _ in r] for _ in r]
+    entries = []
+    for i, j, k in itertools.product(r, repeat=3):
+        cells = itertools.product(range(dims[i][j]), range(dims[j][k]), range(dims[i][k]))
+        for a, b, c in cells:
+            pick = draw(st.integers(min_value=0, max_value=4 * len(KERNEL_COEFFS) - 1))
+            if pick < len(KERNEL_COEFFS):
+                entries.append((i, j, k, a, b, c, KERNEL_COEFFS[pick]))
+    return PeirceAlgebra(len(r) - 1, dims, entries, [1] * dims[0][0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_peirce_st())
+def test_associativity_kernel_matches_dense_oracle(p):
+    """On sparse algebras with rational coefficients, the associativity
+    verdict and detail of validate_peirce, and is_associative of each
+    diagonal algebra, are the dense oracle's."""
+    ours, dense = validate_peirce(p), oracle.validate_peirce(p)
+    assert ours.axioms["associativity"] == dense.axioms["associativity"]
+    assert ours.details.get("associativity") == dense.details.get("associativity")
+    for d in range(p.max_degree + 1):
+        alg = p.diagonal_algebra(d)
+        assert alg.is_associative() == oracle.dense_algebra(alg).is_associative()
+
+
+def test_associativity_cap_counts_the_kernel(monkeypatch):
+    """cli._associativity_work predicts the scalar multiply-adds of the
+    full associativity call (no middle), the call the cap bounds.  A
+    non-associative algebra stops at its first failing (i,j,k,l), so the
+    mutant has D = 0 and one quadruple, and runs in full."""
+    work = 0
+
+    def counting_add_multiple(dst, c, row):
+        nonlocal work
+        work += len(row)
+        exact.add_multiple(dst, c, row)
+
+    monkeypatch.setattr(peirce, "add_multiple", counting_add_multiple)
+    dense5 = [(0, 0, 0, a, b, c, 1) for a in range(5) for b in range(5) for c in range(5)]
+    mutant = matrix_model([3]).entries()
+    mutant[4] = (*mutant[4][:6], 2)
+    fixtures = [
+        matrix_model([[1, 2], [1, 0]]),
+        matrix_model([[3, 2], [1, 3], [2, 1]]),
+        heisenberg_truncation(1, 4, [Fraction(0)]),
+        matrix_model([2, 2]),
+        PeirceAlgebra(0, [[5]], dense5, [0] * 5),
+        PeirceAlgebra(0, [[9]], mutant, matrix_model([3]).unit0),
+    ]
+    counts = []
+    for p in fixtures:
+        work = 0
+        bad = peirce._first_nonassociative(p._prod, p.max_degree)
+        assert (bad is None) == (p is not fixtures[-1])
+        assert work == _associativity_work(p.to_json_dict()["products"])
+        counts.append(work)
+    assert counts[:4] == [164, 1924, 41472, 512]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mta.cli import RunConfig
-from mta.heisenberg import IdentityReport, Mode, NormalWord, RankCertificate
+from mta.heisenberg import IdentityReport, Mode, ModeElement, NormalWord, RankCertificate
 from mta.lattice import CosetRep, EvenLattice
 from mta.partitions import LabeledPartition, Partition
 from mta.peirce import (
@@ -19,8 +19,9 @@ from mta.peirce import (
     RoundtripReport,
     Subspace,
     ZigZag,
+    matrix_model,
 )
-from mta.zhu import SCALAR_FIELD, SimpleModuleData, ZhuDescriptor
+from mta.zhu import SCALAR_FIELD, SimpleModuleData, ZhuDescriptor, commutative_zhu_descriptor
 
 # (instance, its fields in declaration order)
 FROZEN = [
@@ -84,6 +85,55 @@ def test_frozen_validation_still_runs():
         SimpleModuleData("zero", (0, 0))
     with pytest.raises(ValueError, match="one block list per level"):
         ZhuDescriptor(1, ())
+
+
+def _term(creators=(), zeros=(), annihilators=()):
+    return {"coeff": "1", "creators": creators, "zeros": zeros, "annihilators": annihilators}
+
+
+def _descriptor(degree, size):
+    factors = [{"size": size, "ring": SCALAR_FIELD}]
+    return {"degree": degree, "blocks": [{"level": 0, "factors": factors}]}
+
+
+# each builder read an integer field loosely: a float was truncated or kept,
+# a string went through int(), a bool counted as 1, a degree could be -1
+LOOSE_INTEGERS = {
+    "mode-exponent-float": (
+        lambda: ModeElement.from_json(1, [_term(creators=[[1, -1.0]], annihilators=[[1, 1.0]])]),
+        TypeError,
+    ),
+    "zero-mode-underscore": (lambda: ModeElement.from_json(1, [_term(zeros=["1_0"])]), TypeError),
+    "part-float": (lambda: LabeledPartition.from_json([[2.5]]), ValueError),
+    "part-bool": (lambda: LabeledPartition.from_json([[True]]), ValueError),
+    "descriptor-degree-float": (lambda: ZhuDescriptor.from_json(_descriptor(1.9, 1)), TypeError),
+    "descriptor-size-float": (lambda: ZhuDescriptor.from_json(_descriptor(0, 2.7)), TypeError),
+    "descriptor-degree-negative": (lambda: ZhuDescriptor(-1, ()), ValueError),
+    "descriptor-block-float": (lambda: ZhuDescriptor(0, (((2.5, SCALAR_FIELD),),)), TypeError),
+    "commutative-degree-negative": (
+        lambda: commutative_zhu_descriptor([1, 2], 1, -1),
+        ValueError,
+    ),
+    "commutative-dimension-float": (
+        lambda: commutative_zhu_descriptor([1, 2.5], 1, 1),
+        TypeError,
+    ),
+    "block-dimension-float": (lambda: matrix_model([[1.5, 2]]), TypeError),
+}
+
+
+@pytest.mark.parametrize("build, error", LOOSE_INTEGERS.values(), ids=LOOSE_INTEGERS.keys())
+def test_integer_fields_are_read_strictly(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_strict_readers_keep_integer_inputs():
+    x = ModeElement.from_json(1, [_term(creators=[[1, -1]], zeros=[1], annihilators=[[1, 1]])])
+    assert repr(x) == "(1)*H1t-1*H1t0*H1t1"
+    assert LabeledPartition.from_json([[2, 1], []]) == LabeledPartition.of((2, 1), ())
+    assert ZhuDescriptor.from_json(_descriptor(0, 2)) == ZhuDescriptor(0, (((2, SCALAR_FIELD),),))
+    assert matrix_model([[1, 2]]).dims == [[1, 2], [2, 4]]
 
 
 def test_result_holders_keep_their_constructors():
