@@ -70,103 +70,38 @@ MAX_ASSOCIATIVITY_WORK = 2**23
 MAX_COEFFICIENT_DIGITS = 100
 
 
-class RunConfig:
-    """Validated knobs shared by all subcommands."""
+def _limit(parser, args, what: str, size: int, limit: int) -> None:
+    """Exit 2 when size is over its desk-scale limit, unless the command
+    passed --unsafe-no-limits."""
+    if size > limit and not args.unsafe_no_limits:
+        parser.error(
+            f"{what}: {size}, over the desk-scale limit of {limit}; "
+            "pass --unsafe-no-limits to override"
+        )
 
-    def __init__(self, format: str = "json", unsafe_no_limits: bool = False, seed: int = 0):
-        self.format = format
-        self.unsafe_no_limits = unsafe_no_limits
-        self.seed = seed
 
-    def check_heisenberg(self, parser, n: int, d: int):
-        self._check_box(parser, n, "degree", d, MAX_DEGREE)
-
-    def check_partitions(self, parser, action: str, n: int, m: int):
-        # `list` prints the labels `heisenberg verify` pairs: the same box
-        limit = MAX_DEGREE if action == "list" else MAX_PARTITION_WEIGHT
-        self._check_box(parser, n, "weight", m, limit)
-
-    def _check_box(self, parser, n: int, name: str, value: int, limit: int):
-        if self.unsafe_no_limits:
-            return
-        if n > MAX_RANK or value > limit:
-            parser.error(
-                f"rank {n} / {name} {value} exceeds the desk-scale limits "
-                f"(rank <= {MAX_RANK}, {name} <= {limit}); "
-                "pass --unsafe-no-limits to override"
-            )
-
-    def check_pairings(self, parser, n: int, d: int):
-        if self.unsafe_no_limits:
-            return
-        from .partitions import labeled_partition_count
-
-        size = labeled_partition_count(n, d)
-        if size > MAX_PAIRING_LABELS:
-            parser.error(
-                f"rank {n} / degree {d} needs a {size}x{size} pairing matrix, over the "
-                f"desk-scale limit of {MAX_PAIRING_LABELS} labels; "
-                "pass --unsafe-no-limits to override"
-            )
-
-    def check_lattice(self, parser, lattice):
-        if self.unsafe_no_limits:
-            return
-        if lattice.rank > MAX_LATTICE_RANK:
-            parser.error(
-                f"lattice rank {lattice.rank} exceeds the desk-scale limit "
-                f"(rank <= {MAX_LATTICE_RANK}); pass --unsafe-no-limits to override"
-            )
-        det = lattice.determinant()
-        if det > MAX_LATTICE_COSETS:
-            parser.error(
-                f"lattice determinant {det} (the number of dual cosets) exceeds the "
-                f"desk-scale limit of {MAX_LATTICE_COSETS}; pass --unsafe-no-limits to override"
-            )
-
-    def check_level(self, parser, n_max: int):
-        if not self.unsafe_no_limits and n_max > MAX_LATTICE_LEVEL:
-            parser.error(
-                f"--max {n_max} exceeds the desk-scale limit of {MAX_LATTICE_LEVEL}; "
-                "pass --unsafe-no-limits to override"
-            )
-
-    def check_algebra(self, parser, data):
-        """Size limits read off the algebra JSON before anything is built; a
-        malformed file passes here and is reported by PeirceAlgebra."""
-        if self.unsafe_no_limits:
-            return
-        try:
-            dims = [[strict_int(x) for x in row] for row in data["dims"]]
-            products = data["products"]
-            coeffs = [e["coeff"] for e in products] + list(data["unit0"])
-            sizes = {
-                "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
-                "balancing relations": (
-                    sum(
-                        (dims[0][0] + dims[d][d]) * dims[d][0] * dims[0][d]
-                        for d in range(len(dims))
-                    ),
-                    MAX_BALANCING_RELATIONS,
-                ),
-                "products": (len(products), MAX_ALGEBRA_PRODUCTS),
-                "associativity multiply-adds": (
-                    _associativity_work(products),
-                    MAX_ASSOCIATIVITY_WORK,
-                ),
-                "digits in one coefficient": (
-                    max((sum(map(str.isdigit, str(x))) for x in coeffs), default=0),
-                    MAX_COEFFICIENT_DIGITS,
-                ),
-            }
-        except (KeyError, TypeError, ValueError, IndexError):
-            return
-        for name, (size, limit) in sizes.items():
-            if size > limit:
-                parser.error(
-                    f"algebra has {size} {name}, over the desk-scale limit of {limit}; "
-                    "pass --unsafe-no-limits to override"
-                )
+def _algebra_sizes(data) -> dict:
+    """{what: (size, limit)} read off the algebra JSON before anything is
+    built; {} for a malformed file, which PeirceAlgebra reports."""
+    try:
+        dims = [[strict_int(x) for x in row] for row in data["dims"]]
+        products = data["products"]
+        coeffs = [e["coeff"] for e in products] + list(data["unit0"])
+        return {
+            "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
+            "balancing relations": (
+                sum((dims[0][0] + dims[d][d]) * dims[d][0] * dims[0][d] for d in range(len(dims))),
+                MAX_BALANCING_RELATIONS,
+            ),
+            "products": (len(products), MAX_ALGEBRA_PRODUCTS),
+            "associativity multiply-adds": (_associativity_work(products), MAX_ASSOCIATIVITY_WORK),
+            "digits in one coefficient": (
+                max((sum(map(str.isdigit, str(x))) for x in coeffs), default=0),
+                MAX_COEFFICIENT_DIGITS,
+            ),
+        }
+    except (KeyError, TypeError, ValueError, IndexError):
+        return {}
 
 
 def _associativity_work(products) -> int:
@@ -184,9 +119,9 @@ def _associativity_work(products) -> int:
     return sum(n * (by_left[key] + by_right[key]) for key, n in outputs.items())
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
+def _emit(args, payload: dict, text_lines) -> None:
     try:
-        if cfg.format == "json":
+        if args.format == "json":
             print(json.dumps(payload))
         else:
             for line in text_lines:
@@ -206,71 +141,82 @@ def _load_json(parser, path):
         parser.error(f"cannot read {path}: {exc}")
 
 
-def _load_lattice(parser, cfg, path):
-    from .lattice import load_gram
+def _load_lattice(parser, args, path):
+    from .lattice import EvenLattice, gram_rows
 
+    # the rank is checked before EvenLattice factors the Gram matrix, O(rank^3)
     try:
-        lattice = load_gram(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = gram_rows(fh.read())
+        _limit(parser, args, "lattice rank", len(rows), MAX_LATTICE_RANK)
+        lattice = EvenLattice(rows)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read gram file {path}: {exc}")
-    cfg.check_lattice(parser, lattice)
+    _limit(parser, args, "lattice determinant", lattice.determinant(), MAX_LATTICE_COSETS)
     return lattice
 
 
-def _load_peirce(parser, cfg, path):
+def _load_peirce(parser, args, path):
     from .peirce import PeirceAlgebra
 
     data = _load_json(parser, path)
-    cfg.check_algebra(parser, data)
+    for what, (size, limit) in _algebra_sizes(data).items():
+        _limit(parser, args, what, size, limit)
     try:
         return PeirceAlgebra.from_json_dict(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         parser.error(f"malformed algebra file {path}: {exc}")
 
 
-def _cmd_partitions(parser, cfg, args) -> int:
+def _cmd_partitions(parser, args) -> int:
     # per command, not at module level: the other families skip this import
     from .partitions import enumerate_labeled_partitions, labeled_partition_count
 
     n, m = args.rank, args.weight
-    cfg.check_partitions(parser, args.action, n, m)
+    _limit(parser, args, "rank", n, MAX_RANK)
+    # `list` prints the labels `heisenberg verify` pairs: the same box
+    _limit(parser, args, "weight", m, MAX_DEGREE if args.action == "list" else MAX_PARTITION_WEIGHT)
     if args.action == "count":
         count = labeled_partition_count(n, m)
         _emit(
-            cfg,
+            args,
             {"rank": n, "weight": m, "count": count},
             [f"rank {n} weight {m}: {count} labeled partitions"],
         )
         return 0
     items = enumerate_labeled_partitions(n, m)
     _emit(
-        cfg,
+        args,
         {"rank": n, "weight": m, "items": [lp.to_json() for lp in items]},
         [repr(lp) for lp in items],
     )
     return 0
 
 
-def _cmd_heisenberg(parser, cfg, args) -> int:
+def _cmd_heisenberg(parser, args) -> int:
     # per command: only heisenberg commands load the free-boson engine
     from . import heisenberg as hb
 
     n, d = args.rank, args.degree
-    cfg.check_heisenberg(parser, n, d)
+    _limit(parser, args, "rank", n, MAX_RANK)
+    _limit(parser, args, "degree", d, MAX_DEGREE)
     if args.action == "identity":
         terms = hb.strong_identity(n, d)
         _emit(
-            cfg,
+            args,
             {"rank": n, "degree": d, "terms": hb.strong_identity_to_json(terms)},
             [f"{frac_str(c)}  {lp!r}" for lp, c in terms],
         )
         return 0
     if args.action == "verify":
-        cfg.check_pairings(parser, n, d)
+        from .partitions import labeled_partition_count
+
+        size = labeled_partition_count(n, d)
+        _limit(parser, args, "labels of the pairing matrix", size, MAX_PAIRING_LABELS)
         report = hb.verify_strong_identity(n, d)
         verdict = "verified" if report.ok else "FAILED"
         _emit(
-            cfg,
+            args,
             report.to_json(),
             [
                 f"rank {n} degree {d}: strong identity {verdict} "
@@ -281,21 +227,21 @@ def _cmd_heisenberg(parser, cfg, args) -> int:
     from .zhu import heisenberg_zhu_descriptor
 
     descriptor = heisenberg_zhu_descriptor(n, d)
-    _emit(cfg, descriptor.to_json(), [descriptor.render_text()])
+    _emit(args, descriptor.to_json(), [descriptor.render_text()])
     return 0
 
 
-def _cmd_lattice(parser, cfg, args) -> int:
+def _cmd_lattice(parser, args) -> int:
     # per command: only lattice commands load the lattice layer
     from . import lattice as lat
 
     if args.action == "dims":
-        cfg.check_level(parser, args.max)
-    lattice = _load_lattice(parser, cfg, args.gram)
+        _limit(parser, args, "--max", args.max, MAX_LATTICE_LEVEL)
+    lattice = _load_lattice(parser, args, args.gram)
     cosets = lat.dual_cosets(lattice)
     if args.action == "cosets":
         _emit(
-            cfg,
+            args,
             {
                 "rank": lattice.rank,
                 "determinant": lattice.determinant(),
@@ -317,7 +263,7 @@ def _cmd_lattice(parser, cfg, args) -> int:
             for c in cosets
         ]
         _emit(
-            cfg,
+            args,
             {"weights": rows},
             [f"coset {r['coset']}: weight {r['conformal_weight']}" for r in rows],
         )
@@ -328,18 +274,18 @@ def _cmd_lattice(parser, cfg, args) -> int:
     weight = lat.conformal_weight(lattice, rep.vector)
     dims = lat.graded_dims(lattice, rep.vector, args.max)
     _emit(
-        cfg,
+        args,
         {"coset": rep.index, "conformal_weight": frac_str(weight), "dims": dims},
         [f"coset {rep.index}: weight {frac_str(weight)}, dims {dims}"],
     )
     return 0
 
 
-def _cmd_peirce(parser, cfg, args) -> int:
+def _cmd_peirce(parser, args) -> int:
     # per command: only peirce commands load the corner-algebra layer
     from . import peirce as pc
 
-    algebra = _load_peirce(parser, cfg, args.algebra)
+    algebra = _load_peirce(parser, args, args.algebra)
     if args.action != "validate" and not 0 <= args.degree <= algebra.max_degree:
         parser.error(f"degree {args.degree} out of range 0..{algebra.max_degree}")
     # the one check of the axioms; zigzag and morita rely on it
@@ -348,7 +294,7 @@ def _cmd_peirce(parser, cfg, args) -> int:
         lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in report.axioms.items()]
         if report.first_violation:
             lines.append(f"first violation: {report.first_violation}")
-        _emit(cfg, report.to_json(), lines)
+        _emit(args, report.to_json(), lines)
         return 0 if report.ok else 1
     d = args.degree
     build = _zigzag_payload if args.action == "zigzag" else _morita_payload
@@ -360,9 +306,9 @@ def _cmd_peirce(parser, cfg, args) -> int:
     except (ValueError, ArithmeticError) as exc:
         # an axiom fails, or the axioms do not give the degree-d construction
         # what it needs (a strong identity, a unital corner ideal)
-        _emit(cfg, {"degree": d, "ok": False, "error": str(exc)}, [f"FAILED: {exc}"])
+        _emit(args, {"degree": d, "ok": False, "error": str(exc)}, [f"FAILED: {exc}"])
         return 1
-    _emit(cfg, payload, [f"{k}: {v}" for k, v in payload.items()])
+    _emit(args, payload, [f"{k}: {v}" for k, v in payload.items()])
     return 0 if ok else 1
 
 
@@ -388,7 +334,7 @@ def _zigzag_payload(algebra, d):
     if split is not None:
         payload["epsilon"] = [frac_str(x) for x in split.epsilon]
         payload["idempotent_ideal"] = split.idempotent_ideal
-    return payload, associative and check.ok
+    return payload, associative and check.ok and (split is None or split.ok)
 
 
 def _morita_payload(algebra, d):
@@ -399,7 +345,7 @@ def _morita_payload(algebra, d):
     return {"degree": d, **report.to_json()}, report.ok
 
 
-def _cmd_zhu(parser, cfg, args) -> int:
+def _cmd_zhu(parser, args) -> int:
     # per command: only zhu commands load the block-descriptor layer
     from . import zhu
 
@@ -424,12 +370,13 @@ def _cmd_zhu(parser, cfg, args) -> int:
             parser.error(f"bad module data: {exc}")
         payload = descriptor.to_json()
         payload["support"] = support
-        _emit(cfg, payload, [descriptor.render_text(), f"support: {support}"])
+        _emit(args, payload, [descriptor.render_text(), f"support: {support}"])
         return 0
     if args.action == "heisenberg":
-        cfg.check_heisenberg(parser, args.rank, args.degree)
+        _limit(parser, args, "rank", args.rank, MAX_RANK)
+        _limit(parser, args, "degree", args.degree, MAX_DEGREE)
         descriptor = zhu.heisenberg_zhu_descriptor(args.rank, args.degree)
-        _emit(cfg, descriptor.to_json(), [descriptor.render_text()])
+        _emit(args, descriptor.to_json(), [descriptor.render_text()])
         return 0
     try:
         dims = [parse_int(x) for x in args.dims.split(",")]
@@ -441,18 +388,18 @@ def _cmd_zhu(parser, cfg, args) -> int:
         parser.error(str(exc))
     lines = [f"exceptional degrees up to {args.max}: {exceptional}"]
     lines += [f"level {j}: degree component and corner ideal are zero rings" for j in exceptional]
-    _emit(cfg, {"d_max": args.max, "exceptional": exceptional}, lines)
+    _emit(args, {"d_max": args.max, "exceptional": exceptional}, lines)
     return 0
 
 
-def _selftest_checks(cfg: RunConfig, fast: bool):
+def _selftest_checks(seed: int, fast: bool):
     # the battery checks every layer, so selftest alone loads them all
     from . import heisenberg as hb
     from . import lattice as lat
     from . import peirce as pc
     from .partitions import enumerate_labeled_partitions, labeled_partition_count
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
 
     def check_counts():
         for n in (1, 2, 3):
@@ -507,7 +454,7 @@ def _selftest_checks(cfg: RunConfig, fast: bool):
                 return False, "structure constants depend on the evaluation point"
         return True, "rank-1 truncations validate and agree across three points"
 
-    def check_lattice():
+    def check_weight_table():
         lattice = lat.EvenLattice.from_rows([[8]])
         cosets = lat.dual_cosets(lattice)
         weights = [lat.conformal_weight(lattice, c.vector) for c in cosets]
@@ -524,20 +471,20 @@ def _selftest_checks(cfg: RunConfig, fast: bool):
         ("random-associativity", check_associativity),
         ("matrix-model", check_matrix_model),
         ("heisenberg-truncation", check_truncation),
-        ("lattice-example", check_lattice),
+        ("lattice-example", check_weight_table),
     ]
 
 
-def _cmd_selftest(parser, cfg, args) -> int:
+def _cmd_selftest(parser, args) -> int:
     results = []
     ok_all = True
-    for name, fn in _selftest_checks(cfg, args.fast):
+    for name, fn in _selftest_checks(args.seed, args.fast):
         ok, detail = fn()
         ok_all &= ok
         results.append({"name": name, "ok": ok, "detail": detail})
     _emit(
-        cfg,
-        {"ok": ok_all, "seed": cfg.seed, "checks": results},
+        args,
+        {"ok": ok_all, "seed": args.seed, "checks": results},
         [f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']}: {r['detail']}" for r in results]
         + [f"selftest: {'ok' if ok_all else 'FAILED'}"],
     )
@@ -668,13 +615,8 @@ def main(argv=None) -> int:
     # each command runs in a fresh interpreter: build only its family's parser
     parser = build_parser(argv[0] if argv and argv[0] in _FAMILIES else None)
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        format=args.format,
-        unsafe_no_limits=args.unsafe_no_limits,
-        seed=getattr(args, "seed", 0),
-    )
     _help, _add, run = _FAMILIES[args.command]
-    return run(parser, cfg, args)
+    return run(parser, args)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-F0 = 0
-F1 = 1
-
 
 def scalar(x):
     """x as an exact scalar: an int when integral, else a Fraction.
@@ -93,7 +90,7 @@ def sparse(v) -> dict:
 
 def dense(v: dict, n: int) -> list:
     """The length-n dense vector with the given nonzero coordinates."""
-    out = [F0] * n
+    out = [0] * n
     for j, x in v.items():
         out[j] = x
     return out

@@ -88,8 +88,9 @@ class CosetRep(Frozen):
         object.__setattr__(self, "vector", vector)
 
 
-def parse_gram_text(text: str) -> EvenLattice:
-    """First line: rank; then rank rows of rank integers."""
+def gram_rows(text: str) -> list[list[int]]:
+    """The rows of a gram file: first line the rank, then rank rows of rank
+    integers.  Nothing is factored, so a caller can bound the rank first."""
     tokens_by_line = [line.split() for line in text.splitlines() if line.strip()]
     if not tokens_by_line:
         raise ValueError("empty gram description")
@@ -100,7 +101,11 @@ def parse_gram_text(text: str) -> EvenLattice:
     rows = tokens_by_line[1:]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"expected {n} rows of {n} integers")
-    return EvenLattice.from_rows([[parse_int(x) for x in r] for r in rows])
+    return [[parse_int(x) for x in r] for r in rows]
+
+
+def parse_gram_text(text: str) -> EvenLattice:
+    return EvenLattice(gram_rows(text))
 
 
 def load_gram(path) -> EvenLattice:

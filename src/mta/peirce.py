@@ -42,8 +42,6 @@ from __future__ import annotations
 import itertools
 
 from .exact import (
-    F0,
-    F1,
     Echelon,
     add_multiple,
     dense,
@@ -318,7 +316,7 @@ class PeirceAlgebra:
             coeff = scalar(coeff)
             if coeff:
                 table = self._prod.setdefault((i, j, k), {})
-                add_multiple(table.setdefault((a, b), {}), coeff, {c: F1})
+                add_multiple(table.setdefault((a, b), {}), coeff, {c: 1})
         self.unit0 = [scalar(x) for x in unit0]
         if len(self.unit0) != self.dims[0][0]:
             raise ValueError("unit0 has wrong length")
@@ -451,7 +449,7 @@ def _generators(p: PeirceAlgebra, components) -> dict:
         for b in range(p.dims[i][j]):
             if not room[(i, j)]:
                 break
-            e = {b: F1}
+            e = {b: 1}
             if not spans[(i, j)].reduce(e):
                 continue
             kept[(i, j)].append(e)
@@ -492,7 +490,7 @@ def _first_unfixed(p: PeirceAlgebra, i: int, j: int, left=None, right=None):
     b*right != b, or None when every b is fixed.  left is a sparse element
     of component(i,i) and right one of component(j,j); None skips a side."""
     for b in range(p.dims[i][j]):
-        e = {b: F1}
+        e = {b: 1}
         if (left is not None and p.product(i, i, j, left, e) != e) or (
             right is not None and p.product(i, j, j, e, right) != e
         ):
@@ -616,7 +614,7 @@ class ZigZag:
 
 def _zigzag_ambient_product(p: PeirceAlgebra, d: int, u1: int, v1: int, u2: int, v2: int):
     """Sparse ambient value of (e_u1 (x) e_v1) o (e_u2 (x) e_v2)."""
-    left = p.product(0, d, d, {u1: F1}, p.cell(d, 0, d, v1, u2))  # component (0,d)
+    left = p.product(0, d, d, {u1: 1}, p.cell(d, 0, d, v1, u2))  # component (0,d)
     n = p.dims[d][0]
     return {t * n + v2: x for t, x in left.items()}
 
@@ -669,8 +667,8 @@ def action_through_A_check(z: ZigZag) -> CheckReport:
             u2, v2 = q.lift_pair(q2)
             prod = z.product.get((q1, q2), {})
             # right corner action of star(q2) on q1, left one of star(q1) on q2
-            right_side = q.project_tensor({u1: F1}, p.product(d, 0, 0, {v1: F1}, stars[q2]))
-            left_side = q.project_tensor(p.product(0, 0, d, stars[q1], {u2: F1}), {v2: F1})
+            right_side = q.project_tensor({u1: 1}, p.product(d, 0, 0, {v1: 1}, stars[q2]))
+            left_side = q.project_tensor(p.product(0, 0, d, stars[q1], {u2: 1}), {v2: 1})
             checked += 1
             if not (right_side == prod == left_side):
                 failures.append((q1, q2))
@@ -706,9 +704,9 @@ def _strong_identity(p: PeirceAlgebra, d: int):
         return {}
     rows = []
     for a in range(na):
-        rows += _system([p.cell(0, d, d, a, c) for c in range(ndd)], {a: F1}, ndd)
+        rows += _system([p.cell(0, d, d, a, c) for c in range(ndd)], {a: 1}, ndd)
     for b in range(nb):
-        rows += _system([p.cell(d, d, 0, c, b) for c in range(ndd)], {b: F1}, ndd)
+        rows += _system([p.cell(d, d, 0, c, b) for c in range(ndd)], {b: 1}, ndd)
     x = solve_linear(rows, ndd)
     if x is None:
         return None
@@ -793,7 +791,7 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
         return p.product(0, 0, 0, x, y)
 
     zs = ideal.basis
-    units = [{a: F1} for a in range(n0)]
+    units = [{a: 1} for a in range(n0)]
     eta = sparse(p.unit0)
     add_multiple(eta, -1, eps)
     checks = {}
@@ -831,7 +829,7 @@ def _ideal_unit(p: PeirceAlgebra, ideal: Subspace):
     outside = ideal._echelon.reduce
     for a in range(n0):
         for z in zs:
-            if outside(mul({a: F1}, z)) or outside(mul(z, {a: F1})):
+            if outside(mul({a: 1}, z)) or outside(mul(z, {a: 1})):
                 raise ValueError("subspace is not a two-sided ideal")
 
     # eps = sum_s x_s zs[s] with eps * z = z * eps = z for every basis z
@@ -895,7 +893,7 @@ def _induced_module(alg: Algebra, q: TensorQuotient, act) -> ModuleRep:
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
     action = []
     for t in range(alg.dim):
-        images = (q.project_tensor(act(t, u), {w: F1}) for u, w in pairs)
+        images = (q.project_tensor(act(t, u), {w: 1}) for u, w in pairs)
         action.append({qq: img for qq, img in enumerate(images) if img})
     out = ModuleRep(alg, q.dim, action, side="left")
     out.tensor_space = q
@@ -914,7 +912,7 @@ def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
         raise ValueError("expected a left module over the degree-d component")
     if w_mod.algebra.dim != p.dims[d][d]:
         raise ValueError("module is not over the degree-d component")
-    if any(w_mod.apply(sid, {w: F1}) != {w: F1} for w in range(w_mod.dim)):
+    if any(w_mod.apply(sid, {w: 1}) != {w: 1} for w in range(w_mod.dim)):
         raise ValueError("module is not unital for the strong identity")
 
     diag = p.diagonal_algebra(d)
@@ -923,7 +921,7 @@ def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
 
     zs = ideal.basis
     alg = _zd_algebra(p, ideal, eps)
-    return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, zs[t], {u: F1}))
+    return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, zs[t], {u: 1}))
 
 
 def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
@@ -943,10 +941,10 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
     # extend the ideal action to the whole corner through eps * a
     ext_action = []
     for a in range(p.dims[0][0]):
-        coords = ideal.coords_of(p.product(0, 0, 0, eps, {a: F1}))
+        coords = ideal.coords_of(p.product(0, 0, 0, eps, {a: 1}))
         if coords is None:
             raise ArithmeticError("corner projection left the ideal")
-        images = (w0_mod.apply(coords, {w: F1}) for w in range(w0_mod.dim))
+        images = (w0_mod.apply(coords, {w: 1}) for w in range(w0_mod.dim))
         ext_action.append({w: img for w, img in enumerate(images) if img})
     w0_ext = ModuleRep(corner, w0_mod.dim, ext_action, side="left")
     q = balanced_tensor(_component_module(p, corner, d, 0, "right"), w0_ext)
@@ -1008,7 +1006,7 @@ def _roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> RoundtripRe
     for qq in range(w2.dim):
         v, inner = q_out.lift_pair(qq)
         u, wbase = q_in.lift_pair(inner)
-        image = w_mod.apply(p.cell(d, 0, d, v, u), {wbase: F1})
+        image = w_mod.apply(p.cell(d, 0, d, v, u), {wbase: 1})
         if image:
             ev[qq] = image
 
@@ -1078,11 +1076,11 @@ def matrix_model(blocks) -> PeirceAlgebra:
                         entries.append(
                             (i, j, k, a_pos, right_index[(b, c, c2)], out_index[(b, r, c2)], 1)
                         )
-    unit0 = [F0] * dims[0][0]
+    unit0 = [0] * dims[0][0]
     zero_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, 0, 0))}
     for b in range(len(blocks)):
         for r in range(blocks[b][0]):
-            unit0[zero_index[(b, r, r)]] = F1
+            unit0[zero_index[(b, r, r)]] = 1
     p = PeirceAlgebra(d_max, dims, entries, unit0)
     p.block_dims = blocks
     return p
@@ -1096,7 +1094,7 @@ def matrix_model_column_module(p: PeirceAlgebra, block: int, d: int) -> ModuleRe
     dim = blocks[block][d]
     alg = p.diagonal_algebra(d, unit=_strong_identity(p, d))
     # the matrix unit E_rc of the block sends e_c to e_r
-    action = [{c: {r: F1}} if b == block else {} for b, r, c in _mm_basis(blocks, d, d)]
+    action = [{c: {r: 1}} if b == block else {} for b, r, c in _mm_basis(blocks, d, d)]
     return ModuleRep(alg, dim, action, side="left")
 
 
@@ -1148,4 +1146,4 @@ def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
                                         v,
                                     )
                                 )
-    return PeirceAlgebra(max_degree, dims, entries, [F1])
+    return PeirceAlgebra(max_degree, dims, entries, [1])

@@ -10,8 +10,26 @@ from pathlib import Path
 
 import pytest
 
-from mta.cli import RunConfig, build_parser, main
-from mta.peirce import PeirceAlgebra, heisenberg_truncation, matrix_model
+from mta import cli
+from mta.cli import (
+    MAX_ALGEBRA_DIM,
+    MAX_ALGEBRA_PRODUCTS,
+    MAX_ASSOCIATIVITY_WORK,
+    MAX_BALANCING_RELATIONS,
+    MAX_COEFFICIENT_DIGITS,
+    MAX_DEGREE,
+    MAX_LATTICE_COSETS,
+    MAX_LATTICE_LEVEL,
+    MAX_LATTICE_RANK,
+    MAX_PAIRING_LABELS,
+    MAX_PARTITION_WEIGHT,
+    MAX_RANK,
+    _algebra_sizes,
+    build_parser,
+    main,
+)
+from mta.partitions import labeled_partition_count
+from mta.peirce import IdealSplit, PeirceAlgebra, heisenberg_truncation, matrix_model
 from mta.zhu import SimpleModuleData
 
 
@@ -212,10 +230,6 @@ def test_pairing_cap_exits_two_fast(capsys):
         main(["heisenberg", "verify", "--rank", "4", "--degree", "6"])
     assert exc.value.code == 2
     assert "--unsafe-no-limits" in capsys.readouterr().err
-    # (3, 7) with 429 labels is the largest accepted size; the flag lifts the cap
-    RunConfig().check_pairings(build_parser(), 3, 7)
-    RunConfig().check_pairings(build_parser(), 4, 5)
-    RunConfig(unsafe_no_limits=True).check_pairings(build_parser(), 4, 8)
 
 
 def test_selftest_survives_optimized_mode():
@@ -274,12 +288,20 @@ def _exits_two_fast(capsys, argv):
         main(argv)
     assert time.perf_counter() - start < 1
     assert exc.value.code == 2
-    assert "--unsafe-no-limits" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--unsafe-no-limits" in err
+    return err
 
 
 def _products_free(dims):
     n0 = dims[0][0]
     return {"max_degree": len(dims) - 1, "dims": dims, "products": [], "unit0": ["1"] + ["0"] * (n0 - 1)}
+
+
+def _diagonal_gram(n):
+    """The gram file of diag(2, ..., 2) at rank n."""
+    rows = (" ".join("2" if i == j else "0" for j in range(n)) for i in range(n))
+    return f"{n}\n" + "".join(row + "\n" for row in rows)
 
 
 def test_algebra_caps_exit_two_fast(capsys, tmp_path):
@@ -297,11 +319,11 @@ def test_algebra_caps_exit_two_fast(capsys, tmp_path):
     data["products"] = [{"i": 0, "j": 0, "k": 0, "a": 0, "b": 0, "c": 0, "coeff": "0"}] * 40000
     path.write_text(json.dumps(data))
     _exits_two_fast(capsys, ["peirce", "morita", "--algebra", str(path), "--degree", "0"])
-    RunConfig(unsafe_no_limits=True).check_algebra(build_parser(), _products_free([[240]]))
 
 
 def test_algebra_fixtures_pass_the_caps():
-    # the algebras of the tests, the demos and the benchmark inputs
+    # the algebras of the tests, the demos and the benchmark inputs, and
+    # dims [[21]], the largest dense corner the caps accept
     fixtures = [
         matrix_model([[3, 2], [1, 3], [2, 1]]),
         matrix_model([[1, 2], [1, 0]]),
@@ -311,8 +333,12 @@ def test_algebra_fixtures_pass_the_caps():
         heisenberg_truncation(1, 5, [Fraction(0)]),
         heisenberg_truncation(2, 3, [Fraction(0), Fraction(0)]),
     ]
-    for data in [p.to_json_dict() for p in fixtures] + [_products_free([[60]])]:
-        RunConfig().check_algebra(build_parser(), data)
+    for data in [p.to_json_dict() for p in fixtures] + [_products_free([[60]]), _dense_corner(21)]:
+        sizes = _algebra_sizes(data)
+        assert len(sizes) == 5 and all(size <= limit for size, limit in sizes.values()), sizes
+    # a malformed file has no sizes; PeirceAlgebra reports it
+    assert _algebra_sizes({"dims": [[2.5]], "products": [], "unit0": []}) == {}
+    assert _algebra_sizes({"dims": [[2]], "unit0": ["1", "0"]}) == {}
 
 
 def test_lattice_caps_exit_two_fast(capsys, tmp_path):
@@ -321,6 +347,9 @@ def test_lattice_caps_exit_two_fast(capsys, tmp_path):
     _exits_two_fast(capsys, ["lattice", "cosets", "--gram", str(path)])
     path.write_text("2\n2000 0\n0 2000\n")
     _exits_two_fast(capsys, ["lattice", "weights", "--gram", str(path)])
+    # the rank is read before the Gram matrix is factored, O(rank^3)
+    path.write_text(_diagonal_gram(300))
+    _exits_two_fast(capsys, ["lattice", "cosets", "--gram", str(path)])
     demos = Path(__file__).resolve().parents[1] / "demos"
     _exits_two_fast(
         capsys, ["lattice", "dims", "--gram", str(demos / "z8.gram"), "--coset", "0", "--max", "101"]
@@ -342,12 +371,12 @@ def test_partitions_caps_exit_two_fast(capsys):
         capsys, ["partitions", "list", "--rank", "3", "--weight", "9", "--unsafe-no-limits"]
     )
     assert code == 0 and len(json.loads(out)["items"]) == 1479
-    RunConfig(unsafe_no_limits=True).check_partitions(build_parser(), "count", 2000, 5)
     # the partitions commands of the tests, the goldens and the benchmark,
     # and the largest accepted sizes
     accepted = [("count", 2, 6), ("list", 2, 6), ("list", 3, 8), ("list", 4, 8), ("count", 4, 400)]
     for action, n, m in accepted:
-        RunConfig().check_partitions(build_parser(), action, n, m)
+        code, out = run(capsys, ["partitions", action, "--rank", str(n), "--weight", str(m)])
+        assert code == 0 and json.loads(out)["weight"] == m
 
 
 @pytest.mark.parametrize(
@@ -485,11 +514,8 @@ def test_algebra_work_and_digit_caps_exit_two_fast(capsys, tmp_path):
     data["unit0"][0] = int("7" * 4000)
     path.write_text(json.dumps(data))
     _exits_two_fast(capsys, ["peirce", "zigzag", "--algebra", str(path), "--degree", "1"])
-    # dims [[21]] is the largest dense corner the caps accept
-    RunConfig().check_algebra(build_parser(), _dense_corner(21))
     data["unit0"][0] = "9" * 100
-    RunConfig().check_algebra(build_parser(), data)
-    RunConfig(unsafe_no_limits=True).check_algebra(build_parser(), _dense_corner(32))
+    assert _algebra_sizes(data)["digits in one coefficient"] == (100, MAX_COEFFICIENT_DIGITS)
 
 
 def test_invalid_algebra_reports_instead_of_raising(tmp_path):
@@ -601,6 +627,126 @@ def test_non_integer_sizes_and_indices_are_usage_errors(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(_ZERO_DENOMINATORS))
 def test_zero_denominators_are_usage_errors(case, tmp_path):
     _assert_input_is_usage_error(*_ZERO_DENOMINATORS[case], tmp_path)
+
+
+# Every desk-scale limit: name -> (argv, the input file, the size's name in
+# the message, its size, its limit, whether --unsafe-no-limits then runs it
+# in well under a second).  "{input}" in argv names the file written from
+# the input: text as it is, anything else as JSON.
+_LIMIT_SITES = {
+    "partitions count rank": (
+        ["partitions", "count", "--rank", "2000", "--weight", "5"], None, "rank", 2000, MAX_RANK, True
+    ),
+    "partitions count weight": (
+        ["partitions", "count", "--weight", "2000"], None, "weight", 2000, MAX_PARTITION_WEIGHT, True
+    ),
+    "partitions list rank": (
+        ["partitions", "list", "--rank", "5", "--weight", "2"], None, "rank", 5, MAX_RANK, True
+    ),
+    "partitions list weight": (
+        ["partitions", "list", "--rank", "3", "--weight", "9"], None, "weight", 9, MAX_DEGREE, True
+    ),
+    "heisenberg rank": (
+        ["heisenberg", "identity", "--rank", "5", "--degree", "2"], None, "rank", 5, MAX_RANK, True
+    ),
+    "heisenberg degree": (
+        ["heisenberg", "zhu", "--degree", "9"], None, "degree", 9, MAX_DEGREE, True
+    ),
+    "heisenberg labels (4, 6)": (
+        ["heisenberg", "verify", "--rank", "4", "--degree", "6"],
+        None, "labels of the pairing matrix", 574, MAX_PAIRING_LABELS, False,
+    ),
+    "heisenberg labels (4, 8)": (
+        ["heisenberg", "verify", "--rank", "4", "--degree", "8"],
+        None, "labels of the pairing matrix", 2580, MAX_PAIRING_LABELS, False,
+    ),
+    "zhu heisenberg rank": (
+        ["zhu", "heisenberg", "--rank", "5", "--degree", "2"], None, "rank", 5, MAX_RANK, True
+    ),
+    "zhu heisenberg degree": (
+        ["zhu", "heisenberg", "--degree", "9"], None, "degree", 9, MAX_DEGREE, True
+    ),
+    "lattice rank": (
+        ["lattice", "weights", "--gram", "{input}"],
+        _diagonal_gram(5), "lattice rank", 5, MAX_LATTICE_RANK, True,
+    ),
+    "lattice determinant": (
+        ["lattice", "cosets", "--gram", "{input}"],
+        "1\n5000\n", "lattice determinant", 5000, MAX_LATTICE_COSETS, True,
+    ),
+    "lattice --max": (
+        ["lattice", "dims", "--gram", "{input}", "--coset", "1", "--max", "101"],
+        "1\n8\n", "--max", 101, MAX_LATTICE_LEVEL, True,
+    ),
+    "algebra dimension": (
+        ["peirce", "validate", "--algebra", "{input}"],
+        _products_free([[129]]), "largest component dimension", 129, MAX_ALGEBRA_DIM, True,
+    ),
+    "algebra balancing relations": (
+        ["peirce", "validate", "--algebra", "{input}"],
+        _products_free([[128, 128], [128, 128]]),
+        "balancing relations", 2**23, MAX_BALANCING_RELATIONS, True,
+    ),
+    "algebra products": (
+        ["peirce", "validate", "--algebra", "{input}"],
+        _products_free([[33]]) | {"products": _dense_corner(33)["products"][:32769]},
+        "products", 32769, MAX_ALGEBRA_PRODUCTS, False,
+    ),
+    "algebra associativity": (
+        ["peirce", "zigzag", "--algebra", "{input}", "--degree", "0"],
+        _dense_corner(22),
+        "associativity multiply-adds", 22 * 22**2 * 2 * 22**2, MAX_ASSOCIATIVITY_WORK, False,
+    ),
+    "algebra digits": (
+        ["peirce", "morita", "--algebra", "{input}", "--degree", "1"],
+        _mm12_with(lambda d: d["products"][3].update(coeff="7" * 101)),
+        "digits in one coefficient", 101, MAX_COEFFICIENT_DIGITS, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(_LIMIT_SITES))
+def test_desk_scale_limit_sites(site, capsys, tmp_path):
+    argv, data, what, size, limit, cheap = _LIMIT_SITES[site]
+    if data is not None:
+        path = tmp_path / "input"
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        argv = [a.format(input=path) for a in argv]
+    assert size > limit
+    message = f"{what}: {size}, over the desk-scale limit of {limit}; pass --unsafe-no-limits"
+    assert f"{message} to override" in _exits_two_fast(capsys, argv)
+    if cheap:
+        start = time.perf_counter()
+        code = main([*argv, "--unsafe-no-limits"])
+        assert time.perf_counter() - start < 1
+        assert code in (0, 1) and capsys.readouterr().err == ""
+
+
+def test_desk_scale_boundaries_are_inside_the_limits():
+    # (3, 7) is the largest pairing matrix `heisenberg verify` accepts
+    assert labeled_partition_count(3, 7) == 429 <= MAX_PAIRING_LABELS
+    assert labeled_partition_count(4, 5) <= MAX_PAIRING_LABELS < labeled_partition_count(4, 6)
+    assert 400 <= MAX_PARTITION_WEIGHT
+    assert 100 <= MAX_LATTICE_LEVEL
+    assert cli._associativity_work(_dense_corner(22)["products"]) == 22 * 22**2 * 2 * 22**2
+
+
+def test_zigzag_exit_status_honours_the_split_checks(monkeypatch):
+    import mta.peirce as pc
+
+    algebra = matrix_model([[1, 2], [1, 0]])
+    payload, ok = cli._zigzag_payload(algebra, 1)
+    assert ok and payload["ideal_unital"]
+    split_of = pc.ideal_unit_and_split
+
+    def one_check_fails(algebra, ideal):
+        split = split_of(algebra, ideal)
+        checks = dict(split.checks)
+        checks[next(iter(checks))] = False
+        return IdealSplit(split.epsilon, split.ideal, split.complement, split.idempotent_ideal, checks)
+
+    monkeypatch.setattr(pc, "ideal_unit_and_split", one_check_fails)
+    assert cli._zigzag_payload(algebra, 1) == (payload, False)
 
 
 def test_input_fixtures_load_under_the_integer_rule(tmp_path):

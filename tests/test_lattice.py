@@ -18,6 +18,7 @@ from mta.lattice import (
     count_norm_layer,
     dual_cosets,
     graded_dims,
+    gram_rows,
     parse_gram_text,
 )
 
@@ -145,6 +146,11 @@ def test_parse_gram_text():
     lattice = parse_gram_text("2\n2 0\n0 4\n")
     assert lattice.rank == 2
     assert lattice.determinant() == 8
+    # gram_rows only reads the file: a matrix EvenLattice rejects still parses
+    assert gram_rows("2\n2 0\n0 4\n") == [[2, 0], [0, 4]]
+    assert gram_rows("2\n1 5\n0 -4\n") == [[1, 5], [0, -4]]
+    with pytest.raises(ValueError, match="symmetric"):
+        parse_gram_text("2\n1 5\n0 -4\n")
     with pytest.raises(ValueError, match="rank alone"):
         parse_gram_text("2 2\n")
     with pytest.raises(ValueError, match="rows"):

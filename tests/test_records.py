@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from mta.cli import RunConfig
 from mta.heisenberg import IdentityReport, Mode, ModeElement, NormalWord, RankCertificate
 from mta.lattice import CosetRep, EvenLattice
 from mta.partitions import LabeledPartition, Partition
@@ -193,6 +192,3 @@ def test_result_holders_keep_their_constructors():
     assert split.ok and split.to_json()["complement_dim"] == 0
     z = ZigZag(parent=None, degree=0, space=None, product={}, star=[])
     assert (z.degree, z.product, z.star) == (0, {}, [])
-    assert vars(RunConfig()) == {"format": "json", "unsafe_no_limits": False, "seed": 0}
-    config = RunConfig("text", True, 3)
-    assert vars(config) == {"format": "text", "unsafe_no_limits": True, "seed": 3}
