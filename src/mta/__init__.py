@@ -80,7 +80,6 @@ _EXPORTS = {
         "morita_forward",
         "regular_module",
         "validate_peirce",
-        "verify_regular_roundtrip",
         "verify_roundtrip",
         "zd_ideal",
         "zigzag",

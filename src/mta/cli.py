@@ -142,14 +142,15 @@ def _load_json(parser, path):
 
 
 def _load_lattice(parser, args, path):
-    from .lattice import EvenLattice, gram_rows
+    from .lattice import EvenLattice, _gram_header, gram_rows
 
-    # the rank is checked before EvenLattice factors the Gram matrix, O(rank^3)
+    # the rank is checked before any row is read, and so before EvenLattice
+    # factors the Gram matrix, O(rank^3)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = gram_rows(fh.read())
-        _limit(parser, args, "lattice rank", len(rows), MAX_LATTICE_RANK)
-        lattice = EvenLattice(rows)
+            text = fh.read()
+        _limit(parser, args, "lattice rank", _gram_header(text)[0], MAX_LATTICE_RANK)
+        lattice = EvenLattice(gram_rows(text))
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read gram file {path}: {exc}")
     _limit(parser, args, "lattice determinant", lattice.determinant(), MAX_LATTICE_COSETS)
@@ -341,7 +342,7 @@ def _morita_payload(algebra, d):
     """Roundtrip of the regular module of the degree-d component."""
     from . import peirce as pc
 
-    report = pc.verify_regular_roundtrip(algebra, d)
+    report = pc.verify_roundtrip(algebra, d, pc.regular_module(algebra, d))
     return {"degree": d, **report.to_json()}, report.ok
 
 
@@ -438,7 +439,7 @@ def _selftest_checks(seed: int, fast: bool):
         if not pc.validate_peirce(p).ok:
             return False, "matrix model failed validation"
         for d in range(p.max_degree + 1):
-            if not pc.verify_regular_roundtrip(p, d).ok:
+            if not pc.verify_roundtrip(p, d, pc.regular_module(p, d)).ok:
                 return False, f"roundtrip failed at degree {d}"
         return True, "matrix model validates and regular modules roundtrip"
 

@@ -88,17 +88,24 @@ class CosetRep(Frozen):
         object.__setattr__(self, "vector", vector)
 
 
+def _gram_header(text: str):
+    """(rank, lines): the rank read off the first nonblank line of a gram
+    file, and an iterator over the lines after it.  No row is read, so a
+    caller can bound the rank first."""
+    lines = iter(text.splitlines())
+    head = next((line.split() for line in lines if line.strip()), None)
+    if head is None:
+        raise ValueError("empty gram description")
+    if len(head) != 1:
+        raise ValueError("first line must hold the rank alone")
+    return parse_int(head[0]), lines
+
+
 def gram_rows(text: str) -> list[list[int]]:
     """The rows of a gram file: first line the rank, then rank rows of rank
     integers.  Nothing is factored, so a caller can bound the rank first."""
-    tokens_by_line = [line.split() for line in text.splitlines() if line.strip()]
-    if not tokens_by_line:
-        raise ValueError("empty gram description")
-    head = tokens_by_line[0]
-    if len(head) != 1:
-        raise ValueError("first line must hold the rank alone")
-    n = parse_int(head[0])
-    rows = tokens_by_line[1:]
+    n, lines = _gram_header(text)
+    rows = [line.split() for line in lines if line.strip()]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"expected {n} rows of {n} integers")
     return [[parse_int(x) for x in r] for r in rows]

@@ -18,9 +18,12 @@ corner component (0,0) is the unital base algebra A.  This module provides:
   * central-idempotent splitting along a unital ideal of A,
   * the inverse pair of functors exchanging degree-d modules with modules
     over the degree-d corner ideal of A,
-  * two families of concrete models: block matrix algebras and exact
-    truncations of the free-boson mode algebra at a rational evaluation
-    point of its zero modes.
+  * two families of concrete models, built by one matrix-unit builder:
+    component (i,j) holds the matrix units E_rc of each block, and
+    E_rc E_st = <c, s> E_rt for a pairing <,> of the level-j units.  The
+    identity pairing gives block matrix algebras; the Wick pairing of
+    weight-j monomials, evaluated exactly at a rational point of the zero
+    modes, gives truncations of the free-boson mode algebra.
 
 Two shortcuts rest on a generating set S of basis elements (_generators).
 Associativity is checked by Light's test (Clifford and Preston, The
@@ -100,13 +103,11 @@ class Algebra:
     """Plain structure-constant algebra: cells[(x, y)] is the sparse product
     {t: coeff} of basis elements x and y, and a missing pair multiplies to
     zero; the cells may be a PeirceAlgebra product table, so they are read
-    only.  unit, when known, is a sparse vector."""
+    only."""
 
-    def __init__(self, dim: int, cells: dict, unit: dict | None = None, label: str = ""):
+    def __init__(self, dim: int, cells: dict):
         self.dim = dim
         self.cells = cells
-        self.unit = unit
-        self.label = label
 
     def is_associative(self) -> bool:
         return _first_nonassociative({(0, 0, 0): self.cells}, 0) is None
@@ -357,14 +358,9 @@ class PeirceAlgebra:
                     out.append((i, j, k, a, b, c, table[(a, b)][c]))
         return out
 
-    def corner_algebra(self) -> Algebra:
-        cells = self._prod.get((0, 0, 0), {})
-        return Algebra(dim=self.dims[0][0], cells=cells, unit=sparse(self.unit0), label="corner")
-
-    def diagonal_algebra(self, d: int, unit: dict | None = None) -> Algebra:
-        """component(d,d) as an Algebra; unit is a sparse vector or None."""
-        cells = self._prod.get((d, d, d), {})
-        return Algebra(dim=self.dims[d][d], cells=cells, unit=unit, label=f"degree-{d}")
+    def diagonal_algebra(self, d: int) -> Algebra:
+        """component(d,d) as an Algebra; d = 0 gives the corner."""
+        return Algebra(dim=self.dims[d][d], cells=self._prod.get((d, d, d), {}))
 
     def to_json_dict(self) -> dict:
         return {
@@ -548,7 +544,7 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
         details["associativity"] = failure
 
     ok_tensor = True
-    corner = p.corner_algebra()
+    corner = p.diagonal_algebra(0)
     # the edge components are honest corner modules once associativity holds
     acting = None if failure is not None else _generators(p, [(0, 0)])[(0, 0)]
     for d in range(d_max + 1):
@@ -605,8 +601,8 @@ class ZigZag:
     def dim(self) -> int:
         return self.space.dim
 
-    def as_algebra(self, unit=None) -> Algebra:
-        return Algebra(dim=self.dim, cells=self.product, unit=unit, label=f"zigzag-{self.degree}")
+    def as_algebra(self) -> Algebra:
+        return Algebra(dim=self.dim, cells=self.product)
 
     def star_image(self) -> Subspace:
         return Subspace((0, 0), self.parent.dims[0][0], self.star)
@@ -847,7 +843,7 @@ def _ideal_unit(p: PeirceAlgebra, ideal: Subspace):
     return eps
 
 
-def _zd_algebra(p: PeirceAlgebra, ideal: Subspace, eps: dict) -> Algebra:
+def _zd_algebra(p: PeirceAlgebra, ideal: Subspace) -> Algebra:
     """The corner ideal as an algebra in its own reduced basis."""
     cells = {}
     for a, za in enumerate(ideal.basis):
@@ -857,19 +853,12 @@ def _zd_algebra(p: PeirceAlgebra, ideal: Subspace, eps: dict) -> Algebra:
                 raise ArithmeticError("ideal is not closed under the product")
             if coords:
                 cells[(a, b)] = coords
-    unit = ideal.coords_of(eps)
-    if unit is None:
-        raise ArithmeticError("ideal unit lies outside the ideal")
-    return Algebra(dim=ideal.dim, cells=cells, unit=unit, label="corner-ideal")
+    return Algebra(dim=ideal.dim, cells=cells)
 
 
 def regular_module(p: PeirceAlgebra, d: int) -> ModuleRep:
     """component(d,d) acting on itself from the left."""
-    return _regular_module(p, d, _strong_identity(p, d))
-
-
-def _regular_module(p: PeirceAlgebra, d: int, sid) -> ModuleRep:
-    return _component_module(p, p.diagonal_algebra(d, unit=sid), d, d, "left")
+    return _component_module(p, p.diagonal_algebra(d), d, d, "left")
 
 
 def _require_morita_setup(p: PeirceAlgebra, d: int):
@@ -907,7 +896,7 @@ def morita_forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> ModuleRep:
 
 
 def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
-    sid, ideal, eps = setup
+    sid, ideal, _ = setup
     if w_mod.side != "left":
         raise ValueError("expected a left module over the degree-d component")
     if w_mod.algebra.dim != p.dims[d][d]:
@@ -915,12 +904,10 @@ def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
     if any(w_mod.apply(sid, {w: 1}) != {w: 1} for w in range(w_mod.dim)):
         raise ValueError("module is not unital for the strong identity")
 
-    diag = p.diagonal_algebra(d)
-    m_rep = _component_module(p, diag, 0, d, "right")
-    q = balanced_tensor(m_rep, ModuleRep(diag, w_mod.dim, w_mod.action, side="left"))
+    q = balanced_tensor(_component_module(p, p.diagonal_algebra(d), 0, d, "right"), w_mod)
 
     zs = ideal.basis
-    alg = _zd_algebra(p, ideal, eps)
+    alg = _zd_algebra(p, ideal)
     return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, zs[t], {u: 1}))
 
 
@@ -931,13 +918,13 @@ def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
 
 
 def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
-    sid, ideal, eps = setup
+    _, ideal, eps = setup
     if w0_mod.side != "left":
         raise ValueError("expected a left module over the corner ideal")
     if w0_mod.algebra.dim != ideal.dim:
         raise ValueError("module is not over the degree-d corner ideal")
 
-    corner = p.corner_algebra()
+    corner = p.diagonal_algebra(0)
     # extend the ideal action to the whole corner through eps * a
     ext_action = []
     for a in range(p.dims[0][0]):
@@ -949,9 +936,7 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
     w0_ext = ModuleRep(corner, w0_mod.dim, ext_action, side="left")
     q = balanced_tensor(_component_module(p, corner, d, 0, "right"), w0_ext)
 
-    return _induced_module(
-        p.diagonal_algebra(d, unit=sid), q, lambda c, v: p.cell(d, d, 0, c, v)
-    )
+    return _induced_module(p.diagonal_algebra(d), q, lambda c, v: p.cell(d, d, 0, c, v))
 
 
 class RoundtripReport:
@@ -985,17 +970,7 @@ class RoundtripReport:
 def verify_roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> RoundtripReport:
     """Push a degree-d module through both functors and compare with the
     original through the canonical evaluation b (x) (a (x) w) -> (b*a).w."""
-    return _roundtrip(p, d, w_mod, _require_morita_setup(p, d))
-
-
-def verify_regular_roundtrip(p: PeirceAlgebra, d: int) -> RoundtripReport:
-    """verify_roundtrip of regular_module(p, d), solving for the strong
-    identity once: the module is built on the setup's identity."""
     setup = _require_morita_setup(p, d)
-    return _roundtrip(p, d, _regular_module(p, d, setup[0]), setup)
-
-
-def _roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> RoundtripReport:
     w0 = _forward(p, d, w_mod, setup)
     w2 = _backward(p, d, w0, setup)
     q_in = w0.tensor_space
@@ -1024,13 +999,31 @@ def _roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> RoundtripRe
     )
 
 
-def _mm_basis(blocks, i, j):
-    return [
-        (b, r, c)
-        for b in range(len(blocks))
-        for r in range(blocks[b][i])
-        for c in range(blocks[b][j])
+def _block_model(blocks, pairing, unit0) -> PeirceAlgebra:
+    """The algebra of matrix units of graded blocks, paired at the middle.
+
+    blocks[b][i] is the level-i size of block b.  Component (i,j) holds,
+    block by block, the units E_rc (r < blocks[b][i], c < blocks[b][j]) in
+    row-major order, and E_rc E_st = pairing[b][j].get((c, s), 0) E_rt;
+    units of different blocks multiply to zero.
+    """
+    depth = len(blocks[0])
+    # start[i][j][b]: position of block b's first unit in component (i,j)
+    start = [
+        [list(itertools.accumulate((b[i] * b[j] for b in blocks), initial=0)) for j in range(depth)]
+        for i in range(depth)
     ]
+    dims = [[start[i][j][-1] for j in range(depth)] for i in range(depth)]
+    entries = []
+    for i, j, k in itertools.product(range(depth), repeat=3):
+        for b, size in enumerate(blocks):
+            left, right, out = start[i][j][b], start[j][k][b], start[i][k][b]
+            for (c, s), v in pairing[b][j].items():
+                for r in range(size[i]):
+                    a = left + r * size[j] + c
+                    for t in range(size[k]):
+                        entries.append((i, j, k, a, right + s * size[k] + t, out + r * size[k] + t, v))
+    return PeirceAlgebra(depth - 1, dims, entries, unit0)
 
 
 def matrix_model(blocks) -> PeirceAlgebra:
@@ -1056,32 +1049,9 @@ def matrix_model(blocks) -> PeirceAlgebra:
             raise ValueError("graded dimensions must be nonnegative")
         if any(b) and b[0] == 0:
             raise ValueError("a nonzero block needs a nonzero level-0 dimension")
-    d_max = depth - 1
-    dims = [
-        [sum(b[i] * b[j] for b in blocks) for j in range(depth)] for i in range(depth)
-    ]
-    entries = []
-    for i in range(depth):
-        for j in range(depth):
-            if not dims[i][j]:
-                continue
-            left_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, i, j))}
-            for k in range(depth):
-                if not dims[j][k] or not dims[i][k]:
-                    continue
-                right_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, j, k))}
-                out_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, i, k))}
-                for (b, r, c), a_pos in left_index.items():
-                    for c2 in range(blocks[b][k]):
-                        entries.append(
-                            (i, j, k, a_pos, right_index[(b, c, c2)], out_index[(b, r, c2)], 1)
-                        )
-    unit0 = [0] * dims[0][0]
-    zero_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, 0, 0))}
-    for b in range(len(blocks)):
-        for r in range(blocks[b][0]):
-            unit0[zero_index[(b, r, r)]] = 1
-    p = PeirceAlgebra(d_max, dims, entries, unit0)
+    identity = [[{(c, c): 1 for c in range(n)} for n in b] for b in blocks]
+    unit0 = [int(r == c) for b in blocks for r in range(b[0]) for c in range(b[0])]
+    p = _block_model(blocks, identity, unit0)
     p.block_dims = blocks
     return p
 
@@ -1091,18 +1061,22 @@ def matrix_model_column_module(p: PeirceAlgebra, block: int, d: int) -> ModuleRe
     if p.block_dims is None:
         raise ValueError("algebra was not built by matrix_model")
     blocks = p.block_dims
-    dim = blocks[block][d]
-    alg = p.diagonal_algebra(d, unit=_strong_identity(p, d))
     # the matrix unit E_rc of the block sends e_c to e_r
-    action = [{c: {r: 1}} if b == block else {} for b, r, c in _mm_basis(blocks, d, d)]
-    return ModuleRep(alg, dim, action, side="left")
+    action = [
+        {c: {r: 1}} if b == block else {}
+        for b, size in enumerate(blocks)
+        for r in range(size[d])
+        for c in range(size[d])
+    ]
+    return ModuleRep(p.diagonal_algebra(d), blocks[block][d], action, side="left")
 
 
 def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
     """Exact truncation of the rank-n free-boson mode algebra.
 
     Component (i,j) has the creation/annihilation monomial pairs of weights
-    (i, j) as basis; structure constants are corner pairings evaluated at
+    (i, j) as basis: the matrix units of one block whose level-j size is the
+    number of weight-j labels, paired by the corner pairings evaluated at
     the given rational point of the zero modes.  The evaluated pairings are
     the symmetry-factor diagonal, so the result is independent of the point;
     the evaluation is still carried out exactly rather than assumed.
@@ -1115,35 +1089,11 @@ def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
         raise ValueError("need one evaluation value per generator")
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    pair_val = {}
-    counts = {}
+    counts = []
+    pairing = []
     for j in range(max_degree + 1):
         labels, matrix = pairing_matrix(n, j)
-        pair_val[j] = [[x.evaluate(point) for x in row] for row in matrix]
-        counts[j] = len(labels)
-    dims = [
-        [counts[i] * counts[j] for j in range(max_degree + 1)] for i in range(max_degree + 1)
-    ]
-    entries = []
-    for i in range(max_degree + 1):
-        for j in range(max_degree + 1):
-            for k in range(max_degree + 1):
-                for t in range(counts[j]):
-                    for a in range(counts[j]):
-                        v = pair_val[j][t][a]
-                        if not v:
-                            continue
-                        for s in range(counts[i]):
-                            for b in range(counts[k]):
-                                entries.append(
-                                    (
-                                        i,
-                                        j,
-                                        k,
-                                        s * counts[j] + t,
-                                        a * counts[k] + b,
-                                        s * counts[k] + b,
-                                        v,
-                                    )
-                                )
-    return PeirceAlgebra(max_degree, dims, entries, [1])
+        counts.append(len(labels))
+        values = ((t, a, x.evaluate(point)) for t, row in enumerate(matrix) for a, x in enumerate(row))
+        pairing.append({(t, a): v for t, a, v in values if v})
+    return _block_model([counts], [pairing], [1])

@@ -15,11 +15,18 @@ before it kept only sparse cells and action maps: struct[x][y] is the dense
 product vector, and action[b] is a dense matrix whose column w is the image
 of basis element w.  They carry the old dense `mul`, `is_associative`,
 `matrix` and `validate`; `dense_algebra` and `dense_module` copy a library
-`Algebra` or `ModuleRep` into them.
+`Algebra` or `ModuleRep` into them, with the unit passed in, since a library
+`Algebra` holds none.
 
 `zigzag_well_defined` is the brute-force check `zigzag` made before it
 relied on `validate_peirce`: every balancing relation times every pure
 tensor, on both sides, must vanish in the quotient.
+
+`matrix_model` and `heisenberg_truncation` are the two model builders the
+library had before both went through one matrix-unit builder: a lookup of
+(block, row, column) triples for the block matrices, and a seven-deep loop
+over the pairing for the truncations.  Their bodies are copied unchanged,
+but for the import of `pairing_matrix`, which moved to the top.
 
 `square_completion`, `norm` and `is_dual_vector` are the lattice's
 Fraction arithmetic before it moved to integers: an elimination with
@@ -39,10 +46,11 @@ from fractions import Fraction
 from math import isqrt
 
 from mta import peirce
-from mta.exact import add_multiple
+from mta.exact import add_multiple, scalar, strict_int
+from mta.heisenberg import pairing_matrix
 from mta.lattice import EvenLattice
 from mta.partitions import labeled_partition_counts
-from mta.peirce import PeirceReport
+from mta.peirce import PeirceAlgebra, PeirceReport
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -213,12 +221,12 @@ class ModuleRep:
         return problems
 
 
-def dense_algebra(alg) -> Algebra:
-    """A dense copy of a library Algebra (sparse cells and unit)."""
+def dense_algebra(alg, unit=None) -> Algebra:
+    """A dense copy of a library Algebra (sparse cells), with the dense unit
+    given, if any."""
     n = alg.dim
     struct = [[dense_vector(alg.cells.get((a, b), {}), n) for b in range(n)] for a in range(n)]
-    unit = None if alg.unit is None else dense_vector(alg.unit, n)
-    return Algebra(n, struct, unit, alg.label)
+    return Algebra(n, struct, unit)
 
 
 def dense_map(images: dict, n: int):
@@ -230,10 +238,11 @@ def dense_map(images: dict, n: int):
     return out
 
 
-def dense_module(rep) -> ModuleRep:
-    """A dense copy of a library ModuleRep (sparse action maps)."""
+def dense_module(rep, unit=None) -> ModuleRep:
+    """A dense copy of a library ModuleRep (sparse action maps); unit, a
+    dense vector, makes validate check that it acts as the identity."""
     action = [dense_map(images, rep.dim) for images in rep.action]
-    return ModuleRep(dense_algebra(rep.algebra), rep.dim, action, rep.side)
+    return ModuleRep(dense_algebra(rep.algebra, unit), rep.dim, action, rep.side)
 
 
 class DenseProducts:
@@ -521,6 +530,116 @@ def zigzag_well_defined(p, d):
             ):
                 return "zig-zag product is not well defined on the quotient"
     return None
+
+
+def _mm_basis(blocks, i, j):
+    return [
+        (b, r, c)
+        for b in range(len(blocks))
+        for r in range(blocks[b][i])
+        for c in range(blocks[b][j])
+    ]
+
+
+def matrix_model(blocks) -> PeirceAlgebra:
+    """Block matrix model: component (i,j) is the direct sum over blocks of
+    the spaces of (level-i dim) x (level-j dim) matrices, multiplied by
+    ordinary matrix composition within each block.
+
+    Accepts a single graded dimension vector or a list of them.  A block
+    with any nonzero level must have a nonzero level-0 dimension, matching
+    modules generated in their lowest level; otherwise the balanced product
+    map cannot be bijective and the model would fail validation.
+    """
+    blocks = list(blocks)
+    if blocks and isinstance(blocks[0], int):
+        blocks = [blocks]
+    blocks = [list(map(strict_int, b)) for b in blocks]
+    if not blocks:
+        return PeirceAlgebra(0, [[0]], [], [])
+    depth = max(len(b) for b in blocks)
+    blocks = [b + [0] * (depth - len(b)) for b in blocks]
+    for b in blocks:
+        if any(x < 0 for x in b):
+            raise ValueError("graded dimensions must be nonnegative")
+        if any(b) and b[0] == 0:
+            raise ValueError("a nonzero block needs a nonzero level-0 dimension")
+    d_max = depth - 1
+    dims = [
+        [sum(b[i] * b[j] for b in blocks) for j in range(depth)] for i in range(depth)
+    ]
+    entries = []
+    for i in range(depth):
+        for j in range(depth):
+            if not dims[i][j]:
+                continue
+            left_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, i, j))}
+            for k in range(depth):
+                if not dims[j][k] or not dims[i][k]:
+                    continue
+                right_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, j, k))}
+                out_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, i, k))}
+                for (b, r, c), a_pos in left_index.items():
+                    for c2 in range(blocks[b][k]):
+                        entries.append(
+                            (i, j, k, a_pos, right_index[(b, c, c2)], out_index[(b, r, c2)], 1)
+                        )
+    unit0 = [0] * dims[0][0]
+    zero_index = {t: pos for pos, t in enumerate(_mm_basis(blocks, 0, 0))}
+    for b in range(len(blocks)):
+        for r in range(blocks[b][0]):
+            unit0[zero_index[(b, r, r)]] = 1
+    p = PeirceAlgebra(d_max, dims, entries, unit0)
+    p.block_dims = blocks
+    return p
+
+
+def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
+    """Exact truncation of the rank-n free-boson mode algebra.
+
+    Component (i,j) has the creation/annihilation monomial pairs of weights
+    (i, j) as basis; structure constants are corner pairings evaluated at
+    the given rational point of the zero modes.  The evaluated pairings are
+    the symmetry-factor diagonal, so the result is independent of the point;
+    the evaluation is still carried out exactly rather than assumed.
+    """
+    point = [scalar(x) for x in point]
+    if len(point) != n:
+        raise ValueError("need one evaluation value per generator")
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    pair_val = {}
+    counts = {}
+    for j in range(max_degree + 1):
+        labels, matrix = pairing_matrix(n, j)
+        pair_val[j] = [[x.evaluate(point) for x in row] for row in matrix]
+        counts[j] = len(labels)
+    dims = [
+        [counts[i] * counts[j] for j in range(max_degree + 1)] for i in range(max_degree + 1)
+    ]
+    entries = []
+    for i in range(max_degree + 1):
+        for j in range(max_degree + 1):
+            for k in range(max_degree + 1):
+                for t in range(counts[j]):
+                    for a in range(counts[j]):
+                        v = pair_val[j][t][a]
+                        if not v:
+                            continue
+                        for s in range(counts[i]):
+                            for b in range(counts[k]):
+                                entries.append(
+                                    (
+                                        i,
+                                        j,
+                                        k,
+                                        s * counts[j] + t,
+                                        a * counts[k] + b,
+                                        s * counts[k] + b,
+                                        v,
+                                    )
+                                )
+    return PeirceAlgebra(max_degree, dims, entries, [1])
 
 
 def _center_range(rho: Fraction, bound: Fraction):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mta import cli
+from mta import cli, lattice, peirce
 from mta.cli import (
     MAX_ALGEBRA_DIM,
     MAX_ALGEBRA_PRODUCTS,
@@ -184,6 +184,30 @@ def test_peirce_morita(capsys, algebra_file):
     assert data["ok"] and data["dim_start"] == data["dim_back"] == 4
 
 
+def test_morita_command_runs_the_one_roundtrip_path(capsys, algebra_file, monkeypatch):
+    """`peirce morita` is verify_roundtrip of regular_module, so its time
+    lands in the traced roundtrip span; the strong identity is solved once,
+    by the roundtrip's Morita setup."""
+    calls = []
+
+    def counting(name):
+        real = getattr(peirce, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(peirce, name, wrapper)
+
+    for name in ("verify_roundtrip", "regular_module", "_strong_identity"):
+        counting(name)
+    for d in (0, 1):
+        calls.clear()
+        code, out = run(capsys, ["peirce", "morita", "--algebra", algebra_file, "--degree", str(d)])
+        assert code == 0 and json.loads(out)["ok"]
+        assert sorted(calls) == ["_strong_identity", "regular_module", "verify_roundtrip"]
+
+
 def test_output_is_byte_identical(capsys, gram_file):
     argv = ["lattice", "weights", "--gram", gram_file]
     _, first = run(capsys, argv)
@@ -302,6 +326,21 @@ def _diagonal_gram(n):
     """The gram file of diag(2, ..., 2) at rank n."""
     rows = (" ".join("2" if i == j else "0" for j in range(n)) for i in range(n))
     return f"{n}\n" + "".join(row + "\n" for row in rows)
+
+
+def test_over_rank_gram_is_rejected_before_its_rows_are_read(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "big.gram"
+    # a rank-1000 header over 1000 rows of 1000 tokens that are no integers
+    path.write_text("1000\n" + ("x " * 1000 + "\n") * 1000)
+    err = _exits_two_fast(capsys, ["lattice", "cosets", "--gram", str(path)])
+    assert f"lattice rank: 1000, over the desk-scale limit of {MAX_LATTICE_RANK}" in err
+    # a well-formed over-rank file: the rank is the one integer read
+    path.write_text(_diagonal_gram(1000))
+    calls = []
+    real = lattice.parse_int
+    monkeypatch.setattr(lattice, "parse_int", lambda text: calls.append(text) or real(text))
+    _exits_two_fast(capsys, ["lattice", "cosets", "--gram", str(path)])
+    assert calls == ["1000"]
 
 
 def test_algebra_caps_exit_two_fast(capsys, tmp_path):

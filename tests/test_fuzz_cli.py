@@ -1,0 +1,184 @@
+"""Mutated input files end every CLI command with exit 0, 1 or 2.
+
+Each file under tests/golden/cli/inputs is mutated: keys and list items
+dropped, values swapped for another type, integers negated or inflated,
+values nested in a list, gram tokens replaced, and the text cut short.  The
+mutant runs through `cli.main` in-process, with stdout and stderr captured
+and a 10 s alarm.  The command must end with exit 0, 1 or 2, and no
+exception but SystemExit may escape.
+"""
+
+import contextlib
+import io
+import json
+import signal
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mta.cli import main
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "cli" / "inputs"
+LIMIT_S = 10
+
+ALGEBRAS = ("idempotents3.json", "mm12.json", "mm22_perturbed.json", "no_identity.json")
+GRAMS = ("a4.gram", "d4.gram", "rank2.gram", "z8.gram")
+# argv of each command family, the input file standing last
+ALGEBRA_COMMANDS = (
+    ("peirce", "validate", "--algebra"),
+    ("peirce", "zigzag", "--degree", "0", "--algebra"),
+    ("peirce", "zigzag", "--degree", "1", "--algebra"),
+    ("peirce", "morita", "--degree", "0", "--algebra"),
+    ("peirce", "morita", "--degree", "1", "--algebra"),
+)
+GRAM_COMMANDS = (
+    ("lattice", "cosets", "--gram"),
+    ("lattice", "weights", "--gram"),
+    ("lattice", "dims", "--coset", "1", "--max", "12", "--gram"),
+)
+MODULE_COMMANDS = (("zhu", "rational", "--degree", "2", "--modules"),)
+
+FUZZ = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+class _Timeout(BaseException):
+    """Raised by the alarm; a BaseException, so no `except Exception` in the
+    command can swallow it."""
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _run(argv):
+    """(exit status, stderr) of one in-process command under the alarm."""
+
+    def alarm(signum, frame):
+        raise _Timeout(f"{argv} ran over {LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+def _check(command, path, text):
+    path.write_text(text, encoding="utf-8")
+    code, err = _run([*command, str(path)])
+    assert code in (0, 1, 2), (command, text[:400], code)
+    assert "Traceback" not in err, (command, text[:400], err)
+
+
+def _paths(obj, path=()):
+    """Every position in a JSON value, as a key path."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutate_value(value, how, k):
+    if how == "swap":
+        others = ["x", "1/0", 2.5, None, True, [], {}, str(value), 10**k]
+        return others[k % len(others)]
+    if how == "negate":
+        if isinstance(value, int) and not isinstance(value, bool):
+            return -value
+        return f"-{value}" if isinstance(value, str) else value
+    if how == "inflate":
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value * 10**k + k
+        return f"{value}{'0' * k}" if isinstance(value, str) else value
+    return [value]  # nest
+
+
+def _cut(draw, text):
+    """text, cut short at a random place one time in four."""
+    if draw(st.integers(0, 3)):
+        return text
+    return text[: draw(st.integers(0, len(text)))]
+
+
+@st.composite
+def json_mutants(draw, name):
+    data = json.loads((INPUTS / name).read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(data))
+        path = draw(st.sampled_from(paths))
+        how = draw(st.sampled_from(("drop", "swap", "negate", "inflate", "nest")))
+        k = draw(st.sampled_from((1, 2, 3, 9, 40)))
+        if not path:
+            data = [data] if how == "nest" else _mutate_value(data, "swap", k)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = _mutate_value(parent[path[-1]], how, k)
+    text = json.dumps(data)
+    return _cut(draw, text)
+
+
+@st.composite
+def gram_mutants(draw, name):
+    lines = [line.split() for line in (INPUTS / name).read_text(encoding="utf-8").splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        how = draw(st.sampled_from(("drop line", "copy line", "drop", "swap", "negate", "inflate")))
+        if how == "drop line" and lines:
+            del lines[r]
+        elif how == "copy line" and lines:
+            lines.insert(r, list(lines[r]))
+        elif lines and lines[r]:
+            c = draw(st.integers(0, len(lines[r]) - 1))
+            token = lines[r][c]
+            if how == "drop":
+                del lines[r][c]
+            elif how == "swap":
+                lines[r][c] = draw(st.sampled_from(("x", "1/2", "2.0", "1e3", "+4", "٣", "0x10")))
+            elif how == "negate":
+                lines[r][c] = token[1:] if token.startswith("-") else f"-{token}"
+            else:
+                lines[r][c] = token + "0" * draw(st.sampled_from((1, 3, 9, 40)))
+    text = "".join(" ".join(tokens) + "\n" for tokens in lines)
+    return _cut(draw, text)
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_algebra_files(scratch, data):
+    name = data.draw(st.sampled_from(ALGEBRAS))
+    command = data.draw(st.sampled_from(ALGEBRA_COMMANDS))
+    _check(command, scratch / "algebra.json", data.draw(json_mutants(name)))
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_gram_files(scratch, data):
+    name = data.draw(st.sampled_from(GRAMS))
+    command = data.draw(st.sampled_from(GRAM_COMMANDS))
+    _check(command, scratch / "lattice.gram", data.draw(gram_mutants(name)))
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_module_files(scratch, data):
+    _check(MODULE_COMMANDS[0], scratch / "modules.json", data.draw(json_mutants("modules.json")))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import oracle_exact as oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mta import exact, peirce
@@ -15,6 +15,8 @@ from mta.cli import _associativity_work, _morita_payload, _zigzag_payload
 from mta.heisenberg import strong_identity
 from mta.partitions import enumerate_labeled_partitions
 from mta.peirce import (
+    Algebra,
+    ModuleRep,
     PeirceAlgebra,
     Subspace,
     action_through_A_check,
@@ -428,7 +430,7 @@ def test_column_module_roundtrips():
     for block in range(2):
         for d in range(p.max_degree + 1):
             w = matrix_model_column_module(p, block, d)
-            assert oracle.dense_module(w).validate() == []
+            assert oracle.dense_module(w, find_strong_identity(p, d)).validate() == []
             report = verify_roundtrip(p, d, w)
             assert report.ok, (block, d, report)
 
@@ -473,6 +475,21 @@ def test_forward_functor_dims():
         w = matrix_model_column_module(p, block, 1)
         w0 = morita_forward(p, 1, w)
         assert w0.dim == expect
+
+
+def test_morita_forward_honours_the_declared_algebra():
+    """A module declared over another algebra is refused, even when its
+    action maps are those of an honest degree-d module."""
+    p = matrix_model([[1, 2], [1, 1]])
+    action = regular_module(p, 1).action
+    foreign = ModuleRep(Algebra(5, {}), 5, action)
+    for run in (lambda: morita_forward(p, 1, foreign), lambda: verify_roundtrip(p, 1, foreign)):
+        with pytest.raises(ValueError, match="modules are not over the same algebra"):
+            run()
+    # the dimension check comes before the unital check, which reads action[b]
+    # for every b in the strong identity
+    with pytest.raises(ValueError, match="not over the degree-d component"):
+        morita_forward(p, 1, ModuleRep(Algebra(1, {}), 5, action[:1]))
 
 
 def test_morita_requires_strong_identity():
@@ -533,6 +550,60 @@ def test_random_models_validate_and_roundtrip(blocks):
     assert validate_peirce(p).ok
     for d in range(p.max_degree + 1):
         assert verify_roundtrip(p, d, regular_module(p, d)).ok
+
+
+def _outcome(build, *args):
+    """The JSON and block dims of a built model, or the error it raised."""
+    try:
+        p = build(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return json.dumps(p.to_json_dict()), p.block_dims
+
+
+ragged_blocks_st = st.one_of(
+    st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=3),
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+        min_size=0,
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_blocks_st)
+@example([])
+@example([[2, 0, 1], [1, 1]])
+@example([[3, 2], [1, 3], [2, 1]])
+def test_matrix_model_matches_the_triple_lookup(blocks):
+    """The matrix-unit builder gives the model, entry order and block dims
+    included, of the old (block, row, column) lookup; both reject the same
+    inputs.  The lists take zero, empty and padded levels, and []."""
+    assert _outcome(matrix_model, blocks) == _outcome(oracle.matrix_model, blocks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=3),
+    st.data(),
+)
+def test_heisenberg_truncation_matches_the_pairing_loop(n, max_degree, data):
+    coordinate = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    point = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+    new = heisenberg_truncation(n, max_degree, point)
+    assert json.dumps(new.to_json_dict()) == json.dumps(
+        oracle.heisenberg_truncation(n, max_degree, point).to_json_dict()
+    )
+    assert new.block_dims is None
+
+
+def test_column_module_needs_a_matrix_model():
+    # a truncation pairs its units through the Wick pairing, not the identity
+    p = heisenberg_truncation(1, 1, [Fraction(0)])
+    with pytest.raises(ValueError, match="algebra was not built by matrix_model"):
+        matrix_model_column_module(p, 0, 0)
 
 
 def _rescaled_model(coeff):

@@ -137,9 +137,8 @@ def test_strict_readers_keep_integer_inputs():
 
 def test_result_holders_keep_their_constructors():
     alg = Algebra(1, {(0, 0): {0: 1}})
-    assert (alg.dim, alg.cells, alg.unit, alg.label) == (1, {(0, 0): {0: 1}}, None, "")
-    alg = Algebra(dim=1, cells={(0, 0): {0: 1}}, unit={0: 1}, label="k")
-    assert (alg.unit, alg.label) == ({0: 1}, "k")
+    assert (alg.dim, alg.cells) == (1, {(0, 0): {0: 1}})
+    alg = Algebra(dim=1, cells={(0, 0): {0: 1}})
     mod = ModuleRep(alg, 1, [{0: {0: 1}}])
     assert mod.side == "left"
     assert ModuleRep(algebra=alg, dim=1, action=[{0: {0: 1}}], side="right").side == "right"
