@@ -142,15 +142,16 @@ def _load_json(parser, path):
 
 
 def _load_lattice(parser, args, path):
-    from .lattice import EvenLattice, _gram_header, gram_rows
+    from .lattice import EvenLattice, _gram_header, _gram_rows
 
-    # the rank is checked before any row is read, and so before EvenLattice
-    # factors the Gram matrix, O(rank^3)
+    # the rank is checked once the first line is read, before the rest of
+    # the file is, and so before EvenLattice factors the Gram matrix,
+    # O(rank^3)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        _limit(parser, args, "lattice rank", _gram_header(text)[0], MAX_LATTICE_RANK)
-        lattice = EvenLattice(gram_rows(text))
+            n, lines = _gram_header(fh)
+            _limit(parser, args, "lattice rank", n, MAX_LATTICE_RANK)
+            lattice = EvenLattice(_gram_rows(n, lines))
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read gram file {path}: {exc}")
     _limit(parser, args, "lattice determinant", lattice.determinant(), MAX_LATTICE_COSETS)
@@ -195,12 +196,15 @@ def _cmd_partitions(parser, args) -> int:
 
 
 def _cmd_heisenberg(parser, args) -> int:
-    # per command: only heisenberg commands load the free-boson engine
-    from . import heisenberg as hb
-
     n, d = args.rank, args.degree
     _limit(parser, args, "rank", n, MAX_RANK)
     _limit(parser, args, "degree", d, MAX_DEGREE)
+    if args.action == "zhu":
+        return _heisenberg_zhu(args)
+    # per command: only `heisenberg identity` and `verify` load the
+    # free-boson engine
+    from . import heisenberg as hb
+
     if args.action == "identity":
         terms = hb.strong_identity(n, d)
         _emit(
@@ -209,25 +213,29 @@ def _cmd_heisenberg(parser, args) -> int:
             [f"{frac_str(c)}  {lp!r}" for lp, c in terms],
         )
         return 0
-    if args.action == "verify":
-        from .partitions import labeled_partition_count
+    from .partitions import labeled_partition_count
 
-        size = labeled_partition_count(n, d)
-        _limit(parser, args, "labels of the pairing matrix", size, MAX_PAIRING_LABELS)
-        report = hb.verify_strong_identity(n, d)
-        verdict = "verified" if report.ok else "FAILED"
-        _emit(
-            args,
-            report.to_json(),
-            [
-                f"rank {n} degree {d}: strong identity {verdict} "
-                f"(size {len(report.labels)}, diagonal {report.expected_diagonal})"
-            ],
-        )
-        return 0 if report.ok else 1
+    size = labeled_partition_count(n, d)
+    _limit(parser, args, "labels of the pairing matrix", size, MAX_PAIRING_LABELS)
+    report = hb.verify_strong_identity(n, d)
+    verdict = "verified" if report.ok else "FAILED"
+    _emit(
+        args,
+        report.to_json(),
+        [
+            f"rank {n} degree {d}: strong identity {verdict} "
+            f"(size {len(report.labels)}, diagonal {report.expected_diagonal})"
+        ],
+    )
+    return 0 if report.ok else 1
+
+
+def _heisenberg_zhu(args) -> int:
+    """`heisenberg zhu` and `zhu heisenberg`, once the caller has limited
+    the rank and the degree."""
     from .zhu import heisenberg_zhu_descriptor
 
-    descriptor = heisenberg_zhu_descriptor(n, d)
+    descriptor = heisenberg_zhu_descriptor(args.rank, args.degree)
     _emit(args, descriptor.to_json(), [descriptor.render_text()])
     return 0
 
@@ -353,21 +361,10 @@ def _cmd_zhu(parser, args) -> int:
     if args.action == "rational":
         data = _load_json(parser, args.modules)
         try:
-            modules = [
-                zhu.SimpleModuleData(
-                    label=str(item["label"]),
-                    graded_dims=tuple(item["graded_dims"]),
-                    conformal_weight=(
-                        parse_frac(item["conformal_weight"])
-                        if item.get("conformal_weight") is not None
-                        else None
-                    ),
-                )
-                for item in data
-            ]
+            modules = _module_data(zhu, data)
             descriptor = zhu.rational_zhu_descriptor(modules, args.degree)
             support = zhu.zd_support(modules, args.degree)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             parser.error(f"bad module data: {exc}")
         payload = descriptor.to_json()
         payload["support"] = support
@@ -376,9 +373,7 @@ def _cmd_zhu(parser, args) -> int:
     if args.action == "heisenberg":
         _limit(parser, args, "rank", args.rank, MAX_RANK)
         _limit(parser, args, "degree", args.degree, MAX_DEGREE)
-        descriptor = zhu.heisenberg_zhu_descriptor(args.rank, args.degree)
-        _emit(args, descriptor.to_json(), [descriptor.render_text()])
-        return 0
+        return _heisenberg_zhu(args)
     try:
         dims = [parse_int(x) for x in args.dims.split(",")]
     except ValueError:
@@ -391,6 +386,36 @@ def _cmd_zhu(parser, args) -> int:
     lines += [f"level {j}: degree component and corner ideal are zero rings" for j in exceptional]
     _emit(args, {"d_max": args.max, "exceptional": exceptional}, lines)
     return 0
+
+
+def _module_data(zhu, data) -> list:
+    """The modules of a module file, its shape checked first: a list of
+    objects, each with a label, graded_dims a list of integers and an
+    optional conformal_weight.  ValueError names the module and the field
+    at fault."""
+    if not isinstance(data, list):
+        raise ValueError("expected a list of module objects")
+    modules = []
+    for m, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise ValueError(f"module {m} is not an object")
+        if "label" not in item:
+            raise ValueError(f"module {m} has no label")
+        where = f"module {m} ({str(item['label'])!r})"
+        dims = item.get("graded_dims")
+        if not isinstance(dims, list) or any(type(x) is not int for x in dims):
+            raise ValueError(f"{where}: graded_dims must be a list of integers")
+        weight = item.get("conformal_weight")
+        try:
+            if weight is not None:
+                weight = parse_frac(weight)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{where}: conformal_weight: {exc}") from None
+        try:
+            modules.append(zhu.SimpleModuleData(str(item["label"]), tuple(dims), weight))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return modules
 
 
 def _selftest_checks(seed: int, fast: bool):

@@ -175,13 +175,12 @@ def rref(rows):
 
 
 def reduce_vector(basis_rows, pivots, v):
-    """Eliminate the pivot coordinates of v against a reduced basis."""
-    v = list(map(scalar, v))
-    for row, p in zip(basis_rows, pivots):
-        c = v[p]
-        if c != 0:
-            v = [x - c * y for x, y in zip(v, row)]
-    return v
+    """Eliminate the pivot coordinates of v against a reduced basis: dense
+    rows, each 1 at its own pivot and 0 at the others, as rref returns
+    them.  Echelon.reduce on those rows, as a dense vector."""
+    ech = Echelon()
+    ech.rows = {p: sparse(row) for row, p in zip(basis_rows, pivots)}
+    return dense(ech.reduce(sparse(v)), len(v))
 
 
 def solve_linear(rows, n: int):

@@ -88,11 +88,16 @@ class CosetRep(Frozen):
         object.__setattr__(self, "vector", vector)
 
 
-def _gram_header(text: str):
+def _gram_header(chunks):
     """(rank, lines): the rank read off the first nonblank line of a gram
-    file, and an iterator over the lines after it.  No row is read, so a
-    caller can bound the rank first."""
-    lines = iter(text.splitlines())
+    file, and an iterator over the lines after it.
+
+    chunks is an iterable of text pieces that each end at a line break: an
+    open file, read one line at a time, or [text].  Each piece is split as
+    str.splitlines splits, so both give the same lines, and nothing past
+    the rank line is read, so a caller can bound the rank first.
+    """
+    lines = (line for chunk in chunks for line in chunk.splitlines())
     head = next((line.split() for line in lines if line.strip()), None)
     if head is None:
         raise ValueError("empty gram description")
@@ -101,14 +106,18 @@ def _gram_header(text: str):
     return parse_int(head[0]), lines
 
 
-def gram_rows(text: str) -> list[list[int]]:
-    """The rows of a gram file: first line the rank, then rank rows of rank
-    integers.  Nothing is factored, so a caller can bound the rank first."""
-    n, lines = _gram_header(text)
+def _gram_rows(n: int, lines) -> list[list[int]]:
+    """The n rows of n integers that follow a gram file's rank line."""
     rows = [line.split() for line in lines if line.strip()]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"expected {n} rows of {n} integers")
     return [[parse_int(x) for x in r] for r in rows]
+
+
+def gram_rows(text: str) -> list[list[int]]:
+    """The rows of a gram file: first line the rank, then rank rows of rank
+    integers.  Nothing is factored, so a caller can bound the rank first."""
+    return _gram_rows(*_gram_header([text]))
 
 
 def parse_gram_text(text: str) -> EvenLattice:

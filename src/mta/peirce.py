@@ -10,6 +10,8 @@ corner component (0,0) is the unital base algebra A.  This module provides:
     associativity, and bijectivity of the balanced product map
     component(d,0) (x)_A component(0,d) -> component(d,d)),
   * balanced tensor products of finite-dimensional module presentations,
+    each held, as every algebra here is, as a product table, so a component
+    module is its component's own table,
   * the degree-d zig-zag algebra component(0,d) (x)_{component(d,d)}
     component(d,0) of a validated algebra, with its product and reduction to A,
   * search for the degree-d strong identity, i.e. the element of
@@ -113,6 +115,18 @@ class Algebra:
         return _first_nonassociative({(0, 0, 0): self.cells}, 0) is None
 
 
+def _bilinear(table: dict, x: dict, y: dict) -> dict:
+    """The sparse product of sparse vectors x and y through the product
+    table {(a, b): cell}, a missing pair contributing zero."""
+    out: dict = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            cell = table.get((a, b))
+            if cell:
+                add_multiple(out, ca * cb, cell)
+    return out
+
+
 def _by_factor(table: dict, pos: int) -> dict:
     """A product table {(u, v): cell} grouped as {u: {v: cell}} (pos 0) or
     as {v: {u: cell}} (pos 1)."""
@@ -159,51 +173,32 @@ def _first_nonassociative(tables: dict, max_degree: int, middle=None):
 
 
 class ModuleRep:
-    """Module presented by the action of each algebra basis element.
+    """Module presented by its product table, as an Algebra is.
 
-    action[b] maps each module basis element w to its sparse image, b.w on
-    side='left' and w.b on side='right'; a missing w maps to zero.  The
-    images may be cells of a PeirceAlgebra product table, so they are read
-    only.
+    On side='left' table[(b, w)] is the sparse image b.e_w of module basis
+    element w under algebra basis element b; on side='right' table[(w, b)]
+    is e_w.b.  A missing pair maps to zero.  The table may be a PeirceAlgebra
+    product table, so it is read only.
     """
 
-    def __init__(self, algebra: Algebra, dim: int, action: list, side: str = "left"):
+    def __init__(self, algebra: Algebra, dim: int, table: dict, side: str = "left"):
         self.algebra = algebra
         self.dim = dim
-        self.action = action  # [basis index] -> {w: sparse image}
+        self.table = table
         self.side = side
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        if len(self.action) != self.algebra.dim:
-            raise ValueError("need one action map per algebra basis element")
-        for m in self.action:
-            if any(not 0 <= j < dim for w, img in m.items() for j in (w, *img)):
+        b_pos = 0 if side == "left" else 1
+        for key, img in table.items():
+            b, w = key[b_pos], key[1 - b_pos]
+            if not 0 <= b < algebra.dim or any(not 0 <= j < dim for j in (w, *img)):
                 raise ValueError("action map has wrong shape")
 
     def apply(self, x: dict, w: dict) -> dict:
         """The sparse image of module vector w under algebra element x."""
-        out: dict = {}
-        for b, cb in x.items():
-            act = self.action[b]
-            for u, cu in w.items():
-                img = act.get(u)
-                if img:
-                    add_multiple(out, cb * cu, img)
-        return out
-
-
-def _compose(f: dict, g: dict) -> dict:
-    """The linear map f after g; a map sends basis elements to sparse
-    images, and the result stores no empty image."""
-    out = {}
-    for w, gw in g.items():
-        img: dict = {}
-        for u, c in gw.items():
-            if u in f:
-                add_multiple(img, c, f[u])
-        if img:
-            out[w] = img
-    return out
+        if self.side == "left":
+            return _bilinear(self.table, x, w)
+        return _bilinear(self.table, w, x)
 
 
 class TensorQuotient:
@@ -269,12 +264,10 @@ def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep, acting=None) -> TensorQu
     relations = Echelon()
     none: dict = {}
     for b in range(m_rep.algebra.dim) if acting is None else acting:
-        rb = m_rep.action[b]
-        lb = n_rep.action[b]
         for u in range(m):
-            m_col = rb.get(u, none)
+            m_col = m_rep.table.get((u, b), none)
             for v in range(n):
-                n_col = lb.get(v, none)
+                n_col = n_rep.table.get((b, v), none)
                 if not m_col and not n_col:
                     continue
                 rel = {p * n + v: x for p, x in m_col.items()}
@@ -330,15 +323,8 @@ class PeirceAlgebra:
 
     def product(self, i: int, j: int, k: int, x: dict, y: dict) -> dict:
         """mul on sparse coordinate dicts."""
-        out: dict = {}
         table = self._prod.get((i, j, k))
-        if table:
-            for a, ca in x.items():
-                for b, cb in y.items():
-                    cell = table.get((a, b))
-                    if cell:
-                        add_multiple(out, ca * cb, cell)
-        return out
+        return _bilinear(table, x, y) if table else {}
 
     def cell(self, i, j, k, a, b) -> dict:
         """Sparse product of basis element a of (i,j) and b of (j,k); read only."""
@@ -407,12 +393,10 @@ class PeirceReport:
 
 def _component_module(p: PeirceAlgebra, alg: Algebra, i: int, j: int, side: str) -> ModuleRep:
     """component(i,j) as a module over a diagonal algebra: over component(j,j)
-    acting from the right, or over component(i,i) acting from the left."""
-    if side == "right":
-        by_b = _by_factor(p._prod.get((i, j, j), {}), 1)
-    else:
-        by_b = _by_factor(p._prod.get((i, i, j), {}), 0)
-    return ModuleRep(alg, p.dims[i][j], [by_b.get(b, {}) for b in range(alg.dim)], side=side)
+    acting from the right, or over component(i,i) acting from the left.
+    Its table is the component's own product table."""
+    ijk = (i, j, j) if side == "right" else (i, i, j)
+    return ModuleRep(alg, p.dims[i][j], p._prod.get(ijk, {}), side=side)
 
 
 def _generators(p: PeirceAlgebra, components) -> dict:
@@ -671,16 +655,23 @@ def action_through_A_check(z: ZigZag) -> CheckReport:
     return CheckReport(ok=not failures, checked=checked, failures=failures)
 
 
-def _system(columns, rhs: dict, n: int) -> list:
-    """Sparse rows of the linear system sum_s x_s columns[s] = rhs in n
-    unknowns, the right-hand side in column n (see exact.solve_linear)."""
-    rows: dict = {}
-    for s, col in enumerate(columns):
-        for r, c in col.items():
-            rows.setdefault(r, {})[s] = c
-    for r, c in rhs.items():
-        rows.setdefault(r, {})[n] = c
-    return list(rows.values())
+def _identity_on(modules, n: int):
+    """The canonical element x = sum_s x_s e_s of an n-dimensional algebra
+    that fixes every basis vector of every given module over it, as a
+    sparse vector (free unknowns zero, see exact.solve_linear), or None
+    when there is none."""
+    rows = []
+    for mod in modules:
+        left = mod.side == "left"
+        for w in range(mod.dim):
+            # sum_s x_s (e_s acting on e_w) = e_w, one row per coordinate
+            system: dict = {}
+            for s in range(n):
+                for r, c in mod.table.get((s, w) if left else (w, s), {}).items():
+                    system.setdefault(r, {})[s] = c
+            system.setdefault(w, {})[n] = 1
+            rows += system.values()
+    return solve_linear(rows, n)
 
 
 def find_strong_identity(p: PeirceAlgebra, d: int):
@@ -695,15 +686,11 @@ def find_strong_identity(p: PeirceAlgebra, d: int):
 
 def _strong_identity(p: PeirceAlgebra, d: int):
     """find_strong_identity as a sparse vector, or None."""
-    na, nb, ndd = p.dims[0][d], p.dims[d][0], p.dims[d][d]
-    if na == 0 and nb == 0:
+    if p.dims[0][d] == 0 and p.dims[d][0] == 0:
         return {}
-    rows = []
-    for a in range(na):
-        rows += _system([p.cell(0, d, d, a, c) for c in range(ndd)], {a: 1}, ndd)
-    for b in range(nb):
-        rows += _system([p.cell(d, d, 0, c, b) for c in range(ndd)], {b: 1}, ndd)
-    x = solve_linear(rows, ndd)
+    diag = p.diagonal_algebra(d)
+    edges = [_component_module(p, diag, 0, d, "right"), _component_module(p, diag, d, 0, "left")]
+    x = _identity_on(edges, diag.dim)
     if x is None:
         return None
     if d != 0:
@@ -778,7 +765,7 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     Returns None when the ideal has no internal unit.  Raises when the input
     subspace is not a two-sided ideal.
     """
-    eps = _ideal_unit(p, ideal)
+    eps, _ = _ideal_unit(p, ideal)
     if eps is None:
         return None
     n0 = p.dims[0][0]
@@ -811,46 +798,39 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
 
 
 def _ideal_unit(p: PeirceAlgebra, ideal: Subspace):
-    """The internal unit eps of a two-sided corner ideal as a sparse vector,
-    or None when it has none; raises when the subspace is not a two-sided
-    corner ideal."""
+    """(eps, alg): the internal unit eps of a two-sided corner ideal as a
+    sparse vector, None when it has none, and alg the ideal as an algebra
+    (_zd_algebra); raises when the subspace is not a two-sided corner
+    ideal."""
     n0 = p.dims[0][0]
     if ideal.component != (0, 0) or ideal.ambient_dim != n0:
         raise ValueError("ideal must live in the corner component")
 
-    def mul(x: dict, y: dict) -> dict:
-        return p.product(0, 0, 0, x, y)
-
-    zs = ideal.basis
     outside = ideal._echelon.reduce
     for a in range(n0):
-        for z in zs:
-            if outside(mul({a: 1}, z)) or outside(mul(z, {a: 1})):
+        for z in ideal.basis:
+            if outside(p.product(0, 0, 0, {a: 1}, z)) or outside(p.product(0, 0, 0, z, {a: 1})):
                 raise ValueError("subspace is not a two-sided ideal")
 
-    # eps = sum_s x_s zs[s] with eps * z = z * eps = z for every basis z
-    t = ideal.dim
-    rows = []
-    for z in zs:
-        rows += _system([mul(w, z) for w in zs], z, t)
-        rows += _system([mul(z, w) for w in zs], z, t)
-    sol = solve_linear(rows, t)
+    # eps = sum_s x_s z_s with eps * z = z * eps = z for every basis z: the
+    # identity of the ideal's algebra acting on itself from both sides
+    alg = _zd_algebra(p, ideal)
+    sol = _identity_on([ModuleRep(alg, alg.dim, alg.cells, side) for side in ("left", "right")], alg.dim)
     if sol is None:
-        return None
+        return None, alg
     eps: dict = {}
     for s, c in sol.items():
-        add_multiple(eps, c, zs[s])
-    return eps
+        add_multiple(eps, c, ideal.basis[s])
+    return eps, alg
 
 
 def _zd_algebra(p: PeirceAlgebra, ideal: Subspace) -> Algebra:
-    """The corner ideal as an algebra in its own reduced basis."""
+    """A two-sided corner ideal as an algebra in its own reduced basis; the
+    ideal holds every product of its elements."""
     cells = {}
     for a, za in enumerate(ideal.basis):
         for b, zb in enumerate(ideal.basis):
             coords = ideal.coords_of(p.product(0, 0, 0, za, zb))
-            if coords is None:
-                raise ArithmeticError("ideal is not closed under the product")
             if coords:
                 cells[(a, b)] = coords
     return Algebra(dim=ideal.dim, cells=cells)
@@ -866,37 +846,37 @@ def _require_morita_setup(p: PeirceAlgebra, d: int):
     if sid is None:
         raise ValueError(f"no strong identity at degree {d}")
     ideal = zd_ideal(p, d)
-    eps = _ideal_unit(p, ideal)
+    eps, alg = _ideal_unit(p, ideal)
     if eps is None:
         raise ValueError(f"degree-{d} corner ideal has no internal unit")
-    return sid, ideal, eps
+    return sid, ideal, eps, alg
 
 
 def _induced_module(alg: Algebra, q: TensorQuotient, act) -> ModuleRep:
     """The balanced tensor q as a left alg-module through its left factor.
 
     Basis element t of alg sends the pure tensor e_u (x) e_w to
-    act(t, u) (x) e_w, act(t, u) being a sparse vector of the left factor;
-    the module keeps q as its tensor_space.
+    act(t, u) (x) e_w, act(t, u) being a sparse vector of the left factor.
     """
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
-    action = []
+    table = {}
     for t in range(alg.dim):
-        images = (q.project_tensor(act(t, u), {w: 1}) for u, w in pairs)
-        action.append({qq: img for qq, img in enumerate(images) if img})
-    out = ModuleRep(alg, q.dim, action, side="left")
-    out.tensor_space = q
-    return out
+        for qq, (u, w) in enumerate(pairs):
+            img = q.project_tensor(act(t, u), {w: 1})
+            if img:
+                table[(t, qq)] = img
+    return ModuleRep(alg, q.dim, table, side="left")
 
 
 def morita_forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> ModuleRep:
     """Send a unital degree-d module W to component(0,d) (x)_{deg-d} W, a
     module over the degree-d corner ideal."""
-    return _forward(p, d, w_mod, _require_morita_setup(p, d))
+    return _forward(p, d, w_mod, _require_morita_setup(p, d))[0]
 
 
-def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
-    sid, ideal, _ = setup
+def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup):
+    """(the forward module, the balanced tensor it is a quotient of)."""
+    sid, ideal, _, alg = setup
     if w_mod.side != "left":
         raise ValueError("expected a left module over the degree-d component")
     if w_mod.algebra.dim != p.dims[d][d]:
@@ -906,19 +886,18 @@ def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup) -> ModuleRep:
 
     q = balanced_tensor(_component_module(p, p.diagonal_algebra(d), 0, d, "right"), w_mod)
 
-    zs = ideal.basis
-    alg = _zd_algebra(p, ideal)
-    return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, zs[t], {u: 1}))
+    return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, ideal.basis[t], {u: 1})), q
 
 
 def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
     """Send a unital module over the degree-d corner ideal to
     component(d,0) (x)_corner W0, a module over the degree-d component."""
-    return _backward(p, d, w0_mod, _require_morita_setup(p, d))
+    return _backward(p, d, w0_mod, _require_morita_setup(p, d))[0]
 
 
-def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
-    _, ideal, eps = setup
+def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup):
+    """(the backward module, the balanced tensor it is a quotient of)."""
+    _, ideal, eps, _ = setup
     if w0_mod.side != "left":
         raise ValueError("expected a left module over the corner ideal")
     if w0_mod.algebra.dim != ideal.dim:
@@ -926,17 +905,19 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup) -> ModuleRep:
 
     corner = p.diagonal_algebra(0)
     # extend the ideal action to the whole corner through eps * a
-    ext_action = []
+    ext = {}
     for a in range(p.dims[0][0]):
         coords = ideal.coords_of(p.product(0, 0, 0, eps, {a: 1}))
         if coords is None:
             raise ArithmeticError("corner projection left the ideal")
-        images = (w0_mod.apply(coords, {w: 1}) for w in range(w0_mod.dim))
-        ext_action.append({w: img for w, img in enumerate(images) if img})
-    w0_ext = ModuleRep(corner, w0_mod.dim, ext_action, side="left")
+        for w in range(w0_mod.dim):
+            img = w0_mod.apply(coords, {w: 1})
+            if img:
+                ext[(a, w)] = img
+    w0_ext = ModuleRep(corner, w0_mod.dim, ext, side="left")
     q = balanced_tensor(_component_module(p, corner, d, 0, "right"), w0_ext)
 
-    return _induced_module(p.diagonal_algebra(d), q, lambda c, v: p.cell(d, d, 0, c, v))
+    return _induced_module(p.diagonal_algebra(d), q, lambda c, v: p.cell(d, d, 0, c, v)), q
 
 
 class RoundtripReport:
@@ -971,23 +952,26 @@ def verify_roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> RoundtripRep
     """Push a degree-d module through both functors and compare with the
     original through the canonical evaluation b (x) (a (x) w) -> (b*a).w."""
     setup = _require_morita_setup(p, d)
-    w0 = _forward(p, d, w_mod, setup)
-    w2 = _backward(p, d, w0, setup)
-    q_in = w0.tensor_space
-    q_out = w2.tensor_space
+    w0, q_in = _forward(p, d, w_mod, setup)
+    w2, q_out = _backward(p, d, w0, setup)
 
-    # the evaluation map, as the image of each basis element of w2
+    # the evaluation map as a one-column product table: ev[(qq, 0)] is the
+    # image of basis element qq of w2, so _bilinear(ev, v, {0: 1}) is ev(v)
     ev = {}
     for qq in range(w2.dim):
         v, inner = q_out.lift_pair(qq)
         u, wbase = q_in.lift_pair(inner)
         image = w_mod.apply(p.cell(d, 0, d, v, u), {wbase: 1})
         if image:
-            ev[qq] = image
+            ev[(qq, 0)] = image
 
     bijective = w2.dim == w_mod.dim and len(Echelon(ev.values())) == w_mod.dim
+    # ev(c.x) == c.ev(x) for every basis element c of the degree-d component
+    # and x of w2
     equivariant = all(
-        _compose(ev, w2.action[c]) == _compose(w_mod.action[c], ev) for c in range(p.dims[d][d])
+        _bilinear(ev, w2.table.get((c, x), {}), {0: 1}) == w_mod.apply({c: 1}, ev.get((x, 0), {}))
+        for c in range(p.dims[d][d])
+        for x in range(w2.dim)
     )
     return RoundtripReport(
         ok=bijective and equivariant,
@@ -1061,14 +1045,13 @@ def matrix_model_column_module(p: PeirceAlgebra, block: int, d: int) -> ModuleRe
     if p.block_dims is None:
         raise ValueError("algebra was not built by matrix_model")
     blocks = p.block_dims
-    # the matrix unit E_rc of the block sends e_c to e_r
-    action = [
-        {c: {r: 1}} if b == block else {}
-        for b, size in enumerate(blocks)
-        for r in range(size[d])
-        for c in range(size[d])
-    ]
-    return ModuleRep(p.diagonal_algebra(d), blocks[block][d], action, side="left")
+    if not 0 <= block < len(blocks):
+        raise ValueError(f"block {block} out of range 0..{len(blocks) - 1}")
+    # the matrix unit E_rc of the block, at start + r * n + c, sends e_c to e_r
+    start = sum(b[d] ** 2 for b in blocks[:block])
+    n = blocks[block][d]
+    table = {(start + r * n + c, c): {r: 1} for r in range(n) for c in range(n)}
+    return ModuleRep(p.diagonal_algebra(d), n, table, side="left")
 
 
 def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:

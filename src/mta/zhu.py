@@ -152,10 +152,10 @@ def zd_support(modules, d: int) -> list[str]:
 
 
 def heisenberg_zhu_descriptor(n: int, d: int) -> ZhuDescriptor:
-    """Rank-n free boson: one polynomial-ring block per level, of size equal
-    to the labeled partition count at that level."""
-    blocks = tuple(((count, polynomial_ring(n)),) for count in labeled_partition_counts(n, d))
-    return ZhuDescriptor(d, blocks)
+    """Rank-n free boson: the connected commutative case, with one
+    polynomial-ring block per level of size the labeled partition count at
+    that level."""
+    return commutative_zhu_descriptor(labeled_partition_counts(n, d), n, d)
 
 
 def commutative_zhu_descriptor(graded_dims, n_vars: int, d: int) -> ZhuDescriptor:

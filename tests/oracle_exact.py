@@ -11,12 +11,19 @@ of a `PeirceAlgebra`, so the validator below does not run the library's
 sparse product code.
 
 `Algebra` and `ModuleRep` are the dense presentations the library held
-before it kept only sparse cells and action maps: struct[x][y] is the dense
+before it kept only sparse product tables: struct[x][y] is the dense
 product vector, and action[b] is a dense matrix whose column w is the image
 of basis element w.  They carry the old dense `mul`, `is_associative`,
 `matrix` and `validate`; `dense_algebra` and `dense_module` copy a library
 `Algebra` or `ModuleRep` into them, with the unit passed in, since a library
 `Algebra` holds none.
+
+`_system`, `strong_identity` and `ideal_unit` are the two identity solves
+the library made before both went through one solver over module tables:
+hand-built linear systems over the product cells, the ideal's in corner
+coordinates.  Their bodies are copied unchanged (they are the library's
+`_system`, `_strong_identity` and `_ideal_unit`), but for `exact.` and
+`peirce.` before the two names they take from the library.
 
 `zigzag_well_defined` is the brute-force check `zigzag` made before it
 relied on `validate_peirce`: every balancing relation times every pure
@@ -45,7 +52,7 @@ from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
-from mta import peirce
+from mta import exact, peirce
 from mta.exact import add_multiple, scalar, strict_int
 from mta.heisenberg import pairing_matrix
 from mta.lattice import EvenLattice
@@ -229,20 +236,17 @@ def dense_algebra(alg, unit=None) -> Algebra:
     return Algebra(n, struct, unit)
 
 
-def dense_map(images: dict, n: int):
-    """The dense n x n matrix of a linear map given as {w: sparse image}."""
-    out = [[F0] * n for _ in range(n)]
-    for w, img in images.items():
-        for r, x in img.items():
-            out[r][w] = x
-    return out
-
-
 def dense_module(rep, unit=None) -> ModuleRep:
-    """A dense copy of a library ModuleRep (sparse action maps); unit, a
-    dense vector, makes validate check that it acts as the identity."""
-    action = [dense_map(images, rep.dim) for images in rep.action]
-    return ModuleRep(dense_algebra(rep.algebra, unit), rep.dim, action, rep.side)
+    """A dense copy of a library ModuleRep (a sparse product table, keyed
+    (b, w) on the left and (w, b) on the right); unit, a dense vector, makes
+    validate check that it acts as the identity."""
+    n = rep.dim
+    action = [[[F0] * n for _ in range(n)] for _ in range(rep.algebra.dim)]
+    for key, img in rep.table.items():
+        b, w = key if rep.side == "left" else key[::-1]
+        for r, x in img.items():
+            action[b][r][w] = x
+    return ModuleRep(dense_algebra(rep.algebra, unit), n, action, rep.side)
 
 
 class DenseProducts:
@@ -493,6 +497,69 @@ def validate_peirce(p) -> PeirceReport:
     order = ["grading", "corner-unit", "corner-modules-unital", "associativity", "tensor-factorization"]
     first = next((name for name in order if not axioms[name]), None)
     return PeirceReport(ok=first is None, first_violation=first, axioms=axioms, details=details)
+
+
+def _system(columns, rhs: dict, n: int) -> list:
+    """Sparse rows of the linear system sum_s x_s columns[s] = rhs in n
+    unknowns, the right-hand side in column n (see exact.solve_linear)."""
+    rows: dict = {}
+    for s, col in enumerate(columns):
+        for r, c in col.items():
+            rows.setdefault(r, {})[s] = c
+    for r, c in rhs.items():
+        rows.setdefault(r, {})[n] = c
+    return list(rows.values())
+
+
+def strong_identity(p: PeirceAlgebra, d: int):
+    """find_strong_identity as a sparse vector, or None."""
+    na, nb, ndd = p.dims[0][d], p.dims[d][0], p.dims[d][d]
+    if na == 0 and nb == 0:
+        return {}
+    rows = []
+    for a in range(na):
+        rows += _system([p.cell(0, d, d, a, c) for c in range(ndd)], {a: 1}, ndd)
+    for b in range(nb):
+        rows += _system([p.cell(d, d, 0, c, b) for c in range(ndd)], {b: 1}, ndd)
+    x = exact.solve_linear(rows, ndd)
+    if x is None:
+        return None
+    if d != 0:
+        peirce._check_corner_square_identity(p, d, x)
+    return x
+
+
+def ideal_unit(p: PeirceAlgebra, ideal):
+    """The internal unit eps of a two-sided corner ideal as a sparse vector,
+    or None when it has none; raises when the subspace is not a two-sided
+    corner ideal."""
+    n0 = p.dims[0][0]
+    if ideal.component != (0, 0) or ideal.ambient_dim != n0:
+        raise ValueError("ideal must live in the corner component")
+
+    def mul(x: dict, y: dict) -> dict:
+        return p.product(0, 0, 0, x, y)
+
+    zs = ideal.basis
+    outside = ideal._echelon.reduce
+    for a in range(n0):
+        for z in zs:
+            if outside(mul({a: 1}, z)) or outside(mul(z, {a: 1})):
+                raise ValueError("subspace is not a two-sided ideal")
+
+    # eps = sum_s x_s zs[s] with eps * z = z * eps = z for every basis z
+    t = ideal.dim
+    rows = []
+    for z in zs:
+        rows += _system([mul(w, z) for w in zs], z, t)
+        rows += _system([mul(z, w) for w in zs], z, t)
+    sol = exact.solve_linear(rows, t)
+    if sol is None:
+        return None
+    eps: dict = {}
+    for s, c in sol.items():
+        add_multiple(eps, c, zs[s])
+    return eps
 
 
 def zigzag_well_defined(p, d):

@@ -137,6 +137,30 @@ def test_zhu_rational_from_file(capsys, tmp_path):
     assert data["blocks"][1]["factors"] == [{"size": 1, "ring": "scalar-field"}]
 
 
+# module files of the wrong shape, and the message naming the module and
+# the field at fault
+_BAD_MODULE_FILES = {
+    "number": ([1.5], "module 0 is not an object"),
+    "no label": ([{"graded_dims": [1, 0]}], "module 0 has no label"),
+    "object": ({"label": "a"}, "expected a list of module objects"),
+    "graded_dims string": (
+        [{"label": "vac", "graded_dims": [1, 0, 1]}, {"label": "tw", "graded_dims": "12"}],
+        "module 1 ('tw'): graded_dims must be a list of integers",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MODULE_FILES))
+def test_zhu_rational_names_the_field_at_fault(case, capsys, tmp_path):
+    data, message = _BAD_MODULE_FILES[case]
+    path = tmp_path / "modules.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["zhu", "rational", "--modules", str(path), "--degree", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"mta: error: bad module data: {message}\n")
+
+
 def test_lattice_dims_schema(capsys, gram_file):
     code, out = run(capsys, ["lattice", "dims", "--gram", gram_file, "--coset", "4", "--max", "0"])
     assert code == 0
@@ -341,6 +365,17 @@ def test_over_rank_gram_is_rejected_before_its_rows_are_read(capsys, tmp_path, m
     monkeypatch.setattr(lattice, "parse_int", lambda text: calls.append(text) or real(text))
     _exits_two_fast(capsys, ["lattice", "cosets", "--gram", str(path)])
     assert calls == ["1000"]
+
+
+def test_over_rank_gram_is_rejected_before_its_tail_is_decoded(capsys, tmp_path):
+    """The rank limit runs once the header line is read: bytes that are not
+    UTF-8, well past the first line, are never decoded."""
+    path = tmp_path / "tail.gram"
+    row = " ".join(["0"] * 40) + "\n"
+    path.write_bytes(b"1000\n" + row.encode() * 1000 + b"\xff\xfe")
+    assert path.stat().st_size > 80_000
+    err = _exits_two_fast(capsys, ["lattice", "cosets", "--gram", str(path)])
+    assert f"lattice rank: 1000, over the desk-scale limit of {MAX_LATTICE_RANK}" in err
 
 
 def test_algebra_caps_exit_two_fast(capsys, tmp_path):

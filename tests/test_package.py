@@ -1,6 +1,7 @@
 """The package namespace: every exported name, loaded lazily from its layer."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -78,3 +79,17 @@ def test_import_loads_no_layer():
         check=True,
     )
     assert proc.stdout.split() == ["mta"]
+
+
+def test_every_traced_name_resolves():
+    """Each span of perfbench/trace_child.py names a function that exists,
+    looked up as its install() looks it up: in the class __dict__ for a
+    class, by getattr for a module.  The file is loaded, never run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert child.SPANS
+    for name, owner, attr, _counter in child.SPANS:
+        found = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        assert found is not None, (name, owner, attr)

@@ -189,7 +189,7 @@ def test_balanced_tensor_matches_dense_build(monkeypatch):
     assert proper
     seen = set()
     for m_rep, n_rep, q in calls:
-        key = repr((m_rep.algebra.cells, m_rep.action, n_rep.action))
+        key = repr((m_rep.algebra.cells, m_rep.table, n_rep.table))
         if key in seen:
             continue
         seen.add(key)
@@ -276,10 +276,17 @@ def test_zero_product_zigzag():
     assert split.ok and split.ideal.dim == 0 and split.epsilon == [0, 0, 0]
 
 
-def _sparse_map(mat):
-    """{w: sparse column w} of a dense square matrix, zero columns left out."""
-    cols = {w: exact.sparse([row[w] for row in mat]) for w in range(len(mat))}
-    return {w: col for w, col in cols.items() if col}
+def _table(mats, side):
+    """The product table of a module given by one dense action matrix per
+    algebra basis element b, column w the image of e_w: keyed (b, w) on the
+    left and (w, b) on the right, zero columns left out."""
+    table = {}
+    for b, mat in enumerate(mats):
+        for w in range(len(mat)):
+            col = exact.sparse([row[w] for row in mat])
+            if col:
+                table[(b, w) if side == "left" else (w, b)] = col
+    return table
 
 
 small = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
@@ -300,28 +307,29 @@ def presentations(draw):
 @settings(max_examples=200, deadline=None)
 @given(presentations(), st.data())
 def test_sparse_module_kernels_match_dense(pres, data):
-    """ModuleRep.apply, _compose and the projection of balanced_tensor on
-    random presentations against the dense oracle: the matrix product, and
-    the dense build with every relation reduced at once."""
+    """ModuleRep.apply on both sides and the projection of balanced_tensor
+    on random presentations against the dense oracle: the matrix product,
+    and the dense build with every relation reduced at once."""
     k, m_mats, n_mats = pres
     m, n = len(m_mats[0]), len(n_mats[0])
     alg, dalg = peirce.Algebra(k, {}), oracle.Algebra(k, [])
-    m_rep = peirce.ModuleRep(alg, m, [_sparse_map(a) for a in m_mats], "right")
-    n_rep = peirce.ModuleRep(alg, n, [_sparse_map(a) for a in n_mats], "left")
+    m_rep = peirce.ModuleRep(alg, m, _table(m_mats, "right"), "right")
+    n_rep = peirce.ModuleRep(alg, n, _table(n_mats, "left"), "left")
+    dense_m = oracle.ModuleRep(dalg, m, m_mats, "right")
     dense_n = oracle.ModuleRep(dalg, n, n_mats, "left")
+    assert oracle.dense_module(m_rep).action == m_mats
+    assert oracle.dense_module(n_rep).action == n_mats
 
     x = data.draw(st.lists(small, min_size=k, max_size=k))
-    w = data.draw(st.lists(small, min_size=n, max_size=n))
-    image = oracle.mat_mul(dense_n.matrix(x), [[c] for c in w])
-    # explicit zeros in the arguments are harmless
-    applied = n_rep.apply(dict(enumerate(x)), dict(enumerate(w)))
-    assert exact.dense(applied, n) == [r[0] for r in image]
-    for a, b in ((n_mats[0], n_mats[-1]), (m_mats[-1], m_mats[0])):
-        composed = peirce._compose(_sparse_map(a), _sparse_map(b))
-        assert oracle.dense_map(composed, len(a)) == oracle.mat_mul(a, b)
+    for rep, dense_rep, dim in ((n_rep, dense_n, n), (m_rep, dense_m, m)):
+        w = data.draw(st.lists(small, min_size=dim, max_size=dim))
+        image = oracle.mat_mul(dense_rep.matrix(x), [[c] for c in w])
+        # explicit zeros in the arguments are harmless
+        applied = rep.apply(dict(enumerate(x)), dict(enumerate(w)))
+        assert exact.dense(applied, dim) == [r[0] for r in image]
 
     q = balanced_tensor(m_rep, n_rep)
-    dq = oracle.balanced_tensor(oracle.ModuleRep(dalg, m, m_mats, "right"), dense_n)
+    dq = oracle.balanced_tensor(dense_m, dense_n)
     assert q.free == dq.free
     v = data.draw(st.lists(small, min_size=m * n, max_size=m * n))
     assert exact.dense(q.project(exact.sparse(v)), q.dim) == dq.project(v)
@@ -481,15 +489,16 @@ def test_morita_forward_honours_the_declared_algebra():
     """A module declared over another algebra is refused, even when its
     action maps are those of an honest degree-d module."""
     p = matrix_model([[1, 2], [1, 1]])
-    action = regular_module(p, 1).action
-    foreign = ModuleRep(Algebra(5, {}), 5, action)
+    table = regular_module(p, 1).table
+    foreign = ModuleRep(Algebra(5, {}), 5, table)
     for run in (lambda: morita_forward(p, 1, foreign), lambda: verify_roundtrip(p, 1, foreign)):
         with pytest.raises(ValueError, match="modules are not over the same algebra"):
             run()
-    # the dimension check comes before the unital check, which reads action[b]
-    # for every b in the strong identity
+    # the dimension check comes before the unital check, which applies the
+    # strong identity
+    at_zero = {key: img for key, img in table.items() if key[0] == 0}
     with pytest.raises(ValueError, match="not over the degree-d component"):
-        morita_forward(p, 1, ModuleRep(Algebra(1, {}), 5, action[:1]))
+        morita_forward(p, 1, ModuleRep(Algebra(1, {}), 5, at_zero))
 
 
 def test_morita_requires_strong_identity():
@@ -599,11 +608,81 @@ def test_heisenberg_truncation_matches_the_pairing_loop(n, max_degree, data):
     assert new.block_dims is None
 
 
+def _solved(solve, *args):
+    """What an identity solve returned, or the type and text of what it
+    raised."""
+    try:
+        return "ok", solve(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def solver_inputs(draw):
+    """A matrix model with zero levels, a truncation with n <= 2, D <= 3 or
+    the dead-edge algebra, with one structure constant raised by 1 half of
+    the time, and a corner subspace: the degree-d ideal, or the span of one
+    random corner vector."""
+    family = draw(st.sampled_from(["matrix", "truncation", "dead"]))
+    if family == "matrix":
+        blocks = draw(
+            st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=3)
+        )
+        # a block with a nonzero level needs a nonzero level 0
+        p = matrix_model([b if b[0] or not any(b) else [1, *b[1:]] for b in blocks])
+    elif family == "truncation":
+        n = draw(st.integers(1, 2))
+        p = heisenberg_truncation(n, draw(st.integers(0, 3 if n == 1 else 2)), [0] * n)
+    else:
+        p = dead_edge_algebra()
+    entries = p.entries()
+    if entries and draw(st.booleans()):
+        pos = draw(st.integers(0, len(entries) - 1))
+        i, j, k, a, b, c, v = entries[pos]
+        entries[pos] = (i, j, k, a, b, c, v + 1)
+        p = PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0)
+    d = draw(st.integers(0, p.max_degree))
+    n0 = p.dims[0][0]
+    if draw(st.booleans()):
+        ideal = zd_ideal(p, d)
+    else:
+        ideal = Subspace((0, 0), n0, [exact.sparse(draw(st.lists(small, min_size=n0, max_size=n0)))])
+    return p, d, ideal
+
+
+@settings(max_examples=150, deadline=None)
+@given(solver_inputs())
+@example((dead_edge_algebra(), 1, zd_ideal(dead_edge_algebra(), 1)))
+@example((matrix_model([[1, 2], [1, 0]]), 1, zd_ideal(matrix_model([[1, 2], [1, 0]]), 1)))
+def test_identity_solver_matches_the_hand_built_systems(inputs):
+    """_identity_on, through _strong_identity and _ideal_unit, gives the
+    sparse result, the None and the error of the old hand-built systems."""
+    p, d, ideal = inputs
+    assert _solved(peirce._strong_identity, p, d) == _solved(oracle.strong_identity, p, d)
+    new = _solved(peirce._ideal_unit, p, ideal)
+    if new[0] == "ok":
+        new = "ok", new[1][0]
+    assert new == _solved(oracle.ideal_unit, p, ideal)
+
+
+def test_regular_module_is_its_component_table():
+    for p in (matrix_model([[3, 2], [1, 3], [2, 1]]), heisenberg_truncation(1, 3, [0])):
+        for d in range(p.max_degree + 1):
+            assert regular_module(p, d).table is p.diagonal_algebra(d).cells
+
+
 def test_column_module_needs_a_matrix_model():
     # a truncation pairs its units through the Wick pairing, not the identity
     p = heisenberg_truncation(1, 1, [Fraction(0)])
     with pytest.raises(ValueError, match="algebra was not built by matrix_model"):
         matrix_model_column_module(p, 0, 0)
+
+
+@pytest.mark.parametrize("block", [-1, 2])
+def test_column_module_block_must_exist(block):
+    # -1 read the last block's size and gave a zero module; 2 an IndexError
+    with pytest.raises(ValueError, match="out of range 0..1"):
+        matrix_model_column_module(matrix_model([[1, 2], [1, 1]]), block, 1)
 
 
 def _rescaled_model(coeff):

@@ -139,17 +139,17 @@ def test_result_holders_keep_their_constructors():
     alg = Algebra(1, {(0, 0): {0: 1}})
     assert (alg.dim, alg.cells) == (1, {(0, 0): {0: 1}})
     alg = Algebra(dim=1, cells={(0, 0): {0: 1}})
-    mod = ModuleRep(alg, 1, [{0: {0: 1}}])
+    mod = ModuleRep(alg, 1, {(0, 0): {0: 1}})
     assert mod.side == "left"
-    assert ModuleRep(algebra=alg, dim=1, action=[{0: {0: 1}}], side="right").side == "right"
+    assert ModuleRep(algebra=alg, dim=1, table={(0, 0): {0: 1}}, side="right").side == "right"
     with pytest.raises(ValueError, match="side"):
-        ModuleRep(alg, 1, [{0: {0: 1}}], "up")
-    with pytest.raises(ValueError, match="one action map"):
-        ModuleRep(alg, 1, [])
+        ModuleRep(alg, 1, {(0, 0): {0: 1}}, "up")
     with pytest.raises(ValueError, match="wrong shape"):
-        ModuleRep(alg, 1, [{1: {0: 1}}])
+        ModuleRep(alg, 1, {(1, 0): {0: 1}})
     with pytest.raises(ValueError, match="wrong shape"):
-        ModuleRep(alg, 1, [{0: {1: 1}}])
+        ModuleRep(alg, 1, {(0, 1): {0: 1}})
+    with pytest.raises(ValueError, match="wrong shape"):
+        ModuleRep(alg, 1, {(0, 0): {1: 1}})
 
     first = PeirceReport(True, None, {})
     second = PeirceReport(ok=True, first_violation=None, axioms={})

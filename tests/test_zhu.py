@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mta.heisenberg import rank_certificate
+from mta.partitions import labeled_partition_counts
 from mta.zhu import (
     SCALAR_FIELD,
     SimpleModuleData,
@@ -67,6 +68,15 @@ def test_heisenberg_descriptor_sizes():
     assert desc2.all_sizes() == [1, 2, 5, 10]
     for level in desc2.blocks:
         assert [ring for _, ring in level] == [polynomial_ring(2)]
+
+
+def test_heisenberg_descriptor_is_one_polynomial_block_per_level():
+    # the commutative connected descriptor of the labeled partition counts
+    for n in range(1, 5):
+        for d in range(9):
+            counts = labeled_partition_counts(n, d)
+            blocks = tuple(((c, polynomial_ring(n)),) for c in counts)
+            assert heisenberg_zhu_descriptor(n, d) == ZhuDescriptor(d, blocks)
 
 
 def test_heisenberg_sizes_match_rank_certificate():
