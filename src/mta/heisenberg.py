@@ -154,9 +154,14 @@ def _word_product(w1: NormalWord, w2: NormalWord) -> dict[NormalWord, int]:
     return out
 
 
-class ModeElement:
-    """Finite rational combination of normal-ordered words of fixed rank;
-    coefficients are stored as exact scalars (see exact.scalar)."""
+class _Combination:
+    """Finite combination {key: exact scalar} of fixed rank, zero terms left
+    out: the vector-space half that ModeElement and ZhuPolynomial share.
+
+    A subclass supplies _key, which checks a key (every key, whatever its
+    coefficient) and returns it in stored form, and _product, the product of
+    two elements of the same class.
+    """
 
     __slots__ = ("rank", "terms")
 
@@ -164,18 +169,68 @@ class ModeElement:
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
-        self.terms: dict[NormalWord, int | Fraction] = {}
+        self.terms: dict = {}
         if terms:
-            for w, c in terms.items():
+            for key, c in terms.items():
                 c = scalar(c)
+                key = self._key(key)
                 if c:
-                    self._check_word(w)
-                    self.terms[w] = c
+                    self.terms[key] = c
 
-    def _check_word(self, w: NormalWord):
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _require_same_rank(self, other):
+        if self.rank != other.rank:
+            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+
+    def __add__(self, other):
+        self._require_same_rank(other)
+        terms = dict(self.terms)
+        add_multiple(terms, 1, other.terms)
+        return type(self)(self.rank, terms)
+
+    def __neg__(self):
+        return type(self)(self.rank, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = scalar(c)
+        return type(self)(self.rank, {k: c * x for k, x in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.rank == other.rank
+            and self.terms == other.terms
+        )
+
+
+class ModeElement(_Combination):
+    """Finite rational combination of normal-ordered words of fixed rank;
+    coefficients are stored as exact scalars (see exact.scalar)."""
+
+    __slots__ = ()
+
+    def _key(self, w: NormalWord) -> NormalWord:
         for m in w.mode_sequence():
             if not 1 <= m.gen <= self.rank:
                 raise ValueError(f"generator {m.gen} out of range for rank {self.rank}")
+        return w
+
+    def _product(self, other: "ModeElement") -> "ModeElement":
+        # looked up at call time, so a wrapper put on heisenberg.multiply sees it
+        return multiply(self, other)
 
     @classmethod
     def unit(cls, rank: int) -> "ModeElement":
@@ -196,9 +251,6 @@ class ModeElement:
             el = multiply(el, cls(rank, {word: 1}))
         return el
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_homogeneous(self) -> bool:
         degs = {w.degree() for w in self.terms}
         return len(degs) <= 1
@@ -211,41 +263,6 @@ class ModeElement:
         if len(degs) > 1:
             raise ValueError(f"element mixes degrees {degs}")
         return degs[0]
-
-    def _require_same_rank(self, other: "ModeElement"):
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-
-    def __add__(self, other: "ModeElement") -> "ModeElement":
-        self._require_same_rank(other)
-        terms = dict(self.terms)
-        add_multiple(terms, 1, other.terms)
-        return ModeElement(self.rank, terms)
-
-    def __neg__(self) -> "ModeElement":
-        return ModeElement(self.rank, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "ModeElement") -> "ModeElement":
-        return self + (-other)
-
-    def scale(self, c) -> "ModeElement":
-        c = scalar(c)
-        return ModeElement(self.rank, {w: c * x for w, x in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ModeElement):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModeElement)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
 
     def sorted_terms(self) -> list[tuple[NormalWord, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
@@ -265,19 +282,17 @@ class ModeElement:
 
     @classmethod
     def from_json(cls, rank: int, data) -> "ModeElement":
-        el = cls(rank)
+        """Repeated words add up; every word is checked, whatever its
+        coefficient."""
+        terms: dict = {}
         for term in data:
             w = NormalWord.build(
                 [Mode(strict_int(g), strict_int(a)) for g, a in term["creators"]],
                 [strict_int(g) for g in term["zeros"]],
                 [Mode(strict_int(g), strict_int(a)) for g, a in term["annihilators"]],
             )
-            c = parse_frac(term["coeff"])
-            if c:
-                add_multiple(el.terms, c, {w: 1})
-        for w in el.terms:
-            el._check_word(w)
-        return el
+            terms[w] = terms.get(w, 0) + parse_frac(term["coeff"])
+        return cls(rank, terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -308,27 +323,27 @@ def ubar_element(lp: LabeledPartition) -> ModeElement:
     return ModeElement(lp.rank, {NormalWord.build(annihilators=ann): 1})
 
 
-class ZhuPolynomial:
+class ZhuPolynomial(_Combination):
     """Element of the degree-0 corner algebra Q[h_1..h_n].
 
-    Coefficients map exponent tuples (length = rank) to exact scalars.
+    terms maps exponent tuples (length = rank) to exact scalars.
     The empty monomial is 1.
     """
 
-    __slots__ = ("rank", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, rank: int, coeffs: dict | None = None):
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        self.rank = rank
-        self.coeffs: dict[tuple[int, ...], int | Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = scalar(c)
-                if len(e) != rank or any(x < 0 for x in e):
-                    raise ValueError(f"bad exponent tuple {e}")
-                if c:
-                    self.coeffs[tuple(e)] = c
+    def _key(self, e) -> tuple[int, ...]:
+        if len(e) != self.rank or any(x < 0 for x in e):
+            raise ValueError(f"bad exponent tuple {e}")
+        return tuple(e)
+
+    def _product(self, other: "ZhuPolynomial") -> "ZhuPolynomial":
+        self._require_same_rank(other)
+        terms: dict[tuple[int, ...], int | Fraction] = {}
+        for e1, c1 in self.terms.items():
+            shifted = {tuple(x + y for x, y in zip(e1, e2)): c2 for e2, c2 in other.terms.items()}
+            add_multiple(terms, c1, shifted)
+        return ZhuPolynomial(self.rank, terms)
 
     @classmethod
     def constant(cls, rank: int, c) -> "ZhuPolynomial":
@@ -338,58 +353,13 @@ class ZhuPolynomial:
     def zero(cls, rank: int) -> "ZhuPolynomial":
         return cls(rank)
 
-    @classmethod
-    def generator(cls, rank: int, i: int) -> "ZhuPolynomial":
-        """The zero-mode generator h_i (1-indexed)."""
-        e = [0] * rank
-        e[i - 1] = 1
-        return cls(rank, {tuple(e): 1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.coeffs)
+        return all(all(x == 0 for x in e) for e in self.terms)
 
     def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self!r}")
-        return self.coeffs.get((0,) * self.rank, 0)
-
-    def __add__(self, other: "ZhuPolynomial") -> "ZhuPolynomial":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        coeffs = dict(self.coeffs)
-        add_multiple(coeffs, 1, other.coeffs)
-        return ZhuPolynomial(self.rank, coeffs)
-
-    def __neg__(self) -> "ZhuPolynomial":
-        return ZhuPolynomial(self.rank, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, ZhuPolynomial):
-            other = scalar(other)
-            return ZhuPolynomial(self.rank, {e: other * c for e, c in self.coeffs.items()})
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        coeffs: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            shifted = {tuple(x + y for x, y in zip(e1, e2)): c2 for e2, c2 in other.coeffs.items()}
-            add_multiple(coeffs, c1, shifted)
-        return ZhuPolynomial(self.rank, coeffs)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZhuPolynomial)
-            and self.rank == other.rank
-            and self.coeffs == other.coeffs
-        )
+        return self.terms.get((0,) * self.rank, 0)
 
     def evaluate(self, point) -> int | Fraction:
         """Exact value at a rational point (length = rank)."""
@@ -397,7 +367,7 @@ class ZhuPolynomial:
         if len(pt) != self.rank:
             raise ValueError("evaluation point has wrong length")
         total = 0
-        for e, c in self.coeffs.items():
+        for e, c in self.terms.items():
             v = c
             for x, k in zip(pt, e):
                 v *= x**k
@@ -405,10 +375,10 @@ class ZhuPolynomial:
         return scalar(total)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
-        for e, c in sorted(self.coeffs.items()):
+        for e, c in sorted(self.terms.items()):
             mono = "*".join(f"h{i + 1}^{k}" if k > 1 else f"h{i + 1}" for i, k in enumerate(e) if k)
             bits.append(f"{frac_str(c)}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)

@@ -592,13 +592,6 @@ class ZigZag:
         return Subspace((0, 0), self.parent.dims[0][0], self.star)
 
 
-def _zigzag_ambient_product(p: PeirceAlgebra, d: int, u1: int, v1: int, u2: int, v2: int):
-    """Sparse ambient value of (e_u1 (x) e_v1) o (e_u2 (x) e_v2)."""
-    left = p.product(0, d, d, {u1: 1}, p.cell(d, 0, d, v1, u2))  # component (0,d)
-    n = p.dims[d][0]
-    return {t * n + v2: x for t, x in left.items()}
-
-
 def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     """Degree-d zig-zag algebra of an algebra that passes validate_peirce,
     read off on the pure tensors of the quotient basis.  Associativity makes
@@ -618,7 +611,8 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     product = {}
     for q1, (u1, v1) in enumerate(pairs):
         for q2, (u2, v2) in enumerate(pairs):
-            cell = q.project(_zigzag_ambient_product(p, d, u1, v1, u2, v2))
+            # (e_u1 (x) e_v1) o (e_u2 (x) e_v2) = (e_u1 * (e_v1 * e_u2)) (x) e_v2
+            cell = q.project_tensor(p.product(0, d, d, {u1: 1}, p.cell(d, 0, d, v1, u2)), {v2: 1})
             if cell:
                 product[(q1, q2)] = cell
     star = [dict(p.cell(0, d, 0, u, v)) for u, v in pairs]
@@ -765,7 +759,7 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     Returns None when the ideal has no internal unit.  Raises when the input
     subspace is not a two-sided ideal.
     """
-    eps, _ = _ideal_unit(p, ideal)
+    eps, alg = _ideal_unit(p, ideal)
     if eps is None:
         return None
     n0 = p.dims[0][0]
@@ -787,12 +781,13 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     checks["cross_products_vanish"] = all(
         not mul(z, w) and not mul(w, z) for z in zs for w in complement.basis
     )
-    squared = Subspace((0, 0), n0, [mul(z1, z2) for z1 in zs for z2 in zs])
+    # alg holds the ideal coordinates of every z1 * z2, so the ideal is
+    # idempotent when they span it
     return IdealSplit(
         epsilon=dense(eps, n0),
         ideal=ideal,
         complement=complement,
-        idempotent_ideal=squared == ideal,
+        idempotent_ideal=len(Echelon(alg.cells.values())) == ideal.dim,
         checks=checks,
     )
 
@@ -806,10 +801,10 @@ def _ideal_unit(p: PeirceAlgebra, ideal: Subspace):
     if ideal.component != (0, 0) or ideal.ambient_dim != n0:
         raise ValueError("ideal must live in the corner component")
 
-    outside = ideal._echelon.reduce
+    inside = ideal.contains
     for a in range(n0):
         for z in ideal.basis:
-            if outside(p.product(0, 0, 0, {a: 1}, z)) or outside(p.product(0, 0, 0, z, {a: 1})):
+            if not inside(p.product(0, 0, 0, {a: 1}, z)) or not inside(p.product(0, 0, 0, z, {a: 1})):
                 raise ValueError("subspace is not a two-sided ideal")
 
     # eps = sum_s x_s z_s with eps * z = z * eps = z for every basis z: the
@@ -904,12 +899,11 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup):
         raise ValueError("module is not over the degree-d corner ideal")
 
     corner = p.diagonal_algebra(0)
-    # extend the ideal action to the whole corner through eps * a
+    # extend the ideal action to the whole corner through eps * a, which
+    # lies in the ideal, as _ideal_unit has checked it is two-sided
     ext = {}
     for a in range(p.dims[0][0]):
         coords = ideal.coords_of(p.product(0, 0, 0, eps, {a: 1}))
-        if coords is None:
-            raise ArithmeticError("corner projection left the ideal")
         for w in range(w0_mod.dim):
             img = w0_mod.apply(coords, {w: 1})
             if img:

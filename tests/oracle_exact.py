@@ -27,7 +27,9 @@ coordinates.  Their bodies are copied unchanged (they are the library's
 
 `zigzag_well_defined` is the brute-force check `zigzag` made before it
 relied on `validate_peirce`: every balancing relation times every pure
-tensor, on both sides, must vanish in the quotient.
+tensor, on both sides, must vanish in the quotient.  It multiplies pure
+tensors with its own `_zigzag_ambient_product`, the library's copy before
+`zigzag` went through `project_tensor`.
 
 `matrix_model` and `heisenberg_truncation` are the two model builders the
 library had before both went through one matrix-unit builder: a lookup of
@@ -562,6 +564,13 @@ def ideal_unit(p: PeirceAlgebra, ideal):
     return eps
 
 
+def _zigzag_ambient_product(p, d, u1, v1, u2, v2):
+    """Sparse ambient value of (e_u1 (x) e_v1) o (e_u2 (x) e_v2)."""
+    left = p.product(0, d, d, {u1: 1}, p.cell(d, 0, d, v1, u2))  # component (0,d)
+    n = p.dims[d][0]
+    return {t * n + v2: x for t, x in left.items()}
+
+
 def zigzag_well_defined(p, d):
     """None when the degree-d zig-zag product and corner reduction are well
     defined on the balanced quotient, else the first failure found."""
@@ -578,7 +587,7 @@ def zigzag_well_defined(p, d):
             u1, v1 = divmod(f1, n)
             for f2, c2 in y_amb.items():
                 u2, v2 = divmod(f2, n)
-                add_multiple(out, c1 * c2, peirce._zigzag_ambient_product(p, d, u1, v1, u2, v2))
+                add_multiple(out, c1 * c2, _zigzag_ambient_product(p, d, u1, v1, u2, v2))
         return out
 
     def star_ambient(x_amb):

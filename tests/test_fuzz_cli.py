@@ -6,12 +6,19 @@ values nested in a list, gram tokens replaced, and the text cut short.  The
 mutant runs through `cli.main` in-process, with stdout and stderr captured
 and a 10 s alarm.  The command must end with exit 0, 1 or 2, and no
 exception but SystemExit may escape.
+
+Most of those mutants stop at parsing, so the algebra files also get
+well-formed mutants that stay inside every cap: a structure constant or a
+unit0 entry changed, or a product dropped.  These must reach the command
+itself: exit 0 or 1 with one JSON line on stdout, exit 2 only for a degree
+above the file's max_degree.
 """
 
 import contextlib
 import io
 import json
 import signal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -39,6 +46,11 @@ GRAM_COMMANDS = (
     ("lattice", "dims", "--coset", "1", "--max", "12", "--gram"),
 )
 MODULE_COMMANDS = (("zhu", "rational", "--degree", "2", "--modules"),)
+# every algebra file has max_degree 1, so degree 2 is a usage error
+WELL_FORMED_COMMANDS = ALGEBRA_COMMANDS + (
+    ("peirce", "zigzag", "--degree", "2", "--algebra"),
+    ("peirce", "morita", "--degree", "2", "--algebra"),
+)
 
 FUZZ = settings(
     max_examples=200,
@@ -58,16 +70,17 @@ def scratch(tmp_path_factory):
 
 
 def _run(argv):
-    """(exit status, stderr) of one in-process command under the alarm."""
+    """(exit status, stdout, stderr) of one in-process command under the
+    alarm."""
 
     def alarm(signum, frame):
         raise _Timeout(f"{argv} ran over {LIMIT_S} s")
 
     previous = signal.signal(signal.SIGALRM, alarm)
     signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(list(argv))
             except SystemExit as exc:
@@ -75,12 +88,12 @@ def _run(argv):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _check(command, path, text):
     path.write_text(text, encoding="utf-8")
-    code, err = _run([*command, str(path)])
+    code, _, err = _run([*command, str(path)])
     assert code in (0, 1, 2), (command, text[:400], code)
     assert "Traceback" not in err, (command, text[:400], err)
 
@@ -138,6 +151,39 @@ def json_mutants(draw, name):
 
 
 @st.composite
+def _changed_scalar(draw, text):
+    """The exact scalar text changed to 0, 1 or -1, multiplied by k, or
+    replaced by a small p/q."""
+    how = draw(st.sampled_from(("0", "1", "-1", "times", "ratio")))
+    if how == "times":
+        return str(Fraction(text) * draw(st.sampled_from((-1, 2, -3, 7))))
+    if how == "ratio":
+        return f"{draw(st.integers(-9, 9))}/{draw(st.integers(1, 9))}"
+    return how
+
+
+@st.composite
+def algebra_mutants(draw, name):
+    """A well-formed algebra file inside every cap: one to three changes,
+    each of one structure constant, of one unit0 entry, or a dropped
+    product."""
+    data = json.loads((INPUTS / name).read_text(encoding="utf-8"))
+    products, unit0 = data["products"], data["unit0"]
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(("coeff", "unit0", "drop")))
+        if how == "unit0":
+            k = draw(st.integers(0, len(unit0) - 1))
+            unit0[k] = draw(_changed_scalar(unit0[k]))
+        elif products:
+            k = draw(st.integers(0, len(products) - 1))
+            if how == "drop":
+                del products[k]
+            else:
+                products[k]["coeff"] = draw(_changed_scalar(products[k]["coeff"]))
+    return json.dumps(data)
+
+
+@st.composite
 def gram_mutants(draw, name):
     lines = [line.split() for line in (INPUTS / name).read_text(encoding="utf-8").splitlines()]
     for _ in range(draw(st.integers(1, 3))):
@@ -168,6 +214,26 @@ def test_mutated_algebra_files(scratch, data):
     name = data.draw(st.sampled_from(ALGEBRAS))
     command = data.draw(st.sampled_from(ALGEBRA_COMMANDS))
     _check(command, scratch / "algebra.json", data.draw(json_mutants(name)))
+
+
+@FUZZ
+@given(st.data())
+def test_well_formed_algebra_mutants_reach_the_command(scratch, data):
+    name = data.draw(st.sampled_from(ALGEBRAS))
+    command = data.draw(st.sampled_from(WELL_FORMED_COMMANDS))
+    text = data.draw(algebra_mutants(name))
+    path = scratch / "algebra.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run([*command, str(path)])
+    assert "Traceback" not in err, (command, text, err)
+    degree = int(command[command.index("--degree") + 1]) if "--degree" in command else 0
+    if degree > json.loads(text)["max_degree"]:
+        assert code == 2, (command, text, code, err)
+        return
+    assert code in (0, 1), (command, text, code, err)
+    lines = out.splitlines()
+    assert len(lines) == 1, (command, text, out)
+    assert isinstance(json.loads(lines[0]), dict)
 
 
 @FUZZ

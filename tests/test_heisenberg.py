@@ -206,6 +206,46 @@ def test_pairing_rejects_rank_mismatch():
         pairing(LabeledPartition.of((1,)), LabeledPartition.of((1,), ()))
 
 
+# per class: an element of rank 1, one of rank 2, and a key bad at rank 1
+COMBINATIONS = {
+    "mode": (
+        ModeElement.from_modes(1, [Mode(1, -1), Mode(1, 2)]),
+        ModeElement.from_modes(2, [Mode(2, 0)]),
+        NormalWord.build(zeros=[2]),
+    ),
+    "zhu": (
+        ZhuPolynomial(1, {(0,): 3, (2,): Fraction(-1, 2)}),
+        ZhuPolynomial.constant(2, 1),
+        (-1,),
+    ),
+}
+
+
+@pytest.mark.parametrize("x, _, bad", COMBINATIONS.values(), ids=COMBINATIONS.keys())
+def test_a_bad_key_is_refused_whatever_its_coefficient(x, _, bad):
+    for c in (1, 0, Fraction(0)):
+        with pytest.raises(ValueError):
+            type(x)(1, {bad: c})
+
+
+@pytest.mark.parametrize("x, y, _", COMBINATIONS.values(), ids=COMBINATIONS.keys())
+def test_sum_difference_and_product_need_one_rank(x, y, _):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                op(a, b)
+
+
+@pytest.mark.parametrize("x, y, _", COMBINATIONS.values(), ids=COMBINATIONS.keys())
+def test_times_a_scalar_is_scale(x, y, _):
+    for el in (x, y):
+        for c in (0, 1, -3, Fraction(2, 3), "5/7"):
+            assert el * c == c * el == el.scale(c)
+        assert (el * 0).is_zero()
+        assert el - el == el * 0
+        assert -el == el.scale(-1)
+
+
 mode_st = st.builds(
     Mode,
     st.integers(min_value=1, max_value=2),

@@ -1,5 +1,6 @@
 """The package namespace: every exported name, loaded lazily from its layer."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -93,3 +94,15 @@ def test_every_traced_name_resolves():
     for name, owner, attr, _counter in child.SPANS:
         found = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
         assert found is not None, (name, owner, attr)
+
+
+def test_library_has_no_assert_statement():
+    """Library invariants raise real exceptions: python -O strips every
+    assert statement, so none may stand in src/mta."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(mta.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -665,6 +665,37 @@ def test_identity_solver_matches_the_hand_built_systems(inputs):
     assert new == _solved(oracle.ideal_unit, p, ideal)
 
 
+def dual_numbers():
+    """The corner Q[x]/(x^2) alone: basis 1, x, with x * x = 0."""
+    entries = [(0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 0, 1, 1)]
+    return PeirceAlgebra(0, [[2]], entries, [1, 0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(solver_inputs())
+@example((dead_edge_algebra(), 1, zd_ideal(dead_edge_algebra(), 1)))
+# the nilpotent ideal (x): two-sided, no internal unit, x * x = 0 spans less
+@example((dual_numbers(), 0, Subspace((0, 0), 2, [{1: 1}])))
+def test_idempotent_ideal_matches_the_span_of_products(inputs):
+    """The rank of the ideal algebra's cells, which idempotent_ideal reads,
+    decides whether the products z1 * z2 of the ideal's basis span the
+    ideal, as the Subspace comparison did; on every two-sided ideal, with or
+    without an internal unit."""
+    p, _, ideal = inputs
+    zs = ideal.basis
+    squared = Subspace((0, 0), p.dims[0][0], [p.product(0, 0, 0, z1, z2) for z1 in zs for z2 in zs])
+    solved = _solved(peirce._ideal_unit, p, ideal)
+    if solved[0] != "ok":
+        assert solved == ("ValueError", "subspace is not a two-sided ideal")
+        return
+    eps, alg = solved[1]
+    assert (len(exact.Echelon(alg.cells.values())) == ideal.dim) == (squared == ideal)
+    split = ideal_unit_and_split(p, ideal)
+    assert (split is None) == (eps is None)
+    if split is not None:
+        assert split.idempotent_ideal == (squared == ideal)
+
+
 def test_regular_module_is_its_component_table():
     for p in (matrix_model([[3, 2], [1, 3], [2, 1]]), heisenberg_truncation(1, 3, [0])):
         for d in range(p.max_degree + 1):

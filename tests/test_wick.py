@@ -129,7 +129,7 @@ def test_corner_product_of_sums_matches_oracle():
         b = b + h * u_element(labels[-1])
         value = corner_product(a, b)
         assert value == star_to_zhu(multiply(a, b))
-        assert len(value.coeffs) == 2
+        assert len(value.terms) == 2
         s0, s1 = (lp.symmetry_factor() for lp in labels[:2])
         a = ubar_element(labels[0]).scale(s1) - ubar_element(labels[1]).scale(s0)
         b = u_element(labels[0]) + u_element(labels[1])
