@@ -30,9 +30,11 @@ MAX_DEGREE = 8
 MAX_PARTITION_WEIGHT = 400
 MAX_LATTICE_RANK = 4
 # Labels of the largest pairing matrix `heisenberg verify` builds: (3, 7) has
-# 429 and verifies in about 0.8 s on a 2-core machine ((4, 5), 252 labels,
-# about 0.4 s); the next size inside the rank/degree box, (4, 6) with 574
-# labels (1.4 s with --unsafe-no-limits), stays capped.
+# 429 (184 041 pairings) and verifies in 0.36 s with a 23 MiB peak RSS, and
+# (4, 5), 252 labels, in 0.20 s and 20 MiB (CLI wall time and peak RSS,
+# medians of 5, 2-core machine; with a separate object and string for every
+# zero cell, 0.83 s / 54 MiB and 0.34 s / 31 MiB).  The next size inside the
+# rank/degree box, (4, 6) with 574 labels, stays capped.
 MAX_PAIRING_LABELS = 429
 # Lattice inputs, measured as CLI wall time on a 2-core machine (medians of
 # 5).  `lattice weights` costs about 0.14 ms per coset at rank 4:

@@ -425,7 +425,7 @@ def corner_product(a: ModeElement, b: ModeElement) -> ZhuPolynomial:
     the whole product.
     """
     a._require_same_rank(b)
-    return _corner_product(a.rank, _corner_terms(a), _corner_terms(b))
+    return _corner_product(a.rank, _corner_terms(a), _corner_terms(b), ZhuPolynomial.zero(a.rank))
 
 
 def _corner_terms(el: ModeElement):
@@ -444,8 +444,9 @@ def _corner_terms(el: ModeElement):
     ]
 
 
-def _corner_product(rank: int, a_terms, b_terms) -> ZhuPolynomial:
-    """corner_product on the _corner_terms of its two factors."""
+def _corner_product(rank: int, a_terms, b_terms, zero: ZhuPolynomial) -> ZhuPolynomial:
+    """corner_product on the _corner_terms of its two factors; zero itself
+    when no term survives."""
     coeffs: dict[tuple[int, ...], int | Fraction] = {}
     off_degree: dict[NormalWord, int | Fraction] = {}
     for w1, c1, d1, buckets, _ in a_terms:
@@ -468,7 +469,7 @@ def _corner_product(rank: int, a_terms, b_terms) -> ZhuPolynomial:
                 add_multiple(coeffs, c1 * c2 * weight, {e: 1})
     if off_degree:
         raise ValueError(_NOT_DEGREE_ZERO)
-    return ZhuPolynomial(rank, coeffs)
+    return ZhuPolynomial(rank, coeffs) if coeffs else zero
 
 
 def pairing(sigma: LabeledPartition, tau: LabeledPartition) -> ZhuPolynomial:
@@ -488,11 +489,16 @@ def pairing_matrix(n: int, d: int):
     (degree, buckets) once per side, then fills the matrix with
     corner_product.  Returns (labels, matrix of ZhuPolynomial), rows indexed
     by sigma.
+
+    Every one of the k^2 pairings is computed, but the cells are values,
+    not fresh objects: all zero cells are one shared ZhuPolynomial, so
+    nothing may mutate a cell's terms in place.
     """
     labels = enumerate_labeled_partitions(n, d)
     ubars = [_corner_terms(ubar_element(s)) for s in labels]
     us = [_corner_terms(u_element(t)) for t in labels]
-    return labels, [[_corner_product(n, x, y) for y in us] for x in ubars]
+    zero = ZhuPolynomial.zero(n)
+    return labels, [[_corner_product(n, x, y, zero) for y in us] for x in ubars]
 
 
 def strong_identity(n: int, d: int) -> list[tuple[LabeledPartition, int | Fraction]]:
@@ -541,22 +547,24 @@ class IdentityReport:
         self.mismatches = [] if mismatches is None else mismatches
 
     def to_json(self) -> dict:
-        k = len(self.labels)
         return {
             "rank": self.rank,
             "degree": self.degree,
             "ok": self.ok,
-            "size": k,
+            "size": len(self.labels),
             "labels": [lp.to_json() for lp in self.labels],
             "expected_diagonal": list(self.expected_diagonal),
+            # a zero cell is the one literal "0" (= frac_str(0)), not a new string
             "matrix": [
                 [
-                    frac_str(self.matrix[i][j].constant_value())
-                    if self.matrix[i][j].is_constant()
-                    else repr(self.matrix[i][j])
-                    for j in range(k)
+                    "0"
+                    if x.is_zero()
+                    else frac_str(x.constant_value())
+                    if x.is_constant()
+                    else repr(x)
+                    for x in row
                 ]
-                for i in range(k)
+                for row in self.matrix
             ],
             "mismatches": [list(m) for m in self.mismatches],
         }

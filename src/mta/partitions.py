@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import factorial
 
 from ._frozen import Frozen
+from .exact import strict_int
 
 
 class Partition(Frozen):
@@ -121,6 +122,15 @@ def enumerate_partitions(m: int) -> list[Partition]:
     return [Partition(t) for t in _part_tuples(m, m)]
 
 
+def _check_rank_weight(n: int, m: int) -> None:
+    """Rank and weight are read strictly: a bool or a float raises TypeError
+    (and would otherwise be echoed back as given)."""
+    if strict_int(n) < 1:
+        raise ValueError("rank must be positive")
+    if strict_int(m) < 0:
+        raise ValueError("weight must be nonnegative")
+
+
 def labeled_partition_counts(n: int, m: int) -> list[int]:
     """Numbers of n-slot labeled partitions of each weight 0..m.
 
@@ -128,10 +138,7 @@ def labeled_partition_counts(n: int, m: int) -> list[int]:
     built bottom-up one factor 1/(1 - q^k) at a time: c[j] += c[j - k],
     n times for each k <= m, so O(n m^2) integer additions.
     """
-    if n < 1:
-        raise ValueError("rank must be positive")
-    if m < 0:
-        raise ValueError("weight must be nonnegative")
+    _check_rank_weight(n, m)
     c = [1] + [0] * m
     for k in range(1, m + 1):
         for _ in range(n):
@@ -151,10 +158,7 @@ def labeled_partition_count(n: int, m: int) -> int:
 
 def enumerate_labeled_partitions(n: int, m: int) -> list[LabeledPartition]:
     """All n-slot labeled partitions of weight m, first slot weight descending."""
-    if n < 1:
-        raise ValueError("rank must be positive")
-    if m < 0:
-        raise ValueError("weight must be nonnegative")
+    _check_rank_weight(n, m)
     if n == 1:
         return [LabeledPartition((p,)) for p in enumerate_partitions(m)]
     out = []

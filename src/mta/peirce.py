@@ -1071,6 +1071,11 @@ def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
     for j in range(max_degree + 1):
         labels, matrix = pairing_matrix(n, j)
         counts.append(len(labels))
-        values = ((t, a, x.evaluate(point)) for t, row in enumerate(matrix) for a, x in enumerate(row))
+        values = (
+            (t, a, x.evaluate(point))
+            for t, row in enumerate(matrix)
+            for a, x in enumerate(row)
+            if not x.is_zero()
+        )
         pairing.append({(t, a): v for t, a, v in values if v})
     return _block_model([counts], [pairing], [1])

@@ -48,6 +48,12 @@ library once did, the latter counting norms in a `Counter` of Fractions.
 `det` and `leading_minors_positive` are the lattice's definiteness and
 determinant before both were read off the square completion: a Fraction
 elimination with row swaps, run once per leading minor.
+
+`dense_pairing_matrix`, `identity_mismatches` and `identity_report_json`
+are the strong-identity check before the pairing matrix shared one zero
+cell: a fresh `pairing(sigma, tau)` object in every cell, the mismatch rule
+of `verify_strong_identity`, and `IdentityReport.to_json` rendering every
+cell on its own through `frac_str` or `repr`.
 """
 
 from collections import Counter
@@ -56,9 +62,9 @@ from math import isqrt
 
 from mta import exact, peirce
 from mta.exact import add_multiple, scalar, strict_int
-from mta.heisenberg import pairing_matrix
+from mta.heisenberg import ZhuPolynomial, pairing, pairing_matrix
 from mta.lattice import EvenLattice
-from mta.partitions import labeled_partition_counts
+from mta.partitions import enumerate_labeled_partitions, labeled_partition_counts
 from mta.peirce import PeirceAlgebra, PeirceReport
 
 F0 = Fraction(0)
@@ -854,3 +860,42 @@ def leading_minors_positive(g) -> bool:
         if det([row[:k] for row in g[:k]]) <= 0:
             return False
     return True
+
+
+def dense_pairing_matrix(n: int, d: int):
+    """(labels, matrix) with a fresh pairing(sigma, tau) in every cell."""
+    labels = enumerate_labeled_partitions(n, d)
+    return labels, [[pairing(s, t) for t in labels] for s in labels]
+
+
+def identity_mismatches(n: int, matrix, expected) -> list[tuple[int, int]]:
+    zero = ZhuPolynomial.zero(n)
+    mismatches = []
+    for i in range(len(expected)):
+        for j in range(len(expected)):
+            want = ZhuPolynomial.constant(n, expected[i]) if i == j else zero
+            if matrix[i][j] != want:
+                mismatches.append((i, j))
+    return mismatches
+
+
+def identity_report_json(report) -> dict:
+    k = len(report.labels)
+    return {
+        "rank": report.rank,
+        "degree": report.degree,
+        "ok": report.ok,
+        "size": k,
+        "labels": [lp.to_json() for lp in report.labels],
+        "expected_diagonal": list(report.expected_diagonal),
+        "matrix": [
+            [
+                exact.frac_str(report.matrix[i][j].constant_value())
+                if report.matrix[i][j].is_constant()
+                else repr(report.matrix[i][j])
+                for j in range(k)
+            ]
+            for i in range(k)
+        ],
+        "mismatches": [list(m) for m in report.mismatches],
+    }

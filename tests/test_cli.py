@@ -1,5 +1,6 @@
 """Command line behavior: goldens, determinism, exit codes, limits."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -278,6 +279,23 @@ def test_pairing_cap_exits_two_fast(capsys):
         main(["heisenberg", "verify", "--rank", "4", "--degree", "6"])
     assert exc.value.code == 2
     assert "--unsafe-no-limits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rank, degree, size, digest",
+    [
+        (3, 7, 932_920, "e2e9dba2e1e986c157124b2927bf7168f159375e2b1be8346c600a8d88e65ebb"),
+        (4, 5, 325_099, "35334018765e2a8b88a67496f4316bb3a7f5e96abfabc6664969b67cae519382"),
+    ],
+)
+def test_verify_at_the_label_cap_prints_the_recorded_bytes(capsys, rank, degree, size, digest):
+    # (3, 7) is the largest accepted pairing matrix: 429 labels, 184 041 cells
+    argv = ["heisenberg", "verify", "--rank", str(rank), "--degree", str(degree)]
+    code, out = run(capsys, argv)
+    data = out.encode("utf-8")
+    assert code == 0
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_selftest_survives_optimized_mode():

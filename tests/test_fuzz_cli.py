@@ -12,6 +12,12 @@ well-formed mutants that stay inside every cap: a structure constant or a
 unit0 entry changed, or a product dropped.  These must reach the command
 itself: exit 0 or 1 with one JSON line on stdout, exit 2 only for a degree
 above the file's max_degree.
+
+The module and gram files get well-formed mutants too: a graded_dims entry
+or a conformal_weight changed, or a module dropped; a diagonal entry or a
+symmetric off-diagonal pair of the Gram matrix changed.  Such a file may
+still be refused (an odd diagonal entry is not an even lattice), so these
+end with exit 0 or 1 and one JSON line, or with exit 2 and a usage message.
 """
 
 import contextlib
@@ -96,6 +102,27 @@ def _check(command, path, text):
     code, _, err = _run([*command, str(path)])
     assert code in (0, 1, 2), (command, text[:400], code)
     assert "Traceback" not in err, (command, text[:400], err)
+
+
+def _assert_one_json_line(argv, text, code, out, err):
+    assert "Traceback" not in err, (argv, text, err)
+    assert code in (0, 1), (argv, text, code, err)
+    lines = out.splitlines()
+    assert len(lines) == 1, (argv, text, out)
+    assert isinstance(json.loads(lines[0]), dict)
+
+
+def _assert_answer_or_usage(command, path, text):
+    """The command answers with one JSON line, or exits 2 with a usage
+    message and nothing on stdout."""
+    path.write_text(text, encoding="utf-8")
+    argv = [*command, str(path)]
+    code, out, err = _run(argv)
+    if code == 2:
+        assert "Traceback" not in err, (argv, text, err)
+        assert "error: " in err and not out, (argv, text, out, err)
+        return
+    _assert_one_json_line(argv, text, code, out, err)
 
 
 def _paths(obj, path=()):
@@ -184,6 +211,44 @@ def algebra_mutants(draw, name):
 
 
 @st.composite
+def module_mutants(draw):
+    """A well-formed module file: one to three changes, each of one
+    graded_dims entry, of one conformal_weight, or a dropped module."""
+    data = json.loads((INPUTS / "modules.json").read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        if not data:
+            break
+        m = draw(st.integers(0, len(data) - 1))
+        how = draw(st.sampled_from(("dims", "weight", "drop")))
+        if how == "drop":
+            del data[m]
+        elif how == "weight":
+            data[m]["conformal_weight"] = draw(_changed_scalar(data[m]["conformal_weight"]))
+        else:
+            dims = data[m]["graded_dims"]
+            dims[draw(st.integers(0, len(dims) - 1))] = draw(st.integers(-2, 9))
+    return json.dumps(data)
+
+
+@st.composite
+def gram_value_mutants(draw, name):
+    """A well-formed gram file inside the caps: one to three changes, each of
+    one diagonal entry or of one symmetric off-diagonal pair.  Diagonal
+    entries stay at most 8, so a positive-definite mutant has determinant at
+    most 8^4 = 4096 (Hadamard), the coset cap."""
+    lines = (INPUTS / name).read_text(encoding="utf-8").splitlines()
+    n = int(lines[0])
+    gram = [[int(x) for x in line.split()] for line in lines[1 : n + 1]]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            gram[i][i] = draw(st.sampled_from((2, 4, 6, 8, 0, -2, 3)))
+        else:
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    return f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in gram)
+
+
+@st.composite
 def gram_mutants(draw, name):
     lines = [line.split() for line in (INPUTS / name).read_text(encoding="utf-8").splitlines()]
     for _ in range(draw(st.integers(1, 3))):
@@ -230,10 +295,7 @@ def test_well_formed_algebra_mutants_reach_the_command(scratch, data):
     if degree > json.loads(text)["max_degree"]:
         assert code == 2, (command, text, code, err)
         return
-    assert code in (0, 1), (command, text, code, err)
-    lines = out.splitlines()
-    assert len(lines) == 1, (command, text, out)
-    assert isinstance(json.loads(lines[0]), dict)
+    _assert_one_json_line(command, text, code, out, err)
 
 
 @FUZZ
@@ -248,3 +310,17 @@ def test_mutated_gram_files(scratch, data):
 @given(st.data())
 def test_mutated_module_files(scratch, data):
     _check(MODULE_COMMANDS[0], scratch / "modules.json", data.draw(json_mutants("modules.json")))
+
+
+@FUZZ
+@given(st.data())
+def test_well_formed_gram_mutants_answer_or_refuse(scratch, data):
+    name = data.draw(st.sampled_from(GRAMS))
+    command = data.draw(st.sampled_from(GRAM_COMMANDS))
+    _assert_answer_or_usage(command, scratch / "lattice.gram", data.draw(gram_value_mutants(name)))
+
+
+@FUZZ
+@given(st.data())
+def test_well_formed_module_mutants_answer_or_refuse(scratch, data):
+    _assert_answer_or_usage(MODULE_COMMANDS[0], scratch / "modules.json", data.draw(module_mutants()))
