@@ -48,13 +48,15 @@ MAX_LATTICE_LEVEL = 100
 # dims[d][0] * dims[0][d]: a products-free dims [[128]] file counts 2^22,
 # though a relation with two empty action columns is skipped unbuilt.  A
 # component is stored as its nonzero product cells, so memory follows the
-# products: that file validates in 0.32 s and 19 MiB, and the 14 641
-# products of matrix_model([[11]]) (dims [[121]]) in 5.6 s and 22 MiB (CLI
-# wall time and peak RSS, medians of 5, 2-core machine; with the N^3 dense
-# structure constants stored before, 0.69 s / 68 MiB and 5.9 s / 64 MiB).
-# `peirce zigzag --degree 0` on matrix_model([[11]]) takes 12 to 13 s, over
-# the 10 s budget.  `peirce validate` takes about 2 s on
-# heisenberg_truncation(1, 6), 27 000 products, and 5.7 s on (3, 3), 42 875.
+# products: that file validates in 0.32 s and 19 MiB (CLI wall time and
+# peak RSS, medians of 5, 2-core machine; 0.69 s / 68 MiB with the N^3
+# dense structure constants stored before).  The 14 641 products of
+# matrix_model([[11]]) (dims [[121]]) took 5.6 s to validate until the
+# Morita-context certificates of peirce replaced its balanced tensors: now
+# `peirce validate`, `zigzag --degree 0` and `morita --degree 0` on it take
+# 0.13, 0.70 and 0.59 s, and `peirce validate` on
+# heisenberg_truncation(1, 6), 27 000 products, 0.5 s (CLI wall time, one
+# run each, 2-core machine).
 MAX_ALGEBRA_DIM = 128
 MAX_BALANCING_RELATIONS = 2**22
 MAX_ALGEBRA_PRODUCTS = 32768

@@ -40,6 +40,50 @@ acting algebra only: for honest modules (m.bb') (x) n - m (x) (bb').n is
 R_b'(m.b, n) + R_b(m, b'.n), so the span of the relations, and the
 canonical echelon form holding it, is the same.  A module presentation
 given from outside is not known to be honest, so it gets every relation.
+The module axiom (x s).w = x.(s.w) of such a presentation is checked the
+same way, on generators s of an associative B: the s that satisfy it for
+all x and w form a subspace closed under products, since for s, s' in it
+(x(ss')).w = ((xs)s').w = (xs).(s'.w) = x.(s.(s'.w)) = x.((ss').w).
+
+The Morita context gives an explicit inverse of each product map, and
+with it a quotient M (x)_B N is read off in the map's target instead of
+being reduced by its balancing relations R.  Let phi be a linear map on
+the plain tensors with phi(R) = 0, and psi a linear map back with
+psi(phi(m (x) n)) = m (x) n modulo R for every pure tensor.  Then the
+kernel of phi is exactly R.  So f is a pivot of the reduced relations
+(pivot = lowest column) iff e_f lies in R + span(e_j : j > f), iff
+phi(e_f) lies in span(phi(e_j) : j > f): the free columns are the f where
+phi(e_f) is independent of every later phi(e_j), and the canonical residual
+of x is sum_f c_f e_f over them, where phi(x) = sum_f c_f phi(e_f).  Each
+use needs p associative (then phi kills R and the relations of generators
+span R) and one element e:
+
+  * validate_peirce, degree d: M = component(d,0), N = component(0,d),
+    B = A, phi(m (x) n) = mn.  If the products span component(d,d) and
+    e = sum_i v_i u_i there is a right identity on component(0,d), then
+    psi(y) = sum_i (y v_i) (x) u_i gives sum_i m(n v_i) (x) u_i
+    = m (x) n e = m (x) n, as n v_i lies in A.  phi is onto, so it is
+    bijective: the quotient and the image both have dimension dims[d][d].
+  * zigzag: M = component(0,d), N = component(d,0), B = component(d,d),
+    phi(u (x) v) = uv.  For e = sum_i u_i v_i in the span Z_d of the
+    products, a left identity on component(0,d), psi(z) = sum_i u_i (x) v_i z
+    gives sum_i u_i (v_i u) (x) v = e u (x) v = u (x) v.
+  * the forward functor: M = component(0,d), N = W over B = component(d,d),
+    phi(u (x) w) = (v -> (vu).w), one copy of W per v in a set S of basis
+    elements of component(d,0) with e = eps = sum_i u_i v_i, v_i in S
+    (_spanning_slots).  When eps, the unit of Z_d, is a left identity on
+    component(0,d), psi(g) = sum_i u_i (x) g(v_i).  phi kills R when W is
+    honest: (v(ub)).w = (vu).(b.w).
+  * the backward functor: M = component(d,0), N = W0 over B = A through
+    eps, phi(v (x) w) = (u -> (uv).w), one copy of W0 per u in a set S of
+    basis elements of component(0,d) with e = sum_i v_i u_i, u_i in S, for
+    e the strong identity, a left identity on component(d,0); then
+    psi(g) = sum_i v_i (x) g(u_i).  phi kills R when W0 is an honest
+    module over Z_d, as the forward module of any W is.
+
+Each certificate is exact and only sufficient: when one fails, the
+balancing relations are built and reduced as before, so every result is
+the same either way.
 """
 
 from __future__ import annotations
@@ -206,18 +250,29 @@ class TensorQuotient:
     relations, with a canonical projection and pure-tensor lifts.
 
     Ambient vectors are sparse dicts keyed by u * dim_right + v for the pure
-    tensor e_u (x) e_v.  The relations are held in an Echelon; the quotient
-    coordinates are its free (non-pivot) columns, and a vector projects to
-    its canonical residual read off on those columns, as a sparse vector of
+    tensor e_u (x) e_v.  The quotient coordinates are the free (non-pivot)
+    columns of the reduced relations, and a vector projects to its
+    canonical residual read off on those columns, as a sparse vector of
     quotient coordinates.
+
+    The relations are held in an Echelon, or, when a certificate shows that
+    a map phi kills exactly the relations (module docstring), not at all:
+    images[f] is then phi(e_f), target_dim bounds its keys, and relations
+    is None.
     """
 
-    def __init__(self, dim_left: int, dim_right: int, relations: Echelon):
+    def __init__(
+        self, dim_left: int, dim_right: int, relations: Echelon | None, images=None, target_dim=0
+    ):
         self.dim_left = dim_left
         self.dim_right = dim_right
         self.ambient_dim = dim_left * dim_right
         self.relations = relations
-        self.free = [i for i in range(self.ambient_dim) if i not in relations.rows]
+        self._images = images
+        if relations is not None:
+            self.free = [i for i in range(self.ambient_dim) if i not in relations.rows]
+        else:
+            self.free, self._inverse = _image_basis(images, target_dim)
         self._coord = {f: q for q, f in enumerate(self.free)}
 
     @property
@@ -225,9 +280,21 @@ class TensorQuotient:
         return len(self.free)
 
     def project(self, ambient_vec: dict) -> dict:
-        # the residual vanishes at every pivot, so each key is free
         coord = self._coord
-        return {coord[f]: x for f, x in self.relations.reduce(ambient_vec).items()}
+        if self.relations is not None:
+            # the residual vanishes at every pivot, so each key is free
+            return {coord[f]: x for f, x in self.relations.reduce(ambient_vec).items()}
+        # phi(x) lies in the span of the phi(e_f), f free: its coordinates
+        # there are read off at the pivots of that span (see _image_basis)
+        image: dict = {}
+        for f, x in ambient_vec.items():
+            if f in self._images:
+                add_multiple(image, x, self._images[f])
+        out: dict = {}
+        for t, y in image.items():
+            if t in self._inverse:
+                add_multiple(out, y, self._inverse[t])
+        return {coord[f]: out[f] for f in sorted(out)}
 
     def project_tensor(self, x: dict, y: dict):
         """project of x (x) y, for sparse coordinate vectors x of the left
@@ -238,6 +305,71 @@ class TensorQuotient:
     def lift_pair(self, q: int) -> tuple[int, int]:
         """The pure tensor basis pair representing quotient coordinate q."""
         return divmod(self.free[q], self.dim_right)
+
+
+def _image_basis(images: dict, target_dim: int):
+    """(free, inverse) of a TensorQuotient read through phi, images[f] being
+    phi(e_f) with keys below target_dim.
+
+    f is free when phi(e_f) is independent of every phi(e_j) with j > f.
+    The rows phi(e_f) + e_(target_dim + f) over free f, in reduced echelon
+    form, have their pivots below target_dim, so y = sum_f c_f phi(e_f) has
+    c_f = sum over pivots t of y[t] times entry target_dim + f of the row
+    of t; inverse[t] is {f: that entry}.
+    """
+    tagged = Echelon()
+    free = []
+    for f in sorted(images, reverse=True):
+        r = tagged.reduce(images[f])
+        if r and min(r) < target_dim:
+            r[target_dim + f] = 1
+            tagged.add(r)
+            free.append(f)
+    free.reverse()
+    inverse = {
+        t: {j - target_dim: x for j, x in row.items() if j >= target_dim}
+        for t, row in tagged.rows.items()
+    }
+    return free, inverse
+
+
+def _spanning_slots(table: dict, x: dict):
+    """The slots y, ascending, that a greedy pass keeps until x lies in the
+    span of the cells table[(t, y)] of the kept y; None when x lies outside
+    the span of every cell."""
+    span = Echelon()
+    slots = []
+    for y, cells in sorted(_by_factor(table, 1).items()):
+        if not span.reduce(x):
+            break
+        grew = [span.add(cell) for cell in cells.values()]
+        if any(grew):
+            slots.append(y)
+    return slots if not span.reduce(x) else None
+
+
+def _action_images(pairs: dict, slots: list, w_mod: ModuleRep) -> dict:
+    """{x * n + w: phi(e_x (x) e_w)} over nonzero images, where n = w_mod.dim,
+    phi(e_x (x) e_w) = (s -> (e_s e_x).e_w) over the given slots s, the i-th
+    slot a copy of the left module w_mod at keys i * n, and pairs is the
+    product table {(s, x): e_s e_x}."""
+    n = w_mod.dim
+    at = {s: i * n for i, s in enumerate(slots)}
+    by_element = _by_factor(w_mod.table, 0)  # {b: {w: b.e_w}}
+    images: dict = {}
+    none: dict = {}
+    for (s, x), cell in pairs.items():
+        if s not in at:
+            continue
+        for b, c in cell.items():
+            for w, img in by_element.get(b, none).items():
+                add_multiple(images.setdefault(x * n + w, {}), c, {at[s] + t: y for t, y in img.items()})
+    return {f: v for f, v in images.items() if v}
+
+
+def _require_same_algebra(m_rep: ModuleRep, n_rep: ModuleRep) -> None:
+    if m_rep.algebra.dim != n_rep.algebra.dim or m_rep.algebra.cells != n_rep.algebra.cells:
+        raise ValueError("modules are not over the same algebra")
 
 
 def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep, acting=None) -> TensorQuotient:
@@ -258,8 +390,7 @@ def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep, acting=None) -> TensorQu
     """
     if m_rep.side != "right" or n_rep.side != "left":
         raise ValueError("need a right module and a left module")
-    if m_rep.algebra.dim != n_rep.algebra.dim or m_rep.algebra.cells != n_rep.algebra.cells:
-        raise ValueError("modules are not over the same algebra")
+    _require_same_algebra(m_rep, n_rep)
     m, n = m_rep.dim, n_rep.dim
     relations = Echelon()
     none: dict = {}
@@ -315,6 +446,7 @@ class PeirceAlgebra:
         if len(self.unit0) != self.dims[0][0]:
             raise ValueError("unit0 has wrong length")
         self.block_dims = None  # set by matrix_model
+        self._associative = None  # set by _associative, which runs Light's test once
 
     def mul(self, i: int, j: int, k: int, x, y):
         """Bilinear product component(i,j) x component(j,k) -> component(i,k)
@@ -454,12 +586,20 @@ def _generators(p: PeirceAlgebra, components) -> dict:
     return {c: [b for e in es for b in e] for c, es in kept.items()}
 
 
+def _associative(p: PeirceAlgebra) -> bool:
+    """Light's test on every component of p, run once per algebra: the
+    validator, zigzag and both Morita functors read it."""
+    if p._associative is None:
+        r = range(p.max_degree + 1)
+        gens = _generators(p, itertools.product(r, repeat=2))
+        p._associative = _first_nonassociative(p._prod, p.max_degree, gens) is None
+    return p._associative
+
+
 def _associativity_failure(p: PeirceAlgebra) -> str | None:
     """Where associativity first fails, in (i,j,k,l) then (a,b,c) order:
     None when Light's test passes, else the first triple of the full call."""
-    r = range(p.max_degree + 1)
-    gens = _generators(p, itertools.product(r, repeat=2))
-    if _first_nonassociative(p._prod, p.max_degree, gens) is None:
+    if _associative(p):
         return None
     i, j, k, l, a, b, c = _first_nonassociative(p._prod, p.max_degree)
     return f"fails on basis triple a={a},b={b},c={c} of components ({i},{j}),({j},{k}),({k},{l})"
@@ -478,6 +618,23 @@ def _first_unfixed(p: PeirceAlgebra, i: int, j: int, left=None, right=None):
     return None
 
 
+def _factorization_certified(p: PeirceAlgebra, d: int) -> bool:
+    """For an associative p: whether the products component(d,0) *
+    component(0,d) span component(d,d) and some element of component(d,d)
+    is a right identity on component(0,d), which makes the product map
+    bijective (module docstring)."""
+    t = p.dims[d][d]
+    span = Echelon()
+    for cell in p._prod.get((d, 0, d), {}).values():
+        if len(span) == t:
+            break
+        span.add(cell)
+    if len(span) < t:
+        return False
+    diag = p.diagonal_algebra(d)
+    return _identity_on([_component_module(p, diag, 0, d, "right")], t) is not None
+
+
 def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     """Exhaustive check of the axioms on basis elements.
 
@@ -488,7 +645,9 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     (ab)c and a(bc) built from the stored structure constants, first with
     the middle factor b restricted to a generating set (Light's test, proved
     in the module docstring).  If a generator fails, the check runs over
-    every triple and the report names its first failing triple.  The
+    every triple and the report names its first failing triple.  When
+    associativity holds, the product map at degree d is bijective by the
+    certificate of the module docstring when it applies.  Otherwise the
     balanced product map is checked to kill every reduced balancing
     relation and to carry the free pure tensors of the quotient onto a
     basis of the target.  When associativity holds the edge components are
@@ -532,6 +691,8 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     # the edge components are honest corner modules once associativity holds
     acting = None if failure is not None else _generators(p, [(0, 0)])[(0, 0)]
     for d in range(d_max + 1):
+        if failure is None and _factorization_certified(p, d):
+            continue
         m_rep = _component_module(p, corner, d, 0, "right")
         n_rep = _component_module(p, corner, 0, d, "left")
         q = balanced_tensor(m_rep, n_rep, acting)
@@ -592,6 +753,24 @@ class ZigZag:
         return Subspace((0, 0), self.parent.dims[0][0], self.star)
 
 
+def _zigzag_space(p: PeirceAlgebra, d: int):
+    """component(0,d) (x)_{component(d,d)} component(d,0) read through
+    phi(u (x) v) = uv, when some e in the span Z_d of the phi(e_f) is a left
+    identity on component(0,d); None when there is none."""
+    m, n = p.dims[0][d], p.dims[d][0]
+    images = {u * n + v: cell for (u, v), cell in p._prod.get((0, d, 0), {}).items() if cell}
+    q = TensorQuotient(m, n, None, images, p.dims[0][0])
+    # e = sum_s x_s z_s over the basis z_s = phi(e_f), f free, of Z_d
+    table = {}
+    for s, f in enumerate(q.free):
+        for w in range(m):
+            img = p.product(0, 0, d, images[f], {w: 1})
+            if img:
+                table[(s, w)] = img
+    acting = ModuleRep(Algebra(q.dim, {}), m, table)
+    return q if _identity_on([acting], q.dim) is not None else None
+
+
 def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     """Degree-d zig-zag algebra of an algebra that passes validate_peirce,
     read off on the pure tensors of the quotient basis.  Associativity makes
@@ -600,13 +779,17 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     = 0, while (x (x) y) o r is itself a relation.  It also makes the edge
     components honest modules over component(d,d), so the balancing
     relations come from generators of component(d,d) only: for them,
-    (m.bb') (x) n - m (x) (bb').n = R_b'(m.b, n) + R_b(m, b'.n)."""
-    diag = p.diagonal_algebra(d)
-    q = balanced_tensor(
-        _component_module(p, diag, 0, d, "right"),
-        _component_module(p, diag, d, 0, "left"),
-        _generators(p, [(d, d)])[(d, d)],
-    )
+    (m.bb') (x) n - m (x) (bb').n = R_b'(m.b, n) + R_b(m, b'.n).  The
+    quotient is read through u (x) v -> uv when the certificate of the
+    module docstring holds, and built from those relations otherwise."""
+    q = _zigzag_space(p, d) if _associative(p) else None
+    if q is None:
+        diag = p.diagonal_algebra(d)
+        q = balanced_tensor(
+            _component_module(p, diag, 0, d, "right"),
+            _component_module(p, diag, d, 0, "left"),
+            _generators(p, [(d, d)])[(d, d)],
+        )
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
     product = {}
     for q1, (u1, v1) in enumerate(pairs):
@@ -759,7 +942,7 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     Returns None when the ideal has no internal unit.  Raises when the input
     subspace is not a two-sided ideal.
     """
-    eps, alg = _ideal_unit(p, ideal)
+    eps, _ = _ideal_unit(p, ideal)
     if eps is None:
         return None
     n0 = p.dims[0][0]
@@ -781,13 +964,12 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     checks["cross_products_vanish"] = all(
         not mul(z, w) and not mul(w, z) for z in zs for w in complement.basis
     )
-    # alg holds the ideal coordinates of every z1 * z2, so the ideal is
-    # idempotent when they span it
+    # every z in the ideal is eps * z, a product of two of its elements
     return IdealSplit(
         epsilon=dense(eps, n0),
         ideal=ideal,
         complement=complement,
-        idempotent_ideal=len(Echelon(alg.cells.values())) == ideal.dim,
+        idempotent_ideal=True,
         checks=checks,
     )
 
@@ -869,9 +1051,23 @@ def morita_forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> ModuleRep:
     return _forward(p, d, w_mod, _require_morita_setup(p, d))[0]
 
 
+def _honest(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> bool:
+    """Whether a left module over component(d,d) of an associative p meets
+    the module axiom, checked on generators (module docstring).  The
+    regular module, whose table is the component's own, meets it by
+    associativity."""
+    table = p._prod.get((d, d, d), {})
+    if w_mod.table is table:
+        return True
+    gens = {(0, 0): _generators(p, [(d, d)])[(d, d)]}
+    return _first_nonassociative({(0, 0, 0): table, (0, 0, 1): w_mod.table}, 1, gens) is None
+
+
 def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup):
-    """(the forward module, the balanced tensor it is a quotient of)."""
-    sid, ideal, _, alg = setup
+    """(the forward module, the tensor quotient it is a quotient of): read
+    through the certified inverse of the module docstring when it applies,
+    else reduced by the balancing relations of every basis element."""
+    sid, ideal, eps, alg = setup
     if w_mod.side != "left":
         raise ValueError("expected a left module over the degree-d component")
     if w_mod.algebra.dim != p.dims[d][d]:
@@ -879,7 +1075,20 @@ def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup):
     if any(w_mod.apply(sid, {w: 1}) != {w: 1} for w in range(w_mod.dim)):
         raise ValueError("module is not unital for the strong identity")
 
-    q = balanced_tensor(_component_module(p, p.diagonal_algebra(d), 0, d, "right"), w_mod)
+    u_rep = _component_module(p, p.diagonal_algebra(d), 0, d, "right")
+    _require_same_algebra(u_rep, w_mod)
+    # eps = sum_i u_i v_i needs the v_i of these slots only
+    slots = _spanning_slots(p._prod.get((0, d, 0), {}), eps)
+    if (
+        slots is not None
+        and _associative(p)
+        and _first_unfixed(p, 0, d, left=eps) is None
+        and _honest(p, d, w_mod)
+    ):
+        images = _action_images(p._prod.get((d, 0, d), {}), slots, w_mod)
+        q = TensorQuotient(u_rep.dim, w_mod.dim, None, images, len(slots) * w_mod.dim)
+    else:
+        q = balanced_tensor(u_rep, w_mod)
 
     return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, ideal.basis[t], {u: 1})), q
 
@@ -890,9 +1099,11 @@ def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
     return _backward(p, d, w0_mod, _require_morita_setup(p, d))[0]
 
 
-def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup):
-    """(the backward module, the balanced tensor it is a quotient of)."""
-    _, ideal, eps, _ = setup
+def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup, honest: bool = False):
+    """(the backward module, the tensor quotient it is a quotient of), read
+    as _forward's is.  honest says that w0_mod is known to meet the module
+    axiom over the corner ideal; otherwise it is checked."""
+    sid, ideal, eps, alg = setup
     if w0_mod.side != "left":
         raise ValueError("expected a left module over the corner ideal")
     if w0_mod.algebra.dim != ideal.dim:
@@ -909,7 +1120,18 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup):
             if img:
                 ext[(a, w)] = img
     w0_ext = ModuleRep(corner, w0_mod.dim, ext, side="left")
-    q = balanced_tensor(_component_module(p, corner, d, 0, "right"), w0_ext)
+    v_rep = _component_module(p, corner, d, 0, "right")
+    # the strong identity as sum_i v_i u_i, the u_i of these slots only
+    slots = _spanning_slots(p._prod.get((d, 0, d), {}), sid)
+    if (
+        slots is not None
+        and _associative(p)
+        and (honest or _first_nonassociative({(0, 0, 0): alg.cells, (0, 0, 1): w0_mod.table}, 1) is None)
+    ):
+        images = _action_images(p._prod.get((0, d, 0), {}), slots, w0_ext)
+        q = TensorQuotient(v_rep.dim, w0_mod.dim, None, images, len(slots) * w0_mod.dim)
+    else:
+        q = balanced_tensor(v_rep, w0_ext)
 
     return _induced_module(p.diagonal_algebra(d), q, lambda c, v: p.cell(d, d, 0, c, v)), q
 
@@ -947,7 +1169,8 @@ def verify_roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> RoundtripRep
     original through the canonical evaluation b (x) (a (x) w) -> (b*a).w."""
     setup = _require_morita_setup(p, d)
     w0, q_in = _forward(p, d, w_mod, setup)
-    w2, q_out = _backward(p, d, w0, setup)
+    # the forward module of any module is honest over the corner ideal
+    w2, q_out = _backward(p, d, w0, setup, honest=True)
 
     # the evaluation map as a one-column product table: ev[(qq, 0)] is the
     # image of basis element qq of w2, so _bilinear(ev, v, {0: 1}) is ev(v)

@@ -159,12 +159,13 @@ def test_associativity_makes_zigzag_well_defined():
 
 
 def test_balanced_tensor_matches_dense_build(monkeypatch):
-    """Every balanced tensor built on the acceptance fixtures has the free
-    coordinates, reduced relations and projection of the dense build, which
-    makes a relation for every basis element of the acting algebra; some of
-    them were built from the relations of a generating set only.  The
-    sparse projection of every unit vector and of one dense ambient vector
-    is the dense one."""
+    """Every balanced tensor that validation, zigzag and the roundtrips
+    build on the acceptance fixtures when no certificate is used (the
+    oracle's copies of them) has the free coordinates, reduced relations
+    and projection of the dense build, which makes a relation for every
+    basis element of the acting algebra; some of them were built from the
+    relations of a generating set only.  The sparse projection of every
+    unit vector and of one dense ambient vector is the dense one."""
     calls = []
     proper = []  # acting sets smaller than the basis of the acting algebra
 
@@ -179,12 +180,13 @@ def test_balanced_tensor_matches_dense_build(monkeypatch):
     monkeypatch.setattr(peirce, "balanced_tensor", recording)
     for blocks in ACCEPTANCE_BLOCKS:
         p = matrix_model(blocks)
-        assert validate_peirce(p).ok
+        assert oracle.balanced_validate_peirce(p).ok
         for d in range(p.max_degree + 1):
-            assert zigzag(p, d).as_algebra().is_associative()
-            assert verify_roundtrip(p, d, regular_module(p, d)).ok
+            assert oracle.balanced_zigzag(p, d).as_algebra().is_associative()
+            assert oracle.balanced_verify_roundtrip(p, d, regular_module(p, d)).ok
             for block in range(len(p.block_dims)):
-                assert verify_roundtrip(p, d, matrix_model_column_module(p, block, d)).ok
+                w = matrix_model_column_module(p, block, d)
+                assert oracle.balanced_verify_roundtrip(p, d, w).ok
     assert len(calls) == 9 + 9 + 2 * (9 + 21)  # validate, zigzag, roundtrips
     assert proper
     seen = set()
@@ -948,3 +950,172 @@ def test_associativity_cap_counts_the_kernel(monkeypatch):
         assert work == _associativity_work(p.to_json_dict()["products"])
         counts.append(work)
     assert counts[:4] == [164, 1924, 41472, 512]
+
+
+@st.composite
+def certificate_inputs(draw):
+    """A matrix model with D = 1, in a random integer basis half of the
+    time, a truncation with n <= 2, the idempotent family, or a mutant of
+    the mutation sweep."""
+    family = draw(st.sampled_from(["matrix", "truncation", "idempotent", "mutant"]))
+    if family == "matrix":
+        p = matrix_model(draw(small_block_st))
+        if draw(st.booleans()):
+            p = _changed_basis(p, random.Random(draw(st.integers(0, 2**32))))
+        return p
+    if family == "truncation":
+        n = draw(st.integers(1, 2))
+        return heisenberg_truncation(n, draw(st.integers(0, 3 if n == 1 else 2)), [0] * n)
+    if family == "idempotent":
+        return idempotent_family(draw(st.integers(1, 3)))
+    pos = draw(st.integers(0, 323))
+    return next(itertools.islice(_mutation_sweep(), pos, None))[1]
+
+
+def identity_without_products():
+    """Component (1,1) spanned by an element s that is an identity on both
+    edges, every product of the edges zero: associative, with the strong
+    identity s and the zero corner ideal (unit 0), but the degree-1 product
+    map is not onto, and eps = 0 is no left identity on component(0,1)."""
+    products = [(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
+    return PeirceAlgebra(1, [[1, 1], [1, 1]], [(*ijk, 0, 0, 0, 1) for ijk in products], [1])
+
+
+def spanning_edges():
+    """Two-dimensional edges whose one nonzero product v_0 u_0 = w spans
+    component (1,1) = k w, while their balanced tensor over A = k has
+    dimension 4; no element of (1,1) is a right identity on (0,1)."""
+    entries = [(0, 0, 0, 0, 0, 0, 1), (1, 0, 1, 0, 0, 0, 1)]
+    entries += [(0, 0, 1, 0, a, a, 1) for a in range(2)] + [(1, 0, 0, a, 0, a, 1) for a in range(2)]
+    return PeirceAlgebra(1, [[1, 2], [2, 1]], entries, [1])
+
+
+def lower_triangular():
+    """Corner k, edges the column vectors k^2 and the row vector e_1^T,
+    component (1,1) the lower triangular 2 x 2 matrices E11, E21, E22, all
+    multiplied as matrices.  The strong identity E11 + E22 is not in the
+    span of the products v u, which holds no left identity on e_2."""
+    entries = [(0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 1)]
+    entries += [(1, 0, 0, a, 0, a, 1) for a in range(2)] + [(0, 1, 1, 0, 0, 0, 1)]
+    entries += [(1, 0, 1, 0, 0, 0, 1), (1, 0, 1, 1, 0, 1, 1)]
+    entries += [(1, 1, 0, a, b, c, 1) for a, b, c in ((0, 0, 0), (1, 0, 1), (2, 1, 1))]
+    entries += [(1, 1, 1, a, b, c, 1) for a, b, c in ((0, 0, 0), (1, 0, 1), (2, 1, 1), (2, 2, 2))]
+    return PeirceAlgebra(1, [[1, 1], [2, 3]], entries, [1])
+
+
+def _mm22_perturbed():
+    """The mutant of acceptance test 4, entry 7 of matrix_model([2, 2])
+    plus one (the benchmark's mm22_perturbed.json)."""
+    return next(bad for case, bad in _mutation_sweep() if case == ([2, 2], 7, 1))
+
+
+def _zigzag_view(z):
+    return z.space.free, list(z.product.items()), z.star, action_through_A_check(z).to_json()
+
+
+def _module_view(w):
+    return w.dim, list(w.table.items())
+
+
+def _report_view(report):
+    return json.dumps(report.to_json())
+
+
+def _certified_against_balanced(p, calls):
+    """Assert that validate_peirce, zigzag, morita_forward, morita_backward
+    and verify_roundtrip on p give what the oracle's balanced copies give,
+    key order included, or raise the same error; return the set of
+    (stage, certified) they took, certified when the library run built no
+    balanced tensor."""
+    taken = set()
+
+    def same(stage, view, run, balanced, *args):
+        start = len(calls)
+        new = _solved(run, *args)
+        taken.add((stage, len(calls) == start))
+        old = _solved(balanced, *args)
+        new, old = [(r[0], view(r[1])) if r[0] == "ok" else r for r in (new, old)]
+        assert new == old, (stage, p.dims, args[1:])
+        return new
+
+    same("validate", _report_view, validate_peirce, oracle.balanced_validate_peirce, p)
+    for d in range(p.max_degree + 1):
+        same("zigzag", _zigzag_view, zigzag, oracle.balanced_zigzag, p, d)
+        modules = [regular_module(p, d)]
+        if p.block_dims is not None:
+            modules += [matrix_model_column_module(p, b, d) for b in range(len(p.block_dims))]
+        for w in modules:
+            same("forward", _module_view, morita_forward, oracle.balanced_morita_forward, p, d, w)
+            same("roundtrip", _report_view, verify_roundtrip, oracle.balanced_verify_roundtrip, p, d, w)
+        forward = _solved(morita_forward, p, d, modules[0])
+        if forward[0] == "ok":
+            w0 = forward[1]
+            same("backward", _module_view, peirce.morita_backward, oracle.balanced_morita_backward, p, d, w0)
+    return taken
+
+
+def test_certified_paths_match_the_balanced_tensors(monkeypatch):
+    """Where a Morita-context certificate holds, the quotient is read off
+    through the product map instead of its balancing relations (module
+    docstring of peirce); where it fails, the relations are reduced as
+    before.  Either way every report, free column, zig-zag product, corner
+    image, check and module is the balanced one, and the draws take both
+    paths at every stage."""
+    calls = []
+    real = peirce.balanced_tensor
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(peirce, "balanced_tensor", counting)
+    taken = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(certificate_inputs())
+    @example(_mm22_perturbed())
+    @example(idempotent_family(2))
+    @example(_changed_basis(matrix_model([[1, 2], [1, 0]]), random.Random(7)))
+    @example(heisenberg_truncation(1, 3, [0]))
+    @example(identity_without_products())
+    @example(spanning_edges())
+    @example(lower_triangular())
+    def check(p):
+        taken.update(_certified_against_balanced(p, calls))
+
+    check()
+    stages = {"validate", "zigzag", "forward", "backward", "roundtrip"}
+    assert {stage for stage, _ in taken} == stages
+    assert taken == {(stage, certified) for stage in stages for certified in (True, False)}
+
+
+def test_dishonest_module_takes_the_balanced_path():
+    """A column module whose non-generator E_12 of component (1,1) acts
+    wrongly breaks the module axiom, so the forward functor reduces every
+    balancing relation, as before the certificates: the tensor collapses,
+    and the roundtrip reports what the balanced copies report."""
+    p = matrix_model([[1, 3]])
+    assert 5 not in peirce._generators(p, [(1, 1)])[(1, 1)]  # E_12 = E_10 E_02
+    w = matrix_model_column_module(p, 0, 1)
+    table = dict(w.table)
+    table[(5, 2)] = {1: 1, 0: 1}  # E_12 e_2 = e_1, plus e_0
+    bad = ModuleRep(w.algebra, w.dim, table)
+    assert peirce._honest(p, 1, w) and not peirce._honest(p, 1, bad)
+    report = verify_roundtrip(p, 1, bad).to_json()
+    assert report == oracle.balanced_verify_roundtrip(p, 1, bad).to_json()
+    assert report == {
+        "ok": False,
+        "dim_start": 3,
+        "dim_forward": 0,
+        "dim_back": 0,
+        "bijective": False,
+        "equivariant": True,
+    }
+    forward = morita_forward(p, 1, bad)
+    assert _module_view(forward) == _module_view(oracle.balanced_morita_forward(p, 1, bad)) == (0, [])
+    # over the one-dimensional corner ideal k z, z e_1 = e_0 + e_1 gives
+    # z (z e_1) = 2 e_0 + e_1, not (z z) e_1
+    honest = morita_forward(p, 1, w)
+    z_module = ModuleRep(honest.algebra, 2, {(0, 0): {0: 1}, (0, 1): {0: 1, 1: 1}})
+    back = peirce.morita_backward(p, 1, z_module)
+    assert _module_view(back) == _module_view(oracle.balanced_morita_backward(p, 1, z_module))
