@@ -27,6 +27,12 @@ from mta import (
     zigzag,
 )
 
+
+def show(v, n):
+    """A sparse vector as the list of its n coordinates, as strings."""
+    return [str(v.get(j, 0)) for j in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # two blocks, one of which dies at level 1
 # ---------------------------------------------------------------------------
@@ -47,7 +53,7 @@ print(f"\nzig-zag dimension {z.dim}, corner ideal dimension {ideal.dim}")
 print("product acts through the corner:", action_through_A_check(z).ok)
 
 split = ideal_unit_and_split(p, ideal)
-print("ideal unit epsilon =", [str(x) for x in split.epsilon])
+print("ideal unit epsilon =", show(split.epsilon, p.dims[0][0]))
 print("central idempotent:", split.checks["epsilon_idempotent"],
       split.checks["epsilon_central"])
 print("corner = ideal x complement:", split.checks["direct_sum"],
@@ -61,7 +67,7 @@ print("corner = ideal x complement:", split.checks["direct_sum"],
 # ---------------------------------------------------------------------------
 
 one_d = find_strong_identity(p, 1)
-print("\nstrong identity of the degree-1 diagonal:", [str(x) for x in one_d])
+print("\nstrong identity of the degree-1 diagonal:", show(one_d, p.dims[1][1]))
 
 w = regular_module(p, 1)
 trip = verify_roundtrip(p, 1, w)
@@ -77,4 +83,4 @@ for point in (Fraction(0), Fraction(3, 2)):
     trunc = heisenberg_truncation(1, 2, [point])
     ok = validate_peirce(trunc).ok
     print(f"\ntruncation at h = {point}: axioms ok = {ok}, dims = {trunc.dims}")
-    print("   strong identity:", [str(x) for x in find_strong_identity(trunc, 2)])
+    print("   strong identity:", show(find_strong_identity(trunc, 2), trunc.dims[2][2]))

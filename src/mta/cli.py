@@ -345,7 +345,7 @@ def _zigzag_payload(algebra, d):
         "ideal_unital": split is not None,
     }
     if split is not None:
-        payload["epsilon"] = [frac_str(x) for x in split.epsilon]
+        payload["epsilon"] = split.to_json()["epsilon"]
         payload["idempotent_ideal"] = split.idempotent_ideal
     return payload, associative and check.ok and (split is None or split.ok)
 

@@ -156,11 +156,6 @@ class Echelon:
         """The sparse reduced rows in increasing pivot order."""
         return [self.rows[p] for p in sorted(self.rows)]
 
-    def dense(self, ncols: int):
-        """(reduced rows as dense vectors, pivot columns), pivots ascending."""
-        pivots = sorted(self.rows)
-        return [dense(self.rows[p], ncols) for p in pivots], pivots
-
 
 def rref(rows):
     """Reduced row echelon form.
@@ -171,7 +166,8 @@ def rref(rows):
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
-    return Echelon(map(sparse, rows)).dense(ncols)
+    ech = Echelon(map(sparse, rows))
+    return [dense(row, ncols) for row in ech.basis()], sorted(ech.rows)
 
 
 def reduce_vector(basis_rows, pivots, v):

@@ -68,18 +68,18 @@ span R) and one element e:
     phi(u (x) v) = uv.  For e = sum_i u_i v_i in the span Z_d of the
     products, a left identity on component(0,d), psi(z) = sum_i u_i (x) v_i z
     gives sum_i u_i (v_i u) (x) v = e u (x) v = u (x) v.
-  * the forward functor: M = component(0,d), N = W over B = component(d,d),
-    phi(u (x) w) = (v -> (vu).w), one copy of W per v in a set S of basis
-    elements of component(d,0) with e = eps = sum_i u_i v_i, v_i in S
-    (_spanning_slots).  When eps, the unit of Z_d, is a left identity on
-    component(0,d), psi(g) = sum_i u_i (x) g(v_i).  phi kills R when W is
-    honest: (v(ub)).w = (vu).(b.w).
-  * the backward functor: M = component(d,0), N = W0 over B = A through
-    eps, phi(v (x) w) = (u -> (uv).w), one copy of W0 per u in a set S of
-    basis elements of component(0,d) with e = sum_i v_i u_i, u_i in S, for
-    e the strong identity, a left identity on component(d,0); then
-    psi(g) = sum_i v_i (x) g(u_i).  phi kills R when W0 is an honest
-    module over Z_d, as the forward module of any W is.
+  * the Morita functors (_functor), (x, y) = (0, d) forward and (d, 0)
+    backward: M = component(x,y), N = W a left module over
+    B = component(y,y), phi(m (x) w) = (s -> (sm).w), one copy of W per s
+    in a set S of basis elements of component(y,x) with e = sum_i m_i s_i,
+    s_i in S (_spanning_slots).  When e is a left identity on
+    component(x,y), psi(g) = sum_i m_i (x) g(s_i) gives
+    sum_i m_i (s_i m) (x) w = e m (x) w = m (x) w.  Forward, e is eps, the
+    unit of Z_d; backward, e is the strong identity and W is a module W0
+    over Z_d extended to A through a -> eps a.  phi kills R when W is
+    honest: (s(mb)).w = (sm).(b.w).  The extended W0 is honest iff W0 is,
+    as eps is central, so (ab).w and a.(b.w) both act as eps a eps b =
+    eps ab; and the forward module of any W is honest.
 
 Each certificate is exact and only sufficient: when one fails, the
 balancing relations are built and reduced as before, so every result is
@@ -118,6 +118,7 @@ class Subspace:
             self._echelon.add(v)
         self.basis = self._echelon.basis()
         self.pivots = sorted(self._echelon.rows)
+        self._slot = {p: s for s, p in enumerate(self.pivots)}
 
     @property
     def dim(self) -> int:
@@ -131,7 +132,8 @@ class Subspace:
         outside."""
         if not self.contains(v):
             return None
-        return {s: scalar(v[p]) for s, p in enumerate(self.pivots) if v.get(p)}
+        slot = self._slot
+        return {slot[p]: scalar(v[p]) for p in sorted(v) if p in slot and v[p]}
 
     def __eq__(self, other) -> bool:
         return (
@@ -853,16 +855,10 @@ def _identity_on(modules, n: int):
 
 def find_strong_identity(p: PeirceAlgebra, d: int):
     """Element of component(d,d) acting as the identity on component(0,d)
-    from the right and on component(d,0) from the left, as a dense vector;
+    from the right and on component(d,0) from the left, as a sparse vector;
     None when no such element exists.  When both edge components vanish the
-    zero element is returned (the degree-d corner is then forced to be the
-    zero ring)."""
-    x = _strong_identity(p, d)
-    return None if x is None else dense(x, p.dims[d][d])
-
-
-def _strong_identity(p: PeirceAlgebra, d: int):
-    """find_strong_identity as a sparse vector, or None."""
+    zero element {} is returned (the degree-d corner is then forced to be
+    the zero ring)."""
     if p.dims[0][d] == 0 and p.dims[d][0] == 0:
         return {}
     diag = p.diagonal_algebra(d)
@@ -902,11 +898,12 @@ def zd_ideal(p: PeirceAlgebra, d: int) -> Subspace:
 
 
 class IdealSplit:
-    """Central-idempotent decomposition of the corner along a unital ideal."""
+    """Central-idempotent decomposition of the corner along a unital ideal;
+    epsilon is the sparse unit of the ideal."""
 
     def __init__(
         self,
-        epsilon: list,
+        epsilon: dict,
         ideal: Subspace,
         complement: Subspace,
         idempotent_ideal: bool,
@@ -924,7 +921,7 @@ class IdealSplit:
 
     def to_json(self) -> dict:
         return {
-            "epsilon": [frac_str(x) for x in self.epsilon],
+            "epsilon": [frac_str(x) for x in dense(self.epsilon, self.ideal.ambient_dim)],
             "ideal_dim": self.ideal.dim,
             "complement_dim": self.complement.dim,
             "idempotent_ideal": self.idempotent_ideal,
@@ -966,7 +963,7 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     )
     # every z in the ideal is eps * z, a product of two of its elements
     return IdealSplit(
-        epsilon=dense(eps, n0),
+        epsilon=eps,
         ideal=ideal,
         complement=complement,
         idempotent_ideal=True,
@@ -1019,7 +1016,7 @@ def regular_module(p: PeirceAlgebra, d: int) -> ModuleRep:
 
 
 def _require_morita_setup(p: PeirceAlgebra, d: int):
-    sid = _strong_identity(p, d)
+    sid = find_strong_identity(p, d)
     if sid is None:
         raise ValueError(f"no strong identity at degree {d}")
     ideal = zd_ideal(p, d)
@@ -1063,10 +1060,40 @@ def _honest(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> bool:
     return _first_nonassociative({(0, 0, 0): table, (0, 0, 1): w_mod.table}, 1, gens) is None
 
 
+def _functor(
+    p: PeirceAlgebra, x: int, y: int, w_mod: ModuleRep, e: dict, alg: Algebra, basis: list, honest: bool
+):
+    """(component(x,y) (x)_B W, the tensor quotient it is a quotient of),
+    for B = component(y,y) and W a left B-module; the result is a left
+    alg-module whose basis element t acts on component(x,y) from the left
+    as basis[t], an element of component(x,x).
+
+    The quotient is read through the certified inverse of the module
+    docstring when e, an element of component(x,x) in the span of the
+    products component(x,y) * component(y,x), fixes component(x,y) from
+    the left, p is associative and W is honest (known to be when honest
+    is true, else checked); otherwise it is reduced by the balancing
+    relations of every basis element of B."""
+    m_rep = _component_module(p, p.diagonal_algebra(y), x, y, "right")
+    _require_same_algebra(m_rep, w_mod)
+    # e = sum_i m_i s_i needs the s_i of these slots only
+    slots = _spanning_slots(p._prod.get((x, y, x), {}), e)
+    if (
+        slots is not None
+        and _associative(p)
+        and _first_unfixed(p, x, y, left=e) is None
+        and (honest or _honest(p, y, w_mod))
+    ):
+        images = _action_images(p._prod.get((y, x, y), {}), slots, w_mod)
+        q = TensorQuotient(m_rep.dim, w_mod.dim, None, images, len(slots) * w_mod.dim)
+    else:
+        q = balanced_tensor(m_rep, w_mod)
+    return _induced_module(alg, q, lambda t, u: p.product(x, x, y, basis[t], {u: 1})), q
+
+
 def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup):
-    """(the forward module, the tensor quotient it is a quotient of): read
-    through the certified inverse of the module docstring when it applies,
-    else reduced by the balancing relations of every basis element."""
+    """(the forward module, the tensor quotient it is a quotient of):
+    _functor at (x, y) = (0, d), e the unit eps of the corner ideal."""
     sid, ideal, eps, alg = setup
     if w_mod.side != "left":
         raise ValueError("expected a left module over the degree-d component")
@@ -1074,42 +1101,26 @@ def _forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep, setup):
         raise ValueError("module is not over the degree-d component")
     if any(w_mod.apply(sid, {w: 1}) != {w: 1} for w in range(w_mod.dim)):
         raise ValueError("module is not unital for the strong identity")
-
-    u_rep = _component_module(p, p.diagonal_algebra(d), 0, d, "right")
-    _require_same_algebra(u_rep, w_mod)
-    # eps = sum_i u_i v_i needs the v_i of these slots only
-    slots = _spanning_slots(p._prod.get((0, d, 0), {}), eps)
-    if (
-        slots is not None
-        and _associative(p)
-        and _first_unfixed(p, 0, d, left=eps) is None
-        and _honest(p, d, w_mod)
-    ):
-        images = _action_images(p._prod.get((d, 0, d), {}), slots, w_mod)
-        q = TensorQuotient(u_rep.dim, w_mod.dim, None, images, len(slots) * w_mod.dim)
-    else:
-        q = balanced_tensor(u_rep, w_mod)
-
-    return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, ideal.basis[t], {u: 1})), q
+    return _functor(p, 0, d, w_mod, eps, alg, ideal.basis, False)
 
 
 def morita_backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep) -> ModuleRep:
     """Send a unital module over the degree-d corner ideal to
     component(d,0) (x)_corner W0, a module over the degree-d component."""
-    return _backward(p, d, w0_mod, _require_morita_setup(p, d))[0]
+    return _backward(p, d, w0_mod, _require_morita_setup(p, d), False)[0]
 
 
-def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup, honest: bool = False):
-    """(the backward module, the tensor quotient it is a quotient of), read
-    as _forward's is.  honest says that w0_mod is known to meet the module
+def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup, honest: bool):
+    """(the backward module, the tensor quotient it is a quotient of):
+    _functor at (x, y) = (d, 0), e the strong identity, on W0 extended to
+    the whole corner.  honest says that W0 is known to meet the module
     axiom over the corner ideal; otherwise it is checked."""
-    sid, ideal, eps, alg = setup
+    sid, ideal, eps, _ = setup
     if w0_mod.side != "left":
         raise ValueError("expected a left module over the corner ideal")
     if w0_mod.algebra.dim != ideal.dim:
         raise ValueError("module is not over the degree-d corner ideal")
 
-    corner = p.diagonal_algebra(0)
     # extend the ideal action to the whole corner through eps * a, which
     # lies in the ideal, as _ideal_unit has checked it is two-sided
     ext = {}
@@ -1119,21 +1130,9 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup, honest: bool =
             img = w0_mod.apply(coords, {w: 1})
             if img:
                 ext[(a, w)] = img
-    w0_ext = ModuleRep(corner, w0_mod.dim, ext, side="left")
-    v_rep = _component_module(p, corner, d, 0, "right")
-    # the strong identity as sum_i v_i u_i, the u_i of these slots only
-    slots = _spanning_slots(p._prod.get((d, 0, d), {}), sid)
-    if (
-        slots is not None
-        and _associative(p)
-        and (honest or _first_nonassociative({(0, 0, 0): alg.cells, (0, 0, 1): w0_mod.table}, 1) is None)
-    ):
-        images = _action_images(p._prod.get((0, d, 0), {}), slots, w0_ext)
-        q = TensorQuotient(v_rep.dim, w0_mod.dim, None, images, len(slots) * w0_mod.dim)
-    else:
-        q = balanced_tensor(v_rep, w0_ext)
-
-    return _induced_module(p.diagonal_algebra(d), q, lambda c, v: p.cell(d, d, 0, c, v)), q
+    w0_ext = ModuleRep(p.diagonal_algebra(0), w0_mod.dim, ext, side="left")
+    units = [{c: 1} for c in range(p.dims[d][d])]
+    return _functor(p, d, 0, w0_ext, sid, p.diagonal_algebra(d), units, honest)
 
 
 class RoundtripReport:
@@ -1170,7 +1169,7 @@ def verify_roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> RoundtripRep
     setup = _require_morita_setup(p, d)
     w0, q_in = _forward(p, d, w_mod, setup)
     # the forward module of any module is honest over the corner ideal
-    w2, q_out = _backward(p, d, w0, setup, honest=True)
+    w2, q_out = _backward(p, d, w0, setup, True)
 
     # the evaluation map as a one-column product table: ev[(qq, 0)] is the
     # image of basis element qq of w2, so _bilinear(ev, v, {0: 1}) is ev(v)

@@ -21,9 +21,10 @@ of basis element w.  They carry the old dense `mul`, `is_associative`,
 `_system`, `strong_identity` and `ideal_unit` are the two identity solves
 the library made before both went through one solver over module tables:
 hand-built linear systems over the product cells, the ideal's in corner
-coordinates.  Their bodies are copied unchanged (they are the library's
-`_system`, `_strong_identity` and `_ideal_unit`), but for `exact.` and
-`peirce.` before the two names they take from the library.
+coordinates.  Their bodies are copied unchanged (they were the library's
+`_system`, `_strong_identity`, now `find_strong_identity`, and
+`_ideal_unit`), but for `exact.` and `peirce.` before the two names they
+take from the library.
 
 `zigzag_well_defined` is the brute-force check `zigzag` made before it
 relied on `validate_peirce`: every balancing relation times every pure

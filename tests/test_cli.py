@@ -224,13 +224,13 @@ def test_morita_command_runs_the_one_roundtrip_path(capsys, algebra_file, monkey
 
         monkeypatch.setattr(peirce, name, wrapper)
 
-    for name in ("verify_roundtrip", "regular_module", "_strong_identity"):
+    for name in ("verify_roundtrip", "regular_module", "find_strong_identity"):
         counting(name)
     for d in (0, 1):
         calls.clear()
         code, out = run(capsys, ["peirce", "morita", "--algebra", algebra_file, "--degree", str(d)])
         assert code == 0 and json.loads(out)["ok"]
-        assert sorted(calls) == ["_strong_identity", "regular_module", "verify_roundtrip"]
+        assert sorted(calls) == ["find_strong_identity", "regular_module", "verify_roundtrip"]
 
 
 def test_output_is_byte_identical(capsys, gram_file):

@@ -58,7 +58,8 @@ def test_kernel_matches_dense_rref(mat, vec, rhs):
     v = vec[:ncols]
     expected = oracle.rref(rows)
     assert exact.rref(rows) == expected
-    assert Echelon(map(sparse, rows)).dense(ncols) == expected
+    ech = Echelon(map(sparse, rows))
+    assert ([dense(row, ncols) for row in ech.basis()], sorted(ech.rows)) == expected
     assert len(Echelon(map(sparse, rows))) == oracle.rank(rows)
     red, pivots = expected
     residual = oracle.reduce_vector(red, pivots, v)
@@ -124,7 +125,7 @@ def nonunit_pivot_rows(draw):
 def test_integer_kernel_is_exact_and_normal(mat, rhs):
     ncols, rows = mat
     ech = Echelon(map(sparse, rows))
-    assert ech.dense(ncols) == oracle.rref(rows)
+    assert ([dense(row, ncols) for row in ech.basis()], sorted(ech.rows)) == oracle.rref(rows)
     assert all(_normal(row.values()) for row in ech.rows.values())
     reduced, pivots = exact.rref(rows)
     assert (reduced, pivots) == oracle.rref(rows)

@@ -9,9 +9,10 @@ exception but SystemExit may escape.
 
 Most of those mutants stop at parsing, so the algebra files also get
 well-formed mutants that stay inside every cap: a structure constant or a
-unit0 entry changed, or a product dropped.  These must reach the command
-itself: exit 0 or 1 with one JSON line on stdout, exit 2 only for a degree
-above the file's max_degree.
+unit0 entry changed, a product dropped, or a dims entry moved by one with
+the products and unit0 fitted to it.  These must reach the command itself:
+exit 0 or 1 with one JSON line on stdout, exit 2 only for a degree above
+the file's max_degree.
 
 The module and gram files get well-formed mutants too: a graded_dims entry
 or a conformal_weight changed, or a module dropped; a diagonal entry or a
@@ -192,15 +193,28 @@ def _changed_scalar(draw, text):
 @st.composite
 def algebra_mutants(draw, name):
     """A well-formed algebra file inside every cap: one to three changes,
-    each of one structure constant, of one unit0 entry, or a dropped
-    product."""
+    each of one structure constant, of one unit0 entry, a dropped product,
+    or one dims entry raised or lowered by one and kept nonnegative; then
+    the products whose basis indices fall out of range are dropped, and
+    unit0 is padded with "0" or cut to the new dims[0][0]."""
     data = json.loads((INPUTS / name).read_text(encoding="utf-8"))
-    products, unit0 = data["products"], data["unit0"]
+    dims = data["dims"]
     for _ in range(draw(st.integers(1, 3))):
-        how = draw(st.sampled_from(("coeff", "unit0", "drop")))
-        if how == "unit0":
-            k = draw(st.integers(0, len(unit0) - 1))
-            unit0[k] = draw(_changed_scalar(unit0[k]))
+        products, unit0 = data["products"], data["unit0"]
+        how = draw(st.sampled_from(("coeff", "unit0", "drop", "dims")))
+        if how == "dims":
+            i, j = draw(st.integers(0, len(dims) - 1)), draw(st.integers(0, len(dims) - 1))
+            dims[i][j] = max(0, dims[i][j] + draw(st.sampled_from((-1, 1))))
+            data["products"] = [
+                e
+                for e in products
+                if e["a"] < dims[e["i"]][e["j"]] and e["b"] < dims[e["j"]][e["k"]] and e["c"] < dims[e["i"]][e["k"]]
+            ]
+            data["unit0"] = (unit0 + ["0"] * dims[0][0])[: dims[0][0]]
+        elif how == "unit0":
+            if unit0:
+                k = draw(st.integers(0, len(unit0) - 1))
+                unit0[k] = draw(_changed_scalar(unit0[k]))
         elif products:
             k = draw(st.integers(0, len(products) - 1))
             if how == "drop":

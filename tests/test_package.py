@@ -106,3 +106,56 @@ def test_library_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names_read(tree, skip=None) -> set:
+    """The names a syntax tree reads, as names or attributes, outside the
+    node skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_library_has_no_dead_private_name_or_import():
+    """Every module-level private function and class of src/mta is read
+    somewhere in src/mta besides its own definition, and every imported
+    name is read in the module that imports it (`from __future__ import
+    annotations` aside).  A helper left behind by a merge, or an import
+    its last user no longer needs, fails here.  The files are parsed,
+    never run."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(mta.__file__).parent.glob("*.py"))
+    }
+    read = {name: _names_read(tree) for name, tree in trees.items()}
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.endswith("__")
+                and not any(
+                    node.name in (_names_read(tree, node) if other == name else read[other])
+                    for other in trees
+                )
+            ):
+                dead.append(f"{name}: {node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in read[name]:
+                        dead.append(f"{name}: import {bound}")
+    assert dead == []

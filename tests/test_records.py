@@ -187,7 +187,7 @@ def test_result_holders_keep_their_constructors():
     coords = plane.coords_of({0: Fraction(4, 2), 1: 0})
     assert coords == {0: 2} and type(coords[0]) is int
     ideal = Subspace((0, 0), 1, [{0: 1}])
-    split =IdealSplit([1], ideal, Subspace((0, 0), 1), True, {"central": True})
+    split = IdealSplit({0: 1}, ideal, Subspace((0, 0), 1), True, {"central": True})
     assert split.ok and split.to_json()["complement_dim"] == 0
     z = ZigZag(parent=None, degree=0, space=None, product={}, star=[])
     assert (z.degree, z.product, z.star) == (0, {}, [])

@@ -1,0 +1,88 @@
+"""The paper's theorem across layers: for a rational VOA with simple modules
+M, the block matrix model of their graded dimensions is the higher Zhu
+algebra the theorem describes, so the `zhu` descriptors predict what
+`peirce` computes on it.
+
+For B = matrix_model of the graded dimensions, at every degree d:
+  * B passes validate_peirce;
+  * component (d,d) has dimension sum_M dim(M_d)^2;
+  * the corner ideal Z_d and the degree-d zig-zag algebra both have
+    dimension sum_M dim(M_0)^2, over the M in zd_support(modules, d).
+
+On the boson side, heisenberg_truncation(n, D, point) has component (d,d)
+of dimension k_d^2, k_d the one level size of heisenberg_zhu_descriptor at
+level d, and a one-dimensional corner ideal at every degree, as the free
+boson has no exceptional degrees.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from test_zhu import ISING_MODULES
+
+from mta.lattice import dual_cosets, graded_dims, load_gram
+from mta.peirce import heisenberg_truncation, matrix_model, validate_peirce, zd_ideal, zigzag
+from mta.zhu import SimpleModuleData, heisenberg_zhu_descriptor, zd_support
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def z8_modules(levels: int):
+    """The cosets of the lattice sqrt(8) Z, graded through the given level."""
+    lattice = load_gram(str(ROOT / "demos" / "z8.gram"))
+    return [
+        SimpleModuleData(str(c.index), tuple(graded_dims(lattice, c.vector, levels)), Fraction(0))
+        for c in dual_cosets(lattice)
+    ]
+
+
+@st.composite
+def module_data(draw):
+    """One to three modules of one to three levels: level 0 of size 1 or 2,
+    the higher levels of size 0 to 2."""
+    depth = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 3))
+    return [
+        SimpleModuleData(
+            f"m{k}",
+            (draw(st.integers(1, 2)), *draw(st.lists(st.integers(0, 2), min_size=depth - 1, max_size=depth - 1))),
+            Fraction(0),
+        )
+        for k in range(count)
+    ]
+
+
+def _check_theorem(modules):
+    b = matrix_model([list(m.graded_dims) for m in modules])
+    assert validate_peirce(b).ok
+    for d in range(b.max_degree + 1):
+        assert b.dims[d][d] == sum(m.graded_dims[d] ** 2 for m in modules)
+        support = set(zd_support(modules, d))
+        expected = sum(m.graded_dims[0] ** 2 for m in modules if m.label in support)
+        assert zd_ideal(b, d).dim == zigzag(b, d).dim == expected, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(module_data())
+@example(ISING_MODULES)
+def test_block_model_dimensions_follow_the_module_data(modules):
+    _check_theorem(modules)
+
+
+def test_lattice_cosets_give_the_predicted_block_model():
+    modules = z8_modules(2)
+    assert [m.graded_dims[0] for m in modules] == [1, 1, 1, 1, 2, 1, 1, 1]
+    _check_theorem(modules)
+
+
+@pytest.mark.parametrize("n, max_degree", [(1, 3), (2, 2)])
+def test_boson_truncation_follows_the_descriptor(n, max_degree):
+    p = heisenberg_truncation(n, max_degree, [Fraction(1, 2)] * n)
+    descriptor = heisenberg_zhu_descriptor(n, max_degree)
+    for d in range(max_degree + 1):
+        assert p.dims[d][d] == descriptor.level_sizes(d)[0] ** 2
+        assert zd_ideal(p, d).dim == 1
