@@ -18,6 +18,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from .exact import frac_str, parse_frac, parse_int, strict_int
 
@@ -30,16 +31,22 @@ MAX_DEGREE = 8
 MAX_PARTITION_WEIGHT = 400
 MAX_LATTICE_RANK = 4
 # Labels of the largest pairing matrix `heisenberg verify` builds: (3, 7) has
-# 429 (184 041 pairings) and verifies in 0.36 s with a 23 MiB peak RSS, and
-# (4, 5), 252 labels, in 0.20 s and 20 MiB (CLI wall time and peak RSS,
-# medians of 5, 2-core machine; with a separate object and string for every
-# zero cell, 0.83 s / 54 MiB and 0.34 s / 31 MiB).  The next size inside the
+# 429 (184 041 pairings) and verifies in 0.42 s with an 18.8 MiB peak RSS,
+# and (4, 5), 252 labels, in 0.20 s and 16.3 MiB (CLI wall time and peak
+# RSS, medians of 5, 2-core machine).  The report is written one matrix row
+# at a time: encoded whole by one json.dumps, the peaks were 23.3 and
+# 20.0 MiB, and with a separate object and string for every zero cell,
+# 0.83 s / 54 MiB and 0.34 s / 31 MiB.  The next size inside the
 # rank/degree box, (4, 6) with 574 labels, stays capped.
 MAX_PAIRING_LABELS = 429
 # Lattice inputs, measured as CLI wall time on a 2-core machine (medians of
 # 5).  `lattice weights` costs about 0.14 ms per coset at rank 4:
 # diag(8, 8, 8, 8), 4096 cosets, takes 0.6 s and diag(10, 10, 10, 10) 1.5 s.
-# `lattice dims` on D4 takes 0.3 s at --max 100 and 1.0 s at --max 200.
+# `lattice dims` counts its points by norm as the search visits them, so
+# its peak RSS stays at 14.6 MiB whatever the level: on D4, coset 1, it
+# takes 0.22 s at --max 100 and 0.48 s at --max 200, and on A4, coset 1,
+# 0.20 s at --max 100 (with a list of every point, 0.34 s / 30 MiB, 0.91 s /
+# 77 MiB and 0.30 s / 28 MiB).
 MAX_LATTICE_COSETS = 4096
 MAX_LATTICE_LEVEL = 100
 # Algebra files, checked on the parsed JSON before any structure is built.
@@ -90,7 +97,7 @@ def _algebra_sizes(data) -> dict:
     try:
         dims = [[strict_int(x) for x in row] for row in data["dims"]]
         products = data["products"]
-        coeffs = [e["coeff"] for e in products] + list(data["unit0"])
+        coeffs = chain((e["coeff"] for e in products), data["unit0"])
         return {
             "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
             "balancing relations": (
@@ -123,10 +130,37 @@ def _associativity_work(products) -> int:
     return sum(n * (by_left[key] + by_right[key]) for key, n in outputs.items())
 
 
+def _json_pieces(value, depth: int = 2):
+    """json.dumps(value) in pieces, for writing as they are made: a dict or a
+    list down to depth levels is opened and each of its values is encoded
+    on its own, so the text of a report's k^2 pairing cells is made one row
+    at a time, never all at once.  Keys go through json.dumps as keys, so
+    the joined pieces equal json.dumps(value) byte for byte."""
+    if depth and isinstance(value, dict):
+        yield "{"
+        for n, (key, item) in enumerate(value.items()):
+            # '"key": ', with json's own key rules
+            yield (", " if n else "") + json.dumps({key: 0})[1:-2]
+            yield from _json_pieces(item, depth - 1)
+        yield "}"
+    elif depth and isinstance(value, (list, tuple)):
+        yield "["
+        for n, item in enumerate(value):
+            if n:
+                yield ", "
+            yield from _json_pieces(item, depth - 1)
+        yield "]"
+    else:
+        yield json.dumps(value)
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     try:
         if args.format == "json":
-            print(json.dumps(payload))
+            write = sys.stdout.write
+            for piece in _json_pieces(payload):
+                write(piece)
+            write("\n")
         else:
             for line in text_lines:
                 print(line)

@@ -218,15 +218,19 @@ def dual_cosets(lattice: EvenLattice) -> list[CosetRep]:
     return [CosetRep(i, lam) for i, lam in enumerate(reps)]
 
 
-def _search(lattice: EvenLattice, lam, bound) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """All lattice shifts e with norm(lam + e) <= bound, as (S, [(e, S norm(lam + e))]).
+def _search(lattice: EvenLattice, lam, bound, visit) -> int:
+    """Hand every lattice shift e with norm(lam + e) <= bound to visit, and
+    return S.
 
-    The search runs in integers.  With m the common denominator of lam,
-    X = m (lam + e) and T_i = u_i . X, the completion gives
-    S norm(lam + e) = sum_i c_i T_i^2 for P = lcm_i p_i p_{i+1},
-    c_i = P / (p_i p_{i+1}) and S = 2 m^2 P.  Shifts come out in the order
-    of the recursion from the last coordinate down, each coordinate
-    ascending over exactly the integers its remaining budget admits.
+    visit(coords, q) gets q = S norm(lam + e) and coords, the coordinates
+    of e from the last one down (so e is tuple(reversed(coords))); coords
+    is read only.  No list of points is built.  The search runs in
+    integers.  With m the common denominator of lam, X = m (lam + e) and
+    T_i = u_i . X, the completion gives S norm(lam + e) = sum_i c_i T_i^2
+    for P = lcm_i p_i p_{i+1}, c_i = P / (p_i p_{i+1}) and S = 2 m^2 P.
+    Shifts come in the order of the recursion from the last coordinate
+    down, each coordinate ascending over exactly the integers its remaining
+    budget admits.
     """
     if not lattice.is_dual_vector(lam):
         raise ValueError("coset vector does not pair integrally with the lattice")
@@ -237,12 +241,10 @@ def _search(lattice: EvenLattice, lam, bound) -> tuple[int, list[tuple[tuple[int
     c = [big // (p[i] * p[i + 1]) for i in range(n)]
     scale = 2 * m * m * big
     top = floor(Fraction(bound) * scale)
-    out = []
-    values: dict[int, int] = {}  # one int object per distinct value, shared by its points
 
     def rec(i, coords, xs, partial):
         if i < 0:
-            out.append((tuple(reversed(coords)), values.setdefault(partial, partial)))
+            visit(coords, partial)
             return
         # T = u_ii X_i + sum_{j>i} u_ij X_j = step k + rho, X_i = m k + w_i
         step = p[i + 1] * m
@@ -256,21 +258,38 @@ def _search(lattice: EvenLattice, lam, bound) -> tuple[int, list[tuple[tuple[int
 
     if top >= 0:
         rec(n - 1, [], [0] * n, 0)
-    return scale, out
+    return scale
+
+
+def _norm_counts(lattice: EvenLattice, lam, bound) -> tuple[int, dict[int, int]]:
+    """(S, {q: number of shifts}) over the shifts e of _search, with
+    q = S norm(lam + e); one entry per distinct norm, no entry per point."""
+    counts: dict[int, int] = {}
+
+    def visit(_coords, q):
+        counts[q] = counts.get(q, 0) + 1
+
+    return _search(lattice, lam, bound, visit), counts
 
 
 def coset_norms(lattice: EvenLattice, lam, bound) -> list[tuple[tuple[int, ...], Fraction]]:
     """All lattice shifts e with norm(lam + e) <= bound, with exact norms,
     in the order of _search; one Fraction is built per distinct norm."""
-    scale, points = _search(lattice, lam, bound)
-    norms = {q: Fraction(q, scale) for q in {q for _, q in points}}
+    points = []
+    values: dict[int, int] = {}  # one int object per distinct value, shared by its points
+
+    def visit(coords, q):
+        points.append((tuple(reversed(coords)), values.setdefault(q, q)))
+
+    scale = _search(lattice, lam, bound, visit)
+    norms = {q: Fraction(q, scale) for q in values}
     return [(e, norms[q]) for e, q in points]
 
 
 def conformal_weight(lattice: EvenLattice, lam) -> Fraction:
     """Minimal norm over the coset lam + lattice."""
-    scale, points = _search(lattice, lam, lattice.norm(lam))
-    return Fraction(min(q for _, q in points), scale)
+    scale, counts = _norm_counts(lattice, lam, lattice.norm(lam))
+    return Fraction(min(counts), scale)
 
 
 def count_norm_layer(lattice: EvenLattice, lam, j) -> int:
@@ -278,27 +297,29 @@ def count_norm_layer(lattice: EvenLattice, lam, j) -> int:
     j = Fraction(j)
     if j < 0:
         return 0
-    return sum(1 for _, q in coset_norms(lattice, lam, j) if q == j)
+    scale, counts = _norm_counts(lattice, lam, j)
+    # a Fraction equal to an int hashes as that int
+    return counts.get(j * scale, 0)
 
 
 def graded_dims(lattice: EvenLattice, lam, n_max: int) -> list[int]:
     """Graded dimensions of the coset module, levels 0..n_max.
 
-    The coset's points are counted by level, their norm minus the minimal
-    norm (an integer, since the lattice is even and lam is dual), and the
-    level counts are multiplied by the rank-th power of the partition
-    series.
+    The coset's points are counted by norm, each norm is read as a level,
+    its excess over the minimal norm (an integer, since the lattice is even
+    and lam is dual), and the level counts are multiplied by the rank-th
+    power of the partition series.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     a = conformal_weight(lattice, lam)
-    scale, points = _search(lattice, lam, a + n_max)
+    scale, counts = _norm_counts(lattice, lam, a + n_max)
     low = a.numerator * (scale // a.denominator)
     theta = [0] * (n_max + 1)
-    for _, q in points:
+    for q, k in counts.items():
         level, rem = divmod(q - low, scale)
         if rem:
             raise ArithmeticError("norm layer not congruent to the minimal norm")
-        theta[level] += 1
+        theta[level] += k
     osc = labeled_partition_counts(lattice.rank, n_max)
     return [sum(theta[i] * osc[j - i] for i in range(j + 1)) for j in range(n_max + 1)]

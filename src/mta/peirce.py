@@ -449,6 +449,7 @@ class PeirceAlgebra:
             raise ValueError("unit0 has wrong length")
         self.block_dims = None  # set by matrix_model
         self._associative = None  # set by _associative, which runs Light's test once
+        self._diagonal_generators: dict = {}  # {d: list}, set by _diagonal_generators
 
     def mul(self, i: int, j: int, k: int, x, y):
         """Bilinear product component(i,j) x component(j,k) -> component(i,k)
@@ -495,16 +496,27 @@ class PeirceAlgebra:
 
     @classmethod
     def from_json_dict(cls, data) -> "PeirceAlgebra":
-        entries = [
-            (e["i"], e["j"], e["k"], e["a"], e["b"], e["c"], parse_frac(e["coeff"]))
-            for e in data["products"]
-        ]
-        return cls(
-            data["max_degree"],
-            data["dims"],
-            entries,
-            [parse_frac(x) for x in data["unit0"]],
-        )
+        """The algebra of a to_json_dict dict.  Products are read one at a
+        time as the constructor stores them, with no list of entries."""
+        products = data["products"]
+        try:
+            return cls(
+                data["max_degree"],
+                data["dims"],
+                map(_json_entry, products),
+                [parse_frac(x) for x in data["unit0"]],
+            )
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            # a file with several faults names an unreadable product first,
+            # as when every product was read before anything else
+            for e in products:
+                _json_entry(e)
+            raise
+
+
+def _json_entry(e) -> tuple:
+    """(i, j, k, a, b, c, coeff) of one product of an algebra file."""
+    return e["i"], e["j"], e["k"], e["a"], e["b"], e["c"], parse_frac(e["coeff"])
 
 
 class PeirceReport:
@@ -596,6 +608,15 @@ def _associative(p: PeirceAlgebra) -> bool:
         gens = _generators(p, itertools.product(r, repeat=2))
         p._associative = _first_nonassociative(p._prod, p.max_degree, gens) is None
     return p._associative
+
+
+def _diagonal_generators(p: PeirceAlgebra, d: int) -> list:
+    """_generators of component (d,d) alone, found once per algebra and
+    component: the validator, zigzag and the module check of _honest read
+    it; read only."""
+    if d not in p._diagonal_generators:
+        p._diagonal_generators[d] = _generators(p, [(d, d)])[(d, d)]
+    return p._diagonal_generators[d]
 
 
 def _associativity_failure(p: PeirceAlgebra) -> str | None:
@@ -690,14 +711,13 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
 
     ok_tensor = True
     corner = p.diagonal_algebra(0)
-    # the edge components are honest corner modules once associativity holds
-    acting = None if failure is not None else _generators(p, [(0, 0)])[(0, 0)]
     for d in range(d_max + 1):
         if failure is None and _factorization_certified(p, d):
             continue
         m_rep = _component_module(p, corner, d, 0, "right")
         n_rep = _component_module(p, corner, 0, d, "left")
-        q = balanced_tensor(m_rep, n_rep, acting)
+        # the edge components are honest corner modules once associativity holds
+        q = balanced_tensor(m_rep, n_rep, None if failure is not None else _diagonal_generators(p, 0))
         target = p.dims[d][d]
         # the product map must kill the balancing relations
         descends = True
@@ -790,7 +810,7 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
         q = balanced_tensor(
             _component_module(p, diag, 0, d, "right"),
             _component_module(p, diag, d, 0, "left"),
-            _generators(p, [(d, d)])[(d, d)],
+            _diagonal_generators(p, d),
         )
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
     product = {}
@@ -1056,7 +1076,7 @@ def _honest(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> bool:
     table = p._prod.get((d, d, d), {})
     if w_mod.table is table:
         return True
-    gens = {(0, 0): _generators(p, [(d, d)])[(d, d)]}
+    gens = {(0, 0): _diagonal_generators(p, d)}
     return _first_nonassociative({(0, 0, 0): table, (0, 0, 1): w_mod.table}, 1, gens) is None
 
 

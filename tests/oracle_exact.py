@@ -54,6 +54,13 @@ centre, budget and norm a Fraction and an integer-square-root window that
 is re-tested exactly.  `conformal_weight` and `graded_dims` read it as the
 library once did, the latter counting norms in a `Counter` of Fractions.
 
+`materialized_search` is the library's integer lattice search before it
+handed each point to a visitor: it returns the list of every point with its
+scaled norm.  `materialized_coset_norms`, `materialized_conformal_weight`,
+`materialized_count_norm_layer` and `materialized_graded_dims` read that
+list as the library did.  Their bodies are copied unchanged, but for the
+names and `lattice_layer.` before `_completion`.
+
 `det` and `leading_minors_positive` are the lattice's definiteness and
 determinant before both were read off the square completion: a Fraction
 elimination with row swaps, run once per leading minor.
@@ -67,9 +74,10 @@ cell on its own through `frac_str` or `repr`.
 
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt, lcm
 
 from mta import exact, peirce
+from mta import lattice as lattice_layer
 from mta.exact import add_multiple, scalar, strict_int
 from mta.heisenberg import ZhuPolynomial, pairing, pairing_matrix
 from mta.lattice import EvenLattice
@@ -1038,6 +1046,96 @@ def graded_dims(lattice: EvenLattice, lam, n_max: int) -> list[int]:
         if c and e.denominator != 1:
             raise ArithmeticError("norm layer not congruent to the minimal norm")
     return [shifted.get(Fraction(m), 0) for m in range(n_max + 1)]
+
+
+def materialized_search(
+    lattice: EvenLattice, lam, bound
+) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """All lattice shifts e with norm(lam + e) <= bound, as (S, [(e, S norm(lam + e))]).
+
+    The search runs in integers.  With m the common denominator of lam,
+    X = m (lam + e) and T_i = u_i . X, the completion gives
+    S norm(lam + e) = sum_i c_i T_i^2 for P = lcm_i p_i p_{i+1},
+    c_i = P / (p_i p_{i+1}) and S = 2 m^2 P.  Shifts come out in the order
+    of the recursion from the last coordinate down, each coordinate
+    ascending over exactly the integers its remaining budget admits.
+    """
+    if not lattice.is_dual_vector(lam):
+        raise ValueError("coset vector does not pair integrally with the lattice")
+    n = lattice.rank
+    m, w = lattice._numerators(lam)
+    p, u = lattice_layer._completion(lattice.gram)
+    big = lcm(*(p[i] * p[i + 1] for i in range(n)))
+    c = [big // (p[i] * p[i + 1]) for i in range(n)]
+    scale = 2 * m * m * big
+    top = floor(Fraction(bound) * scale)
+    out = []
+    values: dict[int, int] = {}  # one int object per distinct value, shared by its points
+
+    def rec(i, coords, xs, partial):
+        if i < 0:
+            out.append((tuple(reversed(coords)), values.setdefault(partial, partial)))
+            return
+        # T = u_ii X_i + sum_{j>i} u_ij X_j = step k + rho, X_i = m k + w_i
+        step = p[i + 1] * m
+        rho = p[i + 1] * w[i] + sum(u[i][j] * xs[j] for j in range(i + 1, n))
+        # c_i T^2 <= budget  <=>  |T| <= isqrt(budget // c_i)
+        s = isqrt((top - partial) // c[i])
+        for k in range(-((s + rho) // step), (s - rho) // step + 1):
+            t = step * k + rho
+            xs[i] = m * k + w[i]
+            rec(i - 1, coords + [k], xs, partial + c[i] * t * t)
+
+    if top >= 0:
+        rec(n - 1, [], [0] * n, 0)
+    return scale, out
+
+
+def materialized_coset_norms(
+    lattice: EvenLattice, lam, bound
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """All lattice shifts e with norm(lam + e) <= bound, with exact norms,
+    in the order of materialized_search; one Fraction is built per distinct norm."""
+    scale, points = materialized_search(lattice, lam, bound)
+    norms = {q: Fraction(q, scale) for q in {q for _, q in points}}
+    return [(e, norms[q]) for e, q in points]
+
+
+def materialized_conformal_weight(lattice: EvenLattice, lam) -> Fraction:
+    """Minimal norm over the coset lam + lattice."""
+    scale, points = materialized_search(lattice, lam, lattice.norm(lam))
+    return Fraction(min(q for _, q in points), scale)
+
+
+def materialized_count_norm_layer(lattice: EvenLattice, lam, j) -> int:
+    """Number of coset vectors of norm exactly j."""
+    j = Fraction(j)
+    if j < 0:
+        return 0
+    return sum(1 for _, q in materialized_coset_norms(lattice, lam, j) if q == j)
+
+
+def materialized_graded_dims(lattice: EvenLattice, lam, n_max: int) -> list[int]:
+    """Graded dimensions of the coset module, levels 0..n_max.
+
+    The coset's points are counted by level, their norm minus the minimal
+    norm (an integer, since the lattice is even and lam is dual), and the
+    level counts are multiplied by the rank-th power of the partition
+    series.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    a = materialized_conformal_weight(lattice, lam)
+    scale, points = materialized_search(lattice, lam, a + n_max)
+    low = a.numerator * (scale // a.denominator)
+    theta = [0] * (n_max + 1)
+    for _, q in points:
+        level, rem = divmod(q - low, scale)
+        if rem:
+            raise ArithmeticError("norm layer not congruent to the minimal norm")
+        theta[level] += 1
+    osc = labeled_partition_counts(lattice.rank, n_max)
+    return [sum(theta[i] * osc[j - i] for i in range(j + 1)) for j in range(n_max + 1)]
 
 
 def det(rows) -> Fraction:

@@ -1,15 +1,21 @@
 """Command line behavior: goldens, determinism, exit codes, limits."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mta import cli, lattice, peirce
 from mta.cli import (
@@ -26,9 +32,11 @@ from mta.cli import (
     MAX_PARTITION_WEIGHT,
     MAX_RANK,
     _algebra_sizes,
+    _emit,
     build_parser,
     main,
 )
+from mta.heisenberg import verify_strong_identity
 from mta.partitions import labeled_partition_count
 from mta.peirce import IdealSplit, PeirceAlgebra, heisenberg_truncation, matrix_model
 from mta.zhu import SimpleModuleData
@@ -721,6 +729,41 @@ def test_zero_denominators_are_usage_errors(case, tmp_path):
     _assert_input_is_usage_error(*_ZERO_DENOMINATORS[case], tmp_path)
 
 
+def _algebra_error(capsys, path, data) -> str:
+    """The last stderr line of `peirce validate` on data, which must exit 2."""
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as info:
+        main(["peirce", "validate", "--algebra", str(path)])
+    assert info.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+def _bad_product(data):
+    data["products"][1]["coeff"] = "1/0"
+
+
+# A second fault the constructor meets before it reads product 1.
+_SECOND_FAULTS = {
+    "unit0": lambda d: d["unit0"].__setitem__(0, "x"),
+    "dims": lambda d: d["dims"][1].__setitem__(1, -1),
+    "earlier index": lambda d: d["products"][0].update(a=99),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_SECOND_FAULTS))
+def test_doubly_malformed_algebra_file_names_the_bad_product(fault, capsys, tmp_path):
+    # products are read as the constructor stores them, yet a file with two
+    # faults still names its unreadable product, as when every product was
+    # read before anything else
+    other = _SECOND_FAULTS[fault]
+    path = tmp_path / "bad.json"
+    product_only = _algebra_error(capsys, path, _mm12_with(_bad_product))
+    other_only = _algebra_error(capsys, path, _mm12_with(other))
+    both = _algebra_error(capsys, path, _mm12_with(lambda d: (_bad_product(d), other(d))))
+    assert both == product_only != other_only
+    assert both.startswith(f"mta: error: malformed algebra file {path}: ")
+
+
 # Every desk-scale limit: name -> (argv, the input file, the size's name in
 # the message, its size, its limit, whether --unsafe-no-limits then runs it
 # in well under a second).  "{input}" in argv names the file written from
@@ -896,6 +939,87 @@ def test_closed_stdout_exits_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+# JSON values as json.loads gives them, and tuples, which json.dumps writes
+# as lists; keys of every kind json.dumps accepts
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(10**40, 10**60) | st.floats() | st.text()
+)
+_JSON_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def _emitted(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(argparse.Namespace(format="json"), payload, [])
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=6), _JSON_VALUES)
+def test_streamed_json_equals_json_dumps(payload, value):
+    assert _emitted(payload) == json.dumps(payload) + "\n"
+    assert _emitted({"nested": value, "": [value, [value]]}) == (
+        json.dumps({"nested": value, "": [value, [value]]}) + "\n"
+    )
+
+
+def test_streamed_json_edge_cases():
+    for payload in (
+        {},
+        {"empty": [], "none": {}, "rows": [[], [{}], ()]},
+        {"\u00e9\u4e2d\U0001f600": "\x00\x1f\x7f\u2028\ud800", '"\\': ["\n\t", "\\"]},
+        {"big": [10**400, -(10**400)], "flags": [True, False, None], 1: 2, None: True, 2.5: [1.0]},
+    ):
+        assert _emitted(payload) == json.dumps(payload) + "\n"
+
+
+def test_streaming_a_pairing_report_halves_the_emit_peak():
+    # a ratio in one process, since absolute byte counts differ across
+    # Python versions: json.dumps makes a string for each of the 11 664
+    # cells before joining them, the streamed writer one row of 108 at a time
+    payload = verify_strong_identity(3, 5).to_json()
+    args = argparse.Namespace(format="json")
+    peaks = []
+    for emit in (lambda: _emit(args, payload, []), lambda: print(json.dumps(payload))):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                emit()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    streamed, materialized = peaks
+    assert streamed < materialized / 2, peaks
+
+
+@pytest.mark.parametrize("read", [0, 4096])
+def test_pipe_closed_during_a_streamed_report_exits_without_traceback(read):
+    # `heisenberg verify` (3, 6) writes 250 kB, more than a pipe holds, in
+    # row-sized pieces; the reader leaves before the first piece or after
+    # the first 4 kB
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mta", "heisenberg", "verify", "--rank", "3", "--degree", "6"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+    assert len(head) == read and head.startswith(b'{"rank": 3, "degree": 6, '[:read])
 
 
 # one command per subcommand family; the peirce command runs zigzag, which

@@ -1155,3 +1155,33 @@ def test_backward_honesty_is_checked_over_the_corner_ideal(monkeypatch):
 
     check()
     assert verdicts == {True, False}
+
+
+def test_diagonal_generators_are_found_once_per_component(monkeypatch):
+    """The generators of component (d,d) are searched once per algebra.
+    The first morita_forward of a module other than the regular one runs
+    two searches, one for Light's test over every component and one for
+    the honesty check over (d,d) alone; the second call runs none.
+    validate_peirce searches the corner (0,0) only for a degree its
+    certificate leaves to the balanced tensor, none here, and zigzag at a
+    certified degree searches nothing either."""
+    calls = []
+    real = peirce._generators
+
+    def counting(p, components):
+        calls.append(1)
+        return real(p, components)
+
+    monkeypatch.setattr(peirce, "_generators", counting)
+    p = matrix_model([[3, 2], [1, 3], [2, 1]])
+    w = matrix_model_column_module(p, 0, 1)  # not the regular module
+    first = morita_forward(p, 1, w)
+    assert len(calls) == 2
+    second = morita_forward(p, 1, w)
+    assert len(calls) == 2
+    assert _module_view(first) == _module_view(second)
+    assert _module_view(first) == _module_view(oracle.balanced_morita_forward(p, 1, w))
+    assert validate_peirce(p).ok
+    zigzag(p, 1)
+    assert len(calls) == 2
+    assert p._diagonal_generators == {1: real(p, [(1, 1)])[(1, 1)]}
