@@ -116,8 +116,10 @@ def _algebra_sizes(data) -> dict:
 
 
 def _associativity_work(products) -> int:
-    """Multiply-adds of the full associativity call on an entry list: the
-    peirce._first_nonassociative call with no middle, when it runs to the end.
+    """Multiply-adds of the full associativity call on an entry list:
+    peirce._first_nonassociative(tables, itertools.product(range(D + 1),
+    repeat=4)) with no middle, every quadruple of components of a degree-D
+    algebra, when it runs to the end.
 
     (ab)c chains each entry of (i,j,k) with output x to every entry of
     (i,k,l) with left factor x, and a(bc) chains each entry of (j,k,l) with

@@ -32,14 +32,24 @@ Associativity is checked by Light's test (Clifford and Preston, The
 Algebraic Theory of Semigroups I, 1961, section 1.2): the elements s with
 (x s) y = x (s y) for all x, y form a subspace closed under products, since
 for a, b in it (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so it
-is enough that every s in S passes.  When one fails, the check runs again
-over every middle factor and names the first failing triple; both runs, and
-Algebra.is_associative, are one kernel, _first_nonassociative.  And once
-associativity holds, balancing relations come from the generators of the
-acting algebra only: for honest modules (m.bb') (x) n - m (x) (bb').n is
-R_b'(m.b, n) + R_b(m, b'.n), so the span of the relations, and the
-canonical echelon form holding it, is the same.  A module presentation
-given from outside is not known to be honest, so it gets every relation.
+is enough that every s in S passes.  The argument uses no unit and no
+associativity, so the test is exact on any algebra, and every algebra here
+is checked by it: the components of p for the validator, zigzag and the
+Morita functors, and the algebra of Algebra.is_associative, such as a
+zig-zag algebra.  When a generator fails, the check runs again over every
+middle factor and names the first failing triple.  Each of these runs is
+one call of one kernel, _first_nonassociative, over the quadruples of
+components it concerns, and so is the descent of the product map
+component(d,0) (x)_A component(0,d) -> component(d,d): the map sends the
+balancing relation R_b(u, v) = (u b) (x) v - u (x) (b v) to (ub)v - u(bv),
+and it is linear, so it kills the span of the relations iff every basis
+triple of components (d,0), (0,0), (0,d) associates.  Once associativity
+holds the map descends at every degree, and balancing relations come from
+the generators of the acting algebra only: for honest modules
+(m.bb') (x) n - m (x) (bb').n is R_b'(m.b, n) + R_b(m, b'.n), so the span
+of the relations, and the canonical echelon form holding it, is the same.
+A module presentation given from outside is not known to be honest, so it
+gets every relation.
 The module axiom (x s).w = x.(s.w) of such a presentation is checked the
 same way, on generators s of an associative B: the s that satisfy it for
 all x and w form a subspace closed under products, since for s, s' in it
@@ -158,7 +168,10 @@ class Algebra:
         self.cells = cells
 
     def is_associative(self) -> bool:
-        return _first_nonassociative({(0, 0, 0): self.cells}, 0) is None
+        """Light's test (module docstring), as for every algebra here."""
+        tables = {(0, 0, 0): self.cells}
+        gens = _generators(tables, [[self.dim]], [(0, 0)])
+        return _first_nonassociative(tables, [(0, 0, 0, 0)], gens) is None
 
 
 def _bilinear(table: dict, x: dict, y: dict) -> dict:
@@ -182,9 +195,10 @@ def _by_factor(table: dict, pos: int) -> dict:
     return out
 
 
-def _first_nonassociative(tables: dict, max_degree: int, middle=None):
-    """The first (i, j, k, l, a, b, c) with (ab)c != a(bc), in that order,
-    or None.
+def _first_nonassociative(tables: dict, quads, middle=None):
+    """The first (i, j, k, l, a, b, c) with (ab)c != a(bc), over the given
+    quadruples (i, j, k, l) in their order and each one's triples in
+    (a, b, c) order, or None.
 
     tables maps (i, j, k) to the product table {(a, b): cell} of component
     (i,j) by component (j,k); a missing table or pair multiplies to zero.
@@ -192,15 +206,23 @@ def _first_nonassociative(tables: dict, max_degree: int, middle=None):
     triple missing from both sides is zero on both, so every basis triple
     is checked.  middle, when given, maps (j, k) to the basis elements b of
     component (j,k) to check, a generating set for Light's test (see the
-    module docstring); a component it leaves out is not checked.
+    module docstring); a component it leaves out is not checked.  A table is
+    grouped by factor when a quadruple first needs it, so the cost follows
+    the quadruples given.
     """
-    groups = {(ijk, pos): _by_factor(t, pos) for ijk, t in tables.items() for pos in (0, 1)}
+    groups: dict = {}
     none: dict = {}
-    for i, j, k, l in itertools.product(range(max_degree + 1), repeat=4):
-        ab = groups.get(((i, j, k), 1), none)  # {b: {a: cell}}
-        bc = groups.get(((j, k, l), 0), none)  # {b: {c: cell}}
-        xc = groups.get(((i, k, l), 0), none)  # {x: {c: cell}}
-        ay = groups.get(((i, j, l), 1), none)  # {y: {a: cell}}
+
+    def group(ijk, pos):
+        if (ijk, pos) not in groups:
+            groups[(ijk, pos)] = _by_factor(tables.get(ijk, none), pos)
+        return groups[(ijk, pos)]
+
+    for i, j, k, l in quads:
+        ab = group((i, j, k), 1)  # {b: {a: cell}}
+        bc = group((j, k, l), 0)  # {b: {c: cell}}
+        xc = group((i, k, l), 0)  # {x: {c: cell}}
+        ay = group((i, j, l), 1)  # {y: {a: cell}}
         left: dict = {}
         right: dict = {}
         for b in (ab.keys() | bc.keys()) if middle is None else middle.get((j, k), ()):
@@ -545,9 +567,11 @@ def _component_module(p: PeirceAlgebra, alg: Algebra, i: int, j: int, side: str)
     return ModuleRep(alg, p.dims[i][j], p._prod.get(ijk, {}), side=side)
 
 
-def _generators(p: PeirceAlgebra, components) -> dict:
+def _generators(tables: dict, dims, components) -> dict:
     """{(i, j): [b, ...]}: basis elements e_b of each given component (i,j),
-    ascending, that together generate the given components.
+    ascending, that together generate the given components, for product
+    tables as _first_nonassociative reads them and dims[i][j] the
+    dimension of component (i,j).
 
     Walks the components in sorted order and each one's basis in order,
     keeping e_b when it lies outside U, the span of the kept elements
@@ -561,18 +585,19 @@ def _generators(p: PeirceAlgebra, components) -> dict:
     """
     components = sorted(components)
     spans = {c: Echelon() for c in components}
-    room = {(i, j): p.dims[i][j] for i, j in components}  # codimension of U
+    room = {(i, j): dims[i][j] for i, j in components}  # codimension of U
     elems: dict = {c: [] for c in components}  # the vectors added to spans
     kept: dict = {c: [] for c in components}  # e_b of every kept b
 
     def products(i, j, y, lefts, rights):
         """Nonzero products of (i,j) by (j,y) elements, tagged (i, y)."""
-        if not room.get((i, y)) or (i, j, y) not in p._prod:
+        table = tables.get((i, j, y))
+        if not room.get((i, y)) or not table:
             return []
-        return [(i, y, w) for x in lefts for z in rights if (w := p.product(i, j, y, x, z))]
+        return [(i, y, w) for x in lefts for z in rights if (w := _bilinear(table, x, z))]
 
     for i, j in components:
-        for b in range(p.dims[i][j]):
+        for b in range(dims[i][j]):
             if not room[(i, j)]:
                 break
             e = {b: 1}
@@ -605,8 +630,8 @@ def _associative(p: PeirceAlgebra) -> bool:
     validator, zigzag and both Morita functors read it."""
     if p._associative is None:
         r = range(p.max_degree + 1)
-        gens = _generators(p, itertools.product(r, repeat=2))
-        p._associative = _first_nonassociative(p._prod, p.max_degree, gens) is None
+        gens = _generators(p._prod, p.dims, itertools.product(r, repeat=2))
+        p._associative = _first_nonassociative(p._prod, itertools.product(r, repeat=4), gens) is None
     return p._associative
 
 
@@ -615,7 +640,7 @@ def _diagonal_generators(p: PeirceAlgebra, d: int) -> list:
     component: the validator, zigzag and the module check of _honest read
     it; read only."""
     if d not in p._diagonal_generators:
-        p._diagonal_generators[d] = _generators(p, [(d, d)])[(d, d)]
+        p._diagonal_generators[d] = _generators(p._prod, p.dims, [(d, d)])[(d, d)]
     return p._diagonal_generators[d]
 
 
@@ -624,7 +649,8 @@ def _associativity_failure(p: PeirceAlgebra) -> str | None:
     None when Light's test passes, else the first triple of the full call."""
     if _associative(p):
         return None
-    i, j, k, l, a, b, c = _first_nonassociative(p._prod, p.max_degree)
+    quads = itertools.product(range(p.max_degree + 1), repeat=4)
+    i, j, k, l, a, b, c = _first_nonassociative(p._prod, quads)
     return f"fails on basis triple a={a},b={b},c={c} of components ({i},{j}),({j},{k}),({k},{l})"
 
 
@@ -668,15 +694,20 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     (ab)c and a(bc) built from the stored structure constants, first with
     the middle factor b restricted to a generating set (Light's test, proved
     in the module docstring).  If a generator fails, the check runs over
-    every triple and the report names its first failing triple.  When
-    associativity holds, the product map at degree d is bijective by the
-    certificate of the module docstring when it applies.  Otherwise the
-    balanced product map is checked to kill every reduced balancing
-    relation and to carry the free pure tensors of the quotient onto a
-    basis of the target.  When associativity holds the edge components are
-    honest corner modules, so the relations come from generators of the
-    corner only (see balanced_tensor); when it fails, every corner basis
-    element acts, and the verdict is what it always was.
+    every triple and the report names its first failing triple.
+
+    The product map at degree d sends the balancing relation R_b(u, v) to
+    (ub)v - u(bv), so it descends to the balanced tensor iff components
+    (d,0), (0,0), (0,d) associate (module docstring).  When associativity
+    holds it descends, and the map is bijective by the certificate of the
+    module docstring when that applies.  When associativity fails, that one
+    quadruple is scanned first, and no relation is built when it fails.
+    Otherwise the balanced tensor is built, and the free pure tensors of the
+    quotient must map onto a basis of the target.  When associativity holds
+    the edge components are honest corner modules, so the relations come
+    from generators of the corner only (see balanced_tensor); when it
+    fails, every corner basis element acts, and the verdict is what it
+    always was.
     """
     axioms: dict[str, bool] = {}
     details: dict[str, str] = {}
@@ -709,37 +740,27 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     if failure is not None:
         details["associativity"] = failure
 
-    ok_tensor = True
     corner = p.diagonal_algebra(0)
     for d in range(d_max + 1):
         if failure is None and _factorization_certified(p, d):
             continue
+        # the product map kills the balancing relations iff components
+        # (d,0), (0,0), (0,d) associate, as they do once associativity holds
+        if failure is not None and _first_nonassociative(p._prod, [(d, 0, 0, d)]) is not None:
+            details["tensor-factorization"] = f"product map does not descend at degree {d}"
+            break
         m_rep = _component_module(p, corner, d, 0, "right")
         n_rep = _component_module(p, corner, 0, d, "left")
         # the edge components are honest corner modules once associativity holds
         q = balanced_tensor(m_rep, n_rep, None if failure is not None else _diagonal_generators(p, 0))
         target = p.dims[d][d]
-        # the product map must kill the balancing relations
-        descends = True
-        for row in q.relations.basis():
-            img: dict = {}
-            for f, cf in row.items():
-                add_multiple(img, cf, p.cell(d, 0, d, *divmod(f, q.dim_right)))
-            if img:
-                descends = False
-                break
-        if not descends:
-            ok_tensor = False
-            details["tensor-factorization"] = f"product map does not descend at degree {d}"
-            break
         rk = len(Echelon(p.cell(d, 0, d, *q.lift_pair(qq)) for qq in range(q.dim)))
         if not (q.dim == target and rk == target):
-            ok_tensor = False
             details["tensor-factorization"] = (
                 f"degree {d}: quotient dim {q.dim}, image rank {rk}, target dim {target}"
             )
             break
-    axioms["tensor-factorization"] = ok_tensor
+    axioms["tensor-factorization"] = "tensor-factorization" not in details
 
     order = ["grading", "corner-unit", "corner-modules-unital", "associativity", "tensor-factorization"]
     first = next((name for name in order if not axioms[name]), None)
@@ -1070,14 +1091,15 @@ def morita_forward(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> ModuleRep:
 
 def _honest(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> bool:
     """Whether a left module over component(d,d) of an associative p meets
-    the module axiom, checked on generators (module docstring).  The
+    the module axiom, checked on generators (module docstring): only the
+    quadruple (0,0,0,1) is scanned, as component(d,d) is associative.  The
     regular module, whose table is the component's own, meets it by
     associativity."""
     table = p._prod.get((d, d, d), {})
     if w_mod.table is table:
         return True
     gens = {(0, 0): _diagonal_generators(p, d)}
-    return _first_nonassociative({(0, 0, 0): table, (0, 0, 1): w_mod.table}, 1, gens) is None
+    return _first_nonassociative({(0, 0, 0): table, (0, 0, 1): w_mod.table}, [(0, 0, 0, 1)], gens) is None
 
 
 def _functor(

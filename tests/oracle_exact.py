@@ -683,7 +683,7 @@ def balanced_validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     ok_tensor = True
     corner = p.diagonal_algebra(0)
     # the edge components are honest corner modules once associativity holds
-    acting = None if failure is not None else peirce._generators(p, [(0, 0)])[(0, 0)]
+    acting = None if failure is not None else peirce._generators(p._prod, p.dims, [(0, 0)])[(0, 0)]
     for d in range(d_max + 1):
         m_rep = peirce._component_module(p, corner, d, 0, "right")
         n_rep = peirce._component_module(p, corner, 0, d, "left")
@@ -729,7 +729,7 @@ def balanced_zigzag(p: PeirceAlgebra, d: int):
     q = peirce.balanced_tensor(
         peirce._component_module(p, diag, 0, d, "right"),
         peirce._component_module(p, diag, d, 0, "left"),
-        peirce._generators(p, [(d, d)])[(d, d)],
+        peirce._generators(p._prod, p.dims, [(d, d)])[(d, d)],
     )
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
     product = {}

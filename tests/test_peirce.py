@@ -788,7 +788,7 @@ def test_generators_span_every_component():
         r = range(p.max_degree + 1)
         choices = [[(i, j) for i in r for j in r]] + [[(d, d)] for d in r]
         for components in choices:
-            kept = peirce._generators(p, components)
+            kept = peirce._generators(p._prod, p.dims, components)
             gens = [(i, j, b) for (i, j), bs in kept.items() for b in bs]
             assert gens == sorted(gens) and all((i, j) in components for i, j, _ in gens)
             ranks = _generated_ranks(p, components, gens)
@@ -800,9 +800,10 @@ def test_generators_span_every_component():
 def _light_agrees_with_scan(p):
     """Light's test flags p exactly when the full scan does."""
     r = range(p.max_degree + 1)
-    gens = peirce._generators(p, [(i, j) for i in r for j in r])
-    light = peirce._first_nonassociative(p._prod, p.max_degree, gens) is None
-    assert light == (peirce._first_nonassociative(p._prod, p.max_degree) is None)
+    gens = peirce._generators(p._prod, p.dims, [(i, j) for i in r for j in r])
+    quads = list(itertools.product(r, repeat=4))
+    light = peirce._first_nonassociative(p._prod, quads, gens) is None
+    assert light == (peirce._first_nonassociative(p._prod, quads) is None)
     return light
 
 
@@ -857,8 +858,12 @@ small_block_st = st.lists(
 def test_light_test_matches_full_scan_after_basis_change(blocks, seed, mutation):
     """A matrix model in a random integer basis, with or without one
     structure constant changed: Light's test flags it exactly when the
-    full scan does, and the report is the dense oracle's."""
-    p = _changed_basis(matrix_model(blocks), random.Random(seed))
+    full scan does, and the report is the dense oracle's.  When it
+    validates, is_associative (Light's test) of each zig-zag algebra, whose
+    structure constants have denominators, and of that algebra with one
+    cell changed, is the full scan's verdict."""
+    rng = random.Random(seed)
+    p = _changed_basis(matrix_model(blocks), rng)
     if mutation is not None and p.entries():
         pos, delta = mutation
         entries = p.entries()
@@ -867,7 +872,20 @@ def test_light_test_matches_full_scan_after_basis_change(blocks, seed, mutation)
         p = PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0)
     light = _light_agrees_with_scan(p)
     assert mutation is not None or light
-    assert json.dumps(validate_peirce(p).to_json()) == json.dumps(oracle.validate_peirce(p).to_json())
+    report = validate_peirce(p)
+    assert json.dumps(report.to_json()) == json.dumps(oracle.validate_peirce(p).to_json())
+    for d in range(p.max_degree + 1) if report.ok else ():
+        alg = zigzag(p, d).as_algebra()
+        changed = dict(alg.cells)
+        if alg.dim:
+            key, t = (rng.randrange(alg.dim), rng.randrange(alg.dim)), rng.randrange(alg.dim)
+            cell = dict(changed.get(key, {}))
+            cell[t] = cell.get(t, 0) + rng.choice([1, -1, Fraction(1, 2)])
+            changed[key] = {r: x for r, x in cell.items() if x}
+        for cells in (alg.cells, changed):
+            scan = peirce._first_nonassociative({(0, 0, 0): cells}, [(0, 0, 0, 0)]) is None
+            assert Algebra(alg.dim, cells).is_associative() == scan
+            assert scan or cells is changed
 
 
 def test_light_test_matches_full_scan_on_boson_mutations():
@@ -909,15 +927,40 @@ def sparse_peirce_st(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_peirce_st())
 def test_associativity_kernel_matches_dense_oracle(p):
-    """On sparse algebras with rational coefficients, the associativity
-    verdict and detail of validate_peirce, and is_associative of each
-    diagonal algebra, are the dense oracle's."""
-    ours, dense = validate_peirce(p), oracle.validate_peirce(p)
-    assert ours.axioms["associativity"] == dense.axioms["associativity"]
-    assert ours.details.get("associativity") == dense.details.get("associativity")
+    """On sparse algebras with rational coefficients, the whole report of
+    validate_peirce, tensor-factorization verdict and detail included, and
+    is_associative of each diagonal algebra, are the dense oracle's."""
+    assert json.dumps(validate_peirce(p).to_json()) == json.dumps(oracle.validate_peirce(p).to_json())
     for d in range(p.max_degree + 1):
         alg = p.diagonal_algebra(d)
         assert alg.is_associative() == oracle.dense_algebra(alg).is_associative()
+
+
+DENSE14_REPORT = (
+    '{"ok": false, "first_violation": "corner-unit", "axioms": {"grading": true, '
+    '"corner-unit": false, "corner-modules-unital": false, "associativity": false, '
+    '"tensor-factorization": false}, "details": {"grading": "product tensor is indexed by '
+    'matched inner indices", "corner-unit": "unit0 fails on corner basis element 0", '
+    '"corner-modules-unital": "right unit action fails on component (0,0)", '
+    '"associativity": "fails on basis triple a=0,b=0,c=0 of components (0,0),(0,0),(0,0)", '
+    '"tensor-factorization": "product map does not descend at degree 0"}}'
+)
+
+
+def test_dense_corner_descent_is_read_off_associativity(monkeypatch):
+    """A dense random corner (dims [[14]], 2 370 nonzero products) fails
+    every axiom but grading.  The product map fails to descend exactly
+    where (d,0),(0,0),(0,d) do not associate, so the report is pinned byte
+    for byte and no balanced tensor is built."""
+    calls = []
+    real = peirce.balanced_tensor
+    monkeypatch.setattr(peirce, "balanced_tensor", lambda *args: calls.append(1) or real(*args))
+    rng = random.Random(1)
+    cube = itertools.product(range(14), repeat=3)
+    p = PeirceAlgebra(0, [[14]], [(0, 0, 0, a, b, c, rng.randint(-3, 3)) for a, b, c in cube], [1] + [0] * 13)
+    assert len(p.entries()) == 2370
+    assert json.dumps(validate_peirce(p).to_json()) == DENSE14_REPORT
+    assert not calls
 
 
 def test_associativity_cap_counts_the_kernel(monkeypatch):
@@ -947,7 +990,7 @@ def test_associativity_cap_counts_the_kernel(monkeypatch):
     counts = []
     for p in fixtures:
         work = 0
-        bad = peirce._first_nonassociative(p._prod, p.max_degree)
+        bad = peirce._first_nonassociative(p._prod, itertools.product(range(p.max_degree + 1), repeat=4))
         assert (bad is None) == (p is not fixtures[-1])
         assert work == _associativity_work(p.to_json_dict()["products"])
         counts.append(work)
@@ -1097,7 +1140,7 @@ def test_dishonest_module_takes_the_balanced_path():
     balancing relation, as before the certificates: the tensor collapses,
     and the roundtrip reports what the balanced copies report."""
     p = matrix_model([[1, 3]])
-    assert 5 not in peirce._generators(p, [(1, 1)])[(1, 1)]  # E_12 = E_10 E_02
+    assert 5 not in peirce._generators(p._prod, p.dims, [(1, 1)])[(1, 1)]  # E_12 = E_10 E_02
     w = matrix_model_column_module(p, 0, 1)
     table = dict(w.table)
     table[(5, 2)] = {1: 1, 0: 1}  # E_12 e_2 = e_1, plus e_0
@@ -1146,7 +1189,7 @@ def test_backward_honesty_is_checked_over_the_corner_ideal(monkeypatch):
             table[key] = {r: c for r in range(w0.dim) if (c := data.draw(st.integers(-1, 1)))}
         w0 = ModuleRep(w0.algebra, w0.dim, {key: img for key, img in table.items() if img})
         full = {(0, 0, 0): w0.algebra.cells, (0, 0, 1): w0.table}
-        honest = peirce._first_nonassociative(full, 1) is None
+        honest = peirce._first_nonassociative(full, itertools.product(range(2), repeat=4)) is None
         calls.clear()
         back = peirce.morita_backward(p, d, w0)
         assert (not calls) == honest
@@ -1168,9 +1211,9 @@ def test_diagonal_generators_are_found_once_per_component(monkeypatch):
     calls = []
     real = peirce._generators
 
-    def counting(p, components):
+    def counting(tables, dims, components):
         calls.append(1)
-        return real(p, components)
+        return real(tables, dims, components)
 
     monkeypatch.setattr(peirce, "_generators", counting)
     p = matrix_model([[3, 2], [1, 3], [2, 1]])
@@ -1184,4 +1227,4 @@ def test_diagonal_generators_are_found_once_per_component(monkeypatch):
     assert validate_peirce(p).ok
     zigzag(p, 1)
     assert len(calls) == 2
-    assert p._diagonal_generators == {1: real(p, [(1, 1)])[(1, 1)]}
+    assert p._diagonal_generators == {1: real(p._prod, p.dims, [(1, 1)])[(1, 1)]}
