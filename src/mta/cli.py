@@ -50,10 +50,11 @@ MAX_PAIRING_LABELS = 429
 MAX_LATTICE_COSETS = 4096
 MAX_LATTICE_LEVEL = 100
 # Algebra files, checked on the parsed JSON before any structure is built.
-# Balancing relations are those of the tensors `peirce validate` and
-# `peirce zigzag` reduce, sum over d of (dims[0][0] + dims[d][d]) *
-# dims[d][0] * dims[0][d]: a products-free dims [[128]] file counts 2^22,
-# though a relation with two empty action columns is skipped unbuilt.  A
+# Balancing relations are exactly those the fallbacks of `peirce validate`
+# and `peirce zigzag` make, one per basis element of the acting algebra and
+# basis pair, sum over d of (dims[0][0] + dims[d][d]) * dims[d][0] *
+# dims[0][d]: a products-free dims [[128]] file counts 2^22, though a
+# relation with two empty action columns is skipped unbuilt.  A
 # component is stored as its nonzero product cells, so memory follows the
 # products: that file validates in 0.32 s and 19 MiB (CLI wall time and
 # peak RSS, medians of 5, 2-core machine; 0.69 s / 68 MiB with the N^3

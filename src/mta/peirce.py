@@ -44,15 +44,11 @@ component(d,0) (x)_A component(0,d) -> component(d,d): the map sends the
 balancing relation R_b(u, v) = (u b) (x) v - u (x) (b v) to (ub)v - u(bv),
 and it is linear, so it kills the span of the relations iff every basis
 triple of components (d,0), (0,0), (0,d) associates.  Once associativity
-holds the map descends at every degree, and balancing relations come from
-the generators of the acting algebra only: for honest modules
-(m.bb') (x) n - m (x) (bb').n is R_b'(m.b, n) + R_b(m, b'.n), so the span
-of the relations, and the canonical echelon form holding it, is the same.
-A module presentation given from outside is not known to be honest, so it
-gets every relation.
-The module axiom (x s).w = x.(s.w) of such a presentation is checked the
-same way, on generators s of an associative B: the s that satisfy it for
-all x and w form a subspace closed under products, since for s, s' in it
+holds the map descends at every degree.
+The module axiom (x s).w = x.(s.w) of a module presentation given from
+outside is checked the same way, on generators s of an associative B: the
+s that satisfy it for all x and w form a subspace closed under products,
+since for s, s' in it
 (x(ss')).w = ((xs)s').w = (xs).(s'.w) = x.(s.(s'.w)) = x.((ss').w).
 
 The Morita context gives an explicit inverse of each product map, and
@@ -65,8 +61,7 @@ kernel of phi is exactly R.  So f is a pivot of the reduced relations
 phi(e_f) lies in span(phi(e_j) : j > f): the free columns are the f where
 phi(e_f) is independent of every later phi(e_j), and the canonical residual
 of x is sum_f c_f e_f over them, where phi(x) = sum_f c_f phi(e_f).  Each
-use needs p associative (then phi kills R and the relations of generators
-span R) and one element e:
+use needs p associative (then phi kills R) and one element e:
 
   * validate_peirce, degree d: M = component(d,0), N = component(0,d),
     B = A, phi(m (x) n) = mn.  If the products span component(d,d) and
@@ -396,21 +391,13 @@ def _require_same_algebra(m_rep: ModuleRep, n_rep: ModuleRep) -> None:
         raise ValueError("modules are not over the same algebra")
 
 
-def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep, acting=None) -> TensorQuotient:
+def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep) -> TensorQuotient:
     """M (x)_B N for a right module M and a left module N over the same B.
 
-    Relations are R_b(u, v) = (e_u.b) (x) e_v - e_u (x) (b.e_v) for b in
-    acting (basis indices of B; None means all of them) and every basis
-    pair (u, v); each is reduced as it is made and dropped when it lies in
-    the span so far, and one whose two action columns are both empty is
-    zero and is skipped.
-
-    acting may be a generating set of B, as _generators returns, but only
-    when both presentations are honest modules: then (m.bb') (x) n -
-    m (x) (bb').n = R_b'(m.b, n) + R_b(m, b'.n), so the relations of the
-    generators span those of every product, the span is the same and so is
-    its canonical Echelon.  For a presentation that breaks the module
-    axioms that sum fails, and every basis element must act.
+    Relations are R_b(u, v) = (e_u.b) (x) e_v - e_u (x) (b.e_v) for every
+    basis element b of B and every basis pair (u, v); each is reduced as it
+    is made and dropped when it lies in the span so far, and one whose two
+    action columns are both empty is zero and is skipped.
     """
     if m_rep.side != "right" or n_rep.side != "left":
         raise ValueError("need a right module and a left module")
@@ -418,7 +405,7 @@ def balanced_tensor(m_rep: ModuleRep, n_rep: ModuleRep, acting=None) -> TensorQu
     m, n = m_rep.dim, n_rep.dim
     relations = Echelon()
     none: dict = {}
-    for b in range(m_rep.algebra.dim) if acting is None else acting:
+    for b in range(m_rep.algebra.dim):
         for u in range(m):
             m_col = m_rep.table.get((u, b), none)
             for v in range(n):
@@ -471,7 +458,6 @@ class PeirceAlgebra:
             raise ValueError("unit0 has wrong length")
         self.block_dims = None  # set by matrix_model
         self._associative = None  # set by _associative, which runs Light's test once
-        self._diagonal_generators: dict = {}  # {d: list}, set by _diagonal_generators
 
     def mul(self, i: int, j: int, k: int, x, y):
         """Bilinear product component(i,j) x component(j,k) -> component(i,k)
@@ -567,6 +553,14 @@ def _component_module(p: PeirceAlgebra, alg: Algebra, i: int, j: int, side: str)
     return ModuleRep(alg, p.dims[i][j], p._prod.get(ijk, {}), side=side)
 
 
+def _edge_tensor(p: PeirceAlgebra, x: int, y: int) -> TensorQuotient:
+    """component(x,y) (x) component(y,x) over component(y,y), the two
+    components read as modules over it by _component_module."""
+    diag = p.diagonal_algebra(y)
+    m_rep = _component_module(p, diag, x, y, "right")
+    return balanced_tensor(m_rep, _component_module(p, diag, y, x, "left"))
+
+
 def _generators(tables: dict, dims, components) -> dict:
     """{(i, j): [b, ...]}: basis elements e_b of each given component (i,j),
     ascending, that together generate the given components, for product
@@ -635,23 +629,13 @@ def _associative(p: PeirceAlgebra) -> bool:
     return p._associative
 
 
-def _diagonal_generators(p: PeirceAlgebra, d: int) -> list:
-    """_generators of component (d,d) alone, found once per algebra and
-    component: the validator, zigzag and the module check of _honest read
-    it; read only."""
-    if d not in p._diagonal_generators:
-        p._diagonal_generators[d] = _generators(p._prod, p.dims, [(d, d)])[(d, d)]
-    return p._diagonal_generators[d]
-
-
-def _associativity_failure(p: PeirceAlgebra) -> str | None:
-    """Where associativity first fails, in (i,j,k,l) then (a,b,c) order:
-    None when Light's test passes, else the first triple of the full call."""
+def _associativity_failure(p: PeirceAlgebra):
+    """Where associativity first fails, as the (i, j, k, l, a, b, c) of the
+    full call, in (i,j,k,l) then (a,b,c) order; None when Light's test
+    passes."""
     if _associative(p):
         return None
-    quads = itertools.product(range(p.max_degree + 1), repeat=4)
-    i, j, k, l, a, b, c = _first_nonassociative(p._prod, quads)
-    return f"fails on basis triple a={a},b={b},c={c} of components ({i},{j}),({j},{k}),({k},{l})"
+    return _first_nonassociative(p._prod, itertools.product(range(p.max_degree + 1), repeat=4))
 
 
 def _first_unfixed(p: PeirceAlgebra, i: int, j: int, left=None, right=None):
@@ -700,14 +684,11 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     (ub)v - u(bv), so it descends to the balanced tensor iff components
     (d,0), (0,0), (0,d) associate (module docstring).  When associativity
     holds it descends, and the map is bijective by the certificate of the
-    module docstring when that applies.  When associativity fails, that one
-    quadruple is scanned first, and no relation is built when it fails.
-    Otherwise the balanced tensor is built, and the free pure tensors of the
-    quotient must map onto a basis of the target.  When associativity holds
-    the edge components are honest corner modules, so the relations come
-    from generators of the corner only (see balanced_tensor); when it
-    fails, every corner basis element acts, and the verdict is what it
-    always was.
+    module docstring when that applies.  When associativity fails, the full
+    scan has found every quadruple before its failing one associative, so
+    (d,0,0,d) is scanned only when it comes after, and no relation is built
+    when it fails.  Otherwise the balanced tensor is built, and the free
+    pure tensors of the quotient must map onto a basis of the target.
     """
     axioms: dict[str, bool] = {}
     details: dict[str, str] = {}
@@ -738,21 +719,25 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     failure = _associativity_failure(p)
     axioms["associativity"] = failure is None
     if failure is not None:
-        details["associativity"] = failure
+        i, j, k, l, a, b, c = failure
+        details["associativity"] = (
+            f"fails on basis triple a={a},b={b},c={c} of components ({i},{j}),({j},{k}),({k},{l})"
+        )
 
-    corner = p.diagonal_algebra(0)
     for d in range(d_max + 1):
         if failure is None and _factorization_certified(p, d):
             continue
         # the product map kills the balancing relations iff components
         # (d,0), (0,0), (0,d) associate, as they do once associativity holds
-        if failure is not None and _first_nonassociative(p._prod, [(d, 0, 0, d)]) is not None:
+        # and as every quadruple before the full scan's failing one does
+        quad = (d, 0, 0, d)
+        descends = failure is None or quad < failure[:4] or (
+            quad != failure[:4] and _first_nonassociative(p._prod, [quad]) is None
+        )
+        if not descends:
             details["tensor-factorization"] = f"product map does not descend at degree {d}"
             break
-        m_rep = _component_module(p, corner, d, 0, "right")
-        n_rep = _component_module(p, corner, 0, d, "left")
-        # the edge components are honest corner modules once associativity holds
-        q = balanced_tensor(m_rep, n_rep, None if failure is not None else _diagonal_generators(p, 0))
+        q = _edge_tensor(p, d, 0)
         target = p.dims[d][d]
         rk = len(Echelon(p.cell(d, 0, d, *q.lift_pair(qq)) for qq in range(q.dim)))
         if not (q.dim == target and rk == target):
@@ -819,20 +804,12 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     read off on the pure tensors of the quotient basis.  Associativity makes
     that well defined: a relation r = (m.b) (x) n - m (x) (b.n) has corner
     image (mb)n - m(bn) = 0 and r o (x (x) y) = ((mb)(nx) - m((bn)x)) (x) y
-    = 0, while (x (x) y) o r is itself a relation.  It also makes the edge
-    components honest modules over component(d,d), so the balancing
-    relations come from generators of component(d,d) only: for them,
-    (m.bb') (x) n - m (x) (bb').n = R_b'(m.b, n) + R_b(m, b'.n).  The
-    quotient is read through u (x) v -> uv when the certificate of the
-    module docstring holds, and built from those relations otherwise."""
+    = 0, while (x (x) y) o r is itself a relation.  The quotient is read
+    through u (x) v -> uv when the certificate of the module docstring
+    holds, and built from the balancing relations otherwise."""
     q = _zigzag_space(p, d) if _associative(p) else None
     if q is None:
-        diag = p.diagonal_algebra(d)
-        q = balanced_tensor(
-            _component_module(p, diag, 0, d, "right"),
-            _component_module(p, diag, d, 0, "left"),
-            _diagonal_generators(p, d),
-        )
+        q = _edge_tensor(p, 0, d)
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
     product = {}
     for q1, (u1, v1) in enumerate(pairs):
@@ -1098,7 +1075,7 @@ def _honest(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> bool:
     table = p._prod.get((d, d, d), {})
     if w_mod.table is table:
         return True
-    gens = {(0, 0): _diagonal_generators(p, d)}
+    gens = {(0, 0): _generators(p._prod, p.dims, [(d, d)])[(d, d)]}
     return _first_nonassociative({(0, 0, 0): table, (0, 0, 1): w_mod.table}, [(0, 0, 0, 1)], gens) is None
 
 

@@ -38,7 +38,12 @@ library's `validate_peirce`, `zigzag`, `morita_forward`, `morita_backward`
 and `verify_roundtrip` before the Morita-context certificates: every
 quotient is reduced by its balancing relations through
 `peirce.balanced_tensor`, looked up at call time.  Their bodies are copied
-unchanged, but for `peirce.` before the library names they use.
+unchanged, but for `peirce.` before the library names they use and two
+edits that follow the library.  Every quotient is built from the relations
+of every basis element of the acting algebra, with no search for
+generators, as `peirce.balanced_tensor` takes no generating set.  And
+`balanced_validate_peirce` formats the associativity failure, which
+`peirce._associativity_failure` returns as a tuple.
 
 `matrix_model` and `heisenberg_truncation` are the two model builders the
 library had before both went through one matrix-unit builder: a lookup of
@@ -644,10 +649,7 @@ def balanced_validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     every triple and the report names its first failing triple.  The
     balanced product map is checked to kill every reduced balancing
     relation and to carry the free pure tensors of the quotient onto a
-    basis of the target.  When associativity holds the edge components are
-    honest corner modules, so the relations come from generators of the
-    corner only (see balanced_tensor); when it fails, every corner basis
-    element acts, and the verdict is what it always was.
+    basis of the target.
     """
     axioms: dict[str, bool] = {}
     details: dict[str, str] = {}
@@ -678,16 +680,17 @@ def balanced_validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     failure = peirce._associativity_failure(p)
     axioms["associativity"] = failure is None
     if failure is not None:
-        details["associativity"] = failure
+        i, j, k, l, a, b, c = failure
+        details["associativity"] = (
+            f"fails on basis triple a={a},b={b},c={c} of components ({i},{j}),({j},{k}),({k},{l})"
+        )
 
     ok_tensor = True
     corner = p.diagonal_algebra(0)
-    # the edge components are honest corner modules once associativity holds
-    acting = None if failure is not None else peirce._generators(p._prod, p.dims, [(0, 0)])[(0, 0)]
     for d in range(d_max + 1):
         m_rep = peirce._component_module(p, corner, d, 0, "right")
         n_rep = peirce._component_module(p, corner, 0, d, "left")
-        q = peirce.balanced_tensor(m_rep, n_rep, acting)
+        q = peirce.balanced_tensor(m_rep, n_rep)
         target = p.dims[d][d]
         # the product map must kill the balancing relations
         descends = True
@@ -721,15 +724,11 @@ def balanced_zigzag(p: PeirceAlgebra, d: int):
     read off on the pure tensors of the quotient basis.  Associativity makes
     that well defined: a relation r = (m.b) (x) n - m (x) (b.n) has corner
     image (mb)n - m(bn) = 0 and r o (x (x) y) = ((mb)(nx) - m((bn)x)) (x) y
-    = 0, while (x (x) y) o r is itself a relation.  It also makes the edge
-    components honest modules over component(d,d), so the balancing
-    relations come from generators of component(d,d) only: for them,
-    (m.bb') (x) n - m (x) (bb').n = R_b'(m.b, n) + R_b(m, b'.n)."""
+    = 0, while (x (x) y) o r is itself a relation."""
     diag = p.diagonal_algebra(d)
     q = peirce.balanced_tensor(
         peirce._component_module(p, diag, 0, d, "right"),
         peirce._component_module(p, diag, d, 0, "left"),
-        peirce._generators(p._prod, p.dims, [(d, d)])[(d, d)],
     )
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
     product = {}

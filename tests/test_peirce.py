@@ -162,18 +162,14 @@ def test_balanced_tensor_matches_dense_build(monkeypatch):
     """Every balanced tensor that validation, zigzag and the roundtrips
     build on the acceptance fixtures when no certificate is used (the
     oracle's copies of them) has the free coordinates, reduced relations
-    and projection of the dense build, which makes a relation for every
-    basis element of the acting algebra; some of them were built from the
-    relations of a generating set only.  The sparse projection of every
-    unit vector and of one dense ambient vector is the dense one."""
+    and projection of the dense build; both make a relation for every basis
+    element of the acting algebra.  The sparse projection of every unit
+    vector and of one dense ambient vector is the dense one."""
     calls = []
-    proper = []  # acting sets smaller than the basis of the acting algebra
 
-    def recording(m_rep, n_rep, acting=None):
-        q = real(m_rep, n_rep, acting)
+    def recording(m_rep, n_rep):
+        q = real(m_rep, n_rep)
         calls.append((m_rep, n_rep, q))
-        if acting is not None and len(acting) < m_rep.algebra.dim:
-            proper.append(acting)
         return q
 
     real = peirce.balanced_tensor
@@ -188,7 +184,6 @@ def test_balanced_tensor_matches_dense_build(monkeypatch):
                 w = matrix_model_column_module(p, block, d)
                 assert oracle.balanced_verify_roundtrip(p, d, w).ok
     assert len(calls) == 9 + 9 + 2 * (9 + 21)  # validate, zigzag, roundtrips
-    assert proper
     seen = set()
     for m_rep, n_rep, q in calls:
         key = repr((m_rep.algebra.cells, m_rep.table, n_rep.table))
@@ -951,16 +946,22 @@ def test_dense_corner_descent_is_read_off_associativity(monkeypatch):
     """A dense random corner (dims [[14]], 2 370 nonzero products) fails
     every axiom but grading.  The product map fails to descend exactly
     where (d,0),(0,0),(0,d) do not associate, so the report is pinned byte
-    for byte and no balanced tensor is built."""
+    for byte and no balanced tensor is built.  The full associativity scan
+    fails on (0,0,0,0) itself, so descent is read off it: the kernel runs
+    twice, for Light's test and the full scan, and never on its own."""
     calls = []
     real = peirce.balanced_tensor
     monkeypatch.setattr(peirce, "balanced_tensor", lambda *args: calls.append(1) or real(*args))
+    scans = []
+    kernel = peirce._first_nonassociative
+    monkeypatch.setattr(peirce, "_first_nonassociative", lambda *args: scans.append(1) or kernel(*args))
     rng = random.Random(1)
     cube = itertools.product(range(14), repeat=3)
     p = PeirceAlgebra(0, [[14]], [(0, 0, 0, a, b, c, rng.randint(-3, 3)) for a, b, c in cube], [1] + [0] * 13)
     assert len(p.entries()) == 2370
     assert json.dumps(validate_peirce(p).to_json()) == DENSE14_REPORT
     assert not calls
+    assert len(scans) == 2
 
 
 def test_associativity_cap_counts_the_kernel(monkeypatch):
@@ -1200,31 +1201,37 @@ def test_backward_honesty_is_checked_over_the_corner_ideal(monkeypatch):
     assert verdicts == {True, False}
 
 
-def test_diagonal_generators_are_found_once_per_component(monkeypatch):
-    """The generators of component (d,d) are searched once per algebra.
-    The first morita_forward of a module other than the regular one runs
-    two searches, one for Light's test over every component and one for
-    the honesty check over (d,d) alone; the second call runs none.
-    validate_peirce searches the corner (0,0) only for a degree its
-    certificate leaves to the balanced tensor, none here, and zigzag at a
-    certified degree searches nothing either."""
-    calls = []
+def test_generators_serve_light_test_and_honesty_only(monkeypatch):
+    """Generators are searched for Light's test and for the module axiom of
+    _honest, never for a balanced tensor.  On the idempotent family the
+    degree-1 certificates fail, so validate_peirce and zigzag(p, 1) each
+    build a balanced tensor from every relation, after the one search of
+    Light's test over every component.  On mm332 the first morita_forward
+    of a column module searches for Light's test and for the honesty
+    check over (1,1); a second call, Light's verdict kept, searches once
+    more for honesty."""
+    searches = []
     real = peirce._generators
 
     def counting(tables, dims, components):
-        calls.append(1)
+        searches.append(1)
         return real(tables, dims, components)
 
+    tensors = []
+    tensor = peirce.balanced_tensor
     monkeypatch.setattr(peirce, "_generators", counting)
+    monkeypatch.setattr(peirce, "balanced_tensor", lambda *args: tensors.append(1) or tensor(*args))
+    p = idempotent_family(2)
+    assert validate_peirce(p).ok
+    zigzag(p, 1)
+    assert (len(tensors), len(searches)) == (2, 1)
+
+    searches.clear()
     p = matrix_model([[3, 2], [1, 3], [2, 1]])
     w = matrix_model_column_module(p, 0, 1)  # not the regular module
     first = morita_forward(p, 1, w)
-    assert len(calls) == 2
+    assert len(searches) == 2
     second = morita_forward(p, 1, w)
-    assert len(calls) == 2
+    assert len(searches) == 3
     assert _module_view(first) == _module_view(second)
     assert _module_view(first) == _module_view(oracle.balanced_morita_forward(p, 1, w))
-    assert validate_peirce(p).ok
-    zigzag(p, 1)
-    assert len(calls) == 2
-    assert p._diagonal_generators == {1: real(p._prod, p.dims, [(1, 1)])[(1, 1)]}
