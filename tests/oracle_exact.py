@@ -45,6 +45,17 @@ generators, as `peirce.balanced_tensor` takes no generating set.  And
 `balanced_validate_peirce` formats the associativity failure, which
 `peirce._associativity_failure` returns as a tuple.
 
+`zigzag_product`, `action_through_A_check` and `_induced_module` are the
+library's loops before its zig-zag product, action check and Morita modules
+went through one left-action builder: each projects the image of every pair
+of quotient basis elements, or of algebra and quotient basis elements, zero
+or not, and makes each acting vector once per pair.  `balanced_zigzag` takes
+its product from `zigzag_product` on its balanced quotient, and
+`_balanced_forward` and `_balanced_backward` take their modules from
+`_induced_module`, so no balanced copy runs the library's builder.  Their
+bodies are copied unchanged, but for `peirce.` before `CheckReport` and
+`ModuleRep`.
+
 `matrix_model` and `heisenberg_truncation` are the two model builders the
 library had before both went through one matrix-unit builder: a lookup of
 (block, row, column) triples for the block matrices, and a seven-deep loop
@@ -730,6 +741,13 @@ def balanced_zigzag(p: PeirceAlgebra, d: int):
         peirce._component_module(p, diag, 0, d, "right"),
         peirce._component_module(p, diag, d, 0, "left"),
     )
+    star = [dict(p.cell(0, d, 0, *q.lift_pair(qq))) for qq in range(q.dim)]
+    return peirce.ZigZag(parent=p, degree=d, space=q, product=zigzag_product(p, d, q), star=star)
+
+
+def zigzag_product(p: PeirceAlgebra, d: int, q) -> dict:
+    """The degree-d zig-zag product table on the quotient q, one projection
+    per pair of quotient basis elements."""
     pairs = [q.lift_pair(qq) for qq in range(q.dim)]
     product = {}
     for q1, (u1, v1) in enumerate(pairs):
@@ -738,8 +756,43 @@ def balanced_zigzag(p: PeirceAlgebra, d: int):
             cell = q.project_tensor(p.product(0, d, d, {u1: 1}, p.cell(d, 0, d, v1, u2)), {v2: 1})
             if cell:
                 product[(q1, q2)] = cell
-    star = [dict(p.cell(0, d, 0, u, v)) for u, v in pairs]
-    return peirce.ZigZag(parent=p, degree=d, space=q, product=product, star=star)
+    return product
+
+
+def action_through_A_check(z):
+    """The zig-zag product of two elements must agree with the corner image
+    of either factor acting on the other through the corner actions."""
+    p, d, q, stars = z.parent, z.degree, z.space, z.star
+    failures = []
+    checked = 0
+    for q1 in range(z.dim):
+        u1, v1 = q.lift_pair(q1)
+        for q2 in range(z.dim):
+            u2, v2 = q.lift_pair(q2)
+            prod = z.product.get((q1, q2), {})
+            # right corner action of star(q2) on q1, left one of star(q1) on q2
+            right_side = q.project_tensor({u1: 1}, p.product(d, 0, 0, {v1: 1}, stars[q2]))
+            left_side = q.project_tensor(p.product(0, 0, d, stars[q1], {u2: 1}), {v2: 1})
+            checked += 1
+            if not (right_side == prod == left_side):
+                failures.append((q1, q2))
+    return peirce.CheckReport(ok=not failures, checked=checked, failures=failures)
+
+
+def _induced_module(alg, q, act):
+    """The balanced tensor q as a left alg-module through its left factor.
+
+    Basis element t of alg sends the pure tensor e_u (x) e_w to
+    act(t, u) (x) e_w, act(t, u) being a sparse vector of the left factor.
+    """
+    pairs = [q.lift_pair(qq) for qq in range(q.dim)]
+    table = {}
+    for t in range(alg.dim):
+        for qq, (u, w) in enumerate(pairs):
+            img = q.project_tensor(act(t, u), {w: 1})
+            if img:
+                table[(t, qq)] = img
+    return peirce.ModuleRep(alg, q.dim, table, side="left")
 
 
 def balanced_morita_forward(p: PeirceAlgebra, d: int, w_mod):
@@ -760,7 +813,7 @@ def _balanced_forward(p: PeirceAlgebra, d: int, w_mod, setup):
 
     q = peirce.balanced_tensor(peirce._component_module(p, p.diagonal_algebra(d), 0, d, "right"), w_mod)
 
-    return peirce._induced_module(alg, q, lambda t, u: p.product(0, 0, d, ideal.basis[t], {u: 1})), q
+    return _induced_module(alg, q, lambda t, u: p.product(0, 0, d, ideal.basis[t], {u: 1})), q
 
 
 def balanced_morita_backward(p: PeirceAlgebra, d: int, w0_mod):
@@ -790,7 +843,7 @@ def _balanced_backward(p: PeirceAlgebra, d: int, w0_mod, setup):
     w0_ext = peirce.ModuleRep(corner, w0_mod.dim, ext, side="left")
     q = peirce.balanced_tensor(peirce._component_module(p, corner, d, 0, "right"), w0_ext)
 
-    return peirce._induced_module(p.diagonal_algebra(d), q, lambda c, v: p.cell(d, d, 0, c, v)), q
+    return _induced_module(p.diagonal_algebra(d), q, lambda c, v: p.cell(d, d, 0, c, v)), q
 
 
 def balanced_verify_roundtrip(p: PeirceAlgebra, d: int, w_mod):

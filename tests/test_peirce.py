@@ -1235,3 +1235,55 @@ def test_generators_serve_light_test_and_honesty_only(monkeypatch):
     assert len(searches) == 3
     assert _module_view(first) == _module_view(second)
     assert _module_view(first) == _module_view(oracle.balanced_morita_forward(p, 1, w))
+
+
+def test_left_action_matches_the_pair_loops():
+    """The zig-zag product and the left route of the action check read the
+    quotient through _left_action, and the check's right route skips zero
+    corner images.  Over the mutation sweep and the special algebras, at
+    every degree, the product table, key order included, and the check
+    report are those of the oracle's loops over every pair, and some
+    checks fail."""
+    special = [idempotent_family(n) for n in (1, 2, 3)] + [
+        identity_without_products(),
+        spanning_edges(),
+        lower_triangular(),
+        _changed_basis(matrix_model([[1, 2], [1, 0]]), random.Random(7)),
+    ]
+    zigzags = failing = 0
+    for p in itertools.chain((bad for _, bad in _mutation_sweep()), special):
+        for d in range(p.max_degree + 1):
+            z = zigzag(p, d)
+            assert list(z.product.items()) == list(oracle.zigzag_product(p, d, z.space).items())
+            check = action_through_A_check(z).to_json()
+            assert check == oracle.action_through_A_check(z).to_json()
+            zigzags += 1
+            failing += not check["ok"]
+    assert (zigzags, failing) == (662, 83)
+
+
+def test_zero_actions_are_not_projected(monkeypatch):
+    """_left_action makes each acting vector once per acting element and
+    left index and projects only nonzero ones.  On the idempotent family
+    every zig-zag product and corner image is zero, so the product and its
+    check project nothing, against 768 projections in the oracle's pair
+    loops; on mm332 they project 268 times, against 588."""
+    mm332 = matrix_model([[3, 2], [1, 3], [2, 1]])
+    q = zigzag(mm332, 1).space
+    acts = []
+    peirce._left_action(q, 3, lambda t, u: acts.append((t, u)) or {u: 1})
+    lefts = sorted({q.lift_pair(qq)[0] for qq in range(q.dim)})
+    assert len(lefts) < q.dim and acts == [(t, u) for t in range(3) for u in lefts]
+
+    calls = []
+    real = peirce.TensorQuotient.project_tensor
+    monkeypatch.setattr(peirce.TensorQuotient, "project_tensor", lambda q, x, y: calls.append(1) or real(q, x, y))
+    for p, d, new, old in ((idempotent_family(4), 1, 0, 768), (mm332, 0, 268, 588), (mm332, 1, 268, 588)):
+        calls.clear()
+        z = zigzag(p, d)
+        action_through_A_check(z)
+        assert len(calls) == new
+        calls.clear()
+        oracle.zigzag_product(p, d, z.space)
+        oracle.action_through_A_check(z)
+        assert len(calls) == old

@@ -6,19 +6,34 @@ from fractions import Fraction
 
 import pytest
 
-from mta.heisenberg import IdentityReport, Mode, ModeElement, NormalWord, RankCertificate
-from mta.lattice import CosetRep, EvenLattice
-from mta.partitions import LabeledPartition, Partition
+from mta.heisenberg import (
+    IdentityReport,
+    Mode,
+    ModeElement,
+    NormalWord,
+    RankCertificate,
+    ZhuPolynomial,
+    strong_identity,
+)
+from mta.lattice import CosetRep, EvenLattice, graded_dims
+from mta.partitions import LabeledPartition, Partition, enumerate_partitions
 from mta.peirce import (
     Algebra,
     CheckReport,
     IdealSplit,
     ModuleRep,
+    PeirceAlgebra,
     PeirceReport,
     RoundtripReport,
     Subspace,
     ZigZag,
+    balanced_tensor,
+    heisenberg_truncation,
+    ideal_unit_and_split,
     matrix_model,
+    morita_backward,
+    morita_forward,
+    regular_module,
 )
 from mta.zhu import SCALAR_FIELD, SimpleModuleData, ZhuDescriptor, commutative_zhu_descriptor
 
@@ -125,6 +140,58 @@ LOOSE_INTEGERS = {
 def test_integer_fields_are_read_strictly(build, error):
     with pytest.raises(error):
         build()
+
+
+# k = matrix_model([1]): its corner and degree-0 corner ideal are both k
+ARGUMENT_CHECKS = {
+    "balanced-tensor-two-left-modules": (
+        lambda: balanced_tensor(regular_module(matrix_model([1]), 0), regular_module(matrix_model([1]), 0)),
+        "need a right module and a left module",
+    ),
+    "peirce-negative-degree": (lambda: PeirceAlgebra(-1, [], [], []), "max_degree must be nonnegative"),
+    "peirce-unit0-length": (lambda: PeirceAlgebra(0, [[1]], [], [1, 0]), "unit0 has wrong length"),
+    "truncation-point-length": (
+        lambda: heisenberg_truncation(1, 2, [0, 0]),
+        "need one evaluation value per generator",
+    ),
+    "truncation-negative-degree": (lambda: heisenberg_truncation(1, -1, [0]), "max_degree must be nonnegative"),
+    "ideal-outside-the-corner": (
+        lambda: ideal_unit_and_split(matrix_model([1, 1]), Subspace((1, 1), 1)),
+        "ideal must live in the corner component",
+    ),
+    "forward-right-module": (
+        lambda: morita_forward(matrix_model([1]), 0, ModuleRep(Algebra(1, {}), 1, {}, side="right")),
+        "expected a left module over the degree-d component",
+    ),
+    "forward-not-unital": (
+        lambda: morita_forward(matrix_model([1]), 0, ModuleRep(Algebra(1, {}), 1, {})),
+        "module is not unital for the strong identity",
+    ),
+    "backward-right-module": (
+        lambda: morita_backward(matrix_model([1]), 0, ModuleRep(Algebra(1, {}), 1, {}, side="right")),
+        "expected a left module over the corner ideal",
+    ),
+    "backward-wrong-algebra": (
+        lambda: morita_backward(matrix_model([1]), 0, ModuleRep(Algebra(2, {}), 1, {})),
+        "module is not over the degree-d corner ideal",
+    ),
+    "zhu-polynomial-rank": (lambda: ZhuPolynomial(0), "rank must be positive"),
+    "evaluate-point-length": (
+        lambda: ZhuPolynomial(1).evaluate([0, 0]),
+        "evaluation point has wrong length",
+    ),
+    "strong-identity-negative-degree": (lambda: strong_identity(1, -1), "degree must be nonnegative"),
+    "lattice-empty-gram": (lambda: EvenLattice([]), "rank must be positive"),
+    "graded-dims-negative-level": (lambda: graded_dims(EvenLattice([[2]]), [0], -1), "n_max must be nonnegative"),
+    "partitions-negative-weight": (lambda: enumerate_partitions(-1), "weight must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("build, message", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS.keys())
+def test_arguments_are_checked(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_strict_readers_keep_integer_inputs():
