@@ -56,7 +56,7 @@ MAX_LATTICE_LEVEL = 100
 # dims[0][d]: a products-free dims [[128]] file counts 2^22, though a
 # relation with two empty action columns is skipped unbuilt.  A
 # component is stored as its nonzero product cells, so memory follows the
-# products: that file validates in 0.32 s and 19 MiB (CLI wall time and
+# products: that file validates in 0.32 s and 16.5 MiB (CLI wall time and
 # peak RSS, medians of 5, 2-core machine; 0.69 s / 68 MiB with the N^3
 # dense structure constants stored before).  The 14 641 products of
 # matrix_model([[11]]) (dims [[121]]) took 5.6 s to validate until the

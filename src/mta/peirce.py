@@ -203,7 +203,9 @@ def _first_nonassociative(tables: dict, quads, middle=None):
     component (j,k) to check, a generating set for Light's test (see the
     module docstring); a component it leaves out is not checked.  A table is
     grouped by factor when a quadruple first needs it, so the cost follows
-    the quadruples given.
+    the quadruples given.  Both tensors are held for one middle element b at
+    a time, and a quadruple's failure is the smallest failing triple over
+    all its b.
     """
     groups: dict = {}
     none: dict = {}
@@ -218,20 +220,24 @@ def _first_nonassociative(tables: dict, quads, middle=None):
         bc = group((j, k, l), 0)  # {b: {c: cell}}
         xc = group((i, k, l), 0)  # {x: {c: cell}}
         ay = group((i, j, l), 1)  # {y: {a: cell}}
-        left: dict = {}
-        right: dict = {}
+        first = None
         for b in (ab.keys() | bc.keys()) if middle is None else middle.get((j, k), ()):
+            left: dict = {}  # {(a, c): (ab)c} for this b
+            right: dict = {}  # {(a, c): a(bc)}
             for a, cell in ab.get(b, none).items():
                 for x, cx in cell.items():
                     for c, out in xc.get(x, none).items():
-                        add_multiple(left.setdefault((a, b, c), {}), cx, out)
+                        add_multiple(left.setdefault((a, c), {}), cx, out)
             for c, cell in bc.get(b, none).items():
                 for y, cy in cell.items():
                     for a, out in ay.get(y, none).items():
-                        add_multiple(right.setdefault((a, b, c), {}), cy, out)
-        bad = [t for t in left.keys() | right.keys() if left.get(t, none) != right.get(t, none)]
-        if bad:
-            return (i, j, k, l, *min(bad))
+                        add_multiple(right.setdefault((a, c), {}), cy, out)
+            bad = [t for t in left.keys() | right.keys() if left.get(t, none) != right.get(t, none)]
+            if bad:
+                a, c = min(bad)
+                first = min(first or (a, b, c), (a, b, c))
+        if first:
+            return (i, j, k, l, *first)
     return None
 
 
@@ -449,6 +455,10 @@ class PeirceAlgebra:
     unit0 holds the coordinates of the unit of the corner component (0,0).
     Coefficients and unit0 are stored as exact scalars (see exact.scalar);
     max_degree, dims and the six indices of an entry must be ints.
+
+    The product tables _prod[(i, j, k)] = {(a, b): cell} are read only:
+    equal one-term cells {c: v} are one object, shared across tables, so a
+    cell written in place would change every product that shares it.
     """
 
     def __init__(self, max_degree: int, dims, entries, unit0):
@@ -476,6 +486,13 @@ class PeirceAlgebra:
         self.unit0 = [scalar(x) for x in unit0]
         if len(self.unit0) != self.dims[0][0]:
             raise ValueError("unit0 has wrong length")
+        # equal one-term cells are one object; wider cells stay apart, as
+        # keying them by their items costs more than sharing them saves
+        shared: dict = {}
+        for table in self._prod.values():
+            for key, cell in table.items():
+                if len(cell) == 1:
+                    table[key] = shared.setdefault(next(iter(cell.items())), cell)
         self.block_dims = None  # set by matrix_model
         self._associative = None  # set by _associative, which runs Light's test once
 
@@ -525,19 +542,32 @@ class PeirceAlgebra:
     @classmethod
     def from_json_dict(cls, data) -> "PeirceAlgebra":
         """The algebra of a to_json_dict dict.  Products are read one at a
-        time as the constructor stores them, with no list of entries."""
+        time as the constructor stores them, with no list of entries, and
+        data["products"] is emptied as they are stored: each slot is set to
+        None once its product is read, so on success no entry is left."""
         products = data["products"]
+        read = 0
+
+        def entries():
+            nonlocal read
+            for e in products:
+                entry = _json_entry(e)
+                products[read] = None
+                read += 1
+                yield entry
+
         try:
             return cls(
                 data["max_degree"],
                 data["dims"],
-                map(_json_entry, products),
+                entries(),
                 [parse_frac(x) for x in data["unit0"]],
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             # a file with several faults names an unreadable product first,
-            # as when every product was read before anything else
-            for e in products:
+            # as when every product was read before anything else; the
+            # products already released were all readable
+            for e in itertools.islice(products, read, None):
                 _json_entry(e)
             raise
 

@@ -742,11 +742,14 @@ def _bad_product(data):
     data["products"][1]["coeff"] = "1/0"
 
 
-# A second fault the constructor meets before it reads product 1.
+# A second fault: one the constructor meets before it reads product 1, or
+# an unreadable product after it, which must not be named although product
+# 1 is released as it is read.
 _SECOND_FAULTS = {
     "unit0": lambda d: d["unit0"].__setitem__(0, "x"),
     "dims": lambda d: d["dims"][1].__setitem__(1, -1),
     "earlier index": lambda d: d["products"][0].update(a=99),
+    "later unreadable product": lambda d: d["products"][3].pop("c"),
 }
 
 

@@ -1,9 +1,13 @@
 """Corner algebras: axioms, zig-zag reduction, ideals, module functors."""
 
+import contextlib
+import copy
+import importlib.util
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import oracle_exact as oracle
 import pytest
@@ -207,6 +211,72 @@ def test_json_round_trip():
     assert q.dims == p.dims
     assert q.entries() == p.entries()
     assert q.unit0 == p.unit0
+
+
+def _input_algebras():
+    """(name, JSON text) of every algebra file the CLI goldens and the
+    benchmark read, the inputs of
+    test_cli.test_input_fixtures_load_under_the_integer_rule."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("gen_inputs", root / "perfbench" / "gen_inputs.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for name, build in gen.INPUTS.items():
+        if name.endswith(".json") and name != "modules.json":
+            yield name, build()
+    for path in sorted((root / "tests" / "golden" / "cli" / "inputs").glob("*.json")):
+        if path.name != "modules.json":
+            yield path.name, path.read_text()
+
+
+def test_from_json_dict_empties_products_and_matches_the_constructor():
+    """from_json_dict builds what the constructor builds from the file's
+    entries, and on success leaves no entry in data["products"]."""
+    names = []
+    for name, text in _input_algebras():
+        data, kept = json.loads(text), json.loads(text)
+        p = PeirceAlgebra.from_json_dict(data)
+        entries = [peirce._json_entry(e) for e in kept["products"]]
+        q = PeirceAlgebra(kept["max_degree"], kept["dims"], entries, [exact.parse_frac(x) for x in kept["unit0"]])
+        assert (p.entries(), p.unit0) == (q.entries(), q.unit0), name
+        assert data["products"] == [None] * len(entries), name
+        names.append(name)
+    assert len(names) == 12
+
+
+def test_equal_one_term_cells_are_shared_and_never_written():
+    """Equal one-term cells {c: v} are one object, while wider cells, equal
+    or not, stay apart; and no check writes a cell, which a shared cell
+    needs, as it would change every product that shares it: validate_peirce,
+    zigzag at every degree, the roundtrip of the regular module where a
+    strong identity exists, and is_associative of every diagonal and
+    zig-zag algebra leave the tables as they were."""
+    wide = [(0, 0, 0, a, a, c, 1) for a in range(2) for c in range(2)]  # two equal two-term cells
+    algebras = [bad for _, bad in _mutation_sweep()]
+    algebras += [matrix_model(blocks) for blocks in ACCEPTANCE_BLOCKS]
+    algebras += [heisenberg_truncation(1, d, [F0]) for d in range(5)]
+    algebras += [PeirceAlgebra(0, [[2]], wide, [1, 0])]
+    for p in algebras:
+        before = copy.deepcopy(p._prod)
+        validate_peirce(p)
+        for d in range(p.max_degree + 1):
+            p.diagonal_algebra(d).is_associative()
+            zigzag(p, d).as_algebra().is_associative()
+            # an algebra that fails the axioms may have no strong identity
+            with contextlib.suppress(ValueError, ArithmeticError):
+                verify_roundtrip(p, d, regular_module(p, d))
+        assert p._prod == before
+        one_term: dict = {}
+        wider = []
+        for table in p._prod.values():
+            for cell in table.values():
+                if len(cell) == 1:
+                    assert one_term.setdefault(next(iter(cell.items())), cell) is cell
+                elif cell:
+                    wider.append(cell)
+        assert len(set(map(id, wider))) == len(wider)
+    # the last algebra's two equal two-term cells stay two objects
+    assert len(wider) == 2 and wider[0] == wider[1]
 
 
 def test_balanced_tensor_collapses_to_corner_dim():
@@ -996,6 +1066,19 @@ def test_associativity_cap_counts_the_kernel(monkeypatch):
         assert work == _associativity_work(p.to_json_dict()["products"])
         counts.append(work)
     assert counts[:4] == [164, 1924, 41472, 512]
+
+
+def test_light_failure_is_smallest_over_middle_elements():
+    """e0 e1 = e0 and e1 e0 = e1: middle element b = 0 fails only at a = 1
+    and b = 1 fails at a = 0.  The kernel holds one b at a time, yet names
+    the smallest failing triple over every b, with or without a middle and
+    whatever its order; stopping at the first failing b would give
+    (1, 0, 0)."""
+    cells = {(0, 1): {0: 1}, (1, 0): {1: 1}}
+    tables = {(0, 0, 0): cells}
+    for middle in (None, {(0, 0): [0, 1]}, {(0, 0): [1, 0]}):
+        assert peirce._first_nonassociative(tables, [(0, 0, 0, 0)], middle) == (0, 0, 0, 0, 0, 1, 0)
+    assert not Algebra(2, cells).is_associative()
 
 
 @st.composite
