@@ -595,6 +595,13 @@ class PeirceReport:
         }
 
 
+def _require_degree(p: PeirceAlgebra, d: int) -> None:
+    """ValueError unless 0 <= d <= p.max_degree: a negative d would index
+    the components from the end."""
+    if not 0 <= d <= p.max_degree:
+        raise ValueError(f"degree {d} out of range 0..{p.max_degree}")
+
+
 def _component_module(p: PeirceAlgebra, alg: Algebra, i: int, j: int, side: str) -> ModuleRep:
     """component(i,j) as a module over a diagonal algebra: over component(j,j)
     acting from the right, or over component(i,i) acting from the left.
@@ -856,7 +863,23 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     image (mb)n - m(bn) = 0 and r o (x (x) y) = ((mb)(nx) - m((bn)x)) (x) y
     = 0, while (x (x) y) o r is itself a relation.  The quotient is read
     through u (x) v -> uv when the certificate of the module docstring
-    holds, and built from the balancing relations otherwise."""
+    holds, and built from the balancing relations otherwise.
+
+    The same associativity proves the two verdicts that
+    action_through_A_check and Algebra.is_associative compute on the
+    result, so the CLI prints them without running either.  Take pure
+    tensors q1 = u1 (x) v1 and q2 = u2 (x) v2 of the quotient basis.  The
+    left route star(q1).u2 = (u1v1)u2 = u1(v1u2), by quadruple (0,d,0,d),
+    is the left factor of q1 o q2.  The right route v1.star(q2) =
+    v1(u2v2) = (v1u2)v2, by quadruple (d,0,d,0), and with b = v1u2 in
+    component(d,d), u1 (x) bv2 differs from u1b (x) v2 by the relation
+    R_b(u1, v2), which the quotient kills.  So all three agree and the
+    check has no failures.  The ambient product (x (x) y) o (x' (x) y') =
+    x(yx') (x) y' is associative as p is, and the relations form an ideal
+    (above), so the product induced on the quotient is associative.  Both
+    arguments use only that the quotient kills the relations, so they hold
+    for the certified quotient and the balanced one alike."""
+    _require_degree(p, d)
     q = _zigzag_space(p, d) if _associative(p) else None
     if q is None:
         q = _edge_tensor(p, 0, d)
@@ -922,6 +945,7 @@ def find_strong_identity(p: PeirceAlgebra, d: int):
     None when no such element exists.  When both edge components vanish the
     zero element {} is returned (the degree-d corner is then forced to be
     the zero ring)."""
+    _require_degree(p, d)
     if p.dims[0][d] == 0 and p.dims[d][0] == 0:
         return {}
     diag = p.diagonal_algebra(d)
@@ -952,6 +976,7 @@ def _check_corner_square_identity(p: PeirceAlgebra, d: int, x: dict):
 
 def zd_ideal(p: PeirceAlgebra, d: int) -> Subspace:
     """Corner ideal spanned by products component(0,d) * component(d,0)."""
+    _require_degree(p, d)
     vecs = [
         p.cell(0, d, 0, u, v)
         for u in range(p.dims[0][d])
@@ -1075,6 +1100,7 @@ def _zd_algebra(p: PeirceAlgebra, ideal: Subspace) -> Algebra:
 
 def regular_module(p: PeirceAlgebra, d: int) -> ModuleRep:
     """component(d,d) acting on itself from the left."""
+    _require_degree(p, d)
     return _component_module(p, p.diagonal_algebra(d), d, d, "left")
 
 
@@ -1312,6 +1338,7 @@ def matrix_model_column_module(p: PeirceAlgebra, block: int, d: int) -> ModuleRe
     blocks = p.block_dims
     if not 0 <= block < len(blocks):
         raise ValueError(f"block {block} out of range 0..{len(blocks) - 1}")
+    _require_degree(p, d)
     # the matrix unit E_rc of the block, at start + r * n + c, sends e_c to e_r
     start = sum(b[d] ** 2 for b in blocks[:block])
     n = blocks[block][d]

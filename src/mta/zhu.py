@@ -90,12 +90,15 @@ class ZhuDescriptor(Frozen):
     @classmethod
     def from_json(cls, data) -> "ZhuDescriptor":
         degree = strict_int(data["degree"])
-        blocks: list[tuple[tuple[int, str], ...]] = [()] * (degree + 1)
+        levels: dict[int, tuple[tuple[int, str], ...]] = {}
         for item in data["blocks"]:
-            blocks[strict_int(item["level"])] = tuple(
-                (f["size"], str(f["ring"])) for f in item["factors"]
-            )
-        return cls(degree, tuple(blocks))
+            level = strict_int(item["level"])
+            if not 0 <= level <= degree:
+                raise ValueError(f"level {level} out of range 0..{degree}")
+            if level in levels:
+                raise ValueError(f"level {level} is given twice")
+            levels[level] = tuple((f["size"], str(f["ring"])) for f in item["factors"])
+        return cls(degree, tuple(levels.get(j, ()) for j in range(degree + 1)))
 
     def render_text(self) -> str:
         """Human-readable isomorphism type, factors ordered by level."""

@@ -900,7 +900,7 @@ def test_input_fixtures_load_under_the_integer_rule(tmp_path):
         timeout=120,
     )
     paths = list(tmp_path.glob("*.json")) + list((root / "tests" / "golden" / "cli" / "inputs").glob("*.json"))
-    assert len(paths) == len(names) + 5
+    assert len(paths) == len(names) + 6
     for path in paths:
         data = json.loads(path.read_text())
         if path.name == "modules.json":

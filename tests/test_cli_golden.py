@@ -68,8 +68,23 @@ CASES = {
         ("peirce", "zigzag", "--algebra", "{mm22_perturbed.json}", "--degree", "0"),
         1,
     ),
+    # c_mm12 is matrix_model([[1, 2], [1, 0]]) in a random integer basis
+    # (test_peirce._changed_basis, random.Random(7)): 88 of its 122
+    # structure constants are fractions
+    "peirce_zigzag_fractional_0": (
+        ("peirce", "zigzag", "--algebra", "{c_mm12.json}", "--degree", "0"),
+        0,
+    ),
+    "peirce_zigzag_fractional_1": (
+        ("peirce", "zigzag", "--algebra", "{c_mm12.json}", "--degree", "1"),
+        0,
+    ),
     "peirce_morita_0": (("peirce", "morita", "--algebra", "{mm12.json}", "--degree", "0"), 0),
     "peirce_morita_1": (("peirce", "morita", "--algebra", "{mm12.json}", "--degree", "1"), 0),
+    "peirce_morita_fractional_0": (
+        ("peirce", "morita", "--algebra", "{c_mm12.json}", "--degree", "0"),
+        0,
+    ),
     "peirce_morita_no_identity": (
         ("peirce", "morita", "--algebra", "{no_identity.json}", "--degree", "1"),
         1,

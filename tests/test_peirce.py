@@ -241,7 +241,7 @@ def test_from_json_dict_empties_products_and_matches_the_constructor():
         assert (p.entries(), p.unit0) == (q.entries(), q.unit0), name
         assert data["products"] == [None] * len(entries), name
         names.append(name)
-    assert len(names) == 12
+    assert len(names) == 13
 
 
 def test_equal_one_term_cells_are_shared_and_never_written():
@@ -342,6 +342,107 @@ def test_zero_product_zigzag():
     assert z.as_algebra().is_associative() and action_through_A_check(z).ok
     split = ideal_unit_and_split(p, zd_ideal(p, 1))
     assert split.ok and split.ideal.dim == 0 and split.epsilon == {}
+
+
+MM332 = ([3, 2], [1, 3], [2, 1])
+MM12 = ([1, 2], [1, 0])
+
+
+def test_zigzag_payload_reads_its_verdicts_off_validation(monkeypatch):
+    """`peirce zigzag` prints `associative` and `action_through_corner` as
+    the zigzag docstring proves them from validate_peirce, and runs neither
+    check: the payloads and statuses are those the computed checks gave,
+    on the certified quotients of mm332 and mm12 and on the balanced
+    fallback of the idempotent family."""
+
+    def refuse(*args):
+        raise AssertionError("a verdict that validation proves was computed")
+
+    monkeypatch.setattr(peirce, "action_through_A_check", refuse)
+    monkeypatch.setattr(peirce.Algebra, "is_associative", refuse)
+
+    def recorded(d, dim, ideal_dim, epsilon):
+        # the payload printed while both verdicts were computed
+        return {
+            "degree": d,
+            "dim": dim,
+            "ideal_dim": ideal_dim,
+            "star_rank": ideal_dim,
+            "star_bijective": dim == ideal_dim,
+            "associative": True,
+            "action_through_corner": True,
+            "ideal_unital": True,
+            "epsilon": epsilon,
+            "idempotent_ideal": True,
+        }
+
+    eps332 = ["1", "0", "0", "0", "1", "0", "0", "0", "1", "1", "1", "0", "0", "1"]
+    cases = [
+        (matrix_model(MM332), 0, recorded(0, 14, 14, eps332)),
+        (matrix_model(MM332), 1, recorded(1, 14, 14, eps332)),
+        (matrix_model(MM12), 0, recorded(0, 2, 2, ["1", "1"])),
+        (matrix_model(MM12), 1, recorded(1, 1, 1, ["1", "0"])),
+        (idempotent_family(3), 1, recorded(1, 9, 0, ["0", "0", "0"])),
+    ]
+    for p, d, expected in cases:
+        payload, ok = _zigzag_payload(p, d)
+        assert (json.dumps(payload), ok) == (json.dumps(expected), True), (p.dims, d)
+
+
+def test_zigzag_verdicts_hold_on_every_validated_algebra():
+    """The differential check of the verdicts `peirce zigzag` reads off
+    validation: at every degree of every algebra here that passes
+    validate_peirce, the computed action_through_A_check and
+    is_associative of the zig-zag algebra both hold.  The sweep takes the
+    mutated models (none validates), the edge cases, the idempotent family
+    (balanced fallback at degree 1), five matrix models with mm332 and mm12
+    among them, each also in a random integer basis with fractional
+    structure constants, and two boson truncations."""
+    models = [matrix_model(blocks) for blocks in (*ACCEPTANCE_BLOCKS, [[1, 1], [1, 1]])]
+    algebras = [
+        *(bad for _, bad in _mutation_sweep()),
+        zero_edge_algebra(),
+        dead_edge_algebra(),
+        *(idempotent_family(n) for n in (1, 2, 3, 8)),
+        *models,
+        *(_changed_basis(p, random.Random(7)) for p in models),
+        heisenberg_truncation(1, 3, [Fraction(0)]),
+        heisenberg_truncation(2, 2, [Fraction(0), Fraction(0)]),
+    ]
+    pairs = 0
+    for p in algebras:
+        for d in range(p.max_degree + 1) if validate_peirce(p).ok else ():
+            z = zigzag(p, d)
+            check = action_through_A_check(z)
+            assert check.ok and check.checked == z.dim**2, (p.dims, d, check.failures[:3])
+            assert z.as_algebra().is_associative(), (p.dims, d)
+            pairs += 1
+    assert (len(algebras), pairs) == (342, 37)
+
+
+# each call of the peirce API that takes a degree d, given the algebra, d
+# and a module over component(0,0)
+DEGREE_CALLS = {
+    "zigzag": lambda p, d, w: zigzag(p, d),
+    "zd_ideal": lambda p, d, w: zd_ideal(p, d),
+    "find_strong_identity": lambda p, d, w: find_strong_identity(p, d),
+    "regular_module": lambda p, d, w: regular_module(p, d),
+    "matrix_model_column_module": lambda p, d, w: matrix_model_column_module(p, 0, d),
+    "morita_forward": lambda p, d, w: morita_forward(p, d, w),
+    "morita_backward": lambda p, d, w: peirce.morita_backward(p, d, w),
+    "verify_roundtrip": lambda p, d, w: verify_roundtrip(p, d, w),
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_CALLS)
+@pytest.mark.parametrize("d", [-1, 2])
+def test_degree_out_of_range_is_refused(name, d):
+    """A degree outside 0..D is refused with the CLI's message: -1 would
+    read the last components through negative indexing, and D + 1 would
+    raise IndexError."""
+    p = matrix_model(MM332)
+    with pytest.raises(ValueError, match=rf"^degree {d} out of range 0\.\.1$"):
+        DEGREE_CALLS[name](p, d, regular_module(p, 0))
 
 
 def _table(mats, side):

@@ -151,3 +151,20 @@ def test_descriptor_validation():
         ZhuDescriptor(0, (((0, SCALAR_FIELD),),))
     with pytest.raises(ValueError):
         ZhuDescriptor(0, (((1, "mystery-ring"),),))
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ([-1], "level -1 out of range 0..1"),
+        ([2], "level 2 out of range 0..1"),
+        ([0, 1, 0], "level 0 is given twice"),
+    ],
+)
+def test_descriptor_from_json_rejects_bad_levels(levels, message):
+    """Each is refused by name: a negative level would land on the last
+    level through negative indexing, a repeated one would overwrite the
+    earlier, and one past the degree would raise IndexError."""
+    blocks = [{"level": j, "factors": [{"size": 1, "ring": SCALAR_FIELD}]} for j in levels]
+    with pytest.raises(ValueError, match=message):
+        ZhuDescriptor.from_json({"degree": 1, "blocks": blocks})
