@@ -11,7 +11,6 @@ which --unsafe-no-limits lifts).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -19,6 +18,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 from .exact import frac_str, parse_frac, parse_int, strict_int
 
@@ -178,7 +178,9 @@ def _load_json(parser, path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or an overlong integer
+    # ValueError: bad JSON or an overlong integer; RecursionError: nesting
+    # deeper than the interpreter's recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         parser.error(f"cannot read {path}: {exc}")
 
 
@@ -558,12 +560,15 @@ def _cmd_selftest(parser, args) -> int:
 
 
 def _int_at_least(low: int | None):
-    """argparse type: an integer written as ASCII [+-]?[0-9]+, as
-    exact.parse_int reads it, and no smaller than low unless low is None."""
+    """The type of an integer option: an integer written as ASCII
+    [+-]?[0-9]+, as exact.parse_int reads it, and no smaller than low unless
+    low is None.  The error branch imports argparse for its message."""
 
     def parse(text: str) -> int:
         value = parse_int(text)
         if low is not None and value < low:
+            import argparse
+
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
@@ -575,113 +580,174 @@ _RANK = _int_at_least(1)
 _SIZE = _int_at_least(0)
 _INTEGER = _int_at_least(None)
 
+# An option is (flag, type, default, help).  The type is str, bool for a
+# switch, a tuple of the choices, or one of the integer types above; an
+# option whose default is _REQUIRED must be given.  Every command takes the
+# _COMMON options first.
+_REQUIRED = object()
+_COMMON = (
+    ("--format", ("json", "text"), "json", None),
+    ("--unsafe-no-limits", bool, False, "lift the desk-scale limits"),
+)
+_OPT_RANK = ("--rank", _RANK, 1, None)
+_OPT_DEGREE = ("--degree", _SIZE, _REQUIRED, None)
+_OPT_GRAM = ("--gram", str, _REQUIRED, "gram file: rank line, then rows")
+_OPT_ALGEBRA = ("--algebra", str, _REQUIRED, "algebra JSON file")
 
-def _add_common(parser):
-    """The options every command takes."""
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument(
-        "--unsafe-no-limits",
-        action="store_true",
-        help="lift the desk-scale limits",
-    )
-
-
-def _subcommands(family):
-    """add_parser for the subcommands of a family, each taking the common
-    options."""
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
-    actions = family.add_subparsers(dest="action", required=True)
-    return lambda name: actions.add_parser(name, parents=[common])
-
-
-def _add_partitions(family):
-    leaf = _subcommands(family)
-    for name in ("count", "list"):
-        sp = leaf(name)
-        sp.add_argument("--rank", type=_RANK, default=1)
-        sp.add_argument("--weight", type=_SIZE, required=True)
-
-
-def _add_heisenberg(family):
-    leaf = _subcommands(family)
-    for name in ("identity", "verify", "zhu"):
-        sp = leaf(name)
-        sp.add_argument("--rank", type=_RANK, default=1)
-        sp.add_argument("--degree", type=_SIZE, required=True)
-
-
-def _add_lattice(family):
-    leaf = _subcommands(family)
-    for name in ("cosets", "weights", "dims"):
-        sp = leaf(name)
-        sp.add_argument("--gram", required=True, help="gram file: rank line, then rows")
-        if name == "dims":
-            sp.add_argument("--coset", type=_INTEGER, required=True)
-            sp.add_argument("--max", type=_SIZE, default=0)
-
-
-def _add_peirce(family):
-    leaf = _subcommands(family)
-    for name in ("validate", "zigzag", "morita"):
-        sp = leaf(name)
-        sp.add_argument("--algebra", required=True, help="algebra JSON file")
-        if name != "validate":
-            sp.add_argument("--degree", type=_SIZE, required=True)
-
-
-def _add_zhu(family):
-    leaf = _subcommands(family)
-    sp = leaf("rational")
-    sp.add_argument("--modules", required=True, help="JSON list of simple module data")
-    sp.add_argument("--degree", type=_SIZE, required=True)
-    sp = leaf("heisenberg")
-    sp.add_argument("--rank", type=_RANK, default=1)
-    sp.add_argument("--degree", type=_SIZE, required=True)
-    sp = leaf("exceptional")
-    sp.add_argument("--dims", required=True, help="comma-separated level dimensions")
-    sp.add_argument("--max", type=_SIZE, required=True)
-
-
-def _add_selftest(family):
-    _add_common(family)
-    family.add_argument("--seed", type=_INTEGER, default=0)
-    family.add_argument("--fast", action="store_true")
-
-
-# command -> (help, adder of its arguments and subcommands, handler)
+# command -> (help, handler, {subcommand: its options}); selftest has no
+# subcommand, so its options are keyed by None
 _FAMILIES = {
-    "partitions": ("partition combinatorics", _add_partitions, _cmd_partitions),
-    "heisenberg": ("free-boson engine", _add_heisenberg, _cmd_heisenberg),
-    "lattice": ("even-lattice module data", _add_lattice, _cmd_lattice),
-    "peirce": ("structure-constant corner algebras", _add_peirce, _cmd_peirce),
-    "zhu": ("block descriptors", _add_zhu, _cmd_zhu),
-    "selftest": ("built-in verification battery", _add_selftest, _cmd_selftest),
+    "partitions": (
+        "partition combinatorics",
+        _cmd_partitions,
+        dict.fromkeys(("count", "list"), (_OPT_RANK, ("--weight", _SIZE, _REQUIRED, None))),
+    ),
+    "heisenberg": (
+        "free-boson engine",
+        _cmd_heisenberg,
+        dict.fromkeys(("identity", "verify", "zhu"), (_OPT_RANK, _OPT_DEGREE)),
+    ),
+    "lattice": (
+        "even-lattice module data",
+        _cmd_lattice,
+        {
+            "cosets": (_OPT_GRAM,),
+            "weights": (_OPT_GRAM,),
+            "dims": (_OPT_GRAM, ("--coset", _INTEGER, _REQUIRED, None), ("--max", _SIZE, 0, None)),
+        },
+    ),
+    "peirce": (
+        "structure-constant corner algebras",
+        _cmd_peirce,
+        {
+            "validate": (_OPT_ALGEBRA,),
+            "zigzag": (_OPT_ALGEBRA, _OPT_DEGREE),
+            "morita": (_OPT_ALGEBRA, _OPT_DEGREE),
+        },
+    ),
+    "zhu": (
+        "block descriptors",
+        _cmd_zhu,
+        {
+            "rational": (("--modules", str, _REQUIRED, "JSON list of simple module data"), _OPT_DEGREE),
+            "heisenberg": (_OPT_RANK, _OPT_DEGREE),
+            "exceptional": (
+                ("--dims", str, _REQUIRED, "comma-separated level dimensions"),
+                ("--max", _SIZE, _REQUIRED, None),
+            ),
+        },
+    ),
+    "selftest": (
+        "built-in verification battery",
+        _cmd_selftest,
+        {None: (("--seed", _INTEGER, 0, None), ("--fast", bool, False, None))},
+    ),
 }
 
 
-def build_parser(family: str | None = None) -> argparse.ArgumentParser:
-    """The ``mta`` parser, in full when family is None.
+def _add_options(parser, options) -> None:
+    """The common options and then these, on an argparse parser."""
+    for flag, kind, default, help_text in (*_COMMON, *options):
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", help=help_text)
+            continue
+        given = {"required": True} if default is _REQUIRED else {"default": default}
+        if isinstance(kind, tuple):
+            given["choices"] = kind
+        elif kind is not str:
+            given["type"] = kind
+        parser.add_argument(flag, help=help_text, **given)
+
+
+def build_parser(family: str | None = None):
+    """The ``mta`` argparse parser, in full when family is None.
 
     Given a family name, only that family's options and subcommands are
     built; each other family keeps an empty parser, so the top-level usage,
     help and errors read exactly as with the full parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="mta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add, _run) in _FAMILIES.items():
+    for name, (help_text, _run, leaves) in _FAMILIES.items():
         command = sub.add_parser(name, help=help_text)
-        if family is None or family == name:
-            add(command)
+        if family not in (None, name):
+            continue
+        if None in leaves:
+            _add_options(command, leaves[None])
+            continue
+        actions = command.add_subparsers(dest="action", required=True)
+        for leaf, options in leaves.items():
+            _add_options(actions.add_parser(leaf), options)
     return parser
+
+
+def _read_argv(argv):
+    """The namespace build_parser().parse_args(argv) returns, read without
+    argparse, or None.
+
+    argv must be ``family [leaf] (--name value | --switch)*``: every name
+    one of that leaf's options or a common one, written out in full and given
+    once, every value one its type and choices accept and not starting with
+    "-", and every required option present.  Anything else (help,
+    abbreviations, --name=value, repeats, negative values, extra tokens,
+    errors) is None, for argparse to read and report."""
+    if not argv or argv[0] not in _FAMILIES:
+        return None
+    leaves = _FAMILIES[argv[0]][2]
+    names = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    if None not in leaves:
+        leaf = next(tokens, None)
+        if leaf not in leaves:
+            return None
+        names["action"] = leaf
+    options = (*_COMMON, *leaves[names.get("action")])
+    kinds = {flag: kind for flag, kind, _default, _help in options}
+    given = {}
+    for flag in tokens:
+        if flag not in kinds or flag in given:
+            return None
+        kind = kinds[flag]
+        if kind is bool:
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is refused like "-"
+        if text.startswith("-"):
+            return None
+        if isinstance(kind, tuple):
+            if text not in kind:
+                return None
+        elif kind is not str:
+            try:
+                text = kind(text)
+            # ValueError or argparse.ArgumentTypeError: nothing is lost, as
+            # argparse calls the type again and reports what it raises
+            except Exception:
+                return None
+        given[flag] = text
+    for flag, _kind, default, _help in options:
+        value = given.get(flag, default)
+        if value is _REQUIRED:
+            return None
+        names[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**names)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # each command runs in a fresh interpreter: build only its family's parser
-    parser = build_parser(argv[0] if argv and argv[0] in _FAMILIES else None)
-    args = parser.parse_args(argv)
-    _help, _add, run = _FAMILIES[args.command]
+    args = _read_argv(argv)
+    if args is None:
+        # each command runs in a fresh interpreter: build only its family's parser
+        parser = build_parser(argv[0] if argv and argv[0] in _FAMILIES else None)
+        args = parser.parse_args(argv)
+    else:
+        # a handler only calls parser.error, which then builds the parser
+        # to print the same usage and message and exit 2
+        family = args.command
+        parser = SimpleNamespace(error=lambda message: build_parser(family).error(message))
+    _help, run, _leaves = _FAMILIES[args.command]
     return run(parser, args)
 
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -1060,7 +1061,7 @@ sys.exit(code)
 
 @pytest.mark.parametrize("argv", _FAMILY_COMMANDS, ids=lambda argv: argv[0])
 def test_commands_do_not_import_dataclasses_or_inspect(argv, algebra_file):
-    # both are slow imports that every command would pay for at start-up
+    # all are slow imports that every command would pay for at start-up
     root = Path(__file__).resolve().parents[1]
     argv = [a.format(demos=root / "demos", algebra=algebra_file) for a in argv]
     proc = subprocess.run(
@@ -1073,7 +1074,9 @@ def test_commands_do_not_import_dataclasses_or_inspect(argv, algebra_file):
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stderr.split())
     assert "mta.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    # a well-formed command line is read without argparse, which would load
+    # gettext and, on parsing, locale
+    assert not added & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     loaded = {name for name in added if name.startswith("mta.")}
     assert loaded == {"mta.cli", "mta.exact", *_FAMILY_MODULES[argv[0]]}
 
@@ -1104,3 +1107,192 @@ def test_family_parser_prints_what_the_full_parser_prints(argv, capsys):
         outcomes.append((exc.value.code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] or outcomes[0][2]
+
+
+# stderr of each parser.error a handler reaches from a well-formed command
+# line, as recorded when every command built its parser first; "{inputs}"
+# is tests/golden/cli/inputs and "{tmp}" holds the files of _ERROR_FILES
+_USAGE = "usage: mta [-h] {partitions,heisenberg,lattice,peirce,zhu,selftest} ...\n"
+_ERROR_FILES = {
+    "big.gram": "1\n4098\n",
+    "algebra.json": json.dumps(
+        {
+            "max_degree": 0,
+            "dims": [[1]],
+            "products": [{"i": 0, "j": 0, "k": 0, "a": 0, "b": 0, "c": 1, "coeff": "1"}],
+            "unit0": ["1"],
+        }
+    ),
+    "modules.json": "{}",
+}
+_LIMIT = ", over the desk-scale limit of {}; pass --unsafe-no-limits to override"
+_HANDLER_ERRORS = {
+    "rank": (["partitions", "count", "--rank", "5", "--weight", "3"], "rank: 5" + _LIMIT.format(4)),
+    "weight": (["partitions", "count", "--weight", "401"], "weight: 401" + _LIMIT.format(400)),
+    "pairing-labels": (
+        ["heisenberg", "verify", "--rank", "4", "--degree", "6"],
+        "labels of the pairing matrix: 574" + _LIMIT.format(429),
+    ),
+    "max": (
+        ["lattice", "dims", "--gram", "{inputs}/z8.gram", "--coset", "0", "--max", "101"],
+        "--max: 101" + _LIMIT.format(100),
+    ),
+    "determinant": (
+        ["lattice", "cosets", "--gram", "{tmp}/big.gram"],
+        "lattice determinant: 4098" + _LIMIT.format(4096),
+    ),
+    "coset": (
+        ["lattice", "dims", "--gram", "{inputs}/z8.gram", "--coset", "8"],
+        "coset index 8 out of range 0..7",
+    ),
+    "peirce-degree": (
+        ["peirce", "zigzag", "--algebra", "{inputs}/mm12.json", "--degree", "2"],
+        "degree 2 out of range 0..1",
+    ),
+    "malformed-algebra": (
+        ["peirce", "validate", "--algebra", "{tmp}/algebra.json"],
+        "malformed algebra file {tmp}/algebra.json: basis index out of range in entry (0, 0, 0, 0, 0, 1)",
+    ),
+    "unreadable-file": (
+        ["peirce", "validate", "--algebra", "{tmp}/missing.json"],
+        "cannot read {tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'",
+    ),
+    "dims": (
+        ["zhu", "exceptional", "--dims", "1,x", "--max", "3"],
+        "--dims expects a comma-separated integer list, got '1,x'",
+    ),
+    "d-max": (
+        ["zhu", "exceptional", "--dims", "1,0,1,1", "--max", "100000000"],
+        "d_max 100000000 out of range for 4 levels",
+    ),
+    "module-data": (
+        ["zhu", "rational", "--modules", "{tmp}/modules.json", "--degree", "2"],
+        "bad module data: expected a list of module objects",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HANDLER_ERRORS))
+def test_handler_errors_print_the_recorded_usage(case, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    for name, text in _ERROR_FILES.items():
+        (tmp_path / name).write_text(text)
+    places = {"inputs": Path(__file__).resolve().parent / "golden" / "cli" / "inputs", "tmp": tmp_path}
+    argv, message = _HANDLER_ERRORS[case]
+    argv = [a.format(**places) for a in argv]
+    # the command line is well formed, so the handler reports through the
+    # parser that is built only on error
+    assert cli._read_argv(argv) is not None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"{_USAGE}mta: error: {message.format(**places)}\n")
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize(
+    "argv",
+    [["peirce", "validate", "--algebra"], ["zhu", "rational", "--degree", "1", "--modules"]],
+    ids=["peirce", "zhu"],
+)
+def test_deeply_nested_json_is_a_usage_error(argv, depth, tmp_path):
+    # json.load raises RecursionError past the interpreter's limit: 1 000
+    # deep on Python 3.11, more from 3.12 on, where the shallower file is
+    # read and refused as malformed instead
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mta", *argv, str(path)],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "mta: error: " in proc.stderr
+    if depth == 100_000:
+        assert f"mta: error: cannot read {path}: " in proc.stderr
+
+
+# tokens for command lines that argparse and the reader may read apart:
+# help, abbreviations, --name=value, negative, signed, underscored and empty
+# values, bad choices and extra tokens
+_LEAVES = sorted({leaf for _h, _run, leaves in cli._FAMILIES.values() for leaf in leaves if leaf})
+_FLAGS = sorted(
+    {flag for flag, *_ in cli._COMMON}
+    | {flag for _h, _run, leaves in cli._FAMILIES.values() for opts in leaves.values() for flag, *_ in opts}
+)
+_VALUES = [
+    "0", "1", "3", "-1", "+2", "1_0", "", "json", "text", "xml", "x.json", "-", "--", "-h", "--rank"
+]
+_NOISE = ["-h", "--help", "--deg", "--ra", "--form", "--unsafe", "--weight=3", "--format=text", "extra"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line of a family and leaf: each option mostly given with a
+    value of its type, sometimes left out or given a drawn value; one time in
+    four an option given twice, one time in three a drawn token put anywhere,
+    and one time in ten the second token dropped."""
+    family = draw(st.sampled_from([*cli._FAMILIES, "nope"]))
+    leaves = cli._FAMILIES[family][2] if family in cli._FAMILIES else {None: ()}
+    leaf = draw(st.sampled_from(sorted(leaves, key=str)))
+    argv = [family] if leaf is None else [family, leaf]
+    options = [*cli._COMMON, *leaves[leaf]]
+    given = [option for option in draw(st.permutations(options)) if draw(st.integers(0, 5))]
+    if not draw(st.integers(0, 3)):
+        given.append(draw(st.sampled_from(options)))
+    for flag, kind, _default, _help in given:
+        argv.append(flag)
+        if kind is bool:
+            continue
+        typed = kind if isinstance(kind, tuple) else ["x.json", "1,0,1"] if kind is str else ["0", "1", "3"]
+        argv.append(draw(st.sampled_from(typed if draw(st.integers(0, 3)) else _VALUES)))
+    if not draw(st.integers(0, 2)):
+        token = st.sampled_from([*_NOISE, *_VALUES, *_FLAGS, *_LEAVES])
+        argv.insert(draw(st.integers(0, len(argv))), draw(token))
+    if not draw(st.integers(0, 9)):
+        del argv[1:2]
+    return argv
+
+
+def _argparse_vars(argv):
+    """vars() of build_parser().parse_args(argv), or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_reader_agrees_with_argparse(argv):
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert vars(read) == _argparse_vars(argv), argv
+
+
+def _benchmark_command_lines():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        del sys.modules[spec.name]
+    commands = [bench.WARMUP, *(c for w in bench.WORKLOADS.values() for c in w.commands)]
+    return [c.args(1) for c in commands]
+
+
+def test_reader_reads_every_benchmark_and_golden_command_line():
+    from test_cli_golden import CASES, _argv
+
+    argvs = [*_benchmark_command_lines(), *(_argv(argv) for argv, _status in CASES.values())]
+    assert len(argvs) == 31 + len(CASES)
+    for argv in argvs:
+        read = cli._read_argv(argv)
+        assert read is not None, argv
+        assert vars(read) == _argparse_vars(argv), argv
