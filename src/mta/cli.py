@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -95,10 +94,12 @@ def _limit(parser, args, what: str, size: int, limit: int) -> None:
 def _algebra_sizes(data) -> dict:
     """{what: (size, limit)} read off the algebra JSON before anything is
     built; {} for a malformed file, which PeirceAlgebra reports."""
+    from .peirce import _entry_fields
+
     try:
         dims = [[strict_int(x) for x in row] for row in data["dims"]]
         products = data["products"]
-        coeffs = chain((e["coeff"] for e in products), data["unit0"])
+        coeffs = chain(_entry_fields(products, "coeff"), data["unit0"])
         return {
             "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
             "balancing relations": (
@@ -118,18 +119,21 @@ def _algebra_sizes(data) -> dict:
 
 def _associativity_work(products) -> int:
     """Multiply-adds of the full associativity call on an entry list:
-    peirce._first_nonassociative(tables, itertools.product(range(D + 1),
-    repeat=4)) with no middle, every quadruple of components of a degree-D
-    algebra, when it runs to the end.
+    peirce._first_nonassociative(tables, quads) with no middle, quads every
+    quadruple of components of a degree-D algebra (or the ones with a
+    table, peirce._quadruples, as the others cost none), when it runs to
+    the end.
 
     (ab)c chains each entry of (i,j,k) with output x to every entry of
     (i,k,l) with left factor x, and a(bc) chains each entry of (j,k,l) with
     output y to every entry of (i,j,l) with right factor y; keyed by the
     shared component and basis element both sums run over the same keys.
     """
-    outputs = Counter((e["i"], e["k"], e["c"]) for e in products)
-    by_left = Counter((e["i"], e["j"], e["a"]) for e in products)
-    by_right = Counter((e["j"], e["k"], e["b"]) for e in products)
+    from .peirce import _entry_fields
+
+    outputs = Counter(_entry_fields(products, "i", "k", "c"))
+    by_left = Counter(_entry_fields(products, "i", "j", "a"))
+    by_right = Counter(_entry_fields(products, "j", "k", "b"))
     return sum(n * (by_left[key] + by_right[key]) for key, n in outputs.items())
 
 
@@ -174,10 +178,10 @@ def _emit(args, payload: dict, text_lines) -> None:
         sys.exit(1)
 
 
-def _load_json(parser, path):
+def _load_json(parser, path, object_hook=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     # ValueError: bad JSON or an overlong integer; RecursionError: nesting
     # deeper than the interpreter's recursion limit
     except (OSError, ValueError, RecursionError) as exc:
@@ -202,9 +206,10 @@ def _load_lattice(parser, args, path):
 
 
 def _load_peirce(parser, args, path):
-    from .peirce import PeirceAlgebra
+    from .peirce import PeirceAlgebra, _entry_containers, _entry_hook
 
-    data = _load_json(parser, path)
+    # each product object is read as a compact _Entry, not a dict
+    data = _entry_containers(_load_json(parser, path, _entry_hook))
     for what, (size, limit) in _algebra_sizes(data).items():
         _limit(parser, args, what, size, limit)
     try:
@@ -461,7 +466,10 @@ def _module_data(zhu, data) -> list:
 
 
 def _selftest_checks(seed: int, fast: bool):
-    # the battery checks every layer, so selftest alone loads them all
+    # the battery checks every layer, so selftest alone loads them all, and
+    # random too
+    import random
+
     from . import heisenberg as hb
     from . import lattice as lat
     from . import peirce as pc

@@ -94,6 +94,7 @@ the same either way.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .exact import (
     Echelon,
@@ -190,6 +191,26 @@ def _by_factor(table: dict, pos: int) -> dict:
     return out
 
 
+def _quadruples(tables: dict, max_degree: int):
+    """The (i, j, k, l) with table (i,j,k) or table (j,k,l) present, in
+    sorted order: on every other quadruple (ab)c and a(bc) are both zero,
+    so a scan over these finds the first failure of a scan over all of
+    them.  At most 2 (D+1) per table, however large D is; made one (i, j)
+    at a time."""
+    r = range(max_degree + 1)
+    ks: dict = {}  # (i, j) -> [k with table (i,j,k)]
+    kls: dict = {}  # j -> [(k, l) with table (j,k,l)]
+    for x, y, z in tables:
+        ks.setdefault((x, y), []).append(z)
+        kls.setdefault(x, []).append((y, z))
+    for i in r:
+        for j in r:
+            block = {(k, l) for k in ks.get((i, j), ()) for l in r}
+            block.update(kls.get(j, ()))
+            for k, l in sorted(block):
+                yield i, j, k, l
+
+
 def _first_nonassociative(tables: dict, quads, middle=None):
     """The first (i, j, k, l, a, b, c) with (ab)c != a(bc), over the given
     quadruples (i, j, k, l) in their order and each one's triples in
@@ -201,37 +222,64 @@ def _first_nonassociative(tables: dict, quads, middle=None):
     triple missing from both sides is zero on both, so every basis triple
     is checked.  middle, when given, maps (j, k) to the basis elements b of
     component (j,k) to check, a generating set for Light's test (see the
-    module docstring); a component it leaves out is not checked.  A table is
-    grouped by factor when a quadruple first needs it, so the cost follows
-    the quadruples given.  Both tensors are held for one middle element b at
-    a time, and a quadruple's failure is the smallest failing triple over
-    all its b.
-    """
-    groups: dict = {}
-    none: dict = {}
+    module docstring); a component it leaves out is not checked.  Both
+    tensors are held for one middle element b at a time, and a quadruple's
+    failure is the smallest failing triple over all its b.
 
-    def group(ijk, pos):
-        if (ijk, pos) not in groups:
-            groups[(ijk, pos)] = _by_factor(tables.get(ijk, none), pos)
-        return groups[(ijk, pos)]
+    A table's keys are grouped by factor when a quadruple first needs
+    them, so the cost follows the quadruples given, and a grouping is kept
+    only for the quadruples that read it: tables (i,j,.) grouped by their
+    second factor until (i, j) changes, tables (i,.,.) grouped by their
+    first factor until i changes, and the rows of (j,k,l) of the middle
+    elements of (j,k) alone for the whole scan.  Given in sorted order, as
+    _quadruples gives them, each table is grouped once per block.  A
+    quadruple whose (j,k) has no middle element is skipped.
+    """
+    none: dict = {}
+    block = None
+    by_second: dict = {}  # (i,j,k) -> {b: [(a, b), ...]}, for the current (i, j)
+    by_first: dict = {}  # (i,k,l) -> {x: [(x, c), ...]}, for the current i
+    rows: dict = {}  # (j,k,l) -> {b: [(b, c), ...]}, b in middle[(j, k)] only
+    kept = None if middle is None else {jk: set(bs) for jk, bs in middle.items()}
+
+    def group(memo, ijk, pos, keep=None):
+        # {factor: [key, ...]}: lists of the keys the table holds already
+        # cost far less than dicts of its cells
+        grouped = memo.get(ijk)
+        if grouped is None:
+            grouped = memo[ijk] = {}
+            for key in tables.get(ijk, none):
+                if keep is None or key[pos] in keep:
+                    grouped.setdefault(key[pos], []).append(key)
+        return grouped
 
     for i, j, k, l in quads:
-        ab = group((i, j, k), 1)  # {b: {a: cell}}
-        bc = group((j, k, l), 0)  # {b: {c: cell}}
-        xc = group((i, k, l), 0)  # {x: {c: cell}}
-        ay = group((i, j, l), 1)  # {y: {a: cell}}
+        if kept is not None and not kept.get((j, k)):
+            continue  # no middle element to check
+        if block != (i, j):
+            if block is None or block[0] != i:
+                by_first = {}
+            block, by_second = (i, j), {}
+        ab = group(by_second, (i, j, k), 1)
+        ay = group(by_second, (i, j, l), 1)
+        xc = group(by_first, (i, k, l), 0)
+        bc = group(rows, (j, k, l), 0, None if kept is None else kept[(j, k)])
+        t_ijk, t_ikl = tables.get((i, j, k), none), tables.get((i, k, l), none)
+        t_jkl, t_ijl = tables.get((j, k, l), none), tables.get((i, j, l), none)
         first = None
         for b in (ab.keys() | bc.keys()) if middle is None else middle.get((j, k), ()):
             left: dict = {}  # {(a, c): (ab)c} for this b
             right: dict = {}  # {(a, c): a(bc)}
-            for a, cell in ab.get(b, none).items():
-                for x, cx in cell.items():
-                    for c, out in xc.get(x, none).items():
-                        add_multiple(left.setdefault((a, c), {}), cx, out)
-            for c, cell in bc.get(b, none).items():
-                for y, cy in cell.items():
-                    for a, out in ay.get(y, none).items():
-                        add_multiple(right.setdefault((a, c), {}), cy, out)
+            for ab_key in ab.get(b, ()):
+                a = ab_key[0]
+                for x, cx in t_ijk[ab_key].items():
+                    for xc_key in xc.get(x, ()):
+                        add_multiple(left.setdefault((a, xc_key[1]), {}), cx, t_ikl[xc_key])
+            for bc_key in bc.get(b, ()):
+                c = bc_key[1]
+                for y, cy in t_jkl[bc_key].items():
+                    for ay_key in ay.get(y, ()):
+                        add_multiple(right.setdefault((ay_key[0], c), {}), cy, t_ijl[ay_key])
             bad = [t for t in left.keys() | right.keys() if left.get(t, none) != right.get(t, none)]
             if bad:
                 a, c = min(bad)
@@ -458,7 +506,11 @@ class PeirceAlgebra:
 
     The product tables _prod[(i, j, k)] = {(a, b): cell} are read only:
     equal one-term cells {c: v} are one object, shared across tables, so a
-    cell written in place would change every product that shares it.
+    cell written in place would change every product that shares it.  Equal
+    keys (a, b) are one object across tables too.  Both are shared as the
+    entries are stored: the first term of a cell takes the shared {c: v},
+    and a later term copies it before writing, so no unshared copy of the
+    tables is ever built.
     """
 
     def __init__(self, max_degree: int, dims, entries, unit0):
@@ -473,6 +525,11 @@ class PeirceAlgebra:
         if any(x < 0 for row in self.dims for x in row):
             raise ValueError("dims must be nonnegative")
         self._prod: dict[tuple[int, int, int], dict[tuple[int, int], dict]] = {}
+        # equal one-term cells {c: v} and equal (a, b) keys are one object
+        # each, shared as they are stored; wider cells stay apart, as keying
+        # them by their items costs more than sharing them saves
+        terms: dict = {}  # (c, v) -> the shared cell {c: v}
+        keys: dict = {}  # (a, b) -> the shared key
         for *index, coeff in entries:
             i, j, k, a, b, c = map(strict_int, index)
             if not (0 <= i <= max_degree and 0 <= j <= max_degree and 0 <= k <= max_degree):
@@ -480,19 +537,25 @@ class PeirceAlgebra:
             if not (0 <= a < self.dims[i][j] and 0 <= b < self.dims[j][k] and 0 <= c < self.dims[i][k]):
                 raise ValueError(f"basis index out of range in entry {(i, j, k, a, b, c)}")
             coeff = scalar(coeff)
-            if coeff:
-                table = self._prod.setdefault((i, j, k), {})
-                add_multiple(table.setdefault((a, b), {}), coeff, {c: 1})
+            if not coeff:
+                continue
+            table = self._prod.setdefault((i, j, k), {})
+            cell = table.get((a, b))
+            if cell is None:
+                # the first term takes the shared one-term cell
+                cell = terms.get((c, coeff))
+                if cell is None:
+                    cell = terms[(c, coeff)] = {c: coeff}
+                table[keys.setdefault((a, b), (a, b))] = cell
+                continue
+            if len(cell) == 1:
+                cell = table[(a, b)] = dict(cell)  # a shared cell is copied before it is written
+            add_multiple(cell, coeff, {c: 1})
+            if len(cell) == 1:
+                table[(a, b)] = terms.setdefault(next(iter(cell.items())), cell)
         self.unit0 = [scalar(x) for x in unit0]
         if len(self.unit0) != self.dims[0][0]:
             raise ValueError("unit0 has wrong length")
-        # equal one-term cells are one object; wider cells stay apart, as
-        # keying them by their items costs more than sharing them saves
-        shared: dict = {}
-        for table in self._prod.values():
-            for key, cell in table.items():
-                if len(cell) == 1:
-                    table[key] = shared.setdefault(next(iter(cell.items())), cell)
         self.block_dims = None  # set by matrix_model
         self._associative = None  # set by _associative, which runs Light's test once
 
@@ -550,8 +613,8 @@ class PeirceAlgebra:
 
         def entries():
             nonlocal read
-            for e in products:
-                entry = _json_entry(e)
+            for *index, coeff in _entry_fields(products, *_ENTRY_KEYS):
+                entry = (*index, parse_frac(coeff))
                 products[read] = None
                 read += 1
                 yield entry
@@ -574,7 +637,62 @@ class PeirceAlgebra:
 
 def _json_entry(e) -> tuple:
     """(i, j, k, a, b, c, coeff) of one product of an algebra file."""
-    return e["i"], e["j"], e["k"], e["a"], e["b"], e["c"], parse_frac(e["coeff"])
+    *index, coeff = next(_entry_fields([e], *_ENTRY_KEYS))
+    return (*index, parse_frac(coeff))
+
+
+# the keys of a product object of an algebra file, in the order it is written
+_ENTRY_KEYS = ("i", "j", "k", "a", "b", "c", "coeff")
+
+
+class _Entry(tuple):
+    """One product object of an algebra file, held as its seven values in
+    _ENTRY_KEYS order: 96 bytes, where the dict takes 272.  Its own
+    class, not a plain tuple, as freed 7-tuples stay on CPython's tuple
+    freelist.  It is unhashable and its repr is the object's, so a file
+    that holds one where a value belongs reads as with the dict."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(_ENTRY_KEYS, self)))
+
+
+def _entry_hook(obj: dict):
+    """json object_hook: an object whose keys are exactly _ENTRY_KEYS, in
+    that order, as an _Entry; any other object as it is."""
+    return _Entry(obj.values()) if tuple(obj) == _ENTRY_KEYS else obj
+
+
+def _entry_containers(data):
+    """The data of an algebra file read with _entry_hook, with each _Entry
+    that the reader iterates as a container turned back into its dict: the
+    top level, products, dims and each of its rows, and unit0.  Iterated,
+    an _Entry would give its values where the object gives its keys."""
+
+    def as_read(value):
+        return dict(zip(_ENTRY_KEYS, value)) if type(value) is _Entry else value
+
+    data = as_read(data)
+    if type(data) is dict:
+        for key in ("products", "dims", "unit0"):
+            if key in data:
+                data[key] = as_read(data[key])
+        if type(data.get("dims")) is list:
+            data["dims"] = [as_read(row) for row in data["dims"]]
+    return data
+
+
+def _entry_fields(products, *keys):
+    """The named fields of each product of an algebra file, by position off
+    an _Entry and by key off anything else (a JSON object, or what a
+    malformed file has there, which raises as indexing it does): one value
+    per product for one key, a tuple for several, as operator.itemgetter
+    gives."""
+    by_key = itemgetter(*keys)
+    by_pos = itemgetter(*map(_ENTRY_KEYS.index, keys))
+    return (by_pos(e) if type(e) is _Entry else by_key(e) for e in products)
 
 
 class PeirceReport:
@@ -682,7 +800,8 @@ def _associative(p: PeirceAlgebra) -> bool:
     if p._associative is None:
         r = range(p.max_degree + 1)
         gens = _generators(p._prod, p.dims, itertools.product(r, repeat=2))
-        p._associative = _first_nonassociative(p._prod, itertools.product(r, repeat=4), gens) is None
+        quads = _quadruples(p._prod, p.max_degree)
+        p._associative = _first_nonassociative(p._prod, quads, gens) is None
     return p._associative
 
 
@@ -692,7 +811,7 @@ def _associativity_failure(p: PeirceAlgebra):
     passes."""
     if _associative(p):
         return None
-    return _first_nonassociative(p._prod, itertools.product(range(p.max_degree + 1), repeat=4))
+    return _first_nonassociative(p._prod, _quadruples(p._prod, p.max_degree))
 
 
 def _first_unfixed(p: PeirceAlgebra, i: int, j: int, left=None, right=None):

@@ -1059,26 +1059,65 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv", _FAMILY_COMMANDS, ids=lambda argv: argv[0])
-def test_commands_do_not_import_dataclasses_or_inspect(argv, algebra_file):
-    # all are slow imports that every command would pay for at start-up
+def _modules_loaded_by(argv, algebra_file, *flags):
+    """The modules one command loads, run under _IMPORT_PROBE with the
+    interpreter flags given."""
     root = Path(__file__).resolve().parents[1]
     argv = [a.format(demos=root / "demos", algebra=algebra_file) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        [sys.executable, *flags, "-c", _IMPORT_PROBE, *argv],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stderr.split())
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("argv", _FAMILY_COMMANDS, ids=lambda argv: argv[0])
+def test_commands_do_not_import_dataclasses_or_inspect(argv, algebra_file):
+    # all are slow imports that every command would pay for at start-up
+    added = _modules_loaded_by(argv, algebra_file)
     assert "mta.cli" in added
     # a well-formed command line is read without argparse, which would load
     # gettext and, on parsing, locale
     assert not added & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     loaded = {name for name in added if name.startswith("mta.")}
     assert loaded == {"mta.cli", "mta.exact", *_FAMILY_MODULES[argv[0]]}
+
+
+@pytest.mark.parametrize("argv", _FAMILY_COMMANDS, ids=lambda argv: argv[0])
+def test_only_selftest_loads_random(argv, algebra_file):
+    # run with -S: a site hook may import random before any command starts,
+    # and the probe would not see a command load it
+    added = _modules_loaded_by(argv, algebra_file, "-S")
+    assert "mta.cli" in added
+    assert ("random" in added) == (argv[0] == "selftest")
+
+
+def test_compact_loader_holds_under_half_of_json_load(tmp_path):
+    """The algebra loader reads each product object as an _Entry, a tuple
+    of its seven values: on heisenberg_truncation(1, 4, [0]), 1 728
+    products, the data it returns holds 0.42 of what json.load returns."""
+    path = tmp_path / "h14.json"
+    path.write_text(json.dumps(heisenberg_truncation(1, 4, [Fraction(0)]).to_json_dict()))
+    readers = [
+        lambda: cli._load_json(None, str(path)),
+        lambda: peirce._entry_containers(cli._load_json(None, str(path), peirce._entry_hook)),
+    ]
+    held = []
+    for read in readers:
+        tracemalloc.start()
+        try:
+            data = read()
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(data["products"]) == 1728
+        del data
+    plain, compact = held
+    assert compact <= plain / 2, held
 
 
 # main builds only the named family's parser; its output and exit status

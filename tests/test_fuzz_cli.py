@@ -14,6 +14,13 @@ the products and unit0 fitted to it.  These must reach the command itself:
 exit 0 or 1 with one JSON line on stdout, exit 2 only for a degree above
 the file's max_degree.
 
+The algebra loader reads every product object as a compact tuple, so each
+algebra mutant, and files with product-shaped objects in other places
+(the top level, products, dims, unit0, a field of a product) with keys in
+order, permuted, repeated, added or missing, must give the exit status,
+stdout and stderr that the same command gives with a loader reading plain
+json.load objects.
+
 The module and gram files get well-formed mutants too: a graded_dims entry
 or a conformal_weight changed, or a module dropped; a diagonal entry or a
 symmetric off-diagonal pair of the Gram matrix changed.  Such a file may
@@ -23,15 +30,18 @@ end with exit 0 or 1 and one JSON line, or with exit 2 and a usage message.
 
 import contextlib
 import io
+import itertools
 import json
 import signal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mta import cli
 from mta.cli import main
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "cli" / "inputs"
@@ -224,6 +234,70 @@ def algebra_mutants(draw, name):
     return json.dumps(data)
 
 
+ENTRY_KEYS = ("i", "j", "k", "a", "b", "c", "coeff")
+# the keys of a product-shaped object: a repeated key keeps the place it
+# first had, so "repeated" reads as a product in order and "repeated first"
+# does not
+PRODUCT_LAYOUTS = {
+    "in order": ENTRY_KEYS,
+    "reversed": ENTRY_KEYS[::-1],
+    "repeated": (*ENTRY_KEYS, "i"),
+    "repeated first": ("coeff", *ENTRY_KEYS),
+    "extra": (*ENTRY_KEYS, "d"),
+    "missing": ENTRY_KEYS[1:],
+}
+PRODUCT_VALUES = {
+    "integers": (0, 0, 0, 0, 0, 0, 1),
+    "mixed": (0, "x", 1, "1/2", [0], 2, "1" * 120),
+}
+# where the object goes: the file, a top-level value, a row of dims, a
+# product, a field of a product; "long" also gives product 1 a 101-digit
+# coefficient, over the digits cap
+PLACES = (
+    "file",
+    *(("top", key) for key in ("max_degree", "dims", "products", "unit0")),
+    "dims row",
+    "product",
+    *(("field", key) for key in ENTRY_KEYS),
+    "long",
+)
+PLACE = "@product@"
+
+
+def _product_text(layout, values):
+    """A product-shaped JSON object as text, as json.dumps cannot repeat a
+    key; values are taken in turn, as many as the keys need."""
+    pairs = zip(PRODUCT_LAYOUTS[layout], itertools.cycle(PRODUCT_VALUES[values]))
+    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in pairs) + "}"
+
+
+def _with_product(name, where, text):
+    """The algebra file with a product-shaped object, given as text, put in
+    one place."""
+    data = json.loads((INPUTS / name).read_text(encoding="utf-8"))
+    if where == "file":
+        data = PLACE
+    elif where == "dims row":
+        data["dims"][0] = PLACE
+    elif where == "product":
+        data["products"][0] = PLACE
+    elif where == "long":
+        data["products"][0]["i"] = PLACE
+        data["products"][1]["coeff"] = "1" * 101
+    elif where[0] == "top":
+        data[where[1]] = PLACE
+    else:
+        data["products"][0][where[1]] = PLACE
+    return json.dumps(data).replace(json.dumps(PLACE), text)
+
+
+@st.composite
+def product_shaped_mutants(draw, name):
+    layout = draw(st.sampled_from(sorted(PRODUCT_LAYOUTS)))
+    text = _product_text(layout, draw(st.sampled_from(sorted(PRODUCT_VALUES))))
+    return _with_product(name, draw(st.sampled_from(PLACES)), text)
+
+
 @st.composite
 def module_mutants(draw):
     """A well-formed module file: one to three changes, each of one
@@ -338,3 +412,38 @@ def test_well_formed_gram_mutants_answer_or_refuse(scratch, data):
 @given(st.data())
 def test_well_formed_module_mutants_answer_or_refuse(scratch, data):
     _assert_answer_or_usage(MODULE_COMMANDS[0], scratch / "modules.json", data.draw(module_mutants()))
+
+
+_load_json = cli._load_json
+
+
+def _plain_load_json(parser, path, object_hook=None):
+    """cli._load_json with no object hook: every object read as json.load
+    reads it, a dict."""
+    return _load_json(parser, path)
+
+
+def _assert_read_as_json_load(command, path, text):
+    path.write_text(text, encoding="utf-8")
+    argv = [*command, str(path)]
+    compact = _run(argv)
+    with mock.patch.object(cli, "_load_json", _plain_load_json):
+        plain = _run(argv)
+    assert compact == plain, (argv, text)
+
+
+@pytest.mark.parametrize("values", sorted(PRODUCT_VALUES))
+@pytest.mark.parametrize("layout", sorted(PRODUCT_LAYOUTS))
+@pytest.mark.parametrize("where", PLACES, ids=str)
+def test_product_shaped_objects_read_as_json_load(scratch, where, layout, values):
+    text = _with_product("mm12.json", where, _product_text(layout, values))
+    _assert_read_as_json_load(ALGEBRA_COMMANDS[0], scratch / "algebra.json", text)
+
+
+@FUZZ
+@given(st.data())
+def test_compact_loader_reads_as_json_load(scratch, data):
+    name = data.draw(st.sampled_from(ALGEBRAS))
+    command = data.draw(st.sampled_from(WELL_FORMED_COMMANDS))
+    mutants = (json_mutants(name), algebra_mutants(name), product_shaped_mutants(name))
+    _assert_read_as_json_load(command, scratch / "algebra.json", data.draw(st.one_of(mutants)))
