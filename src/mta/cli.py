@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
 
@@ -467,8 +466,9 @@ def _module_data(zhu, data) -> list:
 
 def _selftest_checks(seed: int, fast: bool):
     # the battery checks every layer, so selftest alone loads them all, and
-    # random too
+    # random and fractions too
     import random
+    from fractions import Fraction
 
     from . import heisenberg as hb
     from . import lattice as lat

@@ -5,7 +5,10 @@ otherwise; scalar() is the one normaliser, and it rejects float.  Keeping
 integral values as int runs the common case (integer structure constants,
 Wick weights, unit pivots) in C integer arithmetic, while a value with a
 denominator stays exact.  Every division keeps a Fraction operand, so no
-float can appear.
+float can appear.  fractions is imported on the first value with a
+denominator (a non-integral text or rational given to scalar, or a division
+by a pivot other than 1 in Echelon.add), not with this module: importing it
+loads decimal and numbers too, which an integral computation never needs.
 
 Vectors are sparse: dicts column -> exact scalar, zeros never stored
 (sparse and dense convert from and to lists).  Linear algebra runs on one
@@ -20,7 +23,18 @@ spanning vectors.  No floating point is used anywhere.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+
+# fractions.Fraction once _load_fraction has run; a global, not an import in
+# each function, so a hot call pays one global lookup
+Fraction = None
+
+
+def _load_fraction():
+    """Bind and return fractions.Fraction."""
+    global Fraction
+    from fractions import Fraction
+
+    return Fraction
 
 
 def scalar(x):
@@ -34,7 +48,7 @@ def scalar(x):
     if isinstance(x, float):
         raise TypeError(f"float {x!r} is not an exact scalar")
     if type(x) is not Fraction:
-        x = Fraction(x)
+        x = (Fraction or _load_fraction())(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -143,7 +157,7 @@ class Echelon:
         p = min(v)
         c = v[p]
         if c != 1:
-            inv = Fraction(1, c)  # 1 / c on two ints would be a float
+            inv = (Fraction or _load_fraction())(1, c)  # 1 / c on two ints would be a float
             v = {j: scalar(x * inv) for j, x in v.items()}
         for other in self.rows.values():
             c = other.get(p)

@@ -26,7 +26,6 @@ annihilation against creation monomials are corner products.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from math import comb, perm
 from typing import NamedTuple
@@ -506,6 +505,8 @@ def strong_identity(n: int, d: int) -> list[tuple[LabeledPartition, int | Fracti
     u(sigma) (x) ubar(sigma) weighted by 1/symmetry_factor(sigma)."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    from fractions import Fraction
+
     return [
         (lp, scalar(Fraction(1, lp.symmetry_factor())))
         for lp in enumerate_labeled_partitions(n, d)

@@ -934,17 +934,29 @@ class ZigZag:
     space is component(0,d) (x)_{component(d,d)} component(d,0); product
     holds the sparse cells {(q1, q2): {q: coeff}} of (a1 (x) a2) o (b1 (x) b2)
     = (a1*a2*b1) (x) b2, zero cells left out, and star[q] is the sparse
-    corner image a1*a2 of the q-th basis element.
+    corner image a1*a2 of the q-th basis element.  A product of None is
+    built from parent on first read: `peirce zigzag` never reads it.
     """
 
     def __init__(
-        self, parent: PeirceAlgebra, degree: int, space: TensorQuotient, product: dict, star: list
+        self, parent: PeirceAlgebra, degree: int, space: TensorQuotient, product: dict | None, star: list
     ):
         self.parent = parent
         self.degree = degree
         self.space = space
-        self.product = product
+        self._product = product
         self.star = star
+
+    @property
+    def product(self) -> dict:
+        if self._product is None:
+            p, d, q = self.parent, self.degree, self.space
+            pairs = [q.lift_pair(qq) for qq in range(q.dim)]
+            # (e_u1 (x) e_v1) o (e_u2 (x) e_v2) = (e_u1 * (e_v1 * e_u2)) (x) e_v2
+            self._product = _left_action(
+                q, q.dim, lambda q1, u2: p.product(0, d, d, {pairs[q1][0]: 1}, p.cell(d, 0, d, pairs[q1][1], u2))
+            )
+        return self._product
 
     @property
     def dim(self) -> int:
@@ -1002,13 +1014,8 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     q = _zigzag_space(p, d) if _associative(p) else None
     if q is None:
         q = _edge_tensor(p, 0, d)
-    pairs = [q.lift_pair(qq) for qq in range(q.dim)]
-    # (e_u1 (x) e_v1) o (e_u2 (x) e_v2) = (e_u1 * (e_v1 * e_u2)) (x) e_v2
-    product = _left_action(
-        q, q.dim, lambda q1, u2: p.product(0, d, d, {pairs[q1][0]: 1}, p.cell(d, 0, d, pairs[q1][1], u2))
-    )
-    star = [dict(p.cell(0, d, 0, u, v)) for u, v in pairs]
-    return ZigZag(parent=p, degree=d, space=q, product=product, star=star)
+    star = [dict(p.cell(0, d, 0, *q.lift_pair(qq))) for qq in range(q.dim)]
+    return ZigZag(parent=p, degree=d, space=q, product=None, star=star)
 
 
 class CheckReport:

@@ -9,8 +9,6 @@ through its zero-mode polynomials).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._frozen import Frozen
 from .exact import strict_int
 from .partitions import labeled_partition_counts

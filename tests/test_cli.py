@@ -1096,6 +1096,36 @@ def test_only_selftest_loads_random(argv, algebra_file):
     assert ("random" in added) == (argv[0] == "selftest")
 
 
+# importing fractions loads decimal and numbers too; a command loads it only
+# when it makes a value with a denominator: lattice norms, the 1/n-valued
+# strong identity, selftest's fractional checks and h14's non-unit pivots
+_FRACTIONS_LOADED = [
+    (["partitions", "list", "--rank", "2", "--weight", "3"], False),
+    (["heisenberg", "verify", "--rank", "2", "--degree", "3"], False),
+    (["zhu", "heisenberg", "--rank", "2", "--degree", "3"], False),
+    (["peirce", "zigzag", "--algebra", "{algebra}", "--degree", "1"], False),
+    (["lattice", "dims", "--gram", "{demos}/z8.gram", "--coset", "1", "--max", "5"], True),
+    (["selftest", "--fast"], True),
+    (["heisenberg", "identity", "--rank", "2", "--degree", "3"], True),
+    (["peirce", "validate", "--algebra", "{h14}"], True),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "loads"), _FRACTIONS_LOADED, ids=[" ".join(argv[:2]) for argv, _ in _FRACTIONS_LOADED]
+)
+def test_only_a_denominator_loads_fractions(argv, loads, algebra_file, tmp_path):
+    # run with -S, as above; assert on fractions alone, since what it
+    # imports in turn differs across Python versions
+    if "{h14}" in argv:
+        h14 = tmp_path / "h14.json"
+        h14.write_text(json.dumps(heisenberg_truncation(1, 4, [Fraction(0)]).to_json_dict()))
+        argv = [a.replace("{h14}", str(h14)) for a in argv]
+    added = _modules_loaded_by(argv, algebra_file, "-S")
+    assert "mta.cli" in added
+    assert ("fractions" in added) == loads
+
+
 def test_compact_loader_holds_under_half_of_json_load(tmp_path):
     """The algebra loader reads each product object as an _Entry, a tuple
     of its seven values: on heisenberg_truncation(1, 4, [0]), 1 728

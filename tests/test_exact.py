@@ -1,5 +1,7 @@
 """Sparse echelon kernel against the dense elimination oracle."""
 
+import builtins
+import fractions
 from fractions import Fraction
 
 import oracle_exact as oracle
@@ -202,3 +204,20 @@ def test_parse_frac_plain_integers():
         assert exact.parse_frac(s) == Fraction(s)
     for s in ("1_0", " 1", "1 ", "٣", "+-1", "1/1", "1.0"):
         assert _outcome(exact.parse_frac, s) == _outcome(_parse_frac_reference, s)
+
+
+def test_fraction_is_bound_once_and_hot_calls_import_nothing(monkeypatch):
+    """exact binds fractions.Fraction on the first value with a denominator;
+    after that, scalar on a Fraction and division by a non-unit pivot run
+    no import statement."""
+    assert exact.scalar("3/6") == Fraction(1, 2)
+    assert exact.Fraction is fractions.Fraction
+    imports = []
+    real = builtins.__import__
+    monkeypatch.setattr(builtins, "__import__", lambda *a, **k: imports.append(a[0]) or real(*a, **k))
+    x = Fraction(3, 7)
+    for _ in range(1000):
+        assert exact.scalar(x) is x
+    ech = Echelon([{0: 2, 1: 1}, {1: 3, 2: 1}])
+    assert imports == []
+    assert ech.rows == {0: {0: 1, 2: Fraction(-1, 6)}, 1: {1: 1, 2: Fraction(1, 3)}}

@@ -1,6 +1,8 @@
 """The package namespace: every exported name, loaded lazily from its layer."""
 
 import ast
+import builtins
+import dis
 import importlib
 import importlib.util
 import os
@@ -159,3 +161,33 @@ def test_library_has_no_dead_private_name_or_import():
                     if bound not in read[name]:
                         dead.append(f"{name}: import {bound}")
     assert dead == []
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            yield from _code_objects(const)
+
+
+def test_every_global_a_function_reads_is_bound():
+    """Each name a function of an mta module reads as a global is bound in
+    the module or in builtins once the module is imported, so an import
+    moved into a function cannot leave a NameError on a rare branch.
+    __main__ is left out: importing it runs the command line."""
+    src = Path(mta.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        name = "mta" if path.stem == "__init__" else f"mta.{path.stem}"
+        module = importlib.import_module(name)
+        code = compile(path.read_text(), str(path), "exec")
+        unbound = {
+            (inner.co_name, ins.argval)
+            for inner in _code_objects(code)
+            for ins in dis.get_instructions(inner)
+            if ins.opname == "LOAD_GLOBAL"
+            and ins.argval not in vars(module)
+            and not hasattr(builtins, ins.argval)
+        }
+        assert not unbound, (name, sorted(unbound))

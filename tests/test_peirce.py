@@ -1555,6 +1555,23 @@ def test_left_action_matches_the_pair_loops():
     assert (zigzags, failing) == (662, 83)
 
 
+def test_zigzag_product_is_built_on_first_read(monkeypatch):
+    """`peirce zigzag` never reads the zig-zag product, so its payload makes
+    no _left_action call; the first read of ZigZag.product makes one, and
+    later reads return the same table."""
+    calls = []
+    real = peirce._left_action
+    monkeypatch.setattr(peirce, "_left_action", lambda *a: calls.append(1) or real(*a))
+    mm332 = matrix_model([[3, 2], [1, 3], [2, 1]])
+    for d in (0, 1):
+        _zigzag_payload(mm332, d)
+    assert calls == []
+    z = zigzag(mm332, 1)
+    assert calls == []
+    product = z.product
+    assert len(calls) == 1 and product and z.product is product
+
+
 def test_zero_actions_are_not_projected(monkeypatch):
     """_left_action makes each acting vector once per acting element and
     left index and projects only nonzero ones.  On the idempotent family
