@@ -18,7 +18,7 @@ from collections import Counter
 from itertools import chain
 from types import SimpleNamespace
 
-from .exact import frac_str, parse_frac, parse_int, strict_int
+from .exact import dense, frac_str, parse_frac, parse_int, strict_int
 
 MAX_RANK = 4
 MAX_DEGREE = 8
@@ -78,6 +78,17 @@ MAX_ALGEBRA_PRODUCTS = 32768
 # 17 s with 300 digits.
 MAX_ASSOCIATIVITY_WORK = 2**23
 MAX_COEFFICIENT_DIGITS = 100
+# A degree-D algebra has (D+1)^2 components, and validation builds a span
+# for each and walks every pair of them, whatever their dimensions: a
+# max_degree-500 file (754 kB) with one nonzero dimension took 2.2 s and
+# 194 MiB to validate.  D = 127 validates in 0.13 s and 24 MiB.
+MAX_ALGEBRA_COMPONENTS = 2**14
+# Every JSON input, checked on the file's size before a byte is read.  An
+# algebra file at every other cap (32 768 products of 100-digit
+# coefficients, D = 127) is 5.6 MiB with json's default separators and
+# 7.3 MiB with indent=2; a 20 MB file took 2.0 s and 79 MiB to parse before
+# its products cap refused it.
+MAX_INPUT_BYTES = 2**23
 
 
 def _limit(parser, args, what: str, size: int, limit: int) -> None:
@@ -101,6 +112,7 @@ def _algebra_sizes(data) -> dict:
         coeffs = chain(_entry_fields(products, "coeff"), data["unit0"])
         return {
             "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
+            "components in the grid": (len(dims) ** 2, MAX_ALGEBRA_COMPONENTS),
             "balancing relations": (
                 sum((dims[0][0] + dims[d][d]) * dims[d][0] * dims[0][d] for d in range(len(dims))),
                 MAX_BALANCING_RELATIONS,
@@ -177,9 +189,10 @@ def _emit(args, payload: dict, text_lines) -> None:
         sys.exit(1)
 
 
-def _load_json(parser, path, object_hook=None):
+def _load_json(parser, args, path, object_hook=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            _limit(parser, args, "bytes in the file", os.fstat(fh.fileno()).st_size, MAX_INPUT_BYTES)
             return json.load(fh, object_hook=object_hook)
     # ValueError: bad JSON or an overlong integer; RecursionError: nesting
     # deeper than the interpreter's recursion limit
@@ -208,7 +221,7 @@ def _load_peirce(parser, args, path):
     from .peirce import PeirceAlgebra, _entry_containers, _entry_hook
 
     # each product object is read as a compact _Entry, not a dict
-    data = _entry_containers(_load_json(parser, path, _entry_hook))
+    data = _entry_containers(_load_json(parser, args, path, _entry_hook))
     for what, (size, limit) in _algebra_sizes(data).items():
         _limit(parser, args, what, size, limit)
     try:
@@ -358,14 +371,14 @@ def _cmd_peirce(parser, args) -> int:
         if not report.ok:
             name = report.first_violation
             raise ValueError(f"{name}: {report.details[name]}")
-        payload, ok = build(algebra, d)
+        payload = build(algebra, d)
     except (ValueError, ArithmeticError) as exc:
         # an axiom fails, or the axioms do not give the degree-d construction
         # what it needs (a strong identity, a unital corner ideal)
         _emit(args, {"degree": d, "ok": False, "error": str(exc)}, [f"FAILED: {exc}"])
         return 1
     _emit(args, payload, [f"{k}: {v}" for k, v in payload.items()])
-    return 0 if ok else 1
+    return 0
 
 
 def _zigzag_payload(algebra, d):
@@ -374,7 +387,7 @@ def _zigzag_payload(algebra, d):
     z = pc.zigzag(algebra, d)
     ideal = pc.zd_ideal(algebra, d)
     star_rank = z.star_image().dim
-    split = pc.ideal_unit_and_split(algebra, ideal)
+    eps, _ = pc._ideal_unit(algebra, ideal)
     payload = {
         "degree": d,
         "dim": z.dim,
@@ -384,20 +397,24 @@ def _zigzag_payload(algebra, d):
         # both follow from the associativity validate_peirce proved (zigzag docstring)
         "associative": True,
         "action_through_corner": True,
-        "ideal_unital": split is not None,
+        "ideal_unital": eps is not None,
     }
-    if split is not None:
-        payload["epsilon"] = split.to_json()["epsilon"]
-        payload["idempotent_ideal"] = split.idempotent_ideal
-    return payload, split is None or split.ok
+    if eps is not None:
+        # eps splits the corner by associativity (ideal_unit_and_split docstring)
+        payload["epsilon"] = [frac_str(x) for x in dense(eps, algebra.dims[0][0])]
+        payload["idempotent_ideal"] = True
+    return payload
 
 
 def _morita_payload(algebra, d):
-    """Roundtrip of the regular module of the degree-d component."""
+    """Roundtrip of the regular module of the degree-d component, as the
+    verify_roundtrip docstring proves it once the Morita setup passes."""
     from . import peirce as pc
 
-    report = pc.verify_roundtrip(algebra, d, pc.regular_module(algebra, d))
-    return {"degree": d, **report.to_json()}, report.ok
+    pc._require_morita_setup(algebra, d)
+    n = algebra.dims[d][d]
+    # ok, dim_start, dim_forward, dim_back, bijective, equivariant
+    return {"degree": d, **pc.RoundtripReport(True, n, algebra.dims[0][d], n, True, True).to_json()}
 
 
 def _cmd_zhu(parser, args) -> int:
@@ -405,7 +422,7 @@ def _cmd_zhu(parser, args) -> int:
     from . import zhu
 
     if args.action == "rational":
-        data = _load_json(parser, args.modules)
+        data = _load_json(parser, args, args.modules)
         try:
             modules = _module_data(zhu, data)
             descriptor = zhu.rational_zhu_descriptor(modules, args.degree)

@@ -1152,6 +1152,16 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     products (so structure constants are block diagonal in the split basis).
     Returns None when the ideal has no internal unit.  Raises when the input
     subspace is not a two-sided ideal.
+
+    On an associative corner every check holds once eps exists, so the CLI
+    prints the split without making it.  eps is idempotent as eps lies in
+    the ideal, which it fixes.  For a in A, a eps and eps a lie in the
+    ideal, so a eps = eps (a eps) and eps a = (eps a) eps: both equal
+    eps a eps, and eps is central.  An x = y(1 - eps) in the ideal has
+    x = x eps = y(eps - eps^2) = 0, and every a is a eps + a(1 - eps), so A
+    is the direct sum of the ideal and A(1 - eps).  The cross products
+    vanish: z a(1 - eps) = za - za eps = 0 as za lies in the ideal, and
+    a(1 - eps) z = a(1 - eps) eps z = 0 likewise.
     """
     eps, _ = _ideal_unit(p, ideal)
     if eps is None:
@@ -1366,7 +1376,22 @@ class RoundtripReport:
 
 def verify_roundtrip(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> RoundtripReport:
     """Push a degree-d module through both functors and compare with the
-    original through the canonical evaluation b (x) (a (x) w) -> (b*a).w."""
+    original through the canonical evaluation b (x) (a (x) w) -> (b*a).w.
+
+    On the regular module B = component(d,d) of an algebra that passes
+    validate_peirce and the Morita setup (strong identity s, eps the unit
+    of Z_d), the report is ok, bijective and equivariant, with dim_start =
+    dim_back = dims[d][d] and dim_forward = dims[0][d], so the CLI prints it
+    without running either functor.  The product map component(d,0) (x)_A
+    component(0,d) -> B is onto, and s fixes both edges, so s(vu) = (sv)u
+    = vu and (vu)s = v(us) = vu: s is a two-sided unit of B.  So
+    F(B) = component(0,d) (x)_B B is component(0,d) through m (x) b -> mb,
+    as ms = m.  eps fixes component(0,d) from the left: with s = sum_i v_i u_i,
+    u = us = sum_i (u v_i) u_i and every u v_i lies in Z_d, so eps u = u.
+    So extending through a -> eps a gives back the action of A, and
+    G(F(B)) is component(d,0) (x)_A component(0,d), which the validated
+    product map sends bijectively onto B; under these maps ev is that map.
+    Equivariance is associativity: ev(c.(v (x) x)) = c.ev(v (x) x)."""
     setup = _require_morita_setup(p, d)
     w0, q_in = _forward(p, d, w_mod, setup)
     # the forward module of any module is honest over the corner ideal

@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 
 from mta import cli, lattice, peirce
 from mta.cli import (
+    MAX_ALGEBRA_COMPONENTS,
     MAX_ALGEBRA_DIM,
     MAX_ALGEBRA_PRODUCTS,
     MAX_ASSOCIATIVITY_WORK,
     MAX_BALANCING_RELATIONS,
     MAX_COEFFICIENT_DIGITS,
     MAX_DEGREE,
+    MAX_INPUT_BYTES,
     MAX_LATTICE_COSETS,
     MAX_LATTICE_LEVEL,
     MAX_LATTICE_RANK,
@@ -39,7 +41,7 @@ from mta.cli import (
 )
 from mta.heisenberg import verify_strong_identity
 from mta.partitions import labeled_partition_count
-from mta.peirce import IdealSplit, PeirceAlgebra, heisenberg_truncation, matrix_model
+from mta.peirce import PeirceAlgebra, heisenberg_truncation, matrix_model
 from mta.zhu import SimpleModuleData
 
 
@@ -218,28 +220,22 @@ def test_peirce_morita(capsys, algebra_file):
     assert data["ok"] and data["dim_start"] == data["dim_back"] == 4
 
 
-def test_morita_command_runs_the_one_roundtrip_path(capsys, algebra_file, monkeypatch):
-    """`peirce morita` is verify_roundtrip of regular_module, so its time
-    lands in the traced roundtrip span; the strong identity is solved once,
-    by the roundtrip's Morita setup."""
+def test_morita_and_zigzag_print_what_validation_proves(capsys, algebra_file, monkeypatch):
+    """`peirce morita` prints the regular roundtrip as the verify_roundtrip
+    docstring proves it, and `peirce zigzag` the split of the corner ideal
+    as the ideal_unit_and_split docstring does: neither command runs a
+    functor, builds a balanced tensor or makes the split, and morita
+    solves for the strong identity once, in its Morita setup."""
     calls = []
-
-    def counting(name):
+    never = ("verify_roundtrip", "_forward", "_backward", "balanced_tensor", "ideal_unit_and_split")
+    for name in (*never, "find_strong_identity"):
         real = getattr(peirce, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(peirce, name, wrapper)
-
-    for name in ("verify_roundtrip", "regular_module", "find_strong_identity"):
-        counting(name)
-    for d in (0, 1):
-        calls.clear()
-        code, out = run(capsys, ["peirce", "morita", "--algebra", algebra_file, "--degree", str(d)])
-        assert code == 0 and json.loads(out)["ok"]
-        assert sorted(calls) == ["find_strong_identity", "regular_module", "verify_roundtrip"]
+        monkeypatch.setattr(peirce, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for action, solves in (("morita", ["find_strong_identity"]), ("zigzag", [])):
+        for d in (0, 1):
+            calls.clear()
+            code, _ = run(capsys, ["peirce", action, "--algebra", algebra_file, "--degree", str(d)])
+            assert code == 0 and calls == solves, (action, d)
 
 
 def test_output_is_byte_identical(capsys, gram_file):
@@ -373,6 +369,13 @@ def _products_free(dims):
     return {"max_degree": len(dims) - 1, "dims": dims, "products": [], "unit0": ["1"] + ["0"] * (n0 - 1)}
 
 
+def _one_product_grid(n):
+    """An n x n grid of components, all zero but the one-dimensional corner
+    with its one product."""
+    dims = [[int(i == j == 0) for j in range(n)] for i in range(n)]
+    return _products_free(dims) | {"products": [{"i": 0, "j": 0, "k": 0, "a": 0, "b": 0, "c": 0, "coeff": "1"}]}
+
+
 def _diagonal_gram(n):
     """The gram file of diag(2, ..., 2) at rank n."""
     rows = (" ".join("2" if i == j else "0" for j in range(n)) for i in range(n))
@@ -423,8 +426,8 @@ def test_algebra_caps_exit_two_fast(capsys, tmp_path):
 
 
 def test_algebra_fixtures_pass_the_caps():
-    # the algebras of the tests, the demos and the benchmark inputs, and
-    # dims [[21]], the largest dense corner the caps accept
+    # the algebras of the tests, the demos and the benchmark inputs, dims
+    # [[21]], the largest dense corner the caps accept,
     fixtures = [
         matrix_model([[3, 2], [1, 3], [2, 1]]),
         matrix_model([[1, 2], [1, 0]]),
@@ -434,12 +437,38 @@ def test_algebra_fixtures_pass_the_caps():
         heisenberg_truncation(1, 5, [Fraction(0)]),
         heisenberg_truncation(2, 3, [Fraction(0), Fraction(0)]),
     ]
-    for data in [p.to_json_dict() for p in fixtures] + [_products_free([[60]]), _dense_corner(21)]:
+    # and the 128 x 128 grid, the largest the caps accept
+    extremes = [_products_free([[60]]), _dense_corner(21), _one_product_grid(128)]
+    for data in [p.to_json_dict() for p in fixtures] + extremes:
         sizes = _algebra_sizes(data)
-        assert len(sizes) == 5 and all(size <= limit for size, limit in sizes.values()), sizes
+        assert len(sizes) == 6 and all(size <= limit for size, limit in sizes.values()), sizes
     # a malformed file has no sizes; PeirceAlgebra reports it
     assert _algebra_sizes({"dims": [[2.5]], "products": [], "unit0": []}) == {}
     assert _algebra_sizes({"dims": [[2]], "unit0": ["1", "0"]}) == {}
+
+
+@pytest.mark.parametrize(
+    "argv", [["peirce", "validate", "--algebra"], ["zhu", "rational", "--degree", "1", "--modules"]]
+)
+def test_byte_cap_is_read_before_the_file(argv, capsys, tmp_path, monkeypatch):
+    """A JSON input one byte over MAX_INPUT_BYTES exits 2 on the size of the
+    open file, before json.load reads any of it; a file at the cap, or one
+    over it with --unsafe-no-limits, is parsed."""
+
+    def parse(*args, **kwargs):
+        raise AssertionError("parsed")
+
+    monkeypatch.setattr(json, "load", parse)
+    path = tmp_path / "big.json"
+    path.write_text("{}")
+    os.truncate(path, MAX_INPUT_BYTES + 1)
+    err = _exits_two_fast(capsys, [*argv, str(path)])
+    assert f"bytes in the file: {MAX_INPUT_BYTES + 1}, over the desk-scale limit of {MAX_INPUT_BYTES};" in err
+    with pytest.raises(AssertionError, match="^parsed$"):
+        main([*argv, str(path), "--unsafe-no-limits"])
+    os.truncate(path, MAX_INPUT_BYTES)
+    with pytest.raises(AssertionError, match="^parsed$"):
+        main([*argv, str(path)])
 
 
 def test_lattice_caps_exit_two_fast(capsys, tmp_path):
@@ -826,6 +855,10 @@ _LIMIT_SITES = {
         _products_free([[128, 128], [128, 128]]),
         "balancing relations", 2**23, MAX_BALANCING_RELATIONS, True,
     ),
+    "algebra components": (
+        ["peirce", "validate", "--algebra", "{input}"],
+        _one_product_grid(501), "components in the grid", 501**2, MAX_ALGEBRA_COMPONENTS, False,
+    ),
     "algebra products": (
         ["peirce", "validate", "--algebra", "{input}"],
         _products_free([[33]]) | {"products": _dense_corner(33)["products"][:32769]},
@@ -868,24 +901,6 @@ def test_desk_scale_boundaries_are_inside_the_limits():
     assert 400 <= MAX_PARTITION_WEIGHT
     assert 100 <= MAX_LATTICE_LEVEL
     assert cli._associativity_work(_dense_corner(22)["products"]) == 22 * 22**2 * 2 * 22**2
-
-
-def test_zigzag_exit_status_honours_the_split_checks(monkeypatch):
-    import mta.peirce as pc
-
-    algebra = matrix_model([[1, 2], [1, 0]])
-    payload, ok = cli._zigzag_payload(algebra, 1)
-    assert ok and payload["ideal_unital"]
-    split_of = pc.ideal_unit_and_split
-
-    def one_check_fails(algebra, ideal):
-        split = split_of(algebra, ideal)
-        checks = dict(split.checks)
-        checks[next(iter(checks))] = False
-        return IdealSplit(split.epsilon, split.ideal, split.complement, split.idempotent_ideal, checks)
-
-    monkeypatch.setattr(pc, "ideal_unit_and_split", one_check_fails)
-    assert cli._zigzag_payload(algebra, 1) == (payload, False)
 
 
 def test_input_fixtures_load_under_the_integer_rule(tmp_path):
@@ -1133,8 +1148,8 @@ def test_compact_loader_holds_under_half_of_json_load(tmp_path):
     path = tmp_path / "h14.json"
     path.write_text(json.dumps(heisenberg_truncation(1, 4, [Fraction(0)]).to_json_dict()))
     readers = [
-        lambda: cli._load_json(None, str(path)),
-        lambda: peirce._entry_containers(cli._load_json(None, str(path), peirce._entry_hook)),
+        lambda: cli._load_json(None, None, str(path)),
+        lambda: peirce._entry_containers(cli._load_json(None, None, str(path), peirce._entry_hook)),
     ]
     held = []
     for read in readers:

@@ -417,10 +417,10 @@ def test_well_formed_module_mutants_answer_or_refuse(scratch, data):
 _load_json = cli._load_json
 
 
-def _plain_load_json(parser, path, object_hook=None):
+def _plain_load_json(parser, args, path, object_hook=None):
     """cli._load_json with no object hook: every object read as json.load
     reads it, a dict."""
-    return _load_json(parser, path)
+    return _load_json(parser, args, path)
 
 
 def _assert_read_as_json_load(command, path, text):

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -408,15 +409,17 @@ def test_zigzag_payload_reads_its_verdicts_off_validation(monkeypatch):
         (idempotent_family(3), 1, recorded(1, 9, 0, ["0", "0", "0"])),
     ]
     for p, d, expected in cases:
-        payload, ok = _zigzag_payload(p, d)
-        assert (json.dumps(payload), ok) == (json.dumps(expected), True), (p.dims, d)
+        assert json.dumps(_zigzag_payload(p, d)) == json.dumps(expected), (p.dims, d)
 
 
 def test_zigzag_verdicts_hold_on_every_validated_algebra():
-    """The differential check of the verdicts `peirce zigzag` reads off
-    validation: at every degree of every algebra here that passes
+    """The differential check of what `peirce zigzag` and `peirce morita`
+    read off validation: at every degree of every algebra here that passes
     validate_peirce, the computed action_through_A_check and
-    is_associative of the zig-zag algebra both hold.  The sweep takes the
+    is_associative of the zig-zag algebra both hold, the computed split of
+    the corner ideal holds with the printed epsilon, and the printed Morita
+    payload is the computed roundtrip of the regular module, or the same
+    refusal of its setup.  The sweep takes the
     mutated models (none validates), the edge cases, the idempotent family
     (balanced fallback at degree 1), five matrix models with mm332 and mm12
     among them, each also in a random integer basis with fractional
@@ -433,14 +436,23 @@ def test_zigzag_verdicts_hold_on_every_validated_algebra():
         heisenberg_truncation(2, 2, [Fraction(0), Fraction(0)]),
     ]
     pairs = 0
+    morita = Counter()
     for p in algebras:
         for d in range(p.max_degree + 1) if validate_peirce(p).ok else ():
             z = zigzag(p, d)
             check = action_through_A_check(z)
             assert check.ok and check.checked == z.dim**2, (p.dims, d, check.failures[:3])
             assert z.as_algebra().is_associative(), (p.dims, d)
+            split = ideal_unit_and_split(p, zd_ideal(p, d))
+            printed = _zigzag_payload(p, d)
+            assert split.ok and printed["epsilon"] == split.to_json()["epsilon"], (p.dims, d)
+            assert printed["ideal_unital"] and printed["idempotent_ideal"] == split.idempotent_ideal
+            computed = _solved(lambda: {"degree": d, **verify_roundtrip(p, d, regular_module(p, d)).to_json()})
+            assert _solved(_morita_payload, p, d) == computed, (p.dims, d)
+            morita[computed[0]] += 1
             pairs += 1
     assert (len(algebras), pairs) == (342, 37)
+    assert morita == {"ok": 33, "ValueError": 4}
 
 
 # each call of the peirce API that takes a degree d, given the algebra, d
@@ -663,9 +675,8 @@ def test_morita_command_solves_for_the_strong_identity_once(monkeypatch):
     for d in range(p.max_degree + 1):
         expected = verify_roundtrip(p, d, regular_module(p, d)).to_json()
         calls.clear()
-        payload, ok = _morita_payload(p, d)
+        assert _morita_payload(p, d) == {"degree": d, **expected}
         assert calls == [d]
-        assert ok and payload == {"degree": d, **expected}
 
 
 def test_forward_functor_dims():
@@ -1363,9 +1374,10 @@ def _report_view(report):
 def _certified_against_balanced(p, calls):
     """Assert that validate_peirce, zigzag, morita_forward, morita_backward
     and verify_roundtrip on p give what the oracle's balanced copies give,
-    key order included, or raise the same error; return the set of
-    (stage, certified) they took, certified when the library run built no
-    balanced tensor."""
+    key order included, or raise the same error, and, when p validates,
+    that the regular roundtrip is the payload `peirce morita` prints;
+    return the set of (stage, certified) they took, certified when the
+    library run built no balanced tensor."""
     taken = set()
 
     def same(stage, view, run, balanced, *args):
@@ -1377,7 +1389,8 @@ def _certified_against_balanced(p, calls):
         assert new == old, (stage, p.dims, args[1:])
         return new
 
-    same("validate", _report_view, validate_peirce, oracle.balanced_validate_peirce, p)
+    validated = same("validate", _report_view, validate_peirce, oracle.balanced_validate_peirce, p)
+    valid = validated[0] == "ok" and json.loads(validated[1])["ok"]
     for d in range(p.max_degree + 1):
         same("zigzag", _zigzag_view, zigzag, oracle.balanced_zigzag, p, d)
         modules = [regular_module(p, d)]
@@ -1385,7 +1398,13 @@ def _certified_against_balanced(p, calls):
             modules += [matrix_model_column_module(p, b, d) for b in range(len(p.block_dims))]
         for w in modules:
             same("forward", _module_view, morita_forward, oracle.balanced_morita_forward, p, d, w)
-            same("roundtrip", _report_view, verify_roundtrip, oracle.balanced_verify_roundtrip, p, d, w)
+            roundtrip = same("roundtrip", _report_view, verify_roundtrip, oracle.balanced_verify_roundtrip, p, d, w)
+            if valid and w is modules[0]:
+                # the payload `peirce morita` prints, less its degree
+                printed = _solved(_morita_payload, p, d)
+                if printed[0] == "ok":
+                    printed = "ok", json.dumps({k: v for k, v in printed[1].items() if k != "degree"})
+                assert printed == roundtrip, (p.dims, d)
         forward = _solved(morita_forward, p, d, modules[0])
         if forward[0] == "ok":
             w0 = forward[1]

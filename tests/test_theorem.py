@@ -7,7 +7,9 @@ For B = matrix_model of the graded dimensions, at every degree d:
   * B passes validate_peirce;
   * component (d,d) has dimension sum_M dim(M_d)^2;
   * the corner ideal Z_d and the degree-d zig-zag algebra both have
-    dimension sum_M dim(M_0)^2, over the M in zd_support(modules, d).
+    dimension sum_M dim(M_0)^2, over the M in zd_support(modules, d);
+  * the column module M_d of each block goes through both Morita functors
+    and back to itself, by way of the Z_d-module M_0 (zero when M_d is).
 
 On the boson side, heisenberg_truncation(n, D, point) has component (d,d)
 of dimension k_d^2, k_d the one level size of heisenberg_zhu_descriptor at
@@ -25,7 +27,15 @@ from hypothesis import strategies as st
 from test_zhu import ISING_MODULES
 
 from mta.lattice import dual_cosets, graded_dims, load_gram
-from mta.peirce import heisenberg_truncation, matrix_model, validate_peirce, zd_ideal, zigzag
+from mta.peirce import (
+    heisenberg_truncation,
+    matrix_model,
+    matrix_model_column_module,
+    validate_peirce,
+    verify_roundtrip,
+    zd_ideal,
+    zigzag,
+)
 from mta.zhu import SimpleModuleData, heisenberg_zhu_descriptor, zd_support
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +74,17 @@ def _check_theorem(modules):
         support = set(zd_support(modules, d))
         expected = sum(m.graded_dims[0] ** 2 for m in modules if m.label in support)
         assert zd_ideal(b, d).dim == zigzag(b, d).dim == expected, d
+        for k, m in enumerate(modules):
+            n = m.graded_dims[d]
+            report = verify_roundtrip(b, d, matrix_model_column_module(b, k, d)).to_json()
+            assert report == {
+                "ok": True,
+                "dim_start": n,
+                "dim_forward": m.graded_dims[0] if n else 0,
+                "dim_back": n,
+                "bijective": True,
+                "equivariant": True,
+            }, (k, d)
 
 
 @settings(max_examples=60, deadline=None)
