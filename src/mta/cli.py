@@ -203,11 +203,12 @@ def _load_json(parser, args, path, object_hook=None):
 def _load_lattice(parser, args, path):
     from .lattice import EvenLattice, _gram_header, _gram_rows
 
-    # the rank is checked once the first line is read, before the rest of
-    # the file is, and so before EvenLattice factors the Gram matrix,
-    # O(rank^3)
+    # the size is checked before a byte is read, and the rank once the
+    # first line is, before the rest of the file is, and so before
+    # EvenLattice factors the Gram matrix, O(rank^3)
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            _limit(parser, args, "bytes in the file", os.fstat(fh.fileno()).st_size, MAX_INPUT_BYTES)
             n, lines = _gram_header(fh)
             _limit(parser, args, "lattice rank", n, MAX_LATTICE_RANK)
             lattice = EvenLattice(_gram_rows(n, lines))
@@ -386,15 +387,16 @@ def _zigzag_payload(algebra, d):
 
     z = pc.zigzag(algebra, d)
     ideal = pc.zd_ideal(algebra, d)
-    star_rank = z.star_image().dim
     eps, _ = pc._ideal_unit(algebra, ideal)
     payload = {
         "degree": d,
         "dim": z.dim,
         "ideal_dim": ideal.dim,
-        "star_rank": star_rank,
-        "star_bijective": star_rank == z.dim == ideal.dim,
-        # both follow from the associativity validate_peirce proved (zigzag docstring)
+        # the star images span the ideal, and associative and
+        # action_through_corner follow from the associativity
+        # validate_peirce proved (zigzag docstring)
+        "star_rank": ideal.dim,
+        "star_bijective": z.dim == ideal.dim,
         "associative": True,
         "action_through_corner": True,
         "ideal_unital": eps is not None,

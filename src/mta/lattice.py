@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import floor, isqrt, lcm, prod
 from operator import mul
 
@@ -107,8 +107,10 @@ def _gram_header(chunks):
 
 
 def _gram_rows(n: int, lines) -> list[list[int]]:
-    """The n rows of n integers that follow a gram file's rank line."""
-    rows = [line.split() for line in lines if line.strip()]
+    """The n rows of n integers that follow a gram file's rank line.  At
+    most n + 1 nonblank lines are read: one more row than n is enough to
+    refuse the file."""
+    rows = [line.split() for line in islice((x for x in lines if x.strip()), n + 1)]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"expected {n} rows of {n} integers")
     return [[parse_int(x) for x in r] for r in rows]

@@ -63,16 +63,14 @@ phi(e_f) is independent of every later phi(e_j), and the canonical residual
 of x is sum_f c_f e_f over them, where phi(x) = sum_f c_f phi(e_f).  Each
 use needs p associative (then phi kills R) and one element e:
 
-  * validate_peirce, degree d: M = component(d,0), N = component(0,d),
-    B = A, phi(m (x) n) = mn.  If the products span component(d,d) and
-    e = sum_i v_i u_i there is a right identity on component(0,d), then
-    psi(y) = sum_i (y v_i) (x) u_i gives sum_i m(n v_i) (x) u_i
-    = m (x) n e = m (x) n, as n v_i lies in A.  phi is onto, so it is
-    bijective: the quotient and the image both have dimension dims[d][d].
-  * zigzag: M = component(0,d), N = component(d,0), B = component(d,d),
-    phi(u (x) v) = uv.  For e = sum_i u_i v_i in the span Z_d of the
-    products, a left identity on component(0,d), psi(z) = sum_i u_i (x) v_i z
-    gives sum_i u_i (v_i u) (x) v = e u (x) v = u (x) v.
+  * the edge quotients (_edge_quotient), validate_peirce at (x, y) =
+    (d, 0) and zigzag at (0, d): M = component(x,y), N = component(y,x),
+    B = component(y,y), phi(m (x) n) = mn.  For e = sum_i v_i u_i in the
+    span of the products, a left identity on component(x,y),
+    psi(z) = sum_i v_i (x) u_i z gives sum_i v_i (u_i m) (x) n
+    = e m (x) n = m (x) n, as u_i m lies in B.  The quotient is then the
+    image of phi, and at (d, 0) the product map is bijective iff the
+    quotient has dimension dims[d][d].
   * the Morita functors (_functor), (x, y) = (0, d) forward and (d, 0)
     backward: M = component(x,y), N = W a left module over
     B = component(y,y), phi(m (x) w) = (s -> (sm).w), one copy of W per s
@@ -728,14 +726,6 @@ def _component_module(p: PeirceAlgebra, alg: Algebra, i: int, j: int, side: str)
     return ModuleRep(alg, p.dims[i][j], p._prod.get(ijk, {}), side=side)
 
 
-def _edge_tensor(p: PeirceAlgebra, x: int, y: int) -> TensorQuotient:
-    """component(x,y) (x) component(y,x) over component(y,y), the two
-    components read as modules over it by _component_module."""
-    diag = p.diagonal_algebra(y)
-    m_rep = _component_module(p, diag, x, y, "right")
-    return balanced_tensor(m_rep, _component_module(p, diag, y, x, "left"))
-
-
 def _generators(tables: dict, dims, components) -> dict:
     """{(i, j): [b, ...]}: basis elements e_b of each given component (i,j),
     ascending, that together generate the given components, for product
@@ -827,21 +817,27 @@ def _first_unfixed(p: PeirceAlgebra, i: int, j: int, left=None, right=None):
     return None
 
 
-def _factorization_certified(p: PeirceAlgebra, d: int) -> bool:
-    """For an associative p: whether the products component(d,0) *
-    component(0,d) span component(d,d) and some element of component(d,d)
-    is a right identity on component(0,d), which makes the product map
-    bijective (module docstring)."""
-    t = p.dims[d][d]
-    span = Echelon()
-    for cell in p._prod.get((d, 0, d), {}).values():
-        if len(span) == t:
-            break
-        span.add(cell)
-    if len(span) < t:
-        return False
-    diag = p.diagonal_algebra(d)
-    return _identity_on([_component_module(p, diag, 0, d, "right")], t) is not None
+def _edge_quotient(p: PeirceAlgebra, x: int, y: int) -> TensorQuotient:
+    """component(x,y) (x)_{component(y,y)} component(y,x), read through
+    phi(u (x) v) = uv when p is associative and some e in the span of the
+    phi(e_f) is a left identity on component(x,y) (module docstring), and
+    otherwise built by balanced_tensor from the two component modules."""
+    m, n = p.dims[x][y], p.dims[y][x]
+    if _associative(p):
+        images = {u * n + v: cell for (u, v), cell in p._prod.get((x, y, x), {}).items() if cell}
+        q = TensorQuotient(m, n, None, images, p.dims[x][x])
+        # e = sum_s c_s z_s over the basis z_s = phi(e_f), f free, of the span
+        table = {}
+        for s, f in enumerate(q.free):
+            for w in range(m):
+                img = p.product(x, x, y, images[f], {w: 1})
+                if img:
+                    table[(s, w)] = img
+        if _identity_on([(table, m, "left")], q.dim) is not None:
+            return q
+    diag = p.diagonal_algebra(y)
+    m_rep = _component_module(p, diag, x, y, "right")
+    return balanced_tensor(m_rep, _component_module(p, diag, y, x, "left"))
 
 
 def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
@@ -859,12 +855,15 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     The product map at degree d sends the balancing relation R_b(u, v) to
     (ub)v - u(bv), so it descends to the balanced tensor iff components
     (d,0), (0,0), (0,d) associate (module docstring).  When associativity
-    holds it descends, and the map is bijective by the certificate of the
-    module docstring when that applies.  When associativity fails, the full
-    scan has found every quadruple before its failing one associative, so
-    (d,0,0,d) is scanned only when it comes after, and no relation is built
-    when it fails.  Otherwise the balanced tensor is built, and the free
-    pure tensors of the quotient must map onto a basis of the target.
+    holds it descends.  When associativity fails, the full scan has found
+    every quadruple before its failing one associative, so (d,0,0,d) is
+    scanned only when it comes after, and no relation is built when it
+    fails.  Once the map descends, degree 0 is read off the corner unit
+    when that passes: R_b(a, 1) = ab (x) 1 - a (x) b, so every tensor x of
+    A (x)_A A is mu(x) (x) 1, and c -> c (x) 1 inverts the product map mu,
+    as mu(c (x) 1) = c.  Every other degree builds its quotient by
+    _edge_quotient, and the free pure tensors of the quotient must map onto
+    a basis of the target.
     """
     axioms: dict[str, bool] = {}
     details: dict[str, str] = {}
@@ -901,8 +900,6 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
         )
 
     for d in range(d_max + 1):
-        if failure is None and _factorization_certified(p, d):
-            continue
         # the product map kills the balancing relations iff components
         # (d,0), (0,0), (0,d) associate, as they do once associativity holds
         # and as every quadruple before the full scan's failing one does
@@ -913,7 +910,9 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
         if not descends:
             details["tensor-factorization"] = f"product map does not descend at degree {d}"
             break
-        q = _edge_tensor(p, d, 0)
+        if d == 0 and axioms["corner-unit"]:
+            continue  # c -> c (x) unit0 inverts the product map (docstring)
+        q = _edge_quotient(p, d, 0)
         target = p.dims[d][d]
         rk = len(Echelon(p.cell(d, 0, d, *q.lift_pair(qq)) for qq in range(q.dim)))
         if not (q.dim == target and rk == target):
@@ -969,32 +968,19 @@ class ZigZag:
         return Subspace((0, 0), self.parent.dims[0][0], self.star)
 
 
-def _zigzag_space(p: PeirceAlgebra, d: int):
-    """component(0,d) (x)_{component(d,d)} component(d,0) read through
-    phi(u (x) v) = uv, when some e in the span Z_d of the phi(e_f) is a left
-    identity on component(0,d); None when there is none."""
-    m, n = p.dims[0][d], p.dims[d][0]
-    images = {u * n + v: cell for (u, v), cell in p._prod.get((0, d, 0), {}).items() if cell}
-    q = TensorQuotient(m, n, None, images, p.dims[0][0])
-    # e = sum_s x_s z_s over the basis z_s = phi(e_f), f free, of Z_d
-    table = {}
-    for s, f in enumerate(q.free):
-        for w in range(m):
-            img = p.product(0, 0, d, images[f], {w: 1})
-            if img:
-                table[(s, w)] = img
-    acting = ModuleRep(Algebra(q.dim, {}), m, table)
-    return q if _identity_on([acting], q.dim) is not None else None
-
-
 def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     """Degree-d zig-zag algebra of an algebra that passes validate_peirce,
     read off on the pure tensors of the quotient basis.  Associativity makes
     that well defined: a relation r = (m.b) (x) n - m (x) (b.n) has corner
     image (mb)n - m(bn) = 0 and r o (x (x) y) = ((mb)(nx) - m((bn)x)) (x) y
-    = 0, while (x (x) y) o r is itself a relation.  The quotient is read
-    through u (x) v -> uv when the certificate of the module docstring
-    holds, and built from the balancing relations otherwise.
+    = 0, while (x (x) y) o r is itself a relation.  The quotient is built
+    by _edge_quotient.
+
+    The star images of the quotient basis span the corner ideal Z_d, so
+    the CLI prints the rank of star as dim Z_d.  Star kills the relations
+    (above), every pure tensor is a combination of the quotient basis
+    modulo the relations, and Z_d is spanned by the star images uv of the
+    pure tensors u (x) v.
 
     The same associativity proves the two verdicts that
     action_through_A_check and Algebra.is_associative compute on the
@@ -1011,9 +997,7 @@ def zigzag(p: PeirceAlgebra, d: int) -> ZigZag:
     arguments use only that the quotient kills the relations, so they hold
     for the certified quotient and the balanced one alike."""
     _require_degree(p, d)
-    q = _zigzag_space(p, d) if _associative(p) else None
-    if q is None:
-        q = _edge_tensor(p, 0, d)
+    q = _edge_quotient(p, 0, d)
     star = [dict(p.cell(0, d, 0, *q.lift_pair(qq))) for qq in range(q.dim)]
     return ZigZag(parent=p, degree=d, space=q, product=None, star=star)
 
@@ -1050,15 +1034,16 @@ def _identity_on(modules, n: int):
     """The canonical element x = sum_s x_s e_s of an n-dimensional algebra
     that fixes every basis vector of every given module over it, as a
     sparse vector (free unknowns zero, see exact.solve_linear), or None
-    when there is none."""
+    when there is none.  Each module is a (table, dim, side) triple, its
+    product table read as ModuleRep.table is."""
     rows = []
-    for mod in modules:
-        left = mod.side == "left"
-        for w in range(mod.dim):
+    for table, dim, side in modules:
+        left = side == "left"
+        for w in range(dim):
             # sum_s x_s (e_s acting on e_w) = e_w, one row per coordinate
             system: dict = {}
             for s in range(n):
-                for r, c in mod.table.get((s, w) if left else (w, s), {}).items():
+                for r, c in table.get((s, w) if left else (w, s), {}).items():
                     system.setdefault(r, {})[s] = c
             system.setdefault(w, {})[n] = 1
             rows += system.values()
@@ -1074,9 +1059,8 @@ def find_strong_identity(p: PeirceAlgebra, d: int):
     _require_degree(p, d)
     if p.dims[0][d] == 0 and p.dims[d][0] == 0:
         return {}
-    diag = p.diagonal_algebra(d)
-    edges = [_component_module(p, diag, 0, d, "right"), _component_module(p, diag, d, 0, "left")]
-    x = _identity_on(edges, diag.dim)
+    right, left = p._prod.get((0, d, d), {}), p._prod.get((d, d, 0), {})
+    x = _identity_on([(right, p.dims[0][d], "right"), (left, p.dims[d][0], "left")], p.dims[d][d])
     if x is None:
         return None
     if d != 0:
@@ -1213,7 +1197,7 @@ def _ideal_unit(p: PeirceAlgebra, ideal: Subspace):
     # eps = sum_s x_s z_s with eps * z = z * eps = z for every basis z: the
     # identity of the ideal's algebra acting on itself from both sides
     alg = _zd_algebra(p, ideal)
-    sol = _identity_on([ModuleRep(alg, alg.dim, alg.cells, side) for side in ("left", "right")], alg.dim)
+    sol = _identity_on([(alg.cells, alg.dim, side) for side in ("left", "right")], alg.dim)
     if sol is None:
         return None, alg
     eps: dict = {}

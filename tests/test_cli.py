@@ -448,17 +448,23 @@ def test_algebra_fixtures_pass_the_caps():
 
 
 @pytest.mark.parametrize(
-    "argv", [["peirce", "validate", "--algebra"], ["zhu", "rational", "--degree", "1", "--modules"]]
+    "argv",
+    [
+        ["peirce", "validate", "--algebra"],
+        ["zhu", "rational", "--degree", "1", "--modules"],
+        ["lattice", "cosets", "--gram"],
+    ],
 )
 def test_byte_cap_is_read_before_the_file(argv, capsys, tmp_path, monkeypatch):
-    """A JSON input one byte over MAX_INPUT_BYTES exits 2 on the size of the
-    open file, before json.load reads any of it; a file at the cap, or one
-    over it with --unsafe-no-limits, is parsed."""
+    """An input one byte over MAX_INPUT_BYTES exits 2 on the size of the
+    open file, before json.load or the gram reader reads any of it; a file
+    at the cap, or one over it with --unsafe-no-limits, is parsed."""
 
     def parse(*args, **kwargs):
         raise AssertionError("parsed")
 
     monkeypatch.setattr(json, "load", parse)
+    monkeypatch.setattr(lattice, "_gram_header", parse)
     path = tmp_path / "big.json"
     path.write_text("{}")
     os.truncate(path, MAX_INPUT_BYTES + 1)
@@ -469,6 +475,23 @@ def test_byte_cap_is_read_before_the_file(argv, capsys, tmp_path, monkeypatch):
     os.truncate(path, MAX_INPUT_BYTES)
     with pytest.raises(AssertionError, match="^parsed$"):
         main([*argv, str(path)])
+
+
+def test_long_gram_file_exits_two_fast(capsys, tmp_path):
+    """A 10 MB rank-1 gram file, 500 000 rows of ten zeros after its one
+    row, exits 2 at the byte cap within 1 s; with --unsafe-no-limits it
+    exits 2 within 1 s too, with the row-count message, as the reader
+    stops one row past the rank."""
+    path = tmp_path / "long.gram"
+    path.write_text("1\n8\n" + "0 0 0 0 0 0 0 0 0 0\n" * 500_000)
+    argv = ["lattice", "cosets", "--gram", str(path)]
+    assert "bytes in the file: 10000004, over the desk-scale limit" in _exits_two_fast(capsys, argv)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--unsafe-no-limits"])
+    assert time.perf_counter() - start < 1 and exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: cannot read gram file {path}: expected 1 rows of 1 integers\n")
 
 
 def test_lattice_caps_exit_two_fast(capsys, tmp_path):

@@ -416,8 +416,9 @@ def test_zigzag_verdicts_hold_on_every_validated_algebra():
     """The differential check of what `peirce zigzag` and `peirce morita`
     read off validation: at every degree of every algebra here that passes
     validate_peirce, the computed action_through_A_check and
-    is_associative of the zig-zag algebra both hold, the computed split of
-    the corner ideal holds with the printed epsilon, and the printed Morita
+    is_associative of the zig-zag algebra both hold, the star images span
+    the corner ideal (the printed star_rank), the computed split of the
+    corner ideal holds with the printed epsilon, and the printed Morita
     payload is the computed roundtrip of the regular module, or the same
     refusal of its setup.  The sweep takes the
     mutated models (none validates), the edge cases, the idempotent family
@@ -443,7 +444,10 @@ def test_zigzag_verdicts_hold_on_every_validated_algebra():
             check = action_through_A_check(z)
             assert check.ok and check.checked == z.dim**2, (p.dims, d, check.failures[:3])
             assert z.as_algebra().is_associative(), (p.dims, d)
-            split = ideal_unit_and_split(p, zd_ideal(p, d))
+            ideal = zd_ideal(p, d)
+            # the star images span the ideal, so star_rank is printed as ideal_dim
+            assert z.star_image().dim == ideal.dim, (p.dims, d)
+            split = ideal_unit_and_split(p, ideal)
             printed = _zigzag_payload(p, d)
             assert split.ok and printed["epsilon"] == split.to_json()["epsilon"], (p.dims, d)
             assert printed["ideal_unital"] and printed["idempotent_ideal"] == split.idempotent_ideal
@@ -1334,7 +1338,8 @@ def identity_without_products():
 def spanning_edges():
     """Two-dimensional edges whose one nonzero product v_0 u_0 = w spans
     component (1,1) = k w, while their balanced tensor over A = k has
-    dimension 4; no element of (1,1) is a right identity on (0,1)."""
+    dimension 4; (1,1) acts on neither edge, so no element of the span of
+    the products is a left identity on (1,0)."""
     entries = [(0, 0, 0, 0, 0, 0, 1), (1, 0, 1, 0, 0, 0, 1)]
     entries += [(0, 0, 1, 0, a, a, 1) for a in range(2)] + [(1, 0, 0, a, 0, a, 1) for a in range(2)]
     return PeirceAlgebra(1, [[1, 2], [2, 1]], entries, [1])
@@ -1447,6 +1452,59 @@ def test_certified_paths_match_the_balanced_tensors(monkeypatch):
     assert taken == {(stage, certified) for stage in stages for certified in (True, False)}
 
 
+def _wrong_unit_corner():
+    """matrix_model([2]) with unit0 E_11, which is no unit, while
+    E_11 + E_22 is one."""
+    p = matrix_model([2])
+    return PeirceAlgebra(0, p.dims, p.entries(), [1, 0, 0, 0])
+
+
+def test_degree_zero_is_read_off_the_corner_unit(monkeypatch):
+    """validate_peirce builds no degree-0 quotient where corner-unit passes,
+    as c -> c (x) unit0 inverts the product map there (validate_peirce
+    docstring), and builds one where it fails and the map descends; every
+    report over the mutation sweep and the special algebras is the one the
+    balanced oracle gives.  The corner with a wrong unit0 but another unit
+    takes its degree-0 verdict from the quotient read through the product
+    map, and passes it."""
+    built = []
+    real = peirce._edge_quotient
+    monkeypatch.setattr(peirce, "_edge_quotient", lambda p, x, y: built.append((x, y)) or real(p, x, y))
+    tensors = []
+    tensor = peirce.balanced_tensor
+    monkeypatch.setattr(peirce, "balanced_tensor", lambda *args: tensors.append(1) or tensor(*args))
+    special = [
+        zero_edge_algebra(),
+        dead_edge_algebra(),
+        dual_numbers(),
+        identity_without_products(),
+        spanning_edges(),
+        lower_triangular(),
+        _wrong_unit_corner(),
+        *(idempotent_family(n) for n in (1, 2, 3)),
+        *(matrix_model(blocks) for blocks in ACCEPTANCE_BLOCKS),
+        heisenberg_truncation(1, 3, [0]),
+        heisenberg_truncation(2, 2, [0, 0]),
+    ]
+    seen = Counter()
+    for p in [*(bad for _, bad in _mutation_sweep()), *special]:
+        built.clear()
+        report = validate_peirce(p)
+        assert json.dumps(report.to_json()) == json.dumps(oracle.balanced_validate_peirce(p).to_json())
+        unit = report.axioms["corner-unit"]
+        descends = "descend at degree 0" not in report.details.get("tensor-factorization", "")
+        assert ((0, 0) in built) == (not unit and descends), (p.dims, report.details)
+        seen[unit, (0, 0) in built] += 1
+    assert seen[True, False] and seen[False, True], seen
+
+    p = _wrong_unit_corner()
+    built.clear()
+    tensors.clear()
+    report = validate_peirce(p)
+    assert (built, tensors) == ([(0, 0)], [])
+    assert report.first_violation == "corner-unit" and report.axioms["tensor-factorization"]
+
+
 def test_dishonest_module_takes_the_balanced_path():
     """A column module whose non-generator E_12 of component (1,1) acts
     wrongly breaks the module axiom, so the forward functor reduces every
@@ -1515,13 +1573,14 @@ def test_backward_honesty_is_checked_over_the_corner_ideal(monkeypatch):
 
 def test_generators_serve_light_test_and_honesty_only(monkeypatch):
     """Generators are searched for Light's test and for the module axiom of
-    _honest, never for a balanced tensor.  On the idempotent family the
-    degree-1 certificates fail, so validate_peirce and zigzag(p, 1) each
-    build a balanced tensor from every relation, after the one search of
-    Light's test over every component.  On mm332 the first morita_forward
-    of a column module searches for Light's test and for the honesty
-    check over (1,1); a second call, Light's verdict kept, searches once
-    more for honesty."""
+    _honest, never for a balanced tensor.  On the idempotent family
+    component (1,1) acts by zero on both edges, so no left identity on
+    (1,0) or (0,1) lies in the span of the products, and validate_peirce
+    and zigzag(p, 1) each build a balanced tensor from every relation,
+    after the one search of Light's test over every component.  On mm332
+    the first morita_forward of a column module searches for Light's test
+    and for the honesty check over (1,1); a second call, Light's verdict
+    kept, searches once more for honesty."""
     searches = []
     real = peirce._generators
 

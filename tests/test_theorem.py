@@ -6,6 +6,9 @@ algebra the theorem describes, so the `zhu` descriptors predict what
 For B = matrix_model of the graded dimensions, at every degree d:
   * B passes validate_peirce;
   * component (d,d) has dimension sum_M dim(M_d)^2;
+  * the centre of component (d,d) has dimension the number of M with
+    M_d != 0: the higher Zhu algebra is a product of matrix algebras, one
+    per such M;
   * the corner ideal Z_d and the degree-d zig-zag algebra both have
     dimension sum_M dim(M_0)^2, over the M in zd_support(modules, d);
   * the column module M_d of each block goes through both Morita functors
@@ -13,8 +16,12 @@ For B = matrix_model of the graded dimensions, at every degree d:
 
 On the boson side, heisenberg_truncation(n, D, point) has component (d,d)
 of dimension k_d^2, k_d the one level size of heisenberg_zhu_descriptor at
-level d, and a one-dimensional corner ideal at every degree, as the free
+level d, a one-dimensional centre, as one module is nonzero at every
+level, and a one-dimensional corner ideal at every degree, as the free
 boson has no exceptional degrees.
+
+The centre is solved here, in exact arithmetic: it is the kernel of
+x -> (xb - bx over every basis element b), whose rank Echelon gives.
 """
 
 from fractions import Fraction
@@ -26,6 +33,7 @@ from hypothesis import strategies as st
 
 from test_zhu import ISING_MODULES
 
+from mta.exact import Echelon
 from mta.lattice import dual_cosets, graded_dims, load_gram
 from mta.peirce import (
     heisenberg_truncation,
@@ -66,11 +74,29 @@ def module_data(draw):
     ]
 
 
+def centre_dim(p, d):
+    """Dimension of the centre of component (d,d): n minus the rank of the
+    images of its n basis elements e_s under x -> (xb - bx)_b, the
+    commutators with every basis element b side by side."""
+    n = p.dims[d][d]
+    images = []
+    for s in range(n):
+        image = {}
+        for b in range(n):
+            for t, c in p.cell(d, d, d, s, b).items():
+                image[b * n + t] = image.get(b * n + t, 0) + c
+            for t, c in p.cell(d, d, d, b, s).items():
+                image[b * n + t] = image.get(b * n + t, 0) - c
+        images.append(image)
+    return n - len(Echelon(images))
+
+
 def _check_theorem(modules):
     b = matrix_model([list(m.graded_dims) for m in modules])
     assert validate_peirce(b).ok
     for d in range(b.max_degree + 1):
         assert b.dims[d][d] == sum(m.graded_dims[d] ** 2 for m in modules)
+        assert centre_dim(b, d) == sum(1 for m in modules if m.graded_dims[d]), d
         support = set(zd_support(modules, d))
         expected = sum(m.graded_dims[0] ** 2 for m in modules if m.label in support)
         assert zd_ideal(b, d).dim == zigzag(b, d).dim == expected, d
@@ -106,4 +132,5 @@ def test_boson_truncation_follows_the_descriptor(n, max_degree):
     descriptor = heisenberg_zhu_descriptor(n, max_degree)
     for d in range(max_degree + 1):
         assert p.dims[d][d] == descriptor.level_sizes(d)[0] ** 2
+        assert centre_dim(p, d) == 1
         assert zd_ideal(p, d).dim == 1
