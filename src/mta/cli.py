@@ -75,7 +75,13 @@ MAX_ALGEBRA_PRODUCTS = 32768
 # 24 s.  The fixtures stay far below: heisenberg_truncation(1, 5) makes 0.26 M.
 # Integer cost grows with size: dense dims [[20]] validates in 3.3 s with
 # coefficient 1, 4.0 s with 30-digit and 6.0 s with 100-digit coefficients,
-# 17 s with 300 digits.
+# 17 s with 300 digits.  Coefficients with denominators are scaled to ints
+# by their common denominator for the call (peirce._on_ints), so a
+# fractional input costs about what an integer one of that length does:
+# matrix_model([[3, 2], [1, 3], [2, 1]]) in a random integer basis, 9.8 M
+# multiply-adds with a 102-bit common denominator, validates in 1.7 s
+# (12 s in Fractions).  A common denominator past 1 024 bits, which only
+# many distinct long denominators make, is not applied.
 MAX_ASSOCIATIVITY_WORK = 2**23
 MAX_COEFFICIENT_DIGITS = 100
 # A degree-D algebra has (D+1)^2 components, and validation builds a span

@@ -3,26 +3,31 @@
 An exact scalar is a Python int when it is integral and a fractions.Fraction
 otherwise; scalar() is the one normaliser, and it rejects float.  Keeping
 integral values as int runs the common case (integer structure constants,
-Wick weights, unit pivots) in C integer arithmetic, while a value with a
-denominator stays exact.  Every division keeps a Fraction operand, so no
-float can appear.  fractions is imported on the first value with a
-denominator (a non-integral text or rational given to scalar, or a division
-by a pivot other than 1 in Echelon.add), not with this module: importing it
-loads decimal and numbers too, which an integral computation never needs.
+Wick weights) in C integer arithmetic, while a value with a denominator
+stays exact.  Every division keeps a Fraction operand or is an exact
+integer division, so no float can appear.  fractions is imported on the
+first value with a denominator (a non-integral text or rational given to
+scalar, or a reduced row or residual that has one), not with this module:
+importing it loads decimal and numbers too, which an integral computation
+never needs.
 
 Vectors are sparse: dicts column -> exact scalar, zeros never stored
 (sparse and dense convert from and to lists).  Linear algebra runs on one
 kernel, Echelon: sparse rows kept in fully reduced row echelon form and
 grown one row at a time, so a redundant spanning row costs one reduction and
-is then dropped.  The pivot of a row is its lowest nonzero column; a reduced
-echelon form with that rule is unique for its row span, so
-reduced bases are canonical and byte-reproducible whatever the order of the
-spanning vectors.  No floating point is used anywhere.
+is then dropped.  Echelon holds its rows as primitive integer vectors and
+eliminates by integer cross-multiplication, so membership, rank and pivots
+make no Fraction even when a pivot is not 1.  The pivot of a row is its
+lowest nonzero column; a reduced echelon form with that rule is unique for
+its row span, so the reduced bases it returns are canonical and
+byte-reproducible whatever the order of the spanning vectors.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
 import re
+from math import gcd, lcm
 
 # fractions.Fraction once _load_fraction has run; a global, not an import in
 # each function, so a hot call pays one global lookup
@@ -124,51 +129,146 @@ def add_multiple(v: dict, c, row: dict) -> None:
             v.pop(j, None)
 
 
-class Echelon:
-    """Fully reduced row echelon form of a growing span of sparse rows.
+def _integral(row: dict):
+    """(v, s): v the nonzero entries of a sparse row times s, the lcm of
+    their denominators, so that every value of v is an int; a new dict."""
+    denominators = [x.denominator for x in row.values() if type(x) is not int]
+    if not denominators:
+        return {j: x for j, x in row.items() if x}, 1
+    s = lcm(*denominators)
+    return {j: x.numerator * (s // x.denominator) for j, x in row.items() if x}, s
 
-    rows maps each pivot column to its row; a row is 1 at its own pivot,
-    0 at every other pivot, and 0 left of its pivot.
+
+def quotient(x: int, s: int):
+    """x / s for ints x and s > 0, as an exact scalar."""
+    q, r = divmod(x, s)
+    return (Fraction or _load_fraction())(x, s) if r else q
+
+
+class Echelon:
+    """Fully reduced row echelon form of a growing span of sparse rows,
+    kept in integers.
+
+    Each row is held as a primitive integer vector (its entries have gcd
+    1), positive at its own pivot, 0 at every other pivot and 0 left of
+    its pivot.  A row with denominators is scaled by their lcm as it
+    enters; rows are eliminated by integer cross-multiplication and the
+    content is divided out, after E. H. Bareiss (Math. Comp. 22, 1968).
+    So add, contains, len and pivots never make a Fraction.
+
+    A vector of the span that vanishes at every pivot but p is a multiple
+    of the held row of p, so that row divided by its pivot value is the
+    row of the reduced echelon form, which is unique for the span.  rows,
+    basis and reduce return those reduced rows, 1 at the pivot: each is
+    made on its first read and kept until its held row changes.
     """
 
     def __init__(self, rows=()):
-        self.rows: dict[int, dict] = {}
+        self._rows: dict[int, dict] = {}  # pivot -> primitive integer row
+        self._reduced: dict[int, dict] = {}  # pivot -> reduced row, once read
         for row in rows:
             self.add(row)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self):
+        """The pivot columns, a live view in the order they were added."""
+        return self._rows.keys()
+
+    def _residual(self, row: dict):
+        """(v, s): an int vector v and an int s > 0 with v / s the canonical
+        residual of row.  Every held row r vanishes at the other pivots, so
+        the residual is row minus (row[p] / r[p]) r over the pivots p that
+        row meets, and one scale, the lcm of the denominators of those
+        factors, makes every step integral."""
+        v, s = _integral(row)
+        rows = self._rows
+        hits = [p for p in v if p in rows]
+        scale = 1
+        for p in hits:
+            b = rows[p][p]
+            if b != 1:
+                scale = lcm(scale, b // gcd(v[p], b))
+        if scale != 1:
+            v = {j: x * scale for j, x in v.items()}
+            s *= scale
+        for p in hits:
+            r = rows[p]
+            c = v[p] // r[p]
+            for j, y in r.items():
+                x = v.get(j, 0) - c * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+        return v, s
+
+    def contains(self, row: dict) -> bool:
+        """Whether a sparse row lies in the span."""
+        return not self._residual(row)[0]
 
     def reduce(self, row: dict) -> dict:
-        """Canonical residual of a sparse row modulo the span; empty iff the
-        row lies in the span."""
-        v = {j: x for j, x in row.items() if x}
-        rows = self.rows
-        # stored rows vanish at every other pivot, so one pass suffices
-        for p in [j for j in v if j in rows]:
-            add_multiple(v, -v[p], rows[p])
-        return v
+        """Canonical residual of a sparse row modulo the span, in exact
+        scalars; empty iff the row lies in the span."""
+        v, s = self._residual(row)
+        return v if s == 1 else {j: quotient(x, s) for j, x in v.items()}
 
     def add(self, row: dict) -> bool:
         """Extend the span by a sparse row; False when it was already inside."""
-        v = self.reduce(row)
+        v, _ = self._residual(row)
         if not v:
             return False
         p = min(v)
-        c = v[p]
-        if c != 1:
-            inv = (Fraction or _load_fraction())(1, c)  # 1 / c on two ints would be a float
-            v = {j: scalar(x * inv) for j, x in v.items()}
-        for other in self.rows.values():
+        g = gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        if g != 1:
+            v = {j: x // g for j, x in v.items()}
+        a = v[p]
+        rows = self._rows
+        for q, other in rows.items():
             c = other.get(p)
-            if c is not None:
-                add_multiple(other, -c, v)
-        self.rows[p] = v
+            if c is None:
+                continue
+            # a * other - c * v, divided by gcd(a, c), vanishes at p and
+            # keeps the positive sign of other at q
+            g = gcd(a, c)
+            m, c = a // g, c // g
+            new = {j: m * x for j, x in other.items()}
+            for j, y in v.items():
+                x = new.get(j, 0) - c * y
+                if x:
+                    new[j] = x
+                else:
+                    del new[j]
+            g = gcd(*new.values())
+            rows[q] = new if g == 1 else {j: x // g for j, x in new.items()}
+            self._reduced.pop(q, None)
+        rows[p] = v
         return True
+
+    def _reduced_row(self, p: int) -> dict:
+        row = self._rows[p]
+        b = row[p]
+        if b == 1:
+            return row
+        out = self._reduced.get(p)
+        if out is None:
+            out = self._reduced[p] = {j: quotient(x, b) for j, x in row.items()}
+        return out
+
+    @property
+    def rows(self) -> dict:
+        """{pivot: reduced row}, pivots in the order they were added; a row
+        is 1 at its own pivot, 0 at every other pivot, and 0 left of its
+        pivot."""
+        return {p: self._reduced_row(p) for p in self._rows}
 
     def basis(self):
         """The sparse reduced rows in increasing pivot order."""
-        return [self.rows[p] for p in sorted(self.rows)]
+        return [self._reduced_row(p) for p in sorted(self._rows)]
 
 
 def rref(rows):
@@ -181,16 +281,21 @@ def rref(rows):
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
     ech = Echelon(map(sparse, rows))
-    return [dense(row, ncols) for row in ech.basis()], sorted(ech.rows)
+    return [dense(row, ncols) for row in ech.basis()], sorted(ech.pivots)
 
 
 def reduce_vector(basis_rows, pivots, v):
     """Eliminate the pivot coordinates of v against a reduced basis: dense
     rows, each 1 at its own pivot and 0 at the others, as rref returns
-    them.  Echelon.reduce on those rows, as a dense vector."""
-    ech = Echelon()
-    ech.rows = {p: sparse(row) for row, p in zip(basis_rows, pivots)}
-    return dense(ech.reduce(sparse(v)), len(v))
+    them with their pivots.  Echelon.reduce against the span of those
+    rows, which fixes the pivots, as a dense vector."""
+    return dense(Echelon(map(sparse, basis_rows)).reduce(sparse(v)), len(v))
+
+
+def solvable(rows, n: int) -> bool:
+    """Whether the system of solve_linear has a solution: its right-hand
+    column n is not a pivot of the span of its rows."""
+    return n not in Echelon(rows).pivots
 
 
 def solve_linear(rows, n: int):
@@ -201,6 +306,6 @@ def solve_linear(rows, n: int):
     Free variables are set to zero, so the returned solution is canonical.
     """
     ech = Echelon(rows)
-    if n in ech.rows:
+    if n in ech.pivots:
         return None
     return {p: row[n] for p, row in ech.rows.items() if n in row}

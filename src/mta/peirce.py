@@ -44,7 +44,10 @@ component(d,0) (x)_A component(0,d) -> component(d,d): the map sends the
 balancing relation R_b(u, v) = (u b) (x) v - u (x) (b v) to (ub)v - u(bv),
 and it is linear, so it kills the span of the relations iff every basis
 triple of components (d,0), (0,0), (0,d) associates.  Once associativity
-holds the map descends at every degree.
+holds the map descends at every degree.  The kernel and the generators run
+on the tables scaled to ints by a common denominator of their structure
+constants (_on_ints): both sides of (ab)c = a(bc) scale alike, so every
+verdict and every failing triple is the same as in Fractions.
 The module axiom (x s).w = x.(s.w) of a module presentation given from
 outside is checked the same way, on generators s of an associative B: the
 s that satisfy it for all x and w form a subspace closed under products,
@@ -92,6 +95,7 @@ the same either way.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 from operator import itemgetter
 
 from .exact import (
@@ -100,7 +104,9 @@ from .exact import (
     dense,
     frac_str,
     parse_frac,
+    quotient,
     scalar,
+    solvable,
     solve_linear,
     sparse,
     strict_int,
@@ -121,7 +127,7 @@ class Subspace:
                 raise ValueError("spanning vector leaves the ambient space")
             self._echelon.add(v)
         self.basis = self._echelon.basis()
-        self.pivots = sorted(self._echelon.rows)
+        self.pivots = sorted(self._echelon.pivots)
         self._slot = {p: s for s, p in enumerate(self.pivots)}
 
     @property
@@ -129,7 +135,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: dict) -> bool:
-        return not self._echelon.reduce(v)
+        return self._echelon.contains(v)
 
     def coords_of(self, v: dict):
         """Sparse coordinates of v in the reduced basis; None when v is
@@ -162,10 +168,67 @@ class Algebra:
         self.cells = cells
 
     def is_associative(self) -> bool:
-        """Light's test (module docstring), as for every algebra here."""
+        """Light's test (module docstring), as for every algebra here, on
+        the cells scaled to ints (_on_ints)."""
         tables = {(0, 0, 0): self.cells}
-        gens = _generators(tables, [[self.dim]], [(0, 0)])
-        return _first_nonassociative(tables, [(0, 0, 0, 0)], gens) is None
+
+        def light():
+            gens = _generators(tables, [[self.dim]], [(0, 0)])
+            return _first_nonassociative(tables, [(0, 0, 0, 0)], gens) is None
+
+        return _on_ints(tables, _common_denominator(tables), light)
+
+
+def _common_denominator(tables: dict) -> int:
+    """The lcm of the denominators of the structure constants of product
+    tables {ijk: {(a, b): cell}}: 1 when they are all ints."""
+    return lcm(
+        *(
+            x.denominator
+            for table in tables.values()
+            for cell in table.values()
+            for x in cell.values()
+            if type(x) is not int
+        )
+    )
+
+
+def _map_constants(tables: dict, f) -> None:
+    """Replace each structure constant x of product tables by f(x) in
+    place, once per cell object, as a cell may be shared across tables."""
+    seen = set()
+    for table in tables.values():
+        for cell in table.values():
+            if id(cell) not in seen:
+                seen.add(id(cell))
+                for c, x in cell.items():
+                    cell[c] = f(x)
+
+
+# A scaled constant is as long as the common denominator, while a Fraction
+# sum stays near the length of the denominators it meets.  On a dense dims
+# [[8]] corner the full associativity scan took 0.5 s in Fractions, and
+# 0.17 s in ints with 20-digit denominators and a 1 014-bit common
+# denominator, 1.2 s at 3 875 bits (0.17 and 0.52 s at 1 322 and 2 633
+# bits with 100-digit denominators), so a longer one stays in Fractions.
+_MAX_SCALE_BITS = 1024
+
+
+def _on_ints(tables: dict, scale: int, run):
+    """run(), with every structure constant of tables times scale, a common
+    denominator of them, so an int, while run runs; the constants are
+    scaled in place and restored after, so no second copy of the tables
+    is held.  A scale of 1 changes nothing, and one over _MAX_SCALE_BITS
+    bits is not applied.  (ab)c and a(bc) both scale by scale**2, so
+    _first_nonassociative returns the same on the scaled tables, in int
+    arithmetic, and the products of _generators span the same spaces."""
+    if scale == 1 or scale.bit_length() > _MAX_SCALE_BITS:
+        return run()
+    _map_constants(tables, lambda x: x.numerator * (scale // x.denominator))
+    try:
+        return run()
+    finally:
+        _map_constants(tables, lambda x: quotient(x, scale))
 
 
 def _bilinear(table: dict, x: dict, y: dict) -> dict:
@@ -328,8 +391,8 @@ class TensorQuotient:
 
     The relations are held in an Echelon, or, when a certificate shows that
     a map phi kills exactly the relations (module docstring), not at all:
-    images[f] is then phi(e_f), target_dim bounds its keys, and relations
-    is None.
+    images[f] is then phi(e_f), target_dim bounds its keys, relations is
+    None, and the inverse that project reads is built on the first call.
     """
 
     def __init__(
@@ -340,10 +403,13 @@ class TensorQuotient:
         self.ambient_dim = dim_left * dim_right
         self.relations = relations
         self._images = images
+        self._target_dim = target_dim
+        self._inverse = None
         if relations is not None:
-            self.free = [i for i in range(self.ambient_dim) if i not in relations.rows]
+            pivots = relations.pivots
+            self.free = [i for i in range(self.ambient_dim) if i not in pivots]
         else:
-            self.free, self._inverse = _image_basis(images, target_dim)
+            self.free = _image_basis(images)
         self._coord = {f: q for q, f in enumerate(self.free)}
 
     @property
@@ -356,7 +422,9 @@ class TensorQuotient:
             # the residual vanishes at every pivot, so each key is free
             return {coord[f]: x for f, x in self.relations.reduce(ambient_vec).items()}
         # phi(x) lies in the span of the phi(e_f), f free: its coordinates
-        # there are read off at the pivots of that span (see _image_basis)
+        # there are read off at the pivots of that span (see _image_inverse)
+        if self._inverse is None:
+            self._inverse = _image_inverse(self._images, self.free, self._target_dim)
         image: dict = {}
         for f, x in ambient_vec.items():
             if f in self._images:
@@ -378,30 +446,28 @@ class TensorQuotient:
         return divmod(self.free[q], self.dim_right)
 
 
-def _image_basis(images: dict, target_dim: int):
-    """(free, inverse) of a TensorQuotient read through phi, images[f] being
-    phi(e_f) with keys below target_dim.
-
-    f is free when phi(e_f) is independent of every phi(e_j) with j > f.
-    The rows phi(e_f) + e_(target_dim + f) over free f, in reduced echelon
-    form, have their pivots below target_dim, so y = sum_f c_f phi(e_f) has
-    c_f = sum over pivots t of y[t] times entry target_dim + f of the row
-    of t; inverse[t] is {f: that entry}.
-    """
-    tagged = Echelon()
-    free = []
-    for f in sorted(images, reverse=True):
-        r = tagged.reduce(images[f])
-        if r and min(r) < target_dim:
-            r[target_dim + f] = 1
-            tagged.add(r)
-            free.append(f)
+def _image_basis(images: dict) -> list:
+    """The free columns, ascending, of a TensorQuotient read through phi,
+    images[f] being phi(e_f): f is free when phi(e_f) is independent of
+    every phi(e_j) with j > f."""
+    span = Echelon()
+    free = [f for f in sorted(images, reverse=True) if span.add(images[f])]
     free.reverse()
-    inverse = {
+    return free
+
+
+def _image_inverse(images: dict, free: list, target_dim: int) -> dict:
+    """{t: {f: c}}: y = sum_f c_f phi(e_f) over the free f has c_f = sum
+    over the pivots t of y[t] inverse[t][f], for images[f] = phi(e_f) with
+    keys below target_dim.  The rows phi(e_f) + e_(target_dim + f) over
+    free f are independent below target_dim, so in reduced echelon form
+    their pivots lie there, and inverse[t][f] is entry target_dim + f of
+    the row of t."""
+    tagged = Echelon({**images[f], target_dim + f: 1} for f in free)
+    return {
         t: {j - target_dim: x for j, x in row.items() if j >= target_dim}
         for t, row in tagged.rows.items()
     }
-    return free, inverse
 
 
 def _left_action(q: TensorQuotient, n: int, act) -> dict:
@@ -431,12 +497,12 @@ def _spanning_slots(table: dict, x: dict):
     span = Echelon()
     slots = []
     for y, cells in sorted(_by_factor(table, 1).items()):
-        if not span.reduce(x):
+        if span.contains(x):
             break
         grew = [span.add(cell) for cell in cells.values()]
         if any(grew):
             slots.append(y)
-    return slots if not span.reduce(x) else None
+    return slots if span.contains(x) else None
 
 
 def _action_images(pairs: dict, slots: list, w_mod: ModuleRep) -> dict:
@@ -528,6 +594,7 @@ class PeirceAlgebra:
         # them by their items costs more than sharing them saves
         terms: dict = {}  # (c, v) -> the shared cell {c: v}
         keys: dict = {}  # (a, b) -> the shared key
+        scale = 1  # a common denominator of the coefficients, for _on_ints
         for *index, coeff in entries:
             i, j, k, a, b, c = map(strict_int, index)
             if not (0 <= i <= max_degree and 0 <= j <= max_degree and 0 <= k <= max_degree):
@@ -537,6 +604,8 @@ class PeirceAlgebra:
             coeff = scalar(coeff)
             if not coeff:
                 continue
+            if type(coeff) is not int:
+                scale = lcm(scale, coeff.denominator)
             table = self._prod.setdefault((i, j, k), {})
             cell = table.get((a, b))
             if cell is None:
@@ -554,6 +623,7 @@ class PeirceAlgebra:
         self.unit0 = [scalar(x) for x in unit0]
         if len(self.unit0) != self.dims[0][0]:
             raise ValueError("unit0 has wrong length")
+        self._scale = scale
         self.block_dims = None  # set by matrix_model
         self._associative = None  # set by _associative, which runs Light's test once
 
@@ -760,7 +830,7 @@ def _generators(tables: dict, dims, components) -> dict:
             if not room[(i, j)]:
                 break
             e = {b: 1}
-            if not spans[(i, j)].reduce(e):
+            if spans[(i, j)].contains(e):
                 continue
             kept[(i, j)].append(e)
             # e_b itself, then every element of U times e_b on either side
@@ -785,23 +855,36 @@ def _generators(tables: dict, dims, components) -> dict:
 
 
 def _associative(p: PeirceAlgebra) -> bool:
-    """Light's test on every component of p, run once per algebra: the
-    validator, zigzag and both Morita functors read it."""
+    """Light's test on every component of p, run once per algebra on its
+    tables scaled to ints (_on_ints): the validator, zigzag and both Morita
+    functors read it."""
     if p._associative is None:
         r = range(p.max_degree + 1)
-        gens = _generators(p._prod, p.dims, itertools.product(r, repeat=2))
-        quads = _quadruples(p._prod, p.max_degree)
-        p._associative = _first_nonassociative(p._prod, quads, gens) is None
+
+        def light():
+            gens = _generators(p._prod, p.dims, itertools.product(r, repeat=2))
+            quads = _quadruples(p._prod, p.max_degree)
+            return _first_nonassociative(p._prod, quads, gens) is None
+
+        p._associative = _on_ints(p._prod, p._scale, light)
     return p._associative
 
 
 def _associativity_failure(p: PeirceAlgebra):
     """Where associativity first fails, as the (i, j, k, l, a, b, c) of the
-    full call, in (i,j,k,l) then (a,b,c) order; None when Light's test
-    passes."""
+    full call, on the tables scaled to ints, in (i,j,k,l) then (a,b,c)
+    order; None when Light's test passes."""
     if _associative(p):
         return None
-    return _first_nonassociative(p._prod, _quadruples(p._prod, p.max_degree))
+    quads = _quadruples(p._prod, p.max_degree)
+    return _on_ints(p._prod, p._scale, lambda: _first_nonassociative(p._prod, quads))
+
+
+def _descends(p: PeirceAlgebra, d: int) -> bool:
+    """Whether components (d,0), (0,0), (0,d) associate: the kernel on
+    (d,0,0,d) alone, on the tables it reads scaled to ints."""
+    read = {ijk: p._prod[ijk] for ijk in ((d, 0, 0), (d, 0, d), (0, 0, d)) if ijk in p._prod}
+    return _on_ints(read, p._scale, lambda: _first_nonassociative(read, [(d, 0, 0, d)]) is None)
 
 
 def _first_unfixed(p: PeirceAlgebra, i: int, j: int, left=None, right=None):
@@ -833,7 +916,7 @@ def _edge_quotient(p: PeirceAlgebra, x: int, y: int) -> TensorQuotient:
                 img = p.product(x, x, y, images[f], {w: 1})
                 if img:
                     table[(s, w)] = img
-        if _identity_on([(table, m, "left")], q.dim) is not None:
+        if solvable(_identity_rows([(table, m, "left")], q.dim), q.dim):
             return q
     diag = p.diagonal_algebra(y)
     m_rep = _component_module(p, diag, x, y, "right")
@@ -904,9 +987,7 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
         # (d,0), (0,0), (0,d) associate, as they do once associativity holds
         # and as every quadruple before the full scan's failing one does
         quad = (d, 0, 0, d)
-        descends = failure is None or quad < failure[:4] or (
-            quad != failure[:4] and _first_nonassociative(p._prod, [quad]) is None
-        )
+        descends = failure is None or quad < failure[:4] or (quad != failure[:4] and _descends(p, d))
         if not descends:
             details["tensor-factorization"] = f"product map does not descend at degree {d}"
             break
@@ -1034,8 +1115,15 @@ def _identity_on(modules, n: int):
     """The canonical element x = sum_s x_s e_s of an n-dimensional algebra
     that fixes every basis vector of every given module over it, as a
     sparse vector (free unknowns zero, see exact.solve_linear), or None
-    when there is none.  Each module is a (table, dim, side) triple, its
-    product table read as ModuleRep.table is."""
+    when there is none; modules as _identity_rows reads them."""
+    return solve_linear(_identity_rows(modules, n), n)
+
+
+def _identity_rows(modules, n: int) -> list:
+    """The rows of the linear system of _identity_on, unknowns x_s in
+    columns 0..n-1 and the right-hand side in column n.  Each module is a
+    (table, dim, side) triple, its product table read as ModuleRep.table
+    is."""
     rows = []
     for table, dim, side in modules:
         left = side == "left"
@@ -1047,7 +1135,7 @@ def _identity_on(modules, n: int):
                     system.setdefault(r, {})[s] = c
             system.setdefault(w, {})[n] = 1
             rows += system.values()
-    return solve_linear(rows, n)
+    return rows
 
 
 def find_strong_identity(p: PeirceAlgebra, d: int):
@@ -1251,7 +1339,10 @@ def _honest(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> bool:
     if w_mod.table is table:
         return True
     gens = {(0, 0): _generators(p._prod, p.dims, [(d, d)])[(d, d)]}
-    return _first_nonassociative({(0, 0, 0): table, (0, 0, 1): w_mod.table}, [(0, 0, 0, 1)], gens) is None
+    tables = {(0, 0, 0): table, (0, 0, 1): w_mod.table}
+    return _on_ints(
+        tables, _common_denominator(tables), lambda: _first_nonassociative(tables, [(0, 0, 0, 1)], gens) is None
+    )
 
 
 def _functor(

@@ -1136,7 +1136,9 @@ def test_only_selftest_loads_random(argv, algebra_file):
 
 # importing fractions loads decimal and numbers too; a command loads it only
 # when it makes a value with a denominator: lattice norms, the 1/n-valued
-# strong identity, selftest's fractional checks and h14's non-unit pivots
+# strong identity, selftest's fractional checks and the structure constants
+# of c_mm12, matrix_model([[1, 2], [1, 0]]) in a random integer basis.  h14
+# eliminates by non-unit pivots, which the integer Echelon does without one
 _FRACTIONS_LOADED = [
     (["partitions", "list", "--rank", "2", "--weight", "3"], False),
     (["heisenberg", "verify", "--rank", "2", "--degree", "3"], False),
@@ -1145,12 +1147,15 @@ _FRACTIONS_LOADED = [
     (["lattice", "dims", "--gram", "{demos}/z8.gram", "--coset", "1", "--max", "5"], True),
     (["selftest", "--fast"], True),
     (["heisenberg", "identity", "--rank", "2", "--degree", "3"], True),
-    (["peirce", "validate", "--algebra", "{h14}"], True),
+    (["peirce", "validate", "--algebra", "{h14}"], False),
+    (["peirce", "validate", "--algebra", "{golden}/c_mm12.json"], True),
 ]
 
 
 @pytest.mark.parametrize(
-    ("argv", "loads"), _FRACTIONS_LOADED, ids=[" ".join(argv[:2]) for argv, _ in _FRACTIONS_LOADED]
+    ("argv", "loads"),
+    _FRACTIONS_LOADED,
+    ids=[" ".join(argv[:2]) + (" c_mm12" if "{golden}" in argv[-1] else "") for argv, _ in _FRACTIONS_LOADED],
 )
 def test_only_a_denominator_loads_fractions(argv, loads, algebra_file, tmp_path):
     # run with -S, as above; assert on fractions alone, since what it
@@ -1159,6 +1164,8 @@ def test_only_a_denominator_loads_fractions(argv, loads, algebra_file, tmp_path)
         h14 = tmp_path / "h14.json"
         h14.write_text(json.dumps(heisenberg_truncation(1, 4, [Fraction(0)]).to_json_dict()))
         argv = [a.replace("{h14}", str(h14)) for a in argv]
+    golden = Path(__file__).resolve().parent / "golden" / "cli" / "inputs"
+    argv = [a.replace("{golden}", str(golden)) for a in argv]
     added = _modules_loaded_by(argv, algebra_file, "-S")
     assert "mta.cli" in added
     assert ("fractions" in added) == loads

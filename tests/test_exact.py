@@ -138,6 +138,88 @@ def test_integer_kernel_is_exact_and_normal(mat, rhs):
     assert x is None or _normal(x.values())
 
 
+# factors that give rows non-unit pivots of either sign, contents above
+# 2**64 and denominators, the last two also above 2**64
+row_scale = st.sampled_from([1, -1, 2, -6, 35, 2**64 + 13, -(3**41), Fraction(1, 6), Fraction(-7, 2**65 + 1)])
+
+
+@st.composite
+def echelon_scripts(draw):
+    """A column count and a list of Echelon calls (op, dense row): rows are
+    small integer rows or combinations of earlier ones, each times a drawn
+    factor, so a call meets rows inside and outside the span."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    small = st.lists(entry, min_size=ncols, max_size=ncols)
+    ops = st.sampled_from(["add", "add", "contains", "reduce", "basis", "len"])
+    script, made = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=9))):
+        if made and draw(st.booleans()):
+            r, s = draw(st.sampled_from(made)), draw(st.sampled_from(made))
+            c = draw(st.sampled_from([1, -2, Fraction(3, 4)]))
+            row = [x + c * y for x, y in zip(r, s)]
+        else:
+            row = draw(small)
+        row = [draw(row_scale) * x for x in row]
+        made.append(row)
+        script.append((draw(ops), row))
+    return ncols, script
+
+
+def _raw(row) -> dict:
+    """A dense row as a sparse one, its values as drawn: Fraction(2) stays a
+    Fraction, as an input row may hold it."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_scripts())
+def test_integer_echelon_matches_dense_oracle(script):
+    """add, contains, reduce, basis, rows, pivots and len, called in any
+    order, agree with the dense Fraction elimination of the rows added so
+    far, and every value they return is an exact scalar in normal form."""
+    ncols, calls = script
+    ech, added = Echelon(), []
+    for op, row in calls:
+        red, pivots = oracle.rref(added)
+        if op == "add":
+            grew = oracle.rank(added + [row]) > len(red)
+            assert ech.add(_raw(row)) == grew
+            added += [row] * grew
+        elif op == "contains":
+            assert ech.contains(_raw(row)) == (oracle.rank(added + [row]) == len(red))
+        elif op == "reduce":
+            residual = ech.reduce(_raw(row))
+            assert dense(residual, ncols) == oracle.reduce_vector(red, pivots, row)
+            assert _normal(residual.values())
+        elif op == "basis":
+            basis = ech.basis()
+            assert [dense(r, ncols) for r in basis] == red
+            assert ech.rows == dict(zip(pivots, basis)) and sorted(ech.pivots) == pivots
+            assert all(_normal(r.values()) for r in basis)
+        assert len(ech) == oracle.rank(added)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nonunit_pivot_rows(),
+    st.lists(row_scale, min_size=5, max_size=5),
+    st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+)
+def test_solve_linear_and_solvable_match_dense_oracle(mat, scales, rhs):
+    """On systems whose rows carry non-unit, big and fractional factors,
+    solve_linear gives the oracle's canonical solution and solvable says
+    whether there is one."""
+    ncols, rows = mat
+    rows = [[s * x for x in r] for s, r in zip(scales, rows)]
+    b = rhs[: len(rows)]
+    system = [_raw(r + [c]) for r, c in zip(rows, b)]
+    expected = oracle_solve(rows, b, ncols)
+    x = exact.solve_linear(system, ncols)
+    assert (x if x is None else dense(x, ncols)) == expected
+    assert x is None or _normal(x.values())
+    assert exact.solvable(system, ncols) == (expected is not None)
+
+
 def test_scalar_normal_form():
     assert exact.scalar(Fraction(6, 3)) == 2 and type(exact.scalar(Fraction(6, 3))) is int
     assert exact.scalar("-4/6") == Fraction(-2, 3)
@@ -208,8 +290,8 @@ def test_parse_frac_plain_integers():
 
 def test_fraction_is_bound_once_and_hot_calls_import_nothing(monkeypatch):
     """exact binds fractions.Fraction on the first value with a denominator;
-    after that, scalar on a Fraction and division by a non-unit pivot run
-    no import statement."""
+    after that, scalar on a Fraction and reading the reduced rows of
+    non-unit pivots run no import statement."""
     assert exact.scalar("3/6") == Fraction(1, 2)
     assert exact.Fraction is fractions.Fraction
     imports = []
@@ -219,5 +301,26 @@ def test_fraction_is_bound_once_and_hot_calls_import_nothing(monkeypatch):
     for _ in range(1000):
         assert exact.scalar(x) is x
     ech = Echelon([{0: 2, 1: 1}, {1: 3, 2: 1}])
-    assert imports == []
     assert ech.rows == {0: {0: 1, 2: Fraction(-1, 6)}, 1: {1: 1, 2: Fraction(1, 3)}}
+    assert imports == []
+
+
+def test_integer_rows_make_no_fraction(monkeypatch):
+    """On integer rows with non-unit pivots, add, contains, len, pivots,
+    solvable and a residual without denominators never reach the Fraction
+    loader; the first reduced row with a denominator does."""
+
+    def refuse():
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(exact, "Fraction", None)
+    monkeypatch.setattr(exact, "_load_fraction", refuse)
+    rows = [{0: 2, 1: 4, 2: 6, 3: 1}, {1: 3, 2: 1}, {0: 4, 1: 2 * 3**45, 3: 5}]
+    ech = Echelon(rows)
+    assert len(ech) == 3 and sorted(ech.pivots) == [0, 1, 2]
+    assert not ech.add({0: 6, 1: 4 + 2 * 3**45, 2: 6, 3: 6})
+    assert ech.contains({0: 2 * 7, 1: 4 * 7, 2: 6 * 7, 3: 7}) and not ech.contains({3: 1})
+    assert ech.reduce({0: 2, 1: 4, 2: 6, 3: 1}) == {}
+    assert exact.solvable([{0: 2, 1: 4}, {0: 3, 1: 6}], 1) and not exact.solvable([{0: 2, 1: 4}, {0: 3, 1: 5}], 1)
+    with pytest.raises(AssertionError, match="a Fraction was made"):
+        ech.basis()

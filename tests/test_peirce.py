@@ -1092,6 +1092,75 @@ def test_light_test_matches_full_scan_after_basis_change(blocks, seed, mutation)
             assert scan or cells is changed
 
 
+def _typed(tables):
+    """The structure constants of product tables with their types, so that
+    2 and Fraction(2) differ."""
+    return {
+        ijk: {key: {c: (type(x), x) for c, x in cell.items()} for key, cell in t.items()}
+        for ijk, t in tables.items()
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    small_block_st,
+    st.integers(min_value=0, max_value=2**32),
+    st.one_of(st.none(), st.tuples(st.integers(min_value=0), st.sampled_from([1, -1, Fraction(1, 2)]))),
+)
+def test_scaled_kernel_matches_the_fraction_kernel(blocks, seed, mutation):
+    """A matrix model in a random integer basis, with or without one
+    structure constant changed: its tables scaled to ints by _on_ints give
+    the associativity kernel the same return value as the Fraction tables,
+    with a middle and without, over the quadruples with a table and over
+    all of them, and the same generators; the scale is a common
+    denominator, every scaled constant is an int, and the tables come back
+    equal in value and type."""
+    p = _changed_basis(matrix_model(blocks), random.Random(seed))
+    if mutation is not None and p.entries():
+        pos, delta = mutation
+        entries = p.entries()
+        i, j, k, a, b, c, v = entries[pos % len(entries)]
+        entries[pos % len(entries)] = (i, j, k, a, b, c, v + delta)
+        p = PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0)
+    assert p._scale % peirce._common_denominator(p._prod) == 0
+    before = _typed(p._prod)
+    r = range(p.max_degree + 1)
+    components = list(itertools.product(r, repeat=2))
+    kernel = peirce._first_nonassociative
+
+    def on_ints(run):
+        def checked():
+            assert all(type(x) is int for t in p._prod.values() for cell in t.values() for x in cell.values())
+            return run()
+
+        out = peirce._on_ints(p._prod, p._scale, checked)
+        assert _typed(p._prod) == before
+        return out
+
+    gens = peirce._generators(p._prod, p.dims, components)
+    assert on_ints(lambda: peirce._generators(p._prod, p.dims, components)) == gens
+    for quads in (list(peirce._quadruples(p._prod, p.max_degree)), list(itertools.product(r, repeat=4))):
+        for middle in (None, gens):
+            assert on_ints(lambda: kernel(p._prod, quads, middle)) == kernel(p._prod, quads, middle)
+
+
+def test_long_common_denominator_stays_in_fractions():
+    """A common denominator of up to _MAX_SCALE_BITS bits is applied, so
+    run sees ints; a longer one, which would make every constant as long
+    as itself, is not, and run sees the Fractions.  Either way the tables
+    come back as they were."""
+    bits = peirce._MAX_SCALE_BITS
+    for den, scaled in ((2 ** (bits - 1), True), (2**bits, False)):
+        tables = {(0, 0, 0): {(0, 0): {0: Fraction(3, den), 1: 5}, (0, 1): {1: Fraction(1, 2)}}}
+        before = _typed(tables)
+        scale = peirce._common_denominator(tables)
+        assert scale == den
+        seen = peirce._on_ints(tables, scale, lambda: _typed(tables))
+        ints = all(t is int for table in seen.values() for cell in table.values() for t, _ in cell.values())
+        assert ints == scaled
+        assert _typed(tables) == before
+
+
 def test_light_test_matches_full_scan_on_boson_mutations():
     """Every structure constant of h13 raised by one: Light's test flags the
     same algebras as the full scan, and the report is unchanged."""
@@ -1280,10 +1349,12 @@ def _traced(build):
 def test_building_and_validating_hold_about_one_algebra():
     """On heisenberg_truncation(1, 4, [0]), 1 728 products, the constructor
     peaks at most 1.25 times the algebra it returns (1.17 measured; 2.5
-    when it shared cells after storing them unshared), and validate_peirce
-    at most once the algebra (0.83; 2.1 with every table grouped both ways
-    for the whole scan).  Ratios of tracemalloc figures, so they hold
-    across Python versions."""
+    when it shared cells after storing them unshared), validate_peirce at
+    most once the algebra (0.73; 2.1 with every table grouped both ways
+    for the whole scan), and the full associativity scan, with no middle,
+    which runs only after Light's test fails, at most 1.5 times (1.28: it
+    keeps the rows of every table by first factor for the whole scan).
+    Ratios of tracemalloc figures, so they hold across Python versions."""
     h14 = heisenberg_truncation(1, 4, [F0])
     entries = h14.entries()
     p, size, peak = _traced(lambda: PeirceAlgebra(h14.max_degree, h14.dims, entries, h14.unit0))
@@ -1291,6 +1362,34 @@ def test_building_and_validating_hold_about_one_algebra():
     report, _, peak = _traced(lambda: validate_peirce(p))
     assert report.ok
     assert peak <= size, (peak, size)
+    quads = list(peirce._quadruples(p._prod, p.max_degree))
+    first, _, peak = _traced(lambda: peirce._first_nonassociative(p._prod, quads))
+    assert first is None
+    assert peak <= 1.5 * size, (peak, size)
+
+
+def test_integer_scaling_does_not_raise_the_validation_peak():
+    """c_mm32, matrix_model([[3, 2], [2, 1]]) in a random integer basis,
+    has structure constants with denominators.  validate_peirce runs its
+    associativity kernel on the tables scaled to ints in place, and peaks
+    at most 0.25 times the algebra above it (0.05 measured; 0.66 with the
+    scale forced to 1, the Fraction tables): ints are smaller than
+    Fractions, and no second copy of the tables is held.  The algebra is
+    built under tracemalloc too, so the Fractions the scaling frees
+    count."""
+    base = _changed_basis(matrix_model([[3, 2], [2, 1]]), random.Random(7))
+    entries = base.entries()
+    tracemalloc.start()
+    try:
+        p = PeirceAlgebra(base.max_degree, base.dims, entries, base.unit0)
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert validate_peirce(p).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p._scale > 1
+    assert peak - size <= 0.25 * size, (peak, size)
 
 
 def test_light_failure_is_smallest_over_middle_elements():
