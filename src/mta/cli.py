@@ -16,7 +16,8 @@ import os
 import sys
 from collections import Counter
 from itertools import chain
-from types import SimpleNamespace
+from stat import S_ISREG
+from types import GeneratorType, SimpleNamespace
 
 from .exact import dense, frac_str, parse_frac, parse_int, strict_int
 
@@ -29,12 +30,13 @@ MAX_DEGREE = 8
 MAX_PARTITION_WEIGHT = 400
 MAX_LATTICE_RANK = 4
 # Labels of the largest pairing matrix `heisenberg verify` builds: (3, 7) has
-# 429 (184 041 pairings) and verifies in 0.42 s with an 18.8 MiB peak RSS,
-# and (4, 5), 252 labels, in 0.20 s and 16.3 MiB (CLI wall time and peak
-# RSS, medians of 5, 2-core machine).  The report is written one matrix row
-# at a time: encoded whole by one json.dumps, the peaks were 23.3 and
-# 20.0 MiB, and with a separate object and string for every zero cell,
-# 0.83 s / 54 MiB and 0.34 s / 31 MiB.  The next size inside the
+# 429 (184 041 pairings) and verifies in 0.49 s with a 16.3 MiB peak RSS,
+# and (4, 5), 252 labels, in 0.24 s and 14.8 MiB (CLI wall time and peak
+# RSS, medians of 5, 2-core machine).  The report's matrix rows are
+# rendered and written one at a time: with every cell string rendered
+# first the peaks were 17.8 and 15.3 MiB, encoded whole by one json.dumps
+# 23.3 and 20.0 MiB, and with a separate object and string for every zero
+# cell, 0.83 s / 54 MiB and 0.34 s / 31 MiB.  The next size inside the
 # rank/degree box, (4, 6) with 574 labels, stays capped.
 MAX_PAIRING_LABELS = 429
 # Lattice inputs, measured as CLI wall time on a 2-core machine (medians of
@@ -47,9 +49,11 @@ MAX_PAIRING_LABELS = 429
 # 77 MiB and 0.30 s / 28 MiB).
 MAX_LATTICE_COSETS = 4096
 MAX_LATTICE_LEVEL = 100
-# Algebra files, checked on the parsed JSON before any structure is built.
-# Balancing relations are exactly those the fallbacks of `peirce validate`
-# and `peirce zigzag` make, one per basis element of the acting algebra and
+# Algebra files, checked before any validation starts: a streamed file's
+# products as each is stored, its other sizes once it is read; a file read
+# whole on the parsed JSON, before any structure is built.  Balancing
+# relations are exactly those the fallbacks of `peirce validate` and
+# `peirce zigzag` make, one per basis element of the acting algebra and
 # basis pair, sum over d of (dims[0][0] + dims[d][d]) * dims[d][0] *
 # dims[0][d]: a products-free dims [[128]] file counts 2^22, though a
 # relation with two empty action columns is skipped unbuilt.  A
@@ -92,8 +96,15 @@ MAX_ALGEBRA_COMPONENTS = 2**14
 # Every JSON input, checked on the file's size before a byte is read.  An
 # algebra file at every other cap (32 768 products of 100-digit
 # coefficients, D = 127) is 5.6 MiB with json's default separators and
-# 7.3 MiB with indent=2; a 20 MB file took 2.0 s and 79 MiB to parse before
-# its products cap refused it.
+# 7.3 MiB with indent=2.  An algebra file as the library writes it is
+# streamed into the product tables, so its text is never whole: 32 768
+# products of 100-digit coefficients on a dims [[32]] corner, 5.4 MB, exit
+# 2 at the work cap in 0.55 s and 18 MiB (0.46 s and 28 MiB read whole).
+# Every other file is read whole, text and all products, as are the files
+# over the products cap, which are streamed up to it and then read again:
+# 80 582 products in 8.3 MB exit 2 in 1.2 s and 38 MiB (0.77 s read whole
+# at once), and a 20 MB file took 2.0 s and 79 MiB to parse that way (CLI
+# wall time and peak RSS, medians of 3, 2-core machine).
 MAX_INPUT_BYTES = 2**23
 
 
@@ -110,28 +121,34 @@ def _limit(parser, args, what: str, size: int, limit: int) -> None:
 def _algebra_sizes(data) -> dict:
     """{what: (size, limit)} read off the algebra JSON before anything is
     built; {} for a malformed file, which PeirceAlgebra reports."""
-    from .peirce import _entry_fields
+    from .peirce import _digits, _entry_fields
 
     try:
         dims = [[strict_int(x) for x in row] for row in data["dims"]]
         products = data["products"]
         coeffs = chain(_entry_fields(products, "coeff"), data["unit0"])
-        return {
-            "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
-            "components in the grid": (len(dims) ** 2, MAX_ALGEBRA_COMPONENTS),
-            "balancing relations": (
-                sum((dims[0][0] + dims[d][d]) * dims[d][0] * dims[0][d] for d in range(len(dims))),
-                MAX_BALANCING_RELATIONS,
-            ),
-            "products": (len(products), MAX_ALGEBRA_PRODUCTS),
-            "associativity multiply-adds": (_associativity_work(products), MAX_ASSOCIATIVITY_WORK),
-            "digits in one coefficient": (
-                max((sum(map(str.isdigit, str(x))) for x in coeffs), default=0),
-                MAX_COEFFICIENT_DIGITS,
-            ),
-        }
+        digits = max(map(_digits, coeffs), default=0)
+        return _sized(dims, len(products), _associativity_work(products), digits)
     except (KeyError, TypeError, ValueError, IndexError):
         return {}
+
+
+def _sized(dims, products: int, work: int, digits: int) -> dict:
+    """{what: (size, limit)} of an algebra file, in the order they are
+    checked, given its dims grid, its number of products, their
+    associativity multiply-adds and the most digits in one coefficient or
+    unit0 value."""
+    return {
+        "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
+        "components in the grid": (len(dims) ** 2, MAX_ALGEBRA_COMPONENTS),
+        "balancing relations": (
+            sum((dims[0][0] + dims[d][d]) * dims[d][0] * dims[0][d] for d in range(len(dims))),
+            MAX_BALANCING_RELATIONS,
+        ),
+        "products": (products, MAX_ALGEBRA_PRODUCTS),
+        "associativity multiply-adds": (work, MAX_ASSOCIATIVITY_WORK),
+        "digits in one coefficient": (digits, MAX_COEFFICIENT_DIGITS),
+    }
 
 
 def _associativity_work(products) -> int:
@@ -144,22 +161,25 @@ def _associativity_work(products) -> int:
     (ab)c chains each entry of (i,j,k) with output x to every entry of
     (i,k,l) with left factor x, and a(bc) chains each entry of (j,k,l) with
     output y to every entry of (i,j,l) with right factor y; keyed by the
-    shared component and basis element both sums run over the same keys.
+    shared component and basis element both sums run over the same keys,
+    so one Counter holds both factors (peirce._chained_work).
     """
-    from .peirce import _entry_fields
+    from .peirce import _chained_work, _entry_fields
 
-    outputs = Counter(_entry_fields(products, "i", "k", "c"))
-    by_left = Counter(_entry_fields(products, "i", "j", "a"))
-    by_right = Counter(_entry_fields(products, "j", "k", "b"))
-    return sum(n * (by_left[key] + by_right[key]) for key, n in outputs.items())
+    factors = Counter(_entry_fields(products, "i", "j", "a"))
+    factors.update(_entry_fields(products, "j", "k", "b"))
+    return _chained_work(Counter(_entry_fields(products, "i", "k", "c")), factors)
 
 
 def _json_pieces(value, depth: int = 2):
     """json.dumps(value) in pieces, for writing as they are made: a dict or a
     list down to depth levels is opened and each of its values is encoded
-    on its own, so the text of a report's k^2 pairing cells is made one row
-    at a time, never all at once.  Keys go through json.dumps as keys, so
-    the joined pieces equal json.dumps(value) byte for byte."""
+    on its own, and a generator there is written as the list of what it
+    yields, each item read only once the one before is written.  So the
+    text of a report's k^2 pairing cells, rendered a row at a time by a
+    generator, is never made all at once.  Keys go through json.dumps as
+    keys, so the joined pieces equal json.dumps(value), with each
+    generator read as a list, byte for byte."""
     if depth and isinstance(value, dict):
         yield "{"
         for n, (key, item) in enumerate(value.items()):
@@ -167,7 +187,7 @@ def _json_pieces(value, depth: int = 2):
             yield (", " if n else "") + json.dumps({key: 0})[1:-2]
             yield from _json_pieces(item, depth - 1)
         yield "}"
-    elif depth and isinstance(value, (list, tuple)):
+    elif depth and isinstance(value, (list, tuple, GeneratorType)):
         yield "["
         for n, item in enumerate(value):
             if n:
@@ -225,9 +245,30 @@ def _load_lattice(parser, args, path):
 
 
 def _load_peirce(parser, args, path):
-    from .peirce import PeirceAlgebra, _entry_containers, _entry_hook
+    from .peirce import PeirceAlgebra, _entry_containers, _entry_hook, _stream_algebra
 
-    # each product object is read as a compact _Entry, not a dict
+    # A regular file is streamed into the product tables a chunk at a time,
+    # its sizes tallied as it is read: the products limit is checked before
+    # each product is stored, the others once the file is read, in the
+    # order and words of the whole read below.
+    read = None
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            stat = os.fstat(fh.fileno())
+            _limit(parser, args, "bytes in the file", stat.st_size, MAX_INPUT_BYTES)
+            if S_ISREG(stat.st_mode):
+                read = _stream_algebra(fh, None if args.unsafe_no_limits else MAX_ALGEBRA_PRODUCTS)
+    except OSError:
+        pass  # the whole read below reports it, as every unreadable file
+    if read is not None:
+        algebra, tallies = read
+        for what, (size, limit) in _sized(algebra.dims, *tallies).items():
+            _limit(parser, args, what, size, limit)
+        return algebra
+    # Every file the stream does not take is read whole and refused or built
+    # as it always was: a layout the library does not write, a file over the
+    # products limit, a malformed file, and a pipe, which cannot be read
+    # twice.  Each product object is read as a compact _Entry, not a dict.
     data = _entry_containers(_load_json(parser, args, path, _entry_hook))
     for what, (size, limit) in _algebra_sizes(data).items():
         _limit(parser, args, what, size, limit)
@@ -288,7 +329,7 @@ def _cmd_heisenberg(parser, args) -> int:
     verdict = "verified" if report.ok else "FAILED"
     _emit(
         args,
-        report.to_json(),
+        report._json_by_rows(),
         [
             f"rank {n} degree {d}: strong identity {verdict} "
             f"(size {len(report.labels)}, diagonal {report.expected_diagonal})"

@@ -548,6 +548,14 @@ class IdentityReport:
         self.mismatches = [] if mismatches is None else mismatches
 
     def to_json(self) -> dict:
+        out = self._json_by_rows()
+        out["matrix"] = list(out["matrix"])
+        return out
+
+    def _json_by_rows(self) -> dict:
+        """to_json with the matrix a generator that renders one row of cell
+        strings at a time, so a writer that writes each row before it reads
+        the next never holds the k x k rendered cells at once."""
         return {
             "rank": self.rank,
             "degree": self.degree,
@@ -555,20 +563,18 @@ class IdentityReport:
             "size": len(self.labels),
             "labels": [lp.to_json() for lp in self.labels],
             "expected_diagonal": list(self.expected_diagonal),
-            # a zero cell is the one literal "0" (= frac_str(0)), not a new string
-            "matrix": [
-                [
-                    "0"
-                    if x.is_zero()
-                    else frac_str(x.constant_value())
-                    if x.is_constant()
-                    else repr(x)
-                    for x in row
-                ]
-                for row in self.matrix
-            ],
+            "matrix": (_rendered_row(row) for row in self.matrix),
             "mismatches": [list(m) for m in self.mismatches],
         }
+
+
+def _rendered_row(row) -> list:
+    """A pairing matrix row as the report writes it; a zero cell is the one
+    literal "0" (= frac_str(0)), not a new string."""
+    return [
+        "0" if x.is_zero() else frac_str(x.constant_value()) if x.is_constant() else repr(x)
+        for x in row
+    ]
 
 
 def verify_strong_identity(n: int, d: int) -> IdentityReport:

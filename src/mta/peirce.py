@@ -95,6 +95,7 @@ the same either way.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import lcm
 from operator import itemgetter
 
@@ -763,6 +764,184 @@ def _entry_fields(products, *keys):
     return (by_pos(e) if type(e) is _Entry else by_key(e) for e in products)
 
 
+def _digits(x) -> int:
+    """Digits in one coefficient or unit0 value of an algebra file, as it
+    is written there."""
+    return sum(map(str.isdigit, str(x)))
+
+
+def _chained_work(outputs, factors) -> int:
+    """Multiply-adds of the full associativity call, from two Counters over
+    the products of an algebra file: outputs of (i, k, c), and factors of
+    (i, j, a) and of (j, k, b) (see cli._associativity_work)."""
+    return sum(n * factors[key] for key, n in outputs.items())
+
+
+# bytes of an algebra file _stream_algebra reads at a time
+_CHUNK = 8192
+_TOP_KEYS = ("max_degree", "dims", "products", "unit0")
+
+
+class _NotStreamed(Exception):
+    """Raised inside _stream_algebra on text it does not take."""
+
+
+class _Chunks:
+    """The text of a file open in binary mode, read _CHUNK bytes at a time
+    and decoded as open(path, encoding="utf-8") decodes it, with universal
+    newlines; what is read and not yet taken is text[pos:]."""
+
+    def __init__(self, fh):
+        from codecs import getincrementaldecoder
+        from io import IncrementalNewlineDecoder
+        from json import JSONDecoder
+        from json.decoder import WHITESPACE
+
+        self._fh = fh
+        self._decode = IncrementalNewlineDecoder(getincrementaldecoder("utf-8")(), True).decode
+        # json.load's own scanner: (value, end) of the value at an index,
+        # StopIteration when none starts there
+        self._scan = JSONDecoder().scan_once
+        self._space = WHITESPACE.match
+        self.text = ""
+        self.pos = 0
+
+    def _read(self, size: int = 0) -> bool:
+        """Read max(size, _CHUNK) more bytes, or until some text is decoded;
+        False at the end of the file.  The text taken is dropped first, so
+        the old text, the chunk and the joined text are never held
+        together."""
+        self.text = self.text[self.pos :]
+        self.pos = 0
+        chunk = ""
+        while not chunk:
+            data = self._fh.read(max(size, _CHUNK))
+            chunk = self._decode(data, not data)
+            if not data:
+                break
+        self.text += chunk
+        return bool(chunk)
+
+    def peek(self) -> str:
+        """The next character past JSON whitespace, not taken; "" at the end
+        of the file."""
+        while True:
+            self.pos = self._space(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return self.text[self.pos]
+            if not self._read():
+                return ""
+
+    def take(self) -> str:
+        """peek, and the character taken."""
+        c = self.text[self.pos : self.pos + 1]
+        if not c or c in " \t\n\r":
+            c = self.peek()
+        self.pos += len(c)
+        return c
+
+    def value(self):
+        """The next JSON value, decoded as json.load decodes it.  A value
+        that fails to decode, or ends where the text read ends (a number
+        may go on), is decoded again once as much text again as it has so
+        far is read, so a value costs time linear in its length whatever
+        the chunks it spans."""
+        while True:
+            self.pos = self._space(self.text, self.pos).end()
+            try:
+                value, end = self._scan(self.text, self.pos)
+            except (StopIteration, ValueError):
+                end = None
+            if end is not None and end < len(self.text):
+                self.pos = end
+                return value
+            if not self._read(len(self.text) - self.pos):
+                if end is None:
+                    raise _NotStreamed
+                self.pos = end
+                return value
+
+
+def _stream_algebra(fh, max_products):
+    """(algebra, (products, work, digits)) of the algebra file open on fh in
+    binary mode, read _CHUNK bytes at a time with each product object
+    decoded on its own and handed to the PeirceAlgebra constructor as it
+    stores the products, so neither the text nor a list of the products is
+    ever whole.  The tallies are the number of products, their
+    associativity multiply-adds (_chained_work) and the most digits in one
+    coefficient or unit0 value.  The algebra is the one from_json_dict
+    builds from the same file.
+
+    None, once reading has stopped, for every other file: anything but one
+    JSON object with each of _TOP_KEYS once, max_degree and dims before
+    products, and only whitespace after it; text that is not UTF-8 or JSON;
+    more than max_products products (unless it is None), checked before
+    each is stored; and anything the constructor refuses.  The caller reads
+    such a file whole instead."""
+    text = _Chunks(fh)
+    head: dict = {}
+    outputs, factors = Counter(), Counter()
+    tally = [0, 0]  # products, digits
+
+    def entries():
+        if text.peek() == "]":
+            text.take()
+            return
+        read = itemgetter(*_ENTRY_KEYS)
+        while True:
+            i, j, k, a, b, c, coeff = read(text.value())
+            tally[0] += 1
+            if max_products is not None and tally[0] > max_products:
+                raise _NotStreamed
+            outputs[i, k, c] += 1
+            factors[i, j, a] += 1
+            factors[j, k, b] += 1
+            if type(coeff) is not str or len(coeff) > tally[1]:
+                tally[1] = max(tally[1], _digits(coeff))
+            yield i, j, k, a, b, c, parse_frac(coeff)
+            after = text.take()
+            if after == "]":
+                return
+            if after != ",":
+                raise _NotStreamed
+
+    def unit0():
+        # what follows products: unit0 unless read before, the end of the
+        # object and the end of the file
+        after = text.take()
+        if after == "," and "unit0" not in head:
+            if text.value() != "unit0" or text.take() != ":":
+                raise _NotStreamed
+            head["unit0"] = text.value()
+            after = text.take()
+        values = head.get("unit0")
+        if after != "}" or text.peek() or type(values) is not list:
+            raise _NotStreamed
+        tally[1] = max([tally[1], *map(_digits, values)])
+        yield from map(parse_frac, values)
+
+    try:
+        if text.take() != "{":
+            return None
+        while True:
+            key = text.value()
+            if key not in _TOP_KEYS or key in head or text.take() != ":":
+                return None
+            if key == "products":
+                break
+            head[key] = text.value()
+            if text.take() != ",":
+                return None
+        if "max_degree" not in head or "dims" not in head or text.take() != "[":
+            return None
+        # unit0 follows products in the files the library writes, so the
+        # constructor reads it only once it has stored every product
+        p = PeirceAlgebra(head["max_degree"], head["dims"], entries(), unit0())
+    except (_NotStreamed, ValueError, TypeError, KeyError, IndexError, ArithmeticError, RecursionError):
+        return None
+    return p, (tally[0], _chained_work(outputs, factors), tally[1])
+
+
 class PeirceReport:
     def __init__(
         self, ok: bool, first_violation: str | None, axioms: dict, details: dict | None = None
@@ -923,6 +1102,13 @@ def _edge_quotient(p: PeirceAlgebra, x: int, y: int) -> TensorQuotient:
     return balanced_tensor(m_rep, _component_module(p, diag, y, x, "left"))
 
 
+def _image_rank(p: PeirceAlgebra, d: int, q: TensorQuotient) -> int:
+    """Rank of the products u v in component(d,d) of the pure tensors
+    u (x) v that represent the coordinates of q, a quotient of
+    component(d,0) (x) component(0,d)."""
+    return len(Echelon(p.cell(d, 0, d, *q.lift_pair(qq)) for qq in range(q.dim)))
+
+
 def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     """Exhaustive check of the axioms on basis elements.
 
@@ -946,7 +1132,9 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
     A (x)_A A is mu(x) (x) 1, and c -> c (x) 1 inverts the product map mu,
     as mu(c (x) 1) = c.  Every other degree builds its quotient by
     _edge_quotient, and the free pure tensors of the quotient must map onto
-    a basis of the target.
+    a basis of the target.  When the quotient is read through the product
+    map, their products are independent by construction, so only their
+    number is compared; a balanced quotient's products are ranked.
     """
     axioms: dict[str, bool] = {}
     details: dict[str, str] = {}
@@ -995,7 +1183,9 @@ def validate_peirce(p: PeirceAlgebra) -> PeirceReport:
             continue  # c -> c (x) unit0 inverts the product map (docstring)
         q = _edge_quotient(p, d, 0)
         target = p.dims[d][d]
-        rk = len(Echelon(p.cell(d, 0, d, *q.lift_pair(qq)) for qq in range(q.dim)))
+        # a quotient read through the product map has q.dim independent
+        # images by construction (_image_basis); a balanced one is ranked
+        rk = q.dim if q.relations is None else _image_rank(p, d, q)
         if not (q.dim == target and rk == target):
             details["tensor-factorization"] = (
                 f"degree {d}: quotient dim {q.dim}, image rank {rk}, target dim {target}"

@@ -2,11 +2,14 @@
 
 import argparse
 import contextlib
+import copy
+import gc
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -425,7 +428,13 @@ def test_algebra_caps_exit_two_fast(capsys, tmp_path):
     _exits_two_fast(capsys, ["peirce", "morita", "--algebra", str(path), "--degree", "0"])
 
 
-def test_algebra_fixtures_pass_the_caps():
+def _streamed(path, max_products=None):
+    """peirce._stream_algebra on the file at path."""
+    with open(path, "rb", buffering=0) as fh:
+        return peirce._stream_algebra(fh, max_products)
+
+
+def test_algebra_fixtures_pass_the_caps(tmp_path):
     # the algebras of the tests, the demos and the benchmark inputs, dims
     # [[21]], the largest dense corner the caps accept,
     fixtures = [
@@ -439,12 +448,132 @@ def test_algebra_fixtures_pass_the_caps():
     ]
     # and the 128 x 128 grid, the largest the caps accept
     extremes = [_products_free([[60]]), _dense_corner(21), _one_product_grid(128)]
-    for data in [p.to_json_dict() for p in fixtures] + extremes:
+    # the algebra files of the limit sites, each over one cap
+    over = [data for argv, data, *_ in _LIMIT_SITES.values() if argv[0] == "peirce"]
+    path = tmp_path / "alg.json"
+    for n, data in enumerate([p.to_json_dict() for p in fixtures] + extremes + over):
         sizes = _algebra_sizes(data)
-        assert len(sizes) == 6 and all(size <= limit for size, limit in sizes.values()), sizes
+        assert len(sizes) == 6
+        inside = all(size <= limit for size, limit in sizes.values())
+        assert inside == (n < len(fixtures) + len(extremes)), sizes
+        # the stream tallies the sizes the whole read measures
+        path.write_text(json.dumps(data))
+        algebra, tallies = _streamed(path)
+        assert cli._sized(algebra.dims, *tallies) == sizes
     # a malformed file has no sizes; PeirceAlgebra reports it
     assert _algebra_sizes({"dims": [[2.5]], "products": [], "unit0": []}) == {}
     assert _algebra_sizes({"dims": [[2]], "unit0": ["1", "0"]}) == {}
+
+
+def _same_algebra(p, q):
+    def read(x):
+        return x.max_degree, x.dims, x.entries(), x.unit0, x._scale
+
+    return read(p) == read(q)
+
+
+def _escaped(text):
+    """JSON text with every character of every string written as a \\u
+    escape."""
+    def escape(string):
+        return '"' + "".join(f"\\u{ord(c):04x}" for c in string.group(1)) + '"'
+
+    return re.sub(r'"([^"]*)"', escape, text)
+
+
+def _split_texts():
+    """Algebra files whose values cross chunk boundaries: a two-digit
+    max_degree, 41-digit and 31-digit fraction coefficients as strings, the
+    integral ones also as JSON numbers, every string in \\u escapes, and
+    indent=1 whitespace."""
+    entries = [
+        (0, 0, 0, 0, 0, 0, 1),
+        (0, 0, 1, 0, 0, 0, 10**40 + 1),
+        (1, 0, 0, 0, 0, 0, Fraction(-(10**30), 7)),
+        (1, 0, 1, 0, 0, 0, 3),
+        (1, 1, 1, 0, 0, 0, -(10**25)),
+    ]
+    dims = [[int(i < 2 and j < 2) for j in range(11)] for i in range(11)]
+    data = PeirceAlgebra(10, dims, entries, [1]).to_json_dict()
+    numbers = copy.deepcopy(data)
+    for e in numbers["products"]:
+        if "/" not in e["coeff"]:
+            e["coeff"] = int(e["coeff"])
+    numbers["unit0"] = [1]
+    return {
+        "strings": json.dumps(data),
+        "numbers": json.dumps(numbers),
+        "escapes": _escaped(json.dumps(data)),
+        "indented": json.dumps(numbers, indent=1),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("case", sorted(_split_texts()))
+def test_values_split_across_chunks_stream_as_read_whole(case, chunk, tmp_path, monkeypatch):
+    """The stream reads chunk bytes at a time; each file, shifted by 0 to
+    chunk - 1 leading spaces so that every value and the last product
+    cross a boundary at every place, gives the algebra from_json_dict
+    builds and the sizes _algebra_sizes measures."""
+    monkeypatch.setattr(peirce, "_CHUNK", chunk)
+    text = _split_texts()[case]
+    data = json.loads(text)
+    path = tmp_path / "alg.json"
+    for pad in range(chunk):
+        path.write_text(" " * pad + text, encoding="utf-8")
+        algebra, tallies = _streamed(path)
+        assert _same_algebra(algebra, PeirceAlgebra.from_json_dict(json.loads(text))), pad
+        assert cli._sized(algebra.dims, *tallies) == _algebra_sizes(data), pad
+
+
+# files the stream leaves to the whole read: layouts the library does not
+# write, and files the whole read refuses
+_NOT_STREAMED = {
+    "products before dims": lambda d: {"max_degree": d["max_degree"], "products": d["products"], **d},
+    "products before max_degree": lambda d: {"dims": d["dims"], "products": d["products"], **d},
+    "unknown key": lambda d: {**d, "comment": "x"},
+    "no unit0": lambda d: {k: v for k, v in d.items() if k != "unit0"},
+    "unit0 as text": lambda d: {**d, "unit0": "10"},
+    "a list": lambda d: [d],
+    "bad index": lambda d: {**d, "products": [{**d["products"][0], "a": 5}]},
+    "bad coefficient": lambda d: {**d, "products": [{**d["products"][0], "coeff": "1/0"}]},
+    "product missing a key": lambda d: {**d, "products": [{"i": 0}]},
+}
+_NOT_STREAMED_TEXTS = {
+    "duplicate key": lambda t: t[:-1] + ', "dims": [[2, 2], [2, 2]]}',
+    "data after the object": lambda t: t + " {}",
+    "cut short": lambda t: t[:-2],
+    "not UTF-8": lambda t: t[:-1] + ' \udcff}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_STREAMED) + sorted(_NOT_STREAMED_TEXTS))
+def test_stream_leaves_other_files_to_the_whole_read(case, tmp_path):
+    data = matrix_model([[1, 2], [1, 0]]).to_json_dict()
+    if case in _NOT_STREAMED:
+        text = json.dumps(_NOT_STREAMED[case](data))
+    else:
+        text = _NOT_STREAMED_TEXTS[case](json.dumps(data))
+    path = tmp_path / "alg.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert _streamed(path) is None
+    # the unit0 of a string reads whole as a list of its characters
+    if case == "unit0 as text":
+        assert main(["peirce", "validate", "--algebra", str(path)]) == 1
+
+
+def test_products_limit_is_checked_before_each_product_is_stored(tmp_path, monkeypatch):
+    data = matrix_model([[1, 2], [1, 0]]).to_json_dict()
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    n = len(data["products"])
+    read = []
+    real = peirce.parse_frac
+    monkeypatch.setattr(peirce, "parse_frac", lambda x: read.append(x) or real(x))
+    assert _streamed(path, n - 1) is None
+    assert len(read) == n - 1
+    algebra, (products, _work, _digits) = _streamed(path, n)
+    assert products == n and _same_algebra(algebra, PeirceAlgebra.from_json_dict(data))
 
 
 @pytest.mark.parametrize(
@@ -1043,6 +1172,33 @@ def test_streaming_a_pairing_report_halves_the_emit_peak():
     assert streamed < materialized / 2, peaks
 
 
+def test_pairing_report_renders_its_matrix_a_row_at_a_time():
+    """`heisenberg verify` at (3, 7), the largest accepted pairing matrix,
+    hands the writer its 429 rows as they are rendered: the emit peak is
+    that of the same report with no matrix plus a few rows, where the
+    184 041 cell strings of to_json hold 1.7 MiB.  to_json still gives
+    them all, and stdout is the same."""
+    report = verify_strong_identity(3, 7)
+    args = argparse.Namespace(format="json")
+
+    def peak(write):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                write()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    # one row: its cell list and what encoding it takes
+    rows = report._json_by_rows()["matrix"]
+    row = peak(lambda: json.dumps(next(rows)))
+    no_matrix = peak(lambda: _emit(args, {**report._json_by_rows(), "matrix": []}, []))
+    assert peak(lambda: _emit(args, report._json_by_rows(), [])) <= no_matrix + 3 * row
+    assert peak(lambda: _emit(args, report.to_json(), [])) > no_matrix + 30 * row
+    assert _emitted(report._json_by_rows()) == json.dumps(report.to_json()) + "\n"
+
+
 @pytest.mark.parametrize("read", [0, 4096])
 def test_pipe_closed_during_a_streamed_report_exits_without_traceback(read):
     # `heisenberg verify` (3, 6) writes 250 kB, more than a pipe holds, in
@@ -1172,9 +1328,10 @@ def test_only_a_denominator_loads_fractions(argv, loads, algebra_file, tmp_path)
 
 
 def test_compact_loader_holds_under_half_of_json_load(tmp_path):
-    """The algebra loader reads each product object as an _Entry, a tuple
-    of its seven values: on heisenberg_truncation(1, 4, [0]), 1 728
-    products, the data it returns holds 0.42 of what json.load returns."""
+    """A file the stream does not take is read whole, each product object
+    as an _Entry, a tuple of its seven values: on
+    heisenberg_truncation(1, 4, [0]), 1 728 products, the data it returns
+    holds 0.42 of what json.load returns."""
     path = tmp_path / "h14.json"
     path.write_text(json.dumps(heisenberg_truncation(1, 4, [Fraction(0)]).to_json_dict()))
     readers = [
@@ -1193,6 +1350,32 @@ def test_compact_loader_holds_under_half_of_json_load(tmp_path):
         del data
     plain, compact = held
     assert compact <= plain / 2, held
+
+
+def test_cli_load_peaks_near_the_built_algebra(tmp_path):
+    """`peirce` commands stream the algebra file into its product tables: on
+    heisenberg_truncation(1, 4, [0]), 1 728 products, the CLI load peaks at
+    no more than 1.75 times the algebra it builds (2.2 times when the whole
+    text and then every product were held first)."""
+    path = tmp_path / "h14.json"
+    path.write_text(json.dumps(heisenberg_truncation(1, 4, [Fraction(0)]).to_json_dict()))
+    args = argparse.Namespace(unsafe_no_limits=False)
+    cli._load_peirce(None, args, str(path))  # imports and caches first
+    # the freelists emptied first and the collector off, so every block the
+    # load takes is counted whatever ran before
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        algebra = cli._load_peirce(None, args, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()  # and the freelists again, so what is held is the algebra
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(algebra.entries()) == 1728
+    assert peak <= 1.75 * held, (peak, held)
 
 
 # main builds only the named family's parser; its output and exit status

@@ -14,12 +14,17 @@ the products and unit0 fitted to it.  These must reach the command itself:
 exit 0 or 1 with one JSON line on stdout, exit 2 only for a degree above
 the file's max_degree.
 
-The algebra loader reads every product object as a compact tuple, so each
-algebra mutant, and files with product-shaped objects in other places
-(the top level, products, dims, unit0, a field of a product) with keys in
-order, permuted, repeated, added or missing, must give the exit status,
-stdout and stderr that the same command gives with a loader reading plain
-json.load objects.
+The algebra loader streams a file as the library writes it into the
+product tables, and reads every other file whole, each product object as
+a compact tuple.  So each algebra mutant, files with product-shaped
+objects in other places (the top level, products, dims, unit0, a field of
+a product) with keys in order, permuted, repeated, added or missing, and
+files laid out as json.dumps never writes them (keys in any order, any
+whitespace, strings in escapes) must give the exit status, stdout and
+stderr that the same command gives when every file is read whole, and
+when every file is read whole by plain json.load.  Such a layout is
+streamed exactly when it is whole and has max_degree and dims before
+products.
 
 The module and gram files get well-formed mutants too: a graded_dims entry
 or a conformal_weight changed, or a module dropped; a diagonal entry or a
@@ -34,6 +39,7 @@ import itertools
 import json
 import signal
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -41,7 +47,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mta import cli
+from mta import cli, peirce
 from mta.cli import main
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "cli" / "inputs"
@@ -423,13 +429,33 @@ def _plain_load_json(parser, args, path, object_hook=None):
     return _load_json(parser, args, path)
 
 
+def _never_streamed(fh, max_products):
+    """peirce._stream_algebra taking no file, so the CLI reads each one
+    whole."""
+    return None
+
+
 def _assert_read_as_json_load(command, path, text):
+    """The command gives the same exit status, stdout and stderr on text
+    streamed (when the stream takes it), read whole with compact products,
+    and read whole by plain json.load; True when the stream took it."""
     path.write_text(text, encoding="utf-8")
     argv = [*command, str(path)]
-    compact = _run(argv)
-    with mock.patch.object(cli, "_load_json", _plain_load_json):
-        plain = _run(argv)
-    assert compact == plain, (argv, text)
+    streamed = []
+    stream = peirce._stream_algebra
+
+    def recorded(*args):
+        streamed.append(stream(*args))
+        return streamed[-1]
+
+    with mock.patch.object(peirce, "_stream_algebra", recorded):
+        first = _run(argv)
+    with mock.patch.object(peirce, "_stream_algebra", _never_streamed):
+        compact = _run(argv)
+        with mock.patch.object(cli, "_load_json", _plain_load_json):
+            plain = _run(argv)
+    assert first == compact == plain, (argv, text)
+    return any(read is not None for read in streamed)
 
 
 @pytest.mark.parametrize("values", sorted(PRODUCT_VALUES))
@@ -440,10 +466,65 @@ def test_product_shaped_objects_read_as_json_load(scratch, where, layout, values
     _assert_read_as_json_load(ALGEBRA_COMMANDS[0], scratch / "algebra.json", text)
 
 
+# JSON whitespace, as json.load skips it between tokens
+SPACES = ("", " ", "  ", "\n", "\t", "\r\n", "\r", " \n\t ")
+
+
+def _laid_out(value, spaces, escapes):
+    """value as JSON text with next(spaces) around every token, and each
+    character of a string written as a \\u escape when next(escapes)."""
+    how = spaces, escapes
+
+    def token(text):
+        return next(spaces) + text + next(spaces)
+
+    if isinstance(value, dict):
+        items = (_laid_out(k, *how) + ":" + _laid_out(v, *how) for k, v in value.items())
+        return token("{") + ",".join(items) + token("}")
+    if isinstance(value, list):
+        return token("[") + ",".join(_laid_out(v, *how) for v in value) + token("]")
+    if isinstance(value, str):
+        chars = (f"\\u{ord(ch):04x}" if next(escapes) else json.dumps(ch)[1:-1] for ch in value)
+        return token('"' + "".join(chars) + '"')
+    return token(json.dumps(value))
+
+
+@st.composite
+def layout_mutants(draw, name):
+    """(text, whether it is whole with max_degree and dims before
+    products): the algebra file with its top-level keys in a drawn order,
+    drawn whitespace around every token and drawn characters of every
+    string written as \\u escapes, then cut short one time in four."""
+    data = json.loads((INPUTS / name).read_text(encoding="utf-8"))
+    keys = draw(st.permutations(list(data)))
+    spaces = itertools.cycle(draw(st.lists(st.sampled_from(SPACES), min_size=1, max_size=9)))
+    escapes = itertools.cycle(draw(st.lists(st.booleans(), min_size=1, max_size=9)))
+    text = _cut(draw, _laid_out({key: data[key] for key in keys}, spaces, escapes))
+    try:
+        whole = json.loads(text) == data
+    except ValueError:
+        whole = False
+    return text, whole and keys.index("products") > max(keys.index("max_degree"), keys.index("dims"))
+
+
 @FUZZ
 @given(st.data())
 def test_compact_loader_reads_as_json_load(scratch, data):
     name = data.draw(st.sampled_from(ALGEBRAS))
     command = data.draw(st.sampled_from(WELL_FORMED_COMMANDS))
-    mutants = (json_mutants(name), algebra_mutants(name), product_shaped_mutants(name))
+    mutants = (
+        json_mutants(name),
+        algebra_mutants(name),
+        product_shaped_mutants(name),
+        layout_mutants(name).map(itemgetter(0)),
+    )
     _assert_read_as_json_load(command, scratch / "algebra.json", data.draw(st.one_of(mutants)))
+
+
+@FUZZ
+@given(st.data())
+def test_any_layout_reads_as_json_load_and_streams_when_whole(scratch, data):
+    name = data.draw(st.sampled_from(ALGEBRAS))
+    command = data.draw(st.sampled_from(WELL_FORMED_COMMANDS))
+    text, streams = data.draw(layout_mutants(name))
+    assert _assert_read_as_json_load(command, scratch / "algebra.json", text) == streams, text

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import importlib.util
 import itertools
 import json
@@ -420,7 +421,9 @@ def test_zigzag_verdicts_hold_on_every_validated_algebra():
     the corner ideal (the printed star_rank), the computed split of the
     corner ideal holds with the printed epsilon, and the printed Morita
     payload is the computed roundtrip of the regular module, or the same
-    refusal of its setup.  The sweep takes the
+    refusal of its setup.  An edge quotient (d,0) (x) (0,d) read through
+    the product map has as many independent images as its dimension, the
+    rank validate_peirce reads off it.  The sweep takes the
     mutated models (none validates), the edge cases, the idempotent family
     (balanced fallback at degree 1), five matrix models with mm332 and mm12
     among them, each also in a random integer basis with fractional
@@ -436,10 +439,16 @@ def test_zigzag_verdicts_hold_on_every_validated_algebra():
         heisenberg_truncation(1, 3, [Fraction(0)]),
         heisenberg_truncation(2, 2, [Fraction(0), Fraction(0)]),
     ]
-    pairs = 0
+    pairs = certified = 0
     morita = Counter()
     for p in algebras:
         for d in range(p.max_degree + 1) if validate_peirce(p).ok else ():
+            # validate_peirce reads the image rank of a quotient read through
+            # the product map off its dimension; the Echelon agrees
+            q = peirce._edge_quotient(p, d, 0)
+            if q.relations is None:
+                assert peirce._image_rank(p, d, q) == q.dim, (p.dims, d)
+                certified += 1
             z = zigzag(p, d)
             check = action_through_A_check(z)
             assert check.ok and check.checked == z.dim**2, (p.dims, d, check.failures[:3])
@@ -455,7 +464,7 @@ def test_zigzag_verdicts_hold_on_every_validated_algebra():
             assert _solved(_morita_payload, p, d) == computed, (p.dims, d)
             morita[computed[0]] += 1
             pairs += 1
-    assert (len(algebras), pairs) == (342, 37)
+    assert (len(algebras), pairs, certified) == (342, 37, 33)
     assert morita == {"ok": 33, "ValueError": 4}
 
 
@@ -1336,23 +1345,31 @@ def test_scan_visits_only_quadruples_with_a_table(monkeypatch):
 
 
 def _traced(build):
-    """(build(), traced size, traced peak) of one call under tracemalloc."""
+    """(build(), traced size, traced peak) of one call under tracemalloc.
+    The freelists are emptied first, as a full collection does, and the
+    collector is off during the call, so every block the call takes is
+    counted whatever ran before: otherwise the algebra's size read up to a
+    third low when its tuples came off a freelist, and validate_peirce's
+    peak over it reached 1.15 when a collection fell between the two."""
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         out = build()
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.enable()
     return out, size, peak
 
 
 def test_building_and_validating_hold_about_one_algebra():
     """On heisenberg_truncation(1, 4, [0]), 1 728 products, the constructor
-    peaks at most 1.25 times the algebra it returns (1.17 measured; 2.5
+    peaks at most 1.25 times the algebra it returns (1.12 measured; 2.5
     when it shared cells after storing them unshared), validate_peirce at
-    most once the algebra (0.73; 2.1 with every table grouped both ways
+    most once the algebra (0.77; 2.1 with every table grouped both ways
     for the whole scan), and the full associativity scan, with no middle,
-    which runs only after Light's test fails, at most 1.5 times (1.28: it
+    which runs only after Light's test fails, at most 1.5 times (1.14: it
     keeps the rows of every table by first factor for the whole scan).
     Ratios of tracemalloc figures, so they hold across Python versions."""
     h14 = heisenberg_truncation(1, 4, [F0])
