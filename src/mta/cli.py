@@ -26,7 +26,10 @@ MAX_DEGREE = 8
 # `partitions count`, measured as CLI wall time on a 2-core machine (medians
 # of 5): rank 4 takes 0.14 s at weight 400, 0.19 s at 600 and 0.23 s at 800;
 # rank 1 takes 0.13 s at 400 and 0.19 s at 1200.  `partitions list` stays in
-# the rank/degree box above.
+# the rank/degree box above.  Like `heisenberg identity`, it writes each label
+# as the enumerator yields it: at (4, 8), 2 580 labels, both peak at 14.0 MiB
+# RSS, as `partitions count` does (15.9 and 17.3 MiB with every label and its
+# rendering listed first; medians of 5, 2-core machine).
 MAX_PARTITION_WEIGHT = 400
 MAX_LATTICE_RANK = 4
 # Labels of the largest pairing matrix `heisenberg verify` builds: (3, 7) has
@@ -280,7 +283,7 @@ def _load_peirce(parser, args, path):
 
 def _cmd_partitions(parser, args) -> int:
     # per command, not at module level: the other families skip this import
-    from .partitions import enumerate_labeled_partitions, labeled_partition_count
+    from .partitions import _labeled_partitions, labeled_partition_count
 
     n, m = args.rank, args.weight
     _limit(parser, args, "rank", n, MAX_RANK)
@@ -294,13 +297,26 @@ def _cmd_partitions(parser, args) -> int:
             [f"rank {n} weight {m}: {count} labeled partitions"],
         )
         return 0
-    items = enumerate_labeled_partitions(n, m)
+    # each label is written before the next is made, so the enumeration is
+    # never held whole; _emit reads only the generator of its format
     _emit(
         args,
-        {"rank": n, "weight": m, "items": [lp.to_json() for lp in items]},
-        [repr(lp) for lp in items],
+        {"rank": n, "weight": m, "items": (lp.to_json() for lp in _labeled_partitions(n, m))},
+        (repr(lp) for lp in _labeled_partitions(n, m)),
     )
     return 0
+
+
+def _identity_terms(n: int, d: int):
+    """The terms of heisenberg.strong_identity(n, d), each label with its
+    coefficient 1/symmetry_factor as frac_str writes it, made one at a time
+    from the enumerator; the text is built from the integer factor, so no
+    Fraction is made."""
+    from .partitions import _labeled_partitions
+
+    for lp in _labeled_partitions(n, d):
+        sf = lp.symmetry_factor()
+        yield lp, "1" if sf == 1 else f"1/{sf}"
 
 
 def _cmd_heisenberg(parser, args) -> int:
@@ -309,18 +325,20 @@ def _cmd_heisenberg(parser, args) -> int:
     _limit(parser, args, "degree", d, MAX_DEGREE)
     if args.action == "zhu":
         return _heisenberg_zhu(args)
-    # per command: only `heisenberg identity` and `verify` load the
-    # free-boson engine
-    from . import heisenberg as hb
-
     if args.action == "identity":
-        terms = hb.strong_identity(n, d)
+        # as `partitions list`: each term is written before the next is made
         _emit(
             args,
-            {"rank": n, "degree": d, "terms": hb.strong_identity_to_json(terms)},
-            [f"{frac_str(c)}  {lp!r}" for lp, c in terms],
+            {
+                "rank": n,
+                "degree": d,
+                "terms": ({"partition": lp.to_json(), "coeff": c} for lp, c in _identity_terms(n, d)),
+            },
+            (f"{c}  {lp!r}" for lp, c in _identity_terms(n, d)),
         )
         return 0
+    # per command: only `heisenberg verify` loads the free-boson engine
+    from . import heisenberg as hb
     from .partitions import labeled_partition_count
 
     size = labeled_partition_count(n, d)
@@ -539,14 +557,15 @@ def _selftest_checks(seed: int, fast: bool):
     from . import heisenberg as hb
     from . import lattice as lat
     from . import peirce as pc
-    from .partitions import enumerate_labeled_partitions, labeled_partition_count
+    from .partitions import _labeled_partitions, labeled_partition_count
 
     rng = random.Random(seed)
 
     def check_counts():
+        # the library's enumerator, counted as it yields
         for n in (1, 2, 3):
             for m in range(0, 9):
-                if labeled_partition_count(n, m) != len(enumerate_labeled_partitions(n, m)):
+                if labeled_partition_count(n, m) != sum(1 for _ in _labeled_partitions(n, m)):
                     return False, f"count mismatch at rank {n} weight {m}"
         return True, "counts equal enumeration sizes for rank <= 3, weight <= 8"
 

@@ -158,13 +158,35 @@ def labeled_partition_count(n: int, m: int) -> int:
 
 def enumerate_labeled_partitions(n: int, m: int) -> list[LabeledPartition]:
     """All n-slot labeled partitions of weight m, first slot weight descending."""
+    return list(_labeled_partitions(n, m))
+
+
+def _labeled_partitions(n: int, m: int):
+    """The n-slot labeled partitions of weight m, yielded one at a time in
+    the order of enumerate_labeled_partitions: first slot weight descending,
+    then the first slot's partitions in the order of enumerate_partitions,
+    then the other slots in this order recursively.  Each Partition is
+    built once and shared by every label that holds it, so a reader that
+    drops each label before the next holds at most p(0) + ... + p(m)
+    partitions, never the whole enumeration.  Rank and weight are checked
+    when the first label is read."""
     _check_rank_weight(n, m)
     if n == 1:
-        return [LabeledPartition((p,)) for p in enumerate_partitions(m)]
-    out = []
-    for w in range(m, -1, -1):
-        tails = enumerate_labeled_partitions(n - 1, m - w)
-        for head in enumerate_partitions(w):
-            for tail in tails:
-                out.append(LabeledPartition((head,) + tail.slots))
-    return out
+        for p in enumerate_partitions(m):
+            yield LabeledPartition((p,))
+        return
+    by_weight = [enumerate_partitions(w) for w in range(m + 1)]
+
+    def slots(k: int, left: int):
+        # the k-slot tuples of total weight left
+        if k == 1:
+            for p in by_weight[left]:
+                yield (p,)
+            return
+        for w in range(left, -1, -1):
+            for head in by_weight[w]:
+                for tail in slots(k - 1, left - w):
+                    yield (head,) + tail
+
+    for s in slots(n, m):
+        yield LabeledPartition(s)

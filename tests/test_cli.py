@@ -42,8 +42,9 @@ from mta.cli import (
     build_parser,
     main,
 )
-from mta.heisenberg import verify_strong_identity
-from mta.partitions import labeled_partition_count
+from mta.exact import frac_str
+from mta.heisenberg import strong_identity, strong_identity_to_json, verify_strong_identity
+from mta.partitions import enumerate_labeled_partitions, labeled_partition_count
 from mta.peirce import PeirceAlgebra, heisenberg_truncation, matrix_model
 from mta.zhu import SimpleModuleData
 
@@ -1199,6 +1200,76 @@ def test_pairing_report_renders_its_matrix_a_row_at_a_time():
     assert _emitted(report._json_by_rows()) == json.dumps(report.to_json()) + "\n"
 
 
+def _listed_outputs(n, m):
+    """{(command, format): stdout} of `partitions list` and `heisenberg
+    identity` at (n, m), made from the lists the library builds."""
+    labels = enumerate_labeled_partitions(n, m)
+    terms = strong_identity(n, m)
+    return {
+        ("list", "json"): json.dumps({"rank": n, "weight": m, "items": [lp.to_json() for lp in labels]}) + "\n",
+        ("list", "text"): "".join(f"{lp!r}\n" for lp in labels),
+        ("identity", "json"): json.dumps({"rank": n, "degree": m, "terms": strong_identity_to_json(terms)}) + "\n",
+        ("identity", "text"): "".join(f"{frac_str(c)}  {lp!r}\n" for lp, c in terms),
+    }
+
+
+def _streamed_argv(command, n, m, fmt):
+    if command == "list":
+        return ["partitions", "list", "--rank", str(n), "--weight", str(m), "--format", fmt]
+    return ["heisenberg", "identity", "--rank", str(n), "--degree", str(m), "--format", fmt]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_streamed_labels_equal_the_listed_library_output(n, capsys):
+    """`partitions list` and `heisenberg identity` write each label as the
+    enumerator yields it; at every weight of the rank-4, weight-8 box and in
+    both formats, stdout is what the list-built library objects give."""
+    for m in range(MAX_DEGREE + 1):
+        for (command, fmt), want in _listed_outputs(n, m).items():
+            assert run(capsys, _streamed_argv(command, n, m, fmt)) == (0, want), (command, n, m, fmt)
+
+
+def test_streamed_labels_hold_a_tenth_of_the_list_build():
+    """At (4, 8), 2 580 labels, the in-process peak of `partitions list`
+    and `heisenberg identity` is under a tenth of what the list build
+    holds: the labels and their rendered items, or the terms and their
+    JSON, all at once (about 1.4 MiB and 2.6 MiB)."""
+
+    def held(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            built = build()  # alive while measured
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    def peak(argv):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(argv)  # first-call imports and caches are not the command's
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def listed_items():
+        labels = enumerate_labeled_partitions(4, 8)
+        return labels, [lp.to_json() for lp in labels]
+
+    def listed_terms():
+        terms = strong_identity(4, 8)
+        return terms, strong_identity_to_json(terms)
+
+    for command, build in (("list", listed_items), ("identity", listed_terms)):
+        whole = held(build)
+        for fmt in ("json", "text"):
+            got = peak(_streamed_argv(command, 4, 8, fmt))
+            assert got < whole / 10, (command, fmt, got, whole)
+
+
 @pytest.mark.parametrize("read", [0, 4096])
 def test_pipe_closed_during_a_streamed_report_exits_without_traceback(read):
     # `heisenberg verify` (3, 6) writes 250 kB, more than a pipe holds, in
@@ -1291,9 +1362,10 @@ def test_only_selftest_loads_random(argv, algebra_file):
 
 
 # importing fractions loads decimal and numbers too; a command loads it only
-# when it makes a value with a denominator: lattice norms, the 1/n-valued
-# strong identity, selftest's fractional checks and the structure constants
-# of c_mm12, matrix_model([[1, 2], [1, 0]]) in a random integer basis.  h14
+# when it makes a value with a denominator: lattice norms, selftest's
+# fractional checks and the structure constants of c_mm12, matrix_model([[1,
+# 2], [1, 0]]) in a random integer basis.  The strong identity's 1/n
+# coefficients are written from the integer symmetry factors, and h14
 # eliminates by non-unit pivots, which the integer Echelon does without one
 _FRACTIONS_LOADED = [
     (["partitions", "list", "--rank", "2", "--weight", "3"], False),
@@ -1302,7 +1374,7 @@ _FRACTIONS_LOADED = [
     (["peirce", "zigzag", "--algebra", "{algebra}", "--degree", "1"], False),
     (["lattice", "dims", "--gram", "{demos}/z8.gram", "--coset", "1", "--max", "5"], True),
     (["selftest", "--fast"], True),
-    (["heisenberg", "identity", "--rank", "2", "--degree", "3"], True),
+    (["heisenberg", "identity", "--rank", "2", "--degree", "3"], False),
     (["peirce", "validate", "--algebra", "{h14}"], False),
     (["peirce", "validate", "--algebra", "{golden}/c_mm12.json"], True),
 ]

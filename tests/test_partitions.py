@@ -1,7 +1,7 @@
 """Partition combinatorics: counts, enumeration order, symmetry factors."""
 
 import json
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mta.partitions import (
     LabeledPartition,
     Partition,
+    _labeled_partitions,
     enumerate_labeled_partitions,
     enumerate_partitions,
     labeled_partition_count,
@@ -46,6 +47,36 @@ def test_partition_counts_match_brute_force():
         assert partition_count(m) == len(brute_force_partitions(m))
         got = sorted(p.parts for p in enumerate_partitions(m))
         assert got == brute_force_partitions(m)
+
+
+def product_labeled_partitions(n, m):
+    """Independent oracle: the product of per-slot partitions over every
+    choice of slot weights, kept when the weights sum to m, sorted by the
+    documented order.  Slot by slot, the key is the slot's weight
+    descending, then its parts descending lexicographic; no partition is
+    a proper prefix of another of the same weight, so negated parts
+    compare that way."""
+    labels = [
+        slots
+        for weights in product(range(m + 1), repeat=n)
+        if sum(weights) == m
+        for slots in product(*(brute_force_partitions(w) for w in weights))
+    ]
+    return sorted(labels, key=lambda slots: [(-sum(s), [-x for x in s]) for s in slots])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lazy_enumerator_matches_the_product_oracle(n):
+    """_labeled_partitions yields the oracle's labels in its order for every
+    weight m <= 8, as enumerate_labeled_partitions lists them, and builds
+    each weight's partitions once: the labels share p(0) + ... + p(m)
+    Partition objects."""
+    for m in range(9):
+        labels = list(_labeled_partitions(n, m))
+        assert [lp.to_json() for lp in labels] == [list(map(list, s)) for s in product_labeled_partitions(n, m)]
+        assert labels == enumerate_labeled_partitions(n, m)
+        shared = {id(s) for lp in labels for s in lp.slots}
+        assert len(shared) == sum(partition_count(w) for w in range(m + 1) if n > 1 or w == m)
 
 
 def test_labeled_counts_are_convolutions():

@@ -126,7 +126,7 @@ def test_lattice_cosets_give_the_predicted_block_model():
     _check_theorem(modules)
 
 
-@pytest.mark.parametrize("n, max_degree", [(1, 3), (2, 2)])
+@pytest.mark.parametrize("n, max_degree", [(1, 3), (2, 2), (1, 5), (2, 3), (3, 2)])
 def test_boson_truncation_follows_the_descriptor(n, max_degree):
     p = heisenberg_truncation(n, max_degree, [Fraction(1, 2)] * n)
     descriptor = heisenberg_zhu_descriptor(n, max_degree)
