@@ -16,6 +16,7 @@ import os
 import sys
 from collections import Counter
 from itertools import chain
+from operator import itemgetter
 from stat import S_ISREG
 from types import GeneratorType, SimpleNamespace
 
@@ -52,14 +53,14 @@ MAX_PAIRING_LABELS = 429
 # 77 MiB and 0.30 s / 28 MiB).
 MAX_LATTICE_COSETS = 4096
 MAX_LATTICE_LEVEL = 100
-# Algebra files, checked before any validation starts: a streamed file's
-# products as each is stored, its other sizes once it is read; a file read
-# whole on the parsed JSON, before any structure is built.  Balancing
-# relations are exactly those the fallbacks of `peirce validate` and
-# `peirce zigzag` make, one per basis element of the acting algebra and
-# basis pair, sum over d of (dims[0][0] + dims[d][d]) * dims[d][0] *
-# dims[0][d]: a products-free dims [[128]] file counts 2^22, though a
-# relation with two empty action columns is skipped unbuilt.  A
+# Algebra files, checked before any validation starts: a streamed file
+# once it is read, no more of its products stored than the products cap
+# allows; a file read whole on the parsed JSON, before any structure is
+# built.  Balancing relations are exactly those the fallbacks of `peirce
+# validate` and `peirce zigzag` make, one per basis element of the acting
+# algebra and basis pair, sum over d of (dims[0][0] + dims[d][d]) *
+# dims[d][0] * dims[0][d]: a products-free dims [[128]] file counts 2^22,
+# though a relation with two empty action columns is skipped unbuilt.  A
 # component is stored as its nonzero product cells, so memory follows the
 # products: that file validates in 0.32 s and 16.5 MiB (CLI wall time and
 # peak RSS, medians of 5, 2-core machine; 0.69 s / 68 MiB with the N^3
@@ -102,12 +103,14 @@ MAX_ALGEBRA_COMPONENTS = 2**14
 # 7.3 MiB with indent=2.  An algebra file as the library writes it is
 # streamed into the product tables, so its text is never whole: 32 768
 # products of 100-digit coefficients on a dims [[32]] corner, 5.4 MB, exit
-# 2 at the work cap in 0.55 s and 18 MiB (0.46 s and 28 MiB read whole).
-# Every other file is read whole, text and all products, as are the files
-# over the products cap, which are streamed up to it and then read again:
-# 80 582 products in 8.3 MB exit 2 in 1.2 s and 38 MiB (0.77 s read whole
-# at once), and a 20 MB file took 2.0 s and 79 MiB to parse that way (CLI
-# wall time and peak RSS, medians of 3, 2-core machine).
+# 2 at the work cap in 0.55 s and 18 MiB.  So is a file over the products
+# cap, whose products past the cap are tallied and not stored: 80 582
+# products on a dims [[44]] corner, 5.3 MB, exit 2 in 0.55 s and 16 MiB.
+# Every other file is read whole by json.load, its text and then every
+# product as a dict, and this cap bounds that peak: with products first,
+# those 80 582 products exit 2 in 0.28 s and 41 MiB, and 100 582 in
+# 6.6 MB in 0.40 s and 47 MiB (CLI wall time and peak RSS, medians of 5
+# to 9, 2-core machine).
 MAX_INPUT_BYTES = 2**23
 
 
@@ -124,12 +127,12 @@ def _limit(parser, args, what: str, size: int, limit: int) -> None:
 def _algebra_sizes(data) -> dict:
     """{what: (size, limit)} read off the algebra JSON before anything is
     built; {} for a malformed file, which PeirceAlgebra reports."""
-    from .peirce import _digits, _entry_fields
+    from .peirce import _digits
 
     try:
         dims = [[strict_int(x) for x in row] for row in data["dims"]]
         products = data["products"]
-        coeffs = chain(_entry_fields(products, "coeff"), data["unit0"])
+        coeffs = chain(map(itemgetter("coeff"), products), data["unit0"])
         digits = max(map(_digits, coeffs), default=0)
         return _sized(dims, len(products), _associativity_work(products), digits)
     except (KeyError, TypeError, ValueError, IndexError):
@@ -167,11 +170,11 @@ def _associativity_work(products) -> int:
     shared component and basis element both sums run over the same keys,
     so one Counter holds both factors (peirce._chained_work).
     """
-    from .peirce import _chained_work, _entry_fields
+    from .peirce import _chained_work
 
-    factors = Counter(_entry_fields(products, "i", "j", "a"))
-    factors.update(_entry_fields(products, "j", "k", "b"))
-    return _chained_work(Counter(_entry_fields(products, "i", "k", "c")), factors)
+    factors = Counter(map(itemgetter("i", "j", "a"), products))
+    factors.update(map(itemgetter("j", "k", "b"), products))
+    return _chained_work(Counter(map(itemgetter("i", "k", "c"), products)), factors)
 
 
 def _json_pieces(value, depth: int = 2):
@@ -218,11 +221,11 @@ def _emit(args, payload: dict, text_lines) -> None:
         sys.exit(1)
 
 
-def _load_json(parser, args, path, object_hook=None):
+def _load_json(parser, args, path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             _limit(parser, args, "bytes in the file", os.fstat(fh.fileno()).st_size, MAX_INPUT_BYTES)
-            return json.load(fh, object_hook=object_hook)
+            return json.load(fh)
     # ValueError: bad JSON or an overlong integer; RecursionError: nesting
     # deeper than the interpreter's recursion limit
     except (OSError, ValueError, RecursionError) as exc:
@@ -248,12 +251,12 @@ def _load_lattice(parser, args, path):
 
 
 def _load_peirce(parser, args, path):
-    from .peirce import PeirceAlgebra, _entry_containers, _entry_hook, _stream_algebra
+    from .peirce import PeirceAlgebra, _stream_algebra
 
     # A regular file is streamed into the product tables a chunk at a time,
-    # its sizes tallied as it is read: the products limit is checked before
-    # each product is stored, the others once the file is read, in the
-    # order and words of the whole read below.
+    # its sizes tallied as it is read: no more products are stored than the
+    # products limit allows, and every limit is checked once the file is
+    # read, in the order and words of the whole read below.
     read = None
     try:
         with open(path, "rb", buffering=0) as fh:
@@ -269,10 +272,9 @@ def _load_peirce(parser, args, path):
             _limit(parser, args, what, size, limit)
         return algebra
     # Every file the stream does not take is read whole and refused or built
-    # as it always was: a layout the library does not write, a file over the
-    # products limit, a malformed file, and a pipe, which cannot be read
-    # twice.  Each product object is read as a compact _Entry, not a dict.
-    data = _entry_containers(_load_json(parser, args, path, _entry_hook))
+    # as it always was: a layout the library does not write, a malformed
+    # file, and a pipe, which cannot be read twice.
+    data = _load_json(parser, args, path)
     for what, (size, limit) in _algebra_sizes(data).items():
         _limit(parser, args, what, size, limit)
     try:

@@ -673,95 +673,33 @@ class PeirceAlgebra:
 
     @classmethod
     def from_json_dict(cls, data) -> "PeirceAlgebra":
-        """The algebra of a to_json_dict dict.  Products are read one at a
-        time as the constructor stores them, with no list of entries, and
-        data["products"] is emptied as they are stored: each slot is set to
-        None once its product is read, so on success no entry is left."""
+        """The algebra of a to_json_dict dict, which is left as it is.
+        Products are read one at a time as the constructor stores them, with
+        no list of entries."""
         products = data["products"]
-        read = 0
+        read = itemgetter(*_ENTRY_KEYS)
 
-        def entries():
-            nonlocal read
-            for *index, coeff in _entry_fields(products, *_ENTRY_KEYS):
-                entry = (*index, parse_frac(coeff))
-                products[read] = None
-                read += 1
-                yield entry
+        def entry(e):
+            *index, coeff = read(e)
+            return (*index, parse_frac(coeff))
 
         try:
             return cls(
                 data["max_degree"],
                 data["dims"],
-                entries(),
+                map(entry, products),
                 [parse_frac(x) for x in data["unit0"]],
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             # a file with several faults names an unreadable product first,
-            # as when every product was read before anything else; the
-            # products already released were all readable
-            for e in itertools.islice(products, read, None):
-                _json_entry(e)
+            # as when every product was read before anything else
+            for e in products:
+                entry(e)
             raise
-
-
-def _json_entry(e) -> tuple:
-    """(i, j, k, a, b, c, coeff) of one product of an algebra file."""
-    *index, coeff = next(_entry_fields([e], *_ENTRY_KEYS))
-    return (*index, parse_frac(coeff))
 
 
 # the keys of a product object of an algebra file, in the order it is written
 _ENTRY_KEYS = ("i", "j", "k", "a", "b", "c", "coeff")
-
-
-class _Entry(tuple):
-    """One product object of an algebra file, held as its seven values in
-    _ENTRY_KEYS order: 96 bytes, where the dict takes 272.  Its own
-    class, not a plain tuple, as freed 7-tuples stay on CPython's tuple
-    freelist.  It is unhashable and its repr is the object's, so a file
-    that holds one where a value belongs reads as with the dict."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(dict(zip(_ENTRY_KEYS, self)))
-
-
-def _entry_hook(obj: dict):
-    """json object_hook: an object whose keys are exactly _ENTRY_KEYS, in
-    that order, as an _Entry; any other object as it is."""
-    return _Entry(obj.values()) if tuple(obj) == _ENTRY_KEYS else obj
-
-
-def _entry_containers(data):
-    """The data of an algebra file read with _entry_hook, with each _Entry
-    that the reader iterates as a container turned back into its dict: the
-    top level, products, dims and each of its rows, and unit0.  Iterated,
-    an _Entry would give its values where the object gives its keys."""
-
-    def as_read(value):
-        return dict(zip(_ENTRY_KEYS, value)) if type(value) is _Entry else value
-
-    data = as_read(data)
-    if type(data) is dict:
-        for key in ("products", "dims", "unit0"):
-            if key in data:
-                data[key] = as_read(data[key])
-        if type(data.get("dims")) is list:
-            data["dims"] = [as_read(row) for row in data["dims"]]
-    return data
-
-
-def _entry_fields(products, *keys):
-    """The named fields of each product of an algebra file, by position off
-    an _Entry and by key off anything else (a JSON object, or what a
-    malformed file has there, which raises as indexing it does): one value
-    per product for one key, a tuple for several, as operator.itemgetter
-    gives."""
-    by_key = itemgetter(*keys)
-    by_pos = itemgetter(*map(_ENTRY_KEYS.index, keys))
-    return (by_pos(e) if type(e) is _Entry else by_key(e) for e in products)
 
 
 def _digits(x) -> int:
@@ -869,15 +807,17 @@ def _stream_algebra(fh, max_products):
     stores the products, so neither the text nor a list of the products is
     ever whole.  The tallies are the number of products, their
     associativity multiply-adds (_chained_work) and the most digits in one
-    coefficient or unit0 value.  The algebra is the one from_json_dict
-    builds from the same file.
+    coefficient or unit0 value, always over the whole file.  The algebra is
+    the one from_json_dict builds from the same file, but for a file of
+    more than max_products products (unless it is None): the constructor
+    is handed only the first max_products, and the rest are read and
+    tallied only, so the caller refuses the file on its tallies alone.
 
     None, once reading has stopped, for every other file: anything but one
     JSON object with each of _TOP_KEYS once, max_degree and dims before
     products, and only whitespace after it; text that is not UTF-8 or JSON;
-    more than max_products products (unless it is None), checked before
-    each is stored; and anything the constructor refuses.  The caller reads
-    such a file whole instead."""
+    and anything the constructor refuses.  The caller reads such a file
+    whole instead."""
     text = _Chunks(fh)
     head: dict = {}
     outputs, factors = Counter(), Counter()
@@ -891,14 +831,13 @@ def _stream_algebra(fh, max_products):
         while True:
             i, j, k, a, b, c, coeff = read(text.value())
             tally[0] += 1
-            if max_products is not None and tally[0] > max_products:
-                raise _NotStreamed
             outputs[i, k, c] += 1
             factors[i, j, a] += 1
             factors[j, k, b] += 1
             if type(coeff) is not str or len(coeff) > tally[1]:
                 tally[1] = max(tally[1], _digits(coeff))
-            yield i, j, k, a, b, c, parse_frac(coeff)
+            if max_products is None or tally[0] <= max_products:
+                yield i, j, k, a, b, c, parse_frac(coeff)
             after = text.take()
             if after == "]":
                 return

@@ -564,17 +564,47 @@ def test_stream_leaves_other_files_to_the_whole_read(case, tmp_path):
 
 
 def test_products_limit_is_checked_before_each_product_is_stored(tmp_path, monkeypatch):
+    """Past max_products the stream reads and tallies each product but
+    stores none: the constructor gets the first max_products, whose
+    coefficients alone are parsed, and the tallies are those of the
+    uncapped read."""
     data = matrix_model([[1, 2], [1, 0]]).to_json_dict()
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(data))
     n = len(data["products"])
+    whole, tallies = _streamed(path)
     read = []
     real = peirce.parse_frac
     monkeypatch.setattr(peirce, "parse_frac", lambda x: read.append(x) or real(x))
-    assert _streamed(path, n - 1) is None
-    assert len(read) == n - 1
+    for cap in (0, 1, n - 1):
+        read.clear()
+        capped, capped_tallies = _streamed(path, cap)
+        assert read[:cap] == [e["coeff"] for e in data["products"][:cap]]
+        assert len(read) == cap + len(data["unit0"]), cap
+        assert capped_tallies == tallies, cap
+        assert capped.entries() == whole.entries()[:cap], cap
     algebra, (products, _work, _digits) = _streamed(path, n)
     assert products == n and _same_algebra(algebra, PeirceAlgebra.from_json_dict(data))
+
+
+def test_over_cap_files_are_refused_without_a_whole_read(capsys, tmp_path, monkeypatch):
+    """Every algebra file of the limit sites, and 40 000 products over the
+    products cap, exits 2 on the stream's tallies: the file is read once,
+    never whole."""
+
+    def whole(*args):
+        raise AssertionError("read whole")
+
+    monkeypatch.setattr(cli, "_load_json", whole)
+    path = tmp_path / "alg.json"
+    data = _products_free([[2]])
+    data["products"] = [{"i": 0, "j": 0, "k": 0, "a": 0, "b": 0, "c": 0, "coeff": "0"}] * 40000
+    sites = [(["peirce", "validate", "--algebra", "{input}"], data, "products", 40000, MAX_ALGEBRA_PRODUCTS)]
+    sites += [site[:5] for site in _LIMIT_SITES.values() if site[0][0] == "peirce"]
+    for argv, data, what, size, limit in sites:
+        path.write_text(json.dumps(data))
+        err = _exits_two_fast(capsys, [a.format(input=path) for a in argv])
+        assert f"{what}: {size}, over the desk-scale limit of {limit};" in err
 
 
 @pytest.mark.parametrize(
@@ -1397,31 +1427,6 @@ def test_only_a_denominator_loads_fractions(argv, loads, algebra_file, tmp_path)
     added = _modules_loaded_by(argv, algebra_file, "-S")
     assert "mta.cli" in added
     assert ("fractions" in added) == loads
-
-
-def test_compact_loader_holds_under_half_of_json_load(tmp_path):
-    """A file the stream does not take is read whole, each product object
-    as an _Entry, a tuple of its seven values: on
-    heisenberg_truncation(1, 4, [0]), 1 728 products, the data it returns
-    holds 0.42 of what json.load returns."""
-    path = tmp_path / "h14.json"
-    path.write_text(json.dumps(heisenberg_truncation(1, 4, [Fraction(0)]).to_json_dict()))
-    readers = [
-        lambda: cli._load_json(None, None, str(path)),
-        lambda: peirce._entry_containers(cli._load_json(None, None, str(path), peirce._entry_hook)),
-    ]
-    held = []
-    for read in readers:
-        tracemalloc.start()
-        try:
-            data = read()
-            held.append(tracemalloc.get_traced_memory()[0])
-        finally:
-            tracemalloc.stop()
-        assert len(data["products"]) == 1728
-        del data
-    plain, compact = held
-    assert compact <= plain / 2, held
 
 
 def test_cli_load_peaks_near_the_built_algebra(tmp_path):

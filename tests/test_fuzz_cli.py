@@ -15,16 +15,15 @@ exit 0 or 1 with one JSON line on stdout, exit 2 only for a degree above
 the file's max_degree.
 
 The algebra loader streams a file as the library writes it into the
-product tables, and reads every other file whole, each product object as
-a compact tuple.  So each algebra mutant, files with product-shaped
-objects in other places (the top level, products, dims, unit0, a field of
-a product) with keys in order, permuted, repeated, added or missing, and
-files laid out as json.dumps never writes them (keys in any order, any
-whitespace, strings in escapes) must give the exit status, stdout and
-stderr that the same command gives when every file is read whole, and
-when every file is read whole by plain json.load.  Such a layout is
-streamed exactly when it is whole and has max_degree and dims before
-products.
+product tables, and reads every other file whole with plain json.load.
+So each algebra mutant, files with product-shaped objects in other places
+(the top level, products, dims, unit0, a field of a product) with keys in
+order, permuted, repeated, added or missing, files laid out as json.dumps
+never writes them (keys in any order, any whitespace, strings in
+escapes), and files over the products cap with one fault before or past
+it must give the exit status, stdout and stderr that the same command
+gives when every file is read whole.  Such a layout is streamed exactly
+when it is whole and has max_degree and dims before products.
 
 The module and gram files get well-formed mutants too: a graded_dims entry
 or a conformal_weight changed, or a module dropped; a diagonal entry or a
@@ -420,15 +419,6 @@ def test_well_formed_module_mutants_answer_or_refuse(scratch, data):
     _assert_answer_or_usage(MODULE_COMMANDS[0], scratch / "modules.json", data.draw(module_mutants()))
 
 
-_load_json = cli._load_json
-
-
-def _plain_load_json(parser, args, path, object_hook=None):
-    """cli._load_json with no object hook: every object read as json.load
-    reads it, a dict."""
-    return _load_json(parser, args, path)
-
-
 def _never_streamed(fh, max_products):
     """peirce._stream_algebra taking no file, so the CLI reads each one
     whole."""
@@ -437,8 +427,8 @@ def _never_streamed(fh, max_products):
 
 def _assert_read_as_json_load(command, path, text):
     """The command gives the same exit status, stdout and stderr on text
-    streamed (when the stream takes it), read whole with compact products,
-    and read whole by plain json.load; True when the stream took it."""
+    streamed (when the stream takes it) and read whole by plain json.load;
+    (whether the stream took it, the outcome)."""
     path.write_text(text, encoding="utf-8")
     argv = [*command, str(path)]
     streamed = []
@@ -451,11 +441,9 @@ def _assert_read_as_json_load(command, path, text):
     with mock.patch.object(peirce, "_stream_algebra", recorded):
         first = _run(argv)
     with mock.patch.object(peirce, "_stream_algebra", _never_streamed):
-        compact = _run(argv)
-        with mock.patch.object(cli, "_load_json", _plain_load_json):
-            plain = _run(argv)
-    assert first == compact == plain, (argv, text)
-    return any(read is not None for read in streamed)
+        whole = _run(argv)
+    assert first == whole, (argv, text)
+    return any(read is not None for read in streamed), first
 
 
 @pytest.mark.parametrize("values", sorted(PRODUCT_VALUES))
@@ -464,6 +452,48 @@ def _assert_read_as_json_load(command, path, text):
 def test_product_shaped_objects_read_as_json_load(scratch, where, layout, values):
     text = _with_product("mm12.json", where, _product_text(layout, values))
     _assert_read_as_json_load(ALGEBRA_COMMANDS[0], scratch / "algebra.json", text)
+
+
+# a products cap under mm12's 28 products, and faults put in one product:
+# name -> (the fault, whether the stream still takes the file when the
+# fault lies past the cap, where products are tallied and not stored)
+OVER_CAP = 20
+CUT = "@cut@"
+OVER_CAP_FAULTS = {
+    "index out of range": (lambda e: e.update(a=5), True),
+    "coefficient 1/0": (lambda e: e.update(coeff="1/0"), True),
+    "unhashable index": (lambda e: e.update(i=[1]), False),
+    "missing key": (lambda e: e.pop("c"), False),
+    "cut short": (lambda e: e.update(coeff=CUT), False),
+}
+OVER_CAP_CASES = [("as is", None)] + [
+    (fault, product) for fault in sorted(OVER_CAP_FAULTS) for product in (3, 24)
+]
+
+
+@pytest.mark.parametrize(("fault", "product"), OVER_CAP_CASES, ids=str)
+def test_over_cap_files_read_as_json_load(scratch, monkeypatch, fault, product):
+    """A file over the products cap is streamed to its end, its products
+    past the cap tallied only, and refused on the tallies in the words of
+    the whole read; a fault in a stored product, or one the tallies meet,
+    leaves the file to the whole read, which names it or the cap as
+    before."""
+    monkeypatch.setattr(cli, "MAX_ALGEBRA_PRODUCTS", OVER_CAP)
+    data = json.loads((INPUTS / "mm12.json").read_text(encoding="utf-8"))
+    assert len(data["products"]) > OVER_CAP
+    streams = True
+    if product is not None:
+        change, past_cap_streams = OVER_CAP_FAULTS[fault]
+        change(data["products"][product])
+        streams = past_cap_streams and product >= OVER_CAP
+    text = json.dumps(data)
+    if CUT in text:
+        text = text[: text.index(CUT)]
+    for command in ALGEBRA_COMMANDS:
+        streamed, (code, out, err) = _assert_read_as_json_load(command, scratch / "algebra.json", text)
+        assert streamed == streams and code == 2 and not out, (command, err)
+        if streams:
+            assert f"products: 28, over the desk-scale limit of {OVER_CAP}" in err
 
 
 # JSON whitespace, as json.load skips it between tokens
@@ -527,4 +557,4 @@ def test_any_layout_reads_as_json_load_and_streams_when_whole(scratch, data):
     name = data.draw(st.sampled_from(ALGEBRAS))
     command = data.draw(st.sampled_from(WELL_FORMED_COMMANDS))
     text, streams = data.draw(layout_mutants(name))
-    assert _assert_read_as_json_load(command, scratch / "algebra.json", text) == streams, text
+    assert _assert_read_as_json_load(command, scratch / "algebra.json", text)[0] == streams, text
