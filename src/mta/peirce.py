@@ -924,11 +924,11 @@ def _generators(tables: dict, dims, components) -> dict:
     keeping e_b when it lies outside U, the span of the kept elements
     closed under multiplication by a kept element on either side, with
     products among the given components only.  U is held as one Echelon
-    per component.  For an associative algebra U is the subalgebra the kept
-    elements generate; in general it lies inside that subalgebra, which can
-    only keep more elements.  Either way every element of the given
-    components is a combination of products built one kept factor at a
-    time.
+    per component until that component is full.  For an associative
+    algebra U is the subalgebra the kept elements generate; in general it
+    lies inside that subalgebra, which can only keep more elements.  Either
+    way every element of the given components is a combination of products
+    built one kept factor at a time.
     """
     components = sorted(components)
     spans = {c: Echelon() for c in components}
@@ -963,6 +963,8 @@ def _generators(tables: dict, dims, components) -> dict:
                 if not room[(x, y)] or not spans[(x, y)].add(v):
                     continue
                 room[(x, y)] -= 1
+                if not room[(x, y)]:
+                    del spans[(x, y)]  # full: nothing is added or tested again
                 elems[(x, y)].append(v)
                 for (s, t), gens in kept.items():
                     if s == y:

@@ -539,7 +539,7 @@ def layout_mutants(draw, name):
 
 @FUZZ
 @given(st.data())
-def test_compact_loader_reads_as_json_load(scratch, data):
+def test_stream_reads_as_json_load(scratch, data):
     name = data.draw(st.sampled_from(ALGEBRAS))
     command = data.draw(st.sampled_from(WELL_FORMED_COMMANDS))
     mutants = (

@@ -1388,6 +1388,20 @@ def test_building_and_validating_hold_about_one_algebra():
     assert peak <= 1.5 * size, (peak, size)
 
 
+def test_generator_walk_drops_each_full_span():
+    """_generators, the walk Light's test starts with, drops a component's
+    Echelon once the component's span is full, as nothing is added to or
+    tested against it after that: on heisenberg_truncation(1, 4, [0]) the
+    walk peaks at most 0.5 times the algebra (0.40 measured; 0.59 with
+    every Echelon kept to the end).  Ratios of tracemalloc figures."""
+    h14 = heisenberg_truncation(1, 4, [F0])
+    entries = h14.entries()
+    p, size, _ = _traced(lambda: PeirceAlgebra(h14.max_degree, h14.dims, entries, h14.unit0))
+    r = range(p.max_degree + 1)
+    gens, _, peak = _traced(lambda: peirce._generators(p._prod, p.dims, itertools.product(r, repeat=2)))
+    assert gens and peak <= 0.5 * size, (peak, size)
+
+
 def test_integer_scaling_does_not_raise_the_validation_peak():
     """c_mm32, matrix_model([[3, 2], [2, 1]]) in a random integer basis,
     has structure constants with denominators.  validate_peirce runs its
