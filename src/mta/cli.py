@@ -33,16 +33,6 @@ MAX_DEGREE = 8
 # rendering listed first; medians of 5, 2-core machine).
 MAX_PARTITION_WEIGHT = 400
 MAX_LATTICE_RANK = 4
-# Labels of the largest pairing matrix `heisenberg verify` builds: (3, 7) has
-# 429 (184 041 pairings) and verifies in 0.49 s with a 16.3 MiB peak RSS,
-# and (4, 5), 252 labels, in 0.24 s and 14.8 MiB (CLI wall time and peak
-# RSS, medians of 5, 2-core machine).  The report's matrix rows are
-# rendered and written one at a time: with every cell string rendered
-# first the peaks were 17.8 and 15.3 MiB, encoded whole by one json.dumps
-# 23.3 and 20.0 MiB, and with a separate object and string for every zero
-# cell, 0.83 s / 54 MiB and 0.34 s / 31 MiB.  The next size inside the
-# rank/degree box, (4, 6) with 574 labels, stays capped.
-MAX_PAIRING_LABELS = 429
 # Lattice inputs, measured as CLI wall time on a 2-core machine (medians of
 # 5).  `lattice weights` costs about 0.14 ms per coset at rank 4:
 # diag(8, 8, 8, 8), 4096 cosets, takes 0.6 s and diag(10, 10, 10, 10) 1.5 s.
@@ -341,10 +331,7 @@ def _cmd_heisenberg(parser, args) -> int:
         return 0
     # per command: only `heisenberg verify` loads the free-boson engine
     from . import heisenberg as hb
-    from .partitions import labeled_partition_count
 
-    size = labeled_partition_count(n, d)
-    _limit(parser, args, "labels of the pairing matrix", size, MAX_PAIRING_LABELS)
     report = hb.verify_strong_identity(n, d)
     verdict = "verified" if report.ok else "FAILED"
     _emit(

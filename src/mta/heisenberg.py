@@ -481,23 +481,34 @@ def pairing(sigma: LabeledPartition, tau: LabeledPartition) -> ZhuPolynomial:
     return corner_product(ubar_element(sigma), u_element(tau))
 
 
-def pairing_matrix(n: int, d: int):
-    """All pairings on weight-d labeled partitions.
-
-    Builds ubar(sigma) and u(tau) once per label, and analyses each word
-    (degree, buckets) once per side, then fills the matrix with
-    corner_product.  Returns (labels, matrix of ZhuPolynomial), rows indexed
-    by sigma.
-
-    Every one of the k^2 pairings is computed, but the cells are values,
-    not fresh objects: all zero cells are one shared ZhuPolynomial, so
-    nothing may mutate a cell's terms in place.
-    """
+def _pairing_diagonal(n: int, d: int):
+    """(labels, cells) with cells[i] = pairing(labels[i], labels[i]) for the
+    weight-d labels, ubar and u built and analysed once per label."""
     labels = enumerate_labeled_partitions(n, d)
-    ubars = [_corner_terms(ubar_element(s)) for s in labels]
-    us = [_corner_terms(u_element(t)) for t in labels]
     zero = ZhuPolynomial.zero(n)
-    return labels, [[_corner_product(n, x, y, zero) for y in us] for x in ubars]
+    return labels, [
+        _corner_product(n, _corner_terms(ubar_element(s)), _corner_terms(u_element(s)), zero)
+        for s in labels
+    ]
+
+
+def pairing_matrix(n: int, d: int):
+    """All pairings on weight-d labeled partitions: (labels, matrix of
+    ZhuPolynomial), rows indexed by sigma.
+
+    Only the k diagonal pairings are computed; the Wick rule makes every
+    other one zero.  On (ubar sigma, u tau) of equal weight, _corner_product
+    keeps a term only if each annihilator bucket of sigma meets at least as
+    many matching creators of tau.  Equal weight then leaves tau no other
+    creator, so tau's creator multiset is exactly sigma's mirrored
+    annihilator multiset.  That multiset determines the label, so tau =
+    sigma, and every other cell is the zero that the bucket check's break
+    gives.  The off-diagonal cells are one shared ZhuPolynomial, so nothing
+    may mutate a cell's terms in place.
+    """
+    labels, cells = _pairing_diagonal(n, d)
+    zero = ZhuPolynomial.zero(n)
+    return labels, [[c if i == j else zero for j in range(len(cells))] for i, c in enumerate(cells)]
 
 
 def strong_identity(n: int, d: int) -> list[tuple[LabeledPartition, int | Fraction]]:
@@ -526,7 +537,8 @@ class IdentityReport:
 
     The identity acts correctly on one side iff the pairing matrix is the
     diagonal of symmetry factors; by mirror symmetry of the words the same
-    matrix certifies the action on the other side.
+    matrix certifies the action on the other side.  The report holds its
+    diagonal cells; the others are zero (see pairing_matrix).
     """
 
     def __init__(
@@ -536,7 +548,7 @@ class IdentityReport:
         ok: bool,
         labels: list[LabeledPartition],
         expected_diagonal: list[int],
-        matrix: list[list[ZhuPolynomial]],
+        diagonal: list[ZhuPolynomial],
         mismatches: list[tuple[int, int]] | None = None,
     ):
         self.rank = rank
@@ -544,7 +556,7 @@ class IdentityReport:
         self.ok = ok
         self.labels = labels
         self.expected_diagonal = expected_diagonal
-        self.matrix = matrix
+        self.diagonal = diagonal
         self.mismatches = [] if mismatches is None else mismatches
 
     def to_json(self) -> dict:
@@ -556,46 +568,48 @@ class IdentityReport:
         """to_json with the matrix a generator that renders one row of cell
         strings at a time, so a writer that writes each row before it reads
         the next never holds the k x k rendered cells at once."""
+        k = len(self.labels)
         return {
             "rank": self.rank,
             "degree": self.degree,
             "ok": self.ok,
-            "size": len(self.labels),
+            "size": k,
             "labels": [lp.to_json() for lp in self.labels],
             "expected_diagonal": list(self.expected_diagonal),
-            "matrix": (_rendered_row(row) for row in self.matrix),
+            "matrix": (_rendered_row(i, cell, k) for i, cell in enumerate(self.diagonal)),
             "mismatches": [list(m) for m in self.mismatches],
         }
 
 
-def _rendered_row(row) -> list:
-    """A pairing matrix row as the report writes it; a zero cell is the one
-    literal "0" (= frac_str(0)), not a new string."""
-    return [
-        "0" if x.is_zero() else frac_str(x.constant_value()) if x.is_constant() else repr(x)
-        for x in row
-    ]
+def _rendered_row(i: int, cell: ZhuPolynomial, k: int) -> list:
+    """Row i of the pairing matrix as the report writes it: the diagonal
+    cell in column i, and the one literal "0" (= frac_str(0)) elsewhere."""
+    row = ["0"] * k
+    if not cell.is_zero():
+        row[i] = frac_str(cell.constant_value()) if cell.is_constant() else repr(cell)
+    return row
 
 
 def verify_strong_identity(n: int, d: int) -> IdentityReport:
     """Check pairing(sigma, tau) == symmetry_factor(sigma) * delta(sigma, tau)
-    for all weight-d labeled partitions."""
-    labels, matrix = pairing_matrix(n, d)
+    for all weight-d labeled partitions.
+
+    Only the diagonal pairings are computed.  By the Wick rule a nonzero
+    (ubar sigma, u tau) of equal weight needs tau's creator multiset to be
+    sigma's mirrored annihilator multiset, so tau = sigma (see pairing_matrix).
+    """
+    labels, cells = _pairing_diagonal(n, d)
     expected = [lp.symmetry_factor() for lp in labels]
-    zero = ZhuPolynomial.zero(n)
-    mismatches = []
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            want = ZhuPolynomial.constant(n, expected[i]) if i == j else zero
-            if matrix[i][j] != want:
-                mismatches.append((i, j))
+    mismatches = [
+        (i, i) for i, cell in enumerate(cells) if cell != ZhuPolynomial.constant(n, expected[i])
+    ]
     return IdentityReport(
         rank=n,
         degree=d,
         ok=not mismatches,
         labels=labels,
         expected_diagonal=expected,
-        matrix=matrix,
+        diagonal=cells,
         mismatches=mismatches,
     )
 

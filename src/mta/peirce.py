@@ -1708,13 +1708,13 @@ def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
 
     Component (i,j) has the creation/annihilation monomial pairs of weights
     (i, j) as basis: the matrix units of one block whose level-j size is the
-    number of weight-j labels, paired by the corner pairings evaluated at
-    the given rational point of the zero modes.  The evaluated pairings are
-    the symmetry-factor diagonal, so the result is independent of the point;
-    the evaluation is still carried out exactly rather than assumed.
+    number of weight-j labels, paired by the diagonal corner pairings (the
+    others are zero) evaluated at the given rational point of the zero
+    modes.  They are the symmetry factors, so the result is independent of
+    the point; the evaluation is still carried out exactly, not assumed.
     """
     # imported here: the other peirce functions need no free-boson engine
-    from .heisenberg import pairing_matrix
+    from .heisenberg import _pairing_diagonal
 
     point = [scalar(x) for x in point]
     if len(point) != n:
@@ -1724,13 +1724,8 @@ def heisenberg_truncation(n: int, max_degree: int, point) -> PeirceAlgebra:
     counts = []
     pairing = []
     for j in range(max_degree + 1):
-        labels, matrix = pairing_matrix(n, j)
+        labels, cells = _pairing_diagonal(n, j)
         counts.append(len(labels))
-        values = (
-            (t, a, x.evaluate(point))
-            for t, row in enumerate(matrix)
-            for a, x in enumerate(row)
-            if not x.is_zero()
-        )
-        pairing.append({(t, a): v for t, a, v in values if v})
+        values = ((t, x.evaluate(point)) for t, x in enumerate(cells))
+        pairing.append({(t, t): v for t, v in values if v})
     return _block_model([counts], [pairing], [1])

@@ -83,9 +83,10 @@ elimination with row swaps, run once per leading minor.
 
 `dense_pairing_matrix`, `identity_mismatches` and `identity_report_json`
 are the strong-identity check before the pairing matrix shared one zero
-cell: a fresh `pairing(sigma, tau)` object in every cell, the mismatch rule
-of `verify_strong_identity`, and `IdentityReport.to_json` rendering every
-cell on its own through `frac_str` or `repr`.
+cell and only its diagonal was computed: a fresh `pairing(sigma, tau)`
+object in every one of the k^2 cells, the mismatch rule of
+`verify_strong_identity` over all of them, and the report of a dense
+`matrix` rendering every cell on its own through `frac_str` or `repr`.
 """
 
 from collections import Counter

@@ -34,7 +34,6 @@ from mta.cli import (
     MAX_LATTICE_COSETS,
     MAX_LATTICE_LEVEL,
     MAX_LATTICE_RANK,
-    MAX_PAIRING_LABELS,
     MAX_PARTITION_WEIGHT,
     MAX_RANK,
     _algebra_sizes,
@@ -44,7 +43,7 @@ from mta.cli import (
 )
 from mta.exact import frac_str
 from mta.heisenberg import strong_identity, strong_identity_to_json, verify_strong_identity
-from mta.partitions import enumerate_labeled_partitions, labeled_partition_count
+from mta.partitions import enumerate_labeled_partitions
 from mta.peirce import PeirceAlgebra, heisenberg_truncation, matrix_model
 from mta.zhu import SimpleModuleData
 
@@ -275,30 +274,17 @@ def test_desk_scale_cap_exits_two(capsys):
     assert "--unsafe-no-limits" in err
 
 
-def test_pairing_cap_exits_two_fast(capsys):
-    # rank 4 degree 8 sits inside the rank/degree box but has 2580 labels
-    start = time.perf_counter()
-    with pytest.raises(SystemExit) as exc:
-        main(["heisenberg", "verify", "--rank", "4", "--degree", "8"])
-    assert time.perf_counter() - start < 1
-    assert exc.value.code == 2
-    assert "--unsafe-no-limits" in capsys.readouterr().err
-    # (4, 6) with 574 labels is the smallest capped size
-    with pytest.raises(SystemExit) as exc:
-        main(["heisenberg", "verify", "--rank", "4", "--degree", "6"])
-    assert exc.value.code == 2
-    assert "--unsafe-no-limits" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "rank, degree, size, digest",
     [
         (3, 7, 932_920, "e2e9dba2e1e986c157124b2927bf7168f159375e2b1be8346c600a8d88e65ebb"),
         (4, 5, 325_099, "35334018765e2a8b88a67496f4316bb3a7f5e96abfabc6664969b67cae519382"),
+        (4, 6, 1_665_429, "246b34b94d3298cc871494c1852d0edaf37af26fb0a650d2043c37f441a9f5c0"),
     ],
 )
 def test_verify_at_the_label_cap_prints_the_recorded_bytes(capsys, rank, degree, size, digest):
-    # (3, 7) is the largest accepted pairing matrix: 429 labels, 184 041 cells
+    # the bytes printed when all k^2 pairings were computed (at (4, 6), with
+    # --unsafe-no-limits past the 429-label cap that computation had)
     argv = ["heisenberg", "verify", "--rank", str(rank), "--degree", str(degree)]
     code, out = run(capsys, argv)
     data = out.encode("utf-8")
@@ -1003,14 +989,6 @@ _LIMIT_SITES = {
     "heisenberg degree": (
         ["heisenberg", "zhu", "--degree", "9"], None, "degree", 9, MAX_DEGREE, True
     ),
-    "heisenberg labels (4, 6)": (
-        ["heisenberg", "verify", "--rank", "4", "--degree", "6"],
-        None, "labels of the pairing matrix", 574, MAX_PAIRING_LABELS, False,
-    ),
-    "heisenberg labels (4, 8)": (
-        ["heisenberg", "verify", "--rank", "4", "--degree", "8"],
-        None, "labels of the pairing matrix", 2580, MAX_PAIRING_LABELS, False,
-    ),
     "zhu heisenberg rank": (
         ["zhu", "heisenberg", "--rank", "5", "--degree", "2"], None, "rank", 5, MAX_RANK, True
     ),
@@ -1078,9 +1056,6 @@ def test_desk_scale_limit_sites(site, capsys, tmp_path):
 
 
 def test_desk_scale_boundaries_are_inside_the_limits():
-    # (3, 7) is the largest pairing matrix `heisenberg verify` accepts
-    assert labeled_partition_count(3, 7) == 429 <= MAX_PAIRING_LABELS
-    assert labeled_partition_count(4, 5) <= MAX_PAIRING_LABELS < labeled_partition_count(4, 6)
     assert 400 <= MAX_PARTITION_WEIGHT
     assert 100 <= MAX_LATTICE_LEVEL
     assert cli._associativity_work(_dense_corner(22)["products"]) == 22 * 22**2 * 2 * 22**2
@@ -1204,11 +1179,10 @@ def test_streaming_a_pairing_report_halves_the_emit_peak():
 
 
 def test_pairing_report_renders_its_matrix_a_row_at_a_time():
-    """`heisenberg verify` at (3, 7), the largest accepted pairing matrix,
-    hands the writer its 429 rows as they are rendered: the emit peak is
-    that of the same report with no matrix plus a few rows, where the
-    184 041 cell strings of to_json hold 1.7 MiB.  to_json still gives
-    them all, and stdout is the same."""
+    """`heisenberg verify` at (3, 7), 429 labels, hands the writer its rows
+    as they are rendered: the emit peak is that of the same report with no
+    matrix plus a few rows, where the 184 041 cell strings of to_json hold
+    1.7 MiB.  to_json still gives them all, and stdout is the same."""
     report = verify_strong_identity(3, 7)
     args = argparse.Namespace(format="json")
 
@@ -1503,10 +1477,6 @@ _LIMIT = ", over the desk-scale limit of {}; pass --unsafe-no-limits to override
 _HANDLER_ERRORS = {
     "rank": (["partitions", "count", "--rank", "5", "--weight", "3"], "rank: 5" + _LIMIT.format(4)),
     "weight": (["partitions", "count", "--weight", "401"], "weight: 401" + _LIMIT.format(400)),
-    "pairing-labels": (
-        ["heisenberg", "verify", "--rank", "4", "--degree", "6"],
-        "labels of the pairing matrix: 574" + _LIMIT.format(429),
-    ),
     "max": (
         ["lattice", "dims", "--gram", "{inputs}/z8.gram", "--coset", "0", "--max", "101"],
         "--max: 101" + _LIMIT.format(100),

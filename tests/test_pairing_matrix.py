@@ -1,21 +1,26 @@
-"""The pairing matrix behind `heisenberg verify`: every pairing computed, one
-shared zero cell, and the same report as the dense builder.
+"""The pairing matrix behind `heisenberg verify`: one pairing computed per
+label, one shared zero cell, and the same report as the dense builder.
 
-The dense builder in oracle_exact puts a fresh `pairing(sigma, tau)` object
-in every cell and renders every cell of the report on its own; the library
-shares one zero object among the k^2 - k zero cells and renders it as the
-literal "0".
+The Wick rule leaves only the diagonal pairings nonzero, so the library
+computes those k cells and fills the rest of the matrix with one shared
+zero object, which the report renders as the literal "0".  The dense
+builder in oracle_exact computes all k^2 pairings, a fresh
+`pairing(sigma, tau)` object in every cell, and renders every cell of the
+report on its own: it is the differential oracle for the cells the library
+does not compute.
 """
 
 import json
 import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import oracle_exact as oracle
 import pytest
 
 from mta import heisenberg as hb
 from mta.heisenberg import (
-    IdentityReport,
+    Mode,
     ZhuPolynomial,
     corner_product,
     pairing,
@@ -39,7 +44,10 @@ SMALL = [
 def _oracle_report_json(n, d, labels, matrix):
     expected = [lp.symmetry_factor() for lp in labels]
     mismatches = oracle.identity_mismatches(n, matrix, expected)
-    report = IdentityReport(n, d, not mismatches, labels, expected, matrix, mismatches)
+    report = SimpleNamespace(
+        rank=n, degree=d, ok=not mismatches, labels=labels, expected_diagonal=expected,
+        matrix=matrix, mismatches=mismatches,
+    )
     return oracle.identity_report_json(report)
 
 
@@ -62,22 +70,27 @@ def test_matrix_and_report_match_the_dense_oracle(n, d):
 
 
 def test_failing_cells_report_as_the_oracle_does(monkeypatch):
+    # the diagonal is all the library computes; a cell off it cannot be
+    # nonzero (see hb.pairing_matrix), and the dense oracle tests above
+    # check every one of them
     n, d = 2, 3
-    labels, matrix = pairing_matrix(n, d)
-    matrix = [list(row) for row in matrix]
-    matrix[0][1] = ZhuPolynomial.constant(n, 3)  # nonzero off the diagonal
-    matrix[2][2] = ZhuPolynomial(n, {(0, 0): 2, (1, 0): 1})  # not a constant
-    matrix[3][4] = ZhuPolynomial(n, {(0, 2): "-1/2"})  # neither
-    monkeypatch.setattr(hb, "pairing_matrix", lambda n_, d_: (labels, matrix))
+    labels, cells = hb._pairing_diagonal(n, d)
+    cells = list(cells)
+    cells[0] = ZhuPolynomial.constant(n, 5)  # a wrong constant: the factor is 3
+    cells[2] = ZhuPolynomial(n, {(0, 0): 2, (1, 0): 1})  # not a constant
+    cells[3] = ZhuPolynomial(n, {(0, 2): "-1/2"})  # neither
+    monkeypatch.setattr(hb, "_pairing_diagonal", lambda n_, d_: (labels, cells))
     report = verify_strong_identity(n, d)
+    zero = ZhuPolynomial.zero(n)
+    matrix = [[c if i == j else zero for j in range(len(cells))] for i, c in enumerate(cells)]
     want = _oracle_report_json(n, d, labels, matrix)
-    assert report.mismatches == [(0, 1), (2, 2), (3, 4)]
+    assert report.mismatches == [(0, 0), (2, 2), (3, 3)]
     assert [list(m) for m in report.mismatches] == want["mismatches"]
     assert report.ok is False
     got = report.to_json()
     assert json.dumps(got) == json.dumps(want)
-    assert (got["matrix"][0][1], got["matrix"][2][2], got["matrix"][3][4]) == (
-        "3",
+    assert (got["matrix"][0][0], got["matrix"][2][2], got["matrix"][3][3]) == (
+        "5",
         "2 + 1*h1",
         "-1/2*h2^2",
     )
@@ -106,7 +119,7 @@ def test_public_pairings_return_fresh_objects():
     assert pairing(sigma, tau).is_zero()
 
 
-def test_every_pairing_is_computed(monkeypatch):
+def test_one_pairing_is_computed_per_label(monkeypatch):
     calls = []
     real = hb._corner_product
 
@@ -116,9 +129,26 @@ def test_every_pairing_is_computed(monkeypatch):
 
     monkeypatch.setattr(hb, "_corner_product", counting)
     report = verify_strong_identity(3, 4)
-    k = len(report.labels)
-    assert k == 51
-    assert len(calls) == k * k
+    assert report.ok and len(report.labels) == 51
+    assert len(calls) == 51
+
+
+def test_the_mirrored_annihilators_determine_the_label():
+    """The step of the proof that only diagonal pairings can be nonzero:
+    over the whole rank/degree box of `heisenberg verify`, ubar(sigma)'s
+    annihilators, mirrored, are u(sigma)'s creators, and no two labels of
+    one size share them."""
+    for n in range(1, 5):
+        for d in range(9):
+            labels = enumerate_labeled_partitions(n, d)
+            keys = set()
+            for lp in labels:
+                (ubar,) = ubar_element(lp).terms
+                (u,) = u_element(lp).terms
+                mirrored = Counter(Mode(m.gen, -m.exp) for m in ubar.annihilators)
+                assert mirrored == Counter(u.creators)
+                keys.add(frozenset(mirrored.items()))
+            assert len(keys) == len(labels), (n, d)
 
 
 def _peak_bytes(build):

@@ -224,7 +224,7 @@ def test_result_holders_keep_their_constructors():
     first, second = CheckReport(True, 0), CheckReport(ok=True, checked=0)
     assert first.failures == [] and first.failures is not second.failures
     first = IdentityReport(1, 0, True, [], [], [])
-    second = IdentityReport(rank=1, degree=0, ok=True, labels=[], expected_diagonal=[], matrix=[])
+    second = IdentityReport(rank=1, degree=0, ok=True, labels=[], expected_diagonal=[], diagonal=[])
     assert first.mismatches == [] and first.mismatches is not second.mismatches
     assert IdentityReport(1, 0, False, [], [], [], [(0, 1)]).mismatches == [(0, 1)]
 
