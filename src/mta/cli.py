@@ -74,7 +74,7 @@ MAX_ALGEBRA_PRODUCTS = 32768
 # Integer cost grows with size: dense dims [[20]] validates in 3.3 s with
 # coefficient 1, 4.0 s with 30-digit and 6.0 s with 100-digit coefficients,
 # 17 s with 300 digits.  Coefficients with denominators are scaled to ints
-# by their common denominator for the call (peirce._on_ints), so a
+# by their common denominator for the call (peirce._first_failure), so a
 # fractional input costs about what an integer one of that length does:
 # matrix_model([[3, 2], [1, 3], [2, 1]]) in a random integer basis, 9.8 M
 # multiply-adds with a 102-bit common denominator, validates in 1.7 s

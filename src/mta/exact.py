@@ -160,12 +160,11 @@ class Echelon:
     of the held row of p, so that row divided by its pivot value is the
     row of the reduced echelon form, which is unique for the span.  rows,
     basis and reduce return those reduced rows, 1 at the pivot: each is
-    made on its first read and kept until its held row changes.
+    made as it is read, and none is kept.
     """
 
     def __init__(self, rows=()):
         self._rows: dict[int, dict] = {}  # pivot -> primitive integer row
-        self._reduced: dict[int, dict] = {}  # pivot -> reduced row, once read
         for row in rows:
             self.add(row)
 
@@ -245,19 +244,13 @@ class Echelon:
                     del new[j]
             g = gcd(*new.values())
             rows[q] = new if g == 1 else {j: x // g for j, x in new.items()}
-            self._reduced.pop(q, None)
         rows[p] = v
         return True
 
     def _reduced_row(self, p: int) -> dict:
         row = self._rows[p]
         b = row[p]
-        if b == 1:
-            return row
-        out = self._reduced.get(p)
-        if out is None:
-            out = self._reduced[p] = {j: quotient(x, b) for j, x in row.items()}
-        return out
+        return row if b == 1 else {j: quotient(x, b) for j, x in row.items()}
 
     @property
     def rows(self) -> dict:

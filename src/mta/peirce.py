@@ -44,10 +44,11 @@ component(d,0) (x)_A component(0,d) -> component(d,d): the map sends the
 balancing relation R_b(u, v) = (u b) (x) v - u (x) (b v) to (ub)v - u(bv),
 and it is linear, so it kills the span of the relations iff every basis
 triple of components (d,0), (0,0), (0,d) associates.  Once associativity
-holds the map descends at every degree.  The kernel and the generators run
-on the tables scaled to ints by a common denominator of their structure
-constants (_on_ints): both sides of (ab)c = a(bc) scale alike, so every
-verdict and every failing triple is the same as in Fractions.
+holds the map descends at every degree.  Every such check is one call of
+_first_failure, which runs the generators and the kernel on the tables
+scaled to ints by the common denominator of their structure constants:
+both sides of (ab)c = a(bc) scale alike, so every verdict and every
+failing triple is the same as in Fractions.
 The module axiom (x s).w = x.(s.w) of a module presentation given from
 outside is checked the same way, on generators s of an associative B: the
 s that satisfy it for all x and w form a subspace closed under products,
@@ -169,29 +170,8 @@ class Algebra:
         self.cells = cells
 
     def is_associative(self) -> bool:
-        """Light's test (module docstring), as for every algebra here, on
-        the cells scaled to ints (_on_ints)."""
-        tables = {(0, 0, 0): self.cells}
-
-        def light():
-            gens = _generators(tables, [[self.dim]], [(0, 0)])
-            return _first_nonassociative(tables, [(0, 0, 0, 0)], gens) is None
-
-        return _on_ints(tables, _common_denominator(tables), light)
-
-
-def _common_denominator(tables: dict) -> int:
-    """The lcm of the denominators of the structure constants of product
-    tables {ijk: {(a, b): cell}}: 1 when they are all ints."""
-    return lcm(
-        *(
-            x.denominator
-            for table in tables.values()
-            for cell in table.values()
-            for x in cell.values()
-            if type(x) is not int
-        )
-    )
+        """Light's test (module docstring), as for every algebra here."""
+        return _first_failure({(0, 0, 0): self.cells}, [(0, 0, 0, 0)], [[self.dim]], [(0, 0)]) is None
 
 
 def _map_constants(tables: dict, f) -> None:
@@ -215,21 +195,36 @@ def _map_constants(tables: dict, f) -> None:
 _MAX_SCALE_BITS = 1024
 
 
-def _on_ints(tables: dict, scale: int, run):
-    """run(), with every structure constant of tables times scale, a common
-    denominator of them, so an int, while run runs; the constants are
-    scaled in place and restored after, so no second copy of the tables
-    is held.  A scale of 1 changes nothing, and one over _MAX_SCALE_BITS
-    bits is not applied.  (ab)c and a(bc) both scale by scale**2, so
-    _first_nonassociative returns the same on the scaled tables, in int
-    arithmetic, and the products of _generators span the same spaces."""
-    if scale == 1 or scale.bit_length() > _MAX_SCALE_BITS:
-        return run()
-    _map_constants(tables, lambda x: x.numerator * (scale // x.denominator))
+def _first_failure(tables: dict, quads, dims=None, components=None):
+    """_first_nonassociative over the given quadruples, every middle
+    factor checked, or, given dims and components, only the middle factors
+    that _generators(tables, dims, components) keeps (Light's test).
+
+    Both run with every structure constant of tables times s, the lcm of
+    their denominators, so in ints; the constants are scaled in place and
+    restored after, so no second copy of the tables is held.  An s of 1
+    changes nothing, and one over _MAX_SCALE_BITS bits is not applied.
+    (ab)c and a(bc) both scale by s**2, so the kernel returns the same on
+    the scaled tables, and the products of the generators span the same
+    spaces, so the same generators are kept."""
+    s = lcm(
+        *{
+            x.denominator
+            for table in tables.values()
+            for cell in table.values()
+            for x in cell.values()
+            if type(x) is not int
+        }
+    )
+    scaled = s != 1 and s.bit_length() <= _MAX_SCALE_BITS
+    if scaled:
+        _map_constants(tables, lambda x: x.numerator * (s // x.denominator))
     try:
-        return run()
+        middle = None if dims is None else _generators(tables, dims, components)
+        return _first_nonassociative(tables, quads, middle)
     finally:
-        _map_constants(tables, lambda x: quotient(x, scale))
+        if scaled:
+            _map_constants(tables, lambda x: quotient(x, s))
 
 
 def _bilinear(table: dict, x: dict, y: dict) -> dict:
@@ -595,7 +590,6 @@ class PeirceAlgebra:
         # them by their items costs more than sharing them saves
         terms: dict = {}  # (c, v) -> the shared cell {c: v}
         keys: dict = {}  # (a, b) -> the shared key
-        scale = 1  # a common denominator of the coefficients, for _on_ints
         for *index, coeff in entries:
             i, j, k, a, b, c = map(strict_int, index)
             if not (0 <= i <= max_degree and 0 <= j <= max_degree and 0 <= k <= max_degree):
@@ -605,8 +599,6 @@ class PeirceAlgebra:
             coeff = scalar(coeff)
             if not coeff:
                 continue
-            if type(coeff) is not int:
-                scale = lcm(scale, coeff.denominator)
             table = self._prod.setdefault((i, j, k), {})
             cell = table.get((a, b))
             if cell is None:
@@ -624,7 +616,6 @@ class PeirceAlgebra:
         self.unit0 = [scalar(x) for x in unit0]
         if len(self.unit0) != self.dims[0][0]:
             raise ValueError("unit0 has wrong length")
-        self._scale = scale
         self.block_dims = None  # set by matrix_model
         self._associative = None  # set by _associative, which runs Light's test once
 
@@ -975,36 +966,29 @@ def _generators(tables: dict, dims, components) -> dict:
 
 
 def _associative(p: PeirceAlgebra) -> bool:
-    """Light's test on every component of p, run once per algebra on its
-    tables scaled to ints (_on_ints): the validator, zigzag and both Morita
-    functors read it."""
+    """Light's test on every component of p, run once per algebra: the
+    validator, zigzag and both Morita functors read it."""
     if p._associative is None:
-        r = range(p.max_degree + 1)
-
-        def light():
-            gens = _generators(p._prod, p.dims, itertools.product(r, repeat=2))
-            quads = _quadruples(p._prod, p.max_degree)
-            return _first_nonassociative(p._prod, quads, gens) is None
-
-        p._associative = _on_ints(p._prod, p._scale, light)
+        quads = _quadruples(p._prod, p.max_degree)
+        components = itertools.product(range(p.max_degree + 1), repeat=2)
+        p._associative = _first_failure(p._prod, quads, p.dims, components) is None
     return p._associative
 
 
 def _associativity_failure(p: PeirceAlgebra):
     """Where associativity first fails, as the (i, j, k, l, a, b, c) of the
-    full call, on the tables scaled to ints, in (i,j,k,l) then (a,b,c)
-    order; None when Light's test passes."""
+    full call, in (i,j,k,l) then (a,b,c) order; None when Light's test
+    passes."""
     if _associative(p):
         return None
-    quads = _quadruples(p._prod, p.max_degree)
-    return _on_ints(p._prod, p._scale, lambda: _first_nonassociative(p._prod, quads))
+    return _first_failure(p._prod, _quadruples(p._prod, p.max_degree))
 
 
 def _descends(p: PeirceAlgebra, d: int) -> bool:
     """Whether components (d,0), (0,0), (0,d) associate: the kernel on
-    (d,0,0,d) alone, on the tables it reads scaled to ints."""
+    (d,0,0,d) alone, on the tables it reads."""
     read = {ijk: p._prod[ijk] for ijk in ((d, 0, 0), (d, 0, d), (0, 0, d)) if ijk in p._prod}
-    return _on_ints(read, p._scale, lambda: _first_nonassociative(read, [(d, 0, 0, d)]) is None)
+    return _first_failure(read, [(d, 0, 0, d)]) is None
 
 
 def _first_unfixed(p: PeirceAlgebra, i: int, j: int, left=None, right=None):
@@ -1469,11 +1453,8 @@ def _honest(p: PeirceAlgebra, d: int, w_mod: ModuleRep) -> bool:
     table = p._prod.get((d, d, d), {})
     if w_mod.table is table:
         return True
-    gens = {(0, 0): _generators(p._prod, p.dims, [(d, d)])[(d, d)]}
     tables = {(0, 0, 0): table, (0, 0, 1): w_mod.table}
-    return _on_ints(
-        tables, _common_denominator(tables), lambda: _first_nonassociative(tables, [(0, 0, 0, 1)], gens) is None
-    )
+    return _first_failure(tables, [(0, 0, 0, 1)], [[p.dims[d][d]]], [(0, 0)]) is None
 
 
 def _functor(

@@ -454,7 +454,7 @@ def test_algebra_fixtures_pass_the_caps(tmp_path):
 
 def _same_algebra(p, q):
     def read(x):
-        return x.max_degree, x.dims, x.entries(), x.unit0, x._scale
+        return x.max_degree, x.dims, x.entries(), x.unit0
 
     return read(p) == read(q)
 
@@ -1074,7 +1074,7 @@ def test_input_fixtures_load_under_the_integer_rule(tmp_path):
         timeout=120,
     )
     paths = list(tmp_path.glob("*.json")) + list((root / "tests" / "golden" / "cli" / "inputs").glob("*.json"))
-    assert len(paths) == len(names) + 6
+    assert len(paths) == len(names) + 7
     for path in paths:
         data = json.loads(path.read_text())
         if path.name == "modules.json":

@@ -247,9 +247,9 @@ def test_from_json_dict_leaves_its_argument_and_matches_the_constructor():
         entries = [(*(e[key] for key in keys), exact.parse_frac(e["coeff"])) for e in kept["products"]]
         q = PeirceAlgebra(kept["max_degree"], kept["dims"], entries, [exact.parse_frac(x) for x in kept["unit0"]])
         for r in (again, q):
-            assert (p.entries(), p.unit0, p._scale) == (r.entries(), r.unit0, r._scale), name
+            assert (p.entries(), p.unit0) == (r.entries(), r.unit0), name
         names.append(name)
-    assert len(names) == 13
+    assert len(names) == 14
 
 
 def test_equal_one_term_cells_are_shared_and_never_written():
@@ -1115,6 +1115,31 @@ def _typed(tables):
     }
 
 
+@contextlib.contextmanager
+def _kernel_types():
+    """A list that records, for each call of peirce._first_nonassociative
+    and of peirce._generators made inside the block, (name, the set of
+    types of the structure constants of the tables it is given, what it
+    returns)."""
+    seen = []
+    real = {"kernel": peirce._first_nonassociative, "generators": peirce._generators}
+
+    def recording(name):
+        def run(tables, *args):
+            types = {type(x) for t in tables.values() for cell in t.values() for x in cell.values()}
+            out = real[name](tables, *args)
+            seen.append((name, types, out))
+            return out
+
+        return run
+
+    peirce._first_nonassociative, peirce._generators = recording("kernel"), recording("generators")
+    try:
+        yield seen
+    finally:
+        peirce._first_nonassociative, peirce._generators = real["kernel"], real["generators"]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     small_block_st,
@@ -1123,12 +1148,11 @@ def _typed(tables):
 )
 def test_scaled_kernel_matches_the_fraction_kernel(blocks, seed, mutation):
     """A matrix model in a random integer basis, with or without one
-    structure constant changed: its tables scaled to ints by _on_ints give
-    the associativity kernel the same return value as the Fraction tables,
-    with a middle and without, over the quadruples with a table and over
-    all of them, and the same generators; the scale is a common
-    denominator, every scaled constant is an int, and the tables come back
-    equal in value and type."""
+    structure constant changed: _first_failure runs the associativity
+    kernel and the generators on ints only, and returns what the kernel
+    returns on the Fraction tables, with a middle (the generators, which
+    come out the same) and without, over the quadruples with a table and
+    over all of them; the tables come back equal in value and type."""
     p = _changed_basis(matrix_model(blocks), random.Random(seed))
     if mutation is not None and p.entries():
         pos, delta = mutation
@@ -1136,43 +1160,66 @@ def test_scaled_kernel_matches_the_fraction_kernel(blocks, seed, mutation):
         i, j, k, a, b, c, v = entries[pos % len(entries)]
         entries[pos % len(entries)] = (i, j, k, a, b, c, v + delta)
         p = PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0)
-    assert p._scale % peirce._common_denominator(p._prod) == 0
     before = _typed(p._prod)
     r = range(p.max_degree + 1)
     components = list(itertools.product(r, repeat=2))
     kernel = peirce._first_nonassociative
-
-    def on_ints(run):
-        def checked():
-            assert all(type(x) is int for t in p._prod.values() for cell in t.values() for x in cell.values())
-            return run()
-
-        out = peirce._on_ints(p._prod, p._scale, checked)
-        assert _typed(p._prod) == before
-        return out
-
     gens = peirce._generators(p._prod, p.dims, components)
-    assert on_ints(lambda: peirce._generators(p._prod, p.dims, components)) == gens
     for quads in (list(peirce._quadruples(p._prod, p.max_degree)), list(itertools.product(r, repeat=4))):
-        for middle in (None, gens):
-            assert on_ints(lambda: kernel(p._prod, quads, middle)) == kernel(p._prod, quads, middle)
+        for light in (False, True):
+            with _kernel_types() as seen:
+                if light:
+                    out = peirce._first_failure(p._prod, quads, p.dims, components)
+                else:
+                    out = peirce._first_failure(p._prod, quads)
+            assert _typed(p._prod) == before
+            assert out == kernel(p._prod, quads, gens if light else None)
+            assert [name for name, _, _ in seen] == (["generators", "kernel"] if light else ["kernel"])
+            assert all(types <= {int} for _, types, _ in seen)
+            if light:
+                assert seen[0][2] == gens
 
 
 def test_long_common_denominator_stays_in_fractions():
     """A common denominator of up to _MAX_SCALE_BITS bits is applied, so
-    run sees ints; a longer one, which would make every constant as long
-    as itself, is not, and run sees the Fractions.  Either way the tables
-    come back as they were."""
+    the kernel and the generators see ints; a longer one, which would make
+    every constant as long as itself, is not, and they see the Fractions.
+    Either way _first_failure returns what the Fraction kernel returns,
+    with a middle and without, and the tables come back as they were."""
     bits = peirce._MAX_SCALE_BITS
     for den, scaled in ((2 ** (bits - 1), True), (2**bits, False)):
         tables = {(0, 0, 0): {(0, 0): {0: Fraction(3, den), 1: 5}, (0, 1): {1: Fraction(1, 2)}}}
         before = _typed(tables)
-        scale = peirce._common_denominator(tables)
-        assert scale == den
-        seen = peirce._on_ints(tables, scale, lambda: _typed(tables))
-        ints = all(t is int for table in seen.values() for cell in table.values() for t, _ in cell.values())
-        assert ints == scaled
-        assert _typed(tables) == before
+        for dims in (None, [[2]]):
+            middle = dims and peirce._generators(tables, dims, [(0, 0)])
+            want = peirce._first_nonassociative(tables, [(0, 0, 0, 0)], middle)
+            with _kernel_types() as seen:
+                assert peirce._first_failure(tables, [(0, 0, 0, 0)], dims, [(0, 0)]) == want
+            assert len(seen) == (1 if dims is None else 2)
+            assert all((types == {int}) == scaled for _, types, _ in seen)
+            assert _typed(tables) == before
+
+
+def test_tables_are_restored_when_the_kernel_raises(monkeypatch):
+    """The scaled constants are put back even when the check raises
+    partway: c_mm12's tables, 88 of whose 122 constants are fractions,
+    come back equal in value and type from a kernel that fails on the
+    scaled ints."""
+    path = Path(__file__).resolve().parent / "golden" / "cli" / "inputs" / "c_mm12.json"
+    p = PeirceAlgebra.from_json_dict(json.loads(path.read_text()))
+    before = _typed(p._prod)
+
+    def failing(tables, quads, middle=None):
+        assert all(type(x) is int for t in tables.values() for cell in t.values() for x in cell.values())
+        raise RuntimeError("kernel")
+
+    monkeypatch.setattr(peirce, "_first_nonassociative", failing)
+    quads = list(peirce._quadruples(p._prod, p.max_degree))
+    for dims, components in ((None, None), (p.dims, list(itertools.product(range(2), repeat=2)))):
+        with pytest.raises(RuntimeError, match="kernel"):
+            peirce._first_failure(p._prod, quads, dims, components)
+        assert _typed(p._prod) == before
+    assert any(t is Fraction for table in before.values() for cell in table.values() for t, _ in cell.values())
 
 
 def test_light_test_matches_full_scan_on_boson_mutations():
@@ -1422,7 +1469,7 @@ def test_integer_scaling_does_not_raise_the_validation_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert p._scale > 1
+    assert any(type(v) is Fraction for *_, v in p.entries())
     assert peak - size <= 0.25 * size, (peak, size)
 
 

@@ -20,17 +20,24 @@ level d, a one-dimensional centre, as one module is nonzero at every
 level, and a one-dimensional corner ideal at every degree, as the free
 boson has no exceptional degrees.
 
+The laws that do not depend on the basis (all but the roundtrip, whose
+column modules are given in the block basis) are checked again on the
+block model in a random integer basis, where the structure constants have
+denominators.
+
 The centre is solved here, in exact arithmetic: it is the kernel of
 x -> (xb - bx over every basis element b), whose rank Echelon gives.
 """
 
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_peirce import _changed_basis
 from test_zhu import ISING_MODULES
 
 from mta.exact import Echelon
@@ -91,8 +98,8 @@ def centre_dim(p, d):
     return n - len(Echelon(images))
 
 
-def _check_theorem(modules):
-    b = matrix_model([list(m.graded_dims) for m in modules])
+def _check_laws(b, modules):
+    """The laws that hold in any basis of the block model b of modules."""
     assert validate_peirce(b).ok
     for d in range(b.max_degree + 1):
         assert b.dims[d][d] == sum(m.graded_dims[d] ** 2 for m in modules)
@@ -100,6 +107,12 @@ def _check_theorem(modules):
         support = set(zd_support(modules, d))
         expected = sum(m.graded_dims[0] ** 2 for m in modules if m.label in support)
         assert zd_ideal(b, d).dim == zigzag(b, d).dim == expected, d
+
+
+def _check_theorem(modules):
+    b = matrix_model([list(m.graded_dims) for m in modules])
+    _check_laws(b, modules)
+    for d in range(b.max_degree + 1):
         for k, m in enumerate(modules):
             n = m.graded_dims[d]
             report = verify_roundtrip(b, d, matrix_model_column_module(b, k, d)).to_json()
@@ -118,6 +131,14 @@ def _check_theorem(modules):
 @example(ISING_MODULES)
 def test_block_model_dimensions_follow_the_module_data(modules):
     _check_theorem(modules)
+
+
+@settings(max_examples=10, deadline=None)
+@given(module_data(), st.integers(0, 2**32))
+@example(ISING_MODULES, 7)
+def test_block_model_laws_hold_in_a_random_integer_basis(modules, seed):
+    b = matrix_model([list(m.graded_dims) for m in modules])
+    _check_laws(_changed_basis(b, Random(seed)), modules)
 
 
 def test_lattice_cosets_give_the_predicted_block_model():
