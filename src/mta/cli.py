@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import Counter
-from itertools import chain
 from operator import itemgetter
 from stat import S_ISREG
 from types import GeneratorType, SimpleNamespace
@@ -67,7 +65,7 @@ MAX_ALGEBRA_PRODUCTS = 32768
 # The cap bounds the full associativity call, the one that runs over every
 # middle factor after a generator fails Light's test (Light's test itself
 # does less).  It costs one multiply-add per pair of stored cells it chains
-# (see _associativity_work), about 0.5 us each with small integers: a
+# (see peirce._Tally), about 0.5 us each with small integers: a
 # dense dims [[21]] corner, every product holding every basis element, makes
 # 8.2 M and validates in 3.2 to 4.6 s; dense dims [[32]] makes 67 M and took
 # 24 s.  The fixtures stay far below: heisenberg_truncation(1, 5) makes 0.26 M.
@@ -115,25 +113,23 @@ def _limit(parser, args, what: str, size: int, limit: int) -> None:
 
 
 def _algebra_sizes(data) -> dict:
-    """{what: (size, limit)} read off the algebra JSON before anything is
-    built; {} for a malformed file, which PeirceAlgebra reports."""
-    from .peirce import _digits
+    """{what: (size, limit)} of the algebra JSON by peirce._Tally, before
+    anything is built; {} for a malformed file, which PeirceAlgebra reports."""
+    from .peirce import _ENTRY_KEYS, _Tally
 
     try:
         dims = [[strict_int(x) for x in row] for row in data["dims"]]
-        products = data["products"]
-        coeffs = chain(map(itemgetter("coeff"), products), data["unit0"])
-        digits = max(map(_digits, coeffs), default=0)
-        return _sized(dims, len(products), _associativity_work(products), digits)
+        tally = _Tally()
+        for entry in map(itemgetter(*_ENTRY_KEYS), data["products"]):
+            tally.add(entry)
+        return _sized(dims, *tally.sizes(data["unit0"]))
     except (KeyError, TypeError, ValueError, IndexError):
         return {}
 
 
 def _sized(dims, products: int, work: int, digits: int) -> dict:
     """{what: (size, limit)} of an algebra file, in the order they are
-    checked, given its dims grid, its number of products, their
-    associativity multiply-adds and the most digits in one coefficient or
-    unit0 value."""
+    checked, given its dims grid and its peirce._Tally sizes."""
     return {
         "largest component dimension": (max(map(max, dims)), MAX_ALGEBRA_DIM),
         "components in the grid": (len(dims) ** 2, MAX_ALGEBRA_COMPONENTS),
@@ -145,26 +141,6 @@ def _sized(dims, products: int, work: int, digits: int) -> dict:
         "associativity multiply-adds": (work, MAX_ASSOCIATIVITY_WORK),
         "digits in one coefficient": (digits, MAX_COEFFICIENT_DIGITS),
     }
-
-
-def _associativity_work(products) -> int:
-    """Multiply-adds of the full associativity call on an entry list:
-    peirce._first_nonassociative(tables, quads) with no middle, quads every
-    quadruple of components of a degree-D algebra (or the ones with a
-    table, peirce._quadruples, as the others cost none), when it runs to
-    the end.
-
-    (ab)c chains each entry of (i,j,k) with output x to every entry of
-    (i,k,l) with left factor x, and a(bc) chains each entry of (j,k,l) with
-    output y to every entry of (i,j,l) with right factor y; keyed by the
-    shared component and basis element both sums run over the same keys,
-    so one Counter holds both factors (peirce._chained_work).
-    """
-    from .peirce import _chained_work
-
-    factors = Counter(map(itemgetter("i", "j", "a"), products))
-    factors.update(map(itemgetter("j", "k", "b"), products))
-    return _chained_work(Counter(map(itemgetter("i", "k", "c"), products)), factors)
 
 
 def _json_pieces(value, depth: int = 2):

@@ -96,7 +96,6 @@ the same either way.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from math import lcm
 from operator import itemgetter
 
@@ -142,8 +141,10 @@ class Subspace:
     def coords_of(self, v: dict):
         """Sparse coordinates of v in the reduced basis; None when v is
         outside."""
-        if not self.contains(v):
-            return None
+        return self._coords(v) if self.contains(v) else None
+
+    def _coords(self, v: dict) -> dict:
+        """coords_of a v known to lie inside, read at the pivots."""
         slot = self._slot
         return {slot[p]: scalar(v[p]) for p in sorted(v) if p in slot and v[p]}
 
@@ -699,11 +700,33 @@ def _digits(x) -> int:
     return sum(map(str.isdigit, str(x)))
 
 
-def _chained_work(outputs, factors) -> int:
-    """Multiply-adds of the full associativity call, from two Counters over
-    the products of an algebra file: outputs of (i, k, c), and factors of
-    (i, j, a) and of (j, k, b) (see cli._associativity_work)."""
-    return sum(n * factors[key] for key, n in outputs.items())
+class _Tally:
+    """The sizes of an algebra file, fed the (i, j, k, a, b, c, coeff) of
+    each product as written, by the stream and the whole read alike.
+    sizes(unit0) is (products, work, the most digits in one coefficient or
+    unit0 value), work the multiply-adds of _first_nonassociative with no
+    middle: it chains the output x = (i, k, c) of each product to every
+    product with x as left factor, for (ab)c, or as right factor, for
+    a(bc), so it sums outputs times factors over x."""
+
+    def __init__(self):
+        self.digits = 0
+        # dicts, as a Counter counts slower: its __missing__ runs in Python
+        self._outputs, self._factors = {}, {}
+
+    def add(self, entry) -> None:
+        i, j, k, a, b, c, coeff = entry
+        outputs, factors = self._outputs, self._factors
+        outputs[i, k, c] = outputs.get((i, k, c), 0) + 1
+        factors[i, j, a] = factors.get((i, j, a), 0) + 1
+        factors[j, k, b] = factors.get((j, k, b), 0) + 1
+        if type(coeff) is not str or len(coeff) > self.digits:
+            self.digits = max(self.digits, _digits(coeff))
+
+    def sizes(self, unit0) -> tuple:
+        products = sum(self._outputs.values())  # one output each
+        work = sum(n * self._factors.get(key, 0) for key, n in self._outputs.items())
+        return products, work, max([self.digits, *map(_digits, unit0)])
 
 
 # bytes of an algebra file _stream_algebra reads at a time
@@ -796,13 +819,11 @@ def _stream_algebra(fh, max_products):
     binary mode, read _CHUNK bytes at a time with each product object
     decoded on its own and handed to the PeirceAlgebra constructor as it
     stores the products, so neither the text nor a list of the products is
-    ever whole.  The tallies are the number of products, their
-    associativity multiply-adds (_chained_work) and the most digits in one
-    coefficient or unit0 value, always over the whole file.  The algebra is
-    the one from_json_dict builds from the same file, but for a file of
-    more than max_products products (unless it is None): the constructor
-    is handed only the first max_products, and the rest are read and
-    tallied only, so the caller refuses the file on its tallies alone.
+    ever whole.  The tallies are _Tally's, always over the whole file.  The
+    algebra is the one from_json_dict builds from the same file, but for a
+    file of more than max_products products (unless it is None): the
+    constructor is handed only the first max_products, and the rest are
+    read and tallied only, so the caller refuses the file on its tallies.
 
     None, once reading has stopped, for every other file: anything but one
     JSON object with each of _TOP_KEYS once, max_degree and dims before
@@ -811,23 +832,18 @@ def _stream_algebra(fh, max_products):
     whole instead."""
     text = _Chunks(fh)
     head: dict = {}
-    outputs, factors = Counter(), Counter()
-    tally = [0, 0]  # products, digits
+    tally = _Tally()
 
     def entries():
         if text.peek() == "]":
             text.take()
             return
         read = itemgetter(*_ENTRY_KEYS)
-        while True:
-            i, j, k, a, b, c, coeff = read(text.value())
-            tally[0] += 1
-            outputs[i, k, c] += 1
-            factors[i, j, a] += 1
-            factors[j, k, b] += 1
-            if type(coeff) is not str or len(coeff) > tally[1]:
-                tally[1] = max(tally[1], _digits(coeff))
-            if max_products is None or tally[0] <= max_products:
+        for n in itertools.count(1):
+            entry = read(text.value())
+            tally.add(entry)
+            if max_products is None or n <= max_products:
+                i, j, k, a, b, c, coeff = entry
                 yield i, j, k, a, b, c, parse_frac(coeff)
             after = text.take()
             if after == "]":
@@ -847,7 +863,6 @@ def _stream_algebra(fh, max_products):
         values = head.get("unit0")
         if after != "}" or text.peek() or type(values) is not list:
             raise _NotStreamed
-        tally[1] = max([tally[1], *map(_digits, values)])
         yield from map(parse_frac, values)
 
     try:
@@ -869,7 +884,7 @@ def _stream_algebra(fh, max_products):
         p = PeirceAlgebra(head["max_degree"], head["dims"], entries(), unit0())
     except (_NotStreamed, ValueError, TypeError, KeyError, IndexError, ArithmeticError, RecursionError):
         return None
-    return p, (tally[0], _chained_work(outputs, factors), tally[1])
+    return p, tally.sizes(head["unit0"])
 
 
 class PeirceReport:
@@ -1338,7 +1353,7 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     the ideal and the ideal generated by unit0 - eps, with vanishing cross
     products (so structure constants are block diagonal in the split basis).
     Returns None when the ideal has no internal unit.  Raises when the input
-    subspace is not a two-sided ideal.
+    subspace, which _ideal_unit takes as two-sided, is not a two-sided ideal.
 
     On an associative corner every check holds once eps exists, so the CLI
     prints the split without making it.  eps is idempotent as eps lies in
@@ -1350,6 +1365,7 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     vanish: z a(1 - eps) = za - za eps = 0 as za lies in the ideal, and
     a(1 - eps) z = a(1 - eps) eps z = 0 likewise.
     """
+    _require_two_sided(p, ideal)
     eps, _ = _ideal_unit(p, ideal)
     if eps is None:
         return None
@@ -1382,21 +1398,25 @@ def ideal_unit_and_split(p: PeirceAlgebra, ideal: Subspace):
     )
 
 
-def _ideal_unit(p: PeirceAlgebra, ideal: Subspace):
-    """(eps, alg): the internal unit eps of a two-sided corner ideal as a
-    sparse vector, None when it has none, and alg the ideal as an algebra
-    (_zd_algebra); raises when the subspace is not a two-sided corner
-    ideal."""
+def _require_two_sided(p: PeirceAlgebra, ideal: Subspace) -> None:
+    """Raise unless ideal is a two-sided ideal of the corner component,
+    holding a * z and z * a for each corner basis a and ideal basis z."""
     n0 = p.dims[0][0]
     if ideal.component != (0, 0) or ideal.ambient_dim != n0:
         raise ValueError("ideal must live in the corner component")
-
     inside = ideal.contains
     for a in range(n0):
         for z in ideal.basis:
             if not inside(p.product(0, 0, 0, {a: 1}, z)) or not inside(p.product(0, 0, 0, z, {a: 1})):
                 raise ValueError("subspace is not a two-sided ideal")
 
+
+def _ideal_unit(p: PeirceAlgebra, ideal: Subspace):
+    """(eps, alg): the internal unit eps of a two-sided corner ideal as a
+    sparse vector, None when it has none, and alg the ideal as an algebra
+    (_zd_algebra).  Not checked: Z_d = zd_ideal(p, d) of an associative p
+    is two-sided, as a(uv) = (au)v and (uv)a = u(va) for a in (0,0), u in
+    (0,d), v in (d,0); other subspaces pass _require_two_sided first."""
     # eps = sum_s x_s z_s with eps * z = z * eps = z for every basis z: the
     # identity of the ideal's algebra acting on itself from both sides
     alg = _zd_algebra(p, ideal)
@@ -1410,12 +1430,12 @@ def _ideal_unit(p: PeirceAlgebra, ideal: Subspace):
 
 
 def _zd_algebra(p: PeirceAlgebra, ideal: Subspace) -> Algebra:
-    """A two-sided corner ideal as an algebra in its own reduced basis; the
-    ideal holds every product of its elements."""
+    """A two-sided corner ideal as an algebra in its own reduced basis; it
+    holds each z_a z_b, being two-sided, so coordinates are read at pivots."""
     cells = {}
     for a, za in enumerate(ideal.basis):
         for b, zb in enumerate(ideal.basis):
-            coords = ideal.coords_of(p.product(0, 0, 0, za, zb))
+            coords = ideal._coords(p.product(0, 0, 0, za, zb))
             if coords:
                 cells[(a, b)] = coords
     return Algebra(dim=ideal.dim, cells=cells)
@@ -1432,6 +1452,9 @@ def _require_morita_setup(p: PeirceAlgebra, d: int):
     if sid is None:
         raise ValueError(f"no strong identity at degree {d}")
     ideal = zd_ideal(p, d)
+    # two-sided by associativity (_ideal_unit); the CLI validates it first
+    if not _associative(p):
+        _require_two_sided(p, ideal)
     eps, alg = _ideal_unit(p, ideal)
     if eps is None:
         raise ValueError(f"degree-{d} corner ideal has no internal unit")
@@ -1512,18 +1535,18 @@ def _backward(p: PeirceAlgebra, d: int, w0_mod: ModuleRep, setup, honest: bool):
     """(the backward module, the tensor quotient it is a quotient of):
     _functor at (x, y) = (d, 0), e the strong identity, on W0 extended to
     the whole corner.  honest says that W0 is known to meet the module
-    axiom over the corner ideal; otherwise it is checked."""
+    axiom over the corner ideal; otherwise it is checked.  The setup's Z_d
+    is two-sided (proved or checked), so every eps * a lies in it."""
     sid, ideal, eps, _ = setup
     if w0_mod.side != "left":
         raise ValueError("expected a left module over the corner ideal")
     if w0_mod.algebra.dim != ideal.dim:
         raise ValueError("module is not over the degree-d corner ideal")
 
-    # extend the ideal action to the whole corner through eps * a, which
-    # lies in the ideal, as _ideal_unit has checked it is two-sided
+    # extend the ideal action to the whole corner through eps * a
     ext = {}
     for a in range(p.dims[0][0]):
-        coords = ideal.coords_of(p.product(0, 0, 0, eps, {a: 1}))
+        coords = ideal._coords(p.product(0, 0, 0, eps, {a: 1}))
         for w in range(w0_mod.dim):
             img = w0_mod.apply(coords, {w: 1})
             if img:

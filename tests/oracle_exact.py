@@ -833,7 +833,8 @@ def _balanced_backward(p: PeirceAlgebra, d: int, w0_mod, setup):
 
     corner = p.diagonal_algebra(0)
     # extend the ideal action to the whole corner through eps * a, which
-    # lies in the ideal, as _ideal_unit has checked it is two-sided
+    # lies in the ideal, as the setup's Z_d is two-sided (proved by
+    # associativity, or checked by _require_two_sided)
     ext = {}
     for a in range(p.dims[0][0]):
         coords = ideal.coords_of(p.product(0, 0, 0, eps, {a: 1}))

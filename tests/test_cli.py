@@ -7,6 +7,7 @@ import gc
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import re
@@ -419,6 +420,46 @@ def _streamed(path, max_products=None):
     """peirce._stream_algebra on the file at path."""
     with open(path, "rb", buffering=0) as fh:
         return peirce._stream_algebra(fh, max_products)
+
+
+# the sizes of _algebra_sizes that peirce._Tally tallies, in its order
+_TALLIES = ("products", "associativity multiply-adds", "digits in one coefficient")
+
+
+def _whole_tallies(data):
+    """(products, work, digits) of the whole read of an algebra file, which
+    feeds each product dict to peirce._Tally."""
+    sizes = _algebra_sizes(data)
+    return tuple(sizes[what][0] for what in _TALLIES)
+
+
+def test_stream_and_whole_read_tally_alike(tmp_path):
+    """Both readers feed one tally, peirce._Tally, and give the same
+    (products, work, digits): on every golden algebra file, on h14 written
+    compact, with indent=2 and with products first (which only the whole
+    read takes), and on 80 582 products over the products cap, which the
+    stream tallies past the cap without storing them."""
+    root = Path(__file__).resolve().parent / "golden" / "cli" / "inputs"
+    texts = {path.name: path.read_text() for path in sorted(root.glob("*.json")) if path.name != "modules.json"}
+    h14 = heisenberg_truncation(1, 4, [Fraction(0)]).to_json_dict()
+    texts["h14"] = json.dumps(h14)
+    texts["h14 indent=2"] = json.dumps(h14, indent=2)
+    products = [
+        {"i": 0, "j": 0, "k": 0, "a": a, "b": b, "c": c, "coeff": "1"}
+        for a, b, c in itertools.islice(itertools.product(range(44), repeat=3), 80582)
+    ]
+    over = {"max_degree": 0, "dims": [[44]], "products": products, "unit0": ["1"] + ["0"] * 43}
+    texts["over the cap"] = json.dumps(over)
+    path = tmp_path / "alg.json"
+    tallies = {}
+    for name, text in texts.items():
+        path.write_text(text)
+        _, tallies[name] = _streamed(path, MAX_ALGEBRA_PRODUCTS)
+        assert tallies[name] == _whole_tallies(json.loads(text)), name
+    path.write_text(json.dumps({"products": h14.pop("products"), **h14}))
+    assert _streamed(path) is None
+    assert _whole_tallies(json.loads(path.read_text())) == tallies["h14"] == (1728, 41472, 2)
+    assert tallies["over the cap"] == (80582, 295159396, 1)
 
 
 def test_algebra_fixtures_pass_the_caps(tmp_path):
@@ -1058,7 +1099,7 @@ def test_desk_scale_limit_sites(site, capsys, tmp_path):
 def test_desk_scale_boundaries_are_inside_the_limits():
     assert 400 <= MAX_PARTITION_WEIGHT
     assert 100 <= MAX_LATTICE_LEVEL
-    assert cli._associativity_work(_dense_corner(22)["products"]) == 22 * 22**2 * 2 * 22**2
+    assert _whole_tallies(_dense_corner(22))[1] == 22 * 22**2 * 2 * 22**2
 
 
 def test_input_fixtures_load_under_the_integer_rule(tmp_path):
@@ -1073,8 +1114,9 @@ def test_input_fixtures_load_under_the_integer_rule(tmp_path):
         check=True,
         timeout=120,
     )
-    paths = list(tmp_path.glob("*.json")) + list((root / "tests" / "golden" / "cli" / "inputs").glob("*.json"))
-    assert len(paths) == len(names) + 7
+    generated = sorted(tmp_path.glob("*.json"))
+    assert [path.name for path in generated] == sorted(names)
+    paths = generated + sorted((root / "tests" / "golden" / "cli" / "inputs").glob("*.json"))
     for path in paths:
         data = json.loads(path.read_text())
         if path.name == "modules.json":

@@ -11,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import oracle_exact as oracle
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mta import exact, peirce
-from mta.cli import _associativity_work, _morita_payload, _zigzag_payload
+from mta.cli import _morita_payload, _zigzag_payload
 from mta.heisenberg import strong_identity
 from mta.partitions import enumerate_labeled_partitions
 from mta.peirce import (
@@ -216,6 +217,10 @@ def test_json_round_trip():
     assert q.unit0 == p.unit0
 
 
+# the JSON inputs of the CLI goldens
+_GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "cli" / "inputs"
+
+
 def _input_algebras():
     """(name, JSON text) of every algebra file the CLI goldens and the
     benchmark read, the inputs of
@@ -227,7 +232,7 @@ def _input_algebras():
     for name, build in gen.INPUTS.items():
         if name.endswith(".json") and name != "modules.json":
             yield name, build()
-    for path in sorted((root / "tests" / "golden" / "cli" / "inputs").glob("*.json")):
+    for path in sorted(_GOLDEN_INPUTS.glob("*.json")):
         if path.name != "modules.json":
             yield path.name, path.read_text()
 
@@ -249,7 +254,9 @@ def test_from_json_dict_leaves_its_argument_and_matches_the_constructor():
         for r in (again, q):
             assert (p.entries(), p.unit0) == (r.entries(), r.unit0), name
         names.append(name)
-    assert len(names) == 14
+    # the generated algebras, then every golden algebra file
+    golden = sorted(path.name for path in _GOLDEN_INPUTS.glob("*.json") if path.name != "modules.json")
+    assert len(names) > len(golden) and names[-len(golden) :] == golden
 
 
 def test_equal_one_term_cells_are_shared_and_never_written():
@@ -418,6 +425,29 @@ def test_zigzag_payload_reads_its_verdicts_off_validation(monkeypatch):
         assert json.dumps(_zigzag_payload(p, d)) == json.dumps(expected), (p.dims, d)
 
 
+def _verdict_algebras():
+    """The algebras of test_zigzag_verdicts_hold_on_every_validated_algebra."""
+    models = [matrix_model(blocks) for blocks in (*ACCEPTANCE_BLOCKS, [[1, 1], [1, 1]])]
+    return [
+        *(bad for _, bad in _mutation_sweep()),
+        zero_edge_algebra(),
+        dead_edge_algebra(),
+        *(idempotent_family(n) for n in (1, 2, 3, 8)),
+        *models,
+        *(_changed_basis(p, random.Random(7)) for p in models),
+        heisenberg_truncation(1, 3, [Fraction(0)]),
+        heisenberg_truncation(2, 2, [Fraction(0), Fraction(0)]),
+    ]
+
+
+def _validated_degrees(algebras):
+    """(p, d) for every degree d of every algebra p that passes
+    validate_peirce."""
+    for p in algebras:
+        for d in range(p.max_degree + 1) if validate_peirce(p).ok else ():
+            yield p, d
+
+
 def test_zigzag_verdicts_hold_on_every_validated_algebra():
     """The differential check of what `peirce zigzag` and `peirce morita`
     read off validation: at every degree of every algebra here that passes
@@ -433,44 +463,97 @@ def test_zigzag_verdicts_hold_on_every_validated_algebra():
     (balanced fallback at degree 1), five matrix models with mm332 and mm12
     among them, each also in a random integer basis with fractional
     structure constants, and two boson truncations."""
-    models = [matrix_model(blocks) for blocks in (*ACCEPTANCE_BLOCKS, [[1, 1], [1, 1]])]
-    algebras = [
-        *(bad for _, bad in _mutation_sweep()),
-        zero_edge_algebra(),
-        dead_edge_algebra(),
-        *(idempotent_family(n) for n in (1, 2, 3, 8)),
-        *models,
-        *(_changed_basis(p, random.Random(7)) for p in models),
-        heisenberg_truncation(1, 3, [Fraction(0)]),
-        heisenberg_truncation(2, 2, [Fraction(0), Fraction(0)]),
-    ]
+    algebras = _verdict_algebras()
     pairs = certified = 0
     morita = Counter()
-    for p in algebras:
-        for d in range(p.max_degree + 1) if validate_peirce(p).ok else ():
-            # validate_peirce reads the image rank of a quotient read through
-            # the product map off its dimension; the Echelon agrees
-            q = peirce._edge_quotient(p, d, 0)
-            if q.relations is None:
-                assert peirce._image_rank(p, d, q) == q.dim, (p.dims, d)
-                certified += 1
-            z = zigzag(p, d)
-            check = action_through_A_check(z)
-            assert check.ok and check.checked == z.dim**2, (p.dims, d, check.failures[:3])
-            assert z.as_algebra().is_associative(), (p.dims, d)
-            ideal = zd_ideal(p, d)
-            # the star images span the ideal, so star_rank is printed as ideal_dim
-            assert z.star_image().dim == ideal.dim, (p.dims, d)
-            split = ideal_unit_and_split(p, ideal)
-            printed = _zigzag_payload(p, d)
-            assert split.ok and printed["epsilon"] == split.to_json()["epsilon"], (p.dims, d)
-            assert printed["ideal_unital"] and printed["idempotent_ideal"] == split.idempotent_ideal
-            computed = _solved(lambda: {"degree": d, **verify_roundtrip(p, d, regular_module(p, d)).to_json()})
-            assert _solved(_morita_payload, p, d) == computed, (p.dims, d)
-            morita[computed[0]] += 1
-            pairs += 1
+    for p, d in _validated_degrees(algebras):
+        # validate_peirce reads the image rank of a quotient read through
+        # the product map off its dimension; the Echelon agrees
+        q = peirce._edge_quotient(p, d, 0)
+        if q.relations is None:
+            assert peirce._image_rank(p, d, q) == q.dim, (p.dims, d)
+            certified += 1
+        z = zigzag(p, d)
+        check = action_through_A_check(z)
+        assert check.ok and check.checked == z.dim**2, (p.dims, d, check.failures[:3])
+        assert z.as_algebra().is_associative(), (p.dims, d)
+        ideal = zd_ideal(p, d)
+        # the star images span the ideal, so star_rank is printed as ideal_dim
+        assert z.star_image().dim == ideal.dim, (p.dims, d)
+        split = ideal_unit_and_split(p, ideal)
+        printed = _zigzag_payload(p, d)
+        assert split.ok and printed["epsilon"] == split.to_json()["epsilon"], (p.dims, d)
+        assert printed["ideal_unital"] and printed["idempotent_ideal"] == split.idempotent_ideal
+        computed = _solved(lambda: {"degree": d, **verify_roundtrip(p, d, regular_module(p, d)).to_json()})
+        assert _solved(_morita_payload, p, d) == computed, (p.dims, d)
+        morita[computed[0]] += 1
+        pairs += 1
     assert (len(algebras), pairs, certified) == (342, 37, 33)
     assert morita == {"ok": 33, "ValueError": 4}
+
+
+def test_pivot_reads_match_coords_of_on_every_validated_algebra():
+    """The differential check of the coordinates read at the ideal's
+    pivots: on every (p, d) of the zig-zag verdict sweep, the cells of
+    _zd_algebra are the ones coords_of gives, every product inside the
+    ideal; and where the Morita setup passes, _backward's extension of the
+    forward module of the regular module to the whole corner is the one
+    built through coords_of."""
+    extended = 0
+    for p, d in _validated_degrees(_verdict_algebras()):
+        ideal = zd_ideal(p, d)
+        built = {}
+        for a, za in enumerate(ideal.basis):
+            for b, zb in enumerate(ideal.basis):
+                coords = ideal.coords_of(p.product(0, 0, 0, za, zb))
+                assert coords is not None, (p.dims, d)
+                if coords:
+                    built[(a, b)] = coords
+        assert peirce._zd_algebra(p, ideal).cells == built, (p.dims, d)
+        try:
+            setup = peirce._require_morita_setup(p, d)
+        except ValueError:
+            continue
+        _, ideal, eps, _ = setup
+        w0 = peirce._forward(p, d, regular_module(p, d), setup)[0]
+        seen = []
+        with mock.patch.object(peirce, "_functor", lambda p, x, y, w_mod, *rest: seen.append(w_mod)):
+            peirce._backward(p, d, w0, setup, True)
+        ext = {}
+        for a in range(p.dims[0][0]):
+            coords = ideal.coords_of(p.product(0, 0, 0, eps, {a: 1}))
+            assert coords is not None, (p.dims, d)
+            for w in range(w0.dim):
+                img = w0.apply(coords, {w: 1})
+                if img:
+                    ext[(a, w)] = img
+        assert seen[0].table == ext, (p.dims, d)
+        extended += 1
+    assert extended == 33
+
+
+def test_printed_morita_paths_test_no_membership():
+    """On an algebra that passes validate_peirce, `peirce zigzag` and
+    `peirce morita` read the corner ideal as two-sided, as associativity
+    proves it, and read coordinates at its pivots: neither payload makes a
+    Subspace.contains call."""
+    calls = []
+    contains = Subspace.contains
+
+    def counted(self, v):
+        calls.append(v)
+        return contains(self, v)
+
+    models = [matrix_model([[3, 2], [1, 3], [2, 1]]), matrix_model([[1, 2], [1, 0]]), matrix_model([[2, 1]])]
+    algebras = [*models, _changed_basis(models[0], random.Random(7)), heisenberg_truncation(1, 3, [0])]
+    payloads = 0
+    for p, d in _validated_degrees(algebras):
+        with mock.patch.object(Subspace, "contains", counted):
+            for payload in (_zigzag_payload, _morita_payload):
+                _solved(payload, p, d)
+                payloads += 1
+        assert not calls, (p.dims, d)
+    assert payloads == 2 * 12
 
 
 # each call of the peirce API that takes a degree d, given the algebra, d
@@ -645,8 +728,41 @@ def test_ideal_split_rejects_non_ideal():
     # the span of the second block's corner unit alone is an ideal; a random
     # diagonal line mixing the blocks is not
     bad = Subspace((0, 0), 2, [{0: F1, 1: F1}])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^subspace is not a two-sided ideal$"):
         ideal_unit_and_split(p, bad)
+
+
+def _one_sided_corner():
+    """matrix_model([[1, 1], [1, 0], [1, 0]]) with e3 added to e2 * e1 and
+    e3 * e3 and taken from e2 * e3 and e3 * e1, among the corner units
+    e1, e2, e3: each row and each column of the change sums to 0, so
+    unit0 = e1 + e2 + e3 still fixes the corner and the strong identity
+    exists at degree 1, but (e2 * e2) * e1 = e3 while e2 * (e2 * e1) = -e3,
+    and Z_1 = span(e1) is no two-sided ideal, as e2 * e1 = e3 lies outside
+    it."""
+    p = matrix_model([[1, 1], [1, 0], [1, 0]])
+    change = [(1, 0, 1), (2, 2, 1), (1, 2, -1), (2, 0, -1)]
+    entries = p.entries() + [(0, 0, 0, a, b, 2, v) for a, b, v in change]
+    return PeirceAlgebra(p.max_degree, p.dims, entries, p.unit0)
+
+
+def test_morita_setup_checks_the_ideal_of_a_non_associative_algebra():
+    """The Morita setup trusts Z_d to be two-sided only on an associative
+    algebra: on one that is not, every Morita call refuses a Z_d that is
+    not, with the error ideal_unit_and_split gives it."""
+    p = _one_sided_corner()
+    assert not peirce._associative(p) and find_strong_identity(p, 1) is not None
+    assert zd_ideal(p, 1).basis == [{0: 1}]
+    regular, corner = regular_module(p, 1), regular_module(p, 0)
+    calls = {
+        "ideal_unit_and_split": lambda: ideal_unit_and_split(p, zd_ideal(p, 1)),
+        "morita_forward": lambda: morita_forward(p, 1, regular),
+        "morita_backward": lambda: peirce.morita_backward(p, 1, corner),
+        "verify_roundtrip": lambda: verify_roundtrip(p, 1, regular),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="^subspace is not a two-sided ideal$"):
+            call()
 
 
 def test_regular_module_roundtrips():
@@ -839,6 +955,13 @@ def _solved(solve, *args):
         return type(exc).__name__, str(exc)
 
 
+def _checked_ideal_unit(p, ideal):
+    """_ideal_unit on a subspace _require_two_sided has checked first, as
+    ideal_unit_and_split runs them."""
+    peirce._require_two_sided(p, ideal)
+    return peirce._ideal_unit(p, ideal)
+
+
 @st.composite
 def solver_inputs(draw):
     """A matrix model with zero levels, a truncation with n <= 2, D <= 3 or
@@ -877,11 +1000,12 @@ def solver_inputs(draw):
 @example((dead_edge_algebra(), 1, zd_ideal(dead_edge_algebra(), 1)))
 @example((matrix_model([[1, 2], [1, 0]]), 1, zd_ideal(matrix_model([[1, 2], [1, 0]]), 1)))
 def test_identity_solver_matches_the_hand_built_systems(inputs):
-    """_identity_on, through find_strong_identity and _ideal_unit, gives the
-    sparse result, the None and the error of the old hand-built systems."""
+    """_identity_on, through find_strong_identity and _ideal_unit (after
+    _require_two_sided), gives the sparse result, the None and the error of
+    the old hand-built systems."""
     p, d, ideal = inputs
     assert _solved(peirce.find_strong_identity, p, d) == _solved(oracle.strong_identity, p, d)
-    new = _solved(peirce._ideal_unit, p, ideal)
+    new = _solved(_checked_ideal_unit, p, ideal)
     if new[0] == "ok":
         new = "ok", new[1][0]
     assert new == _solved(oracle.ideal_unit, p, ideal)
@@ -906,7 +1030,7 @@ def test_idempotent_ideal_matches_the_span_of_products(inputs):
     p, _, ideal = inputs
     zs = ideal.basis
     squared = Subspace((0, 0), p.dims[0][0], [p.product(0, 0, 0, z1, z2) for z1 in zs for z2 in zs])
-    solved = _solved(peirce._ideal_unit, p, ideal)
+    solved = _solved(_checked_ideal_unit, p, ideal)
     if solved[0] != "ok":
         assert solved == ("ValueError", "subspace is not a two-sided ideal")
         return
@@ -1304,8 +1428,8 @@ def test_dense_corner_descent_is_read_off_associativity(monkeypatch):
 
 
 def test_associativity_cap_counts_the_kernel(monkeypatch):
-    """cli._associativity_work predicts the scalar multiply-adds of the
-    full associativity call (no middle), the call the cap bounds.  A
+    """peirce._Tally predicts the scalar multiply-adds of the full
+    associativity call (no middle), the call the cap bounds.  A
     non-associative algebra stops at its first failing (i,j,k,l), so the
     mutant has D = 0 and one quadruple, and runs in full."""
     work = 0
@@ -1332,8 +1456,10 @@ def test_associativity_cap_counts_the_kernel(monkeypatch):
         work = 0
         bad = peirce._first_nonassociative(p._prod, itertools.product(range(p.max_degree + 1), repeat=4))
         assert (bad is None) == (p is not fixtures[-1])
-        products = p.to_json_dict()["products"]
-        assert work == _associativity_work(products)
+        tally = peirce._Tally()
+        for entry in p.entries():
+            tally.add(entry)
+        assert work == tally.sizes(p.unit0)[1]
         counts.append(work)
     assert counts[:4] == [164, 1924, 41472, 512]
 
