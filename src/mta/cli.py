@@ -35,10 +35,10 @@ MAX_LATTICE_RANK = 4
 # 5).  `lattice weights` costs about 0.14 ms per coset at rank 4:
 # diag(8, 8, 8, 8), 4096 cosets, takes 0.6 s and diag(10, 10, 10, 10) 1.5 s.
 # `lattice dims` counts its points by norm as the search visits them, so
-# its peak RSS stays at 14.6 MiB whatever the level: on D4, coset 1, it
-# takes 0.22 s at --max 100 and 0.48 s at --max 200, and on A4, coset 1,
-# 0.20 s at --max 100 (with a list of every point, 0.34 s / 30 MiB, 0.91 s /
-# 77 MiB and 0.30 s / 28 MiB).
+# its peak RSS stays at 14.3 MiB whatever the level: on D4, coset 1, it
+# takes 0.11 s at --max 100 and 0.25 s at --max 200, and on A4, coset 1,
+# 0.10 s at --max 100 (medians of 9; with a list of every point, it peaked
+# at 30, 77 and 28 MiB).
 MAX_LATTICE_COSETS = 4096
 MAX_LATTICE_LEVEL = 100
 # Algebra files, checked before any validation starts: a streamed file
@@ -416,7 +416,9 @@ def _zigzag_payload(algebra, d):
     from . import peirce as pc
 
     z = pc.zigzag(algebra, d)
-    ideal = pc.zd_ideal(algebra, d)
+    # the star images of the quotient basis span Z_d (zigzag docstring), so
+    # the products (0,d)*(d,0) are reduced once, by the quotient
+    ideal = z.star_image()
     eps, _ = pc._ideal_unit(algebra, ideal)
     payload = {
         "degree": d,

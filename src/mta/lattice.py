@@ -224,10 +224,10 @@ def _search(lattice: EvenLattice, lam, bound, visit) -> int:
     """Hand every lattice shift e with norm(lam + e) <= bound to visit, and
     return S.
 
-    visit(coords, q) gets q = S norm(lam + e) and coords, the coordinates
-    of e from the last one down (so e is tuple(reversed(coords))); coords
-    is read only.  No list of points is built.  The search runs in
-    integers.  With m the common denominator of lam, X = m (lam + e) and
+    visit(e, q) gets q = S norm(lam + e) and e itself: one list of rank
+    ints, live and read only, which the search overwrites in place as it
+    moves on.  No list of points is built.  The search runs in integers.
+    With m the common denominator of lam, w = m lam, X = m (lam + e) and
     T_i = u_i . X, the completion gives S norm(lam + e) = sum_i c_i T_i^2
     for P = lcm_i p_i p_{i+1}, c_i = P / (p_i p_{i+1}) and S = 2 m^2 P.
     Shifts come in the order of the recursion from the last coordinate
@@ -243,23 +243,25 @@ def _search(lattice: EvenLattice, lam, bound, visit) -> int:
     c = [big // (p[i] * p[i + 1]) for i in range(n)]
     scale = 2 * m * m * big
     top = floor(Fraction(bound) * scale)
+    base = [_dot(row, w) for row in u]
+    e = [0] * n
 
-    def rec(i, coords, xs, partial):
+    def rec(i, partial):
         if i < 0:
-            visit(coords, partial)
+            visit(e, partial)
             return
-        # T = u_ii X_i + sum_{j>i} u_ij X_j = step k + rho, X_i = m k + w_i
+        # T = u_i . w + m u_ii e_i + m sum_{j>i} u_ij e_j = step e_i + rho
         step = p[i + 1] * m
-        rho = p[i + 1] * w[i] + sum(u[i][j] * xs[j] for j in range(i + 1, n))
+        rho = base[i] + m * sum(u[i][j] * e[j] for j in range(i + 1, n))
         # c_i T^2 <= budget  <=>  |T| <= isqrt(budget // c_i)
         s = isqrt((top - partial) // c[i])
         for k in range(-((s + rho) // step), (s - rho) // step + 1):
             t = step * k + rho
-            xs[i] = m * k + w[i]
-            rec(i - 1, coords + [k], xs, partial + c[i] * t * t)
+            e[i] = k
+            rec(i - 1, partial + c[i] * t * t)
 
     if top >= 0:
-        rec(n - 1, [], [0] * n, 0)
+        rec(n - 1, 0)
     return scale
 
 
@@ -268,7 +270,7 @@ def _norm_counts(lattice: EvenLattice, lam, bound) -> tuple[int, dict[int, int]]
     q = S norm(lam + e); one entry per distinct norm, no entry per point."""
     counts: dict[int, int] = {}
 
-    def visit(_coords, q):
+    def visit(_e, q):
         counts[q] = counts.get(q, 0) + 1
 
     return _search(lattice, lam, bound, visit), counts
@@ -280,8 +282,8 @@ def coset_norms(lattice: EvenLattice, lam, bound) -> list[tuple[tuple[int, ...],
     points = []
     values: dict[int, int] = {}  # one int object per distinct value, shared by its points
 
-    def visit(coords, q):
-        points.append((tuple(reversed(coords)), values.setdefault(q, q)))
+    def visit(e, q):
+        points.append((tuple(e), values.setdefault(q, q)))
 
     scale = _search(lattice, lam, bound, visit)
     norms = {q: Fraction(q, scale) for q in values}

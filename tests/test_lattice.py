@@ -15,6 +15,7 @@ from test_lattice_golden import GRAMS as GOLDEN_GRAMS
 from mta.lattice import (
     EvenLattice,
     _completion,
+    _search,
     conformal_weight,
     coset_norms,
     count_norm_layer,
@@ -377,6 +378,28 @@ def test_visited_search_matches_the_materialized_search(name):
                     lattice, lam, j
                 )
             assert graded_dims(lattice, lam, 10) == oracle.materialized_graded_dims(lattice, lam, 10)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_GRAMS))
+def test_search_hands_the_visitor_one_live_point(name):
+    # the visitor gets the search's own e, overwritten in place, in
+    # coordinate order: one list object for the whole search, and read at
+    # each visit it is the point the materialized search lists there.  The
+    # lists are kept alive, so a fresh list per visit cannot reuse an id.
+    lattice = EvenLattice.from_rows(STREAMED_GRAMS[name])
+    for rep in dual_cosets(lattice):
+        lam = rep.vector
+        bound = lattice.norm(lam) + 4
+        seen, points = [], []
+
+        def visit(e, q):
+            seen.append(e)
+            points.append((tuple(e), q))
+
+        scale = _search(lattice, lam, bound, visit)
+        assert (scale, points) == oracle.materialized_search(lattice, lam, bound)
+        assert len(points) > 1
+        assert len({id(e) for e in seen}) == 1
 
 
 def test_graded_dims_holds_no_point_list():

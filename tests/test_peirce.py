@@ -492,6 +492,40 @@ def test_zigzag_verdicts_hold_on_every_validated_algebra():
     assert morita == {"ok": 33, "ValueError": 4}
 
 
+def test_zigzag_payload_never_calls_zd_ideal(monkeypatch):
+    """`peirce zigzag` reads the corner ideal off the star images the
+    zig-zag quotient already built, and never reduces the edge products
+    again through zd_ideal."""
+
+    def refuse(*args):
+        raise AssertionError("the zig-zag payload reduced the edge products again")
+
+    monkeypatch.setattr(peirce, "zd_ideal", refuse)
+    for p in (matrix_model(MM332), matrix_model(MM12), idempotent_family(3), dead_edge_algebra()):
+        for d in range(p.max_degree + 1):
+            _zigzag_payload(p, d)
+
+
+def test_zigzag_payload_ideal_is_zd_ideal():
+    """The ideal `peirce zigzag` reads off the star images is zd_ideal, at
+    every degree of every algebra of the verdict sweep that passes
+    validate_peirce."""
+    ideals = []
+    ideal_unit = peirce._ideal_unit
+
+    def recorded(p, ideal):
+        ideals.append(ideal)
+        return ideal_unit(p, ideal)
+
+    pairs = 0
+    for p, d in _validated_degrees(_verdict_algebras()):
+        with mock.patch.object(peirce, "_ideal_unit", recorded):
+            _zigzag_payload(p, d)
+        assert ideals.pop() == zd_ideal(p, d), (p.dims, d)
+        pairs += 1
+    assert pairs == 37 and not ideals
+
+
 def test_pivot_reads_match_coords_of_on_every_validated_algebra():
     """The differential check of the coordinates read at the ideal's
     pivots: on every (p, d) of the zig-zag verdict sweep, the cells of

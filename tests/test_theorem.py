@@ -37,11 +37,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_lattice import D4_GRAM
 from test_peirce import _changed_basis
 from test_zhu import ISING_MODULES
 
 from mta.exact import Echelon
-from mta.lattice import dual_cosets, graded_dims, load_gram
+from mta.lattice import EvenLattice, dual_cosets, graded_dims, load_gram
 from mta.peirce import (
     heisenberg_truncation,
     matrix_model,
@@ -56,9 +57,8 @@ from mta.zhu import SimpleModuleData, heisenberg_zhu_descriptor, zd_support
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def z8_modules(levels: int):
-    """The cosets of the lattice sqrt(8) Z, graded through the given level."""
-    lattice = load_gram(str(ROOT / "demos" / "z8.gram"))
+def coset_modules(lattice, levels: int):
+    """The cosets of a lattice, graded through the given level."""
     return [
         SimpleModuleData(str(c.index), tuple(graded_dims(lattice, c.vector, levels)), Fraction(0))
         for c in dual_cosets(lattice)
@@ -142,8 +142,17 @@ def test_block_model_laws_hold_in_a_random_integer_basis(modules, seed):
 
 
 def test_lattice_cosets_give_the_predicted_block_model():
-    modules = z8_modules(2)
+    modules = coset_modules(load_gram(str(ROOT / "demos" / "z8.gram")), 2)
     assert [m.graded_dims[0] for m in modules] == [1, 1, 1, 1, 2, 1, 1, 1]
+    _check_theorem(modules)
+
+
+def test_d4_cosets_give_the_predicted_block_model_at_level_0():
+    """The four cosets of D4 at level 0, modules (1), (8), (8), (8): a
+    corner of dimension 193.  Level 1 is left out, as its component (1,1)
+    has dimension 28^2 + 3 * 64^2 = 13 072."""
+    modules = coset_modules(EvenLattice(D4_GRAM), 0)
+    assert [m.graded_dims for m in modules] == [(1,), (8,), (8,), (8,)]
     _check_theorem(modules)
 
 
