@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 import os
 import sys
-from operator import itemgetter
 from stat import S_ISREG
 from types import GeneratorType, SimpleNamespace
 
-from .exact import dense, frac_str, parse_frac, parse_int, strict_int
+from .exact import dense, frac_str, parse_frac, parse_int
 
 MAX_RANK = 4
 MAX_DEGREE = 8
@@ -85,20 +84,20 @@ MAX_COEFFICIENT_DIGITS = 100
 # max_degree-500 file (754 kB) with one nonzero dimension took 2.2 s and
 # 194 MiB to validate.  D = 127 validates in 0.13 s and 24 MiB.
 MAX_ALGEBRA_COMPONENTS = 2**14
-# Every JSON input, checked on the file's size before a byte is read.  An
-# algebra file at every other cap (32 768 products of 100-digit
-# coefficients, D = 127) is 5.6 MiB with json's default separators and
-# 7.3 MiB with indent=2.  An algebra file as the library writes it is
-# streamed into the product tables, so its text is never whole: 32 768
-# products of 100-digit coefficients on a dims [[32]] corner, 5.4 MB, exit
-# 2 at the work cap in 0.55 s and 18 MiB.  So is a file over the products
-# cap, whose products past the cap are tallied and not stored: 80 582
-# products on a dims [[44]] corner, 5.3 MB, exit 2 in 0.55 s and 16 MiB.
-# Every other file is read whole by json.load, its text and then every
-# product as a dict, and this cap bounds that peak: with products first,
-# those 80 582 products exit 2 in 0.28 s and 41 MiB, and 100 582 in
-# 6.6 MB in 0.40 s and 47 MiB (CLI wall time and peak RSS, medians of 5
-# to 9, 2-core machine).
+# Every JSON input, checked once, on the size of the open file before a
+# byte is read.  An algebra file at every other cap (32 768 products of
+# 100-digit coefficients, D = 127) is 5.6 MiB with json's default
+# separators and 7.3 MiB with indent=2.  An algebra file as the library
+# writes it is streamed into the product tables, so its text is never
+# whole: 32 768 products of 100-digit coefficients on a dims [[32]]
+# corner, 5.4 MB, exit 2 at the work cap in 0.55 s and 18 MiB.  So is a
+# file over the products cap, whose products past the cap are tallied and
+# not stored: 80 582 products on a dims [[44]] corner, 5.3 MB, exit 2 in
+# 0.55 s and 16 MiB.  Every other file is read whole by json.load from the
+# same handle, its text and then every product as a dict, and this cap
+# bounds that peak: with products first, those 80 582 products exit 2 in
+# 0.28 s and 41 MiB, and 100 582 in 6.6 MB in 0.40 s and 47 MiB (CLI wall
+# time and peak RSS, medians of 5 to 9, 2-core machine).
 MAX_INPUT_BYTES = 2**23
 
 
@@ -113,16 +112,13 @@ def _limit(parser, args, what: str, size: int, limit: int) -> None:
 
 
 def _algebra_sizes(data) -> dict:
-    """{what: (size, limit)} of the algebra JSON by peirce._Tally, before
-    anything is built; {} for a malformed file, which PeirceAlgebra reports."""
-    from .peirce import _ENTRY_KEYS, _Tally
+    """{what: (size, limit)} of the algebra JSON by peirce._file_sizes,
+    before anything is built; {} for a malformed file, which PeirceAlgebra
+    reports."""
+    from .peirce import _file_sizes
 
     try:
-        dims = [[strict_int(x) for x in row] for row in data["dims"]]
-        tally = _Tally()
-        for entry in map(itemgetter(*_ENTRY_KEYS), data["products"]):
-            tally.add(entry)
-        return _sized(dims, *tally.sizes(data["unit0"]))
+        return _sized(*_file_sizes(data))
     except (KeyError, TypeError, ValueError, IndexError):
         return {}
 
@@ -219,28 +215,32 @@ def _load_lattice(parser, args, path):
 def _load_peirce(parser, args, path):
     from .peirce import PeirceAlgebra, _stream_algebra
 
-    # A regular file is streamed into the product tables a chunk at a time,
-    # its sizes tallied as it is read: no more products are stored than the
-    # products limit allows, and every limit is checked once the file is
-    # read, in the order and words of the whole read below.
+    # The file is opened once.  A regular file is streamed into the product
+    # tables a chunk at a time, its sizes tallied as it is read: no more
+    # products are stored than the products limit allows, and every limit
+    # is checked once the file is read, in the order and words of the whole
+    # read below.  Every file the stream does not take is read whole from
+    # the same handle: a layout the library does not write and a malformed
+    # file, from their start again, and a pipe, whose text can be read only
+    # once.
     read = None
     try:
-        with open(path, "rb", buffering=0) as fh:
+        with open(path, encoding="utf-8") as fh:
             stat = os.fstat(fh.fileno())
             _limit(parser, args, "bytes in the file", stat.st_size, MAX_INPUT_BYTES)
             if S_ISREG(stat.st_mode):
                 read = _stream_algebra(fh, None if args.unsafe_no_limits else MAX_ALGEBRA_PRODUCTS)
-    except OSError:
-        pass  # the whole read below reports it, as every unreadable file
+                fh.seek(0)  # for the whole read, if the stream declines
+            if read is None:
+                data = json.load(fh)
+    # as in _load_json
+    except (OSError, ValueError, RecursionError) as exc:
+        parser.error(f"cannot read {path}: {exc}")
     if read is not None:
         algebra, tallies = read
         for what, (size, limit) in _sized(algebra.dims, *tallies).items():
             _limit(parser, args, what, size, limit)
         return algebra
-    # Every file the stream does not take is read whole and refused or built
-    # as it always was: a layout the library does not write, a malformed
-    # file, and a pipe, which cannot be read twice.
-    data = _load_json(parser, args, path)
     for what, (size, limit) in _algebra_sizes(data).items():
         _limit(parser, args, what, size, limit)
     try:
@@ -719,20 +719,14 @@ def _add_options(parser, options) -> None:
         parser.add_argument(flag, help=help_text, **given)
 
 
-def build_parser(family: str | None = None):
-    """The ``mta`` argparse parser, in full when family is None.
-
-    Given a family name, only that family's options and subcommands are
-    built; each other family keeps an empty parser, so the top-level usage,
-    help and errors read exactly as with the full parser."""
+def build_parser():
+    """The ``mta`` argparse parser."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="mta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _run, leaves) in _FAMILIES.items():
         command = sub.add_parser(name, help=help_text)
-        if family not in (None, name):
-            continue
         if None in leaves:
             _add_options(command, leaves[None])
             continue
@@ -799,14 +793,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        # each command runs in a fresh interpreter: build only its family's parser
-        parser = build_parser(argv[0] if argv and argv[0] in _FAMILIES else None)
+        parser = build_parser()
         args = parser.parse_args(argv)
     else:
         # a handler only calls parser.error, which then builds the parser
         # to print the same usage and message and exit 2
-        family = args.command
-        parser = SimpleNamespace(error=lambda message: build_parser(family).error(message))
+        parser = SimpleNamespace(error=lambda message: build_parser().error(message))
     _help, run, _leaves = _FAMILIES[args.command]
     return run(parser, args)
 

@@ -729,7 +729,19 @@ class _Tally:
         return products, work, max([self.digits, *map(_digits, unit0)])
 
 
-# bytes of an algebra file _stream_algebra reads at a time
+def _file_sizes(data) -> tuple:
+    """(dims, products, work, digits) of an algebra file read whole: its
+    dims as ints and _Tally's sizes, each product dict fed to it as the
+    stream feeds a streamed one.  KeyError, TypeError, ValueError or
+    IndexError on a malformed file."""
+    dims = [[strict_int(x) for x in row] for row in data["dims"]]
+    tally = _Tally()
+    for entry in map(itemgetter(*_ENTRY_KEYS), data["products"]):
+        tally.add(entry)
+    return dims, *tally.sizes(data["unit0"])
+
+
+# characters of an algebra file _stream_algebra reads at a time
 _CHUNK = 8192
 _TOP_KEYS = ("max_degree", "dims", "products", "unit0")
 
@@ -739,18 +751,14 @@ class _NotStreamed(Exception):
 
 
 class _Chunks:
-    """The text of a file open in binary mode, read _CHUNK bytes at a time
-    and decoded as open(path, encoding="utf-8") decodes it, with universal
-    newlines; what is read and not yet taken is text[pos:]."""
+    """The text of a file open as text, read _CHUNK characters at a time;
+    what is read and not yet taken is text[pos:]."""
 
     def __init__(self, fh):
-        from codecs import getincrementaldecoder
-        from io import IncrementalNewlineDecoder
         from json import JSONDecoder
         from json.decoder import WHITESPACE
 
         self._fh = fh
-        self._decode = IncrementalNewlineDecoder(getincrementaldecoder("utf-8")(), True).decode
         # json.load's own scanner: (value, end) of the value at an index,
         # StopIteration when none starts there
         self._scan = JSONDecoder().scan_once
@@ -759,18 +767,12 @@ class _Chunks:
         self.pos = 0
 
     def _read(self, size: int = 0) -> bool:
-        """Read max(size, _CHUNK) more bytes, or until some text is decoded;
-        False at the end of the file.  The text taken is dropped first, so
-        the old text, the chunk and the joined text are never held
-        together."""
+        """Read max(size, _CHUNK) more characters; False at the end of the
+        file.  The text taken is dropped first, so the old text, the chunk
+        and the joined text are never held together."""
         self.text = self.text[self.pos :]
         self.pos = 0
-        chunk = ""
-        while not chunk:
-            data = self._fh.read(max(size, _CHUNK))
-            chunk = self._decode(data, not data)
-            if not data:
-                break
+        chunk = self._fh.read(max(size, _CHUNK))
         self.text += chunk
         return bool(chunk)
 
@@ -815,8 +817,8 @@ class _Chunks:
 
 
 def _stream_algebra(fh, max_products):
-    """(algebra, (products, work, digits)) of the algebra file open on fh in
-    binary mode, read _CHUNK bytes at a time with each product object
+    """(algebra, (products, work, digits)) of the algebra file open as text
+    on fh, read _CHUNK characters at a time with each product object
     decoded on its own and handed to the PeirceAlgebra constructor as it
     stores the products, so neither the text nor a list of the products is
     ever whole.  The tallies are _Tally's, always over the whole file.  The
@@ -827,9 +829,9 @@ def _stream_algebra(fh, max_products):
 
     None, once reading has stopped, for every other file: anything but one
     JSON object with each of _TOP_KEYS once, max_degree and dims before
-    products, and only whitespace after it; text that is not UTF-8 or JSON;
-    and anything the constructor refuses.  The caller reads such a file
-    whole instead."""
+    products, and only whitespace after it; text that fh cannot decode or
+    that is not JSON; and anything the constructor refuses.  The caller
+    reads such a file whole instead."""
     text = _Chunks(fh)
     head: dict = {}
     tally = _Tally()

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -355,6 +356,15 @@ def _exits_two_fast(capsys, argv):
     return err
 
 
+def _outcome(capsys, argv):
+    """(exit status, stdout, stderr) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
 def _products_free(dims):
     n0 = dims[0][0]
     return {"max_degree": len(dims) - 1, "dims": dims, "products": [], "unit0": ["1"] + ["0"] * (n0 - 1)}
@@ -418,7 +428,7 @@ def test_algebra_caps_exit_two_fast(capsys, tmp_path):
 
 def _streamed(path, max_products=None):
     """peirce._stream_algebra on the file at path."""
-    with open(path, "rb", buffering=0) as fh:
+    with open(path, encoding="utf-8") as fh:
         return peirce._stream_algebra(fh, max_products)
 
 
@@ -539,8 +549,8 @@ def _split_texts():
 @pytest.mark.parametrize("chunk", [1, 7])
 @pytest.mark.parametrize("case", sorted(_split_texts()))
 def test_values_split_across_chunks_stream_as_read_whole(case, chunk, tmp_path, monkeypatch):
-    """The stream reads chunk bytes at a time; each file, shifted by 0 to
-    chunk - 1 leading spaces so that every value and the last product
+    """The stream reads chunk characters at a time; each file, shifted by
+    0 to chunk - 1 leading spaces so that every value and the last product
     cross a boundary at every place, gives the algebra from_json_dict
     builds and the sizes _algebra_sizes measures."""
     monkeypatch.setattr(peirce, "_CHUNK", chunk)
@@ -566,17 +576,24 @@ _NOT_STREAMED = {
     "bad index": lambda d: {**d, "products": [{**d["products"][0], "a": 5}]},
     "bad coefficient": lambda d: {**d, "products": [{**d["products"][0], "coeff": "1/0"}]},
     "product missing a key": lambda d: {**d, "products": [{"i": 0}]},
+    "a key between products and unit0": lambda d: {
+        **{k: v for k, v in d.items() if k != "unit0"},
+        "comment": "x",
+        "unit0": d["unit0"],
+    },
 }
 _NOT_STREAMED_TEXTS = {
     "duplicate key": lambda t: t[:-1] + ', "dims": [[2, 2], [2, 2]]}',
     "data after the object": lambda t: t + " {}",
     "cut short": lambda t: t[:-2],
     "not UTF-8": lambda t: t[:-1] + ' \udcff}',
+    "no comma between products": lambda t: t.replace("}, {", "} {", 1),
+    "ends after max_degree": lambda t: t[: t.index(",")],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_NOT_STREAMED) + sorted(_NOT_STREAMED_TEXTS))
-def test_stream_leaves_other_files_to_the_whole_read(case, tmp_path):
+def test_stream_leaves_other_files_to_the_whole_read(case, capsys, tmp_path, monkeypatch):
     data = matrix_model([[1, 2], [1, 0]]).to_json_dict()
     if case in _NOT_STREAMED:
         text = json.dumps(_NOT_STREAMED[case](data))
@@ -585,9 +602,58 @@ def test_stream_leaves_other_files_to_the_whole_read(case, tmp_path):
     path = tmp_path / "alg.json"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert _streamed(path) is None
+    # the CLI answers as when the stream takes no file
+    argv = ["peirce", "validate", "--algebra", str(path)]
+    read = _outcome(capsys, argv)
+    monkeypatch.setattr(peirce, "_stream_algebra", lambda fh, max_products: None)
+    assert _outcome(capsys, argv) == read
     # the unit0 of a string reads whole as a list of its characters
     if case == "unit0 as text":
-        assert main(["peirce", "validate", "--algebra", str(path)]) == 1
+        assert read[0] == 1
+
+
+def _validate_outcome(path, **kwargs):
+    """(exit status, stdout, stderr) of `python -m mta peirce validate
+    --algebra path`, which must end inside 10 s."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mta", "peirce", "validate", "--algebra", str(path)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        timeout=10,
+        **kwargs,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_MM12 = Path(__file__).resolve().parent / "golden" / "cli" / "inputs" / "mm12.json"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_named_pipe_is_read_whole_once(tmp_path):
+    """An algebra file written into a named pipe, its writer closing once
+    the file is written, is read whole from the one handle it is opened
+    on: `peirce validate` prints what it prints on the regular file, and
+    does not wait for a second writer."""
+    fifo = tmp_path / "mm12.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(_MM12.read_bytes())
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    read = _validate_outcome(fifo)
+    writer.join(10)
+    assert read == _validate_outcome(_MM12) and read[0] == 0, read
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin here")
+def test_piped_stdin_is_read_whole_once():
+    """`--algebra /dev/stdin` fed by a pipe reads as the regular file."""
+    read = _validate_outcome("/dev/stdin", input=_MM12.read_bytes())
+    assert read == _validate_outcome(_MM12) and read[0] == 0, read
 
 
 def test_products_limit_is_checked_before_each_product_is_stored(tmp_path, monkeypatch):
@@ -622,7 +688,7 @@ def test_over_cap_files_are_refused_without_a_whole_read(capsys, tmp_path, monke
     def whole(*args):
         raise AssertionError("read whole")
 
-    monkeypatch.setattr(cli, "_load_json", whole)
+    monkeypatch.setattr(cli.json, "load", whole)
     path = tmp_path / "alg.json"
     data = _products_free([[2]])
     data["products"] = [{"i": 0, "j": 0, "k": 0, "a": 0, "b": 0, "c": 0, "coeff": "0"}] * 40000
@@ -1471,9 +1537,9 @@ def test_cli_load_peaks_near_the_built_algebra(tmp_path):
     assert peak <= 1.75 * held, (peak, held)
 
 
-# main builds only the named family's parser; its output and exit status
-# must be those of the full parser, which prints the top-level usage for an
-# unrecognized argument
+# main hands every command line it does not read itself to argparse; its
+# output and exit status must be those of build_parser().parse_args, which
+# prints the top-level usage for an unrecognized argument
 _FAMILIES = ["partitions", "heisenberg", "lattice", "peirce", "zhu"]
 _PARSER_CASES = [
     [],

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import gc
 import importlib.util
 import itertools
@@ -425,10 +426,22 @@ def test_zigzag_payload_reads_its_verdicts_off_validation(monkeypatch):
         assert json.dumps(_zigzag_payload(p, d)) == json.dumps(expected), (p.dims, d)
 
 
-def _verdict_algebras():
-    """The algebras of test_zigzag_verdicts_hold_on_every_validated_algebra."""
+def _validated_degrees(algebras):
+    """(p, d) for every degree d of every algebra p that passes
+    validate_peirce."""
+    for p in algebras:
+        for d in range(p.max_degree + 1) if validate_peirce(p).ok else ():
+            yield p, d
+
+
+@functools.cache
+def _verdict_sweep():
+    """(algebras, pairs): the algebras of
+    test_zigzag_verdicts_hold_on_every_validated_algebra and the (p, d) of
+    _validated_degrees over them, built and validated once for every test
+    that reads them."""
     models = [matrix_model(blocks) for blocks in (*ACCEPTANCE_BLOCKS, [[1, 1], [1, 1]])]
-    return [
+    algebras = (
         *(bad for _, bad in _mutation_sweep()),
         zero_edge_algebra(),
         dead_edge_algebra(),
@@ -437,15 +450,8 @@ def _verdict_algebras():
         *(_changed_basis(p, random.Random(7)) for p in models),
         heisenberg_truncation(1, 3, [Fraction(0)]),
         heisenberg_truncation(2, 2, [Fraction(0), Fraction(0)]),
-    ]
-
-
-def _validated_degrees(algebras):
-    """(p, d) for every degree d of every algebra p that passes
-    validate_peirce."""
-    for p in algebras:
-        for d in range(p.max_degree + 1) if validate_peirce(p).ok else ():
-            yield p, d
+    )
+    return algebras, tuple(_validated_degrees(algebras))
 
 
 def test_zigzag_verdicts_hold_on_every_validated_algebra():
@@ -463,10 +469,10 @@ def test_zigzag_verdicts_hold_on_every_validated_algebra():
     (balanced fallback at degree 1), five matrix models with mm332 and mm12
     among them, each also in a random integer basis with fractional
     structure constants, and two boson truncations."""
-    algebras = _verdict_algebras()
+    algebras, validated = _verdict_sweep()
     pairs = certified = 0
     morita = Counter()
-    for p, d in _validated_degrees(algebras):
+    for p, d in validated:
         # validate_peirce reads the image rank of a quotient read through
         # the product map off its dimension; the Echelon agrees
         q = peirce._edge_quotient(p, d, 0)
@@ -518,7 +524,7 @@ def test_zigzag_payload_ideal_is_zd_ideal():
         return ideal_unit(p, ideal)
 
     pairs = 0
-    for p, d in _validated_degrees(_verdict_algebras()):
+    for p, d in _verdict_sweep()[1]:
         with mock.patch.object(peirce, "_ideal_unit", recorded):
             _zigzag_payload(p, d)
         assert ideals.pop() == zd_ideal(p, d), (p.dims, d)
@@ -534,7 +540,7 @@ def test_pivot_reads_match_coords_of_on_every_validated_algebra():
     forward module of the regular module to the whole corner is the one
     built through coords_of."""
     extended = 0
-    for p, d in _validated_degrees(_verdict_algebras()):
+    for p, d in _verdict_sweep()[1]:
         ideal = zd_ideal(p, d)
         built = {}
         for a, za in enumerate(ideal.basis):
