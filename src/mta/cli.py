@@ -11,6 +11,7 @@ which --unsafe-no-limits lifts).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
@@ -84,29 +85,33 @@ MAX_COEFFICIENT_DIGITS = 100
 # max_degree-500 file (754 kB) with one nonzero dimension took 2.2 s and
 # 194 MiB to validate.  D = 127 validates in 0.13 s and 24 MiB.
 MAX_ALGEBRA_COMPONENTS = 2**14
-# Every JSON input, checked once, on the size of the open file before a
-# byte is read.  An algebra file at every other cap (32 768 products of
-# 100-digit coefficients, D = 127) is 5.6 MiB with json's default
-# separators and 7.3 MiB with indent=2.  An algebra file as the library
-# writes it is streamed into the product tables, so its text is never
-# whole: 32 768 products of 100-digit coefficients on a dims [[32]]
-# corner, 5.4 MB, exit 2 at the work cap in 0.55 s and 18 MiB.  So is a
-# file over the products cap, whose products past the cap are tallied and
-# not stored: 80 582 products on a dims [[44]] corner, 5.3 MB, exit 2 in
-# 0.55 s and 16 MiB.  Every other file is read whole by json.load from the
-# same handle, its text and then every product as a dict, and this cap
-# bounds that peak: with products first, those 80 582 products exit 2 in
-# 0.28 s and 41 MiB, and 100 582 in 6.6 MB in 0.40 s and 47 MiB (CLI wall
-# time and peak RSS, medians of 5 to 9, 2-core machine).
+# Every input file (algebra, module and gram files alike), checked once,
+# in bytes, by _open_input: a regular file on its size before a byte is
+# read, and a pipe or any other file that tells no size once one byte past
+# the cap is read, so no input is read further.  An algebra file at every
+# other cap (32 768 products of 100-digit coefficients, D = 127) is 5.6 MiB
+# with json's default separators and 7.3 MiB with indent=2.  An algebra
+# file as the library writes it is streamed into the product tables, so
+# its text is never whole: 32 768 products of 100-digit coefficients on a
+# dims [[32]] corner, 5.4 MB, exit 2 at the work cap in 0.55 s and 18 MiB.
+# So is a file over the products cap, whose products past the cap are
+# tallied and not stored: 80 582 products on a dims [[44]] corner, 5.3 MB,
+# exit 2 in 0.55 s and 16 MiB.  Every other file is read whole by
+# json.load from the same handle, its text and then every product as a
+# dict, and this cap bounds that peak: with products first, those 80 582
+# products exit 2 in 0.28 s and 41 MiB, and 100 582 in 6.6 MB in 0.40 s
+# and 47 MiB (CLI wall time and peak RSS, medians of 5 to 9, 2-core
+# machine).
 MAX_INPUT_BYTES = 2**23
 
 
-def _limit(parser, args, what: str, size: int, limit: int) -> None:
+def _limit(parser, args, what: str, size: int, limit: int, shown=None) -> None:
     """Exit 2 when size is over its desk-scale limit, unless the command
-    passed --unsafe-no-limits."""
+    passed --unsafe-no-limits; the message states shown, if given, as the
+    size."""
     if size > limit and not args.unsafe_no_limits:
         parser.error(
-            f"{what}: {size}, over the desk-scale limit of {limit}; "
+            f"{what}: {size if shown is None else shown}, over the desk-scale limit of {limit}; "
             "pass --unsafe-no-limits to override"
         )
 
@@ -183,10 +188,33 @@ def _emit(args, payload: dict, text_lines) -> None:
         sys.exit(1)
 
 
+def _open_input(parser, args, path):
+    """The input file at path, open as UTF-8 text that can be rewound, or
+    exit 2 once it is over MAX_INPUT_BYTES bytes (unless the command passed
+    --unsafe-no-limits): a regular file on its size, before a byte of it is
+    read, and anything else (a pipe, a named pipe, /dev/stdin fed by a
+    pipe, a character device) once MAX_INPUT_BYTES + 1 bytes of it are
+    read, since such a file tells no size.  Those bytes are held and read
+    from memory, so every kind of file is read the same way after."""
+    fh = open(path, "rb")
+    try:
+        stat = os.fstat(fh.fileno())
+        size, shown = stat.st_size, None
+        if not S_ISREG(stat.st_mode):
+            with fh:
+                data = fh.read(-1 if args.unsafe_no_limits else MAX_INPUT_BYTES + 1)
+            fh = io.BytesIO(data)
+            size, shown = len(data), f"more than {MAX_INPUT_BYTES}"
+        _limit(parser, args, "bytes in the file", size, MAX_INPUT_BYTES, shown)
+    except BaseException:
+        fh.close()
+        raise
+    return io.TextIOWrapper(fh, encoding="utf-8")
+
+
 def _load_json(parser, args, path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            _limit(parser, args, "bytes in the file", os.fstat(fh.fileno()).st_size, MAX_INPUT_BYTES)
+        with _open_input(parser, args, path) as fh:
             return json.load(fh)
     # ValueError: bad JSON or an overlong integer; RecursionError: nesting
     # deeper than the interpreter's recursion limit
@@ -197,12 +225,11 @@ def _load_json(parser, args, path):
 def _load_lattice(parser, args, path):
     from .lattice import EvenLattice, _gram_header, _gram_rows
 
-    # the size is checked before a byte is read, and the rank once the
-    # first line is, before the rest of the file is, and so before
-    # EvenLattice factors the Gram matrix, O(rank^3)
+    # the rank is checked once the first line is read, before the rest of
+    # the file is, and so before EvenLattice factors the Gram matrix,
+    # O(rank^3)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            _limit(parser, args, "bytes in the file", os.fstat(fh.fileno()).st_size, MAX_INPUT_BYTES)
+        with _open_input(parser, args, path) as fh:
             n, lines = _gram_header(fh)
             _limit(parser, args, "lattice rank", n, MAX_LATTICE_RANK)
             lattice = EvenLattice(_gram_rows(n, lines))
@@ -215,23 +242,18 @@ def _load_lattice(parser, args, path):
 def _load_peirce(parser, args, path):
     from .peirce import PeirceAlgebra, _stream_algebra
 
-    # The file is opened once.  A regular file is streamed into the product
-    # tables a chunk at a time, its sizes tallied as it is read: no more
-    # products are stored than the products limit allows, and every limit
-    # is checked once the file is read, in the order and words of the whole
-    # read below.  Every file the stream does not take is read whole from
-    # the same handle: a layout the library does not write and a malformed
-    # file, from their start again, and a pipe, whose text can be read only
-    # once.
-    read = None
+    # Every kind of file, held to the byte cap in bytes by _open_input, is
+    # streamed into the product tables a chunk at a time, its sizes
+    # tallied as it is read: no more products are stored than the products
+    # limit allows, and every limit is checked once the file is read, in
+    # the order and words of the whole read below.  A file the stream does
+    # not take (a layout the library does not write, a malformed file) is
+    # read whole from its start again.
     try:
-        with open(path, encoding="utf-8") as fh:
-            stat = os.fstat(fh.fileno())
-            _limit(parser, args, "bytes in the file", stat.st_size, MAX_INPUT_BYTES)
-            if S_ISREG(stat.st_mode):
-                read = _stream_algebra(fh, None if args.unsafe_no_limits else MAX_ALGEBRA_PRODUCTS)
-                fh.seek(0)  # for the whole read, if the stream declines
+        with _open_input(parser, args, path) as fh:
+            read = _stream_algebra(fh, None if args.unsafe_no_limits else MAX_ALGEBRA_PRODUCTS)
             if read is None:
+                fh.seek(0)
                 data = json.load(fh)
     # as in _load_json
     except (OSError, ValueError, RecursionError) as exc:

@@ -612,18 +612,23 @@ def test_stream_leaves_other_files_to_the_whole_read(case, capsys, tmp_path, mon
         assert read[0] == 1
 
 
-def _validate_outcome(path, **kwargs):
-    """(exit status, stdout, stderr) of `python -m mta peirce validate
-    --algebra path`, which must end inside 10 s."""
+def _mta_outcome(argv, run=("-m", "mta"), **kwargs):
+    """(exit status, stdout, stderr) of `python -m mta *argv`, or of `python
+    *run *argv`, which must end inside 10 s."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "mta", "peirce", "validate", "--algebra", str(path)],
+        [sys.executable, *run, *argv],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
         timeout=10,
         **kwargs,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _validate_outcome(path, **kwargs):
+    """_mta_outcome of `peirce validate --algebra path`."""
+    return _mta_outcome(["peirce", "validate", "--algebra", str(path)], **kwargs)
 
 
 _MM12 = Path(__file__).resolve().parent / "golden" / "cli" / "inputs" / "mm12.json"
@@ -654,6 +659,119 @@ def test_piped_stdin_is_read_whole_once():
     """`--algebra /dev/stdin` fed by a pipe reads as the regular file."""
     read = _validate_outcome("/dev/stdin", input=_MM12.read_bytes())
     assert read == _validate_outcome(_MM12) and read[0] == 0, read
+
+
+def _over_cap(head, item, tail):
+    """head, item as many times as fit, and tail, padded with spaces to
+    MAX_INPUT_BYTES + 1 bytes."""
+    n = (MAX_INPUT_BYTES - len(head) - len(tail)) // len(item)
+    text = head + item * n + tail
+    return (text + " " * (MAX_INPUT_BYTES + 1 - len(text))).encode()
+
+
+_PRODUCT = '{"i": 0, "j": 0, "k": 0, "a": 0, "b": 0, "c": 0, "coeff": "1"}'
+_MODULE = '{"label": "vac", "graded_dims": [1, 0, 1, 1], "conformal_weight": "0"}'
+# each reader and an input of MAX_INPUT_BYTES + 1 bytes that it would parse
+# past the byte cap if it read the input whole: a products-first algebra
+# (read whole by json.load), a module list and a rank-1 gram file whose
+# one row is a single line
+_OVER_CAP_PIPES = {
+    "algebra": (
+        ["peirce", "validate", "--algebra"],
+        lambda: _over_cap(
+            '{"products": [' + _PRODUCT, ", " + _PRODUCT, '], "max_degree": 0, "dims": [[1]], "unit0": ["1"]}'
+        ),
+    ),
+    "modules": (
+        ["zhu", "rational", "--degree", "0", "--modules"],
+        lambda: _over_cap("[" + _MODULE, ", " + _MODULE, "]"),
+    ),
+    "gram": (["lattice", "cosets", "--gram"], lambda: _over_cap("1\n8", " 0", "\n")),
+}
+
+# Runs `python -m mta` with the arguments it is given, under a 1 GiB
+# address-space limit, and prints the child's exit status and peak RSS in
+# KiB.  A child's peak counts what the process that forked it held, so this
+# small process forks it, not the test process.
+_PEAK_RSS = """
+import os, resource, subprocess, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "mta", *sys.argv[1:]]
+proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_outcome(argv, **kwargs):
+    """(exit status, peak RSS in MiB, stderr) of `python -m mta *argv`,
+    which must end inside 10 s."""
+    _, out, err = _mta_outcome(argv, ("-c", _PEAK_RSS), **kwargs)
+    code, peak = map(int, out.split())
+    return code, peak / 1024, err.decode()
+
+
+_AT_THE_BYTE_CAP = (
+    f"bytes in the file: more than {MAX_INPUT_BYTES}, over the desk-scale limit of {MAX_INPUT_BYTES};"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="peak RSS from wait4 in KiB on Linux only")
+@pytest.mark.parametrize("through", ["fifo", "stdin"])
+@pytest.mark.parametrize("reader", _OVER_CAP_PIPES)
+def test_over_cap_pipes_exit_two_at_the_byte_cap(reader, through, tmp_path):
+    """An input of MAX_INPUT_BYTES + 1 bytes through a named pipe or a pipe
+    on /dev/stdin, which tells no size, exits 2 at the byte cap once one
+    byte past it is read: the child's peak RSS stays under 30 MiB, its
+    message states no size it did not measure, and under -X dev -W error
+    it leaves no handle open."""
+    argv, build = _OVER_CAP_PIPES[reader]
+    data = build()
+    if through == "stdin":
+        outcome = _peak_outcome([*argv, "/dev/stdin"], input=data)
+    else:
+        fifo = tmp_path / "input.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            # the reader closes the pipe once it has read past the cap
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        outcome = _peak_outcome([*argv, str(fifo)])
+        writer.join(10)
+    code, peak, err = outcome
+    assert code == 2 and _AT_THE_BYTE_CAP in err, outcome
+    assert "Warning" not in err and peak < 30, outcome
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="peak RSS from wait4 in KiB on Linux only")
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero here")
+def test_endless_input_exits_two_at_the_byte_cap():
+    """/dev/zero, which never ends, is read only to one byte past the cap."""
+    code, peak, err = _peak_outcome(["zhu", "rational", "--degree", "0", "--modules", "/dev/zero"])
+    assert code == 2 and _AT_THE_BYTE_CAP in err and peak < 30, (code, peak, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin here")
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["peirce", "validate", "--algebra"], "mm12.json"),
+        (["zhu", "rational", "--degree", "2", "--modules"], "modules.json"),
+        (["lattice", "cosets", "--gram"], "a4.gram"),
+    ],
+)
+def test_piped_inputs_under_the_cap_parse(argv, name):
+    """Each reader given its input through a pipe on /dev/stdin prints what
+    it prints on the regular file, with and without --unsafe-no-limits."""
+    path = _MM12.parent / name
+    expected = _mta_outcome([*argv, str(path)])
+    assert expected[0] == 0, expected
+    for flags in ((), ("--unsafe-no-limits",)):
+        assert _mta_outcome([*argv, "/dev/stdin", *flags], input=path.read_bytes()) == expected, flags
 
 
 def test_products_limit_is_checked_before_each_product_is_stored(tmp_path, monkeypatch):

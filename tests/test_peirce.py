@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mta import exact, peirce
-from mta.cli import _morita_payload, _zigzag_payload
+from mta.cli import _morita_payload, _zigzag_payload, main
 from mta.heisenberg import strong_identity
 from mta.partitions import enumerate_labeled_partitions
 from mta.peirce import (
@@ -380,6 +380,49 @@ def test_zero_product_zigzag():
     assert z.as_algebra().is_associative() and action_through_A_check(z).ok
     split = ideal_unit_and_split(p, zd_ideal(p, 1))
     assert split.ok and split.ideal.dim == 0 and split.epsilon == {}
+
+
+def incidence_algebra():
+    """R = span{E11, E12, E13, E22, E31, E32, E33}, matrix units closed
+    under multiplication, graded by e = E11 + E22 at level 0 and f = E33
+    at level 1: components eRe = span{E11, E12, E22}, eRf = span{E13},
+    fRe = span{E31, E32} and fRf = span{E33}, 15 products, unit0 E11 + E22."""
+    basis = {(0, 0): ["11", "12", "22"], (0, 1): ["13"], (1, 0): ["31", "32"], (1, 1): ["33"]}
+    slot = {unit: n for units in basis.values() for n, unit in enumerate(units)}
+    products = [
+        {"i": i, "j": j, "k": k, "a": a, "b": b, "c": slot[x[0] + y[1]], "coeff": "1"}
+        for (i, j), left in basis.items()
+        for k in range(2)
+        for a, x in enumerate(left)
+        for b, y in enumerate(basis[j, k])
+        if x[1] == y[0] and x[0] + y[1] in slot
+    ]
+    data = {"max_degree": 1, "dims": [[3, 1], [2, 1]], "products": products, "unit0": ["1", "0", "1"]}
+    return PeirceAlgebra.from_json_dict(data)
+
+
+def test_morita_refuses_a_corner_ideal_without_a_unit(tmp_path, capsys):
+    """Validation and a strong identity do not give the Morita setup: the
+    incidence algebra passes validate_peirce with E33 its degree-1 strong
+    identity, yet Z_1 = span{E11, E12} has no unit (E12 E11 = 0), so
+    `peirce morita --degree 1` refuses it with exit 1, and `peirce zigzag
+    --degree 1` reports the ideal not unital and prints no epsilon."""
+    p = incidence_algebra()
+    assert len(p.entries()) == 15 and validate_peirce(p).ok
+    assert find_strong_identity(p, 1) == {0: 1}
+    ideal = zd_ideal(p, 1)
+    assert ideal.basis == [{0: 1}, {1: 1}]
+    assert peirce._ideal_unit(p, ideal)[0] is None
+    path = tmp_path / "incidence.json"
+    path.write_text(json.dumps(p.to_json_dict()))
+    argv = ["peirce", "morita", "--algebra", str(path), "--degree", "1"]
+    assert main(argv) == 1
+    refused = {"degree": 1, "ok": False, "error": "degree-1 corner ideal has no internal unit"}
+    assert json.loads(capsys.readouterr().out) == refused
+    argv[1] = "zigzag"
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ideal_unital"] is False and "epsilon" not in payload
 
 
 MM332 = ([3, 2], [1, 3], [2, 1])

@@ -16,7 +16,7 @@ from mta.heisenberg import (
     strong_identity,
 )
 from mta.lattice import CosetRep, EvenLattice, graded_dims
-from mta.partitions import LabeledPartition, Partition, enumerate_partitions
+from mta.partitions import LabeledPartition, Partition, enumerate_partitions, labeled_partition_counts
 from mta.peirce import (
     Algebra,
     CheckReport,
@@ -35,7 +35,7 @@ from mta.peirce import (
     morita_forward,
     regular_module,
 )
-from mta.zhu import SCALAR_FIELD, SimpleModuleData, ZhuDescriptor, commutative_zhu_descriptor
+from mta.zhu import SCALAR_FIELD, SimpleModuleData, ZhuDescriptor, commutative_zhu_descriptor, zd_support
 
 # (instance, its fields in declaration order)
 FROZEN = [
@@ -184,6 +184,20 @@ ARGUMENT_CHECKS = {
     "lattice-empty-gram": (lambda: EvenLattice([]), "rank must be positive"),
     "graded-dims-negative-level": (lambda: graded_dims(EvenLattice([[2]]), [0], -1), "n_max must be nonnegative"),
     "partitions-negative-weight": (lambda: enumerate_partitions(-1), "weight must be nonnegative"),
+    "partition-counts-rank": (lambda: labeled_partition_counts(0, 3), "rank must be positive"),
+    "partition-counts-negative-weight": (lambda: labeled_partition_counts(1, -1), "weight must be nonnegative"),
+    "zd-support-degree": (
+        lambda: zd_support([SimpleModuleData("a", (1,))], 1),
+        "degree 1 out of range for module 'a'",
+    ),
+    "zhu-descriptor-degree": (
+        lambda: commutative_zhu_descriptor([1, 2], 1, 2),
+        "degree 2 out of range for 2 graded levels",
+    ),
+    "zhu-polynomial-not-constant": (
+        lambda: ZhuPolynomial(1, {(1,): 1}).constant_value(),
+        "not a constant: 1*h1",
+    ),
 }
 
 
